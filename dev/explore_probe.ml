@@ -14,9 +14,9 @@ let () =
     | None -> failwith "no workload"
   in
   let rep = Explore.exhaustive ~max_steps:10 ~domains:1 w in
-  Printf.printf "violations: %d (dedup %d, pruned %d)\n"
+  Printf.printf "violations: %d (dedup %d)\n"
     (List.length rep.Explore.violations)
-    rep.Explore.dedup_hits rep.Explore.pruned;
+    rep.Explore.dedup_hits;
   List.iter
     (fun v ->
       Printf.printf "script [%s] original [%s]\n"

@@ -15,9 +15,8 @@
       branches mid-run — effect continuations are one-shot, so branching
       still costs one execution per tree edge, but never a replay per
       node), states already reached by an equivalent interleaving are
-      pruned by fingerprint, commuting Block-Updates are pruned by sleep
-      sets, and the frontier is shared work-stealing-style across
-      [Domain]s with a deterministic merge;
+      pruned by fingerprint, and the frontier is shared
+      work-stealing-style across [Domain]s with a deterministic merge;
     - {!sweep} runs seeded randomized schedules — uniform, crashy
       ({!Rsim_shmem.Schedule.with_crashes}), x-obstruction
       ({!Rsim_shmem.Schedule.among}) and scripted adversaries — in
@@ -34,23 +33,14 @@ open Rsim_shmem
 (** {2 Workloads and outcomes} *)
 
 (** What the exploration engine observes at one scheduling decision of a
-    probed execution: the decision index, the schedulable pids, a
+    probed execution: the decision index, the schedulable pids, and a
     canonical state fingerprint (two independently-mixed digests of the
     shared state and every fiber's operation/result history; [None] when
-    the workload cannot fingerprint soundly), the independence relation
-    between two live pids' pending operations (true only when executing
-    them in either order is equivalent for every oracle the workload
-    runs), and a certification callback: under [--certify-independence]
-    the engine calls [claim a b] for every pair whose claimed
-    commutation justified a sleep-set prune, and the workload validates
-    the pair's real footprints once both operations execute (a no-op
-    when certification is off). *)
+    the workload cannot fingerprint soundly). *)
 type probe_view = {
   step : int;
   live : int list;
   fingerprint : (int * int) option;
-  indep : int -> int -> bool;
-  claim : int -> int -> unit;
 }
 
 (** Returning [`Stop] ends the execution at that decision point. *)
@@ -75,7 +65,9 @@ type outcome = {
     call it concurrently from several [Domain]s. When [check] is false
     the engine only needs [script]/[live]/[steps] and judges lazily via
     [judge]. [probe], if given, is called before every scheduling
-    decision with the reached state's {!probe_view}. *)
+    decision with the reached state's {!probe_view}. [certify] is
+    ignored by every workload and engine; the label stays only because
+    the benchmark's exec wrapper still passes it. *)
 type workload = {
   name : string;
   n_procs : int;
@@ -107,14 +99,9 @@ type exhaustive_report = {
   prefixes : int;  (** tree nodes expanded (schedule prefixes visited) *)
   executions : int;  (** workload executions actually run *)
   dedup_hits : int;  (** branches cut at an already-claimed state *)
-  pruned : int;  (** branches cut by the sleep-set independence rule *)
+  pruned : int;
+      (** always 0; kept only because the benchmark still reads it *)
   domains : int;  (** parallel workers used *)
-  certify_checks : int;
-      (** sleep-set commutation claims validated under
-          [--certify-independence] (0 when certification is off) *)
-  certify_violations : int;
-      (** validated claims whose real footprints were {e not} disjoint
-          triple-appends — each one is an unsound prune *)
   violations : violation list;
 }
 
@@ -129,40 +116,28 @@ type exhaustive_report = {
     [domains] (default [min 4 (recommended_domain_count - 1)], at least
     1) sets the number of parallel workers. [dedup] (default true) prunes
     prefixes reaching a state already claimed by an equivalent
-    interleaving; [independence] (default true) additionally sleeps
-    commuting sibling branches (Block-Update appends to disjoint
-    components). Both pruning modes switch themselves off when the
-    workload has a fault profile (reached states then depend on wake-up
-    clocks the fingerprint cannot see), and [independence] also under a
-    preemption bound.
+    interleaving; it switches itself off when the workload has a fault
+    profile (reached states then depend on wake-up clocks the
+    fingerprint cannot see).
 
-    Counts and — absent an early stop — the violation set are
-    deterministic functions of the workload and the pruning flags,
-    regardless of [domains]: state claims are atomic and equal state
-    keys have equal futures, so the merged report does not depend on
-    which racing task wins a claim. Stops early (atomically, across all
-    domains) after [max_violations] (default 1) raw violations; the raw
-    set is then merged deterministically (shortest script first),
-    shrunk, and deduplicated.
-
-    [certify] (default false) turns PR 4's commutativity assumption into
-    a runtime-checked invariant: every sleep-set prune's operation pair
-    is claimed to the workload, which validates — once both operations
-    actually execute — that their real shared-memory footprints are
-    disjoint-component triple-appends. Checks and violations are counted
-    in the [explore.certify.*] metrics and reported as per-run deltas in
-    [certify_checks]/[certify_violations]; a non-zero violation count
-    means some explored-elsewhere ordering was pruned unsoundly. Only
-    meaningful while sleep sets are active, so it switches itself off
-    whenever [independence] does. *)
+    Absent an early stop, counts are deterministic functions of the
+    workload and [dedup], regardless of [domains]: state claims are
+    atomic and equal state keys have equal futures, so they do not
+    depend on which racing task wins a claim. Violation scripts can
+    depend on [domains] even then: with [dedup] on, the winner of a
+    claim race becomes the prefix that represents the merged state.
+    Stops early (atomically, across all domains) after [max_violations]
+    (default 1) raw violations, keeping whichever arrived first; the raw
+    set is then merged (shortest script first), shrunk, and
+    deduplicated. Equal states can have different histories, so [dedup]
+    can miss a violation of a history-judged oracle at the tightest
+    bound that shows it (DESIGN §9). *)
 val exhaustive :
   ?max_steps:int ->
   ?preemption_bound:int ->
   ?max_violations:int ->
   ?domains:int ->
   ?dedup:bool ->
-  ?independence:bool ->
-  ?certify:bool ->
   workload ->
   exhaustive_report
 
@@ -291,18 +266,11 @@ module Aug_target : sig
       them) on every call. [faults] is a fault-plane profile compiled
       afresh (fire-once state and all) on every execution, so replays are
       deterministic. Executions maintain rolling state digests, so the
-      exploration engine's probe always gets a fingerprint and the
-      disjoint-component Block-Update independence relation.
-
-      [unsound_indep] (default false, tests only) replaces the
-      independence relation with the deliberately wrong "any two
-      distinct pids commute" — the engine then prunes unsoundly and
-      [certify] must catch it. *)
+      exploration engine's probe always gets a fingerprint. *)
   val workload :
     ?oracles:exec Oracle.t list ->
     ?inject:Rsim_augmented.Aug.fault ->
     ?faults:Rsim_faults.Faults.spec list ->
-    ?unsound_indep:bool ->
     name:string ->
     f:int ->
     m:int ->
@@ -320,7 +288,6 @@ module Aug_target : sig
     ?inject:Rsim_augmented.Aug.fault ->
     ?faults:Rsim_faults.Faults.spec list ->
     ?oracles:exec Oracle.t list ->
-    ?unsound_indep:bool ->
     name:string ->
     f:int ->
     m:int ->

@@ -9,7 +9,7 @@
     (the process's [at_op]-th base-object operation, 0-based, cumulative
     across restarts) and an {!action}; a list of specs — a {e profile} —
     is compiled by {!plan}/{!control} into the [control] hook of
-    {!Rsim_runtime.Fiber.Make.run}, so {e every} fiber workload
+    {!Rsim_runtime.Fiber.S.run}, so {e every} fiber workload
     (augmented snapshot, register snapshot, full simulations, explorer
     workloads) can be faulted through one mechanism, without per-module
     hooks.
@@ -98,6 +98,6 @@ val plan : adapter:'op adapter -> spec list -> 'op plan
 (** The specs that actually fired so far, in profile order. *)
 val fired : 'op plan -> spec list
 
-(** The control hook to pass to {!Rsim_runtime.Fiber.Make.run}. *)
+(** The control hook to pass to {!Rsim_runtime.Fiber.S.run}. *)
 val control :
   'op plan -> pid:int -> nth:int -> 'op -> 'op Rsim_runtime.Fiber.directive

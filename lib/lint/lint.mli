@@ -23,8 +23,7 @@
 
     Findings are diffed against a committed baseline keyed by
     (rule, file, message) so CI fails only on regressions; the JSON
-    report schema ([{tool; files; total; fresh; findings}]) is shared
-    with the [--certify-independence] runtime layer. *)
+    report is [{tool; files; total; fresh; findings}]. *)
 
 type finding = {
   rule : string;  (** ["R1"]..["R5"], or ["parse"] for unparseable files *)
@@ -56,7 +55,7 @@ val scan : ?dirs:string list -> root:string -> unit -> report
 
 val finding_to_json : finding -> Rsim_obs.Obs.Json.t
 
-(** The schema shared with the runtime certification layer. *)
+(** The JSON report, [{tool; files; total; fresh; findings}]. *)
 val report_to_json :
   tool:string -> fresh:finding list -> report -> Rsim_obs.Obs.Json.t
 

@@ -29,34 +29,8 @@ module Ops : sig
   type res = Sa_view of Value.t array | Sa_ack
 end
 
-module F : sig
-  val op : Ops.op -> Ops.res
-
-  type trace_entry = { idx : int; pid : int; op : Ops.op; res : Ops.res }
-
-  type result = {
-    statuses : Rsim_runtime.Fiber.status array;
-    trace : trace_entry list;
-    ops_per_fiber : int array;
-    total_ops : int;
-    events : Rsim_runtime.Fiber.event list;
-  }
-
-  val run :
-    ?max_ops:int ->
-    ?control:(pid:int -> nth:int -> Ops.op -> Ops.op Rsim_runtime.Fiber.directive) ->
-    ?max_restarts:int ->
-    ?obs_label:(Ops.op -> string) ->
-    ?probe:
-      (step:int ->
-      live:int list ->
-      pending:(int -> Ops.op option) ->
-      [ `Continue | `Stop ]) ->
-    sched:Rsim_shmem.Schedule.t ->
-    apply:(pid:int -> Ops.op -> Ops.res) ->
-    (int -> unit) list ->
-    result
-end
+module F :
+  Rsim_runtime.Fiber.S with type op := Ops.op and type res := Ops.res
 
 type t
 

@@ -43,6 +43,36 @@ let pp_event fmt = function
   | Ev_replace { pid; at } -> Format.fprintf fmt "replace(pid=%d, at=%d)" pid at
   | Ev_raise { pid; at } -> Format.fprintf fmt "raise(pid=%d, at=%d)" pid at
 
+module type S = sig
+  type op
+  type res
+
+  val op : op -> res
+
+  type trace_entry = { idx : int; pid : int; op : op; res : res }
+
+  type result = {
+    statuses : status array;
+    trace : trace_entry list;
+    ops_per_fiber : int array;
+    total_ops : int;
+    events : event list;
+  }
+
+  type probe = step:int -> live:int list -> [ `Continue | `Stop ]
+
+  val run :
+    ?max_ops:int ->
+    ?control:(pid:int -> nth:int -> op -> op directive) ->
+    ?max_restarts:int ->
+    ?obs_label:(op -> string) ->
+    ?probe:probe ->
+    sched:Rsim_shmem.Schedule.t ->
+    apply:(pid:int -> op -> res) ->
+    (int -> unit) list ->
+    result
+end
+
 module Make (M : OPS) = struct
   open Effect
   open Effect.Deep
@@ -60,6 +90,8 @@ module Make (M : OPS) = struct
     total_ops : int;
     events : event list;
   }
+
+  type probe = step:int -> live:int list -> [ `Continue | `Stop ]
 
   (* A fiber that performed an operation is suspended here until the
      scheduler picks it. *)
@@ -177,11 +209,6 @@ module Make (M : OPS) = struct
        [clock] it never jumps on stall/restart fast-forwards, so a probe
        sees a dense 0,1,2,... step sequence it can index prefixes by. *)
     let decisions = ref 0 in
-    let pending_of pid =
-      match slots.(pid) with
-      | Suspended { pending_op; _ } -> Some pending_op
-      | Fresh | Finished _ -> None
-    in
     let rec loop sched =
       if !total >= max_ops then ()
       else begin
@@ -198,7 +225,7 @@ module Make (M : OPS) = struct
           when match probe with
                | None -> false
                | Some p -> (
-                 match p ~step:!decisions ~live ~pending:pending_of with
+                 match p ~step:!decisions ~live with
                  | `Continue -> false
                  | `Stop -> true) ->
           (* The probe asked to stop before this decision was made. *)

@@ -73,12 +73,18 @@ type event =
 
 val pp_event : Format.formatter -> event -> unit
 
-module Make (M : OPS) : sig
+(** The runtime at one operation type: what {!Make} returns, and the
+    signature every instantiation ([Aug.F], [Regsnap.F],
+    [Safe_agreement.F]) exports with [op] and [res] substituted. *)
+module type S = sig
+  type op
+  type res
+
   (** [op o] performs shared-memory operation [o]; only callable from
       inside a fiber body run by {!run}. *)
-  val op : M.op -> M.res
+  val op : op -> res
 
-  type trace_entry = { idx : int; pid : int; op : M.op; res : M.res }
+  type trace_entry = { idx : int; pid : int; op : op; res : res }
 
   type result = {
     statuses : status array;
@@ -88,6 +94,16 @@ module Make (M : OPS) : sig
     total_ops : int;
     events : event list;  (** fault-plane events, in firing order *)
   }
+
+  (** Called once per scheduling decision, just before the schedule is
+      consulted: [step] is the number of decisions made so far (a dense
+      0,1,2,... sequence, unlike the internal clock, which fast-forwards
+      across stall/restart waits) and [live] the schedulable pids in
+      ascending order. Returning [`Stop] ends the run at that point as if
+      the schedule were exhausted. Exploration engines use this to
+      observe reached states and enumerate sibling branches without
+      re-executing the prefix. *)
+  type probe = step:int -> live:int list -> [ `Continue | `Stop ]
 
   (** [run ?max_ops ?control ?max_restarts ~sched ~apply bodies] starts
       one fiber per element of [bodies] (pid = list position; each body
@@ -106,33 +122,22 @@ module Make (M : OPS) : sig
       4) times, with the same body it was started with.
 
       Stops when no fiber is pending or due to wake, the schedule is
-      exhausted, or [max_ops] operations have executed.
+      exhausted, [max_ops] operations have executed, or [probe] returns
+      [`Stop].
 
       [obs_label] names each operation in the emitted trace (default
       ["op"]); pass e.g. {!Rsim_augmented.Aug.op_name} for readable
-      per-operation lanes in [chrome://tracing].
-
-      [probe] is invoked once per scheduling decision, just before the
-      schedule is consulted: [step] is the number of decisions made so
-      far (a dense 0,1,2,... sequence, unlike the internal clock, which
-      fast-forwards across stall/restart waits), [live] the schedulable
-      pids in ascending order, and [pending pid] that fiber's waiting
-      operation, if any. Returning [`Stop] ends the run at that point as
-      if the schedule were exhausted. Exploration engines use this to
-      observe reached states and enumerate sibling branches without
-      re-executing the prefix. *)
+      per-operation lanes in [chrome://tracing]. *)
   val run :
     ?max_ops:int ->
-    ?control:(pid:int -> nth:int -> M.op -> M.op directive) ->
+    ?control:(pid:int -> nth:int -> op -> op directive) ->
     ?max_restarts:int ->
-    ?obs_label:(M.op -> string) ->
-    ?probe:
-      (step:int ->
-      live:int list ->
-      pending:(int -> M.op option) ->
-      [ `Continue | `Stop ]) ->
+    ?obs_label:(op -> string) ->
+    ?probe:probe ->
     sched:Rsim_shmem.Schedule.t ->
-    apply:(pid:int -> M.op -> M.res) ->
+    apply:(pid:int -> op -> res) ->
     (int -> unit) list ->
     result
 end
+
+module Make (M : OPS) : S with type op := M.op and type res := M.res

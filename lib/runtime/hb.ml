@@ -7,8 +7,8 @@
    advances past another fiber's events when it actually read a location
    the other fiber published, so "q observed p's write" becomes a
    machine-checkable pointwise comparison instead of an argument about
-   scan contents. The explore engine's race oracle and its
-   sleep-set-prune certification are both built on this module. *)
+   scan contents. The explore engine's race oracle is built on this
+   module. *)
 
 type clock = int array
 

@@ -77,19 +77,15 @@ val default_watchdog : f:int -> m:int -> max_ops:int -> int
 
     [probe] is forwarded to the fiber runtime
     ({!Rsim_augmented.Aug.F.run}): called before every scheduling
-    decision with the decision index, the live pids, and each fiber's
-    pending H-operation; returning [`Stop] ends the run there.
-    Exploration engines use it to branch without replaying prefixes. *)
+    decision with the decision index and the live pids; returning
+    [`Stop] ends the run there. Exploration engines use it to branch
+    without replaying prefixes. *)
 val run :
   ?max_ops:int ->
   ?local_cap:int ->
   ?faults:Rsim_faults.Faults.spec list ->
   ?watchdog:int ->
-  ?probe:
-    (step:int ->
-    live:int list ->
-    pending:(int -> Rsim_augmented.Aug.Ops.op option) ->
-    [ `Continue | `Stop ]) ->
+  ?probe:Rsim_augmented.Aug.F.probe ->
   sched:Schedule.t ->
   spec ->
   result

@@ -5,11 +5,8 @@ open Rsim_explore
 
 module Faults = Rsim_faults.Faults
 
-let get_builtin ?inject ?faults ?oracles ?unsound_indep name ~f ~m =
-  match
-    Explore.Aug_target.builtin ?inject ?faults ?oracles ?unsound_indep ~name
-      ~f ~m ()
-  with
+let get_builtin ?inject ?faults ?oracles name ~f ~m =
+  match Explore.Aug_target.builtin ?inject ?faults ?oracles ~name ~f ~m () with
   | Some w -> w
   | None -> Alcotest.failf "unknown builtin workload %s" name
 
@@ -29,9 +26,7 @@ let test_theorem20_exhaustive () =
   let w = get_builtin "bu-conflict" ~f:2 ~m:2 in
   (* Pruning off: this test is about enumerating the literal full space,
      so the coverage thresholds below count every interleaving. *)
-  let rep =
-    Explore.exhaustive ~max_steps:10 ~dedup:false ~independence:false w
-  in
+  let rep = Explore.exhaustive ~max_steps:10 ~dedup:false w in
   Alcotest.(check (list (list int)))
     "no violations over all schedules" []
     (List.map (fun v -> v.Explore.script) rep.Explore.violations);
@@ -510,7 +505,7 @@ let test_engine_matches_naive () =
     let naive = Explore.exhaustive_naive ~max_steps:9 ~max_violations:10_000 w in
     let engine =
       Explore.exhaustive ~max_steps:9 ~max_violations:10_000 ~domains:1
-        ~dedup:false ~independence:false w
+        ~dedup:false w
     in
     Alcotest.(check (triple int int int))
       (name ^ ": counts match naive") (counts naive) (counts engine);
@@ -526,7 +521,7 @@ let test_domain_count_invariance () =
      at 1, 2 and 4 domains — counts and violation set both. *)
   let run w d =
     Explore.exhaustive ~max_steps:9 ~max_violations:10_000 ~domains:d
-      ~dedup:false ~independence:false w
+      ~dedup:false w
   in
   let invariant name w =
     let r1 = run w 1 in
@@ -567,6 +562,68 @@ let test_dedup_soundness () =
   Alcotest.(check (list (list int)))
     "pruned violation set invariant at 4 domains" (scripts rep) (scripts r4)
 
+(* Seeded builds whose shortest counterexample the fingerprint dedup
+   merges away at exactly that bound. Skip_yield_check's first violating
+   schedule differs from a passing one only in the order of the Line-4
+   appends of two Block-Updates. H is single-writer, so both
+   orders reach the same state and are merged, but the order decides
+   which Block-Update the §3 spec linearizes first. One bound later
+   dedup catches the bug through a longer schedule. This is an open
+   defect (ROADMAP); fixing it must empty this list. *)
+let known_dedup_misses =
+  [ ("bu-conflict", 2, 8); ("bu-then-scan", 3, 8); ("mixed", 2, 11) ]
+
+let test_dedup_keeps_verdicts () =
+  (* Every bound from the first at which a seeded bug can show (7 steps)
+     up to 12 steps at f=2 and 8 at f=3: with dedup on, [exhaustive] must
+     report a violation exactly when the literal tree has one, and the
+     clean object must report none. One domain, because with dedup on
+     the winner of a claim race decides which history represents a
+     merged state, and so whether a known miss below is missed. *)
+  let caught = ref 0 in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun (f, bounds) ->
+          List.iter
+            (fun max_steps ->
+              List.iter
+                (fun inject ->
+                  let w = get_builtin ?inject name ~f ~m:2 in
+                  let found dedup =
+                    (Explore.exhaustive ~max_steps ~domains:1 ~dedup w)
+                      .Explore.violations <> []
+                  in
+                  let literal = found false and pruned = found true in
+                  let label =
+                    Printf.sprintf "%s f=%d %d steps %s" name f max_steps
+                      (match inject with
+                      | None -> "clean"
+                      | Some b -> Explore.fault_to_string b)
+                  in
+                  if inject = None then
+                    Alcotest.(check bool) (label ^ ": clean") false literal;
+                  if literal then incr caught;
+                  if
+                    inject = Some Aug.Skip_yield_check
+                    && List.mem (name, f, max_steps) known_dedup_misses
+                  then begin
+                    Alcotest.(check bool) (label ^ ": literal tree fails") true
+                      literal;
+                    Alcotest.(check bool) (label ^ ": known dedup miss") false
+                      pruned
+                  end
+                  else
+                    Alcotest.(check bool) (label ^ ": same verdict") literal
+                      pruned)
+                [ None; Some Aug.Yield_on_higher; Some Aug.Skip_yield_check ])
+            bounds)
+        [ (2, [ 7; 8; 9; 10; 11; 12 ]); (3, [ 7; 8 ]) ])
+    [ "bu-conflict"; "bu-then-scan"; "mixed" ];
+  Alcotest.(check bool)
+    (Printf.sprintf "seeded bugs caught in the literal tree (%d builds)" !caught)
+    true (!caught > 0)
+
 let test_sweep_domain_clamp () =
   (* Tiny budgets must not spawn idle domains. *)
   let rep =
@@ -594,7 +651,7 @@ let test_linearizable_oracle_exhaustive () =
   Alcotest.(check bool) "covered executions" true
     (rep.Explore.complete + rep.Explore.truncated > 50)
 
-(* ---- happens-before race oracle + sleep-set certification ---- *)
+(* ---- happens-before race oracle ---- *)
 
 let test_race_oracle_catches () =
   (* [Skip_yield_check] makes a Block-Update return Atomic even when a
@@ -630,56 +687,10 @@ let test_race_oracle_clean () =
   let w =
     get_builtin ~oracles:[ Explore.Aug_target.race ] "bu-conflict" ~f:2 ~m:2
   in
-  let rep =
-    Explore.exhaustive ~max_steps:10 ~dedup:false ~independence:false w
-  in
+  let rep = Explore.exhaustive ~max_steps:10 ~dedup:false w in
   Alcotest.(check int) "race-free" 0 (List.length rep.Explore.violations);
   Alcotest.(check bool) "covered the space" true
     (rep.Explore.complete + rep.Explore.truncated >= 500)
-
-let test_certify_clean () =
-  (* --certify-independence over the Theorem 20 workload: every claimed
-     commutation must validate. bu-conflict never claims (conflicting
-     appends are never independent); bu-then-scan does, so it pins
-     checks > 0. *)
-  let rep =
-    Explore.exhaustive ~max_steps:12 ~certify:true
-      (get_builtin "bu-conflict" ~f:2 ~m:2)
-  in
-  Alcotest.(check int) "no violations" 0 (List.length rep.Explore.violations);
-  Alcotest.(check int) "zero HB violations" 0 rep.Explore.certify_violations;
-  let rep' =
-    Explore.exhaustive ~max_steps:12 ~certify:true
-      (get_builtin "bu-then-scan" ~f:2 ~m:2)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "disjoint workload exercises claims (%d checks)"
-       rep'.Explore.certify_checks)
-    true
-    (rep'.Explore.certify_checks > 0);
-  Alcotest.(check int) "and they all validate" 0
-    rep'.Explore.certify_violations
-
-let test_certify_catches_unsound_indep () =
-  (* The deliberately wrong relation "any two distinct pids commute"
-     makes the engine sleep conflicting Block-Updates on each other;
-     certification must observe their real footprints (appends to the
-     same component) and count violations. *)
-  let rep =
-    Explore.exhaustive ~max_steps:12 ~certify:true
-      (get_builtin ~unsound_indep:true "bu-conflict" ~f:2 ~m:2)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "unsound prunes detected (%d/%d claims)"
-       rep.Explore.certify_violations rep.Explore.certify_checks)
-    true
-    (rep.Explore.certify_violations > 0);
-  (* off switch: the same workload without certification reports zeros *)
-  let rep' =
-    Explore.exhaustive ~max_steps:12
-      (get_builtin ~unsound_indep:true "bu-conflict" ~f:2 ~m:2)
-  in
-  Alcotest.(check int) "no checks when off" 0 rep'.Explore.certify_checks
 
 let () =
   Alcotest.run "explore"
@@ -711,6 +722,8 @@ let () =
             test_domain_count_invariance;
           Alcotest.test_case "dedup + sleep sets stay sound" `Quick
             test_dedup_soundness;
+          Alcotest.test_case "dedup keeps seeded-bug verdicts" `Quick
+            test_dedup_keeps_verdicts;
         ] );
       ( "sweep",
         [
@@ -762,9 +775,5 @@ let () =
             test_race_oracle_catches;
           Alcotest.test_case "race oracle clean on the clean object" `Quick
             test_race_oracle_clean;
-          Alcotest.test_case "certify-independence clean on Theorem 20" `Quick
-            test_certify_clean;
-          Alcotest.test_case "certify catches an unsound independence" `Quick
-            test_certify_catches_unsound_indep;
         ] );
     ]
