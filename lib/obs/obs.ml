@@ -381,6 +381,7 @@ module Metrics = struct
           g)
 
   let set g v = Atomic.set g v
+  let shift g k = ignore (Atomic.fetch_and_add g k)
   let gauge_value g = Atomic.get g
 
   let histogram name =

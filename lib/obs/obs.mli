@@ -81,7 +81,7 @@ module Metrics : sig
   (** A monotonically increasing event count. *)
   type counter
 
-  (** A last-value-wins integer measurement. *)
+  (** An integer level: overwritten by {!set} or moved by {!shift}. *)
   type gauge
 
   (** A distribution over non-negative integers with fixed log-spaced
@@ -99,6 +99,11 @@ module Metrics : sig
 
   val gauge : string -> gauge
   val set : gauge -> int -> unit
+
+  (** [shift g k] adds [k] (possibly negative) to [g] atomically, so
+      gauges that track a level (e.g. live fibers) stay exact when
+      several domains move them at once. *)
+  val shift : gauge -> int -> unit
   val gauge_value : gauge -> int
 
   val histogram : string -> histogram

@@ -31,6 +31,14 @@ let m_stalls = Obs.Metrics.counter "fiber.faults.stall"
 let m_replaces = Obs.Metrics.counter "fiber.faults.replace"
 let m_raises = Obs.Metrics.counter "fiber.faults.raise"
 
+(* Fibers started and not yet unwound; [run] leaves it where it found it. *)
+let m_live = Obs.Metrics.gauge "fiber.live"
+
+(* Raised into every fiber [run] gives up on (crashed, or still suspended
+   when the run ends), so its stack unwinds and is freed: OCaml 5 never
+   frees a continuation that is dropped without [discontinue]. *)
+exception Abandoned
+
 let pp_event fmt = function
   | Ev_crash { pid; at; restarting } ->
     Format.fprintf fmt "crash(pid=%d, at=%d%s)" pid at
@@ -97,25 +105,52 @@ module Make (M : OPS) = struct
      scheduler picks it. *)
   type suspended = { pending_op : M.op; resume : (M.res, unit) continuation }
 
-  type slot = Fresh | Suspended of suspended | Finished of status
+  (* [Dead s]: [run] gave up on the fiber's current incarnation and
+     recorded [s] for it. The incarnation's handlers leave the slot alone
+     and refuse any further op; a restart starts a fresh incarnation from
+     a [Fresh] slot. *)
+  type slot =
+    | Fresh
+    | Suspended of suspended
+    | Dead of status
+    | Finished of status
+
+  let finish slots pid slot =
+    Obs.Metrics.shift m_live (-1);
+    match slots.(pid) with
+    | Dead _ -> ()
+    | Fresh | Suspended _ | Finished _ -> slots.(pid) <- slot
 
   let start_fiber pid body slots =
     (* Run [body pid] until its first Op, completion, or exception. *)
+    slots.(pid) <- Fresh;
+    Obs.Metrics.shift m_live 1;
     match_with
       (fun () -> body pid)
       ()
       {
-        retc = (fun () -> slots.(pid) <- Finished Done);
-        exnc = (fun e -> slots.(pid) <- Finished (Failed e));
+        retc = (fun () -> finish slots pid (Finished Done));
+        exnc = (fun e -> finish slots pid (Finished (Failed e)));
         effc =
           (fun (type a) (eff : a Effect.t) ->
             match eff with
             | Op o ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  slots.(pid) <- Suspended { pending_op = o; resume = k })
+                  match slots.(pid) with
+                  | Dead _ ->
+                    (* The body swallowed [Abandoned]: unwind it again,
+                       never reschedule it. *)
+                    discontinue k Abandoned
+                  | Fresh | Suspended _ | Finished _ ->
+                    slots.(pid) <- Suspended { pending_op = o; resume = k })
             | _ -> None);
       }
+
+  (* Unwind a suspended fiber for good, recording [status] for it. *)
+  let abandon slots pid status resume =
+    slots.(pid) <- Dead status;
+    discontinue resume Abandoned
 
   let default_obs_label (_ : M.op) = "op"
 
@@ -124,7 +159,6 @@ module Make (M : OPS) = struct
     let n = List.length bodies in
     let bodies_arr = Array.of_list bodies in
     let slots = Array.make n Fresh in
-    List.iteri (fun pid body -> start_fiber pid body slots) bodies;
     let ops_per_fiber = Array.make n 0 in
     let rev_trace = ref [] in
     let rev_events = ref [] in
@@ -184,7 +218,7 @@ module Make (M : OPS) = struct
       for pid = n - 1 downto 0 do
         match slots.(pid) with
         | Suspended _ -> if stalled_until.(pid) <= !clock then acc := pid :: !acc
-        | Fresh | Finished _ -> ()
+        | Fresh | Dead _ | Finished _ -> ()
       done;
       !acc
     in
@@ -200,7 +234,7 @@ module Make (M : OPS) = struct
         (match slots.(pid) with
         | Suspended _ when stalled_until.(pid) > !clock ->
           consider stalled_until.(pid)
-        | Suspended _ | Fresh | Finished _ -> ());
+        | Suspended _ | Fresh | Dead _ | Finished _ -> ());
         if restart_due.(pid) >= 0 then consider restart_due.(pid)
       done;
       !best
@@ -269,27 +303,39 @@ module Make (M : OPS) = struct
                 discontinue resume e
               | Crash ->
                 event (Ev_crash { pid; at = !total; restarting = false });
-                slots.(pid) <- Finished Crashed
+                abandon slots pid Crashed resume
               | Crash_restart { delay } ->
                 let restarting = incarnations.(pid) < max_restarts in
                 event (Ev_crash { pid; at = !total; restarting });
-                slots.(pid) <- Finished Crashed;
+                abandon slots pid Crashed resume;
                 if restarting then restart_due.(pid) <- !clock + max 1 delay
               | Stall { steps } ->
                 event (Ev_stall { pid; at = !total; steps });
                 stalled_until.(pid) <- !clock + max 1 steps)
-            | Fresh | Finished _ -> assert false);
+            | Fresh | Dead _ | Finished _ -> assert false);
             loop sched')
       end
     in
-    loop sched;
-    let statuses =
-      Array.map
-        (function
-          | Finished s -> s
-          | Suspended _ -> Pending
-          | Fresh -> Done)
+    (* However the run ends — even by an exception out of [apply],
+       [control], [probe] or the schedule — every fiber still suspended
+       is abandoned, after its status has been read as [Pending]. *)
+    let abandon_suspended () =
+      Array.iteri
+        (fun pid -> function
+          | Suspended { resume; _ } -> abandon slots pid Pending resume
+          | Fresh | Dead _ | Finished _ -> ())
         slots
+    in
+    let statuses =
+      Fun.protect ~finally:abandon_suspended (fun () ->
+          List.iteri (fun pid body -> start_fiber pid body slots) bodies;
+          loop sched;
+          Array.map
+            (function
+              | Finished s | Dead s -> s
+              | Suspended _ -> Pending
+              | Fresh -> Done)
+            slots)
     in
     {
       statuses;

@@ -24,12 +24,25 @@
     into such a hook; the harness's watchdog supervision uses the same
     mechanism.
 
+    {b Reclamation.} A fiber that {!S.run} does not run to completion is
+    discontinued, so its stack is freed: when it is crashed (with or
+    without a restart), and, whichever way [run] returns or raises, when
+    it is still suspended at the end. The runtime raises its own private
+    exception at the fiber's pending operation; bodies must let it
+    propagate. A body that catches it anyway and performs another
+    operation is discontinued again at that operation — the operation is
+    never applied and never traced — and nothing the body does while
+    unwinding changes the status [run] records for it.
+
     {b Observability.} Every applied operation bumps the always-on
     [fiber.ops] counter and, when {!Rsim_obs.Obs.Trace} is collecting,
     emits a one-tick span named by [obs_label] at logical time = the
     operation's trace index; fault-plane events bump [fiber.faults.*]
     counters and emit instant trace events. With tracing off the
-    per-operation cost is one atomic increment and one atomic load. *)
+    per-operation cost is one atomic increment and one atomic load. The
+    [fiber.live] gauge counts fibers started and not yet finished or
+    unwound, across all runs in all domains; it reads 0 whenever no
+    {!S.run} is in progress. *)
 
 module type OPS = sig
   type op
@@ -38,7 +51,9 @@ end
 
 type status =
   | Done  (** fiber body returned *)
-  | Pending  (** has an operation waiting to be scheduled *)
+  | Pending
+      (** had an operation waiting to be scheduled when the run ended
+          (the fiber has since been discontinued) *)
   | Failed of exn  (** fiber body raised *)
   | Crashed  (** killed by a {!Crash} / {!Crash_restart} directive *)
 
@@ -51,8 +66,9 @@ type 'op directive =
           type it expects — e.g. an append of nothing models a dropped
           write) *)
   | Crash
-      (** kill the fiber: it never resumes, its local state is lost,
-          shared memory persists; status becomes {!Crashed} *)
+      (** kill the fiber: it is discontinued and never resumes, its
+          local state is lost, shared memory persists; status becomes
+          {!Crashed} *)
   | Crash_restart of { delay : int }
       (** crash, then restart the fiber from a fresh body after [delay]
           scheduling decisions (capped by [max_restarts]) *)
@@ -123,7 +139,10 @@ module type S = sig
 
       Stops when no fiber is pending or due to wake, the schedule is
       exhausted, [max_ops] operations have executed, or [probe] returns
-      [`Stop].
+      [`Stop]. Fibers still pending then read {!Pending} and are
+      discontinued. An exception out of [apply], [control], [probe] or
+      [sched] discontinues every pending fiber and is then re-raised
+      unchanged.
 
       [obs_label] names each operation in the emitted trace (default
       ["op"]); pass e.g. {!Rsim_augmented.Aug.op_name} for readable

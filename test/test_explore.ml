@@ -692,6 +692,39 @@ let test_race_oracle_clean () =
   Alcotest.(check bool) "covered the space" true
     (rep.Explore.complete + rep.Explore.truncated >= 500)
 
+(* ---- fiber reclamation: the engines leave no fiber behind ---- *)
+
+module Metrics = Rsim_obs.Obs.Metrics
+
+let check_no_live_fibers what =
+  Alcotest.(check int) (what ^ ": no live fibers") 0
+    (Metrics.gauge_value (Metrics.gauge "fiber.live"))
+
+let test_no_live_fibers_after_early_stop () =
+  (* The seeded bug stops the engine at its first counterexample while
+     both domains still hold truncated and probe-stopped executions. *)
+  let rep = Explore.exhaustive ~max_steps:10 ~domains:2 (seeded_workload ()) in
+  Alcotest.(check bool) "stopped on a counterexample" true
+    (rep.Explore.violations <> []);
+  check_no_live_fibers "exhaustive early stop at 2 domains"
+
+let test_no_live_fibers_after_crashy_sweep () =
+  let faults =
+    match Faults.resolve ~n_procs:3 ~seed:7 "crashy" with
+    | Ok fs -> fs
+    | Error e -> Alcotest.failf "crashy profile failed to resolve: %s" e
+  in
+  let w = get_builtin ~faults "mixed" ~f:3 ~m:2 in
+  let crashes = Metrics.counter "fiber.faults.crash" in
+  let before = Metrics.counter_value crashes in
+  let rep = Explore.sweep ~domains:2 ~max_steps:60 ~budget:200 ~seed:7 w in
+  Alcotest.(check (list (list int)))
+    "crashy sweep is violation-free" []
+    (List.map (fun v -> v.Explore.script) rep.Explore.violations);
+  Alcotest.(check bool) "crashes fired" true
+    (Metrics.counter_value crashes > before);
+  check_no_live_fibers "crashy sweep"
+
 let () =
   Alcotest.run "explore"
     [
@@ -754,6 +787,13 @@ let () =
             test_dropped_helping_write_caught;
           Alcotest.test_case "crashy racing sweep, survivors green" `Quick
             test_racing_crashy_survivors;
+        ] );
+      ( "fiber reclamation",
+        [
+          Alcotest.test_case "none live after an early stop at 2 domains"
+            `Quick test_no_live_fibers_after_early_stop;
+          Alcotest.test_case "none live after a crashy sweep" `Quick
+            test_no_live_fibers_after_crashy_sweep;
         ] );
       ( "artifact versioning",
         [

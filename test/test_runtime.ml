@@ -274,6 +274,189 @@ let test_faults_determinism () =
   in
   Alcotest.(check bool) "deterministic under faults" true (go () = go ())
 
+(* ---- fiber reclamation: every fiber run gives up on is unwound ---- *)
+
+module Obs = Rsim_obs.Obs
+module Faults = Rsim_faults.Faults
+
+let m_live = Obs.Metrics.gauge "fiber.live"
+
+let check_no_live_fibers what =
+  Alcotest.(check int) (what ^ ": no live fibers") 0
+    (Obs.Metrics.gauge_value m_live)
+
+(* Each case starts from a zero gauge, so a leak is blamed on the case
+   that caused it rather than on every case after it. *)
+let reclaim_case name f =
+  Alcotest.test_case name `Quick (fun () ->
+      Obs.Metrics.set m_live 0;
+      f ())
+
+let count_up _ = for _ = 1 to 10 do increment () done
+
+let test_reclaim_probe_stop () =
+  let _, apply = make_counter () in
+  let probe ~step ~live:_ = if step >= 3 then `Stop else `Continue in
+  let result =
+    F.run ~probe ~sched:Schedule.round_robin ~apply [ count_up; count_up ]
+  in
+  Alcotest.(check int) "stopped after 3 ops" 3 result.F.total_ops;
+  Alcotest.(check bool) "both read Pending" true
+    (Array.for_all (( = ) Fiber.Pending) result.F.statuses);
+  check_no_live_fibers "probe stop"
+
+let test_reclaim_max_ops () =
+  let _, apply = make_counter () in
+  let result =
+    F.run ~max_ops:4 ~sched:Schedule.round_robin ~apply [ count_up; count_up ]
+  in
+  Alcotest.(check int) "truncated at 4 ops" 4 result.F.total_ops;
+  Alcotest.(check bool) "both read Pending" true
+    (Array.for_all (( = ) Fiber.Pending) result.F.statuses);
+  check_no_live_fibers "max_ops truncation"
+
+let test_reclaim_schedule_exhausted () =
+  let _, apply = make_counter () in
+  let result =
+    F.run ~sched:(Schedule.script [ 0; 1; 0 ]) ~apply
+      [ count_up; count_up; (fun _ -> ()) ]
+  in
+  Alcotest.(check int) "script length" 3 result.F.total_ops;
+  Alcotest.(check bool) "unfinished fibers read Pending" true
+    (result.F.statuses = [| Fiber.Pending; Fiber.Pending; Fiber.Done |]);
+  check_no_live_fibers "schedule exhaustion"
+
+let test_reclaim_crash () =
+  let _, apply = make_counter () in
+  let result =
+    F.run
+      ~control:(control_at ~pid:0 ~nth:2 Fiber.Crash)
+      ~sched:Schedule.round_robin ~apply [ count_up; count_up ]
+  in
+  Alcotest.(check bool) "crashed fiber reads Crashed, not Failed" true
+    (result.F.statuses = [| Fiber.Crashed; Fiber.Done |]);
+  check_no_live_fibers "crash"
+
+let test_reclaim_crash_restart () =
+  let _, apply = make_counter () in
+  let result =
+    F.run
+      ~control:(control_at ~pid:0 ~nth:2 (Fiber.Crash_restart { delay = 1 }))
+      ~sched:Schedule.round_robin ~apply [ count_up ]
+  in
+  Alcotest.(check bool) "restart recorded" true
+    (List.exists
+       (function Fiber.Ev_restart { pid = 0; _ } -> true | _ -> false)
+       result.F.events);
+  Alcotest.(check int) "2 ops, then a full fresh incarnation" 12
+    result.F.total_ops;
+  Alcotest.(check bool) "restarted fiber finishes" true
+    (result.F.statuses.(0) = Fiber.Done);
+  check_no_live_fibers "crash-restart"
+
+let test_reclaim_raise () =
+  let exception Boom in
+  let _, apply = make_counter () in
+  let result =
+    F.run
+      ~control:(control_at ~pid:1 ~nth:3 (Fiber.Raise Boom))
+      ~sched:Schedule.round_robin ~apply [ count_up; count_up ]
+  in
+  (match result.F.statuses.(1) with
+  | Fiber.Failed Boom -> ()
+  | _ -> Alcotest.fail "expected Failed Boom");
+  check_no_live_fibers "raise"
+
+let test_reclaim_chaos () =
+  let crashes = ref 0 in
+  for seed = 0 to 199 do
+    let specs =
+      match Faults.named "chaos" ~n_procs:3 ~seed with
+      | Some specs -> specs
+      | None -> Alcotest.fail "chaos profile missing"
+    in
+    let plan = Faults.plan ~adapter:Faults.null_adapter specs in
+    let _, apply = make_counter () in
+    let result =
+      F.run ~max_ops:20 ~control:(Faults.control plan)
+        ~sched:(Schedule.random ~seed) ~apply
+        [ count_up; count_up; count_up ]
+    in
+    crashes :=
+      !crashes
+      + List.length
+          (List.filter
+             (function Fiber.Ev_crash _ -> true | _ -> false)
+             result.F.events);
+    check_no_live_fibers (Printf.sprintf "chaos seed %d" seed)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "crashes fired (%d)" !crashes)
+    true (!crashes > 50)
+
+let test_reclaim_apply_raises () =
+  (* An exception out of [apply] still unwinds every suspended fiber and
+     reaches the caller unchanged. *)
+  let exception Apply_failed of int in
+  let calls = ref 0 in
+  let apply ~pid:_ (_ : Counter_ops.op) =
+    incr calls;
+    if !calls = 3 then raise (Apply_failed !calls);
+    Counter_ops.Ack
+  in
+  (match
+     F.run ~sched:Schedule.round_robin ~apply [ count_up; count_up ]
+   with
+  | _ -> Alcotest.fail "expected the apply exception"
+  | exception Apply_failed 3 -> ());
+  check_no_live_fibers "apply raised"
+
+(* A body that swallows every exception and performs a [Get] as it goes
+   down: the runtime must unwind it again instead of scheduling the
+   [Get]. *)
+let stubborn _ =
+  try count_up () with _ -> ignore (F.op Counter_ops.Get)
+
+let check_abandon_is_final what ~cut (result : F.result) gets =
+  Alcotest.(check int) (what ^ ": apply never sees the handler's Get") 0 gets;
+  Alcotest.(check bool)
+    (what ^ ": no trace entry from fiber 0 after the abandon point")
+    true
+    (List.for_all
+       (fun (e : F.trace_entry) -> e.pid <> 0 || e.idx < cut)
+       result.F.trace);
+  check_no_live_fibers what
+
+let test_reclaim_stubborn_body () =
+  let run ?control ?max_ops () =
+    let gets = ref 0 in
+    let apply ~pid:_ (op : Counter_ops.op) : Counter_ops.res =
+      match op with
+      | Counter_ops.Incr -> Counter_ops.Ack
+      | Counter_ops.Get ->
+        incr gets;
+        Counter_ops.Val 0
+    in
+    let result =
+      F.run ?control ?max_ops ~sched:Schedule.round_robin ~apply
+        [ stubborn; count_up ]
+    in
+    (result, !gets)
+  in
+  let result, gets = run ~control:(control_at ~pid:0 ~nth:2 Fiber.Crash) () in
+  Alcotest.(check bool) "crashed, not Failed" true
+    (result.F.statuses = [| Fiber.Crashed; Fiber.Done |]);
+  let cut =
+    List.find_map
+      (function Fiber.Ev_crash { pid = 0; at; _ } -> Some at | _ -> None)
+      result.F.events
+  in
+  check_abandon_is_final "crash" ~cut:(Option.get cut) result gets;
+  let result, gets = run ~max_ops:5 () in
+  Alcotest.(check bool) "truncated, reads Pending" true
+    (result.F.statuses.(0) = Fiber.Pending);
+  check_abandon_is_final "truncation" ~cut:5 result gets
+
 let prop_total_equals_sum =
   QCheck.Test.make ~name:"total ops = sum of per-fiber ops" ~count:50
     QCheck.(pair (int_bound 1000) (int_range 1 4))
@@ -316,6 +499,19 @@ let () =
           Alcotest.test_case "raise directive" `Quick test_directive_raise;
           Alcotest.test_case "determinism under faults" `Quick
             test_faults_determinism;
+        ] );
+      ( "fiber reclamation",
+        [
+          reclaim_case "probe stop" test_reclaim_probe_stop;
+          reclaim_case "max_ops truncation" test_reclaim_max_ops;
+          reclaim_case "schedule exhaustion" test_reclaim_schedule_exhausted;
+          reclaim_case "crash" test_reclaim_crash;
+          reclaim_case "crash-restart" test_reclaim_crash_restart;
+          reclaim_case "raise" test_reclaim_raise;
+          reclaim_case "chaos profile, 200 seeds" test_reclaim_chaos;
+          reclaim_case "exception out of apply" test_reclaim_apply_raises;
+          reclaim_case "body that swallows the unwind"
+            test_reclaim_stubborn_body;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_total_equals_sum ]);
     ]
