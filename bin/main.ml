@@ -104,27 +104,44 @@ let simulate_cmd =
     | Ok () -> print_endline "consensus: valid"
     | Error e -> Printf.printf "consensus: VIOLATED (%s)\n" (Harness.explain e));
     if trace then Trace_pp.pp_run Format.std_formatter spec result;
-    if check then begin
-      let aug_rep = Aug_spec.check result.Harness.aug result.Harness.trace in
-      Format.printf "augmented-snapshot spec: %s@."
-        (if aug_rep.Aug_spec.ok then "all lemmas hold" else "FAILED");
-      if not aug_rep.Aug_spec.ok then
-        Format.printf "%a@." Aug_spec.pp_report aug_rep;
-      let rep = Analysis.check spec result in
-      Format.printf
-        "Lemma 26 replay: %s (lin=%d revisions=%d hidden steps=%d)@."
-        (if rep.Analysis.ok then "execution reconstructed and replayed"
-         else "FAILED")
-        rep.Analysis.stats.Analysis.n_lin_items
-        rep.Analysis.stats.Analysis.n_revisions
-        rep.Analysis.stats.Analysis.n_hidden_steps;
-      if not rep.Analysis.ok then Format.printf "%a@." Analysis.pp_report rep
-    end;
-    obs_finish ~metrics ~trace_out
+    let checks_ok =
+      if not check then true
+      else
+        let aug_rep = Aug_spec.check result.Harness.aug result.Harness.trace in
+        Format.printf "augmented-snapshot spec: %s@."
+          (if aug_rep.Aug_spec.ok then "all lemmas hold" else "FAILED");
+        if not aug_rep.Aug_spec.ok then
+          Format.printf "%a@." Aug_spec.pp_report aug_rep;
+        let rep = Analysis.check spec result in
+        Format.printf
+          "Lemma 26 replay: %s (lin=%d revisions=%d hidden steps=%d)@."
+          (if rep.Analysis.ok then "execution reconstructed and replayed"
+           else "FAILED")
+          rep.Analysis.stats.Analysis.n_lin_items
+          rep.Analysis.stats.Analysis.n_revisions
+          rep.Analysis.stats.Analysis.n_hidden_steps;
+        if not rep.Analysis.ok then Format.printf "%a@." Analysis.pp_report rep;
+        aug_rep.Aug_spec.ok && rep.Analysis.ok
+    in
+    obs_finish ~metrics ~trace_out;
+    if not checks_ok then exit 1
   in
   Cmd.v
     (Cmd.info "simulate"
-       ~doc:"Run the revisionist simulation of racing consensus (Theorem 21's construction).")
+       ~doc:"Run the revisionist simulation of racing consensus (Theorem 21's construction)."
+       ~exits:
+         [
+           Cmd.Exit.info 0
+             ~doc:
+               "the run finished and, with $(b,--check), both checkers passed. \
+                A consensus violation still exits 0: Corollary 33 predicts \
+                one when m < n.";
+           Cmd.Exit.info 1
+             ~doc:
+               "with $(b,--check): the augmented-snapshot spec or the Lemma 26 \
+                replay failed.";
+           Cmd.Exit.info Cmd.Exit.cli_error ~doc:"command-line parse error.";
+         ])
     Term.(
       const run $ n $ m $ f $ d $ seed $ arch $ check $ trace $ metrics_arg
       $ trace_out_arg)

@@ -54,8 +54,10 @@ type litem =
 val linearize : Aug.t -> Aug.F.trace_entry list -> litem list
 
 (** [window_start ~trace ~last ~x_idx] locates the point [L] of an atomic
-    Block-Update: the last [H.scan] before [x_idx] whose result is
-    triple-equal to the recorded ℓ ([last]). *)
+    Block-Update: the latest [H.scan] below [x_idx] whose result is
+    triple-equal to the recorded ℓ ([last]), compared by per-component
+    triple counts without allocating. [trace] is in execution order; the
+    walk stops at [x_idx]. *)
 val window_start :
   trace:Aug.F.trace_entry list -> last:Hrep.snap -> x_idx:int -> int option
 
@@ -74,5 +76,14 @@ type report = { ok : bool; errors : string list; stats : stats }
 val pp_report : Format.formatter -> report -> unit
 
 (** [check aug trace] validates one finished execution. [trace] is the
-    [F.run] trace of the same run. *)
+    [F.run] trace of the same run, whose entry [k] has index [k].
+
+    Cost: a fixed number of passes over [trace] and one sort of the
+    linearization. Per M-operation the trace is walked only inside a
+    bounded range: triple appends are counted inside the operation's own
+    interval (Theorem 20 stops at the first lower-identifier append), and
+    an atomic Block-Update's [L] is found by walking back from its [X] to
+    the first matching scan. The window checks (Lemmas 11, 17–19) still
+    walk the linearized Updates and the log once per atomic
+    Block-Update. *)
 val check : Aug.t -> Aug.F.trace_entry list -> report

@@ -820,7 +820,19 @@ let mix1 h x = ((h lxor x) * 0x100000001B3) land max_int
 let mix2 h x = ((h lxor (x * 0x9E3779B1)) * 0x27D4EB2F) land max_int
 
 module Aug_target = struct
-  type exec = { aug : Aug.t; result : Aug.F.result; complete : bool }
+  type exec = {
+    aug : Aug.t;
+    result : Aug.F.result;
+    complete : bool;
+    spec_report : Aug_spec.report Lazy.t;
+    linearizable : bool Lazy.t;
+  }
+
+  (* Wing-Gong on the M-operation history; histories longer than 16
+     operations pass unchecked, since the search is exponential. *)
+  let wing_gong aug (result : Aug.F.result) =
+    let spec, entries = mop_history aug result.Aug.F.trace in
+    List.length entries > 16 || Linearize.check spec entries
 
   let no_failure : exec Oracle.t =
     {
@@ -849,8 +861,7 @@ module Aug_target = struct
       Oracle.name = "aug-spec";
       on_truncated = true;
       check =
-        (fun { aug; result; _ } ->
-          let r = Aug_spec.check aug result.Aug.F.trace in
+        (fun { spec_report = (lazy r); _ } ->
           if r.Aug_spec.ok then [] else r.Aug_spec.errors);
     }
 
@@ -874,10 +885,8 @@ module Aug_target = struct
       Oracle.name = "linearizable";
       on_truncated = true;
       check =
-        (fun { aug; result; _ } ->
-          let spec, entries = mop_history aug result.Aug.F.trace in
-          if List.length entries > 16 then [] (* Wing-Gong is exponential *)
-          else if Linearize.check spec entries then []
+        (fun { linearizable = (lazy ok); _ } ->
+          if ok then []
           else [ "no linearization of the M-operation history (Wing-Gong)" ]);
     }
 
@@ -892,7 +901,7 @@ module Aug_target = struct
       Oracle.name = "progress";
       on_truncated = true;
       check =
-        (fun { aug; result; complete } ->
+        (fun { aug; result; complete; _ } ->
           let steps = result.Aug.F.total_ops in
           if complete || steps < window then []
           else
@@ -924,7 +933,7 @@ module Aug_target = struct
       Oracle.name = "crash-robust";
       on_truncated = true;
       check =
-        (fun { aug; result; _ } ->
+        (fun { result; spec_report; linearizable; _ } ->
           let crashed =
             Array.exists
               (function
@@ -936,12 +945,10 @@ module Aug_target = struct
           in
           if not crashed then []
           else
-            let r = Aug_spec.check aug result.Aug.F.trace in
+            let r = Lazy.force spec_report in
             let spec_errs = if r.Aug_spec.ok then [] else r.Aug_spec.errors in
             let lin_errs =
-              let spec, entries = mop_history aug result.Aug.F.trace in
-              if List.length entries > 16 then []
-              else if Linearize.check spec entries then []
+              if Lazy.force linearizable then []
               else
                 [
                   "crashed history not linearizable with the crashed \
@@ -1131,7 +1138,16 @@ module Aug_target = struct
       in
       let live = live_of result.Aug.F.statuses in
       let complete = live = [] in
-      let judge_now () = judge ocs ~complete { aug; result; complete } in
+      let ex =
+        {
+          aug;
+          result;
+          complete;
+          spec_report = lazy (Aug_spec.check aug result.Aug.F.trace);
+          linearizable = lazy (wing_gong aug result);
+        }
+      in
+      let judge_now () = judge ocs ~complete ex in
       {
         script =
           List.map (fun (e : Aug.F.trace_entry) -> e.pid) result.Aug.F.trace;

@@ -210,6 +210,13 @@ module Aug_target : sig
     aug : Rsim_augmented.Aug.t;
     result : Rsim_augmented.Aug.F.result;
     complete : bool;  (** no fiber was still pending *)
+    spec_report : Rsim_augmented.Aug_spec.report Lazy.t;
+        (** {!Rsim_augmented.Aug_spec.check} of the run, forced by at most
+            one oracle and shared with the rest *)
+    linearizable : bool Lazy.t;
+        (** the Wing-Gong verdict {!linearizable} and {!crash_robust}
+            share: [true] when the M-operation history linearizes or has
+            more than 16 operations *)
   }
 
   (** No fiber raised. *)

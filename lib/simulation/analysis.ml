@@ -64,19 +64,24 @@ let check (spec : Harness.spec) (result : Harness.result) =
     Array.iteri
       (fun i mops ->
         let journal_ops =
-          List.filter_map
-            (function
-              | (Journal.Jscan _ | Journal.Jbu _) as e -> Some e
-              | Journal.Jrevise _ | Journal.Jfinal _ | Journal.Jdecided _ ->
-                None)
-            (Journal.events result.Harness.journals.(i))
+          Array.of_list
+            (List.filter_map
+               (function
+                 | (Journal.Jscan _ | Journal.Jbu _) as e -> Some e
+                 | Journal.Jrevise _ | Journal.Jfinal _ | Journal.Jdecided _ ->
+                   None)
+               (Journal.events result.Harness.journals.(i)))
         in
-        (if List.length mops <> List.length journal_ops then
+        let n_journal_ops = Array.length journal_ops in
+        (if List.length mops <> n_journal_ops then
            err "simulator %d: %d M-ops in Aug log but %d in journal" i
-             (List.length mops) (List.length journal_ops));
+             (List.length mops) n_journal_ops);
         List.iteri
           (fun k mop ->
-            match (mop, List.nth_opt journal_ops k) with
+            let journal_op =
+              if k < n_journal_ops then Some journal_ops.(k) else None
+            in
+            match (mop, journal_op) with
             | Aug.Scan_op { end_idx; _ }, Some (Journal.Jscan { serial; _ }) ->
               Hashtbl.replace scan_target (i, end_idx) serial;
               Hashtbl.replace serial_to_mop (i, serial) mop

@@ -411,6 +411,150 @@ let test_scan_blocked_by_updates () =
   | [ n ] -> Alcotest.(check bool) "scan retried" true (n > 3)
   | _ -> Alcotest.fail "expected exactly one completed scan")
 
+(* ---- the checker against its quadratic reference ---- *)
+
+(* Tallies of one corpus: reports compared, reports failing, and a
+   description of every report that differs from the reference. *)
+type tally = {
+  mutable compared : int;
+  mutable failing : int;
+  mutable mismatches : string list;
+}
+
+let compare_with_reference tally what aug trace =
+  let got = Aug_spec.check aug trace in
+  let want = Aug_spec_ref.check aug trace in
+  tally.compared <- tally.compared + 1;
+  if not want.Aug_spec.ok then tally.failing <- tally.failing + 1;
+  if got <> want then
+    tally.mismatches <-
+      Format.asprintf "%s:@.got %a@.want %a" what Aug_spec.pp_report got
+        Aug_spec.pp_report want
+      :: tally.mismatches
+
+(* An oracle that judges nothing and compares the two checkers on every
+   execution the engine produces, complete or truncated. *)
+let reference_oracle tally : Rsim_explore.Explore.Aug_target.exec
+    Rsim_explore.Explore.Oracle.t =
+  {
+    name = "spec-reference";
+    on_truncated = true;
+    check =
+      (fun { aug; result; _ } ->
+        compare_with_reference tally "explored execution" aug result.trace;
+        []);
+  }
+
+let test_checker_matches_reference () =
+  let module Explore = Rsim_explore.Explore in
+  let module Harness = Rsim_simulation.Harness in
+  let tally = { compared = 0; failing = 0; mismatches = [] } in
+  (* Theorem 21 simulations of racing consensus, up to n=16 m=4 f=4. *)
+  List.iter
+    (fun (n, m, f, d) ->
+      let spec =
+        {
+          Harness.protocol =
+            (fun pid input -> (Rsim_protocols.Racing.protocol ~m ()) pid input);
+          n;
+          m;
+          f;
+          d;
+          inputs = List.init f (fun p -> Value.Int (p + 1));
+        }
+      in
+      for seed = 1 to 3 do
+        let r = Harness.run ~sched:(Schedule.random ~seed) spec in
+        compare_with_reference tally
+          (Printf.sprintf "racing n=%d m=%d f=%d d=%d seed %d" n m f d seed)
+          r.Harness.aug r.Harness.trace
+      done)
+    [ (4, 2, 2, 0); (5, 2, 3, 1); (7, 5, 2, 1); (13, 4, 3, 1); (16, 4, 4, 0) ];
+  (* The builtin shapes, clean and with each seeded yield bug, over
+     exhaustive trees and under a fault profile with drops, corruptions,
+     crashes and restarts. *)
+  let faults =
+    match
+      Rsim_faults.Faults.of_string
+        "drop@1:3,corrupt@2:6#5,restart@0:7+2,crash@2:14"
+    with
+    | Ok specs -> specs
+    | Error e -> Alcotest.failf "fault grammar: %s" e
+  in
+  let oracles = [ reference_oracle tally ] in
+  List.iter
+    (fun inject ->
+      List.iter
+        (fun (name, f, max_steps) ->
+          let build ?faults () =
+            Option.get
+              (Explore.Aug_target.builtin ?inject ?faults ~oracles ~name ~f
+                 ~m:2 ())
+          in
+          ignore (Explore.exhaustive ~domains:1 ~max_steps (build ()));
+          ignore
+            (Explore.sweep ~domains:1 ~max_steps:200 ~budget:40 ~seed:f
+               (build ~faults ())))
+        [ ("bu-conflict", 2, 10); ("bu-then-scan", 3, 9); ("mixed", 3, 9) ])
+    [ None; Some Aug.Skip_yield_check; Some Aug.Yield_on_higher ];
+  (* The E9 ablation: no helping writes. *)
+  for seed = 0 to 29 do
+    let aug = Aug.create ~helping:false ~f:3 ~m:3 () in
+    let result =
+      Aug.F.run ~max_ops:20_000
+        ~sched:(Schedule.random ~seed)
+        ~apply:(Aug.apply aug)
+        (List.init 3 (fun _ -> random_body ~aug ~m:3 ~n_ops:6 ~seed))
+    in
+    compare_with_reference tally
+      (Printf.sprintf "helping:false seed %d" seed)
+      aug result.trace
+  done;
+  (match tally.mismatches with
+  | [] -> ()
+  | first :: _ ->
+    Alcotest.failf "%d of %d reports differ from the reference; e.g. %s"
+      (List.length tally.mismatches) tally.compared first);
+  Alcotest.(check bool)
+    (Printf.sprintf "corpus has failing reports (%d of %d)" tally.failing
+       tally.compared)
+    true
+    (tally.failing > 0 && tally.failing < tally.compared)
+
+let test_window_start_latest () =
+  (* Scans at 0 and 1 both return the empty H; the append at 2 changes
+     it; the scan at 4 is an (artificial) third empty result at or above
+     [x_idx]. *)
+  let h0 = Hrep.create ~f:2 in
+  let triple = { Hrep.comp = 0; value = Value.Int 1; ts = Vts.of_array [| 1; 0 |] } in
+  let h1 = Array.copy h0 in
+  h1.(0) <- Hrep.append_triples h1.(0) [ triple ];
+  let scan idx s =
+    { Aug.F.idx; pid = 1; op = Aug.Ops.Hscan; res = Aug.Ops.Snap s }
+  in
+  let trace =
+    [
+      scan 0 h0;
+      scan 1 h0;
+      { Aug.F.idx = 2; pid = 0; op = Aug.Ops.Happend_triples [ triple ];
+        res = Aug.Ops.Ack };
+      scan 3 h1;
+      scan 4 h0;
+    ]
+  in
+  List.iter
+    (fun (what, last, x_idx, want) ->
+      Alcotest.(check (option int)) what want
+        (Aug_spec.window_start ~trace ~last ~x_idx);
+      Alcotest.(check (option int)) (what ^ " (reference)") want
+        (Aug_spec_ref.window_start ~trace ~last ~x_idx))
+    [
+      ("two matches: the later one", h0, 4, Some 1);
+      ("a match at x_idx is excluded", h0, 1, Some 0);
+      ("nothing below x_idx", h0, 0, None);
+      ("triple counts, not identity", h1, 5, Some 3);
+    ]
+
 let () =
   Alcotest.run "aug"
     [
@@ -449,6 +593,13 @@ let () =
             (random_workload_case ~f:4 ~m:2 ~n_ops:8 ~seed:3);
           Alcotest.test_case "random f=4 m=4" `Quick
             (random_workload_case ~f:4 ~m:4 ~n_ops:8 ~seed:4);
+        ] );
+      ( "reference checker",
+        [
+          Alcotest.test_case "check matches the reference" `Quick
+            test_checker_matches_reference;
+          Alcotest.test_case "window_start picks the latest scan" `Quick
+            test_window_start_latest;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
