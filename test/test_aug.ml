@@ -594,7 +594,7 @@ let () =
           Alcotest.test_case "random f=4 m=4" `Quick
             (random_workload_case ~f:4 ~m:4 ~n_ops:8 ~seed:4);
         ] );
-      ( "reference checker",
+      ( "reference",
         [
           Alcotest.test_case "check matches the reference" `Quick
             test_checker_matches_reference;
