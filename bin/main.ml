@@ -406,7 +406,7 @@ let explore_cmd =
           ~doc:
             "Fault-plane profile: a named family (crashy, stally, restarting, \
              chaos — drawn deterministically from --f and --seed) or a literal \
-             profile like 'crash\\@1:3,stall\\@0:2*4'. Crashed processes lose \
+             profile like 'crash@1:3,stall@0:2*4'. Crashed processes lose \
              their local state; shared memory persists.")
   in
   let max_violations =

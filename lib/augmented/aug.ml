@@ -88,25 +88,28 @@ type t = {
   m : int;
   helping : bool;
   inject : fault option;
+  others : int list array;  (** [others.(me)]: every pid but [me], ascending *)
   mutable h : Hrep.snap;
+      (** published snapshot: replaced on every append, never mutated *)
   mutable clock : int;
   mutable rev_log : mop list;
 }
 
 let create ?(helping = true) ?inject ~f ~m () =
   if f <= 0 || m <= 0 then invalid_arg "Aug.create: f and m must be positive";
-  { f; m; helping; inject; h = Hrep.create ~f; clock = 0; rev_log = [] }
+  let pids = List.init f Fun.id in
+  let others = Array.init f (fun me -> List.filter (fun j -> j <> me) pids) in
+  { f; m; helping; inject; others; h = Hrep.create ~f; clock = 0; rev_log = [] }
 
 let f t = t.f
 let m t = t.m
 let log t = List.rev t.rev_log
 let clock t = t.clock
-let h_state t = Array.copy t.h
 
 let apply t ~pid (op : Ops.op) : Ops.res =
   let res : Ops.res =
     match op with
-    | Ops.Hscan -> Ops.Snap (Array.copy t.h)
+    | Ops.Hscan -> Ops.Snap t.h
     | Ops.Happend_triples triples ->
       let h' = Array.copy t.h in
       h'.(pid) <- Hrep.append_triples h'.(pid) triples;
@@ -133,9 +136,6 @@ let hscan t =
   | Ops.Snap s, idx -> (s, idx)
   | (Ops.Ack, _) -> assert false
 
-let others t ~me =
-  List.filter (fun j -> j <> me) (List.init t.f Fun.id)
-
 (* Algorithm 3. *)
 let scan t ~me =
   if me < 0 || me >= t.f then invalid_arg "Aug.scan: bad process id";
@@ -149,7 +149,7 @@ let scan t ~me =
       let recs =
         List.map
           (fun j -> { Hrep.dest = j; index = cnt.(j); payload = h })
-          (others t ~me)
+          t.others.(me)
       in
       let _ = do_op t (Ops.Happend_lrecords recs) in
       if recs <> [] then Obs.Metrics.incr m_helping;
@@ -177,17 +177,33 @@ let scan t ~me =
     :: t.rev_log;
   view
 
+let rec comp_absent j = function
+  | [] -> true
+  | (k, _) :: rest -> k <> j && comp_absent j rest
+
+let rec comps_distinct = function
+  | [] -> true
+  | (j, _) :: rest -> comp_absent j rest && comps_distinct rest
+
+let rec comps_in_range m = function
+  | [] -> true
+  | (j, _) :: rest -> j >= 0 && j < m && comps_in_range m rest
+
+(* Whether some pid in [lo, hi) has more Block-Updates in [h'cnt] than in
+   [hcnt]. *)
+let rec grew hcnt h'cnt lo hi =
+  lo < hi && (h'cnt.(lo) > hcnt.(lo) || grew hcnt h'cnt (lo + 1) hi)
+
 (* Algorithm 4. *)
 let block_update t ~me updates =
   if me < 0 || me >= t.f then invalid_arg "Aug.block_update: bad process id";
   (match updates with
   | [] -> invalid_arg "Aug.block_update: empty update list"
-  | _ ->
-    let comps = List.map fst updates in
-    if List.length (List.sort_uniq Int.compare comps) <> List.length comps then
-      invalid_arg "Aug.block_update: components must be distinct";
-    if List.exists (fun j -> j < 0 || j >= t.m) comps then
-      invalid_arg "Aug.block_update: component out of range");
+  | _ :: _ -> ());
+  if not (comps_distinct updates) then
+    invalid_arg "Aug.block_update: components must be distinct";
+  if not (comps_in_range t.m updates) then
+    invalid_arg "Aug.block_update: component out of range";
   (* Line 2 *)
   let h, start_idx = hscan t in
   (* Line 3 *)
@@ -204,13 +220,12 @@ let block_update t ~me updates =
      unchanged.) *)
   if t.helping then begin
     let gcnt = Hrep.counts g in
-    let recs =
-      List.filter_map
-        (fun j ->
-          if j < me then Some { Hrep.dest = j; index = gcnt.(j); payload = g }
-          else None)
-        (List.init t.f Fun.id)
+    let rec lower j acc =
+      if j < 0 then acc
+      else
+        lower (j - 1) ({ Hrep.dest = j; index = gcnt.(j); payload = g } :: acc)
     in
+    let recs = lower (me - 1) [] in
     let _ = do_op t (Ops.Happend_lrecords recs) in
     if recs <> [] then Obs.Metrics.incr m_helping
   end;
@@ -220,14 +235,11 @@ let block_update t ~me updates =
      Seeded faults mutate exactly this test. *)
   let hcnt = Hrep.counts h in
   let h'cnt = Hrep.counts h' in
-  let new_from pred =
-    List.exists (fun j -> pred j && h'cnt.(j) > hcnt.(j)) (List.init t.f Fun.id)
-  in
   let new_lower =
     match t.inject with
-    | None | Some Spin_on_yield -> new_from (fun j -> j < me)
+    | None | Some Spin_on_yield -> grew hcnt h'cnt 0 me
     | Some Skip_yield_check -> false
-    | Some Yield_on_higher -> new_from (fun j -> j > me)
+    | Some Yield_on_higher -> grew hcnt h'cnt (me + 1) t.f
   in
   if new_lower && t.inject = Some Spin_on_yield then begin
     (* Deliberately blocking mutation: instead of yielding, busy-wait
@@ -280,7 +292,7 @@ let block_update t ~me updates =
             match Hrep.read_l r_snap ~writer:j ~reader:me ~index:b with
             | Some rj when Hrep.is_proper_prefix !last rj -> last := rj
             | Some _ | None -> ())
-          (others t ~me);
+          t.others.(me);
         end_idx
       end
     in

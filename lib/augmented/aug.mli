@@ -28,6 +28,13 @@ module Ops : sig
     | Happend_lrecords of Hrep.lrecord list
         (** helping writes of Algorithms 3 / 4, batched in one update *)
 
+  (** [Snap h]: the result of an [Hscan], the published [H] itself,
+      not a copy. Snapshots are shared and immutable: an append
+      publishes a fresh array (copy on write) and never mutates one
+      already returned, so every holder of [h] — the scanning fiber, the
+      trace, the M-operation log, an L-record payload — sees the same
+      contents forever. Code that holds a snapshot must not mutate it
+      either. *)
   type res = Snap of Hrep.snap | Ack
 
   (** Whether this operation appends update triples (the "updates" that
@@ -117,9 +124,6 @@ val log : t -> mop list
 
 (** Number of [H] operations executed so far. *)
 val clock : t -> int
-
-(** Current contents of [H] (a snapshot copy). *)
-val h_state : t -> Hrep.snap
 
 (** {2 Operations — callable only from inside a fiber run with
     [F.run ~apply:(apply t)]} *)

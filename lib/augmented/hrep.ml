@@ -15,14 +15,12 @@ let count_bu c =
   (* Triples of one Block-Update share a timestamp and are appended
      together, so counting groups of equal adjacent timestamps counts
      Block-Updates. *)
-  let rec go last n = function
+  let rec go ts n = function
     | [] -> n
-    | t :: rest -> (
-      match last with
-      | Some ts when Vts.equal ts t.ts -> go last n rest
-      | _ -> go (Some t.ts) (n + 1) rest)
+    | t :: rest ->
+      if Vts.equal ts t.ts then go ts n rest else go t.ts (n + 1) rest
   in
-  go None 0 c.triples
+  match c.triples with [] -> 0 | t :: rest -> go t.ts 1 rest
 
 let counts h = Array.map count_bu h
 
@@ -59,27 +57,37 @@ let all_triples h =
 
 let get_view ~m h =
   let view = Array.make m Value.Bot in
-  let best = Array.make m None in
-  List.iter
-    (fun (_, t) ->
-      if t.comp >= 0 && t.comp < m then
-        match best.(t.comp) with
-        | Some ts when Vts.geq ts t.ts -> ()
-        | _ ->
-          best.(t.comp) <- Some t.ts;
-          view.(t.comp) <- t.value)
-    (all_triples h);
+  (* [best.(c)] is the timestamp [view.(c)] came from, once [seen.(c)]. *)
+  let seen = Array.make m false in
+  let best = Array.make m (Vts.of_array [||]) in
+  let rec walk = function
+    | [] -> ()
+    | t :: rest ->
+      let c = t.comp in
+      if c >= 0 && c < m && not (seen.(c) && Vts.geq best.(c) t.ts) then begin
+        seen.(c) <- true;
+        best.(c) <- t.ts;
+        view.(c) <- t.value
+      end;
+      walk rest
+  in
+  for writer = 0 to Array.length h - 1 do
+    walk h.(writer).triples
+  done;
   view
 
 let new_timestamp h ~me = Vts.make ~counts:(counts h) ~me
 
 let read_l h ~writer ~reader ~index =
-  let matching =
-    List.filter (fun l -> l.dest = reader && l.index = index) h.(writer).lrecords
+  let rec last found = function
+    | [] -> found
+    | l :: rest ->
+      let found =
+        if l.dest = reader && l.index = index then Some l.payload else found
+      in
+      last found rest
   in
-  match List.rev matching with
-  | [] -> None
-  | last :: _ -> Some last.payload
+  last None h.(writer).lrecords
 
 let contains_ts h ts =
   List.exists (fun (_, t) -> Vts.equal t.ts ts) (all_triples h)

@@ -48,7 +48,7 @@ let preemptions_of script =
 type probe_view = {
   step : int;
   live : int list;
-  fingerprint : (int * int) option;
+  fingerprint : unit -> (int * int) option;
 }
 
 type probe = probe_view -> [ `Continue | `Stop ]
@@ -339,13 +339,17 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
      dedup is unsound there and switches itself off. *)
   let dedup = dedup && w.faults = None in
   (* Sharded claim table: a state key is claimed by exactly one task;
-     everyone else is pruned. *)
+     everyone else is pruned. Each shard's [Hashtbl] picks a bucket from
+     the low bits of the key's hash, so the shard comes from the high
+     bits (24-29 of the 30-bit hash): from the low bits, every key in a
+     shard would share them, and its table would use 1/64 of its
+     buckets. *)
   let shards =
     (Array.init 64 (fun _ -> (Mutex.create (), Hashtbl.create 251))
     [@rsim.shared "each shard's table is only touched under its mutex"])
   in
   let claim key =
-    let mu, tbl = shards.(Hashtbl.hash key land 63) in
+    let mu, tbl = shards.((Hashtbl.hash key lsr 24) land 63) in
     Mutex.lock mu;
     let fresh = not (Hashtbl.mem tbl key) in
     if fresh then Hashtbl.add tbl key ();
@@ -468,7 +472,7 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
         let fresh =
           (not dedup)
           ||
-          match pv.fingerprint with
+          match pv.fingerprint () with
           | None -> true
           | Some (f1, f2) ->
             let benc =
@@ -1071,6 +1075,57 @@ module Aug_target = struct
       statuses;
     List.rev !live
 
+  (* [Aug.apply] with rolling state digests for the engine's
+     fingerprint: one pair of accumulators per fiber folding its
+     (operation, result) history — bodies are deterministic, so this pins
+     down the fiber's whole local state — and one pair per single-writer
+     H component folding, for each append, the issuer's fiber digest at
+     issue time (append contents are a function of the issuer's history,
+     so the payload itself, which contains recursive snapshots, never
+     needs hashing). A scan's result hash is the combined H-component
+     digest at scan time. The digests are cheap to keep on every
+     operation; the fingerprint, which folds them all with the live set,
+     is computed only when asked for. *)
+  let fingerprinted aug ~f =
+    let fib1 = Array.make f 0x1505 in
+    let fib2 = Array.make f 0x9747 in
+    let comp1 = Array.make f 0x1505 in
+    let comp2 = Array.make f 0x9747 in
+    let apply ~pid op =
+      let res = Aug.apply aug ~pid op in
+      let tag =
+        match op with
+        | Aug.Ops.Hscan -> 1
+        | Aug.Ops.Happend_triples _ -> 2
+        | Aug.Ops.Happend_lrecords _ -> 3
+      in
+      (match op with
+      | Aug.Ops.Hscan -> ()
+      | Aug.Ops.Happend_triples _ | Aug.Ops.Happend_lrecords _ ->
+        comp1.(pid) <- mix1 (mix1 comp1.(pid) fib1.(pid)) tag;
+        comp2.(pid) <- mix2 (mix2 comp2.(pid) fib2.(pid)) tag);
+      let r1, r2 =
+        match res with
+        | Aug.Ops.Ack -> (17, 17)
+        | Aug.Ops.Snap _ ->
+          (Array.fold_left mix1 5 comp1, Array.fold_left mix2 5 comp2)
+      in
+      fib1.(pid) <- mix1 (mix1 fib1.(pid) tag) r1;
+      fib2.(pid) <- mix2 (mix2 fib2.(pid) tag) r2;
+      res
+    in
+    let fingerprint live =
+      let fold mixf a b =
+        let h = ref 0 in
+        Array.iter (fun d -> h := mixf !h d) a;
+        Array.iter (fun d -> h := mixf !h d) b;
+        List.iter (fun p -> h := mixf !h (p + 1)) live;
+        !h
+      in
+      (fold mix1 fib1 comp1, fold mix2 fib2 comp2)
+    in
+    (apply, fingerprint)
+
   let workload ?(oracles = default_oracles) ?inject ?(faults = [])
       ~name ~f ~m ~bodies () =
     let ocs = oracle_counters oracles in
@@ -1078,62 +1133,25 @@ module Aug_target = struct
       let aug = Aug.create ?inject ~f ~m () in
       (* A plan is single-run (fire-once state), so compile it afresh for
          every execution: replays see the identical fault environment. *)
-      let plan = Faults.plan ~adapter:Aug.fault_adapter faults in
-      let control = Faults.control plan in
-      (* Rolling state digests for the engine's fingerprint: one pair of
-         accumulators per fiber folding its (operation, result) history
-         — bodies are deterministic, so this pins down the fiber's whole
-         local state — and one pair per single-writer H component
-         folding, for each append, the issuer's fiber digest at issue
-         time (append contents are a function of the issuer's history,
-         so the payload itself, which contains recursive snapshots,
-         never needs hashing). A scan's result hash is the combined
-         H-component digest at scan time. *)
-      let fib1 = Array.make f 0x1505 in
-      let fib2 = Array.make f 0x9747 in
-      let comp1 = Array.make f 0x1505 in
-      let comp2 = Array.make f 0x9747 in
-      let apply ~pid op =
-        let res = Aug.apply aug ~pid op in
-        let tag =
-          match op with
-          | Aug.Ops.Hscan -> 1
-          | Aug.Ops.Happend_triples _ -> 2
-          | Aug.Ops.Happend_lrecords _ -> 3
-        in
-        (match op with
-        | Aug.Ops.Hscan -> ()
-        | Aug.Ops.Happend_triples _ | Aug.Ops.Happend_lrecords _ ->
-          comp1.(pid) <- mix1 (mix1 comp1.(pid) fib1.(pid)) tag;
-          comp2.(pid) <- mix2 (mix2 comp2.(pid) fib2.(pid)) tag);
-        let r1, r2 =
-          match res with
-          | Aug.Ops.Ack -> (17, 17)
-          | Aug.Ops.Snap _ ->
-            (Array.fold_left mix1 5 comp1, Array.fold_left mix2 5 comp2)
-        in
-        fib1.(pid) <- mix1 (mix1 fib1.(pid) tag) r1;
-        fib2.(pid) <- mix2 (mix2 fib2.(pid) tag) r2;
-        res
+      let control =
+        match faults with
+        | [] -> None
+        | _ :: _ ->
+          Some (Faults.control (Faults.plan ~adapter:Aug.fault_adapter faults))
       in
-      let fingerprint live =
-        let fold mixf a b =
-          let h = ref 0 in
-          Array.iter (fun d -> h := mixf !h d) a;
-          Array.iter (fun d -> h := mixf !h d) b;
-          List.iter (fun p -> h := mixf !h (p + 1)) live;
-          !h
-        in
-        (fold mix1 fib1 comp1, fold mix2 fib2 comp2)
-      in
-      let fprobe =
-        Option.map
-          (fun p ~step ~live ->
-            p { step; live; fingerprint = Some (fingerprint live) })
-          probe
+      let apply, fprobe =
+        match probe with
+        | None -> (Aug.apply aug, None)
+        | Some p ->
+          let apply, fingerprint = fingerprinted aug ~f in
+          let fingerprint_of live () = Some (fingerprint live) in
+          ( apply,
+            Some
+              (fun ~step ~live ->
+                p { step; live; fingerprint = fingerprint_of live }) )
       in
       let result =
-        Aug.F.run ~max_ops ~control ~obs_label:Aug.op_name ?probe:fprobe
+        Aug.F.run ~max_ops ?control ~obs_label:Aug.op_name ?probe:fprobe
           ~sched ~apply (bodies aug)
       in
       let live = live_of result.Aug.F.statuses in
@@ -1228,6 +1246,8 @@ end
 (* ---------------------------------------------------------------- *)
 
 module Harness_target = struct
+  let no_fingerprint () = None
+
   type exec = { hspec : Harness.spec; result : Harness.result; complete : bool }
 
   let no_failure : exec Oracle.t =
@@ -1359,7 +1379,7 @@ module Harness_target = struct
          still shares prefixes but never dedups. *)
       let fprobe =
         Option.map
-          (fun p ~step ~live -> p { step; live; fingerprint = None })
+          (fun p ~step ~live -> p { step; live; fingerprint = no_fingerprint })
           probe
       in
       let result =

@@ -36,11 +36,16 @@ open Rsim_shmem
     probed execution: the decision index, the schedulable pids, and a
     canonical state fingerprint (two independently-mixed digests of the
     shared state and every fiber's operation/result history; [None] when
-    the workload cannot fingerprint soundly). *)
+    the workload cannot fingerprint soundly).
+
+    The fingerprint is computed only when [fingerprint ()] is called.
+    {!exhaustive} calls it only at fresh decisions, past the prefix a
+    task replays: the states along a replayed prefix were claimed when
+    the task was emitted, so their fingerprints would be thrown away. *)
 type probe_view = {
   step : int;
   live : int list;
-  fingerprint : (int * int) option;
+  fingerprint : unit -> (int * int) option;
 }
 
 (** Returning [`Stop] ends the execution at that decision point. *)

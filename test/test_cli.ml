@@ -1,0 +1,71 @@
+(* The rsim command line renders its help. cmdliner checks a doc
+   string's markup only when it renders it, so a bad escape in one
+   option's doc passes the build and is reported on stderr by [--help]
+   alone; this renders the top-level help and every subcommand's. *)
+
+let exe =
+  Filename.concat (Filename.concat Filename.parent_dir_name "bin") "main.exe"
+
+(* Run [exe args]; return its exit code, stdout and stderr. *)
+let run args =
+  let out = Filename.temp_file "rsim_cli" ".out" in
+  let err = Filename.temp_file "rsim_cli" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote exe) args
+         (Filename.quote out) (Filename.quote err))
+  in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  let o = read out and e = read err in
+  Sys.remove out;
+  Sys.remove err;
+  (code, o, e)
+
+(* The subcommands listed in the COMMANDS section of the top-level help:
+   each entry's first line is indented by seven spaces, its description
+   by more. *)
+let subcommands () =
+  let _, out, _ = run "--help=plain" in
+  let rec section in_commands acc = function
+    | [] -> List.rev acc
+    | line :: rest ->
+      if line = "COMMANDS" then section true acc rest
+      else if line <> "" && line.[0] <> ' ' then section false acc rest
+      else if
+        in_commands
+        && String.length line > 7
+        && String.sub line 0 7 = "       "
+        && line.[7] <> ' '
+      then
+        let entry = String.sub line 7 (String.length line - 7) in
+        let name = List.hd (String.split_on_char ' ' entry) in
+        section in_commands (name :: acc) rest
+      else section in_commands acc rest
+  in
+  section false [] (String.split_on_char '\n' out)
+
+let check_help args =
+  let code, out, err = run (args ^ " --help=plain") in
+  Alcotest.(check int) (args ^ ": exit code") 0 code;
+  Alcotest.(check string) (args ^ ": stderr") "" err;
+  Alcotest.(check bool) (args ^ ": help printed") true (String.length out > 0)
+
+let test_top_level_help () = check_help ""
+
+let test_subcommand_help () =
+  let subs = subcommands () in
+  Alcotest.(check bool)
+    ("subcommands found: " ^ String.concat " " subs)
+    true
+    (List.mem "explore" subs && List.mem "simulate" subs);
+  List.iter check_help subs
+
+let () =
+  Alcotest.run "cli"
+    [
+      ( "help",
+        [
+          Alcotest.test_case "top level" `Quick test_top_level_help;
+          Alcotest.test_case "every subcommand" `Quick test_subcommand_help;
+        ] );
+    ]

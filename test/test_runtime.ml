@@ -470,6 +470,175 @@ let prop_total_equals_sum =
       in
       result.F.total_ops = Array.fold_left ( + ) 0 result.F.ops_per_fiber)
 
+(* ---- equivalence with the reference runtime ---- *)
+
+module Ref_F = Fiber_ref.Make (Counter_ops)
+
+(* Everything both runtimes report about one run, the probe's
+   observations and the counter's final value included. Exceptions are
+   compared by their printed form. *)
+type observed = {
+  o_statuses : string list;
+  o_trace : (int * int * Counter_ops.op * Counter_ops.res) list;
+  o_events : Fiber.event list;
+  o_ops_per_fiber : int list;
+  o_total_ops : int;
+  o_probed : (int * int list) list;
+  o_counter : int;
+}
+
+let show_status = function
+  | Fiber.Done -> "done"
+  | Fiber.Pending -> "pending"
+  | Fiber.Crashed -> "crashed"
+  | Fiber.Failed e -> "failed " ^ Printexc.to_string e
+
+(* One random configuration: bodies whose next operation depends on what
+   they read, bodies that raise, return at once or swallow an injected
+   exception and carry on; a random schedule; a fire-once fault plan
+   drawing every directive; and random [max_ops], [max_restarts] and
+   probe-stop cuts. [case ~op run] drives it through the runtime whose
+   [run] and [op] are given. *)
+let random_case seed =
+  let g = Random.State.make [| seed |] in
+  let int n = Random.State.int g n in
+  let n = 1 + int 4 in
+  let kinds = Array.init n (fun _ -> int 5) in
+  let lens = Array.init n (fun _ -> int 8) in
+  let body op pid =
+    let len = lens.(pid) in
+    let steps () =
+      for i = 1 to len do
+        match op Counter_ops.Get with
+        | Counter_ops.Val v when (v + i + pid) mod 3 = 0 ->
+          ignore (op Counter_ops.Incr)
+        | Counter_ops.Val _ | Counter_ops.Ack -> ignore (op Counter_ops.Get)
+      done
+    in
+    match kinds.(pid) with
+    | 0 -> ()
+    | 1 ->
+      steps ();
+      failwith (Printf.sprintf "body %d gave up" pid)
+    | 2 -> (
+      try steps () with Failure _ -> ignore (op Counter_ops.Incr))
+    | _ -> steps ()
+  in
+  let sched =
+    match int 3 with
+    | 0 -> Schedule.random ~seed:(int 1000)
+    | 1 -> Schedule.round_robin
+    | _ -> Schedule.script (List.init (int 40) (fun _ -> int n))
+  in
+  let plan =
+    List.init (int 4) (fun _ ->
+        let directive =
+          match int 6 with
+          | 0 -> Fiber.Crash
+          | 1 -> Fiber.Crash_restart { delay = int 4 }
+          | 2 -> Fiber.Stall { steps = int 5 }
+          | 3 -> Fiber.Replace Counter_ops.Incr
+          | 4 -> Fiber.Replace Counter_ops.Get
+          | _ -> Fiber.Raise (Failure "injected")
+        in
+        (int n, int 6, directive))
+  in
+  let max_ops = if int 3 = 0 then Some (int 20) else None in
+  let max_restarts = int 4 in
+  let stop_at = if int 3 = 0 then Some (int 25) else None in
+  fun ~op run ->
+    let state, apply = make_counter () in
+    let fired = Array.make (List.length plan) false in
+    let control ~pid ~nth _op =
+      let rec first k = function
+        | [] -> Fiber.Proceed
+        | (p, at, d) :: rest ->
+          if (not fired.(k)) && p = pid && at = nth then begin
+            fired.(k) <- true;
+            d
+          end
+          else first (k + 1) rest
+      in
+      first 0 plan
+    in
+    let probed = ref [] in
+    let probe ~step ~live =
+      probed := (step, live) :: !probed;
+      match stop_at with Some s when step >= s -> `Stop | _ -> `Continue
+    in
+    let bodies = List.init n (fun _ pid -> body op pid) in
+    let observed =
+      run ?max_ops ~control ~max_restarts ~probe ~sched ~apply bodies
+    in
+    { observed with o_probed = List.rev !probed; o_counter = !state }
+
+let via_runtime ?max_ops ~control ~max_restarts ~probe ~sched ~apply bodies =
+  let r = F.run ?max_ops ~control ~max_restarts ~probe ~sched ~apply bodies in
+  {
+    o_statuses = Array.to_list (Array.map show_status r.F.statuses);
+    o_trace =
+      List.map
+        (fun (e : F.trace_entry) -> (e.idx, e.pid, e.op, e.res))
+        r.F.trace;
+    o_events = r.F.events;
+    o_ops_per_fiber = Array.to_list r.F.ops_per_fiber;
+    o_total_ops = r.F.total_ops;
+    o_probed = [];
+    o_counter = 0;
+  }
+
+let via_reference ?max_ops ~control ~max_restarts ~probe ~sched ~apply bodies =
+  let r =
+    Ref_F.run ?max_ops ~control ~max_restarts ~probe ~sched ~apply bodies
+  in
+  {
+    o_statuses = Array.to_list (Array.map show_status r.Ref_F.statuses);
+    o_trace =
+      List.map
+        (fun (e : Ref_F.trace_entry) -> (e.idx, e.pid, e.op, e.res))
+        r.Ref_F.trace;
+    o_events = r.Ref_F.events;
+    o_ops_per_fiber = Array.to_list r.Ref_F.ops_per_fiber;
+    o_total_ops = r.Ref_F.total_ops;
+    o_probed = [];
+    o_counter = 0;
+  }
+
+let test_matches_reference () =
+  let faulted = ref 0 and cut = ref 0 in
+  for seed = 1 to 3000 do
+    let case = random_case seed in
+    let got = case ~op:F.op via_runtime
+    and want = case ~op:Ref_F.op via_reference in
+    if got <> want then
+      Alcotest.failf "seed %d: the runtime and the reference disagree" seed;
+    if got.o_events <> [] then incr faulted;
+    if List.mem "pending" got.o_statuses then incr cut
+  done;
+  (* The corpus must exercise the fault plane and the early stops, or
+     the comparison proves little. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "faulted runs (%d) and cut runs (%d)" !faulted !cut)
+    true
+    (!faulted > 1000 && !cut > 300)
+
+(* A hop of a trivial-op run allocates its trace entry, the schedule's
+   next state and the effect machinery's blocks (the performed effect,
+   its handler closure, the suspended continuation): 46 minor words on
+   OCaml 5.1, against 52 when the runtime rebuilt the live list on every
+   hop. This budget keeps per-hop allocation from creeping back. The run
+   is long, so the per-run set-up and the float [Gc.minor_words] boxes
+   amortize to nothing. *)
+let test_hop_allocation () =
+  let _, apply = make_counter () in
+  let body _ = for _ = 1 to 10_000 do increment () done in
+  let w0 = Gc.minor_words () in
+  let result = F.run ~sched:Schedule.round_robin ~apply [ body; body ] in
+  let per_hop = (Gc.minor_words () -. w0) /. float_of_int result.F.total_ops in
+  if per_hop > 48. then
+    Alcotest.failf "a trivial hop allocated %.1f minor words (budget 48)"
+      per_hop
+
 let () =
   Alcotest.run "runtime"
     [
@@ -484,6 +653,9 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "per-fiber counts" `Quick test_ops_counted_per_fiber;
           Alcotest.test_case "no-op fiber" `Quick test_no_op_fiber;
+          Alcotest.test_case "matches the reference runtime" `Quick
+            test_matches_reference;
+          Alcotest.test_case "allocation per hop" `Quick test_hop_allocation;
         ] );
       ( "fault boundary",
         [
