@@ -33,7 +33,6 @@ module Run = Rsim_shmem.Run
 module Linearize = Rsim_shmem.Linearize
 
 module Fiber = Rsim_runtime.Fiber
-module Hb = Rsim_runtime.Hb
 module Faults = Rsim_faults.Faults
 
 module Vts = Rsim_augmented.Vts

@@ -7,7 +7,7 @@
     {- {b Simulated system} (§2.1): {!Value}, {!Proc}, {!Snapshot},
        {!Objects}, {!Schedule}, {!Run}, {!Linearize}.}
     {- {b Real system}: {!Fiber} (single-step-scheduled cooperative
-       fibers) and its happens-before machinery {!Hb}.}
+       fibers).}
     {- {b Augmented snapshot} (§3): {!Vts}, {!Hrep}, {!Aug}, and its
        executable specification {!Aug_spec}.}
     {- {b Tasks and protocols}: {!Task}, {!Racing}, {!Adopt2},
@@ -30,7 +30,6 @@ module Schedule = Rsim_shmem.Schedule
 module Run = Rsim_shmem.Run
 module Linearize = Rsim_shmem.Linearize
 module Fiber = Rsim_runtime.Fiber
-module Hb = Rsim_runtime.Hb
 module Faults = Rsim_faults.Faults
 module Vts = Rsim_augmented.Vts
 module Hrep = Rsim_augmented.Hrep

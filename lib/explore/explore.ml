@@ -10,7 +10,6 @@ module Faults = Rsim_faults.Faults
 module Task = Rsim_tasks.Task
 module Racing = Rsim_protocols.Racing
 module Obs = Rsim_obs.Obs
-module Hb = Rsim_runtime.Hb
 
 (* Engine telemetry, shared by all engines and safe under parallel
    domains (atomic counters). Schedules/sec is the caller's division of
@@ -754,13 +753,10 @@ let snapshot_spec m : (Value.t array, snap_op) Linearize.spec =
   }
 
 let mop_history aug (trace : Aug.F.trace_entry list) =
-  let completed = Hashtbl.create 16 in
-  List.iter
-    (function
-      | Aug.Bu_op { proc; ts; _ } ->
-        Hashtbl.replace completed (proc, Vts.to_array ts) ()
-      | Aug.Scan_op _ -> ())
-    (Aug.log aug);
+  (* A Block-Update is in the log iff it completed, so a triple append
+     is a completed Block-Update's Line-4 append iff its index is some
+     logged [x_idx]. *)
+  let completed = Array.make (Aug.clock aug) false in
   let entries = ref [] in
   List.iter
     (function
@@ -770,7 +766,8 @@ let mop_history aug (trace : Aug.F.trace_entry list) =
             ~res:(Value.List (Array.to_list view))
             ()
           :: !entries
-      | Aug.Bu_op { proc; updates; start_idx; end_idx; result; _ } -> (
+      | Aug.Bu_op { proc; updates; start_idx; x_idx; end_idx; result; _ } -> (
+        completed.(x_idx) <- true;
         match result with
         | Aug.Atomic _ ->
           (* Lemma 11: the whole block linearizes at one point. *)
@@ -793,16 +790,14 @@ let mop_history aug (trace : Aug.F.trace_entry list) =
      never returned — pending Updates, which may take effect or not. The
      pid's immediately preceding H.scan is its Line-2 scan, i.e. the
      invocation point. *)
-  let last_scan = Hashtbl.create 8 in
+  let last_scan = Array.make (Aug.f aug) (-1) in
   List.iter
     (fun (e : Aug.F.trace_entry) ->
       match e.op with
-      | Aug.Ops.Hscan -> Hashtbl.replace last_scan e.pid e.idx
-      | Aug.Ops.Happend_triples (({ Hrep.ts; _ } :: _) as triples)
-        when not (Hashtbl.mem completed (e.pid, Vts.to_array ts)) ->
-        let inv =
-          Option.value ~default:e.idx (Hashtbl.find_opt last_scan e.pid)
-        in
+      | Aug.Ops.Hscan -> last_scan.(e.pid) <- e.idx
+      | Aug.Ops.Happend_triples (_ :: _ as triples)
+        when not (e.idx < Array.length completed && completed.(e.idx)) ->
+        let inv = if last_scan.(e.pid) < 0 then e.idx else last_scan.(e.pid) in
         List.iter
           (fun (tr : Hrep.triple) ->
             entries :=
@@ -962,96 +957,75 @@ module Aug_target = struct
             spec_errs @ lin_errs);
     }
 
-  (* Happens-before race oracle (DESIGN §10). Replay the trace through
-     an [Hb.Tracker]: H is single-writer, so location = component =
-     pid; an append publishes the issuer's clock, an H.scan joins every
-     published clock, and fault-plane events are incarnation
-     boundaries. The Line-9 yield discipline then has a clock-checkable
-     shadow: a Block-Update by [q] that returns [Atomic] must have
-     observed, at its Line-2 scan, every M-conflicting triple-append by
-     a lower-identifier process linearized before its own Line-4 X
-     append — the single point the whole block linearizes at (Lemma
-     11). Appends landing after [x_idx] serialize after the block and
-     are harmless even when they precede the trailing Line-8/Line-12
-     scans. The clean object satisfies this structurally (a lower-id
-     append before the yield-check scan forces a yield, and [x_idx]
-     precedes that scan); [Skip_yield_check] and [Yield_on_higher]
-     break exactly this invariant. *)
+  let rec writes (comp : int) = function
+    | [] -> false
+    | (j, _) :: rest -> j = comp || writes comp rest
+
+  (* Whether some triple writes a component that [updates] writes;
+     closure-free, so a passing race check allocates nothing here. *)
+  let rec touches updates = function
+    | [] -> false
+    | (tr : Hrep.triple) :: rest ->
+      writes tr.Hrep.comp updates || touches updates rest
+
+  (* Race oracle (DESIGN §10.2). The Line-9 yield discipline has an
+     index-order shadow: a Block-Update by [q] that returns [Atomic] must
+     have observed, at its Line-2 scan ([start_idx]), every M-conflicting
+     triple append by a lower-identifier process linearized before its
+     own Line-4 X append ([x_idx]) — the single point the whole block
+     linearizes at (Lemma 11). Appends landing after [x_idx] serialize
+     after the block and are harmless even when they precede the
+     trailing Line-8/Line-12 scans. The clean object satisfies this
+     structurally (a lower-id append before the yield-check scan forces
+     a yield, and [x_idx] precedes that scan); [Skip_yield_check] and
+     [Yield_on_higher] break exactly this invariant.
+
+     Why index order decides "observed". The runtime applies one
+     H-operation at a time, H is single-writer and every H.scan reads
+     every component, so the scan at [start_idx] returns exactly the
+     appends with a smaller trace index. In vector-clock terms (an
+     append ticks its writer's clock and publishes it on the writer's
+     component; a scan joins every published clock; fault-plane events
+     only tick): if [idx < start_idx], the scan joins [p]'s last
+     published clock, which dominates [p]'s stamp at [idx] because a
+     pid's clock only grows, so stamp(idx) <= stamp(start_idx); if
+     [idx > start_idx], stamp(idx) has a [p] entry larger than any [p]
+     entry published by [start_idx], so for [p <> q] the test fails.
+     Hence "stamp(idx) <= stamp(start_idx)" is "idx < start_idx", and the
+     oracle fires iff a triple append by some [p < q] touching one of
+     [q]'s components lands strictly inside [(start_idx, x_idx)]. Only
+     that interval of the indexed trace is walked per atomic
+     Block-Update; a passing execution allocates the index and the log
+     and nothing else. Errors come in log order, then trace order. *)
   let race_errors aug (result : Aug.F.result) =
-    let f = Array.length result.Aug.F.statuses in
-    let t = Hb.Tracker.create ~procs:f ~locs:f in
-    (* Fault events, grouped by the operation count at which they
-       fired: ticked just before the trace entry with that index. *)
-    let boundaries = Hashtbl.create 8 in
-    List.iter
-      (fun ev ->
-        let pid, at =
-          match ev with
-          | Rsim_runtime.Fiber.Ev_crash { pid; at; _ }
-          | Rsim_runtime.Fiber.Ev_restart { pid; at; _ }
-          | Rsim_runtime.Fiber.Ev_stall { pid; at; _ }
-          | Rsim_runtime.Fiber.Ev_replace { pid; at }
-          | Rsim_runtime.Fiber.Ev_raise { pid; at } -> (pid, at)
-        in
-        Hashtbl.add boundaries at pid)
-      result.Aug.F.events;
-    let stamps = Hashtbl.create 64 in
-    List.iter
-      (fun (e : Aug.F.trace_entry) ->
-        List.iter
-          (fun pid -> Hb.Tracker.boundary t ~pid)
-          (Hashtbl.find_all boundaries e.idx);
-        (match e.op with
-        | Aug.Ops.Hscan -> Hb.Tracker.read_all t ~pid:e.pid
-        | Aug.Ops.Happend_triples _ | Aug.Ops.Happend_lrecords _ ->
-          Hb.Tracker.write t ~pid:e.pid ~loc:e.pid);
-        Hashtbl.replace stamps e.idx (Hb.Tracker.stamp t ~pid:e.pid))
-      result.Aug.F.trace;
-    let appends =
-      List.filter_map
-        (fun (e : Aug.F.trace_entry) ->
-          match e.op with
-          | Aug.Ops.Happend_triples ts ->
-            Some
-              ( e.idx,
-                e.pid,
-                List.map (fun (tr : Hrep.triple) -> tr.Hrep.comp) ts )
-          | Aug.Ops.Hscan | Aug.Ops.Happend_lrecords _ -> None)
-        result.Aug.F.trace
-    in
+    (* [Fiber.run] numbers operations densely: entry [k] has [idx = k]. *)
+    let trace = Array.of_list result.Aug.F.trace in
     let errs = ref [] in
     List.iter
       (function
         | Aug.Scan_op _ | Aug.Bu_op { result = Aug.Yield; _ } -> ()
         | Aug.Bu_op
-            {
-              proc = q;
-              updates;
-              start_idx;
-              x_idx;
-              result = Aug.Atomic _;
-              _;
-            } -> (
-          let qcomps = List.map fst updates in
-          match Hashtbl.find_opt stamps start_idx with
-          | None -> ()
-          | Some scan_stamp ->
-            List.iter
-              (fun (idx, p, comps) ->
-                if
-                  p < q && idx < x_idx
-                  && List.exists (fun c -> List.mem c qcomps) comps
-                  && not (Hb.Clock.leq (Hashtbl.find stamps idx) scan_stamp)
-                then
-                  errs :=
-                    Printf.sprintf
-                      "race: atomic Block-Update by %d over [%d,%d] did not \
-                       observe conflicting append by %d at %d (%s not <= %s)"
-                      q start_idx x_idx p idx
-                      (Hb.Clock.show (Hashtbl.find stamps idx))
-                      (Hb.Clock.show scan_stamp)
-                    :: !errs)
-              appends))
+            { proc = q; updates; start_idx; x_idx; result = Aug.Atomic _; _ }
+          ->
+          for idx = start_idx + 1 to min (Array.length trace - 1) (x_idx - 1) do
+            match trace.(idx) with
+            | { pid = p; op = Aug.Ops.Happend_triples triples; _ }
+              when p < q && touches updates triples ->
+              errs :=
+                Printf.sprintf
+                  "race: atomic Block-Update by %d over [%d,%d] did not \
+                   observe conflicting append by %d at %d (after its Line-2 \
+                   scan at %d)"
+                  q start_idx x_idx p idx start_idx
+                :: !errs
+            | {
+                op =
+                  Aug.Ops.Happend_triples _ | Aug.Ops.Hscan
+                  | Aug.Ops.Happend_lrecords _;
+                _;
+              } ->
+              ()
+          done)
       (Aug.log aug);
     List.rev !errs
 

@@ -256,18 +256,17 @@ module Aug_target : sig
       vacuously on crash-free executions. *)
   val crash_robust : exec Oracle.t
 
-  (** The happens-before race oracle (DESIGN §10): replays the trace
-      through {!Rsim_runtime.Hb.Tracker} vector clocks — H is
-      single-writer, so an append publishes the issuer's clock, an
-      H.scan joins every published clock, fault-plane events are
-      incarnation boundaries — and flags every Block-Update that
-      returned [Atomic] without having observed, at its Line-2 scan,
-      some M-conflicting triple-append by a lower-identifier process
-      linearized before the block's own Line-4 X append — the single
-      point the block linearizes at (Lemma 11); appends after that
-      point serialize after the block and are harmless. Clean on the
-      unfaulted object (the Line-9 yield rule forbids exactly this);
-      catches [Skip_yield_check] and [Yield_on_higher]. *)
+  (** The race oracle (DESIGN §10.2): flags every Block-Update by [q]
+      that returned [Atomic] although a triple append by some
+      lower-identifier process [p < q], writing one of its components,
+      landed strictly between its Line-2 scan and its Line-4 X append —
+      the single point the block linearizes at (Lemma 11). H is
+      single-writer and every H.scan reads every component, so an append
+      is observed by the Line-2 scan iff its trace index is smaller: the
+      vector-clock happens-before test reduces to index order. Appends
+      after the X append serialize after the block and are harmless.
+      Clean on the unfaulted object (the Line-9 yield rule forbids
+      exactly this); catches [Skip_yield_check] and [Yield_on_higher]. *)
   val race : exec Oracle.t
 
   (** [[no_failure; spec; theorem20; progress ()]]. *)

@@ -19,29 +19,48 @@ let entry ~proc ~op ~inv ?ret ?res () =
   | _ -> ());
   { proc; op; inv; ret; res }
 
-(* [e] may be linearized first among [remaining] iff no other operation
-   completed before [e] was invoked. *)
-let minimal remaining e =
-  List.for_all
-    (fun e' ->
-      e' == e
-      || match e'.ret with None -> true | Some r -> r > e.inv)
-    remaining
-
-let rec remove_phys x = function
-  | [] -> []
-  | y :: ys -> if x == y then ys else y :: remove_phys x ys
-
+(* The search runs over bitmasks: bit [i] of a set stands for
+   [entries.(i)]. [before.(i)] is the set of entries that completed
+   before entry [i] was invoked, so [i] may be linearized (or, pending,
+   dropped) next iff [before.(i) land remaining = 0]. Candidates are
+   tried in index order, which is the order of the input list. *)
 let linearization spec entries =
+  let es = Array.of_list entries in
+  let n = Array.length es in
+  if n > Sys.int_size then
+    invalid_arg "Linearize.linearization: more entries than an int has bits";
+  let before =
+    Array.map
+      (fun e ->
+        let mask = ref 0 in
+        Array.iteri
+          (fun j e' ->
+            match e'.ret with
+            | Some r when r <= e.inv && e' != e -> mask := !mask lor (1 lsl j)
+            | Some _ | None -> ())
+          es;
+        !mask)
+      es
+  in
+  let candidate remaining i =
+    remaining land (1 lsl i) <> 0 && before.(i) land remaining = 0
+  in
   let rec search st remaining acc =
-    match remaining with
-    | [] -> Some (List.rev acc)
-    | _ ->
-      let candidates = List.filter (minimal remaining) remaining in
-      let try_take e =
-        (* A raising [apply] means the operation is not applicable in this
-           state; the search must linearize it elsewhere (or, if pending,
-           drop it). *)
+    if remaining = 0 then Some (List.rev acc)
+    else
+      match take st remaining acc 0 with
+      | Some _ as r -> r
+      | None -> drop st remaining acc 0
+  (* Linearize the first candidate from [i] on that leads to a witness. *)
+  and take st remaining acc i =
+    if i = n then None
+    else if not (candidate remaining i) then take st remaining acc (i + 1)
+    else
+      let e = es.(i) in
+      (* A raising [apply] means the operation is not applicable in this
+         state; the search must linearize it elsewhere (or, if pending,
+         drop it). *)
+      let r =
         match spec.apply st e.op with
         | exception _ -> None
         | st', res ->
@@ -51,24 +70,24 @@ let linearization spec entries =
             | Some _, None -> true
             | None, _ -> true (* pending: any response is acceptable *)
           in
-          if response_ok then search st' (remove_phys e remaining) (e :: acc)
+          if response_ok then
+            search st' (remaining land lnot (1 lsl i)) (e :: acc)
           else None
       in
-      let try_drop e =
-        (* Pending operations may never have taken effect. *)
-        match e.ret with
-        | None -> search st (remove_phys e remaining) acc
-        | Some _ -> None
+      match r with Some _ -> r | None -> take st remaining acc (i + 1)
+  (* Drop the first pending candidate from [i] on that leads to a witness:
+     pending operations may never have taken effect. *)
+  and drop st remaining acc i =
+    if i = n then None
+    else
+      let r =
+        match es.(i).ret with
+        | None when candidate remaining i ->
+          search st (remaining land lnot (1 lsl i)) acc
+        | Some _ | None -> None
       in
-      let rec first_some f = function
-        | [] -> None
-        | x :: xs -> (
-          match f x with Some r -> Some r | None -> first_some f xs)
-      in
-      (match first_some try_take candidates with
-      | Some r -> Some r
-      | None -> first_some try_drop candidates)
+      match r with Some _ -> r | None -> drop st remaining acc (i + 1)
   in
-  search spec.init entries []
+  search spec.init ((1 lsl n) - 1) []
 
 let check spec entries = Option.is_some (linearization spec entries)

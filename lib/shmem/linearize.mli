@@ -9,8 +9,14 @@
     and match its observed response. Pending operations may either take
     effect or be dropped.
 
-    The search is exponential in the worst case; it is intended for the
-    short adversarial histories produced in tests (≲ 15 operations). *)
+    The search runs over bitmasks: the entries sit in an array, each
+    entry's set of entries that must precede it (those that returned
+    before it was invoked) is one int computed once, and the set still
+    to place is one int. Candidates are tried in input order. The search
+    is exponential in the worst case; it is intended for the short
+    adversarial histories produced in tests and by the explorer (at most
+    16 operations there). A history may hold at most [Sys.int_size]
+    entries (63 on 64-bit hosts). *)
 
 open Rsim_value
 
@@ -37,9 +43,13 @@ type ('st, 'op) spec = {
 val entry :
   proc:int -> op:'op -> inv:int -> ?ret:int -> ?res:Value.t -> unit -> 'op entry
 
-(** Whether the history is linearizable w.r.t. the spec. *)
+(** Whether the history is linearizable w.r.t. the spec. Raises
+    [Invalid_argument] if it has more than [Sys.int_size] entries. *)
 val check : ('st, 'op) spec -> 'op entry list -> bool
 
 (** A witness linearization order (the entries that took effect, in
-    linearization order), if one exists. *)
+    linearization order), if one exists: the first found when candidates
+    are tried in input order, taking effect before being dropped. Raises
+    [Invalid_argument] if the history has more than [Sys.int_size]
+    entries. *)
 val linearization : ('st, 'op) spec -> 'op entry list -> 'op entry list option

@@ -656,7 +656,7 @@ let test_linearizable_oracle_exhaustive () =
 let test_race_oracle_catches () =
   (* [Skip_yield_check] makes a Block-Update return Atomic even when a
      lower-identifier process appended conflicting triples inside its
-     window — exactly the unserializable overlap the vector-clock race
+     window — exactly the unserializable overlap the index-order race
      oracle flags. The counterexample must shrink and replay. *)
   let w =
     get_builtin ~inject:Aug.Skip_yield_check
@@ -691,6 +691,187 @@ let test_race_oracle_clean () =
   Alcotest.(check int) "race-free" 0 (List.length rep.Explore.violations);
   Alcotest.(check bool) "covered the space" true
     (rep.Explore.complete + rep.Explore.truncated >= 500)
+
+(* ---- catch matrix: which oracle catches which seeded bug ---- *)
+
+(* All seven Aug_target oracles, in the order of the matrix columns. *)
+let matrix_oracles =
+  Explore.Aug_target.
+    [
+      no_failure; spec; theorem20; progress (); linearizable; crash_robust; race;
+    ]
+
+let matrix_profile = "restart@0:7+2,crash@3:12,restart@2:7+1"
+
+(* Run one corpus entry with every oracle wrapped to count the
+   executions it fires on and then pass, so the engine never stops
+   early and every oracle judges every execution. *)
+let catch_counts ?inject (name, f, m, engine) =
+  let fired = Array.make (List.length matrix_oracles) 0 in
+  let oracles =
+    List.mapi
+      (fun i (o : _ Explore.Oracle.t) ->
+        {
+          o with
+          Explore.Oracle.check =
+            (fun ex ->
+              if o.Explore.Oracle.check ex <> [] then
+                fired.(i) <- fired.(i) + 1;
+              []);
+        })
+      matrix_oracles
+  in
+  (match engine with
+  | `Tree max_steps ->
+    let w = get_builtin ?inject ~oracles name ~f ~m in
+    ignore (Explore.exhaustive ~max_steps ~domains:1 ~dedup:false w)
+  | `Sweep (budget, profile) ->
+    let faults =
+      Option.map
+        (fun p ->
+          match Faults.of_string p with
+          | Ok specs -> specs
+          | Error e -> Alcotest.failf "fault grammar: %s" e)
+        profile
+    in
+    let w = get_builtin ?inject ?faults ~oracles name ~f ~m in
+    ignore (Explore.sweep ~domains:1 ~max_steps:200 ~budget ~seed:11 w));
+  Array.to_list fired
+
+let test_catch_matrix () =
+  (* Per corpus entry and build, the number of executions each oracle
+     fires on, columns in [matrix_oracles] order: no-failure, aug-spec,
+     theorem20, progress, linearizable, crash-robust, race. A change to
+     an oracle, to the object or to an engine that moves a verdict moves
+     a number here. The trees are literal (no dedup), so every schedule
+     up to the bound is judged. *)
+  let silent = [ 0; 0; 0; 0; 0; 0; 0 ] in
+  let corpus =
+    [
+      ( ("bu-conflict", 2, 2, `Tree 12),
+        [ 0; 394; 0; 0; 0; 0; 252 ],
+        [ 0; 342; 330; 0; 0; 0; 122 ] );
+      ( ("mixed", 3, 2, `Tree 10),
+        silent,
+        [ 0; 65; 0; 0; 0; 0; 0 ] );
+      ( ("mixed", 4, 2, `Sweep (500, Some matrix_profile)),
+        [ 0; 152; 0; 0; 0; 75; 113 ],
+        [ 0; 239; 11; 0; 0; 112; 103 ] );
+      ( ("bu-then-scan", 3, 3, `Sweep (500, None)),
+        [ 0; 237; 0; 0; 0; 0; 0 ],
+        [ 0; 349; 301; 0; 0; 0; 0 ] );
+    ]
+  in
+  List.iter
+    (fun (((name, f, m, _) as entry), skip, higher) ->
+      List.iter
+        (fun (inject, want) ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s f%dm%d %s" name f m
+               (match inject with
+               | None -> "clean"
+               | Some b -> Explore.fault_to_string b))
+            want
+            (catch_counts ?inject entry))
+        [
+          (None, silent);
+          (Some Aug.Skip_yield_check, skip);
+          (Some Aug.Yield_on_higher, higher);
+        ])
+    corpus
+
+(* ---- race, history and Wing-Gong against their references ---- *)
+
+(* The violation a race error names: (q, start_idx, x_idx, p, idx). *)
+let race_key msg =
+  Scanf.sscanf msg
+    "race: atomic Block-Update by %d over [%d,%d] did not observe \
+     conflicting append by %d at %d"
+    (fun q s x p i -> (q, s, x, p, i))
+
+type ref_tally = {
+  mutable executions : int;
+  mutable racy : int;
+  mutable searched : int;
+  mutable race_diffs : int;
+  mutable history_diffs : int;
+  mutable search_diffs : int;
+}
+
+(* An oracle that judges nothing and compares, on every execution, the
+   race oracle, the Wing-Gong history and the Wing-Gong search with the
+   implementations kept in race_ref.ml and linearize_ref.ml. *)
+let reference_oracle t : Explore.Aug_target.exec Explore.Oracle.t =
+  {
+    Explore.Oracle.name = "reference";
+    on_truncated = true;
+    check =
+      (fun ({ aug; result; _ } as ex) ->
+        t.executions <- t.executions + 1;
+        let got = List.map race_key (Explore.Aug_target.race.check ex) in
+        let want = List.map race_key (Race_ref.race_errors aug result) in
+        if want <> [] then t.racy <- t.racy + 1;
+        if got <> want then t.race_diffs <- t.race_diffs + 1;
+        let spec, entries = Explore.mop_history aug result.Aug.F.trace in
+        let _, ref_entries = Linearize_ref.mop_history aug result.Aug.F.trace in
+        if entries <> ref_entries then t.history_diffs <- t.history_diffs + 1;
+        (* the oracle searches histories of at most 16 operations *)
+        if List.compare_length_with entries 16 <= 0 then begin
+          t.searched <- t.searched + 1;
+          if
+            not
+              (Linearize_ref.same_witness
+                 (Linearize.linearization spec entries)
+                 (Linearize_ref.linearization spec entries))
+          then t.search_diffs <- t.search_diffs + 1
+        end;
+        []);
+  }
+
+let test_matches_references () =
+  let t =
+    {
+      executions = 0;
+      racy = 0;
+      searched = 0;
+      race_diffs = 0;
+      history_diffs = 0;
+      search_diffs = 0;
+    }
+  in
+  let oracles = [ reference_oracle t ] in
+  let profile p =
+    match Faults.of_string p with
+    | Ok specs -> specs
+    | Error e -> Alcotest.failf "fault grammar: %s" e
+  in
+  let lossy = "drop@1:3,corrupt@2:6#5,restart@0:7+2,crash@2:14" in
+  List.iter
+    (fun inject ->
+      List.iter
+        (fun (name, f, m, faults) ->
+          List.iter
+            (fun faults ->
+              let w = get_builtin ?inject ?faults ~oracles name ~f ~m in
+              ignore
+                (Explore.sweep ~domains:1 ~max_steps:200 ~budget:900 ~seed:f w))
+            [ None; Some (profile faults) ])
+        [
+          ("bu-conflict", 3, 2, lossy);
+          ("bu-then-scan", 3, 3, lossy);
+          ("mixed", 3, 2, lossy);
+          ("mixed", 4, 2, matrix_profile);
+        ])
+    [ None; Some Aug.Skip_yield_check; Some Aug.Yield_on_higher ];
+  Alcotest.(check bool)
+    (Printf.sprintf "corpus of %d executions, %d racy" t.executions t.racy)
+    true
+    (t.executions >= 20_000 && t.racy >= 1_000);
+  Alcotest.(check int) "same race violations, in order" 0 t.race_diffs;
+  Alcotest.(check int) "same Wing-Gong histories" 0 t.history_diffs;
+  Alcotest.(check int)
+    (Printf.sprintf "same Wing-Gong witness on %d histories" t.searched)
+    0 t.search_diffs
 
 (* ---- fiber reclamation: the engines leave no fiber behind ---- *)
 
@@ -787,6 +968,16 @@ let () =
             test_dropped_helping_write_caught;
           Alcotest.test_case "crashy racing sweep, survivors green" `Quick
             test_racing_crashy_survivors;
+        ] );
+      ( "catch matrix",
+        [
+          Alcotest.test_case "oracle firings per corpus entry" `Quick
+            test_catch_matrix;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "race, history and search match" `Quick
+            test_matches_references;
         ] );
       ( "fiber reclamation",
         [

@@ -227,6 +227,63 @@ let prop_generated_histories_linearizable =
       done;
       Linearize.check reg_spec (List.rev !entries))
 
+(* ---- the bitmask search against the list-based reference ---- *)
+
+(* Random overlapping histories of up to 8 operations, a quarter of
+   them pending, with responses drawn independently of any sequential
+   run, so that many histories are not linearizable. *)
+let random_history draw mk_op =
+  List.init (draw 9) (fun _ ->
+      let inv = draw 20 in
+      let op, res = mk_op () in
+      if draw 4 = 0 then e ~proc:(draw 4) ~op ~inv ()
+      else e ~proc:(draw 4) ~op ~inv ~ret:(inv + 1 + draw 6) ?res ())
+
+let test_matches_reference () =
+  let g = ref (Rsim_value.Prng.make 0x11e4) in
+  let draw n =
+    let k, g' = Rsim_value.Prng.int !g n in
+    g := g';
+    k
+  in
+  let value () = if draw 4 = 0 then Value.Bot else Value.Int (draw 3) in
+  let reg_op () =
+    if draw 2 = 0 then (W (Value.Int (draw 3)), None) else (R, Some (value ()))
+  in
+  let stack_op () =
+    if draw 2 = 0 then (Push (draw 3), None) else (Pop, Some (value ()))
+  in
+  let compared = ref 0 and linearizable = ref 0 and mismatches = ref 0 in
+  let compare spec h =
+    let got = Linearize.linearization spec h in
+    incr compared;
+    if Option.is_some got then incr linearizable;
+    let want = Linearize_ref.linearization spec h in
+    if not (Linearize_ref.same_witness got want) then incr mismatches
+  in
+  for _ = 1 to 10_000 do
+    compare reg_spec (random_history draw reg_op);
+    (* [apply] raises on a pop of the empty stack *)
+    compare stack_spec (random_history draw stack_op)
+  done;
+  Alcotest.(check int)
+    (Printf.sprintf "same witness on %d histories (%d linearizable)"
+       !compared !linearizable)
+    0 !mismatches;
+  Alcotest.(check bool) "both verdicts occur" true
+    (!linearizable > 0 && !linearizable < !compared)
+
+let test_entry_limit () =
+  let h n = List.init n (fun i -> e ~proc:0 ~op:R ~inv:(2 * i) ()) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d pending reads linearize" Sys.int_size)
+    true
+    (Linearize.check reg_spec (h Sys.int_size));
+  Alcotest.check_raises "one more entry than an int has bits"
+    (Invalid_argument
+       "Linearize.linearization: more entries than an int has bits")
+    (fun () -> ignore (Linearize.check reg_spec (h (Sys.int_size + 1))))
+
 let () =
   Alcotest.run "linearize"
     [
@@ -249,6 +306,12 @@ let () =
             test_pending_must_be_dropped;
           Alcotest.test_case "inapplicable completed op" `Quick
             test_partial_spec_rejects_completed;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "matches the list search" `Quick
+            test_matches_reference;
+          Alcotest.test_case "entry limit" `Quick test_entry_limit;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_generated_histories_linearizable ]
