@@ -50,7 +50,8 @@ type litem =
 
 (** The linearized sequence of M.Scans and M.Updates of an execution, in
     linearization order (§3.3). Includes the Updates of Block-Updates
-    that executed their Line-4 update but never completed. *)
+    that executed their Line-4 update but never completed. An Update
+    linearized at the same trace index as a Scan comes first. *)
 val linearize : Aug.t -> Aug.F.trace_entry list -> litem list
 
 (** [window_start ~trace ~last ~x_idx] locates the point [L] of an atomic
@@ -78,12 +79,17 @@ val pp_report : Format.formatter -> report -> unit
 (** [check aug trace] validates one finished execution. [trace] is the
     [F.run] trace of the same run, whose entry [k] has index [k].
 
-    Cost: a fixed number of passes over [trace] and one sort of the
-    linearization. Per M-operation the trace is walked only inside a
-    bounded range: triple appends are counted inside the operation's own
-    interval (Theorem 20 stops at the first lower-identifier append), and
-    an atomic Block-Update's [L] is found by walking back from its [X] to
-    the first matching scan. The window checks (Lemmas 11, 17–19) still
-    walk the linearized Updates and the log once per atomic
-    Block-Update. *)
+    Cost: the index {!linearize} builds, once: a pass over [trace] that
+    finds every Update's linearization point, and nearly sorted arrays
+    of the Updates in linearization order and of the Scans by their
+    final [H.scan]. [check] adds the trace as an array and the Line-4
+    appends sorted by (timestamp, writer), which classify the Updates by
+    Block-Update. One replay of M along the linearization checks Corollary 15, numbers
+    it for Lemma 11 and takes M at each window's [L] for Lemma 19. Per
+    M-operation, the rest is a binary search and a bounded walk: its own
+    Updates for Lemmas 11 and 12, the triple appends inside its interval
+    (Theorem 20 stops at the first lower-identifier one), the Scans and
+    Updates inside an atomic Block-Update's window, and the walk back
+    from its [X] to the first scan matching ℓ that locates [L]. Only
+    Lemma 18 compares windows pairwise. *)
 val check : Aug.t -> Aug.F.trace_entry list -> report

@@ -4,27 +4,68 @@ type triple = { comp : int; value : Value.t; ts : Vts.t }
 
 type lrecord = { dest : int; index : int; payload : snap }
 
-and component = { triples : triple list; lrecords : lrecord list }
+and component = {
+  triples : triple list;
+  lrecords : lrecord list;
+  n_triples : int;
+  n_bu : int;
+  winners : triple option array;
+}
 
 and snap = component array
 
-let empty_component = { triples = []; lrecords = [] }
+let empty_component =
+  { triples = []; lrecords = []; n_triples = 0; n_bu = 0; winners = [||] }
+
 let create ~f = Array.make f empty_component
-
-let count_bu c =
-  (* Triples of one Block-Update share a timestamp and are appended
-     together, so counting groups of equal adjacent timestamps counts
-     Block-Updates. *)
-  let rec go ts n = function
-    | [] -> n
-    | t :: rest ->
-      if Vts.equal ts t.ts then go ts n rest else go t.ts (n + 1) rest
-  in
-  match c.triples with [] -> 0 | t :: rest -> go t.ts 1 rest
-
+let count_bu c = c.n_bu
 let counts h = Array.map count_bu h
 
-let append_triples c ts = { c with triples = c.triples @ ts }
+(* The last triple of a list, for the adjacent-timestamp test. *)
+let rec last_triple = function
+  | [] -> None
+  | [ t ] -> Some t
+  | _ :: rest -> last_triple rest
+
+let append_triples c ts =
+  match ts with
+  | [] -> c
+  | first :: rest ->
+    (* Triples of one Block-Update share a timestamp and are appended
+       together, so counting groups of equal adjacent timestamps counts
+       Block-Updates. *)
+    let rec bus prev n = function
+      | [] -> n
+      | t :: rest -> bus t.ts (if Vts.equal prev t.ts then n else n + 1) rest
+    in
+    let n_bu =
+      match last_triple c.triples with
+      | Some p -> bus p.ts c.n_bu ts
+      | None -> bus first.ts 1 rest
+    in
+    (* Get-View's winner per component of M: a later triple replaces the
+       earlier winner only when its timestamp is strictly larger.
+       Negative components never win (no view has them). *)
+    let width =
+      List.fold_left (fun w t -> max w (t.comp + 1)) (Array.length c.winners) ts
+    in
+    let winners = Array.make width None in
+    Array.blit c.winners 0 winners 0 (Array.length c.winners);
+    List.iter
+      (fun t ->
+        if t.comp >= 0 then
+          match winners.(t.comp) with
+          | Some w when Vts.compare t.ts w.ts <= 0 -> ()
+          | Some _ | None -> winners.(t.comp) <- Some t)
+      ts;
+    {
+      c with
+      triples = c.triples @ ts;
+      n_triples = c.n_triples + List.length ts;
+      n_bu;
+      winners;
+    }
+
 let append_lrecords c ls = { c with lrecords = c.lrecords @ ls }
 
 let triple_equal a b =
@@ -36,18 +77,22 @@ let rec list_is_prefix eq xs ys =
   | _ :: _, [] -> false
   | x :: xs', y :: ys' -> eq x y && list_is_prefix eq xs' ys'
 
+(* Both tests first try the exact shortcuts: snapshots of one H share a
+   component's triple list until that component gains a triple, and
+   unequal counts decide equality (a longer list is never a prefix of a
+   shorter one). Only lists built apart are walked. *)
+let same_triples ca cb =
+  ca.triples == cb.triples
+  || (ca.n_triples = cb.n_triples && List.for_all2 triple_equal ca.triples cb.triples)
+
+let prefix_triples ca cb =
+  ca.triples == cb.triples
+  || (ca.n_triples <= cb.n_triples && list_is_prefix triple_equal ca.triples cb.triples)
+
 let equal_triples a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun ca cb ->
-         List.length ca.triples = List.length cb.triples
-         && List.for_all2 triple_equal ca.triples cb.triples)
-       a b
+  Array.length a = Array.length b && Array.for_all2 same_triples a b
 
-let is_prefix a b =
-  Array.length a = Array.length b
-  && Array.for_all2 (fun ca cb -> list_is_prefix triple_equal ca.triples cb.triples) a b
-
+let is_prefix a b = Array.length a = Array.length b && Array.for_all2 prefix_triples a b
 let is_proper_prefix a b = is_prefix a b && not (equal_triples a b)
 
 let all_triples h =
@@ -55,26 +100,21 @@ let all_triples h =
   Array.iteri (fun writer c -> List.iter (fun t -> acc := (writer, t) :: !acc) c.triples) h;
   List.rev !acc
 
+(* The winner over all of [h] is the first writer's winner among those
+   holding the largest timestamp: writers are visited in order and a
+   later one replaces the winner only with a strictly larger timestamp. *)
 let get_view ~m h =
-  let view = Array.make m Value.Bot in
-  (* [best.(c)] is the timestamp [view.(c)] came from, once [seen.(c)]. *)
-  let seen = Array.make m false in
-  let best = Array.make m (Vts.of_array [||]) in
-  let rec walk = function
-    | [] -> ()
-    | t :: rest ->
-      let c = t.comp in
-      if c >= 0 && c < m && not (seen.(c) && Vts.geq best.(c) t.ts) then begin
-        seen.(c) <- true;
-        best.(c) <- t.ts;
-        view.(c) <- t.value
-      end;
-      walk rest
-  in
-  for writer = 0 to Array.length h - 1 do
-    walk h.(writer).triples
-  done;
-  view
+  let best = Array.make m None in
+  Array.iter
+    (fun c ->
+      for j = 0 to min m (Array.length c.winners) - 1 do
+        match (c.winners.(j), best.(j)) with
+        | None, _ -> ()
+        | Some t, Some b when Vts.compare t.ts b.ts <= 0 -> ()
+        | (Some _ as w), (Some _ | None) -> best.(j) <- w
+      done)
+    h;
+  Array.map (function Some t -> t.value | None -> Value.Bot) best
 
 let new_timestamp h ~me = Vts.make ~counts:(counts h) ~me
 

@@ -27,13 +27,35 @@ type lrecord = {
   payload : snap;  (** the scan result written *)
 }
 
-and component = {
+and component = private {
   triples : triple list;  (** oldest first *)
   lrecords : lrecord list;  (** oldest first *)
+  n_triples : int;  (** cached length of [triples] *)
+  n_bu : int;  (** cached {!count_bu} *)
+  winners : triple option array;
+      (** cached Get-View winner of this component alone, per component
+          of M: entry [j] is the first triple for [j] holding the
+          largest timestamp, or [None]; the array ends at the largest
+          component written *)
 }
+(** A component is built only by {!empty_component} and the two appends,
+    which keep the caches in step with the lists. *)
 
 and snap = component array
-(** The result of an atomic scan of [H]: one component per real process. *)
+(** The result of an atomic scan of [H]: one component per real process.
+    Every snapshot of one [H] shares, per component, the triple list it
+    held when taken until that component gains a triple: an L-record
+    append copies the record but keeps the list. *)
+
+(** {2 Costs}
+
+    An append pays for the component's size: [append_triples] copies the
+    triple list and the winners, [append_lrecords] the L-record list.
+    Everything else reads the caches: [count_bu] is O(1), [counts] and
+    [new_timestamp] O(f), [get_view] O(f·m). [equal_triples] and
+    [is_prefix] are O(f) when each pair of triple lists is physically
+    shared or (for equality) differs in length, and walk the lists
+    otherwise. [read_l] walks the writer's L-records. *)
 
 val empty_component : component
 
@@ -41,7 +63,7 @@ val empty_component : component
 val create : f:int -> snap
 
 (** [#h_i]: the number of Block-Updates recorded in a component = the
-    number of distinct timestamps among its triples. *)
+    number of groups of equal adjacent timestamps among its triples. *)
 val count_bu : component -> int
 
 (** [counts h] is the vector [#h_1 .. #h_f]. *)
@@ -52,7 +74,9 @@ val append_triples : component -> triple list -> component
 
 val append_lrecords : component -> lrecord list -> component
 
-(** Equality over update triples only (the [until h = h'] test). *)
+(** Equality over update triples only (the [until h = h'] test). A
+    shared list is taken as equal to itself, which the walk agrees with
+    for every value but a NaN float. *)
 val equal_triples : snap -> snap -> bool
 
 (** [is_prefix h h']: every component's triple list of [h] is a prefix of
@@ -64,7 +88,8 @@ val is_proper_prefix : snap -> snap -> bool
 
 (** [Get-View] (Algorithm 2): for each of the [m] components of M, the
     value of the triple with the lexicographically largest timestamp, or
-    ⊥ if none. *)
+    ⊥ if none. Ties go to the first such triple in writer order, then
+    oldest first. *)
 val get_view : m:int -> snap -> Value.t array
 
 (** [New-Timestamp] (Algorithm 1) for process [me]. *)

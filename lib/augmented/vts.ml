@@ -6,16 +6,16 @@ let make ~counts ~me =
   t.(me) <- t.(me) + 1;
   t
 
+(* A top-level loop, so that a comparison allocates no closure. *)
+let rec compare_from (a : t) (b : t) i =
+  if i >= Array.length a then 0
+  else
+    let c = Int.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_from a b (i + 1)
+
 let compare (a : t) (b : t) =
-  let n = Array.length a in
-  if n <> Array.length b then invalid_arg "Vts.compare: length mismatch";
-  let rec go i =
-    if i >= n then 0
-    else
-      let c = Stdlib.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+  if Array.length a <> Array.length b then invalid_arg "Vts.compare: length mismatch";
+  compare_from a b 0
 
 let equal a b = compare a b = 0
 let geq a b = compare a b >= 0

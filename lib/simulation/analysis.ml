@@ -59,7 +59,8 @@ let check (spec : Harness.spec) (result : Harness.result) =
     let scan_target = Hashtbl.create 64 in
     (* (sim, end_idx) -> unit: a completed M.Scan *)
     let bu_info = Hashtbl.create 64 in
-    (* (sim, ts) -> (serial, updates, x_idx, last option) *)
+    (* (sim, ts) -> (serial, updates, x_idx, last option); timestamps are
+       immutable, so they key the table as they are *)
     let serial_to_mop = Hashtbl.create 64 in
     Array.iteri
       (fun i mops ->
@@ -92,9 +93,7 @@ let check (spec : Harness.spec) (result : Harness.result) =
                 | Aug.Atomic { last; _ } -> Some last
                 | Aug.Yield -> None
               in
-              Hashtbl.replace bu_info
-                (i, Vts.to_array ts)
-                (serial, updates, x_idx, last);
+              Hashtbl.replace bu_info (i, ts) (serial, updates, x_idx, last);
               Hashtbl.replace serial_to_mop (i, serial) mop
             | _, _ -> err "simulator %d: journal/log kind mismatch at op %d" i k)
           mops)
@@ -110,7 +109,7 @@ let check (spec : Harness.spec) (result : Harness.result) =
         | Aug_spec.L_scan { proc; view; end_idx } ->
           push end_idx 0 (Real_scan { sim = proc; view })
         | Aug_spec.L_update { writer; ts; comp; value; lin_idx; _ } -> (
-          match Hashtbl.find_opt bu_info (writer, Vts.to_array ts) with
+          match Hashtbl.find_opt bu_info (writer, ts) with
           | None ->
             err "update by q%d (ts %s) has no completed Block-Update" writer
               (Vts.show ts)

@@ -421,6 +421,17 @@ type tally = {
   mutable mismatches : string list;
 }
 
+(* The two checkers' linearization items, in one comparable form. *)
+let lin_item = function
+  | Aug_spec.L_scan { proc; view; end_idx } -> `Scan (proc, view, end_idx)
+  | Aug_spec.L_update { writer; ts; comp; value; x_idx; lin_idx } ->
+    `Update (writer, Vts.to_array ts, comp, value, x_idx, lin_idx)
+
+let ref_lin_item = function
+  | Aug_spec_ref.L_scan { proc; view; end_idx } -> `Scan (proc, view, end_idx)
+  | Aug_spec_ref.L_update { writer; ts; comp; value; x_idx; lin_idx } ->
+    `Update (writer, Vts.to_array ts, comp, value, x_idx, lin_idx)
+
 let compare_with_reference tally what aug trace =
   let got = Aug_spec.check aug trace in
   let want = Aug_spec_ref.check aug trace in
@@ -430,6 +441,13 @@ let compare_with_reference tally what aug trace =
     tally.mismatches <-
       Format.asprintf "%s:@.got %a@.want %a" what Aug_spec.pp_report got
         Aug_spec.pp_report want
+      :: tally.mismatches;
+  let got = List.map lin_item (Aug_spec.linearize aug trace) in
+  let want = List.map ref_lin_item (Aug_spec_ref.linearize aug trace) in
+  if got <> want then
+    tally.mismatches <-
+      Printf.sprintf "%s: linearizations differ (%d items, want %d)" what
+        (List.length got) (List.length want)
       :: tally.mismatches
 
 (* An oracle that judges nothing and compares the two checkers on every
@@ -513,7 +531,8 @@ let test_checker_matches_reference () =
   (match tally.mismatches with
   | [] -> ()
   | first :: _ ->
-    Alcotest.failf "%d of %d reports differ from the reference; e.g. %s"
+    Alcotest.failf
+      "%d of %d reports or linearizations differ from the reference; e.g. %s"
       (List.length tally.mismatches) tally.compared first);
   Alcotest.(check bool)
     (Printf.sprintf "corpus has failing reports (%d of %d)" tally.failing

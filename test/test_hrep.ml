@@ -164,6 +164,187 @@ let prop_counts_monotone =
       in
       chain states)
 
+(* ---- the caches against list-walking definitions ---- *)
+
+(* Reference definitions over the triple and L-record lists alone. *)
+let walk_count_bu (c : Hrep.component) =
+  let rec go ts n = function
+    | [] -> n
+    | (t : Hrep.triple) :: rest ->
+      if Vts.equal ts t.ts then go ts n rest else go t.ts (n + 1) rest
+  in
+  match c.triples with [] -> 0 | t :: rest -> go t.ts 1 rest
+
+let walk_triple_equal (a : Hrep.triple) (b : Hrep.triple) =
+  a.comp = b.comp && Value.equal a.value b.value && Vts.equal a.ts b.ts
+
+let walk_equal_triples (a : Hrep.snap) (b : Hrep.snap) =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun (ca : Hrep.component) (cb : Hrep.component) ->
+         List.length ca.triples = List.length cb.triples
+         && List.for_all2 walk_triple_equal ca.triples cb.triples)
+       a b
+
+let walk_is_prefix (a : Hrep.snap) (b : Hrep.snap) =
+  let rec prefix xs ys =
+    match (xs, ys) with
+    | [], _ -> true
+    | _ :: _, [] -> false
+    | x :: xs', y :: ys' -> walk_triple_equal x y && prefix xs' ys'
+  in
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun (ca : Hrep.component) (cb : Hrep.component) -> prefix ca.triples cb.triples)
+       a b
+
+(* Algorithm 2 as written: walk every triple, writer by writer, oldest
+   first; a later triple wins only with a strictly larger timestamp. *)
+let walk_get_view ~m (h : Hrep.snap) =
+  let view = Array.make m Value.Bot in
+  let best = Array.make m None in
+  Array.iter
+    (fun (c : Hrep.component) ->
+      List.iter
+        (fun (t : Hrep.triple) ->
+          if t.comp >= 0 && t.comp < m then
+            match best.(t.comp) with
+            | Some b when Vts.geq b t.ts -> ()
+            | Some _ | None ->
+              best.(t.comp) <- Some t.ts;
+              view.(t.comp) <- t.value)
+        c.triples)
+    h;
+  view
+
+let walk_read_l (h : Hrep.snap) ~writer ~reader ~index =
+  List.fold_left
+    (fun found (l : Hrep.lrecord) ->
+      if l.dest = reader && l.index = index then Some l.payload else found)
+    None h.(writer).lrecords
+
+(* One step of H. A Block-Update writes distinct components, some of
+   them outside [0, m) for every [m] the property reads; its timestamp is
+   fresh (New-Timestamp) or one already in H, picked by [reuse] — as when
+   a process recomputes a timestamp after its Line-4 append was dropped,
+   and so that equal and smaller timestamps meet Get-View's tie rule. *)
+type grow =
+  | Bu of { writer : int; comps : int list; reuse : int option; value : int }
+  | Drop of int  (** a Block-Update's timestamp, its append dropped *)
+  | Lrecs of { writer : int; recs : (int * int) list }  (** (dest, index) *)
+
+let f_grow = 3
+
+let grow_gen =
+  let open QCheck.Gen in
+  let bu =
+    map4
+      (fun writer comps reuse value ->
+        Bu { writer; comps = List.sort_uniq Int.compare comps; reuse; value })
+      (int_bound (f_grow - 1))
+      (list_size (int_range 1 3) (int_range (-1) 3))
+      (opt ~ratio:0.4 nat) (int_bound 9)
+  in
+  let lrecs =
+    map2
+      (fun writer recs -> Lrecs { writer; recs })
+      (int_bound (f_grow - 1))
+      (list_size (int_range 1 2) (pair (int_bound (f_grow - 1)) (int_bound 2)))
+  in
+  let drop = map (fun writer -> Drop writer) (int_bound (f_grow - 1)) in
+  list_size (int_bound 12) (frequency [ (3, bu); (1, lrecs); (1, drop) ])
+
+let show_grow = function
+  | Bu { writer; comps; reuse; value } ->
+    Printf.sprintf "bu(q%d,[%s],%s,%d)" writer
+      (String.concat "," (List.map string_of_int comps))
+      (match reuse with None -> "fresh" | Some k -> Printf.sprintf "reuse %d" k)
+      value
+  | Drop writer -> Printf.sprintf "drop(q%d)" writer
+  | Lrecs { writer; recs } ->
+    Printf.sprintf "l(q%d,[%s])" writer
+      (String.concat "," (List.map (fun (d, i) -> Printf.sprintf "%d:%d" d i) recs))
+
+(* Every state of H along the appends, copy on write as {!Aug.apply}
+   publishes them. *)
+let grown_states gs =
+  let used = ref [] in
+  let step h g =
+    let h' = Array.copy h in
+    (match g with
+    | Bu { writer; comps; reuse; value } ->
+      let ts =
+        match (reuse, !used) with
+        | Some k, (_ :: _ as used) -> List.nth used (k mod List.length used)
+        | Some _, [] | None, _ -> Hrep.new_timestamp h ~me:writer
+      in
+      used := ts :: !used;
+      h'.(writer) <-
+        Hrep.append_triples h.(writer)
+          (List.map
+             (fun comp -> { Hrep.comp; value = Value.Int (value + comp); ts })
+             comps)
+    | Drop writer -> used := Hrep.new_timestamp h ~me:writer :: !used
+    | Lrecs { writer; recs } ->
+      h'.(writer) <-
+        Hrep.append_lrecords h.(writer)
+          (List.map (fun (dest, index) -> { Hrep.dest; index; payload = h }) recs));
+    h'
+  in
+  let h0 = Hrep.create ~f:f_grow in
+  List.rev (List.fold_left (fun acc g -> step (List.hd acc) g :: acc) [ h0 ] gs)
+
+(* The same contents built apart, one append per component, sharing no
+   list or triple with the original. *)
+let rebuilt (h : Hrep.snap) =
+  Array.map
+    (fun (c : Hrep.component) ->
+      Hrep.append_lrecords
+        (Hrep.append_triples Hrep.empty_component
+           (List.map (fun (t : Hrep.triple) -> { t with Hrep.comp = t.comp }) c.triples))
+        c.lrecords)
+    h
+
+let prop_caches_match_walks =
+  QCheck.Test.make ~name:"cached H reads match the list walks" ~count:300
+    (QCheck.make
+       ~print:(fun (gs, gs') ->
+         let show gs = String.concat ";" (List.map show_grow gs) in
+         show gs ^ " | " ^ show gs')
+       (QCheck.Gen.pair grow_gen grow_gen))
+    (fun (gs, gs') ->
+      (* Two histories, so that equal counts meet unequal contents. *)
+      let grown = grown_states gs @ grown_states gs' in
+      let states = grown @ List.map rebuilt grown in
+      let same_view a b = Array.for_all2 Value.equal a b in
+      let same_l a b =
+        match (a, b) with Some x, Some y -> x == y | None, None -> true | _ -> false
+      in
+      List.for_all
+        (fun h ->
+          Hrep.counts h = Array.map walk_count_bu h
+          && Array.for_all (fun c -> Hrep.count_bu c = walk_count_bu c) h
+          && List.for_all
+               (fun m -> same_view (Hrep.get_view ~m h) (walk_get_view ~m h))
+               [ 1; 2; 3; 5 ]
+          && List.for_all
+               (fun (writer, reader, index) ->
+                 same_l
+                   (Hrep.read_l h ~writer ~reader ~index)
+                   (walk_read_l h ~writer ~reader ~index))
+               (List.concat_map
+                  (fun w ->
+                    List.concat_map
+                      (fun r -> List.map (fun i -> (w, r, i)) [ 0; 1; 2 ])
+                      [ 0; 1; 2 ])
+                  [ 0; 1; 2 ])
+          && List.for_all
+               (fun h' ->
+                 Hrep.equal_triples h h' = walk_equal_triples h h'
+                 && Hrep.is_prefix h h' = walk_is_prefix h h')
+               states)
+        states)
+
 let () =
   Alcotest.run "hrep"
     [
@@ -184,5 +365,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_prefix_chain; prop_prefix_antisym; prop_counts_monotone ] );
+          [
+            prop_prefix_chain;
+            prop_prefix_antisym;
+            prop_counts_monotone;
+            prop_caches_match_walks;
+          ] );
     ]
