@@ -88,7 +88,6 @@ type t = {
   m : int;
   helping : bool;
   inject : fault option;
-  others : int list array;  (** [others.(me)]: every pid but [me], ascending *)
   mutable h : Hrep.snap;
       (** published snapshot: replaced on every append, never mutated *)
   mutable clock : int;
@@ -97,9 +96,7 @@ type t = {
 
 let create ?(helping = true) ?inject ~f ~m () =
   if f <= 0 || m <= 0 then invalid_arg "Aug.create: f and m must be positive";
-  let pids = List.init f Fun.id in
-  let others = Array.init f (fun me -> List.filter (fun j -> j <> me) pids) in
-  { f; m; helping; inject; others; h = Hrep.create ~f; clock = 0; rev_log = [] }
+  { f; m; helping; inject; h = Hrep.create ~f; clock = 0; rev_log = [] }
 
 let f t = t.f
 let m t = t.m
@@ -136,6 +133,15 @@ let hscan t =
   | Ops.Snap s, idx -> (s, idx)
   | (Ops.Ack, _) -> assert false
 
+(* The helping records [L_{me,i}[#h_i] := h] for [i] from 0 to [j] but
+   [skip], ascending, in front of [acc]. *)
+let rec help_recs (h : Hrep.snap) ~skip j acc =
+  if j < 0 then acc
+  else if j = skip then help_recs h ~skip (j - 1) acc
+  else
+    help_recs h ~skip (j - 1)
+      ({ Hrep.dest = j; index = Hrep.count_bu h.(j); payload = h } :: acc)
+
 (* Algorithm 3. *)
 let scan t ~me =
   if me < 0 || me >= t.f then invalid_arg "Aug.scan: bad process id";
@@ -145,12 +151,7 @@ let scan t ~me =
     (* Help everyone: L_{me,j}[#h_j] := h for all j ≠ me, in one update.
        (Skipped by the E9 ablation.) *)
     if t.helping then begin
-      let cnt = Hrep.counts h in
-      let recs =
-        List.map
-          (fun j -> { Hrep.dest = j; index = cnt.(j); payload = h })
-          t.others.(me)
-      in
+      let recs = help_recs h ~skip:me (t.f - 1) [] in
       let _ = do_op t (Ops.Happend_lrecords recs) in
       if recs <> [] then Obs.Metrics.incr m_helping;
       incr n_ops
@@ -189,10 +190,11 @@ let rec comps_in_range m = function
   | [] -> true
   | (j, _) :: rest -> j >= 0 && j < m && comps_in_range m rest
 
-(* Whether some pid in [lo, hi) has more Block-Updates in [h'cnt] than in
-   [hcnt]. *)
-let rec grew hcnt h'cnt lo hi =
-  lo < hi && (h'cnt.(lo) > hcnt.(lo) || grew hcnt h'cnt (lo + 1) hi)
+(* Whether some pid in [lo, hi) has more Block-Updates in [h'] than in
+   [h]. *)
+let rec grew (h : Hrep.snap) (h' : Hrep.snap) lo hi =
+  lo < hi
+  && (Hrep.count_bu h'.(lo) > Hrep.count_bu h.(lo) || grew h h' (lo + 1) hi)
 
 (* Algorithm 4. *)
 let block_update t ~me updates =
@@ -219,13 +221,7 @@ let block_update t ~me updates =
      ablation; the scan on Line 5 is kept so the yield check's timing is
      unchanged.) *)
   if t.helping then begin
-    let gcnt = Hrep.counts g in
-    let rec lower j acc =
-      if j < 0 then acc
-      else
-        lower (j - 1) ({ Hrep.dest = j; index = gcnt.(j); payload = g } :: acc)
-    in
-    let recs = lower (me - 1) [] in
+    let recs = help_recs g ~skip:me (me - 1) [] in
     let _ = do_op t (Ops.Happend_lrecords recs) in
     if recs <> [] then Obs.Metrics.incr m_helping
   end;
@@ -233,13 +229,11 @@ let block_update t ~me updates =
   let h', end_idx5 = hscan t in
   (* Line 9: yield iff a lower-identifier process appended new triples.
      Seeded faults mutate exactly this test. *)
-  let hcnt = Hrep.counts h in
-  let h'cnt = Hrep.counts h' in
   let new_lower =
     match t.inject with
-    | None | Some Spin_on_yield -> grew hcnt h'cnt 0 me
+    | None | Some Spin_on_yield -> grew h h' 0 me
     | Some Skip_yield_check -> false
-    | Some Yield_on_higher -> grew hcnt h'cnt (me + 1) t.f
+    | Some Yield_on_higher -> grew h h' (me + 1) t.f
   in
   if new_lower && t.inject = Some Spin_on_yield then begin
     (* Deliberately blocking mutation: instead of yielding, busy-wait
@@ -286,13 +280,13 @@ let block_update t ~me updates =
       if not t.helping then end_idx5
       else begin
         let r_snap, end_idx = hscan t in
-        let b = hcnt.(me) in
-        List.iter
-          (fun j ->
+        let b = Hrep.count_bu h.(me) in
+        for j = 0 to t.f - 1 do
+          if j <> me then
             match Hrep.read_l r_snap ~writer:j ~reader:me ~index:b with
             | Some rj when Hrep.is_proper_prefix !last rj -> last := rj
-            | Some _ | None -> ())
-          t.others.(me);
+            | Some _ | None -> ()
+        done;
         end_idx
       end
     in

@@ -104,17 +104,20 @@ let all_triples h =
    holding the largest timestamp: writers are visited in order and a
    later one replaces the winner only with a strictly larger timestamp. *)
 let get_view ~m h =
-  let best = Array.make m None in
-  Array.iter
-    (fun c ->
-      for j = 0 to min m (Array.length c.winners) - 1 do
-        match (c.winners.(j), best.(j)) with
+  let view = Array.make m Value.Bot in
+  for j = 0 to m - 1 do
+    let best = ref None in
+    for i = 0 to Array.length h - 1 do
+      let winners = h.(i).winners in
+      if j < Array.length winners then
+        match (winners.(j), !best) with
         | None, _ -> ()
         | Some t, Some b when Vts.compare t.ts b.ts <= 0 -> ()
-        | (Some _ as w), (Some _ | None) -> best.(j) <- w
-      done)
-    h;
-  Array.map (function Some t -> t.value | None -> Value.Bot) best
+        | (Some _ as w), (Some _ | None) -> best := w
+    done;
+    match !best with Some t -> view.(j) <- t.value | None -> ()
+  done;
+  view
 
 let new_timestamp h ~me = Vts.make ~counts:(counts h) ~me
 

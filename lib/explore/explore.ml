@@ -422,6 +422,12 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
     Condition.broadcast fcv;
     Mutex.unlock fmu
   in
+  (* The decisions a task's schedule returns, built once: [picks.(p)] is
+     [Some p] for each of the workload's pids. *)
+  let picks =
+    (Array.init w.n_procs Option.some
+    [@rsim.shared "read-only after it is built"])
+  in
   let n_complete = Atomic.make 0 in
   let n_trunc = Atomic.make 0 in
   let n_nodes = Atomic.make 0 in
@@ -538,7 +544,7 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
     in
     let out =
       w.exec ~probe:(Some probe) ~certify:false
-        ~sched:(Schedule.fn (fun ~step:_ ~live:_ -> Some !next_pick))
+        ~sched:(Schedule.fn (fun ~step:_ ~live:_ -> picks.(!next_pick)))
         ~max_ops:max_steps ~check:false
     in
     if not (!aborted || !cut_off) then begin
@@ -1118,11 +1124,15 @@ module Aug_target = struct
         | None -> (Aug.apply aug, None)
         | Some p ->
           let apply, fingerprint = fingerprinted aug ~f in
-          let fingerprint_of live () = Some (fingerprint live) in
+          (* One [fingerprint] closure for the whole execution: it reads
+             the live set of the probe call it is handed to. *)
+          let probed = ref [] in
+          let fingerprint () = Some (fingerprint !probed) in
           ( apply,
             Some
               (fun ~step ~live ->
-                p { step; live; fingerprint = fingerprint_of live }) )
+                probed := live;
+                p { step; live; fingerprint }) )
       in
       let result =
         Aug.F.run ~max_ops ?control ~obs_label:Aug.op_name ?probe:fprobe

@@ -19,7 +19,8 @@
       work-stealing-style across [Domain]s with a deterministic merge;
     - {!sweep} runs seeded randomized schedules — uniform, crashy
       ({!Rsim_shmem.Schedule.with_crashes}), x-obstruction
-      ({!Rsim_shmem.Schedule.among}) and scripted adversaries — in
+      ({!Rsim_shmem.Schedule.among}), starvation
+      ({!Rsim_shmem.Schedule.phased}) and scripted adversaries — in
       parallel across [Domain]s.
 
     Any violating execution is shrunk to a (locally) minimal failing
@@ -38,10 +39,13 @@ open Rsim_shmem
     shared state and every fiber's operation/result history; [None] when
     the workload cannot fingerprint soundly).
 
-    The fingerprint is computed only when [fingerprint ()] is called.
-    {!exhaustive} calls it only at fresh decisions, past the prefix a
-    task replays: the states along a replayed prefix were claimed when
-    the task was emitted, so their fingerprints would be thrown away. *)
+    The fingerprint is computed only when [fingerprint ()] is called,
+    and it is valid only during the probe call that receives it: a
+    workload may build one [fingerprint] per execution that reads the
+    state of the current decision. {!exhaustive} calls it only at fresh
+    decisions, past the prefix a task replays: the states along a
+    replayed prefix were claimed when the task was emitted, so their
+    fingerprints would be thrown away. *)
 type probe_view = {
   step : int;
   live : int list;
@@ -170,7 +174,9 @@ type sweep_report = {
     than [budget] — tiny budgets do not spawn idle domains). Schedule
     families are drawn deterministically from the per-execution seed:
     uniform random, random-with-crashes, x-obstruction suffixes
-    ([Schedule.among]) and random scripts. Executions are capped at
+    ([Schedule.among]), starvation (a random victim hidden for an
+    opening stretch: [Schedule.phased] over [Schedule.among], then
+    [Schedule.random]) and random scripts. Executions are capped at
     [max_steps] (default 200) operations. Violations are shrunk and
     deduplicated in the calling domain; workers stop early once
     [max_violations] (default 1) have been found. *)

@@ -34,13 +34,21 @@
     never applied and never traced — and nothing the body does while
     unwinding changes the status [run] records for it.
 
-    {b Observability.} Every applied operation bumps the always-on
-    [fiber.ops] counter and, when {!Rsim_obs.Obs.Trace} is collecting,
-    emits a one-tick span named by [obs_label] at logical time = the
-    operation's trace index; fault-plane events bump [fiber.faults.*]
-    counters and emit instant trace events. With tracing off the
-    per-operation cost is one atomic increment and one atomic load. The
-    [fiber.live] gauge counts fibers started and not yet finished or
+    {b Cost.} A run keeps its state in one record and installs one
+    effect handler, which every fiber it starts or restarts shares: the
+    handler reads from the run's state which fiber is running. A hop
+    then allocates its trace entry, the schedule's decision and the
+    effect machinery's blocks, and nothing for the run's own
+    bookkeeping.
+
+    {b Observability.} The always-on [fiber.ops] counter gains a run's
+    applied operations once, when the run returns or raises. When
+    {!Rsim_obs.Obs.Trace} is collecting as the run starts (it is read
+    once per run), every applied operation emits a one-tick span named
+    by [obs_label] at logical time = the operation's trace index.
+    Fault-plane events bump [fiber.faults.*] counters and emit instant
+    trace events. With tracing off an operation costs no atomic access.
+    The [fiber.live] gauge counts fibers started and not yet finished or
     unwound, across all runs in all domains; it reads 0 whenever no
     {!S.run} is in progress. *)
 
@@ -86,8 +94,6 @@ type event =
   | Ev_stall of { pid : int; at : int; steps : int }
   | Ev_replace of { pid : int; at : int }
   | Ev_raise of { pid : int; at : int }
-
-val pp_event : Format.formatter -> event -> unit
 
 (** The runtime at one operation type: what {!Make} returns, and the
     signature every instantiation ([Aug.F], [Regsnap.F],

@@ -2,9 +2,14 @@
 
     A scheduler repeatedly picks which live process takes the next step.
     Schedulers are pure values: [next] threads the scheduler state, so a
-    given scheduler + seed always produces the same execution. They are
-    shared by the simulated-system engine ({!Run}) and by the real-system
-    fiber runtime. *)
+    given scheduler + seed always produces the same execution, and a
+    state saved midway replays the same decisions however often it is
+    resumed. They are shared by the simulated-system engine ({!Run}) and
+    by the real-system fiber runtime.
+
+    A schedule is data, not a chain of closures: each constructor below
+    is one case of a variant, and [next] interprets it, allocating only
+    the decision and the successor state. *)
 
 type t
 
@@ -36,7 +41,8 @@ val phased : prefix_len:int -> prefix:t -> suffix:t -> t
 
 (** [with_crashes crashes t]: like [t], but process [pid] is removed from
     the live set after it has taken [steps] steps, for each
-    [(pid, steps)] in [crashes]. *)
+    [(pid, steps)] in [crashes]. When [crashes] names a pid more than
+    once, its first entry counts. *)
 val with_crashes : (int * int) list -> t -> t
 
 (** Fully custom scheduler. The function receives the global step index

@@ -19,9 +19,9 @@ let next t =
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  let r, t' = next t in
+  let t' = Int64.add t golden_gamma in
   (* Use the top bits via logical shift for uniformity over small bounds. *)
-  let k = Int64.to_int (Int64.shift_right_logical r 2) mod bound in
+  let k = Int64.to_int (Int64.shift_right_logical (mix64 t') 2) mod bound in
   (k, t')
 
 let bool t =

@@ -135,6 +135,143 @@ let test_schedule_crashes () =
   Alcotest.(check int) "pid 0 took exactly 2 steps" 2
     (List.length (List.filter (fun p -> p = 0) picks))
 
+(* ---- equivalence with the reference schedules ---- *)
+
+(* A constructor tree, built alike in both versions. [T_fn s] is a
+   custom schedule whose decisions depend on the step, the live set and
+   [s], and that sometimes refuses or names a pid that is not live. *)
+type sched_tree =
+  | T_round_robin
+  | T_solo of int
+  | T_script of int list
+  | T_random of int
+  | T_among of int list * int
+  | T_phased of int * sched_tree * sched_tree
+  | T_crashes of (int * int) list * sched_tree
+  | T_fn of int
+
+let fn_of s ~step ~live =
+  match (s + step) mod 7 with
+  | 0 -> None
+  | 1 -> Some 9
+  | k -> Some (List.nth live (k mod List.length live))
+
+let rec build_new = function
+  | T_round_robin -> Schedule.round_robin
+  | T_solo p -> Schedule.solo p
+  | T_script ps -> Schedule.script ps
+  | T_random seed -> Schedule.random ~seed
+  | T_among (procs, seed) -> Schedule.among ~procs ~seed
+  | T_phased (prefix_len, a, b) ->
+    Schedule.phased ~prefix_len ~prefix:(build_new a) ~suffix:(build_new b)
+  | T_crashes (cs, a) -> Schedule.with_crashes cs (build_new a)
+  | T_fn s -> Schedule.fn (fn_of s)
+
+let rec build_ref = function
+  | T_round_robin -> Schedule_ref.round_robin
+  | T_solo p -> Schedule_ref.solo p
+  | T_script ps -> Schedule_ref.script ps
+  | T_random seed -> Schedule_ref.random ~seed
+  | T_among (procs, seed) -> Schedule_ref.among ~procs ~seed
+  | T_phased (prefix_len, a, b) ->
+    Schedule_ref.phased ~prefix_len ~prefix:(build_ref a) ~suffix:(build_ref b)
+  | T_crashes (cs, a) -> Schedule_ref.with_crashes cs (build_ref a)
+  | T_fn s -> Schedule_ref.fn (fn_of s)
+
+(* Live sets are drawn from pids 0..4; the trees also name pids -2..5,
+   crash limits run from -1 and prefix lengths from -2. *)
+let gen_tree g =
+  let int n = Random.State.int g n in
+  let pids k = List.init (int k) (fun _ -> int 7 - 1) in
+  let rec gen depth =
+    match int (if depth = 0 then 5 else 8) with
+    | 0 -> T_round_robin
+    | 1 -> T_solo (int 5)
+    | 2 -> T_script (pids 12)
+    | 3 -> T_random (int 1000)
+    | 4 -> T_fn (int 1000)
+    | 5 -> T_among (pids 4, int 1000)
+    | 6 -> T_phased (int 9 - 2, gen (depth - 1), gen (depth - 1))
+    | _ ->
+      let cs = List.init (int 6) (fun _ -> (int 7 - 2, int 6 - 1)) in
+      T_crashes (cs, gen (depth - 1))
+  in
+  gen 3
+
+let gen_live g =
+  match List.filter (fun _ -> Random.State.bool g) [ 0; 1; 2; 3; 4 ] with
+  | [] -> [ Random.State.int g 5 ]
+  | live -> live
+
+(* Every decision over [lives], up to and including exhaustion. *)
+let rec decisions next s = function
+  | [] -> []
+  | live :: rest -> (
+    match next s ~live with
+    | None -> [ None ]
+    | Some (pid, s') -> Some pid :: decisions next s' rest)
+
+let rec after next s lives k =
+  match lives with
+  | live :: rest when k > 0 -> (
+    match next s ~live with
+    | None -> None
+    | Some (_, s') -> after next s' rest (k - 1))
+  | _ -> Some s
+
+let rec drop k l = if k = 0 then l else match l with [] -> [] | _ :: t -> drop (k - 1) t
+
+let rec has_feature p t =
+  p t
+  ||
+  match t with
+  | T_phased (_, a, b) -> has_feature p a || has_feature p b
+  | T_crashes (_, a) -> has_feature p a
+  | T_round_robin | T_solo _ | T_script _ | T_random _ | T_among _ | T_fn _ ->
+    false
+
+let test_schedule_matches_reference () =
+  let g = Random.State.make [| 15 |] in
+  let dup = ref 0 and neg = ref 0 and short = ref 0 and outside = ref 0 in
+  for case = 1 to 5000 do
+    let tree = gen_tree g in
+    let lives = List.init 30 (fun _ -> gen_live g) in
+    let want = decisions Schedule_ref.next (build_ref tree) lives in
+    let sched = build_new tree in
+    let got = decisions Schedule.next sched lives in
+    if got <> want then Alcotest.failf "case %d: decisions differ" case;
+    (* A state saved midway replays the same decisions after the run
+       went on from it: schedules are values. *)
+    let k = Random.State.int g 15 in
+    (match after Schedule.next sched lives k with
+    | None -> ()
+    | Some saved ->
+      if decisions Schedule.next saved (drop k lives) <> drop k got then
+        Alcotest.failf "case %d: replay from step %d differs" case k);
+    let count r p = if has_feature p tree then incr r in
+    count dup (function
+      | T_crashes (cs, _) ->
+        List.exists
+          (fun (p, l) -> List.exists (fun (p', l') -> p = p' && l <> l') cs)
+          cs
+      | _ -> false);
+    count neg (function
+      | T_crashes (cs, _) -> List.exists (fun (p, _) -> p < 0) cs
+      | _ -> false);
+    count short (function T_phased (len, _, _) -> len <= 0 | _ -> false);
+    count outside (function
+      | T_among (procs, _) -> List.exists (fun p -> p < 0 || p > 4) procs
+      | _ -> false)
+  done;
+  (* The corpus must reach the corner cases, or the comparison proves
+     little. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "duplicate (%d) and negative (%d) crash pids, short \
+                     prefixes (%d), foreign among pids (%d)"
+       !dup !neg !short !outside)
+    true
+    (!dup > 200 && !neg > 200 && !short > 200 && !outside > 200)
+
 let test_run_all_done () =
   let procs = [ writer ~slot:0 ~input:(Value.Int 1); writer ~slot:1 ~input:(Value.Int 2) ] in
   let c = Run.init ~m:2 procs in
@@ -322,6 +459,8 @@ let () =
           Alcotest.test_case "random deterministic" `Quick test_schedule_random_deterministic;
           Alcotest.test_case "among" `Quick test_schedule_among;
           Alcotest.test_case "crashes" `Quick test_schedule_crashes;
+          Alcotest.test_case "matches the reference schedules" `Quick
+            test_schedule_matches_reference;
         ] );
       ( "run",
         [
