@@ -82,6 +82,11 @@ let simulate_cmd =
   let check = Arg.(value & flag & info [ "check" ] ~doc:"Run the Aug spec checker and the Lemma 26 replay.") in
   let trace = Arg.(value & flag & info [ "trace" ] ~doc:"Print the full run: M-operations, journals, revisions.") in
   let run n m f d seed arch check trace metrics trace_out =
+    (match Harness.check_shape ~n ~m ~f ~d with
+    | Ok () -> ()
+    | Error e ->
+      Log.err (fun k -> k "simulate: %s" e);
+      exit 2);
     obs_start ~trace_out;
     let spec =
       {
@@ -140,6 +145,10 @@ let simulate_cmd =
              ~doc:
                "with $(b,--check): the augmented-snapshot spec or the Lemma 26 \
                 replay failed.";
+           Cmd.Exit.info 2
+             ~doc:
+               "the shape is invalid: it needs f >= 1, 0 <= d <= f, m >= 1 \
+                and (f-d)*m + d <= n.";
            Cmd.Exit.info Cmd.Exit.cli_error ~doc:"command-line parse error.";
          ])
     Term.(
@@ -327,7 +336,10 @@ let build_workload ~workload ~f ~m ~n ~d ~inject ~faults ~seed =
     | "racing" ->
       if inject <> None then
         Error "--inject applies to augmented-snapshot workloads only"
-      else Ok (Explore.Harness_target.racing ~faults ~n ~m ~f ~d ())
+      else
+        Result.map
+          (fun () -> Explore.Harness_target.racing ~faults ~n ~m ~f ~d ())
+          (Harness.check_shape ~n ~m ~f ~d)
     | name -> (
       match Explore.Aug_target.builtin ?inject ~faults ~name ~f ~m () with
       | Some w -> Ok w
@@ -482,7 +494,8 @@ let explore_cmd =
            Cmd.Exit.info 2
              ~doc:
                "the workload could not be built (unknown name, bad seeded bug \
-                or fault profile).";
+                or fault profile, or a racing shape that Harness rejects, \
+                such as (f-d)*m + d > n).";
            Cmd.Exit.info Cmd.Exit.cli_error ~doc:"command-line parse error.";
          ])
     Term.(

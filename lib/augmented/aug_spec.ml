@@ -1,49 +1,36 @@
 open Rsim_value
 
 (* ---------------------------------------------------------------- *)
-(* Linearization reconstruction (§3.3)                               *)
+(* The trace index (§3.3)                                            *)
 (* ---------------------------------------------------------------- *)
 
-type litem =
-  | L_scan of { proc : int; view : Value.t array; end_idx : int }
-  | L_update of {
-      writer : int;
-      ts : Vts.t;
-      comp : int;
-      value : Value.t;
-      x_idx : int;
-      lin_idx : int;
-    }
-
-type bu_kind = Atomic_bu | Yield_bu | Incomplete_bu
-
-(* One Update (a single-component write that is part of a Block-Update),
-   as reconstructed from the trace. *)
 type update = {
-  u_id : int;  (* position in trace order *)
+  u_id : int;
+  u_writer : int;
+  u_ts : Vts.t;
   u_comp : int;
   u_value : Value.t;
-  u_ts : Vts.t;
-  u_writer : int;
   u_x_idx : int;
-  u_lin : int;  (* linearization point (trace index) *)
-  mutable u_kind : bu_kind;
-  mutable u_pos : int;  (* position in the linearization; set by [check] *)
+  u_lin : int;
+  u_g : int;
+  u_inv : int;
+  mutable u_bu : int;
 }
 
-(* A completed Scan: its rank among the Scans in log order, and its
-   linearization point [s_end], its final [H.scan]. *)
 type scan = { s_log : int; s_proc : int; s_view : Value.t array; s_end : int }
 
-(* The linearization both [linearize] and [check] read, built once per
-   call. *)
 type index = {
+  m : int;  (* components of M *)
+  trace : Aug.F.trace_entry array;  (* entry [k] has index [k] *)
+  log : Aug.mop array;  (* [Aug.log], in completion order *)
   updates : update array;
       (* every Update, in trace order, including those of Block-Updates
          that executed X but never completed *)
   app_start : int array;
       (* the Line-4 appends, in trace order: append [a] holds
          [updates.(app_start.(a) .. app_start.(a + 1) - 1)] *)
+  by_key : int array;
+      (* the appends by (timestamp, writer), ties in trace order *)
   order : update array;  (* by (u_lin, u_ts, u_comp), ties in trace order *)
   by_end : scan array;
       (* the completed Scans by [s_end], ties in log order ([s_log]) *)
@@ -83,17 +70,10 @@ let compare_key ts writer (u : update) =
    timestamp per Block-Update). *)
 let first_update ix a = ix.updates.(ix.app_start.(a))
 
-(* The appends by (timestamp, writer), ties in trace order. *)
-let appends_by_key ix =
-  let key = first_update ix in
-  let by_key = Array.init (Array.length ix.app_start - 1) Fun.id in
-  insertion_sort (fun a b -> compare_key (key a).u_ts (key a).u_writer (key b)) by_key;
-  by_key
-
 (* [f u] for every Update whose append has key [(ts, writer)], in trace
    order: the Updates of the Block-Update [(writer, ts)]. *)
-let iter_bu_updates ix by_key ~writer ~ts f =
-  let key = first_update ix in
+let iter_bu_updates ix ~writer ~ts f =
+  let key = first_update ix and by_key = ix.by_key in
   let n = Array.length by_key in
   let k = ref (first_above n (fun k -> compare_key ts writer (key by_key.(k)) <= 0)) in
   while !k < n && compare_key ts writer (key by_key.(!k)) = 0 do
@@ -106,6 +86,9 @@ let iter_bu_updates ix by_key ~writer ~ts f =
 
 let index aug trace =
   let m = Aug.m aug in
+  (* [Fiber.run] numbers operations densely: entry [k] has [idx = k]. *)
+  let trace = Array.of_list trace in
+  let log = Array.of_list (Aug.log aug) in
   (* The linearization point of an Update (j, t) is the first trace index
      at which H contains a triple for component j with timestamp ≽ t.
      [records.(j)], newest first, holds each index at which the largest
@@ -116,14 +99,18 @@ let index aug trace =
     | (idx, top) :: rest when Vts.geq top ts -> first_reaching ts idx rest
     | _ -> lin
   in
+  (* Each process's latest [H.scan]: before an append, its Line-2 scan. *)
+  let last_scan = Array.make (Aug.f aug) (-1) in
   let rev_updates = ref [] and n_updates = ref 0 and rev_starts = ref [] in
-  List.iter
+  Array.iter
     (fun (e : Aug.F.trace_entry) ->
       match e.op with
+      | Aug.Ops.Hscan -> last_scan.(e.pid) <- e.idx
       | Aug.Ops.Happend_triples (_ :: _ as triples) ->
         rev_starts := !n_updates :: !rev_starts;
-        List.iter
-          (fun (tr : Hrep.triple) ->
+        let inv = if last_scan.(e.pid) < 0 then e.idx else last_scan.(e.pid) in
+        List.iteri
+          (fun g (tr : Hrep.triple) ->
             let j = tr.comp in
             (match records.(j) with
             | (_, top) :: _ when Vts.geq top tr.ts -> ()
@@ -137,17 +124,22 @@ let index aug trace =
                 u_writer = e.pid;
                 u_x_idx = e.idx;
                 u_lin = first_reaching tr.ts e.idx records.(j);
-                u_kind = Incomplete_bu;
-                u_pos = -1;
+                u_g = g;
+                u_inv = inv;
+                u_bu = -1;
               }
               :: !rev_updates;
             incr n_updates)
           triples
-      | Aug.Ops.Happend_triples [] | Aug.Ops.Hscan | Aug.Ops.Happend_lrecords _ ->
-        ())
+      | Aug.Ops.Happend_triples [] | Aug.Ops.Happend_lrecords _ -> ())
     trace;
   let updates = Array.of_list (List.rev !rev_updates) in
   let app_start = Array.of_list (List.rev (!n_updates :: !rev_starts)) in
+  let key a = updates.(app_start.(a)) in
+  let by_key = Array.init (Array.length app_start - 1) Fun.id in
+  insertion_sort
+    (fun a b -> compare_key (key a).u_ts (key a).u_writer (key b))
+    by_key;
   let order = Array.copy updates in
   insertion_sort
     (fun a b ->
@@ -158,7 +150,7 @@ let index aug trace =
         if c <> 0 then c else Int.compare a.u_comp b.u_comp)
     order;
   let rev_scans = ref [] and n_scans = ref 0 in
-  List.iter
+  Array.iter
     (function
       | Aug.Bu_op _ -> ()
       | Aug.Scan_op { proc; view; end_idx; _ } ->
@@ -166,10 +158,27 @@ let index aug trace =
           { s_log = !n_scans; s_proc = proc; s_view = view; s_end = end_idx }
           :: !rev_scans;
         incr n_scans)
-    (Aug.log aug);
+    log;
   let by_end = Array.of_list (List.rev !rev_scans) in
   insertion_sort (fun a b -> Int.compare a.s_end b.s_end) by_end;
-  { updates; app_start; order; by_end }
+  let ix = { m; trace; log; updates; app_start; by_key; order; by_end } in
+  (* Classify each Update by its Block-Update [(pid, ts)], the latest
+     completed one in log order winning. *)
+  Array.iteri
+    (fun p -> function
+      | Aug.Bu_op { proc; ts; _ } ->
+        iter_bu_updates ix ~writer:proc ~ts (fun u -> u.u_bu <- p)
+      | Aug.Scan_op _ -> ())
+    log;
+  ix
+
+(* Whether [u]'s completed Block-Update returned [Atomic]. *)
+let is_atomic ix u =
+  u.u_bu >= 0
+  &&
+  match ix.log.(u.u_bu) with
+  | Aug.Bu_op { result = Aug.Atomic _; _ } -> true
+  | Aug.Bu_op { result = Aug.Yield; _ } | Aug.Scan_op _ -> false
 
 (* Walk the linearization: Updates in [order], each Scan after every
    Update linearized at or before its index (§3.3). *)
@@ -188,32 +197,17 @@ let iter_lin ix ~update ~scan =
   in
   go 0 0
 
-let linearize aug trace =
-  let ix = index aug trace in
-  let us = ix.order and ss = ix.by_end in
-  (* [iter_lin] backwards, consing: a Scan goes after the Updates at its
-     own index. *)
-  let rec go i j acc =
-    if j > 0 && (i = 0 || ss.(j - 1).s_end >= us.(i - 1).u_lin) then
-      let s = ss.(j - 1) in
-      go i (j - 1)
-        (L_scan { proc = s.s_proc; view = s.s_view; end_idx = s.s_end } :: acc)
-    else if i > 0 then
-      let u = us.(i - 1) in
-      go (i - 1) j
-        (L_update
-           {
-             writer = u.u_writer;
-             ts = u.u_ts;
-             comp = u.u_comp;
-             value = u.u_value;
-             x_idx = u.u_x_idx;
-             lin_idx = u.u_lin;
-           }
-        :: acc)
-    else acc
-  in
-  go (Array.length us) (Array.length ss) []
+(* The Updates are in trace order, so those appended inside (lo, hi)
+   are one run of them. *)
+let iter_appended ix ~lo ~hi f =
+  let us = ix.updates in
+  let i = ref (first_above (Array.length us) (fun i -> us.(i).u_x_idx > lo)) in
+  while !i < Array.length us && us.(!i).u_x_idx < hi do
+    f us.(!i);
+    incr i
+  done
+
+let iter_pending ix f = Array.iter (fun u -> if u.u_bu < 0 then f u) ix.updates
 
 (* The paper's scan-result equality is over update triples (the prefix
    relation of Observation 1), so "the last scan that returns ℓ" means
@@ -228,28 +222,15 @@ let same_triple_counts (s : Hrep.snap) (last : Hrep.snap) =
   in
   n = Array.length last && from 0
 
-let is_window_scan ~last (e : Aug.F.trace_entry) =
-  match (e.op, e.res) with
-  | Aug.Ops.Hscan, Aug.Ops.Snap s -> same_triple_counts s last
-  | _ -> false
-
-(* The trace is in execution order, so the walk stops at [x_idx]. *)
-let window_start ~trace ~last ~x_idx =
-  let rec walk best = function
-    | (e : Aug.F.trace_entry) :: rest when e.idx < x_idx ->
-      walk (if is_window_scan ~last e then Some e.idx else best) rest
-    | _ -> best
-  in
-  walk None trace
-
-(* The checker's form of [window_start], over the trace as an array whose
-   entry [k] has index [k]: walk back from [x_idx - 1] to the first
-   match. *)
-let window_start_arr trace ~last ~x_idx =
+(* Walk back from [x_idx - 1] to the first matching scan. *)
+let window_start ix ~last ~x_idx =
+  let trace = ix.trace in
   let rec back k =
     if k < 0 then None
-    else if is_window_scan ~last trace.(k) then Some k
-    else back (k - 1)
+    else
+      match (trace.(k).op, trace.(k).res) with
+      | Aug.Ops.Hscan, Aug.Ops.Snap s when same_triple_counts s last -> Some k
+      | _ -> back (k - 1)
   in
   back (min (x_idx - 1) (Array.length trace - 1))
 
@@ -289,26 +270,12 @@ type window = {
   mutable w_view_ok : bool;
 }
 
-let check aug trace =
-  let ix = index aug trace in
-  let m = Aug.m aug in
-  let log = Aug.log aug in
-  (* [Fiber.run] numbers operations densely: entry [k] has [idx = k]. *)
-  let trace = Array.of_list trace in
+let report ix =
   let errors = ref [] in
   let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
-  let by_key = appends_by_key ix in
+  let by_key = ix.by_key in
   let n_apps = Array.length by_key in
   let first_update = first_update ix in
-  (* Classify each Update by its Block-Update [(pid, ts)], the latest
-     completed one in log order winning. *)
-  List.iter
-    (function
-      | Aug.Bu_op { proc; ts; result; _ } ->
-        let kind = match result with Aug.Atomic _ -> Atomic_bu | Aug.Yield -> Yield_bu in
-        iter_bu_updates ix by_key ~writer:proc ~ts (fun u -> u.u_kind <- kind)
-      | Aug.Scan_op _ -> ())
-    log;
 
   (* Lemma 9: timestamps of distinct Block-Updates are distinct. The
      first writer of a timestamp, in trace order, owns it; every Update
@@ -340,25 +307,24 @@ let check aug trace =
      replay can take M at L. *)
   let windows =
     Array.of_list
-      (List.filter_map
-         (function
+      (Array.fold_right
+         (fun mop ws ->
+           match mop with
            | Aug.Bu_op
                { proc; ts; x_idx; start_idx; result = Aug.Atomic { view; last }; _ }
              ->
-             Some
-               {
-                 w_proc = proc;
-                 w_ts = ts;
-                 w_start = start_idx;
-                 w_x = x_idx;
-                 w_view = view;
-                 w_l =
-                   Option.value ~default:(-1)
-                     (window_start_arr trace ~last ~x_idx);
-                 w_view_ok = true;
-               }
-           | Aug.Bu_op _ | Aug.Scan_op _ -> None)
-         log)
+             {
+               w_proc = proc;
+               w_ts = ts;
+               w_start = start_idx;
+               w_x = x_idx;
+               w_view = view;
+               w_l = Option.value ~default:(-1) (window_start ix ~last ~x_idx);
+               w_view_ok = true;
+             }
+             :: ws
+           | Aug.Bu_op _ | Aug.Scan_op _ -> ws)
+         ix.log [])
   in
   let by_l = Array.copy windows in
   insertion_sort (fun a b -> Int.compare a.w_l b.w_l) by_l;
@@ -366,8 +332,10 @@ let check aug trace =
   (* Corollary 15: replay M along the linearization; every Scan's view
      must match. The same replay numbers the linearization and takes M
      at each window's L (Lemma 19): the Updates linearized before L. *)
-  let contents = Array.make m Value.Bot in
-  let pos = ref 0 and next_l = ref 0 in
+  let contents = Array.make ix.m Value.Bot in
+  (* each Update's position in the linearization, by [u_id] *)
+  let pos = Array.make (Array.length ix.updates) 0 in
+  let n_lin = ref 0 and next_l = ref 0 in
   let take_m_at_l upto =
     while !next_l < Array.length by_l && by_l.(!next_l).w_l <= upto do
       let w = by_l.(!next_l) in
@@ -379,20 +347,20 @@ let check aug trace =
     ~update:(fun u ->
       take_m_at_l u.u_lin;
       contents.(u.u_comp) <- u.u_value;
-      u.u_pos <- !pos;
-      incr pos)
+      pos.(u.u_id) <- !n_lin;
+      incr n_lin)
     ~scan:(fun s ->
       if not (Array.for_all2 Value.equal contents s.s_view) then
         err "Corollary 15: Scan by q%d at idx %d returned a stale view" s.s_proc
           s.s_end;
-      incr pos);
+      incr n_lin);
   take_m_at_l max_int;
 
   (* Lemma 11 / Lemma 12. *)
-  List.iter
+  Array.iter
     (function
       | Aug.Bu_op { proc; ts; x_idx; start_idx; result; _ } ->
-        iter_bu_updates ix by_key ~writer:proc ~ts (fun u ->
+        iter_bu_updates ix ~writer:proc ~ts (fun u ->
             match result with
             | Aug.Atomic _ ->
               if u.u_lin <> x_idx then
@@ -407,15 +375,15 @@ let check aug trace =
                    linearized at %d outside (%d, %d]"
                   proc (Vts.show ts) u.u_comp u.u_lin start_idx x_idx)
       | Aug.Scan_op _ -> ())
-    log;
+    ix.log;
 
   (* Lemma 11 contiguity: in the final order, the updates of each atomic
      Block-Update appear consecutively. *)
   Array.iter
     (fun w ->
       let positions = ref [] in
-      iter_bu_updates ix by_key ~writer:w.w_proc ~ts:w.w_ts (fun u ->
-          positions := u.u_pos :: !positions);
+      iter_bu_updates ix ~writer:w.w_proc ~ts:w.w_ts (fun u ->
+          positions := pos.(u.u_id) :: !positions);
       match List.sort Int.compare !positions with
       | [] -> ()
       | first :: _ as ps ->
@@ -470,18 +438,17 @@ let check aug trace =
         let i = ref (first_above (Array.length us) (fun i -> us.(i).u_lin > l_idx)) in
         while !i < Array.length us && us.(!i).u_lin < x_idx do
           let u = us.(!i) in
-          if u.u_kind = Atomic_bu || u.u_writer = proc then bad := u :: !bad;
+          if is_atomic ix u || u.u_writer = proc then bad := u :: !bad;
           incr i
         done;
         List.iter
           (fun u ->
-            match u.u_kind with
-            | Atomic_bu ->
+            if is_atomic ix u then
               err
                 "Lemma 19: update by q%d (atomic BU) linearized at %d inside \
                  window (%d, %d) of q%d"
                 u.u_writer u.u_lin l_idx x_idx proc
-            | Yield_bu | Incomplete_bu ->
+            else
               err
                 "Lemma 19: update by the window owner q%d linearized inside its \
                  own window (%d, %d)"
@@ -523,7 +490,7 @@ let check aug trace =
   in
   let n_scans = ref 0 and n_bus = ref 0 and n_atomic = ref 0 and n_yield = ref 0 in
   let max_scan_ops = ref 0 and max_bu_ops = ref 0 in
-  List.iter
+  Array.iter
     (function
       | Aug.Bu_op { proc; ts; start_idx; end_idx; n_ops; result; _ } ->
         incr n_bus;
@@ -557,10 +524,10 @@ let check aug trace =
         if n_ops > (2 * k) + 3 then
           err "Lemma 2: Scan by q%d took %d > 2k+3 = %d steps" proc n_ops
             ((2 * k) + 3))
-    log;
+    ix.log;
   let n_incomplete = ref 0 in
   for a = 0 to n_apps - 1 do
-    if (first_update a).u_kind = Incomplete_bu then incr n_incomplete
+    if (first_update a).u_bu < 0 then incr n_incomplete
   done;
   let stats =
     {
@@ -574,3 +541,5 @@ let check aug trace =
     }
   in
   { ok = !errors = []; errors = List.rev !errors; stats }
+
+let check aug trace = report (index aug trace)

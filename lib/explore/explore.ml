@@ -758,11 +758,7 @@ let snapshot_spec m : (Value.t array, snap_op) Linearize.spec =
         | `S -> (st, Value.List (Array.to_list st)));
   }
 
-let mop_history aug (trace : Aug.F.trace_entry list) =
-  (* A Block-Update is in the log iff it completed, so a triple append
-     is a completed Block-Update's Line-4 append iff its index is some
-     logged [x_idx]. *)
-  let completed = Array.make (Aug.clock aug) false in
+let mop_history aug ix =
   let entries = ref [] in
   List.iter
     (function
@@ -772,8 +768,7 @@ let mop_history aug (trace : Aug.F.trace_entry list) =
             ~res:(Value.List (Array.to_list view))
             ()
           :: !entries
-      | Aug.Bu_op { proc; updates; start_idx; x_idx; end_idx; result; _ } -> (
-        completed.(x_idx) <- true;
+      | Aug.Bu_op { proc; updates; start_idx; end_idx; result; _ } -> (
         match result with
         | Aug.Atomic _ ->
           (* Lemma 11: the whole block linearizes at one point. *)
@@ -793,27 +788,62 @@ let mop_history aug (trace : Aug.F.trace_entry list) =
             updates))
     (Aug.log aug);
   (* Incomplete Block-Updates: triples were appended but the M-operation
-     never returned — pending Updates, which may take effect or not. The
-     pid's immediately preceding H.scan is its Line-2 scan, i.e. the
-     invocation point. *)
-  let last_scan = Array.make (Aug.f aug) (-1) in
-  List.iter
-    (fun (e : Aug.F.trace_entry) ->
-      match e.op with
-      | Aug.Ops.Hscan -> last_scan.(e.pid) <- e.idx
-      | Aug.Ops.Happend_triples (_ :: _ as triples)
-        when not (e.idx < Array.length completed && completed.(e.idx)) ->
-        let inv = if last_scan.(e.pid) < 0 then e.idx else last_scan.(e.pid) in
-        List.iter
-          (fun (tr : Hrep.triple) ->
-            entries :=
-              Linearize.entry ~proc:e.pid ~op:(`U [ (tr.comp, tr.value) ])
-                ~inv ()
-              :: !entries)
-          triples
-      | Aug.Ops.Happend_triples _ | Aug.Ops.Happend_lrecords _ -> ())
-    trace;
+     never returned — pending Updates, which may take effect or not,
+     invoked at the writer's Line-2 scan. *)
+  Aug_spec.iter_pending ix (fun u ->
+      entries :=
+        Linearize.entry ~proc:u.u_writer ~op:(`U [ (u.u_comp, u.u_value) ])
+          ~inv:u.u_inv ()
+        :: !entries);
   (snapshot_spec (Aug.m aug), List.rev !entries)
+
+(* ---------------------------------------------------------------- *)
+(* Oracles both targets share                                        *)
+(* ---------------------------------------------------------------- *)
+
+(* No fiber raised, apart from modeled faults; [noun] names a fiber in
+   the messages. *)
+let no_failure_errors ~noun statuses =
+  let errs = ref [] in
+  Array.iteri
+    (fun pid st ->
+      match st with
+      | Rsim_runtime.Fiber.Failed e when not (Faults.is_injected e) ->
+        errs :=
+          Printf.sprintf "%s %d raised %s" noun pid (Printexc.to_string e)
+          :: !errs
+      | Rsim_runtime.Fiber.Failed _ (* modeled fault: a crash *)
+      | Rsim_runtime.Fiber.Done | Rsim_runtime.Fiber.Pending
+      | Rsim_runtime.Fiber.Crashed -> ())
+    statuses;
+  List.rev !errs
+
+(* The non-blocking guarantee (Theorem 20's machinery): while any
+   process is still pending, some M-operation must keep completing.
+   A truncated run whose final [window] H-operations contain no
+   M-operation completion is a progress violation — the detector for
+   blocking bugs (e.g. [Spin_on_yield]) that every safety oracle is
+   blind to. [noun] names a process in the message. *)
+let progress_errors ~noun ~window ~complete ~steps aug =
+  if complete || steps < window then []
+  else
+    let horizon = steps - window in
+    let recent =
+      List.exists
+        (fun mop ->
+          (match mop with
+          | Aug.Scan_op { end_idx; _ } | Aug.Bu_op { end_idx; _ } -> end_idx)
+          >= horizon)
+        (Aug.log aug)
+    in
+    if recent then []
+    else
+      [
+        Printf.sprintf
+          "no M-operation completed in the final %d of %d steps while a %s \
+           was still pending (blocking)"
+          window steps noun;
+      ]
 
 (* ---------------------------------------------------------------- *)
 (* Augmented-snapshot workloads                                      *)
@@ -829,14 +859,15 @@ module Aug_target = struct
     aug : Aug.t;
     result : Aug.F.result;
     complete : bool;
+    index : Aug_spec.index Lazy.t;
     spec_report : Aug_spec.report Lazy.t;
     linearizable : bool Lazy.t;
   }
 
   (* Wing-Gong on the M-operation history; histories longer than 16
      operations pass unchecked, since the search is exponential. *)
-  let wing_gong aug (result : Aug.F.result) =
-    let spec, entries = mop_history aug result.Aug.F.trace in
+  let wing_gong aug ix =
+    let spec, entries = mop_history aug ix in
     List.length entries > 16 || Linearize.check spec entries
 
   let no_failure : exec Oracle.t =
@@ -845,20 +876,7 @@ module Aug_target = struct
       on_truncated = true;
       check =
         (fun { result; _ } ->
-          let errs = ref [] in
-          Array.iteri
-            (fun pid st ->
-              match st with
-              | Rsim_runtime.Fiber.Failed e when not (Faults.is_injected e) ->
-                errs :=
-                  Printf.sprintf "fiber %d raised %s" pid
-                    (Printexc.to_string e)
-                  :: !errs
-              | Rsim_runtime.Fiber.Failed _ (* modeled fault: a crash *)
-              | Rsim_runtime.Fiber.Done | Rsim_runtime.Fiber.Pending
-              | Rsim_runtime.Fiber.Crashed -> ())
-            result.Aug.F.statuses;
-          List.rev !errs);
+          no_failure_errors ~noun:"fiber" result.Aug.F.statuses);
     }
 
   let spec : exec Oracle.t =
@@ -895,39 +913,14 @@ module Aug_target = struct
           else [ "no linearization of the M-operation history (Wing-Gong)" ]);
     }
 
-  (* The non-blocking guarantee (Theorem 20's machinery): while any
-     process is still pending, some M-operation must keep completing.
-     A truncated run whose final [window] H-operations contain no
-     M-operation completion is a progress violation — the detector for
-     blocking bugs (e.g. [Spin_on_yield]) that every safety oracle is
-     blind to. *)
   let progress ?(window = 48) () : exec Oracle.t =
     {
       Oracle.name = "progress";
       on_truncated = true;
       check =
         (fun { aug; result; complete; _ } ->
-          let steps = result.Aug.F.total_ops in
-          if complete || steps < window then []
-          else
-            let horizon = steps - window in
-            let recent =
-              List.exists
-                (fun mop ->
-                  (match mop with
-                  | Aug.Scan_op { end_idx; _ } | Aug.Bu_op { end_idx; _ } ->
-                    end_idx)
-                  >= horizon)
-                (Aug.log aug)
-            in
-            if recent then []
-            else
-              [
-                Printf.sprintf
-                  "no M-operation completed in the final %d of %d steps while \
-                   a process was still pending (blocking)"
-                  window steps;
-              ]);
+          progress_errors ~noun:"process" ~window ~complete
+            ~steps:result.Aug.F.total_ops aug);
     }
 
   (* Crash-robustness: when the run contains injected crashes, the
@@ -963,17 +956,6 @@ module Aug_target = struct
             spec_errs @ lin_errs);
     }
 
-  let rec writes (comp : int) = function
-    | [] -> false
-    | (j, _) :: rest -> j = comp || writes comp rest
-
-  (* Whether some triple writes a component that [updates] writes;
-     closure-free, so a passing race check allocates nothing here. *)
-  let rec touches updates = function
-    | [] -> false
-    | (tr : Hrep.triple) :: rest ->
-      writes tr.Hrep.comp updates || touches updates rest
-
   (* Race oracle (DESIGN §10.2). The Line-9 yield discipline has an
      index-order shadow: a Block-Update by [q] that returns [Atomic] must
      have observed, at its Line-2 scan ([start_idx]), every M-conflicting
@@ -999,13 +981,10 @@ module Aug_target = struct
      entry published by [start_idx], so for [p <> q] the test fails.
      Hence "stamp(idx) <= stamp(start_idx)" is "idx < start_idx", and the
      oracle fires iff a triple append by some [p < q] touching one of
-     [q]'s components lands strictly inside [(start_idx, x_idx)]. Only
-     that interval of the indexed trace is walked per atomic
-     Block-Update; a passing execution allocates the index and the log
-     and nothing else. Errors come in log order, then trace order. *)
-  let race_errors aug (result : Aug.F.result) =
-    (* [Fiber.run] numbers operations densely: entry [k] has [idx = k]. *)
-    let trace = Array.of_list result.Aug.F.trace in
+     [q]'s components lands strictly inside [(start_idx, x_idx)]. Per
+     atomic Block-Update, only the index's appends inside that interval
+     are walked. Errors come in log order, then trace order. *)
+  let race_errors aug ix =
     let errs = ref [] in
     List.iter
       (function
@@ -1013,25 +992,22 @@ module Aug_target = struct
         | Aug.Bu_op
             { proc = q; updates; start_idx; x_idx; result = Aug.Atomic _; _ }
           ->
-          for idx = start_idx + 1 to min (Array.length trace - 1) (x_idx - 1) do
-            match trace.(idx) with
-            | { pid = p; op = Aug.Ops.Happend_triples triples; _ }
-              when p < q && touches updates triples ->
-              errs :=
-                Printf.sprintf
-                  "race: atomic Block-Update by %d over [%d,%d] did not \
-                   observe conflicting append by %d at %d (after its Line-2 \
-                   scan at %d)"
-                  q start_idx x_idx p idx start_idx
-                :: !errs
-            | {
-                op =
-                  Aug.Ops.Happend_triples _ | Aug.Ops.Hscan
-                  | Aug.Ops.Happend_lrecords _;
-                _;
-              } ->
-              ()
-          done)
+          (* one error per append: the Updates of an append are consecutive *)
+          let reported = ref (-1) in
+          Aug_spec.iter_appended ix ~lo:start_idx ~hi:x_idx (fun u ->
+              let p = u.u_writer and idx = u.u_x_idx in
+              if
+                p < q && idx <> !reported && List.mem_assoc u.u_comp updates
+              then begin
+                reported := idx;
+                errs :=
+                  Printf.sprintf
+                    "race: atomic Block-Update by %d over [%d,%d] did not \
+                     observe conflicting append by %d at %d (after its Line-2 \
+                     scan at %d)"
+                    q start_idx x_idx p idx start_idx
+                  :: !errs
+              end))
       (Aug.log aug);
     List.rev !errs
 
@@ -1039,7 +1015,7 @@ module Aug_target = struct
     {
       Oracle.name = "race";
       on_truncated = true;
-      check = (fun { aug; result; _ } -> race_errors aug result);
+      check = (fun { aug; index; _ } -> race_errors aug (Lazy.force index));
     }
 
   let default_oracles = [ no_failure; spec; theorem20; progress () ]
@@ -1140,13 +1116,15 @@ module Aug_target = struct
       in
       let live = live_of result.Aug.F.statuses in
       let complete = live = [] in
+      let index = lazy (Aug_spec.index aug result.Aug.F.trace) in
       let ex =
         {
           aug;
           result;
           complete;
-          spec_report = lazy (Aug_spec.check aug result.Aug.F.trace);
-          linearizable = lazy (wing_gong aug result);
+          index;
+          spec_report = lazy (Aug_spec.report (Lazy.force index));
+          linearizable = lazy (wing_gong aug (Lazy.force index));
         }
       in
       let judge_now () = judge ocs ~complete ex in
@@ -1240,20 +1218,7 @@ module Harness_target = struct
       on_truncated = true;
       check =
         (fun { result; _ } ->
-          let errs = ref [] in
-          Array.iteri
-            (fun pid st ->
-              match st with
-              | Rsim_runtime.Fiber.Failed e when not (Faults.is_injected e) ->
-                errs :=
-                  Printf.sprintf "simulator %d raised %s" pid
-                    (Printexc.to_string e)
-                  :: !errs
-              | Rsim_runtime.Fiber.Failed _ (* modeled fault: a crash *)
-              | Rsim_runtime.Fiber.Done | Rsim_runtime.Fiber.Pending
-              | Rsim_runtime.Fiber.Crashed -> ())
-            result.Harness.statuses;
-          List.rev !errs);
+          no_failure_errors ~noun:"simulator" result.Harness.statuses);
     }
 
   let aug_spec : exec Oracle.t =
@@ -1310,27 +1275,8 @@ module Harness_target = struct
       on_truncated = true;
       check =
         (fun { result; complete; _ } ->
-          let steps = result.Harness.total_ops in
-          if complete || steps < window then []
-          else
-            let horizon = steps - window in
-            let recent =
-              List.exists
-                (fun mop ->
-                  (match mop with
-                  | Aug.Scan_op { end_idx; _ } | Aug.Bu_op { end_idx; _ } ->
-                    end_idx)
-                  >= horizon)
-                (Aug.log result.Harness.aug)
-            in
-            if recent then []
-            else
-              [
-                Printf.sprintf
-                  "no M-operation completed in the final %d of %d steps while \
-                   a simulator was still pending (blocking)"
-                  window steps;
-              ]);
+          progress_errors ~noun:"simulator" ~window ~complete
+            ~steps:result.Harness.total_ops result.Harness.aug);
     }
 
   let default_oracles = [ no_failure; aug_spec; analysis; consensus ]

@@ -221,13 +221,18 @@ module Aug_target : sig
     aug : Rsim_augmented.Aug.t;
     result : Rsim_augmented.Aug.F.result;
     complete : bool;  (** no fiber was still pending *)
+    index : Rsim_augmented.Aug_spec.index Lazy.t;
+        (** {!Rsim_augmented.Aug_spec.index} of the run, built by the first
+            oracle that needs it: [spec_report], [linearizable] and
+            {!race} read it *)
     spec_report : Rsim_augmented.Aug_spec.report Lazy.t;
-        (** {!Rsim_augmented.Aug_spec.check} of the run, forced by at most
-            one oracle and shared with the rest *)
+        (** {!Rsim_augmented.Aug_spec.report} of [index], shared by
+            {!spec} and {!crash_robust} *)
     linearizable : bool Lazy.t;
-        (** the Wing-Gong verdict {!linearizable} and {!crash_robust}
-            share: [true] when the M-operation history linearizes or has
-            more than 16 operations *)
+        (** the Wing-Gong verdict on {!mop_history} of [index], shared by
+            {!linearizable} and {!crash_robust}: [true] when the
+            M-operation history linearizes or has more than 16
+            operations *)
   }
 
   (** No fiber raised. *)
@@ -377,10 +382,11 @@ end
 (**/**)
 
 (** Exposed for the crash-fault tests: the Wing-Gong history of
-    M-operations of an execution, including pending entries for
-    incomplete Block-Updates. *)
+    M-operations of an execution, from its log and its index, including
+    pending entries for incomplete Block-Updates
+    ({!Rsim_augmented.Aug_spec.iter_pending}). *)
 val mop_history :
   Rsim_augmented.Aug.t ->
-  Rsim_augmented.Aug.F.trace_entry list ->
+  Rsim_augmented.Aug_spec.index ->
   (Value.t array, [ `U of (int * Value.t) list | `S ]) Linearize.spec
   * [ `U of (int * Value.t) list | `S ] Linearize.entry list

@@ -14,8 +14,8 @@ let indistinguishable c c' ~procs =
        (fun pid -> same_poised (Proc.poised (Run.proc c pid)) (Proc.poised (Run.proc c' pid)))
        procs
 
-let steps_of c = List.map (fun (e : Run.event) -> e.pid) (Run.trace c)
-
+(* Apply the steps of [pids] in order, skipping pids that have already
+   output. *)
 let apply_schedule c pids =
   List.fold_left
     (fun c pid ->

@@ -19,13 +19,6 @@ type pid_set = int list
     silently mis-analyzed. *)
 val indistinguishable : Run.config -> Run.config -> procs:pid_set -> bool
 
-(** [steps_of c]: the pid sequence of the execution recorded in [c]. *)
-val steps_of : Run.config -> int list
-
-(** [apply_schedule c pids] applies the steps of [pids] in order,
-    skipping pids that have already output. *)
-val apply_schedule : Run.config -> int list -> Run.config
-
 (** [transfer ~from_ ~to_ ~procs pids]: the transfer lemma, checked at
     runtime. Requires [indistinguishable from_ to_ ~procs] and [pids ⊆
     procs]; applies the schedule to both configurations and checks the

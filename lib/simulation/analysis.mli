@@ -2,7 +2,11 @@
     Lemma 27).
 
     Given a completed {!Harness} run, [check] reconstructs the simulated
-    execution σ̄ of protocol Π that the paper's Lemma 26 asserts exists:
+    execution σ̄ of protocol Π that the paper's Lemma 26 asserts exists.
+    It reads the run's {!Rsim_augmented.Aug_spec.index}: the
+    linearization walk, each Update's position in its Block-Update and
+    each window start [L]; its own work is to pair the log with the
+    simulators' journals and to replay:
 
     + the linearized M.Scans and M.Updates of the real execution are
       mapped to the simulated steps they simulate (an M.Scan by [q_i] to

@@ -50,15 +50,19 @@ let partition ~m ~f ~d =
       if i < f - d then Array.init m (fun g -> (i * m) + g)
       else [| ((f - d) * m) + (i - (f - d)) |])
 
+let check_shape ~n ~m ~f ~d =
+  if f < 1 then Error "f must be >= 1"
+  else if d < 0 || d > f then Error "need 0 <= d <= f"
+  else if m < 1 then Error "m must be >= 1"
+  else if ((f - d) * m) + d > n then
+    Error
+      (Printf.sprintf "(f-d)*m + d = %d exceeds n = %d" (((f - d) * m) + d) n)
+  else Ok ()
+
 let check_spec spec =
-  if spec.f < 1 then invalid_arg "Harness: f must be >= 1";
-  if spec.d < 0 || spec.d > spec.f then invalid_arg "Harness: need 0 <= d <= f";
-  if spec.m < 1 then invalid_arg "Harness: m must be >= 1";
-  if ((spec.f - spec.d) * spec.m) + spec.d > spec.n then
-    invalid_arg
-      (Printf.sprintf "Harness: (f-d)*m + d = %d exceeds n = %d"
-         (((spec.f - spec.d) * spec.m) + spec.d)
-         spec.n);
+  (match check_shape ~n:spec.n ~m:spec.m ~f:spec.f ~d:spec.d with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Harness: " ^ e));
   if List.length spec.inputs <> spec.f then
     invalid_arg "Harness: need exactly f inputs"
 

@@ -57,6 +57,13 @@ type result = {
     [f−d+j] gets pid [(f−d)·m + j]. *)
 val partition : m:int -> f:int -> d:int -> int array array
 
+(** [check_shape ~n ~m ~f ~d] is [Ok ()] when [f ≥ 1], [0 ≤ d ≤ f],
+    [m ≥ 1] and [(f − d)·m + d ≤ n], and otherwise [Error] naming the
+    first constraint that fails. {!run} raises [Invalid_argument] with
+    the same text, prefixed by ["Harness: "]. *)
+val check_shape :
+  n:int -> m:int -> f:int -> d:int -> (unit, string) Stdlib.result
+
 (** The default watchdog budget: a generous multiple of Lemma 31's
     per-simulator step bound (the lemma covers all-covering simulations;
     direct simulators can legitimately run past the bare bound), capped

@@ -34,6 +34,7 @@ let pp_htrace fmt trace =
                 recs)))
     trace
 
+(* The completed M-operations of an object, in completion order. *)
 let pp_mops fmt aug =
   List.iter
     (fun mop ->
@@ -66,6 +67,8 @@ let pp_zeta fmt zeta =
               Printf.sprintf "upd %d:=%s" j (Value.show v))
           zeta))
 
+(* One simulator's journal: its M-ops, revisions (with ζ), adopted
+   outputs and final β·ξ tail. *)
 let pp_journal fmt ~sim journal =
   List.iter
     (fun event ->

@@ -10,13 +10,6 @@
 val pp_htrace :
   Format.formatter -> Rsim_augmented.Aug.F.trace_entry list -> unit
 
-(** The completed M-operations of an object, in completion order. *)
-val pp_mops : Format.formatter -> Rsim_augmented.Aug.t -> unit
-
-(** One simulator's journal: its M-ops, revisions (with ζ), adopted
-    outputs and final β·ξ tail. *)
-val pp_journal : Format.formatter -> sim:int -> Journal.t -> unit
-
 (** Everything about a finished run: architecture, per-simulator
     journals, M-operation log, and outcome. *)
 val pp_run : Format.formatter -> Harness.spec -> Harness.result -> unit

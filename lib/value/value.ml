@@ -15,25 +15,9 @@ let int_exn = function
   | Int n -> n
   | v -> invalid_arg ("Value.int_exn: " ^ show v)
 
-let float_exn = function
-  | Float f -> f
-  | v -> invalid_arg ("Value.float_exn: " ^ show v)
-
-let str_exn = function
-  | Str s -> s
-  | v -> invalid_arg ("Value.str_exn: " ^ show v)
-
 let pair_exn = function
   | Pair (a, b) -> (a, b)
   | v -> invalid_arg ("Value.pair_exn: " ^ show v)
-
-let list_exn = function
-  | List l -> l
-  | v -> invalid_arg ("Value.list_exn: " ^ show v)
-
-let bool_exn = function
-  | Bool b -> b
-  | v -> invalid_arg ("Value.bool_exn: " ^ show v)
 
 let as_float_exn = function
   | Int n -> float_of_int n

@@ -27,14 +27,10 @@ val to_string : t -> string
 val is_bot : t -> bool
 
 (** [int_exn v] projects an [Int]; raises [Invalid_argument] otherwise.
-    Same for the other projections. *)
+    Same for [pair_exn]. *)
 val int_exn : t -> int
 
-val float_exn : t -> float
-val str_exn : t -> string
 val pair_exn : t -> t * t
-val list_exn : t -> t list
-val bool_exn : t -> bool
 
 (** Numeric view: [Int n] as [float n], [Float f] as [f]. *)
 val as_float_exn : t -> float

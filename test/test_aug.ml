@@ -421,11 +421,22 @@ type tally = {
   mutable mismatches : string list;
 }
 
-(* The two checkers' linearization items, in one comparable form. *)
-let lin_item = function
-  | Aug_spec.L_scan { proc; view; end_idx } -> `Scan (proc, view, end_idx)
-  | Aug_spec.L_update { writer; ts; comp; value; x_idx; lin_idx } ->
-    `Update (writer, Vts.to_array ts, comp, value, x_idx, lin_idx)
+(* The two checkers' linearizations, in one comparable form. *)
+let lin_items ix =
+  let items = ref [] in
+  Aug_spec.iter_lin ix
+    ~update:(fun u ->
+      items :=
+        `Update
+          ( u.u_writer,
+            Vts.to_array u.u_ts,
+            u.u_comp,
+            u.u_value,
+            u.u_x_idx,
+            u.u_lin )
+        :: !items)
+    ~scan:(fun s -> items := `Scan (s.s_proc, s.s_view, s.s_end) :: !items);
+  List.rev !items
 
 let ref_lin_item = function
   | Aug_spec_ref.L_scan { proc; view; end_idx } -> `Scan (proc, view, end_idx)
@@ -433,7 +444,8 @@ let ref_lin_item = function
     `Update (writer, Vts.to_array ts, comp, value, x_idx, lin_idx)
 
 let compare_with_reference tally what aug trace =
-  let got = Aug_spec.check aug trace in
+  let ix = Aug_spec.index aug trace in
+  let got = Aug_spec.report ix in
   let want = Aug_spec_ref.check aug trace in
   tally.compared <- tally.compared + 1;
   if not want.Aug_spec.ok then tally.failing <- tally.failing + 1;
@@ -442,7 +454,7 @@ let compare_with_reference tally what aug trace =
       Format.asprintf "%s:@.got %a@.want %a" what Aug_spec.pp_report got
         Aug_spec.pp_report want
       :: tally.mismatches;
-  let got = List.map lin_item (Aug_spec.linearize aug trace) in
+  let got = lin_items ix in
   let want = List.map ref_lin_item (Aug_spec_ref.linearize aug trace) in
   if got <> want then
     tally.mismatches <-
@@ -561,10 +573,11 @@ let test_window_start_latest () =
       scan 4 h0;
     ]
   in
+  let ix = Aug_spec.index (Aug.create ~f:2 ~m:1 ()) trace in
   List.iter
     (fun (what, last, x_idx, want) ->
       Alcotest.(check (option int)) what want
-        (Aug_spec.window_start ~trace ~last ~x_idx);
+        (Aug_spec.window_start ix ~last ~x_idx);
       Alcotest.(check (option int)) (what ^ " (reference)") want
         (Aug_spec_ref.window_start ~trace ~last ~x_idx))
     [

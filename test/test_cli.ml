@@ -60,6 +60,29 @@ let test_subcommand_help () =
     (List.mem "explore" subs && List.mem "simulate" subs);
   List.iter check_help subs
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* A racing shape needs (f-d)*m + d <= n simulated processes; one that
+   does not fit is a usage error (exit 2) naming the constraint, not an
+   uncaught exception. *)
+let check_bad_shape args =
+  let code, _, err = run args in
+  Alcotest.(check int) (args ^ ": exit code") 2 code;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: stderr names the constraint: %S" args err)
+    true
+    (contains ~sub:"(f-d)*m + d = 4 exceeds n = 3" err)
+
+let test_explore_bad_shape () =
+  check_bad_shape "explore --workload racing -n 3 -m 2 -f 2"
+
+let test_simulate_bad_shape () = check_bad_shape "simulate -n 3 -m 2 -f 2 -d 0"
+
 let () =
   Alcotest.run "cli"
     [
@@ -67,5 +90,12 @@ let () =
         [
           Alcotest.test_case "top level" `Quick test_top_level_help;
           Alcotest.test_case "every subcommand" `Quick test_subcommand_help;
+        ] );
+      ( "usage errors",
+        [
+          Alcotest.test_case "explore: racing shape exceeds n" `Quick
+            test_explore_bad_shape;
+          Alcotest.test_case "simulate: shape exceeds n" `Quick
+            test_simulate_bad_shape;
         ] );
     ]

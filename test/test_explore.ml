@@ -231,7 +231,9 @@ let test_crash_before_x () =
   let aug, result, seen = crash_run ~crash_after:1 in
   Alcotest.(check bool) "update invisible before X" true (Value.is_bot seen.(0));
   check_crash_spec "crash pre-X" aug result;
-  let spec, entries = Explore.mop_history aug result.Aug.F.trace in
+  let spec, entries =
+    Explore.mop_history aug (Aug_spec.index aug result.Aug.F.trace)
+  in
   Alcotest.(check bool) "pending update droppable: history linearizable" true
     (Linearize.check spec entries)
 
@@ -240,7 +242,9 @@ let test_crash_after_x () =
   Alcotest.(check bool) "update visible after X" true
     (Value.equal seen.(0) (Value.Int 42));
   check_crash_spec "crash post-X" aug result;
-  let spec, entries = Explore.mop_history aug result.Aug.F.trace in
+  let spec, entries =
+    Explore.mop_history aug (Aug_spec.index aug result.Aug.F.trace)
+  in
   Alcotest.(check bool) "crashed Block-Update left a pending entry" true
     (List.exists (fun (e : _ Linearize.entry) -> e.Linearize.ret = None) entries);
   Alcotest.(check bool) "pending update takes effect: history linearizable" true
@@ -812,7 +816,7 @@ let reference_oracle t : Explore.Aug_target.exec Explore.Oracle.t =
         let want = List.map race_key (Race_ref.race_errors aug result) in
         if want <> [] then t.racy <- t.racy + 1;
         if got <> want then t.race_diffs <- t.race_diffs + 1;
-        let spec, entries = Explore.mop_history aug result.Aug.F.trace in
+        let spec, entries = Explore.mop_history aug (Lazy.force ex.index) in
         let _, ref_entries = Linearize_ref.mop_history aug result.Aug.F.trace in
         if entries <> ref_entries then t.history_diffs <- t.history_diffs + 1;
         (* the oracle searches histories of at most 16 operations *)

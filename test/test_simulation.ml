@@ -593,9 +593,199 @@ let test_injected_exception_is_a_crash () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "survivors should pass: %s" (Harness.explain e)
 
+(* ---- the Lemma 26 replay against its reference ---- *)
+
+(* [Analysis.check] and the hash-table replay kept in analysis_ref.ml
+   must give equal reports. *)
+let compare_with_reference mismatches what spec r =
+  let got = Analysis.check spec r and want = Analysis_ref.check spec r in
+  if got <> want then
+    mismatches :=
+      Format.asprintf "%s:@.got %a@.want %a" what Analysis.pp_report got
+        Analysis.pp_report want
+      :: !mismatches;
+  want
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go k =
+    k + n <= String.length s && (String.sub s k n = sub || go (k + 1))
+  in
+  go 0
+
+(* [r] with simulator [i]'s journal events rewritten by [f]. *)
+let with_journal r i f =
+  let journals = Array.copy r.Harness.journals in
+  let j = Journal.create () in
+  List.iter (Journal.push j) (f (Journal.events journals.(i)));
+  journals.(i) <- j;
+  { r with Harness.journals }
+
+(* [events] with the first one that [f] rewrites ([Some e']) replaced. *)
+let rewrite_first f events =
+  let rec go = function
+    | [] -> Alcotest.fail "no journal event to tamper with"
+    | e :: rest -> ( match f e with Some e' -> e' :: rest | None -> e :: go rest)
+  in
+  go events
+
+let test_analysis_matches_reference () =
+  let mismatches = ref [] in
+  (* reduce's 11 racing shapes, up to n=16 m=4 f=4. *)
+  List.iter
+    (fun (n, m, f, d) ->
+      let spec = racing_spec ~n ~m ~f ~d (List.init f (fun p -> i (p + 1))) in
+      for seed = 1 to 10 do
+        let r = Harness.run ~sched:(Schedule.random ~seed) spec in
+        ignore
+          (compare_with_reference mismatches
+             (Printf.sprintf "racing n=%d m=%d f=%d d=%d seed %d" n m f d seed)
+             spec r)
+      done)
+    [
+      (2, 2, 1, 0); (4, 2, 2, 0); (6, 3, 2, 0); (5, 2, 3, 1); (7, 2, 4, 1);
+      (7, 5, 2, 1); (8, 2, 4, 0); (10, 3, 3, 1); (12, 3, 4, 0); (13, 4, 3, 1);
+      (16, 4, 4, 0);
+    ];
+  (* Every execution of the crashy racing sweep, complete or not, and of
+     the same sweep under stalls, whose runs complete and replay. *)
+  let replayed = ref 0 in
+  List.iter
+    (fun profile ->
+      let faults =
+        match Rsim_faults.Faults.resolve ~n_procs:2 ~seed:11 profile with
+        | Ok fs -> fs
+        | Error e -> Alcotest.failf "%s profile failed to resolve: %s" profile e
+      in
+      let swept = ref 0 in
+      let reference : Rsim_explore.Explore.Harness_target.exec
+          Rsim_explore.Explore.Oracle.t =
+        {
+          name = "analysis-reference";
+          on_truncated = true;
+          check =
+            (fun { hspec; result; _ } ->
+              incr swept;
+              let want =
+                compare_with_reference mismatches (profile ^ " racing sweep")
+                  hspec result
+              in
+              if want.Analysis.stats.Analysis.n_lin_items > 0 then
+                incr replayed;
+              []);
+        }
+      in
+      ignore
+        (Rsim_explore.Explore.sweep ~domains:1 ~max_steps:400 ~budget:60
+           ~seed:7
+           (Rsim_explore.Explore.Harness_target.racing ~oracles:[ reference ]
+              ~faults ~n:4 ~m:2 ~f:2 ~d:0 ()));
+      Alcotest.(check int) (profile ^ ": every sweep execution compared") 60
+        !swept)
+    [ "crashy"; "stally" ];
+  Alcotest.(check bool)
+    (Printf.sprintf "%d faulted executions replayed" !replayed)
+    true (!replayed > 0);
+  (* Tampered results that reach the error paths, on a run with
+     revisions (n=16 m=4 f=4, seed 3). *)
+  let spec =
+    racing_spec ~n:16 ~m:4 ~f:4 ~d:0 (List.init 4 (fun p -> i (p + 1)))
+  in
+  let r = Harness.run ~sched:(Schedule.random ~seed:3) spec in
+  let clean = compare_with_reference mismatches "untampered" spec r in
+  Alcotest.(check bool) "untampered run replays, with revisions" true
+    (clean.Analysis.ok && clean.Analysis.stats.Analysis.n_revisions > 0);
+  let reviser =
+    match
+      List.find_opt
+        (fun k ->
+          List.exists
+            (function
+              | Journal.Jrevise { zeta; _ } ->
+                List.exists (function Journal.Zscan _ -> true | _ -> false) zeta
+              | _ -> false)
+            (Journal.events r.Harness.journals.(k)))
+        (List.init 4 Fun.id)
+    with
+    | Some k -> k
+    | None -> Alcotest.fail "no revision with a hidden scan"
+  in
+  let scan_serial =
+    List.find_map
+      (function Journal.Jscan { serial; _ } -> Some serial | _ -> None)
+      (Journal.events r.Harness.journals.(reviser))
+    |> Option.get
+  in
+  let tampered =
+    [
+      ( "revision sourced from a Scan",
+        "which is not an atomic Block-Update",
+        with_journal r reviser
+          (rewrite_first (function
+            | Journal.Jrevise e ->
+              Some (Journal.Jrevise { e with source_serial = scan_serial })
+            | _ -> None)) );
+      ( "flipped hidden view",
+        "Lemma 26 (hidden scan)",
+        with_journal r reviser
+          (rewrite_first (function
+            | Journal.Jrevise ({ zeta; _ } as e)
+              when List.exists
+                     (function Journal.Zscan _ -> true | _ -> false)
+                     zeta ->
+              let zeta =
+                List.map
+                  (function
+                    | Journal.Zscan view ->
+                      Journal.Zscan (Array.map (fun _ -> i (-1)) view)
+                    | z -> z)
+                  zeta
+              in
+              Some (Journal.Jrevise { e with zeta })
+            | _ -> None)) );
+      ( "changed reported output",
+        "reported",
+        {
+          r with
+          Harness.outputs =
+            List.map (fun (k, _) -> (k, i (-1))) r.Harness.outputs;
+        } );
+      ( "journal one M-op short",
+        "M-ops in Aug log but",
+        with_journal r reviser (fun events ->
+            let dropped = ref false in
+            List.filter
+              (function
+                | (Journal.Jscan _ | Journal.Jbu _) when not !dropped ->
+                  dropped := true;
+                  false
+                | _ -> true)
+              events) );
+    ]
+  in
+  List.iter
+    (fun (what, sub, r') ->
+      let want = compare_with_reference mismatches what spec r' in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: the reference reports %S" what sub)
+        true
+        ((not want.Analysis.ok)
+        && List.exists (contains ~sub) want.Analysis.errors))
+    tampered;
+  match !mismatches with
+  | [] -> ()
+  | first :: _ ->
+    Alcotest.failf "%d reports differ from the reference; e.g. %s"
+      (List.length !mismatches) first
+
 let () =
   Alcotest.run "simulation"
     [
+      ( "reference",
+        [
+          Alcotest.test_case "Lemma 26 replay matches the reference" `Quick
+            test_analysis_matches_reference;
+        ] );
       ( "structure",
         [
           Alcotest.test_case "partition" `Quick test_partition;
