@@ -19,14 +19,14 @@ let stage = Staged.stage
 
 let e1_aug_ops =
   Test.make ~name:"e1/aug-workload f=3 m=3"
-    (stage (fun () -> Rsim_experiments.Exp_common.aug_workload ~f:3 ~m:3 ~n_ops:6 ~seed:11))
+    (stage (fun () -> Rsim_experiments.Exp_common.aug_workload ~f:3 ~m:3 ~n_ops:6 ~seed:11 ()))
 
 let e2_yield_probe =
   Test.make ~name:"e2/aug-workload f=4 m=3"
-    (stage (fun () -> Rsim_experiments.Exp_common.aug_workload ~f:4 ~m:3 ~n_ops:6 ~seed:12))
+    (stage (fun () -> Rsim_experiments.Exp_common.aug_workload ~f:4 ~m:3 ~n_ops:6 ~seed:12 ()))
 
 let e3_spec_check =
-  let aug, trace = Rsim_experiments.Exp_common.aug_workload ~f:3 ~m:3 ~n_ops:8 ~seed:13 in
+  let aug, trace = Rsim_experiments.Exp_common.aug_workload ~f:3 ~m:3 ~n_ops:8 ~seed:13 () in
   Test.make ~name:"e3/spec-check (fixed trace)"
     (stage (fun () -> Aug_spec.check aug trace))
 

@@ -399,7 +399,8 @@ let explore_cmd =
       & info [ "no-dedup" ]
           ~doc:
             "Exhaustive: disable state-fingerprint deduplication and explore \
-             the literal schedule tree.")
+             the literal schedule tree (the default under \
+             --preemption-bound or --faults).")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Sweep: base seed.") in
   let inject =
@@ -450,7 +451,9 @@ let explore_cmd =
           let max_steps = if max_steps = 0 then 12 else max_steps in
           let rep =
             Explore.exhaustive ~max_steps ?preemption_bound ~max_violations
-              ?domains ~dedup:(not no_dedup) w
+              ?domains
+              ?dedup:(if no_dedup then Some false else None)
+              w
           in
           Printf.printf
             "exhaustive %s: %d prefixes, %d complete + %d truncated executions \

@@ -83,11 +83,19 @@ let mop_proc = function Scan_op { proc; _ } -> proc | Bu_op { proc; _ } -> proc
 
 type fault = Skip_yield_check | Yield_on_higher | Spin_on_yield
 
+module Prog =
+  Rsim_runtime.Prog.Make
+    (struct
+      include Ops
+
+      type note = mop
+    end)
+    (F)
+
+type config = { f : int; m : int; helping : bool; inject : fault option }
+
 type t = {
-  f : int;
-  m : int;
-  helping : bool;
-  inject : fault option;
+  cfg : config;
   mutable h : Hrep.snap;
       (** published snapshot: replaced on every append, never mutated *)
   mutable clock : int;
@@ -96,12 +104,23 @@ type t = {
 
 let create ?(helping = true) ?inject ~f ~m () =
   if f <= 0 || m <= 0 then invalid_arg "Aug.create: f and m must be positive";
-  { f; m; helping; inject; h = Hrep.create ~f; clock = 0; rev_log = [] }
+  { cfg = { f; m; helping; inject }; h = Hrep.create ~f; clock = 0; rev_log = [] }
 
-let f t = t.f
-let m t = t.m
+let config t = t.cfg
+let f t = t.cfg.f
+let m t = t.cfg.m
 let log t = List.rev t.rev_log
 let clock t = t.clock
+let record t mop = t.rev_log <- mop :: t.rev_log
+
+type saved = { s_h : Hrep.snap; s_clock : int; s_rev_log : mop list }
+
+let save t = { s_h = t.h; s_clock = t.clock; s_rev_log = t.rev_log }
+
+let restore t s =
+  t.h <- s.s_h;
+  t.clock <- s.s_clock;
+  t.rev_log <- s.s_rev_log
 
 let apply t ~pid (op : Ops.op) : Ops.res =
   let res : Ops.res =
@@ -121,17 +140,30 @@ let apply t ~pid (op : Ops.op) : Ops.res =
   t.clock <- t.clock + 1;
   res
 
-(* Perform one H operation from inside a fiber and report its global
-   index. The fiber is resumed synchronously after [apply], so
-   [t.clock - 1] is exactly this operation's index. *)
-let do_op t op =
-  let res = F.op op in
-  (res, t.clock - 1)
+open Prog
 
-let hscan t =
-  match do_op t Ops.Hscan with
-  | Ops.Snap s, idx -> (s, idx)
-  | (Ops.Ack, _) -> assert false
+(* The H-operations as programs. Algorithms 3 and 4 continue from the
+   last operation of a loop or a branch by calling a local function
+   rather than by binding a returned tuple: every bind wraps each
+   operation of the program it is bound to, once per hop. *)
+
+(* An H.scan: its result and its trace index. *)
+let hscan =
+  Op
+    ( Ops.Hscan,
+      fun r idx ->
+        match r with Ops.Snap s -> Return (s, idx) | Ops.Ack -> assert false )
+
+(* An append: its trace index. *)
+let append op = Op (op, fun _ idx -> Return idx)
+
+(* One helping update of the L-records [recs]. *)
+let help recs =
+  Op
+    ( Ops.Happend_lrecords recs,
+      fun _ _ ->
+        if recs <> [] then Obs.Metrics.incr m_helping;
+        Return () )
 
 (* The helping records [L_{me,i}[#h_i] := h] for [i] from 0 to [j] but
    [skip], ascending, in front of [acc]. *)
@@ -143,40 +175,38 @@ let rec help_recs (h : Hrep.snap) ~skip j acc =
       ({ Hrep.dest = j; index = Hrep.count_bu h.(j); payload = h } :: acc)
 
 (* Algorithm 3. *)
-let scan t ~me =
-  if me < 0 || me >= t.f then invalid_arg "Aug.scan: bad process id";
-  let h0, first_idx = hscan t in
-  let n_ops = ref 1 in
-  let rec loop h =
-    (* Help everyone: L_{me,j}[#h_j] := h for all j ≠ me, in one update.
-       (Skipped by the E9 ablation.) *)
-    if t.helping then begin
-      let recs = help_recs h ~skip:me (t.f - 1) [] in
-      let _ = do_op t (Ops.Happend_lrecords recs) in
-      if recs <> [] then Obs.Metrics.incr m_helping;
-      incr n_ops
-    end;
-    let h', idx' = hscan t in
-    incr n_ops;
-    if Hrep.equal_triples h h' then (h, idx')
+let scan_prog cfg ~me =
+  if me < 0 || me >= cfg.f then invalid_arg "Aug.scan: bad process id";
+  let* h0, first_idx = hscan in
+  let finish h end_idx n_ops =
+    let view = Hrep.get_view ~m:cfg.m h in
+    Obs.Metrics.incr m_scans;
+    Obs.Metrics.observe h_scan_hops n_ops;
+    if Obs.Trace.enabled () then
+      Obs.Trace.complete ~name:"M.scan" ~pid:me ~ts:first_idx
+        ~dur:(end_idx - first_idx + 1)
+        ~args:[ ("hops", Obs.Json.Int n_ops) ]
+        ();
+    Emit
+      ( Scan_op { proc = me; start_idx = first_idx; end_idx; n_ops; view; h },
+        Return view )
+  in
+  let rec rescan h n_ops =
+    let* h', idx' = hscan in
+    if Hrep.equal_triples h h' then finish h idx' (n_ops + 1)
     else begin
       Obs.Metrics.incr m_scan_retries;
-      loop h'
+      loop h' (n_ops + 1)
     end
+  and loop h n_ops =
+    (* Help everyone: L_{me,j}[#h_j] := h for all j ≠ me, in one update.
+       (Skipped by the E9 ablation.) *)
+    if cfg.helping then
+      let* () = help (help_recs h ~skip:me (cfg.f - 1) []) in
+      rescan h (n_ops + 1)
+    else rescan h n_ops
   in
-  let h, end_idx = loop h0 in
-  let view = Hrep.get_view ~m:t.m h in
-  Obs.Metrics.incr m_scans;
-  Obs.Metrics.observe h_scan_hops !n_ops;
-  if Obs.Trace.enabled () then
-    Obs.Trace.complete ~name:"M.scan" ~pid:me ~ts:first_idx
-      ~dur:(end_idx - first_idx + 1)
-      ~args:[ ("hops", Obs.Json.Int !n_ops) ]
-      ();
-  t.rev_log <-
-    Scan_op { proc = me; start_idx = first_idx; end_idx; n_ops = !n_ops; view; h }
-    :: t.rev_log;
-  view
+  loop h0 1
 
 let rec comp_absent j = function
   | [] -> true
@@ -196,123 +226,170 @@ let rec grew (h : Hrep.snap) (h' : Hrep.snap) lo hi =
   lo < hi
   && (Hrep.count_bu h'.(lo) > Hrep.count_bu h.(lo) || grew h h' (lo + 1) hi)
 
+(* Lines 13-15: the freshest view among the L-records [L_{j,me}[b]] that
+   [r_snap] holds for [j] from [j] up, starting from [last]. *)
+let rec freshest cfg ~me r_snap ~b last j =
+  if j = cfg.f then last
+  else
+    let last =
+      if j = me then last
+      else
+        match Hrep.read_l r_snap ~writer:j ~reader:me ~index:b with
+        | Some rj when Hrep.is_proper_prefix last rj -> rj
+        | Some _ | None -> last
+    in
+    freshest cfg ~me r_snap ~b last (j + 1)
+
 (* Algorithm 4. *)
-let block_update t ~me updates =
-  if me < 0 || me >= t.f then invalid_arg "Aug.block_update: bad process id";
+let block_update_prog cfg ~me updates =
+  if me < 0 || me >= cfg.f then invalid_arg "Aug.block_update: bad process id";
   (match updates with
   | [] -> invalid_arg "Aug.block_update: empty update list"
   | _ :: _ -> ());
   if not (comps_distinct updates) then
     invalid_arg "Aug.block_update: components must be distinct";
-  if not (comps_in_range t.m updates) then
+  if not (comps_in_range cfg.m updates) then
     invalid_arg "Aug.block_update: component out of range";
   (* Line 2 *)
-  let h, start_idx = hscan t in
+  let* h, start_idx = hscan in
   (* Line 3 *)
   let ts = Hrep.new_timestamp h ~me in
   (* Line 4: X *)
   let triples =
     List.map (fun (j, v) -> { Hrep.comp = j; value = v; ts }) updates
   in
-  let _, x_idx = do_op t (Ops.Happend_triples triples) in
+  let* x_idx = append (Ops.Happend_triples triples) in
   (* Line 5 *)
-  let g, _ = hscan t in
+  let* g, _ = hscan in
+  (* Lines 8-15, after the helping write. *)
+  let line8 () =
+    let* h', end_idx5 = hscan in
+    (* Line 9: yield iff a lower-identifier process appended new triples.
+       Seeded faults mutate exactly this test. *)
+    let new_lower =
+      match cfg.inject with
+      | None | Some Spin_on_yield -> grew h h' 0 me
+      | Some Skip_yield_check -> false
+      | Some Yield_on_higher -> grew h h' (me + 1) cfg.f
+    in
+    if new_lower && cfg.inject = Some Spin_on_yield then begin
+      (* Deliberately blocking mutation: instead of yielding, busy-wait
+         re-scanning H forever. Breaks non-blocking progress — the target
+         of the explorer's progress oracle. *)
+      let rec spin () =
+        let* _ = hscan in
+        spin ()
+      in
+      spin ()
+    end
+    else if new_lower then begin
+      let n_ops = if cfg.helping then 5 else 4 in
+      Obs.Metrics.incr m_bu;
+      Obs.Metrics.incr m_bu_yield;
+      Obs.Metrics.observe h_bu_hops n_ops;
+      if Obs.Trace.enabled () then
+        Obs.Trace.complete ~name:"M.block-update" ~pid:me ~ts:start_idx
+          ~dur:(end_idx5 - start_idx + 1)
+          ~args:[ ("result", Obs.Json.Str "yield") ]
+          ();
+      Emit
+        ( Bu_op
+            {
+              proc = me;
+              ts;
+              updates;
+              start_idx;
+              x_idx;
+              end_idx = end_idx5;
+              n_ops;
+              h;
+              result = Yield;
+            },
+          Return `Yield )
+    end
+    else begin
+      let atomic last end_idx =
+        let view = Hrep.get_view ~m:cfg.m last in
+        let n_ops = if cfg.helping then 6 else 4 in
+        Obs.Metrics.incr m_bu;
+        Obs.Metrics.incr m_bu_atomic;
+        Obs.Metrics.observe h_bu_hops n_ops;
+        if Obs.Trace.enabled () then
+          Obs.Trace.complete ~name:"M.block-update" ~pid:me ~ts:start_idx
+            ~dur:(end_idx - start_idx + 1)
+            ~args:[ ("result", Obs.Json.Str "atomic") ]
+            ();
+        Emit
+          ( Bu_op
+              {
+                proc = me;
+                ts;
+                updates;
+                start_idx;
+                x_idx;
+                end_idx;
+                n_ops;
+                h;
+                result = Atomic { view; last };
+              },
+            Return (`View view) )
+      in
+      (* Lines 12-15: read L_{j,me}[#h_me] for all j ≠ me, in one scan.
+         The E9 ablation skips the reads and falls back to the Line-2
+         scan result — exactly the stale view the helping mechanism
+         exists to refresh. *)
+      if not cfg.helping then atomic h end_idx5
+      else
+        let* r_snap, end_idx = hscan in
+        atomic (freshest cfg ~me r_snap ~b:(Hrep.count_bu h.(me)) h 0) end_idx
+    end
+  in
   (* Lines 6-7: help lower identifiers, one update. (Skipped by the E9
      ablation; the scan on Line 5 is kept so the yield check's timing is
      unchanged.) *)
-  if t.helping then begin
-    let recs = help_recs g ~skip:me (me - 1) [] in
-    let _ = do_op t (Ops.Happend_lrecords recs) in
-    if recs <> [] then Obs.Metrics.incr m_helping
-  end;
-  (* Line 8 *)
-  let h', end_idx5 = hscan t in
-  (* Line 9: yield iff a lower-identifier process appended new triples.
-     Seeded faults mutate exactly this test. *)
-  let new_lower =
-    match t.inject with
-    | None | Some Spin_on_yield -> grew h h' 0 me
-    | Some Skip_yield_check -> false
-    | Some Yield_on_higher -> grew h h' (me + 1) t.f
+  if cfg.helping then
+    let* () = help (help_recs g ~skip:me (me - 1) []) in
+    line8 ()
+  else line8 ()
+
+(* [r] distinct components below [m], drawn from [g] until there are [r]
+   of them, latest first. *)
+let rec draw_comps g ~m r comps =
+  if List.length comps >= r then (comps, g)
+  else
+    let j, g = Prng.int g m in
+    draw_comps g ~m r (if List.mem j comps then comps else j :: comps)
+
+(* One value below [values] per component, drawn in list order. *)
+let rec draw_values g ~values = function
+  | [] -> ([], g)
+  | j :: rest ->
+    let v, g = Prng.int g values in
+    let rest, g = draw_values g ~values rest in
+    ((j, Value.Int v) :: rest, g)
+
+let random_prog cfg ~me ~seed ~ops ~max_comps ~values =
+  let rec go g k =
+    if k = 0 then return ()
+    else
+      let c, g = Prng.int g 3 in
+      if c = 0 then
+        let* _ = scan_prog cfg ~me in
+        go g (k - 1)
+      else
+        let r, g = Prng.int g (min cfg.m max_comps) in
+        let comps, g = draw_comps g ~m:cfg.m (r + 1) [] in
+        let updates, g = draw_values g ~values comps in
+        let* _ = block_update_prog cfg ~me updates in
+        go g (k - 1)
   in
-  if new_lower && t.inject = Some Spin_on_yield then begin
-    (* Deliberately blocking mutation: instead of yielding, busy-wait
-       re-scanning H forever. Breaks non-blocking progress — the target
-       of the explorer's progress oracle. *)
-    while true do
-      ignore (hscan t)
-    done;
-    assert false
-  end
-  else if new_lower then begin
-    let n_ops = if t.helping then 5 else 4 in
-    Obs.Metrics.incr m_bu;
-    Obs.Metrics.incr m_bu_yield;
-    Obs.Metrics.observe h_bu_hops n_ops;
-    if Obs.Trace.enabled () then
-      Obs.Trace.complete ~name:"M.block-update" ~pid:me ~ts:start_idx
-        ~dur:(end_idx5 - start_idx + 1)
-        ~args:[ ("result", Obs.Json.Str "yield") ]
-        ();
-    t.rev_log <-
-      Bu_op
-        {
-          proc = me;
-          ts;
-          updates;
-          start_idx;
-          x_idx;
-          end_idx = end_idx5;
-          n_ops;
-          h;
-          result = Yield;
-        }
-      :: t.rev_log;
-    `Yield
-  end
-  else begin
-    (* Lines 12-15: read L_{j,me}[#h_me] for all j ≠ me, in one scan.
-       The E9 ablation skips the reads and falls back to the Line-2 scan
-       result — exactly the stale view the helping mechanism exists to
-       refresh. *)
-    let last = ref h in
-    let end_idx =
-      if not t.helping then end_idx5
-      else begin
-        let r_snap, end_idx = hscan t in
-        let b = Hrep.count_bu h.(me) in
-        for j = 0 to t.f - 1 do
-          if j <> me then
-            match Hrep.read_l r_snap ~writer:j ~reader:me ~index:b with
-            | Some rj when Hrep.is_proper_prefix !last rj -> last := rj
-            | Some _ | None -> ()
-        done;
-        end_idx
-      end
-    in
-    let view = Hrep.get_view ~m:t.m !last in
-    let n_ops = if t.helping then 6 else 4 in
-    Obs.Metrics.incr m_bu;
-    Obs.Metrics.incr m_bu_atomic;
-    Obs.Metrics.observe h_bu_hops n_ops;
-    if Obs.Trace.enabled () then
-      Obs.Trace.complete ~name:"M.block-update" ~pid:me ~ts:start_idx
-        ~dur:(end_idx - start_idx + 1)
-        ~args:[ ("result", Obs.Json.Str "atomic") ]
-        ();
-    t.rev_log <-
-      Bu_op
-        {
-          proc = me;
-          ts;
-          updates;
-          start_idx;
-          x_idx;
-          end_idx;
-          n_ops;
-          h;
-          result = Atomic { view; last = !last };
-        }
-      :: t.rev_log;
-    `View view
-  end
+  go (Prng.make seed) ops
+
+(* The fiber driver: the same programs, each H-operation performed as a
+   fiber effect. The fiber resumes right after [apply], so
+   [t.clock - 1] is the operation's index. *)
+let perform t p =
+  drive ~perform:F.op ~index:(fun () -> t.clock - 1) ~emit:(record t) p
+
+let scan t ~me = perform t (scan_prog t.cfg ~me)
+let block_update t ~me updates = perform t (block_update_prog t.cfg ~me updates)

@@ -87,8 +87,6 @@ type mop =
 
 val mop_proc : mop -> int
 
-type t
-
 (** Deliberately seeded bugs, for exercising the exploration engine
     ({!Rsim_explore}): each fault mutates the Line-9 yield test of
     Algorithm 4.
@@ -103,6 +101,24 @@ type t
       flags it; only the explorer's progress oracle does. *)
 type fault = Skip_yield_check | Yield_on_higher | Spin_on_yield
 
+(** The programs' runtime: persistent programs over [H]'s operations,
+    emitting each completed M-operation as a note, and their interpreter,
+    whose result and trace are {!F}'s. *)
+module Prog :
+  Rsim_runtime.Prog.S
+    with type op := Ops.op
+     and type res := Ops.res
+     and type note := mop
+     and type trace_entry := F.trace_entry
+     and type result := F.result
+
+(** An object's immutable configuration: what programs close over. *)
+type config = { f : int; m : int; helping : bool; inject : fault option }
+
+(** An object's shared state: [H], the operation clock and the
+    M-operation log. *)
+type t
+
 (** [create ~f ~m ()]: fresh object for [f] real processes and [m]
     components of M. [helping] (default true) enables the L-record
     helping mechanism of §3.2; disabling it is the E9 ablation — the
@@ -112,12 +128,17 @@ type fault = Skip_yield_check | Yield_on_higher | Spin_on_yield
     (default none) seeds a deliberate bug. *)
 val create : ?helping:bool -> ?inject:fault -> f:int -> m:int -> unit -> t
 
+val config : t -> config
 val f : t -> int
 val m : t -> int
 
-(** The [apply] function to pass to {!F.run}: executes one [H] operation
-    atomically against this object's state. *)
+(** The [apply] function to pass to {!F.run} or {!Prog.start}: executes
+    one [H] operation atomically against this object's state. *)
 val apply : t -> pid:int -> Ops.op -> Ops.res
+
+(** The [emit] function to pass to {!Prog.start}: logs a completed
+    M-operation. *)
+val record : t -> mop -> unit
 
 (** Completed M-operations so far, in completion order. *)
 val log : t -> mop list
@@ -125,15 +146,50 @@ val log : t -> mop list
 (** Number of [H] operations executed so far. *)
 val clock : t -> int
 
-(** {2 Operations — callable only from inside a fiber run with
-    [F.run ~apply:(apply t)]} *)
+(** The object's state at one point of a run: [H], the clock and the log,
+    all persistent values, so saving copies three words. *)
+type saved
+
+val save : t -> saved
+
+(** [restore t s] puts [t] back in state [s]; [s] stays valid. *)
+val restore : t -> saved -> unit
+
+(** {2 Operations as programs} *)
 
 (** [Scan] (Algorithm 3). Non-blocking: loops until two consecutive
     [H.scan]s agree on update triples. *)
-val scan : t -> me:int -> Value.t array
+val scan_prog : config -> me:int -> Value.t array Prog.t
 
 (** [Block-Update] (Algorithm 4) to the given distinct components.
     [`View v] means the Block-Update was atomic and [v] is a view of M
     from the returned earlier point; [`Yield] is the paper's [Y]. *)
+val block_update_prog :
+  config ->
+  me:int ->
+  (int * Value.t) list ->
+  [ `View of Value.t array | `Yield ] Prog.t
+
+(** [random_prog cfg ~me ~seed ~ops ~max_comps ~values]: [ops]
+    M-operations drawn from a PRNG seeded with [seed]: a Scan with
+    probability 1/3, else a Block-Update to between 1 and
+    [min m max_comps] distinct components, each written a value below
+    [values]. The same arguments always give the same program. *)
+val random_prog :
+  config ->
+  me:int ->
+  seed:int ->
+  ops:int ->
+  max_comps:int ->
+  values:int ->
+  unit Prog.t
+
+(** {2 Operations in direct style — callable only from inside a fiber run
+    with [F.run ~apply:(apply t)]} *)
+
+(** {!scan_prog}, performed by the calling fiber. *)
+val scan : t -> me:int -> Value.t array
+
+(** {!block_update_prog}, performed by the calling fiber. *)
 val block_update :
   t -> me:int -> (int * Value.t) list -> [ `View of Value.t array | `Yield ]

@@ -1,33 +1,18 @@
 open Core
 
-let aug_workload ~f ~m ~n_ops ~seed =
-  let aug = Aug.create ~f ~m () in
-  let body pid =
-    let g = ref (Prng.make (seed + (1000 * pid))) in
-    let draw n =
-      let k, g' = Prng.int !g n in
-      g := g';
-      k
-    in
-    for _ = 1 to n_ops do
-      if draw 3 = 0 then ignore (Aug.scan aug ~me:pid)
-      else begin
-        let r = 1 + draw (min m 3) in
-        let comps = ref [] in
-        while List.length !comps < r do
-          let j = draw m in
-          if not (List.mem j !comps) then comps := j :: !comps
-        done;
-        let updates = List.map (fun j -> (j, Value.Int (draw 100))) !comps in
-        ignore (Aug.block_update aug ~me:pid updates)
-      end
-    done
+let aug_workload ?helping ~f ~m ~n_ops ~seed () =
+  let aug = Aug.create ?helping ~f ~m () in
+  let cfg = Aug.config aug in
+  let programs =
+    List.init f (fun me ->
+        Aug.random_prog cfg ~me ~seed:(seed + (1000 * me)) ~ops:n_ops
+          ~max_comps:3 ~values:100)
   in
   let result =
-    Aug.F.run ~max_ops:100_000
+    Aug.Prog.run
       ~sched:(Schedule.random ~seed)
-      ~apply:(Aug.apply aug)
-      (List.init f (fun _ -> body))
+      (Aug.Prog.start ~max_ops:100_000 ~apply:(Aug.apply aug)
+         ~emit:(Aug.record aug) programs)
   in
   (aug, result.Aug.F.trace)
 

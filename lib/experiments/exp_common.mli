@@ -6,12 +6,19 @@
 
 open Core
 
-(** Run a random augmented-snapshot workload: [f] fibers perform [n_ops]
-    operations each (a mix of Scans and Block-Updates drawn from the
-    seed) under a seeded uniform scheduler. Returns the object and the
-    trace. *)
+(** Run a random augmented-snapshot workload: [f] processes perform
+    [n_ops] operations each (a mix of Scans and Block-Updates drawn from
+    the seed, {!Aug.random_prog}) under a seeded uniform scheduler, on
+    the interpreter. [helping] is {!Aug.create}'s. Returns the object and
+    the trace. *)
 val aug_workload :
-  f:int -> m:int -> n_ops:int -> seed:int -> Aug.t * Aug.F.trace_entry list
+  ?helping:bool ->
+  f:int ->
+  m:int ->
+  n_ops:int ->
+  seed:int ->
+  unit ->
+  Aug.t * Aug.F.trace_entry list
 
 (** Run the racing protocol through the full simulation harness. *)
 val racing_sim :

@@ -29,7 +29,7 @@ let e1 =
               let max_bu = ref 0 and max_scan = ref 0 in
               List.iter
                 (fun seed ->
-                  let aug, trace = Exp_common.aug_workload ~f ~m ~n_ops:10 ~seed in
+                  let aug, trace = Exp_common.aug_workload ~f ~m ~n_ops:10 ~seed () in
                   let report = Aug_spec.check aug trace in
                   if not report.Aug_spec.ok then checks := false;
                   bus := !bus + report.Aug_spec.stats.Aug_spec.n_bus;
@@ -59,7 +59,7 @@ let e2 =
     let ok = ref true in
     List.iter
       (fun seed ->
-        let aug, trace = Exp_common.aug_workload ~f ~m ~n_ops:10 ~seed in
+        let aug, trace = Exp_common.aug_workload ~f ~m ~n_ops:10 ~seed () in
         let report = Aug_spec.check aug trace in
         if not report.Aug_spec.ok then ok := false;
         List.iter
@@ -102,7 +102,7 @@ let e3 =
           let scans = ref 0 and bus = ref 0 in
           List.iter
             (fun seed ->
-              let aug, trace = Exp_common.aug_workload ~f ~m ~n_ops:8 ~seed in
+              let aug, trace = Exp_common.aug_workload ~f ~m ~n_ops:8 ~seed () in
               let report = Aug_spec.check aug trace in
               incr total;
               if not report.Aug_spec.ok then begin
@@ -433,36 +433,8 @@ let e8 =
 
 let e9 =
   let workload ~helping ~f ~m ~seed =
-    let aug = Aug.create ~helping ~f ~m () in
-    let body pid =
-      let g = ref (Prng.make (seed + (1000 * pid))) in
-      let draw n =
-        let k, g' = Prng.int !g n in
-        g := g';
-        k
-      in
-      for _ = 1 to 8 do
-        if draw 3 = 0 then ignore (Aug.scan aug ~me:pid)
-        else begin
-          let r = 1 + draw (min m 3) in
-          let comps = ref [] in
-          while List.length !comps < r do
-            let j = draw m in
-            if not (List.mem j !comps) then comps := j :: !comps
-          done;
-          ignore
-            (Aug.block_update aug ~me:pid
-               (List.map (fun j -> (j, Value.Int (draw 100))) !comps))
-        end
-      done
-    in
-    let result =
-      Aug.F.run ~max_ops:50_000
-        ~sched:(Schedule.random ~seed)
-        ~apply:(Aug.apply aug)
-        (List.init f (fun _ -> body))
-    in
-    Aug_spec.check aug result.Aug.F.trace
+    let aug, trace = Exp_common.aug_workload ~helping ~f ~m ~n_ops:8 ~seed () in
+    Aug_spec.check aug trace
   in
   let run () =
     let total = 100 in

@@ -42,12 +42,26 @@ let preemptions_of script =
 (* Workloads                                                         *)
 (* ---------------------------------------------------------------- *)
 
+(* How an execution gets back to a scheduling decision it passed: the
+   decisions that lead there, replayed by workloads that run on fibers,
+   or the saved run state, resumed by workloads that run programs. *)
+type node =
+  | Decisions of int list  (** latest first *)
+  | Saved of {
+      run : Aug.Prog.saved;
+      aug : Aug.saved;
+      digests : int array;
+      fired : int;  (** {!Faults.fired_set} *)
+    }
+
 (* What the exploration engine sees at every scheduling decision of a
    probed execution (see {!Rsim_runtime.Fiber.run}'s [probe]). *)
 type probe_view = {
   step : int;
   live : int list;
   fingerprint : unit -> (int * int) option;
+  save : unit -> node;
+  restore : node -> unit;
 }
 
 type probe = probe_view -> [ `Continue | `Stop ]
@@ -300,25 +314,26 @@ let exhaustive_naive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
     violations = List.rev !violations;
   }
 
-(* A frontier entry: a schedule prefix (reverse-consed decisions) to
-   re-execute and expand. [origin] is the pushing domain, for steal
-   accounting. *)
+(* A frontier entry: a tree node to resume from ([None]: the root) and
+   the decision to take there. [rev_prefix] is every decision from the
+   root, the task's own included, latest first: the leaf's script.
+   [origin] is the pushing domain, for steal accounting. *)
 type frontier_task = {
+  from : node option;
+  first : int;
   rev_prefix : int list;
-  depth : int;
   preempts : int;
   last : int;
   origin : int;
 }
 
-(* The parallel prefix-sharing engine. Each frontier task executes its
-   prefix exactly once; from the prefix's end onward the execution
-   continues greedily down the lowest-pid branch while the probe emits
-   one frontier task per sibling branch — so every tree edge is executed
-   exactly once (the old engine re-executed the whole prefix for every
-   node below it) and the leaf is judged in the same execution via the
-   outcome's lazy [judge] (the old engine re-executed every leaf to
-   judge it).
+(* The parallel prefix-sharing engine. A frontier task resumes its node
+   (the workload restores a saved state, or replays the decisions to it
+   inside its own execution) and from there the execution continues
+   greedily down the lowest-pid branch while the probe emits one
+   frontier task per sibling branch, carrying the node saved at that
+   decision. Every tree edge is then executed exactly once, and the leaf
+   is judged in the same execution via the outcome's lazy [judge].
 
    Determinism: state claims are atomic, and equal (fingerprint, depth,
    bound-state) keys have equal futures, so absent an early stop all
@@ -327,16 +342,21 @@ type frontier_task = {
    of a claim race becomes the prefix that represents the merged state,
    and an early stop keeps whichever raw violations arrived first. *)
 let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
-    ?domains ?(dedup = true) w =
+    ?domains ?dedup w =
   let domains =
     match domains with
     | Some d -> max 1 d
     | None -> max 1 (min 4 (Domain.recommended_domain_count () - 1))
   in
-  (* Injected faults give reached states clock-dependent components
-     (stall windows, restart delays) the fingerprint cannot see, so
-     dedup is unsound there and switches itself off. *)
-  let dedup = dedup && w.faults = None in
+  (* Under a preemption bound the state key carries the preemption count
+     and the last pid, so few states merge and claiming costs more than
+     it cuts: dedup is off there unless asked for. Injected faults give
+     reached states clock-dependent components (stall windows, restart
+     delays) the fingerprint cannot see, so dedup is unsound there and
+     switches itself off. *)
+  let dedup =
+    Option.value dedup ~default:(preemption_bound = None) && w.faults = None
+  in
   (* Sharded claim table: a state key is claimed by exactly one task;
      everyone else is pruned. Each shard's [Hashtbl] picks a bucket from
      the low bits of the key's hash, so the shard comes from the high
@@ -452,95 +472,104 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
     Atomic.incr n_exec;
     Obs.Metrics.incr m_execs;
     Obs.Metrics.incr m_tasks;
-    let prefix = Array.of_list (List.rev t.rev_prefix) in
-    let plen = Array.length prefix in
+    let from = ref t.from in
     let rev_path = ref t.rev_prefix in
     let preempts = ref t.preempts in
     let last = ref t.last in
-    let next_pick = ref (-1) in
+    let next_pick = ref t.first in
     let children = ref [] in
     let aborted = ref false in
     let cut_off = ref false in
-    let probe (pv : probe_view) =
-      if Atomic.get stop then begin
-        aborted := true;
+    (* A decision past the task's own: claim the state, then go down the
+       lowest branch and emit one task per sibling. *)
+    let decide (pv : probe_view) =
+      let fresh =
+        (not dedup)
+        ||
+        match pv.fingerprint () with
+        | None -> true
+        | Some (f1, f2) ->
+          let benc =
+            match preemption_bound with
+            | None -> -1
+            | Some _ -> (!preempts * 64) + !last + 1
+          in
+          if claim (f1, f2, pv.step, benc) then true
+          else begin
+            Atomic.incr n_dedup;
+            Obs.Metrics.incr m_dedup;
+            false
+          end
+      in
+      if not fresh then begin
+        cut_off := true;
         `Stop
       end
-      else if pv.step < plen then begin
-        (* Replaying the task's own prefix: the states along it were
-           claimed when their siblings were emitted, so just dictate the
-           recorded decision. *)
-        next_pick := prefix.(pv.step);
-        `Continue
-      end
+      else if pv.step >= max_steps then
+        (* Truncated leaf: counted post-run, like the complete case —
+           normally the op cap ends the run before the probe even fires
+           here. *)
+        `Stop
       else begin
-        let fresh =
-          (not dedup)
-          ||
-          match pv.fingerprint () with
-          | None -> true
-          | Some (f1, f2) ->
-            let benc =
-              match preemption_bound with
-              | None -> -1
-              | Some _ -> (!preempts * 64) + !last + 1
-            in
-            if claim (f1, f2, pv.step, benc) then true
-            else begin
-              Atomic.incr n_dedup;
-              Obs.Metrics.incr m_dedup;
-              false
-            end
+        Atomic.incr n_nodes;
+        let choices =
+          match preemption_bound with
+          | Some b when !preempts >= b && !last >= 0 && List.mem !last pv.live
+            ->
+            [ !last ]
+          | _ -> pv.live
         in
-        if not fresh then begin
+        let preempts_of_child pid =
+          if !last >= 0 && pid <> !last && List.mem !last pv.live then
+            !preempts + 1
+          else !preempts
+        in
+        match choices with
+        | [] ->
+          (* Unreachable: the probe only fires while some process is
+             live, and a preemption bound only narrows to a live pid. *)
           cut_off := true;
           `Stop
-        end
-        else if pv.step >= max_steps then
-          (* Truncated leaf: counted post-run, like the complete case —
-             normally the fiber op cap ends the run before the probe
-             even fires here. *)
-          `Stop
-        else begin
-          Atomic.incr n_nodes;
-          let choices =
-            match preemption_bound with
-            | Some b
-              when !preempts >= b && !last >= 0 && List.mem !last pv.live ->
-              [ !last ]
-            | _ -> pv.live
-          in
-          let preempts_of_child pid =
-            if !last >= 0 && pid <> !last && List.mem !last pv.live then
-              !preempts + 1
-            else !preempts
-          in
-          match choices with
-          | [] ->
-            (* Unreachable: the probe only fires while some fiber is
-               live, and a preemption bound only narrows to a live pid. *)
-            cut_off := true;
-            `Stop
-          | chosen :: rest ->
+        | chosen :: rest ->
+          (match rest with
+          | [] -> ()
+          | _ :: _ ->
+            let from = Some (pv.save ()) in
             List.iter
               (fun c ->
                 children :=
                   {
+                    from;
+                    first = c;
                     rev_prefix = c :: !rev_path;
-                    depth = pv.step + 1;
                     preempts = preempts_of_child c;
                     last = c;
                     origin = d;
                   }
                   :: !children)
-              rest;
-            preempts := preempts_of_child chosen;
-            last := chosen;
-            rev_path := chosen :: !rev_path;
-            next_pick := chosen;
-            `Continue
-        end
+              rest);
+          preempts := preempts_of_child chosen;
+          last := chosen;
+          rev_path := chosen :: !rev_path;
+          next_pick := chosen;
+          `Continue
       end
+    in
+    let probe (pv : probe_view) =
+      if Atomic.get stop then begin
+        aborted := true;
+        `Stop
+      end
+      else
+        match !from with
+        | None -> decide pv
+        | Some node ->
+          (* The execution's first decision: go to the task's node, whose
+             state was claimed when the task was emitted, and take the
+             task's branch there. *)
+          from := None;
+          pv.restore node;
+          `Continue
     in
     let out =
       w.exec ~probe:(Some probe) ~certify:false
@@ -551,8 +580,8 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
       let script = List.rev !rev_path in
       Obs.Metrics.observe h_preempt (preemptions_of script);
       (* Leaf states are counted here, not in the probe: the probe only
-         fires while some fiber is live, and a truncated run is ended by
-         the fiber op cap before the probe reaches the depth cut. *)
+         fires while some process is live, and a truncated run is ended
+         by the op cap before the probe reaches the depth cut. *)
       Atomic.incr n_nodes;
       if out.live = [] then Atomic.incr n_complete else Atomic.incr n_trunc;
       let errors = out.judge () in
@@ -574,8 +603,9 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
   push
     [
       {
+        from = None;
+        first = -1;
         rev_prefix = [];
-        depth = 0;
         preempts = 0;
         last = -1;
         origin = 0;
@@ -1032,22 +1062,25 @@ module Aug_target = struct
     List.rev !live
 
   (* [Aug.apply] with rolling state digests for the engine's
-     fingerprint: one pair of accumulators per fiber folding its
-     (operation, result) history — bodies are deterministic, so this pins
-     down the fiber's whole local state — and one pair per single-writer
-     H component folding, for each append, the issuer's fiber digest at
-     issue time (append contents are a function of the issuer's history,
-     so the payload itself, which contains recursive snapshots, never
-     needs hashing). A scan's result hash is the combined H-component
-     digest at scan time. The digests are cheap to keep on every
-     operation; the fingerprint, which folds them all with the live set,
-     is computed only when asked for. *)
-  let fingerprinted aug ~f =
-    let fib1 = Array.make f 0x1505 in
-    let fib2 = Array.make f 0x9747 in
-    let comp1 = Array.make f 0x1505 in
-    let comp2 = Array.make f 0x9747 in
-    let apply ~pid op =
+     fingerprint, kept in [d] (see {!digests}): one pair of accumulators
+     per process folding its (operation, result) history — programs are
+     deterministic, so this pins down the process's whole local state —
+     and one pair per single-writer H component folding, for each
+     append, the issuer's digest at issue time (append contents are a
+     function of the issuer's history, so the payload itself, which
+     contains recursive snapshots, never needs hashing). A scan's result
+     hash is the combined H-component digest at scan time. The digests
+     are cheap to keep on every operation; the fingerprint, which folds
+     them all with the live set, is computed only when asked for. *)
+  let fingerprinted aug ~f d =
+    let fold_comps mixf base from =
+      let h = ref base in
+      for i = from to from + f - 1 do
+        h := mixf !h d.(i)
+      done;
+      !h
+    in
+    fun ~pid op ->
       let res = Aug.apply aug ~pid op in
       let tag =
         match op with
@@ -1058,61 +1091,88 @@ module Aug_target = struct
       (match op with
       | Aug.Ops.Hscan -> ()
       | Aug.Ops.Happend_triples _ | Aug.Ops.Happend_lrecords _ ->
-        comp1.(pid) <- mix1 (mix1 comp1.(pid) fib1.(pid)) tag;
-        comp2.(pid) <- mix2 (mix2 comp2.(pid) fib2.(pid)) tag);
+        d.((2 * f) + pid) <- mix1 (mix1 d.((2 * f) + pid) d.(pid)) tag;
+        d.((3 * f) + pid) <- mix2 (mix2 d.((3 * f) + pid) d.(f + pid)) tag);
       let r1, r2 =
         match res with
         | Aug.Ops.Ack -> (17, 17)
-        | Aug.Ops.Snap _ ->
-          (Array.fold_left mix1 5 comp1, Array.fold_left mix2 5 comp2)
+        | Aug.Ops.Snap _ -> (fold_comps mix1 5 (2 * f), fold_comps mix2 5 (3 * f))
       in
-      fib1.(pid) <- mix1 (mix1 fib1.(pid) tag) r1;
-      fib2.(pid) <- mix2 (mix2 fib2.(pid) tag) r2;
+      d.(pid) <- mix1 (mix1 d.(pid) tag) r1;
+      d.(f + pid) <- mix2 (mix2 d.(f + pid) tag) r2;
       res
+
+  (* The digests of [f] processes, in one array so that a saved state
+     copies it at once: the process digests of the two mixers, then the
+     component digests of the two mixers, [f] each. *)
+  let digests ~f =
+    Array.init (4 * f) (fun i -> if (i / f) mod 2 = 0 then 0x1505 else 0x9747)
+
+  let fingerprint d ~f live =
+    let fold mixf a b =
+      let h = ref 0 in
+      for i = a to a + f - 1 do
+        h := mixf !h d.(i)
+      done;
+      for i = b to b + f - 1 do
+        h := mixf !h d.(i)
+      done;
+      List.iter (fun p -> h := mixf !h (p + 1)) live;
+      !h
     in
-    let fingerprint live =
-      let fold mixf a b =
-        let h = ref 0 in
-        Array.iter (fun d -> h := mixf !h d) a;
-        Array.iter (fun d -> h := mixf !h d) b;
-        List.iter (fun p -> h := mixf !h (p + 1)) live;
-        !h
-      in
-      (fold mix1 fib1 comp1, fold mix2 fib2 comp2)
-    in
-    (apply, fingerprint)
+    (fold mix1 0 (2 * f), fold mix2 f (3 * f))
 
   let workload ?(oracles = default_oracles) ?inject ?(faults = [])
-      ~name ~f ~m ~bodies () =
+      ~name ~f ~m ~programs () =
     let ocs = oracle_counters oracles in
+    (* Programs are persistent: every execution starts the same ones. *)
+    let programs = programs (Aug.config (Aug.create ?inject ~f ~m ())) in
     let exec ~probe ~certify:_ ~sched ~max_ops ~check =
       let aug = Aug.create ?inject ~f ~m () in
-      (* A plan is single-run (fire-once state), so compile it afresh for
-         every execution: replays see the identical fault environment. *)
-      let control =
+      (* A plan's fired set is single-run, so compile it afresh for every
+         execution: replays see the identical fault environment. *)
+      let plan =
         match faults with
         | [] -> None
-        | _ :: _ ->
-          Some (Faults.control (Faults.plan ~adapter:Aug.fault_adapter faults))
+        | _ :: _ -> Some (Faults.plan ~adapter:Aug.fault_adapter faults)
       in
-      let apply, fprobe =
+      let start apply =
+        Aug.Prog.start ~max_ops
+          ?control:(Option.map Faults.control plan)
+          ~obs_label:Aug.op_name ~apply ~emit:(Aug.record aug) programs
+      in
+      let result =
         match probe with
-        | None -> (Aug.apply aug, None)
+        | None -> Aug.Prog.run ~sched (start (Aug.apply aug))
         | Some p ->
-          let apply, fingerprint = fingerprinted aug ~f in
+          let d = digests ~f in
+          let run = start (fingerprinted aug ~f d) in
+          let save () =
+            Saved
+              {
+                run = Aug.Prog.save run;
+                aug = Aug.save aug;
+                digests = Array.copy d;
+                fired = (match plan with None -> 0 | Some p -> Faults.fired_set p);
+              }
+          in
+          let restore = function
+            | Saved s ->
+              Aug.Prog.restore run s.run;
+              Aug.restore aug s.aug;
+              Array.blit s.digests 0 d 0 (4 * f);
+              Option.iter (fun p -> Faults.set_fired p s.fired) plan
+            | Decisions _ -> invalid_arg "Aug_target: not a saved state"
+          in
           (* One [fingerprint] closure for the whole execution: it reads
              the live set of the probe call it is handed to. *)
           let probed = ref [] in
-          let fingerprint () = Some (fingerprint !probed) in
-          ( apply,
-            Some
-              (fun ~step ~live ->
-                probed := live;
-                p { step; live; fingerprint }) )
-      in
-      let result =
-        Aug.F.run ~max_ops ?control ~obs_label:Aug.op_name ?probe:fprobe
-          ~sched ~apply (bodies aug)
+          let fingerprint () = Some (fingerprint d ~f !probed) in
+          Aug.Prog.run
+            ~probe:(fun ~step ~live ->
+              probed := live;
+              p { step; live; fingerprint; save; restore })
+            ~sched run
       in
       let live = live_of result.Aug.F.statuses in
       let complete = live = [] in
@@ -1146,60 +1206,50 @@ module Aug_target = struct
       exec;
     }
 
-  (* Deterministic pseudo-random bodies keyed on (f, m, pid): the same
-     workload name + params always produces the same programs, so scripts
-     persisted in artifacts stay replayable. *)
-  let mixed_bodies ~f ~m aug =
-    List.init f (fun pid _ ->
-        let g = ref (Prng.make (0x6d78 + (97 * pid) + (13 * f) + m)) in
-        let draw n =
-          let k, g' = Prng.int !g n in
-          g := g';
-          k
-        in
-        for _ = 1 to 3 do
-          if draw 3 = 0 then ignore (Aug.scan aug ~me:pid)
-          else begin
-            let r = 1 + draw (min m 2) in
-            let comps = ref [] in
-            while List.length !comps < r do
-              let j = draw m in
-              if not (List.mem j !comps) then comps := j :: !comps
-            done;
-            ignore
-              (Aug.block_update aug ~me:pid
-                 (List.map (fun j -> (j, Value.Int (draw 50))) !comps))
-          end
-        done)
-
   let builtin_names = [ "bu-conflict"; "bu-scan"; "bu-then-scan"; "mixed" ]
 
   let builtin ?inject ?faults ?oracles ~name ~f ~m () =
-    let mk bodies =
-      Some (workload ?oracles ?inject ?faults ~name ~f ~m ~bodies ())
+    let mk programs =
+      Some (workload ?oracles ?inject ?faults ~name ~f ~m ~programs ())
     in
+    let open Aug.Prog in
+    let each prog cfg = List.init f (fun me -> prog cfg ~me) in
     match name with
     | "bu-conflict" ->
-      mk (fun aug ->
-          List.init f (fun pid _ ->
-              ignore (Aug.block_update aug ~me:pid [ (0, Value.Int (pid + 1)) ])))
+      mk
+        (each (fun cfg ~me ->
+             let* _ = Aug.block_update_prog cfg ~me [ (0, Value.Int (me + 1)) ] in
+             return ()))
     | "bu-scan" ->
-      mk (fun aug ->
-          List.init f (fun pid _ ->
-              if pid = 0 then
-                ignore
-                  (Aug.block_update aug ~me:0
-                     (if m >= 2 then [ (0, Value.Int 1); (m - 1, Value.Int 2) ]
-                      else [ (0, Value.Int 1) ]))
-              else ignore (Aug.scan aug ~me:pid)))
+      mk
+        (each (fun cfg ~me ->
+             if me = 0 then
+               let* _ =
+                 Aug.block_update_prog cfg ~me:0
+                   (if m >= 2 then [ (0, Value.Int 1); (m - 1, Value.Int 2) ]
+                    else [ (0, Value.Int 1) ])
+               in
+               return ()
+             else
+               let* _ = Aug.scan_prog cfg ~me in
+               return ()))
     | "bu-then-scan" ->
-      mk (fun aug ->
-          List.init f (fun pid _ ->
-              ignore
-                (Aug.block_update aug ~me:pid
-                   [ (pid mod m, Value.Int (pid + 1)) ]);
-              ignore (Aug.scan aug ~me:pid)))
-    | "mixed" -> mk (mixed_bodies ~f ~m)
+      mk
+        (each (fun cfg ~me ->
+             let* _ =
+               Aug.block_update_prog cfg ~me [ (me mod m, Value.Int (me + 1)) ]
+             in
+             let* _ = Aug.scan_prog cfg ~me in
+             return ()))
+    | "mixed" ->
+      (* Deterministic pseudo-random programs keyed on (f, m, pid): the
+         same workload name + params always produces the same programs,
+         so scripts persisted in artifacts stay replayable. *)
+      mk
+        (each (fun cfg ~me ->
+             Aug.random_prog cfg ~me
+               ~seed:(0x6d78 + (97 * me) + (13 * f) + m)
+               ~ops:3 ~max_comps:2 ~values:50))
     | _ -> None
 end
 
@@ -1304,16 +1354,43 @@ module Harness_target = struct
           inputs = List.init f (fun p -> Value.Int (p + 1));
         }
       in
-      (* No state fingerprint for simulation runs: simulator local state
-         is too rich to digest soundly at this boundary, so the engine
-         still shares prefixes but never dedups. *)
-      let fprobe =
-        Option.map
-          (fun p ~step ~live -> p { step; live; fingerprint = no_fingerprint })
-          probe
-      in
       let result =
-        Harness.run ~max_ops ~faults ?watchdog ?probe:fprobe ~sched hspec
+        match probe with
+        | None -> Harness.run ~max_ops ~faults ?watchdog ~sched hspec
+        | Some p ->
+          (* Fibers cannot be saved: a node is the decisions that reach
+             it, and an execution resumed at a node replays them, probing
+             again past the node's own decision. No state fingerprint for
+             simulation runs either: simulator local state is too rich to
+             digest soundly at this boundary, so the engine shares
+             prefixes but never dedups. *)
+          let rev_decisions = ref [] in
+          let replay = ref [||] in
+          let inner = ref sched in
+          let pick ~step ~live =
+            let pid =
+              if step < Array.length !replay then Some !replay.(step)
+              else
+                match Schedule.next !inner ~live with
+                | Some (pid, sched') ->
+                  inner := sched';
+                  Some pid
+                | None -> None
+            in
+            Option.iter (fun pid -> rev_decisions := pid :: !rev_decisions) pid;
+            pid
+          in
+          let save () = Decisions !rev_decisions in
+          let restore = function
+            | Decisions rev -> replay := Array.of_list (List.rev rev)
+            | Saved _ -> invalid_arg "Harness_target: not a decision list"
+          in
+          let probe ~step ~live =
+            if step > 0 && step <= Array.length !replay then `Continue
+            else p { step; live; fingerprint = no_fingerprint; save; restore }
+          in
+          Harness.run ~max_ops ~faults ?watchdog ~probe
+            ~sched:(Schedule.fn pick) hspec
       in
       let live = ref [] in
       Array.iteri

@@ -1,22 +1,24 @@
 (** Schedule exploration: systematic and parallel randomized model
-    checking of fiber workloads.
+    checking of real-process workloads.
 
     Every test and experiment elsewhere in this repository runs a
-    hand-picked or fixed-seed schedule through {!Rsim_runtime.Fiber.run}.
+    hand-picked or fixed-seed schedule through {!Rsim_runtime.Fiber.run}
+    or {!Rsim_runtime.Prog.S.run}.
     But the paper's claims (Lemmas 2-19, Theorem 20, Lemmas 26-32) are
     statements over {e all} interleavings, so this module supplies the
     missing quantifier. A {!workload} packages "build a fresh instance,
-    run its fibers under a given schedule, judge the execution with
+    run its processes under a given schedule, judge the execution with
     oracles"; two engines drive workloads:
 
     - {!exhaustive} enumerates every schedule up to a step bound with a
-      parallel prefix-sharing frontier: each schedule prefix is executed
-      {e once} (the fiber runtime's probe hook enumerates sibling
-      branches mid-run — effect continuations are one-shot, so branching
-      still costs one execution per tree edge, but never a replay per
-      node), states already reached by an equivalent interleaving are
-      pruned by fingerprint, and the frontier is shared
-      work-stealing-style across [Domain]s with a deterministic merge;
+      parallel prefix-sharing frontier: the probe hook enumerates sibling
+      branches mid-run, and each sibling's frontier task resumes the run
+      state saved at its branching point, so every tree edge is executed
+      once and no prefix is replayed (workloads that run on fibers, whose
+      state cannot be saved, replay the decisions instead); states
+      already reached by an equivalent interleaving are pruned by
+      fingerprint, and the frontier is shared work-stealing-style across
+      [Domain]s with a deterministic merge;
     - {!sweep} runs seeded randomized schedules — uniform, crashy
       ({!Rsim_shmem.Schedule.with_crashes}), x-obstruction
       ({!Rsim_shmem.Schedule.among}), starvation
@@ -33,23 +35,38 @@ open Rsim_shmem
 
 (** {2 Workloads and outcomes} *)
 
+(** How an execution gets back to a scheduling decision of another one: a
+    saved run state, or the decisions that lead there. Only the workload
+    whose execution produced a node can resume it. *)
+type node
+
 (** What the exploration engine observes at one scheduling decision of a
     probed execution: the decision index, the schedulable pids, and a
     canonical state fingerprint (two independently-mixed digests of the
-    shared state and every fiber's operation/result history; [None] when
-    the workload cannot fingerprint soundly).
+    shared state and every process's operation/result history; [None]
+    when the workload cannot fingerprint soundly).
 
     The fingerprint is computed only when [fingerprint ()] is called,
     and it is valid only during the probe call that receives it: a
     workload may build one [fingerprint] per execution that reads the
     state of the current decision. {!exhaustive} calls it only at fresh
-    decisions, past the prefix a task replays: the states along a
-    replayed prefix were claimed when the task was emitted, so their
-    fingerprints would be thrown away. *)
+    decisions, past the node a task resumes: the states up to there were
+    claimed when the task was emitted, so their fingerprints would be
+    thrown away.
+
+    [save ()] returns the node of this decision, and [restore n], called
+    at an execution's first decision, moves the execution to node [n]:
+    the decision that probe call precedes is then made at [n], and the
+    execution goes on from there, probing only its new decisions.
+    {!Aug_target} workloads save and restore their run state (nothing is
+    re-executed); {!Harness_target} workloads, which run on fibers,
+    replay the decisions that reach [n] inside the same execution. *)
 type probe_view = {
   step : int;
   live : int list;
   fingerprint : unit -> (int * int) option;
+  save : unit -> node;
+  restore : node -> unit;
 }
 
 (** Returning [`Stop] ends the execution at that decision point. *)
@@ -69,14 +86,15 @@ type outcome = {
           leaves (not pruned mid-run) *)
 }
 
-(** How to build a fresh instance, run its fibers, and judge the result.
-    [exec] must be re-entrant (fresh state on every call): both engines
-    call it concurrently from several [Domain]s. When [check] is false
-    the engine only needs [script]/[live]/[steps] and judges lazily via
-    [judge]. [probe], if given, is called before every scheduling
-    decision with the reached state's {!probe_view}. [certify] is
-    ignored by every workload and engine; the label stays only because
-    the benchmark's exec wrapper still passes it. *)
+(** How to build a fresh instance, run its processes, and judge the
+    result. [exec] must be re-entrant (fresh state on every call): both
+    engines call it concurrently from several [Domain]s. When [check] is
+    false the engine only needs [script]/[live]/[steps] and judges
+    lazily via [judge]. [probe], if given, is called before every
+    scheduling decision with the reached state's {!probe_view}; an
+    execution that the probe moves to a saved node still enters through
+    [exec]. [certify] is ignored by every workload and engine; the label
+    stays only because the benchmark's exec wrapper still passes it. *)
 type workload = {
   name : string;
   n_procs : int;
@@ -123,11 +141,13 @@ type exhaustive_report = {
     that many preemptions (a context switch away from a fiber that could
     still run); bound 0 explores exactly the non-preemptive schedules.
     [domains] (default [min 4 (recommended_domain_count - 1)], at least
-    1) sets the number of parallel workers. [dedup] (default true) prunes
-    prefixes reaching a state already claimed by an equivalent
-    interleaving; it switches itself off when the workload has a fault
-    profile (reached states then depend on wake-up clocks the
-    fingerprint cannot see).
+    1) sets the number of parallel workers. [dedup] prunes prefixes
+    reaching a state already claimed by an equivalent interleaving. It
+    defaults to true without a preemption bound and to false with one
+    (the state key then carries the preemption count and the last pid,
+    so few states merge and claiming costs more than it saves), and it
+    switches itself off when the workload has a fault profile (reached
+    states then depend on wake-up clocks the fingerprint cannot see).
 
     Absent an early stop, counts are deterministic functions of the
     workload and [dedup], regardless of [domains]: state claims are
@@ -220,7 +240,7 @@ module Aug_target : sig
   type exec = {
     aug : Rsim_augmented.Aug.t;
     result : Rsim_augmented.Aug.F.result;
-    complete : bool;  (** no fiber was still pending *)
+    complete : bool;  (** no process was still pending *)
     index : Rsim_augmented.Aug_spec.index Lazy.t;
         (** {!Rsim_augmented.Aug_spec.index} of the run, built by the first
             oracle that needs it: [spec_report], [linearizable] and
@@ -235,7 +255,7 @@ module Aug_target : sig
             operations *)
   }
 
-  (** No fiber raised. *)
+  (** No process raised. *)
   val no_failure : exec Oracle.t
 
   (** The full §3 executable specification, {!Rsim_augmented.Aug_spec.check}. *)
@@ -284,11 +304,15 @@ module Aug_target : sig
   val default_oracles : exec Oracle.t list
 
   (** Build a workload over a fresh augmented snapshot per execution.
-      [bodies aug] must build fresh fiber bodies (one per pid, [f] of
-      them) on every call. [faults] is a fault-plane profile compiled
-      afresh (fire-once state and all) on every execution, so replays are
-      deterministic. Executions maintain rolling state digests, so the
-      exploration engine's probe always gets a fingerprint. *)
+      [programs cfg] gives the processes' programs (one per pid, [f] of
+      them); it is called once, and every execution runs the same
+      persistent programs on the interpreter
+      ({!Rsim_augmented.Aug.Prog}). [faults] is a fault-plane profile
+      compiled afresh (fired set and all) on every execution, so replays
+      are deterministic. Executions maintain rolling state digests, so
+      the exploration engine's probe always gets a fingerprint, and a
+      saved node holds the run state, the object's state, the digests
+      and the fired set. *)
   val workload :
     ?oracles:exec Oracle.t list ->
     ?inject:Rsim_augmented.Aug.fault ->
@@ -296,7 +320,8 @@ module Aug_target : sig
     name:string ->
     f:int ->
     m:int ->
-    bodies:(Rsim_augmented.Aug.t -> (int -> unit) list) ->
+    programs:
+      (Rsim_augmented.Aug.config -> unit Rsim_augmented.Aug.Prog.t list) ->
     unit ->
     workload
 
@@ -366,7 +391,10 @@ module Harness_target : sig
       {!Rsim_simulation.Harness.run}; with a non-empty [faults] the
       default oracles switch to {!fault_oracles}. Probed executions get
       no state fingerprint (simulator local state is too rich to digest
-      soundly), so the engine shares prefixes but never prunes. *)
+      soundly), so the engine shares prefixes but never prunes. The
+      simulators run on fibers, whose state cannot be saved: a node is
+      the decision list that reaches it, and a resumed execution replays
+      it before probing again. *)
   val racing :
     ?oracles:exec Oracle.t list ->
     ?faults:Rsim_faults.Faults.spec list ->

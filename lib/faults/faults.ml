@@ -162,24 +162,36 @@ let null_adapter = { drop = (fun _ -> None); corrupt = (fun _ _ -> None) }
 
 type 'op plan = {
   adapter : 'op adapter;
-  slots : (spec * bool ref) list;  (** each spec fires at most once *)
+  specs : spec array;
+  mutable fired : int;  (** bit [k] set: [specs.(k)] has fired *)
 }
 
 let plan ~adapter specs =
-  { adapter; slots = List.map (fun s -> (s, ref false)) specs }
+  if List.length specs >= Sys.int_size then
+    invalid_arg "Faults.plan: too many specs for the fired set";
+  { adapter; specs = Array.of_list specs; fired = 0 }
+
+let fired_set t = t.fired
+let set_fired t s = t.fired <- s
 
 let fired t =
-  List.filter_map (fun (s, f) -> if !f then Some s else None) t.slots
+  List.filteri (fun k _ -> t.fired land (1 lsl k) <> 0) (Array.to_list t.specs)
+
+(* The first spec that has not fired yet and fires at [pid]'s [nth]
+   operation, or -1. *)
+let rec due t ~pid ~nth k =
+  if k = Array.length t.specs then -1
+  else
+    let s = t.specs.(k) in
+    if t.fired land (1 lsl k) = 0 && s.pid = pid && s.at_op = nth then k
+    else due t ~pid ~nth (k + 1)
 
 let control t ~pid ~nth op : _ Rsim_runtime.Fiber.directive =
-  match
-    List.find_opt
-      (fun ((s : spec), f) -> (not !f) && s.pid = pid && s.at_op = nth)
-      t.slots
-  with
-  | None -> Rsim_runtime.Fiber.Proceed
-  | Some (spec, f) -> (
-    f := true;
+  let k = due t ~pid ~nth 0 in
+  if k < 0 then Rsim_runtime.Fiber.Proceed
+  else begin
+    t.fired <- t.fired lor (1 lsl k);
+    let spec = t.specs.(k) in
     match spec.action with
     | Crash -> Rsim_runtime.Fiber.Crash
     | Restart { delay } -> Rsim_runtime.Fiber.Crash_restart { delay }
@@ -192,4 +204,5 @@ let control t ~pid ~nth op : _ Rsim_runtime.Fiber.directive =
     | Corrupt { seed } -> (
       match t.adapter.corrupt (Prng.make seed) op with
       | Some op' -> Rsim_runtime.Fiber.Replace op'
-      | None -> Rsim_runtime.Fiber.Proceed))
+      | None -> Rsim_runtime.Fiber.Proceed)
+  end

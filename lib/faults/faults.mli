@@ -89,15 +89,29 @@ type 'op adapter = {
     work — they are op-agnostic). *)
 val null_adapter : 'op adapter
 
-(** A compiled profile with its firing state. Mutable and single-run:
-    build a fresh plan per execution (each spec fires at most once). *)
+(** A compiled profile with its fired set: the specs that have fired,
+    each at most once. Mutable and single-run: build a fresh plan per
+    execution, or {!set_fired} one to the fired set of a saved state. *)
 type 'op plan
 
+(** Raises [Invalid_argument] for a profile of [Sys.int_size] specs or
+    more: the fired set is a bitmask. *)
 val plan : adapter:'op adapter -> spec list -> 'op plan
 
 (** The specs that actually fired so far, in profile order. *)
 val fired : 'op plan -> spec list
 
-(** The control hook to pass to {!Rsim_runtime.Fiber.S.run}. *)
+(** The fired set as plain data: bit [k] is set once the profile's
+    [k]-th spec has fired. A saved run state stores it. *)
+val fired_set : 'op plan -> int
+
+(** [set_fired p s] makes [s] (a {!fired_set} of a plan of the same
+    profile) [p]'s fired set. *)
+val set_fired : 'op plan -> int -> unit
+
+(** The control hook to pass to {!Rsim_runtime.Fiber.S.run} or
+    {!Rsim_runtime.Prog.S.start}: it fires the plan's first unfired spec
+    that matches [pid]'s [nth] operation, and allocates nothing when none
+    does. *)
 val control :
   'op plan -> pid:int -> nth:int -> 'op -> 'op Rsim_runtime.Fiber.directive

@@ -40,6 +40,33 @@ let m_live = Obs.Metrics.gauge "fiber.live"
    frees a continuation that is dropped without [discontinue]. *)
 exception Abandoned
 
+let count_ops n = Obs.Metrics.add m_ops n
+
+let record_event ~traced e =
+  (match e with
+  | Ev_crash _ -> Obs.Metrics.incr m_crashes
+  | Ev_restart _ -> Obs.Metrics.incr m_restarts
+  | Ev_stall _ -> Obs.Metrics.incr m_stalls
+  | Ev_replace _ -> Obs.Metrics.incr m_replaces
+  | Ev_raise _ -> Obs.Metrics.incr m_raises);
+  if traced then
+    match e with
+    | Ev_crash { pid; at; restarting } ->
+      Obs.Trace.instant ~name:"fault.crash" ~pid ~ts:at
+        ~args:[ ("restarting", Obs.Json.Bool restarting) ]
+        ()
+    | Ev_restart { pid; at; incarnation } ->
+      Obs.Trace.instant ~name:"fault.restart" ~pid ~ts:at
+        ~args:[ ("incarnation", Obs.Json.Int incarnation) ]
+        ()
+    | Ev_stall { pid; at; steps } ->
+      Obs.Trace.instant ~name:"fault.stall" ~pid ~ts:at
+        ~args:[ ("steps", Obs.Json.Int steps) ]
+        ()
+    | Ev_replace { pid; at } ->
+      Obs.Trace.instant ~name:"fault.replace" ~pid ~ts:at ()
+    | Ev_raise { pid; at } -> Obs.Trace.instant ~name:"fault.raise" ~pid ~ts:at ()
+
 module type S = sig
   type op
   type res
@@ -189,30 +216,7 @@ module Make (M : OPS) = struct
 
   let event st e =
     st.rev_events <- e :: st.rev_events;
-    (match e with
-    | Ev_crash _ -> Obs.Metrics.incr m_crashes
-    | Ev_restart _ -> Obs.Metrics.incr m_restarts
-    | Ev_stall _ -> Obs.Metrics.incr m_stalls
-    | Ev_replace _ -> Obs.Metrics.incr m_replaces
-    | Ev_raise _ -> Obs.Metrics.incr m_raises);
-    if st.traced then
-      match e with
-      | Ev_crash { pid; at; restarting } ->
-        Obs.Trace.instant ~name:"fault.crash" ~pid ~ts:at
-          ~args:[ ("restarting", Obs.Json.Bool restarting) ]
-          ()
-      | Ev_restart { pid; at; incarnation } ->
-        Obs.Trace.instant ~name:"fault.restart" ~pid ~ts:at
-          ~args:[ ("incarnation", Obs.Json.Int incarnation) ]
-          ()
-      | Ev_stall { pid; at; steps } ->
-        Obs.Trace.instant ~name:"fault.stall" ~pid ~ts:at
-          ~args:[ ("steps", Obs.Json.Int steps) ]
-          ()
-      | Ev_replace { pid; at } ->
-        Obs.Trace.instant ~name:"fault.replace" ~pid ~ts:at ()
-      | Ev_raise { pid; at } ->
-        Obs.Trace.instant ~name:"fault.raise" ~pid ~ts:at ()
+    record_event ~traced:st.traced e
 
   let do_restarts st =
     for pid = 0 to st.n - 1 do
@@ -407,7 +411,7 @@ module Make (M : OPS) = struct
     with
     | statuses ->
       abandon_suspended st;
-      Obs.Metrics.add m_ops st.total;
+      count_ops st.total;
       {
         statuses;
         trace = List.rev st.rev_trace;
@@ -418,6 +422,6 @@ module Make (M : OPS) = struct
     | exception e ->
       let bt = Printexc.get_raw_backtrace () in
       abandon_suspended st;
-      Obs.Metrics.add m_ops st.total;
+      count_ops st.total;
       Printexc.raise_with_backtrace e bt
 end

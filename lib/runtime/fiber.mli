@@ -9,6 +9,14 @@
     linearization order of base-object operations — exactly the
     atomic-steps model of the paper (§2).
 
+    Who still runs on fibers: the code written in direct style — the
+    revisionist simulation ([Harness], whose simulators call
+    [Aug.scan]/[Aug.block_update], the direct-style drivers of the
+    {!Prog} programs), [Regsnap] and [Safe_agreement]. The augmented
+    snapshot's explorer workloads and experiments run the same
+    Algorithms 3–4 as programs on {!Prog}'s interpreter, which has this
+    runtime's semantics and can save and resume a run.
+
     Determinism: given the same fiber bodies, scheduler, [apply] function
     and [control] function, the execution and trace are identical. Fibers
     must not share mutable state other than through [apply].
@@ -94,6 +102,15 @@ type event =
   | Ev_stall of { pid : int; at : int; steps : int }
   | Ev_replace of { pid : int; at : int }
   | Ev_raise of { pid : int; at : int }
+
+(** Bumps the [fiber.faults.*] counter of an event and, when [traced],
+    emits its instant trace event: what both runtimes do with every
+    fault-plane event ({!Prog} shares it). *)
+val record_event : traced:bool -> event -> unit
+
+(** [count_ops n] adds [n] applied operations to the [fiber.ops]
+    counter, which both runtimes feed. *)
+val count_ops : int -> unit
 
 (** The runtime at one operation type: what {!Make} returns, and the
     signature every instantiation ([Aug.F], [Regsnap.F],

@@ -518,7 +518,9 @@ let test_engine_matches_naive () =
       (scripts naive) (scripts engine)
   in
   check "clean" (clean_workload ());
-  check "seeded" (seeded_workload ())
+  check "seeded" (seeded_workload ());
+  (* fibers: a task replays its decision list *)
+  check "racing" (Explore.Harness_target.racing ~n:2 ~m:1 ~f:2 ~d:0 ())
 
 let test_domain_count_invariance () =
   (* Pruning off fixes the tree; the report must then be bit-identical
@@ -544,10 +546,10 @@ let test_domain_count_invariance () =
   invariant "seeded" (seeded_workload ())
 
 let test_dedup_soundness () =
-  (* State dedup and sleep-set independence may only cut redundant
-     branches: the injected bug must still be caught with both on (the
-     defaults), and the pruned tree must be domain-count invariant too
-     (exactly one winner per claim key, so the cuts are deterministic). *)
+  (* State dedup may only cut redundant branches: the injected bug must
+     still be caught with it on (the default), and the pruned tree must
+     be domain-count invariant too (exactly one winner per claim key, so
+     the cuts are deterministic). *)
   let run d = Explore.exhaustive ~max_steps:10 ~domains:d (seeded_workload ()) in
   let rep = run 1 in
   Alcotest.(check bool) "bug caught with pruning on" true
@@ -626,7 +628,175 @@ let test_dedup_keeps_verdicts () =
     [ "bu-conflict"; "bu-then-scan"; "mixed" ];
   Alcotest.(check bool)
     (Printf.sprintf "seeded bugs caught in the literal tree (%d builds)" !caught)
-    true (!caught > 0)
+    true (!caught > 0);
+  (* Under a preemption bound dedup is off by default; turned on
+     explicitly, it must keep the verdicts on complete executions too. *)
+  List.iter
+    (fun inject ->
+      let w = get_builtin ?inject "mixed" ~f:3 ~m:2 in
+      let found dedup =
+        (Explore.exhaustive ~max_steps:80 ~preemption_bound:1 ~domains:1
+           ~dedup w)
+          .Explore.violations <> []
+      in
+      let label =
+        Printf.sprintf "mixed f=3 bound 1 %s"
+          (match inject with
+          | None -> "clean"
+          | Some b -> Explore.fault_to_string b)
+      in
+      Alcotest.(check bool) (label ^ ": literal verdict") (inject <> None)
+        (found false);
+      Alcotest.(check bool) (label ^ ": same verdict with dedup") (inject <> None)
+        (found true))
+    [
+      None;
+      Some Aug.Yield_on_higher;
+      Some Aug.Skip_yield_check;
+      Some Aug.Spin_on_yield;
+    ]
+
+(* ---- resuming saved states ---- *)
+
+(* What a trace entry and a logged M-operation say, with every snapshot
+   in it down to its triples and its L-records' headers: comparing
+   snapshots structurally would walk the L-record payloads, which nest
+   earlier snapshots, as a tree. *)
+let snap_key (s : Hrep.snap) =
+  Array.map
+    (fun (c : Hrep.component) ->
+      ( c.Hrep.triples,
+        List.map
+          (fun (r : Hrep.lrecord) -> (r.Hrep.dest, r.index, Hrep.counts r.payload))
+          c.Hrep.lrecords ))
+    s
+
+let entry_key (e : Aug.F.trace_entry) =
+  let op =
+    match e.op with
+    | Aug.Ops.Hscan -> snap_key [||]
+    | Aug.Ops.Happend_triples ts -> [| (ts, []) |]
+    | Aug.Ops.Happend_lrecords rs ->
+      Array.of_list (List.map (fun (r : Hrep.lrecord) -> ([], [ (r.dest, r.index, Hrep.counts r.payload) ])) rs)
+  in
+  let res = match e.res with Aug.Ops.Snap s -> snap_key s | Aug.Ops.Ack -> [||] in
+  (e.idx, e.pid, Aug.op_name e.op, op, res)
+
+let mop_key = function
+  | Aug.Scan_op { proc; start_idx; end_idx; n_ops; view; h } ->
+    (proc, [ start_idx; end_idx; n_ops ], [], view, snap_key h, None)
+  | Aug.Bu_op { proc; ts; updates; start_idx; x_idx; end_idx; n_ops; h; result } ->
+    ( proc,
+      [ start_idx; x_idx; end_idx; n_ops ],
+      (Vts.show ts, updates) :: [],
+      (match result with Aug.Atomic { view; _ } -> view | Aug.Yield -> [||]),
+      snap_key h,
+      Some (match result with Aug.Atomic { last; _ } -> snap_key last | Aug.Yield -> [||]) )
+
+(* For every builtin workload, clean and seeded, with and without fault
+   profiles: an execution moved at its first decision to a node saved at
+   a random depth of a random schedule must give the outcome of the
+   whole schedule run from scratch — script, live set, steps, trace, log
+   and judged errors. Each schedule picks among the live pids by a hash
+   of (decision, live set), so the resumed execution, told the node's
+   depth, makes the same decisions after it. *)
+let test_resume_matches_scratch () =
+  let resumed = ref 0 in
+  List.iter
+    (fun name ->
+      List.iteri
+        (fun k (inject, profile) ->
+          let f = 3 and m = 2 in
+          let faults =
+            match profile with
+            | `None -> None
+            | `Chaos -> Faults.named "chaos" ~n_procs:f ~seed:(k + 3)
+            | `Literal p -> (
+              match Faults.of_string p with
+              | Ok specs -> Some specs
+              | Error e -> Alcotest.fail e)
+          in
+          let seen = ref ([], []) in
+          let capture : Explore.Aug_target.exec Explore.Oracle.t =
+            {
+              Explore.Oracle.name = "capture";
+              on_truncated = true;
+              check =
+                (fun ex ->
+                  seen :=
+                    ( List.map entry_key ex.result.Aug.F.trace,
+                      List.map mop_key (Aug.log ex.aug) );
+                  []);
+            }
+          in
+          let oracles = Explore.Aug_target.default_oracles @ [ capture ] in
+          let w = get_builtin ?inject ?faults ~oracles name ~f ~m in
+          for seed = 1 to 30 do
+            let pick step live =
+              let h = Hashtbl.hash (seed, step, live) in
+              Some (List.nth live (h mod List.length live))
+            in
+            let run ?probe sched =
+              let out =
+                w.Explore.exec ~probe ~certify:false ~sched ~max_ops:60
+                  ~check:true
+              in
+              (out.Explore.script, out.Explore.live, out.Explore.steps,
+               out.Explore.errors, !seen)
+            in
+            let decisions = ref 0 in
+            let scratch =
+              run
+                (Schedule.fn (fun ~step ~live ->
+                     decisions := step + 1;
+                     pick step live))
+            in
+            let depth = Hashtbl.hash (seed, name, k) mod max 1 !decisions in
+            let node = ref None in
+            ignore
+              (run
+                 ~probe:(fun (pv : Explore.probe_view) ->
+                   if pv.step = depth then begin
+                     node := Some (pv.save ());
+                     `Stop
+                   end
+                   else `Continue)
+                 (Schedule.fn (fun ~step ~live -> pick step live)));
+            match !node with
+            | None -> ()
+            | Some n ->
+              incr resumed;
+              let step = ref 0 in
+              let restored = ref false in
+              let probe (pv : Explore.probe_view) =
+                if not !restored then begin
+                  restored := true;
+                  pv.restore n;
+                  step := depth
+                end
+                else step := pv.step;
+                `Continue
+              in
+              let again =
+                run ~probe (Schedule.fn (fun ~step:_ ~live -> pick !step live))
+              in
+              if again <> scratch then
+                Alcotest.failf "%s (case %d) seed %d: resumed at %d differs"
+                  name k seed depth
+          done)
+        [
+          (None, `None);
+          (None, `Chaos);
+          (Some Aug.Skip_yield_check, `None);
+          (Some Aug.Yield_on_higher, `Chaos);
+          (Some Aug.Spin_on_yield, `None);
+          (* the value-plane directives and an injected exception *)
+          (None, `Literal "drop@1:1,corrupt@2:3#5,raise@0:4,stall@1:5*3");
+        ])
+    Explore.Aug_target.builtin_names;
+  Alcotest.(check bool)
+    (Printf.sprintf "states resumed (%d)" !resumed)
+    true (!resumed > 500)
 
 let test_sweep_domain_clamp () =
   (* Tiny budgets must not spawn idle domains. *)
@@ -938,10 +1108,12 @@ let () =
             test_engine_matches_naive;
           Alcotest.test_case "report invariant at 1/2/4 domains" `Quick
             test_domain_count_invariance;
-          Alcotest.test_case "dedup + sleep sets stay sound" `Quick
+          Alcotest.test_case "dedup cuts keep the bug" `Quick
             test_dedup_soundness;
           Alcotest.test_case "dedup keeps seeded-bug verdicts" `Quick
             test_dedup_keeps_verdicts;
+          Alcotest.test_case "resumed states match scratch runs" `Quick
+            test_resume_matches_scratch;
         ] );
       ( "sweep",
         [

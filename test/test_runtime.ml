@@ -497,33 +497,15 @@ let show_status = function
    they read, bodies that raise, return at once or swallow an injected
    exception and carry on; a random schedule; a fire-once fault plan
    drawing every directive; and random [max_ops], [max_restarts] and
-   probe-stop cuts. [case ~op run] drives it through the runtime whose
-   [run] and [op] are given. *)
+   probe-stop cuts. [case ~bodies run] drives it through the runtime
+   whose [run] is given, with bodies built by [bodies kinds lens] (the
+   kind and the length of each pid's body, drawn here). *)
 let random_case seed =
   let g = Random.State.make [| seed |] in
   let int n = Random.State.int g n in
   let n = 1 + int 4 in
   let kinds = Array.init n (fun _ -> int 5) in
   let lens = Array.init n (fun _ -> int 8) in
-  let body op pid =
-    let len = lens.(pid) in
-    let steps () =
-      for i = 1 to len do
-        match op Counter_ops.Get with
-        | Counter_ops.Val v when (v + i + pid) mod 3 = 0 ->
-          ignore (op Counter_ops.Incr)
-        | Counter_ops.Val _ | Counter_ops.Ack -> ignore (op Counter_ops.Get)
-      done
-    in
-    match kinds.(pid) with
-    | 0 -> ()
-    | 1 ->
-      steps ();
-      failwith (Printf.sprintf "body %d gave up" pid)
-    | 2 -> (
-      try steps () with Failure _ -> ignore (op Counter_ops.Incr))
-    | _ -> steps ()
-  in
   let sched =
     match int 3 with
     | 0 -> Schedule.random ~seed:(int 1000)
@@ -546,7 +528,7 @@ let random_case seed =
   let max_ops = if int 3 = 0 then Some (int 20) else None in
   let max_restarts = int 4 in
   let stop_at = if int 3 = 0 then Some (int 25) else None in
-  fun ~op run ->
+  fun ~bodies run ->
     let state, apply = make_counter () in
     let fired = Array.make (List.length plan) false in
     let control ~pid ~nth _op =
@@ -566,14 +548,36 @@ let random_case seed =
       probed := (step, live) :: !probed;
       match stop_at with Some s when step >= s -> `Stop | _ -> `Continue
     in
-    let bodies = List.init n (fun _ pid -> body op pid) in
     let observed =
-      run ?max_ops ~control ~max_restarts ~probe ~sched ~apply bodies
+      run ?max_ops ~control ~max_restarts ~probe ~sched ~apply
+        (bodies kinds lens)
     in
     { observed with o_probed = List.rev !probed; o_counter = !state }
 
-let via_runtime ?max_ops ~control ~max_restarts ~probe ~sched ~apply bodies =
-  let r = F.run ?max_ops ~control ~max_restarts ~probe ~sched ~apply bodies in
+(* The fiber bodies of [random_case], performing operations with [op]. *)
+let fiber_bodies op kinds lens =
+  let body pid =
+    let len = lens.(pid) in
+    let steps () =
+      for i = 1 to len do
+        match op Counter_ops.Get with
+        | Counter_ops.Val v when (v + i + pid) mod 3 = 0 ->
+          ignore (op Counter_ops.Incr)
+        | Counter_ops.Val _ | Counter_ops.Ack -> ignore (op Counter_ops.Get)
+      done
+    in
+    match kinds.(pid) with
+    | 0 -> ()
+    | 1 ->
+      steps ();
+      failwith (Printf.sprintf "body %d gave up" pid)
+    | 2 -> (
+      try steps () with Failure _ -> ignore (op Counter_ops.Incr))
+    | _ -> steps ()
+  in
+  List.init (Array.length kinds) (fun _ pid -> body pid)
+
+let observe (r : F.result) =
   {
     o_statuses = Array.to_list (Array.map show_status r.F.statuses);
     o_trace =
@@ -586,6 +590,9 @@ let via_runtime ?max_ops ~control ~max_restarts ~probe ~sched ~apply bodies =
     o_probed = [];
     o_counter = 0;
   }
+
+let via_runtime ?max_ops ~control ~max_restarts ~probe ~sched ~apply bodies =
+  observe (F.run ?max_ops ~control ~max_restarts ~probe ~sched ~apply bodies)
 
 let via_reference ?max_ops ~control ~max_restarts ~probe ~sched ~apply bodies =
   let r =
@@ -608,8 +615,8 @@ let test_matches_reference () =
   let faulted = ref 0 and cut = ref 0 in
   for seed = 1 to 3000 do
     let case = random_case seed in
-    let got = case ~op:F.op via_runtime
-    and want = case ~op:Ref_F.op via_reference in
+    let got = case ~bodies:(fiber_bodies F.op) via_runtime
+    and want = case ~bodies:(fiber_bodies Ref_F.op) via_reference in
     if got <> want then
       Alcotest.failf "seed %d: the runtime and the reference disagree" seed;
     if got.o_events <> [] then incr faulted;
@@ -617,6 +624,95 @@ let test_matches_reference () =
   done;
   (* The corpus must exercise the fault plane and the early stops, or
      the comparison proves little. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "faulted runs (%d) and cut runs (%d)" !faulted !cut)
+    true
+    (!faulted > 1000 && !cut > 300)
+
+(* ---- the program interpreter against the fiber runtime ---- *)
+
+module P =
+  Prog.Make
+    (struct
+      include Counter_ops
+
+      type note = int * int  (** pid, trace index of a read *)
+    end)
+    (F)
+
+(* [random_case]'s bodies as programs: the same reads and increments,
+   a note per read, and a failure after the last operation for kind 1.
+   A program cannot catch the injected exception, so kind 2 is plain. *)
+let program kinds lens pid : unit P.t =
+  let open P in
+  let len = lens.(pid) in
+  let rec steps i =
+    if i > len then return ()
+    else
+      let* r, idx = op Counter_ops.Get in
+      let* () = emit (pid, idx) in
+      match r with
+      | Counter_ops.Val v when (v + i + pid) mod 3 = 0 ->
+        let* _ = op Counter_ops.Incr in
+        steps (i + 1)
+      | Counter_ops.Val _ | Counter_ops.Ack ->
+        let* _ = op Counter_ops.Get in
+        steps (i + 1)
+  in
+  match kinds.(pid) with
+  | 0 -> return ()
+  | 1 ->
+    let* () = steps 1 in
+    let* _ = op Counter_ops.Get in
+    failwith (Printf.sprintf "program %d gave up" pid)
+  | _ -> steps 1
+
+let via_interpreter ~emit ?max_ops ~control ~max_restarts ~probe ~sched ~apply
+    programs =
+  observe
+    (P.run ~probe ~sched
+       (P.start ?max_ops ~control ~max_restarts ~apply ~emit programs))
+
+(* Every random program runs on the interpreter and, through the
+   direct-style driver, on fibers: statuses, trace, events, per-pid
+   counts, probe calls, the counter and the notes (with the trace index
+   each continuation was handed) must all agree. *)
+let test_interpreter_matches_fibers () =
+  let faulted = ref 0 and cut = ref 0 in
+  for seed = 1 to 3000 do
+    let notes = ref [] in
+    let emit n = notes := n :: !notes in
+    let got =
+      random_case seed
+        ~bodies:(fun kinds lens ->
+          List.init (Array.length kinds) (program kinds lens))
+        (via_interpreter ~emit)
+    in
+    let got_notes = List.rev !notes in
+    notes := [];
+    let applied = ref 0 in
+    let want =
+      random_case seed
+        ~bodies:(fun kinds lens ->
+          List.init (Array.length kinds) (fun pid _ ->
+              P.drive ~perform:F.op
+                ~index:(fun () -> !applied - 1)
+                ~emit (program kinds lens pid)))
+        (fun ?max_ops ~control ~max_restarts ~probe ~sched ~apply bodies ->
+          let apply ~pid op =
+            incr applied;
+            apply ~pid op
+          in
+          via_runtime ?max_ops ~control ~max_restarts ~probe ~sched ~apply
+            bodies)
+    in
+    if got <> want then
+      Alcotest.failf "seed %d: the interpreter and the fibers disagree" seed;
+    if got_notes <> List.rev !notes then
+      Alcotest.failf "seed %d: the programs' notes disagree" seed;
+    if got.o_events <> [] then incr faulted;
+    if List.mem "pending" got.o_statuses then incr cut
+  done;
   Alcotest.(check bool)
     (Printf.sprintf "faulted runs (%d) and cut runs (%d)" !faulted !cut)
     true
@@ -670,6 +766,8 @@ let () =
           Alcotest.test_case "matches the reference runtime" `Quick
             test_matches_reference;
           Alcotest.test_case "allocation per hop" `Quick test_hop_allocation;
+          Alcotest.test_case "interpreter matches fibers" `Quick
+            test_interpreter_matches_fibers;
         ] );
       ( "fault boundary",
         [
