@@ -113,13 +113,20 @@ let explore_sweep_4d =
    plan (the faults-off cost every supervised run now pays per
    H-operation), and with a real injected crash. The first two should be
    indistinguishable. *)
+let bu_programs =
+  let cfg = Aug.config (Aug.create ~f:2 ~m:2 ()) in
+  let bu me comp =
+    Aug.Prog.bind
+      (Aug.block_update_prog cfg ~me [ (comp, Value.Int (me + 1)) ])
+      (fun _ -> Aug.Prog.return ())
+  in
+  [ bu 0 0; bu 1 1 ]
+
 let bu_run ?control () =
   let aug = Aug.create ~f:2 ~m:2 () in
-  Aug.F.run ?control ~sched:Schedule.round_robin ~apply:(Aug.apply aug)
-    [
-      (fun _ -> ignore (Aug.block_update aug ~me:0 [ (0, Value.Int 1) ]));
-      (fun _ -> ignore (Aug.block_update aug ~me:1 [ (1, Value.Int 2) ]));
-    ]
+  Aug.Prog.run ~sched:Schedule.round_robin
+    (Aug.Prog.start ?control ~apply:(Aug.apply aug) ~emit:(Aug.record aug)
+       bu_programs)
 
 let faults_no_hook =
   Test.make ~name:"faults/bu-run no hook" (stage (fun () -> bu_run ()))
@@ -139,17 +146,27 @@ let faults_crash =
          let plan = Faults.plan ~adapter:Aug.fault_adapter specs in
          bu_run ~control:(Faults.control plan) ()))
 
+let regsnap_programs =
+  let open Regsnap.Prog in
+  let update me v =
+    let* _ = Regsnap.update ~f:3 ~me ~now:0 (Value.Int v) in
+    return ()
+  in
+  [
+    update 0 1;
+    update 1 2;
+    (let* _ = Regsnap.scan ~f:3 ~me:2 ~now:0 in
+     return ());
+  ]
+
 let substrate_regsnap =
   Test.make ~name:"substrate/regsnap scan f=3"
     (stage (fun () ->
          let t = Regsnap.create ~f:3 in
          ignore
-           (Regsnap.F.run ~sched:Schedule.round_robin ~apply:(Regsnap.apply t)
-              [
-                (fun _ -> Regsnap.update t ~me:0 (Value.Int 1));
-                (fun _ -> Regsnap.update t ~me:1 (Value.Int 2));
-                (fun _ -> ignore (Regsnap.scan t ~me:2));
-              ])))
+           (Regsnap.Prog.run ~sched:Schedule.round_robin
+              (Regsnap.Prog.start ~apply:(Regsnap.apply t)
+                 ~emit:(Regsnap.record t) regsnap_programs))))
 
 let substrate_sperner =
   Test.make ~name:"substrate/sperner walk s=12"
@@ -370,7 +387,7 @@ let obs_snapshot () =
         let total = ref 0 in
         for _ = 1 to n_runs do
           let r = bu_run () in
-          total := !total + r.Aug.F.total_ops
+          total := !total + r.Aug.Prog.total_ops
         done;
         !total)
   in

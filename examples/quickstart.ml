@@ -16,23 +16,36 @@ let () =
   let show view =
     String.concat "; " (List.map Value.show (Array.to_list view))
   in
-  let body0 _ =
-    (match Aug.block_update aug ~me:0 [ (0, Value.Int 10); (2, Value.Int 30) ] with
-    | `View v -> Printf.printf "q0 Block-Update was atomic; past view = [%s]\n" (show v)
-    | `Yield -> print_endline "q0 yielded (impossible: q0 has the lowest id)");
-    let v = Aug.scan aug ~me:0 in
-    Printf.printf "q0 Scan = [%s]\n" (show v)
-  in
-  let body1 _ =
-    match Aug.block_update aug ~me:1 [ (1, Value.Int 20) ] with
-    | `View v -> Printf.printf "q1 Block-Update was atomic; past view = [%s]\n" (show v)
-    | `Yield -> print_endline "q1 yielded: a lower-id update landed inside its interval"
-  in
+  (* Each process is a program: [let*] issues an operation and continues
+     with its result. *)
+  let cfg = Aug.config aug in
   let result =
-    Aug.F.run ~sched:Rsim_shmem.Schedule.round_robin ~apply:(Aug.apply aug)
-      [ body0; body1 ]
+    let open Aug.Prog in
+    let q0 =
+      let* r =
+        Aug.block_update_prog cfg ~me:0 [ (0, Value.Int 10); (2, Value.Int 30) ]
+      in
+      (match r with
+      | `View v ->
+        Printf.printf "q0 Block-Update was atomic; past view = [%s]\n" (show v)
+      | `Yield -> print_endline "q0 yielded (impossible: q0 has the lowest id)");
+      let* v = Aug.scan_prog cfg ~me:0 in
+      Printf.printf "q0 Scan = [%s]\n" (show v);
+      return ()
+    in
+    let q1 =
+      let* r = Aug.block_update_prog cfg ~me:1 [ (1, Value.Int 20) ] in
+      (match r with
+      | `View v ->
+        Printf.printf "q1 Block-Update was atomic; past view = [%s]\n" (show v)
+      | `Yield ->
+        print_endline "q1 yielded: a lower-id update landed inside its interval");
+      return ()
+    in
+    run ~sched:Schedule.round_robin
+      (start ~apply:(Aug.apply aug) ~emit:(Aug.record aug) [ q0; q1 ])
   in
-  let report = Aug_spec.check aug result.Aug.F.trace in
+  let report = Aug_spec.check aug result.Aug.Prog.trace in
   Printf.printf "spec check (Lemmas 2-19, Thm 20): %s\n\n"
     (if report.Aug_spec.ok then "all hold" else "FAILED");
 

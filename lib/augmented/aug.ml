@@ -13,7 +13,6 @@ module Ops = struct
     | Happend_triples [] | Hscan | Happend_lrecords _ -> false
 end
 
-module F = Rsim_runtime.Fiber.Make (Ops)
 module Obs = Rsim_obs.Obs
 
 let op_name : Ops.op -> string = function
@@ -83,14 +82,14 @@ let mop_proc = function Scan_op { proc; _ } -> proc | Bu_op { proc; _ } -> proc
 
 type fault = Skip_yield_check | Yield_on_higher | Spin_on_yield
 
-module Prog =
-  Rsim_runtime.Prog.Make
-    (struct
-      include Ops
+type note = ..
+type note += Mop of mop
 
-      type note = mop
-    end)
-    (F)
+module Prog = Rsim_runtime.Prog.Make (struct
+  include Ops
+
+  type nonrec note = note
+end)
 
 type config = { f : int; m : int; helping : bool; inject : fault option }
 
@@ -111,7 +110,9 @@ let f t = t.cfg.f
 let m t = t.cfg.m
 let log t = List.rev t.rev_log
 let clock t = t.clock
-let record t mop = t.rev_log <- mop :: t.rev_log
+let record t = function
+  | Mop mop -> t.rev_log <- mop :: t.rev_log
+  | _ -> ()
 
 type saved = { s_h : Hrep.snap; s_clock : int; s_rev_log : mop list }
 
@@ -188,8 +189,10 @@ let scan_prog cfg ~me =
         ~args:[ ("hops", Obs.Json.Int n_ops) ]
         ();
     Emit
-      ( Scan_op { proc = me; start_idx = first_idx; end_idx; n_ops; view; h },
-        Return view )
+      ( Mop
+          (Scan_op
+             { proc = me; start_idx = first_idx; end_idx; n_ops; view; h }),
+        fun () -> Return view )
   in
   let rec rescan h n_ops =
     let* h', idx' = hscan in
@@ -293,19 +296,20 @@ let block_update_prog cfg ~me updates =
           ~args:[ ("result", Obs.Json.Str "yield") ]
           ();
       Emit
-        ( Bu_op
-            {
-              proc = me;
-              ts;
-              updates;
-              start_idx;
-              x_idx;
-              end_idx = end_idx5;
-              n_ops;
-              h;
-              result = Yield;
-            },
-          Return `Yield )
+        ( Mop
+            (Bu_op
+               {
+                 proc = me;
+                 ts;
+                 updates;
+                 start_idx;
+                 x_idx;
+                 end_idx = end_idx5;
+                 n_ops;
+                 h;
+                 result = Yield;
+               }),
+          fun () -> Return `Yield )
     end
     else begin
       let atomic last end_idx =
@@ -320,19 +324,20 @@ let block_update_prog cfg ~me updates =
             ~args:[ ("result", Obs.Json.Str "atomic") ]
             ();
         Emit
-          ( Bu_op
-              {
-                proc = me;
-                ts;
-                updates;
-                start_idx;
-                x_idx;
-                end_idx;
-                n_ops;
-                h;
-                result = Atomic { view; last };
-              },
-            Return (`View view) )
+          ( Mop
+              (Bu_op
+                 {
+                   proc = me;
+                   ts;
+                   updates;
+                   start_idx;
+                   x_idx;
+                   end_idx;
+                   n_ops;
+                   h;
+                   result = Atomic { view; last };
+                 }),
+            fun () -> Return (`View view) )
       in
       (* Lines 12-15: read L_{j,me}[#h_me] for all j ≠ me, in one scan.
          The E9 ablation skips the reads and falls back to the Line-2
@@ -384,12 +389,3 @@ let random_prog cfg ~me ~seed ~ops ~max_comps ~values =
         go g (k - 1)
   in
   go (Prng.make seed) ops
-
-(* The fiber driver: the same programs, each H-operation performed as a
-   fiber effect. The fiber resumes right after [apply], so
-   [t.clock - 1] is the operation's index. *)
-let perform t p =
-  drive ~perform:F.op ~index:(fun () -> t.clock - 1) ~emit:(record t) p
-
-let scan t ~me = perform t (scan_prog t.cfg ~me)
-let block_update t ~me updates = perform t (block_update_prog t.cfg ~me updates)

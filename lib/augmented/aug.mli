@@ -3,8 +3,9 @@
     Shared by [f] real processes [q_0 .. q_{f-1}] (the paper's
     [q_1 .. q_f]; we 0-index, so [q_0] is the lowest identifier and its
     Block-Updates are always atomic). Implemented from a single-writer
-    snapshot [H] ({!Hrep}) on top of the fiber runtime: every [H.scan] /
-    [H.update] is a scheduling point.
+    snapshot [H] ({!Hrep}) as persistent programs on
+    {!Rsim_runtime.Prog}'s interpreter: every [H.scan] / [H.update] is a
+    scheduling point.
 
     [Block-Update] is wait-free (exactly 6 steps when atomic, 5 when it
     yields — Lemma 2); [Scan] is non-blocking (at most [2k+3] steps,
@@ -31,7 +32,7 @@ module Ops : sig
   (** [Snap h]: the result of an [Hscan], the published [H] itself,
       not a copy. Snapshots are shared and immutable: an append
       publishes a fresh array (copy on write) and never mutates one
-      already returned, so every holder of [h] — the scanning fiber, the
+      already returned, so every holder of [h] — the scanning process, the
       trace, the M-operation log, an L-record payload — sees the same
       contents forever. Code that holds a snapshot must not mutate it
       either. *)
@@ -42,13 +43,8 @@ module Ops : sig
   val appends_triples : op -> bool
 end
 
-(** The fiber runtime instantiated at [H]'s operation type. Simulator
-    code runs inside [F.run]. *)
-module F :
-  Rsim_runtime.Fiber.S with type op := Ops.op and type res := Ops.res
-
 (** Trace label for an [H] operation (["H.scan"], ["H.append-triples"],
-    ["H.append-lrecords"]) — pass as [F.run ~obs_label:op_name] for
+    ["H.append-lrecords"]) — pass as [Prog.start ~obs_label:op_name] for
     readable Chrome-trace lanes. *)
 val op_name : Ops.op -> string
 
@@ -101,16 +97,20 @@ val mop_proc : mop -> int
       flags it; only the explorer's progress oracle does. *)
 type fault = Skip_yield_check | Yield_on_higher | Spin_on_yield
 
-(** The programs' runtime: persistent programs over [H]'s operations,
-    emitting each completed M-operation as a note, and their interpreter,
-    whose result and trace are {!F}'s. *)
+(** What programs over [H] emit besides operations. Algorithms 3–4 emit
+    each completed M-operation as a {!Mop}; layers that build programs
+    from them add their own notes (the simulation's journal entries). *)
+type note = ..
+
+type note += Mop of mop
+
+(** The programs' runtime: persistent programs over [H]'s operations and
+    their interpreter. *)
 module Prog :
   Rsim_runtime.Prog.S
     with type op := Ops.op
      and type res := Ops.res
-     and type note := mop
-     and type trace_entry := F.trace_entry
-     and type result := F.result
+     and type note := note
 
 (** An object's immutable configuration: what programs close over. *)
 type config = { f : int; m : int; helping : bool; inject : fault option }
@@ -132,13 +132,14 @@ val config : t -> config
 val f : t -> int
 val m : t -> int
 
-(** The [apply] function to pass to {!F.run} or {!Prog.start}: executes
-    one [H] operation atomically against this object's state. *)
+(** The [apply] function to pass to {!Prog.start}: executes one [H]
+    operation atomically against this object's state. *)
 val apply : t -> pid:int -> Ops.op -> Ops.res
 
 (** The [emit] function to pass to {!Prog.start}: logs a completed
-    M-operation. *)
-val record : t -> mop -> unit
+    M-operation ({!Mop}); other notes are left to the layer that emits
+    them. *)
+val record : t -> note -> unit
 
 (** Completed M-operations so far, in completion order. *)
 val log : t -> mop list
@@ -183,13 +184,3 @@ val random_prog :
   max_comps:int ->
   values:int ->
   unit Prog.t
-
-(** {2 Operations in direct style — callable only from inside a fiber run
-    with [F.run ~apply:(apply t)]} *)
-
-(** {!scan_prog}, performed by the calling fiber. *)
-val scan : t -> me:int -> Value.t array
-
-(** {!block_update_prog}, performed by the calling fiber. *)
-val block_update :
-  t -> me:int -> (int * Value.t) list -> [ `View of Value.t array | `Yield ]

@@ -21,7 +21,7 @@ type scan = { s_log : int; s_proc : int; s_view : Value.t array; s_end : int }
 
 type index = {
   m : int;  (* components of M *)
-  trace : Aug.F.trace_entry array;  (* entry [k] has index [k] *)
+  trace : Aug.Prog.trace_entry array;  (* entry [k] has index [k] *)
   log : Aug.mop array;  (* [Aug.log], in completion order *)
   updates : update array;
       (* every Update, in trace order, including those of Block-Updates
@@ -86,7 +86,7 @@ let iter_bu_updates ix ~writer ~ts f =
 
 let index aug trace =
   let m = Aug.m aug in
-  (* [Fiber.run] numbers operations densely: entry [k] has [idx = k]. *)
+  (* The interpreter numbers operations densely: entry [k] has [idx = k]. *)
   let trace = Array.of_list trace in
   let log = Array.of_list (Aug.log aug) in
   (* The linearization point of an Update (j, t) is the first trace index
@@ -103,7 +103,7 @@ let index aug trace =
   let last_scan = Array.make (Aug.f aug) (-1) in
   let rev_updates = ref [] and n_updates = ref 0 and rev_starts = ref [] in
   Array.iter
-    (fun (e : Aug.F.trace_entry) ->
+    (fun (e : Aug.Prog.trace_entry) ->
       match e.op with
       | Aug.Ops.Hscan -> last_scan.(e.pid) <- e.idx
       | Aug.Ops.Happend_triples (_ :: _ as triples) ->

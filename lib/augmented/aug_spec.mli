@@ -71,13 +71,13 @@ type scan = private {
 type index
 
 (** [index aug trace] builds the index of a finished execution. [trace]
-    is the [F.run] trace of the same run, whose entry [k] has index [k].
+    is the {!Aug.Prog.run} trace of the same run, whose entry [k] has index [k].
     One pass over [trace] finds every Update's linearization point and
     its writer's preceding [H.scan]; nearly sorted arrays then order the
     Updates by linearization point, the Line-4 appends by (timestamp,
     writer) and the Scans by their final [H.scan], and a binary search
     per completed Block-Update classifies its Updates. *)
-val index : Aug.t -> Aug.F.trace_entry list -> index
+val index : Aug.t -> Aug.Prog.trace_entry list -> index
 
 (** [iter_lin ix ~update ~scan] walks the linearized execution of
     M-operations in order (§3.3): every Update, including those of
@@ -131,4 +131,4 @@ val pp_report : Format.formatter -> report -> unit
 val report : index -> report
 
 (** [check aug trace] is [report (index aug trace)]. *)
-val check : Aug.t -> Aug.F.trace_entry list -> report
+val check : Aug.t -> Aug.Prog.trace_entry list -> report

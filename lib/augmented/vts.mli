@@ -24,5 +24,4 @@ val geq : t -> t -> bool
 
 val to_array : t -> int array
 val of_array : int array -> t
-val pp : Format.formatter -> t -> unit
 val show : t -> string

@@ -6,8 +6,8 @@
     {ul
     {- {b Simulated system} (§2.1): {!Value}, {!Proc}, {!Snapshot},
        {!Objects}, {!Schedule}, {!Run}, {!Linearize}.}
-    {- {b Real system}: {!Fiber} (single-step-scheduled cooperative
-       fibers).}
+    {- {b Real system}: {!Prog} (persistent programs and their
+       single-step-scheduled interpreter).}
     {- {b Augmented snapshot} (§3): {!Vts}, {!Hrep}, {!Aug}, and its
        executable specification {!Aug_spec}.}
     {- {b Tasks and protocols}: {!Task}, {!Racing}, {!Adopt2},
@@ -29,7 +29,7 @@ module Objects = Rsim_shmem.Objects
 module Schedule = Rsim_shmem.Schedule
 module Run = Rsim_shmem.Run
 module Linearize = Rsim_shmem.Linearize
-module Fiber = Rsim_runtime.Fiber
+module Prog = Rsim_runtime.Prog
 module Faults = Rsim_faults.Faults
 module Vts = Rsim_augmented.Vts
 module Hrep = Rsim_augmented.Hrep

@@ -14,7 +14,7 @@ let aug_workload ?helping ~f ~m ~n_ops ~seed () =
       (Aug.Prog.start ~max_ops:100_000 ~apply:(Aug.apply aug)
          ~emit:(Aug.record aug) programs)
   in
-  (aug, result.Aug.F.trace)
+  (aug, result.Aug.Prog.trace)
 
 let racing_sim ~n ~m ~f ~d ~seed =
   let spec =
@@ -29,8 +29,6 @@ let racing_sim ~n ~m ~f ~d ~seed =
   in
   let result = Harness.run ~sched:(Schedule.random ~seed) spec in
   (spec, result)
-
-let fmt_row fmt = Printf.sprintf fmt
 
 let pct num den =
   if den = 0 then "n/a" else Printf.sprintf "%.1f%%" (100.0 *. float_of_int num /. float_of_int den)

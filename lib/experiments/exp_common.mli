@@ -18,14 +18,11 @@ val aug_workload :
   n_ops:int ->
   seed:int ->
   unit ->
-  Aug.t * Aug.F.trace_entry list
+  Aug.t * Aug.Prog.trace_entry list
 
 (** Run the racing protocol through the full simulation harness. *)
 val racing_sim :
   n:int -> m:int -> f:int -> d:int -> seed:int -> Harness.spec * Harness.result
-
-(** [row fmt ...] builds one aligned table line. *)
-val fmt_row : ('a, unit, string) format -> 'a
 
 (** Percentage, one decimal. *)
 val pct : int -> int -> string

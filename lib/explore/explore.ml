@@ -43,19 +43,18 @@ let preemptions_of script =
 (* ---------------------------------------------------------------- *)
 
 (* How an execution gets back to a scheduling decision it passed: the
-   decisions that lead there, replayed by workloads that run on fibers,
-   or the saved run state, resumed by workloads that run programs. *)
+   saved state of an augmented-snapshot run, or of a simulation. *)
 type node =
-  | Decisions of int list  (** latest first *)
   | Saved of {
       run : Aug.Prog.saved;
       aug : Aug.saved;
       digests : int array;
       fired : int;  (** {!Faults.fired_set} *)
     }
+  | Sim of Harness.saved
 
 (* What the exploration engine sees at every scheduling decision of a
-   probed execution (see {!Rsim_runtime.Fiber.run}'s [probe]). *)
+   probed execution (see {!Rsim_runtime.Prog.probe}). *)
 type probe_view = {
   step : int;
   live : int list;
@@ -269,7 +268,7 @@ let exhaustive_naive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
     end
   in
   (* DFS over schedule prefixes. [last] is the pid of the previous step,
-     [preempts] the context switches away from a still-live fiber so
+     [preempts] the context switches away from a still-live process so
      far. *)
   let rec go rev_script nsteps preempts last =
     if not !stop then begin
@@ -328,11 +327,10 @@ type frontier_task = {
 }
 
 (* The parallel prefix-sharing engine. A frontier task resumes its node
-   (the workload restores a saved state, or replays the decisions to it
-   inside its own execution) and from there the execution continues
-   greedily down the lowest-pid branch while the probe emits one
-   frontier task per sibling branch, carrying the node saved at that
-   decision. Every tree edge is then executed exactly once, and the leaf
+   (the workload restores the state saved there), and from there the
+   execution continues greedily down the lowest-pid branch while the
+   probe emits one frontier task per sibling branch, carrying the node
+   saved at that decision. Every tree edge is then executed exactly once, and the leaf
    is judged in the same execution via the outcome's lazy [judge].
 
    Determinism: state claims are atomic, and equal (fingerprint, depth,
@@ -831,22 +829,34 @@ let mop_history aug ix =
 (* Oracles both targets share                                        *)
 (* ---------------------------------------------------------------- *)
 
-(* No fiber raised, apart from modeled faults; [noun] names a fiber in
-   the messages. *)
+(* No process raised, apart from modeled faults; [noun] names a
+   process in the messages. *)
 let no_failure_errors ~noun statuses =
   let errs = ref [] in
   Array.iteri
     (fun pid st ->
       match st with
-      | Rsim_runtime.Fiber.Failed e when not (Faults.is_injected e) ->
+      | Rsim_runtime.Prog.Failed e when not (Faults.is_injected e) ->
         errs :=
           Printf.sprintf "%s %d raised %s" noun pid (Printexc.to_string e)
           :: !errs
-      | Rsim_runtime.Fiber.Failed _ (* modeled fault: a crash *)
-      | Rsim_runtime.Fiber.Done | Rsim_runtime.Fiber.Pending
-      | Rsim_runtime.Fiber.Crashed -> ())
+      | Rsim_runtime.Prog.Failed _ (* modeled fault: a crash *)
+      | Rsim_runtime.Prog.Done | Rsim_runtime.Prog.Pending
+      | Rsim_runtime.Prog.Crashed -> ())
     statuses;
   List.rev !errs
+
+(* The pids still pending when a run stopped. *)
+let live_of statuses =
+  let live = ref [] in
+  Array.iteri
+    (fun pid st ->
+      match st with
+      | Rsim_runtime.Prog.Pending -> live := pid :: !live
+      | Rsim_runtime.Prog.Done | Rsim_runtime.Prog.Failed _
+      | Rsim_runtime.Prog.Crashed -> ())
+    statuses;
+  List.rev !live
 
 (* The non-blocking guarantee (Theorem 20's machinery): while any
    process is still pending, some M-operation must keep completing.
@@ -887,7 +897,7 @@ let mix2 h x = ((h lxor (x * 0x9E3779B1)) * 0x27D4EB2F) land max_int
 module Aug_target = struct
   type exec = {
     aug : Aug.t;
-    result : Aug.F.result;
+    result : Aug.Prog.result;
     complete : bool;
     index : Aug_spec.index Lazy.t;
     spec_report : Aug_spec.report Lazy.t;
@@ -906,7 +916,7 @@ module Aug_target = struct
       on_truncated = true;
       check =
         (fun { result; _ } ->
-          no_failure_errors ~noun:"fiber" result.Aug.F.statuses);
+          no_failure_errors ~noun:"process" result.Aug.Prog.statuses);
     }
 
   let spec : exec Oracle.t =
@@ -950,7 +960,7 @@ module Aug_target = struct
       check =
         (fun { aug; result; complete; _ } ->
           progress_errors ~noun:"process" ~window ~complete
-            ~steps:result.Aug.F.total_ops aug);
+            ~steps:result.Aug.Prog.total_ops aug);
     }
 
   (* Crash-robustness: when the run contains injected crashes, the
@@ -965,11 +975,11 @@ module Aug_target = struct
           let crashed =
             Array.exists
               (function
-                | Rsim_runtime.Fiber.Crashed -> true
-                | Rsim_runtime.Fiber.Failed e -> Faults.is_injected e
-                | Rsim_runtime.Fiber.Done | Rsim_runtime.Fiber.Pending ->
+                | Rsim_runtime.Prog.Crashed -> true
+                | Rsim_runtime.Prog.Failed e -> Faults.is_injected e
+                | Rsim_runtime.Prog.Done | Rsim_runtime.Prog.Pending ->
                   false)
-              result.Aug.F.statuses
+              result.Aug.Prog.statuses
           in
           if not crashed then []
           else
@@ -1049,17 +1059,6 @@ module Aug_target = struct
     }
 
   let default_oracles = [ no_failure; spec; theorem20; progress () ]
-
-  let live_of statuses =
-    let live = ref [] in
-    Array.iteri
-      (fun pid st ->
-        match st with
-        | Rsim_runtime.Fiber.Pending -> live := pid :: !live
-        | Rsim_runtime.Fiber.Done | Rsim_runtime.Fiber.Failed _
-        | Rsim_runtime.Fiber.Crashed -> ())
-      statuses;
-    List.rev !live
 
   (* [Aug.apply] with rolling state digests for the engine's
      fingerprint, kept in [d] (see {!digests}): one pair of accumulators
@@ -1162,7 +1161,8 @@ module Aug_target = struct
               Aug.restore aug s.aug;
               Array.blit s.digests 0 d 0 (4 * f);
               Option.iter (fun p -> Faults.set_fired p s.fired) plan
-            | Decisions _ -> invalid_arg "Aug_target: not a saved state"
+            | Sim _ ->
+              invalid_arg "Aug_target: not an augmented-snapshot state"
           in
           (* One [fingerprint] closure for the whole execution: it reads
              the live set of the probe call it is handed to. *)
@@ -1174,9 +1174,9 @@ module Aug_target = struct
               p { step; live; fingerprint; save; restore })
             ~sched run
       in
-      let live = live_of result.Aug.F.statuses in
+      let live = live_of result.Aug.Prog.statuses in
       let complete = live = [] in
-      let index = lazy (Aug_spec.index aug result.Aug.F.trace) in
+      let index = lazy (Aug_spec.index aug result.Aug.Prog.trace) in
       let ex =
         {
           aug;
@@ -1190,9 +1190,11 @@ module Aug_target = struct
       let judge_now () = judge ocs ~complete ex in
       {
         script =
-          List.map (fun (e : Aug.F.trace_entry) -> e.pid) result.Aug.F.trace;
+          List.map
+            (fun (e : Aug.Prog.trace_entry) -> e.pid)
+            result.Aug.Prog.trace;
         live;
-        steps = result.Aug.F.total_ops;
+        steps = result.Aug.Prog.total_ops;
         errors = (if check then judge_now () else []);
         judge = judge_now;
       }
@@ -1354,60 +1356,31 @@ module Harness_target = struct
           inputs = List.init f (fun p -> Value.Int (p + 1));
         }
       in
+      let sim = Harness.start ~max_ops ~faults ?watchdog hspec in
       let result =
         match probe with
-        | None -> Harness.run ~max_ops ~faults ?watchdog ~sched hspec
+        | None -> Harness.finish ~sched sim
         | Some p ->
-          (* Fibers cannot be saved: a node is the decisions that reach
-             it, and an execution resumed at a node replays them, probing
-             again past the node's own decision. No state fingerprint for
-             simulation runs either: simulator local state is too rich to
+          (* A node is the simulation's saved state. No state fingerprint
+             for simulation runs: simulator local state is too rich to
              digest soundly at this boundary, so the engine shares
              prefixes but never dedups. *)
-          let rev_decisions = ref [] in
-          let replay = ref [||] in
-          let inner = ref sched in
-          let pick ~step ~live =
-            let pid =
-              if step < Array.length !replay then Some !replay.(step)
-              else
-                match Schedule.next !inner ~live with
-                | Some (pid, sched') ->
-                  inner := sched';
-                  Some pid
-                | None -> None
-            in
-            Option.iter (fun pid -> rev_decisions := pid :: !rev_decisions) pid;
-            pid
-          in
-          let save () = Decisions !rev_decisions in
+          let save () = Sim (Harness.save sim) in
           let restore = function
-            | Decisions rev -> replay := Array.of_list (List.rev rev)
-            | Saved _ -> invalid_arg "Harness_target: not a decision list"
+            | Sim s -> Harness.restore sim s
+            | Saved _ -> invalid_arg "Harness_target: not a simulation state"
           in
-          let probe ~step ~live =
-            if step > 0 && step <= Array.length !replay then `Continue
-            else p { step; live; fingerprint = no_fingerprint; save; restore }
-          in
-          Harness.run ~max_ops ~faults ?watchdog ~probe
-            ~sched:(Schedule.fn pick) hspec
+          Harness.finish
+            ~probe:(fun ~step ~live ->
+              p { step; live; fingerprint = no_fingerprint; save; restore })
+            ~sched sim
       in
-      let live = ref [] in
-      Array.iteri
-        (fun pid st ->
-          match st with
-          | Rsim_runtime.Fiber.Pending -> live := pid :: !live
-          | Rsim_runtime.Fiber.Done | Rsim_runtime.Fiber.Failed _
-          | Rsim_runtime.Fiber.Crashed -> ())
-        result.Harness.statuses;
-      let live = List.rev !live in
+      let live = live_of result.Harness.statuses in
       let complete = live = [] in
       let judge_now () = judge ocs ~complete { hspec; result; complete } in
       {
         script =
-          List.map
-            (fun (e : Rsim_augmented.Aug.F.trace_entry) -> e.pid)
-            result.Harness.trace;
+          List.map (fun (e : Aug.Prog.trace_entry) -> e.pid) result.Harness.trace;
         live;
         steps = result.Harness.total_ops;
         errors = (if check then judge_now () else []);

@@ -2,8 +2,7 @@
     checking of real-process workloads.
 
     Every test and experiment elsewhere in this repository runs a
-    hand-picked or fixed-seed schedule through {!Rsim_runtime.Fiber.run}
-    or {!Rsim_runtime.Prog.S.run}.
+    hand-picked or fixed-seed schedule through {!Rsim_runtime.Prog.S.run}.
     But the paper's claims (Lemmas 2-19, Theorem 20, Lemmas 26-32) are
     statements over {e all} interleavings, so this module supplies the
     missing quantifier. A {!workload} packages "build a fresh instance,
@@ -14,8 +13,7 @@
       parallel prefix-sharing frontier: the probe hook enumerates sibling
       branches mid-run, and each sibling's frontier task resumes the run
       state saved at its branching point, so every tree edge is executed
-      once and no prefix is replayed (workloads that run on fibers, whose
-      state cannot be saved, replay the decisions instead); states
+      once and no prefix is replayed; states
       already reached by an equivalent interleaving are pruned by
       fingerprint, and the frontier is shared work-stealing-style across
       [Domain]s with a deterministic merge;
@@ -35,9 +33,9 @@ open Rsim_shmem
 
 (** {2 Workloads and outcomes} *)
 
-(** How an execution gets back to a scheduling decision of another one: a
-    saved run state, or the decisions that lead there. Only the workload
-    whose execution produced a node can resume it. *)
+(** How an execution gets back to a scheduling decision of another one:
+    the run state saved there. Only the workload whose execution produced
+    a node can resume it. *)
 type node
 
 (** What the exploration engine observes at one scheduling decision of a
@@ -58,9 +56,7 @@ type node
     at an execution's first decision, moves the execution to node [n]:
     the decision that probe call precedes is then made at [n], and the
     execution goes on from there, probing only its new decisions.
-    {!Aug_target} workloads save and restore their run state (nothing is
-    re-executed); {!Harness_target} workloads, which run on fibers,
-    replay the decisions that reach [n] inside the same execution. *)
+    Workloads save and restore their run state: nothing is re-executed. *)
 type probe_view = {
   step : int;
   live : int list;
@@ -121,7 +117,7 @@ type violation = {
 (** {2 Engines} *)
 
 type exhaustive_report = {
-  complete : int;  (** executions in which every fiber finished *)
+  complete : int;  (** executions in which every process finished *)
   truncated : int;  (** executions cut off by the step bound *)
   prefixes : int;  (** tree nodes expanded (schedule prefixes visited) *)
   executions : int;  (** workload executions actually run *)
@@ -138,7 +134,7 @@ type exhaustive_report = {
     (subject to each oracle's [on_truncated]).
 
     [preemption_bound], if given, only explores schedules with at most
-    that many preemptions (a context switch away from a fiber that could
+    that many preemptions (a context switch away from a process that could
     still run); bound 0 explores exactly the non-preemptive schedules.
     [domains] (default [min 4 (recommended_domain_count - 1)], at least
     1) sets the number of parallel workers. [dedup] prunes prefixes
@@ -223,7 +219,7 @@ module Oracle : sig
   type 'exec t = {
     name : string;
     on_truncated : bool;
-        (** also judge executions in which some fiber never finished *)
+        (** also judge executions in which some process never finished *)
     check : 'exec -> string list;  (** [[]] = pass *)
   }
 end
@@ -239,7 +235,7 @@ val fault_of_string : string -> Rsim_augmented.Aug.fault option
 module Aug_target : sig
   type exec = {
     aug : Rsim_augmented.Aug.t;
-    result : Rsim_augmented.Aug.F.result;
+    result : Rsim_augmented.Aug.Prog.result;
     complete : bool;  (** no process was still pending *)
     index : Rsim_augmented.Aug_spec.index Lazy.t;
         (** {!Rsim_augmented.Aug_spec.index} of the run, built by the first
@@ -388,13 +384,13 @@ module Harness_target : sig
       simulators ([d] of them direct) over an [m]-component augmented
       snapshot, simulating [n] processes. Workload name ["racing"].
       [faults]/[watchdog] are passed to every
-      {!Rsim_simulation.Harness.run}; with a non-empty [faults] the
+      {!Rsim_simulation.Harness.start}; with a non-empty [faults] the
       default oracles switch to {!fault_oracles}. Probed executions get
       no state fingerprint (simulator local state is too rich to digest
-      soundly), so the engine shares prefixes but never prunes. The
-      simulators run on fibers, whose state cannot be saved: a node is
-      the decision list that reaches it, and a resumed execution replays
-      it before probing again. *)
+      soundly), so the engine shares prefixes but never prunes. A node
+      is the simulation's saved state ({!Rsim_simulation.Harness.save}):
+      the journals, the quarantines and the fired set with the run and
+      the object. *)
   val racing :
     ?oracles:exec Oracle.t list ->
     ?faults:Rsim_faults.Faults.spec list ->

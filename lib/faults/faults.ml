@@ -150,7 +150,7 @@ let resolve ~n_procs ~seed s =
            (String.concat ", " names)))
 
 (* ---------------------------------------------------------------- *)
-(* Compiling a profile into a fiber control hook                     *)
+(* Compiling a profile into a control hook                           *)
 (* ---------------------------------------------------------------- *)
 
 type 'op adapter = {
@@ -186,23 +186,23 @@ let rec due t ~pid ~nth k =
     if t.fired land (1 lsl k) = 0 && s.pid = pid && s.at_op = nth then k
     else due t ~pid ~nth (k + 1)
 
-let control t ~pid ~nth op : _ Rsim_runtime.Fiber.directive =
+let control t ~pid ~nth op : _ Rsim_runtime.Prog.directive =
   let k = due t ~pid ~nth 0 in
-  if k < 0 then Rsim_runtime.Fiber.Proceed
+  if k < 0 then Rsim_runtime.Prog.Proceed
   else begin
     t.fired <- t.fired lor (1 lsl k);
     let spec = t.specs.(k) in
     match spec.action with
-    | Crash -> Rsim_runtime.Fiber.Crash
-    | Restart { delay } -> Rsim_runtime.Fiber.Crash_restart { delay }
-    | Stall { steps } -> Rsim_runtime.Fiber.Stall { steps }
-    | Raise_exn -> Rsim_runtime.Fiber.Raise (Injected (spec.pid, spec.at_op))
+    | Crash -> Rsim_runtime.Prog.Crash
+    | Restart { delay } -> Rsim_runtime.Prog.Crash_restart { delay }
+    | Stall { steps } -> Rsim_runtime.Prog.Stall { steps }
+    | Raise_exn -> Rsim_runtime.Prog.Raise (Injected (spec.pid, spec.at_op))
     | Drop -> (
       match t.adapter.drop op with
-      | Some op' -> Rsim_runtime.Fiber.Replace op'
-      | None -> Rsim_runtime.Fiber.Proceed)
+      | Some op' -> Rsim_runtime.Prog.Replace op'
+      | None -> Rsim_runtime.Prog.Proceed)
     | Corrupt { seed } -> (
       match t.adapter.corrupt (Prng.make seed) op with
-      | Some op' -> Rsim_runtime.Fiber.Replace op'
-      | None -> Rsim_runtime.Fiber.Proceed)
+      | Some op' -> Rsim_runtime.Prog.Replace op'
+      | None -> Rsim_runtime.Prog.Proceed)
   end

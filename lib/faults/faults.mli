@@ -1,5 +1,5 @@
 (** The fault plane: declarative, seed-deterministic fault injection at
-    the fiber apply boundary.
+    the runtime's apply boundary.
 
     The augmented snapshot's headline guarantee (Theorem 20) is
     {e non-blocking under any schedule and any crash pattern}: some
@@ -9,13 +9,12 @@
     (the process's [at_op]-th base-object operation, 0-based, cumulative
     across restarts) and an {!action}; a list of specs — a {e profile} —
     is compiled by {!plan}/{!control} into the [control] hook of
-    {!Rsim_runtime.Fiber.S.run}, so {e every} fiber workload
-    (augmented snapshot, register snapshot, full simulations, explorer
-    workloads) can be faulted through one mechanism, without per-module
-    hooks.
+    {!Rsim_runtime.Prog.S.start}, so {e every} workload (augmented
+    snapshot, register snapshot, full simulations, explorer workloads)
+    can be faulted through one mechanism, without per-module hooks.
 
     Crash, restart and stall are op-agnostic and handled entirely by the
-    fiber runtime. Dropped and corrupted writes must know the workload's
+    runtime. Dropped and corrupted writes must know the workload's
     operation type, so a profile is compiled together with an {!adapter}
     that says how to drop or corrupt an operation (e.g.
     {!Rsim_augmented.Aug.fault_adapter}); faults that the adapter cannot
@@ -31,7 +30,7 @@
               | "stall@"P":"K"*"S    hide P from the scheduler for S decisions
               | "drop@"P":"K         the write at op K is silently lost
               | "corrupt@"P":"K"#"R  the write's value is mutated (seed R)
-              | "raise@"P":"K        P's body is unwound with Injected
+              | "raise@"P":"K        P fails with Injected
     profile ::= "" | "none" | spec ("," spec)*
     v} *)
 
@@ -46,7 +45,7 @@ type action =
 type spec = { pid : int; at_op : int; action : action }
 
 (** The exception delivered by [raise@P:K] faults, carrying [(pid,
-    at_op)]. Oracles that tolerate modeled faults should treat a fiber
+    at_op)]. Oracles that tolerate modeled faults should treat a process
     [Failed (Injected _)] as a crash, not a bug ({!is_injected}). *)
 exception Injected of int * int
 
@@ -54,7 +53,6 @@ val is_injected : exn -> bool
 
 (** {2 The profile grammar} *)
 
-val spec_to_string : spec -> string
 val to_string : spec list -> string
 
 (** Parses the grammar above. [""] and ["none"] are the empty profile. *)
@@ -75,7 +73,7 @@ val named : string -> n_procs:int -> seed:int -> spec list option
     profile in the grammar. *)
 val resolve : n_procs:int -> seed:int -> string -> (spec list, string) result
 
-(** {2 Compilation to a fiber control hook} *)
+(** {2 Compilation to a control hook} *)
 
 (** How to express value-plane faults on a concrete operation type.
     [drop op] is the write-nothing form of [op] ([None] if [op] is not a
@@ -109,9 +107,8 @@ val fired_set : 'op plan -> int
     profile) [p]'s fired set. *)
 val set_fired : 'op plan -> int -> unit
 
-(** The control hook to pass to {!Rsim_runtime.Fiber.S.run} or
-    {!Rsim_runtime.Prog.S.start}: it fires the plan's first unfired spec
-    that matches [pid]'s [nth] operation, and allocates nothing when none
-    does. *)
+(** The control hook to pass to {!Rsim_runtime.Prog.S.start}: it fires
+    the plan's first unfired spec that matches [pid]'s [nth] operation,
+    and allocates nothing when none does. *)
 val control :
-  'op plan -> pid:int -> nth:int -> 'op -> 'op Rsim_runtime.Fiber.directive
+  'op plan -> pid:int -> nth:int -> 'op -> 'op Rsim_runtime.Prog.directive

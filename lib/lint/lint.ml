@@ -27,13 +27,13 @@
    R3  determinism of the model-checked paths: lib/runtime, lib/augmented
        and lib/explore must not read ambient nondeterminism ([Random.*],
        [Unix.gettimeofday], [Unix.time], [Sys.time]); randomness goes
-       through the splittable [Prng] and time through logical clocks,
+       through [Prng] and time through logical clocks,
        or replayed artifacts stop reproducing.
 
    R4  no partial functions on the hot paths: [List.hd] / [List.tl] /
        [Option.get] / bare [failwith] in lib/runtime, lib/augmented,
        lib/explore turn schedule-dependent states into exceptions the
-       explorer reports as fiber failures far from the cause. (Unproven
+       explorer reports as process failures far from the cause. (Unproven
        [Array.get] bounds are out of scope for a Parsetree checker; the
        dev profile's warning set and the exhaustive engine cover that
        dynamically.)
@@ -41,6 +41,14 @@
    R5  every library module has an interface: a lib/**. ml without a
        sibling .mli has its whole namespace public, which is how
        internal mutable state leaks across library boundaries.
+
+   R6  interfaces hold only what other modules use: a top-level [val]
+       in a lib/ .mli that no module outside its own library refers to
+       (in lib/, bin/, bench/, dev/, test/, perfbench/ or examples/) is
+       flagged, so leftovers do not pile up in interfaces. A reference
+       is [M.x] (through any module path or alias) or a bare [x] in a
+       file that opens [M]; being syntactic, the check over-counts
+       references rather than missing one.
 
    Findings are compared against a committed baseline keyed by
    (rule, file, message) — line numbers shift too easily — so CI fails
@@ -364,7 +372,7 @@ let lint_file ~root ~file =
 
 let default_dirs = [ "lib"; "bin"; "bench"; "dev" ]
 
-let rec walk root rel acc =
+let rec walk_ext ext root rel acc =
   let abs = if rel = "" then root else Filename.concat root rel in
   if not (Sys.file_exists abs) then acc
   else if Sys.is_directory abs then
@@ -373,16 +381,137 @@ let rec walk root rel acc =
     else
       Array.fold_left
         (fun acc entry ->
-          walk root
+          walk_ext ext root
             (if rel = "" then entry else Filename.concat rel entry)
             acc)
         acc (Sys.readdir abs)
-  else if Filename.check_suffix rel ".ml" then rel :: acc
+  else if Filename.check_suffix rel ext then rel :: acc
   else acc
+
+let walk = walk_ext ".ml"
 
 let files ?(dirs = default_dirs) ~root () =
   List.sort compare
     (List.concat_map (fun d -> walk root d []) dirs)
+
+(* ---------------------------------------------------------------- *)
+(* R6: interfaces hold only what other modules use                   *)
+(* ---------------------------------------------------------------- *)
+
+let consumer_dirs =
+  [ "lib"; "bin"; "bench"; "dev"; "test"; "perfbench"; "examples" ]
+
+(* The library directory of a file under lib/, or "" elsewhere. *)
+let library_of path =
+  match String.split_on_char '/' path with
+  | "lib" :: dir :: _ :: _ -> dir
+  | _ -> ""
+
+let last_of lid = match List.rev (flat lid) with x :: _ -> x | [] -> ""
+
+(* The (module, value) pairs an implementation refers to: [M.x] through
+   any path, and a bare [x] for every module [M] the file opens
+   ([open M], [let open M], [M.(...)]). A module alias [module A = P.M]
+   makes [A] stand for [M]. *)
+let references str =
+  let aliases = Hashtbl.create 8 in
+  let opened = ref [] and quals = ref [] and bares = ref [] in
+  let open_ (o : Parsetree.module_expr Parsetree.open_infos) =
+    match o.popen_expr.pmod_desc with
+    | Pmod_ident { txt; _ } -> opened := last_of txt :: !opened
+    | _ -> ()
+  in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      expr =
+        (fun self e ->
+          (match e.pexp_desc with
+          | Pexp_ident { txt; _ } -> (
+            match List.rev (flat txt) with
+            | [ x ] -> bares := x :: !bares
+            | x :: m :: _ -> quals := (m, x) :: !quals
+            | [] -> ())
+          | Pexp_open (o, _) -> open_ o
+          | _ -> ());
+          Ast_iterator.default_iterator.expr self e);
+      structure_item =
+        (fun self si ->
+          (match si.pstr_desc with
+          | Pstr_open o -> open_ o
+          | Pstr_module
+              {
+                pmb_name = { txt = Some a; _ };
+                pmb_expr = { pmod_desc = Pmod_ident { txt; _ }; _ };
+                _;
+              } ->
+            Hashtbl.replace aliases a (last_of txt)
+          | _ -> ());
+          Ast_iterator.default_iterator.structure_item self si);
+    }
+  in
+  it.structure it str;
+  let resolve m = Option.value (Hashtbl.find_opt aliases m) ~default:m in
+  List.map (fun (m, x) -> (resolve m, x)) !quals
+  @ List.concat_map
+      (fun o -> List.map (fun x -> (resolve o, x)) !bares)
+      (List.sort_uniq compare !opened)
+
+let parse_file ~root ~file parse =
+  let lexbuf = Lexing.from_string (read_file (Filename.concat root file)) in
+  Lexing.set_filename lexbuf file;
+  match parse lexbuf with v -> Some v | exception _ -> None
+
+let unused_vals ~root =
+  let impls, intfs =
+    List.concat_map (fun d -> walk_ext ".ml" root d []) consumer_dirs,
+    List.filter
+      (fun f -> library_of f <> "")
+      (walk_ext ".mli" root "lib" [])
+  in
+  (* Per module and value, the libraries of the files that refer to it
+     ("" for files outside lib/). *)
+  let users = Hashtbl.create 1024 in
+  List.iter
+    (fun file ->
+      match parse_file ~root ~file Parse.implementation with
+      | None -> ()
+      | Some str ->
+        List.iter
+          (fun key -> Hashtbl.add users key (library_of file))
+          (List.sort_uniq compare (references str)))
+    impls;
+  List.concat_map
+    (fun file ->
+      let lib = library_of file in
+      let m =
+        String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
+      in
+      match parse_file ~root ~file Parse.interface with
+      | None -> []
+      | Some sg ->
+        List.filter_map
+          (fun (item : Parsetree.signature_item) ->
+            match item.psig_desc with
+            | Psig_value vd
+              when not
+                     (List.exists (( <> ) lib)
+                        (Hashtbl.find_all users (m, vd.pval_name.txt))) ->
+              let p = vd.pval_loc.loc_start in
+              Some
+                {
+                  rule = "R6";
+                  file;
+                  line = p.pos_lnum;
+                  col = p.pos_cnum - p.pos_bol;
+                  message =
+                    Printf.sprintf
+                      "val %s.%s is used by no module outside its library" m
+                      vd.pval_name.txt;
+                }
+            | _ -> None)
+          sg)
+    (List.sort compare intfs)
 
 let compare_finding a b =
   match compare a.file b.file with
@@ -414,7 +543,10 @@ let scan ?dirs ~root () =
         else fs)
       fs
   in
-  { files = List.length fs; findings = List.sort compare_finding findings }
+  {
+    files = List.length fs;
+    findings = List.sort compare_finding (findings @ unused_vals ~root);
+  }
 
 (* ---------------------------------------------------------------- *)
 (* JSON report + baseline                                            *)

@@ -20,13 +20,19 @@
     - {b R4} no partial functions ([List.hd], [List.tl], [Option.get],
       bare [failwith]) on those same hot paths.
     - {b R5} every [lib/] module has a sibling [.mli].
+    - {b R6} every top-level [val] of a [lib/] [.mli] is referred to by
+      some module outside its library (in [lib/], [bin/], [bench/],
+      [dev/], [test/], [perfbench/] or [examples/]), so interfaces hold
+      only what other modules use.
 
     Findings are diffed against a committed baseline keyed by
-    (rule, file, message) so CI fails only on regressions; the JSON
-    report is [{tool; files; total; fresh; findings}]. *)
+    (rule, file, message) so CI fails only on regressions; an entry may
+    carry a ["reason"], which the diff ignores (and rewriting the
+    baseline drops). The JSON report is
+    [{tool; files; total; fresh; findings}]. *)
 
 type finding = {
-  rule : string;  (** ["R1"]..["R5"], or ["parse"] for unparseable files *)
+  rule : string;  (** ["R1"]..["R6"], or ["parse"] for unparseable files *)
   file : string;  (** repository-relative path *)
   line : int;
   col : int;
@@ -35,33 +41,20 @@ type finding = {
 
 type report = { files : int;  (** files scanned *) findings : finding list }
 
-(** Lint one implementation file. [file] is the repository-relative
-    path (used for zone classification and in findings); the source is
-    read from [root ^ "/" ^ file]. *)
-val lint_file : root:string -> file:string -> finding list
-
 (** Lint source text directly (fixture tests). *)
 val lint_source : file:string -> string -> finding list
 
-(** The [.ml] files a scan would visit, sorted (default dirs:
-    [lib bin bench dev], skipping [_build]-style directories). *)
-val files : ?dirs:string list -> root:string -> unit -> string list
-
-(** Walk the workspace and apply every rule, including R5. Findings are
-    sorted by (file, line, rule, message). *)
+(** Walk the workspace and apply every rule: R1–R5 to the [.ml] files
+    under [dirs] (default [lib bin bench dev], skipping [_build]-style
+    directories), R6 to [lib/]'s interfaces. Findings are sorted by
+    (file, line, rule, message). *)
 val scan : ?dirs:string list -> root:string -> unit -> report
 
 (** {2 Report + baseline} *)
 
-val finding_to_json : finding -> Rsim_obs.Obs.Json.t
-
 (** The JSON report, [{tool; files; total; fresh; findings}]. *)
 val report_to_json :
   tool:string -> fresh:finding list -> report -> Rsim_obs.Obs.Json.t
-
-(** Baseline identity of a finding: line numbers shift too easily, so
-    (rule, file, message). *)
-val key : finding -> string * string * string
 
 val baseline_to_string : finding list -> string
 

@@ -502,7 +502,7 @@ module Trace = struct
     name : string;
     ph : string;
     dom : int;  (* Chrome pid: the OCaml domain that recorded the event *)
-    tid : int;  (* Chrome tid: the in-run process (fiber) id *)
+    tid : int;  (* Chrome tid: the in-run process id *)
     ts : int;
     dur : int;  (* < 0 means "no dur field" *)
     value : int option;  (* counter events *)

@@ -1,5 +1,5 @@
 (** The observability plane: structured logging, a metrics registry, and
-    a span/event tracer shared by the fiber runtime, the augmented
+    a span/event tracer shared by the runtime, the augmented
     snapshot, the revisionist-simulation harness, and the schedule
     explorer.
 
@@ -101,7 +101,7 @@ module Metrics : sig
   val set : gauge -> int -> unit
 
   (** [shift g k] adds [k] (possibly negative) to [g] atomically, so
-      gauges that track a level (e.g. live fibers) stay exact when
+      gauges that track a level (e.g. a frontier's depth) stay exact when
       several domains move them at once. *)
   val shift : gauge -> int -> unit
   val gauge_value : gauge -> int
@@ -154,7 +154,7 @@ end
     with a JSONL fallback. Timestamps are {e logical}: instrumentation
     passes the runtime's operation index as [ts], so traces are
     deterministic and replay-stable. The Chrome [tid] is the in-run
-    process (fiber) id; the Chrome [pid] is the OCaml domain that
+    process id; the Chrome [pid] is the OCaml domain that
     recorded the event, which separates the explorer's parallel sweep
     lanes. *)
 module Trace : sig

@@ -22,10 +22,6 @@ open Rsim_value
 (** Number of rounds sufficient for precision [eps] on inputs in [0,1]. *)
 val rounds_for : eps:float -> int
 
-(** [proc ~slot ~rounds ~input ()] — [slot] is this process's own
-    component (the protocol uses single-writer components: [m = n]). *)
-val proc : slot:int -> rounds:int -> input:Value.t -> unit -> Rsim_shmem.Proc.t
-
 (** Factory for the simulation harness with [m = n] components: process
     [pid] writes component [pid]. *)
 val protocol : rounds:int -> unit -> int -> Value.t -> Rsim_shmem.Proc.t

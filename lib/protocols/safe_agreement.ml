@@ -5,7 +5,13 @@ module Ops = struct
   type res = Sa_view of Value.t array | Sa_ack
 end
 
-module F = Rsim_runtime.Fiber.Make (Ops)
+type note = Read of { proc : int; value : Value.t option }
+
+module Prog = Rsim_runtime.Prog.Make (struct
+  include Ops
+
+  type nonrec note = note
+end)
 
 (* Component i holds (level, value) for process i, encoded as a pair;
    Bot = (0, Bot). *)
@@ -32,37 +38,42 @@ let decode cell =
 
 let encode level v = Value.Pair (Value.Int level, v)
 
-let sa_scan () =
-  match F.op Ops.Sa_scan with
-  | Ops.Sa_view view -> Array.map decode view
-  | Ops.Sa_ack -> assert false
+open Prog
 
-let sa_write v = ignore (F.op (Ops.Sa_write v))
+let sa_scan =
+  Op
+    ( Ops.Sa_scan,
+      fun r _ ->
+        match r with
+        | Ops.Sa_view view -> Return (Array.map decode view)
+        | Ops.Sa_ack -> assert false )
 
-let propose _t ~me:_ v =
+let sa_write v = Op (Ops.Sa_write v, fun _ _ -> Return ())
+
+let propose v =
   (* level 1: entering the unsafe window *)
-  sa_write (encode 1 v);
-  let view = sa_scan () in
+  let* () = sa_write (encode 1 v) in
+  let* view = sa_scan in
   if Array.exists (fun (level, _) -> level = 2) view then
     (* someone already settled: retreat *)
     sa_write (encode 0 v)
   else sa_write (encode 2 v)
 
-let read _t ~me:_ ~max_spins =
+let read ~me ~max_spins =
   let rec spin k =
-    if k = 0 then None
-    else begin
-      let view = sa_scan () in
+    if k = 0 then return None
+    else
+      let* view = sa_scan in
       if Array.exists (fun (level, _) -> level = 1) view then spin (k - 1)
-      else begin
+      else
         (* no one unsafe: the settled set is now stable enough to read *)
         let settled =
           Array.to_list view |> List.filter (fun (level, _) -> level = 2)
         in
         match settled with
-        | (_, v) :: _ -> Some v
+        | (_, v) :: _ -> return (Some v)
         | [] -> spin (k - 1) (* nobody proposed yet *)
-      end
-    end
   in
-  spin max_spins
+  let* value = spin max_spins in
+  let* () = emit (Read { proc = me; value }) in
+  return value

@@ -19,8 +19,9 @@
     is at level 1, then returns the settled value with the smallest
     index.
 
-    Processes run as fibers; every snapshot operation is a scheduling
-    point, so the blocking window is schedulable and testable. *)
+    Processes are persistent programs ({!Rsim_runtime.Prog}); every
+    snapshot operation is a scheduling point, so the blocking window is
+    schedulable and testable. *)
 
 open Rsim_value
 
@@ -29,21 +30,31 @@ module Ops : sig
   type res = Sa_view of Value.t array | Sa_ack
 end
 
-module F :
-  Rsim_runtime.Fiber.S with type op := Ops.op and type res := Ops.res
+(** What a {!read} reports when it returns: the reader and the agreed
+    value, or [None] if it timed out. *)
+type note = Read of { proc : int; value : Value.t option }
+
+module Prog :
+  Rsim_runtime.Prog.S
+    with type op := Ops.op
+     and type res := Ops.res
+     and type note := note
 
 type t
 
 val create : f:int -> t
+
+(** The [apply] function to pass to {!Prog.start}. *)
 val apply : t -> pid:int -> Ops.op -> Ops.res
 
-(** {2 Operations — inside fibers only} *)
+(** {2 Operations} *)
 
-(** [propose t ~me v] — wait-free (a constant number of steps). *)
-val propose : t -> me:int -> Value.t -> unit
+(** [propose v] — wait-free (a constant number of steps). *)
+val propose : Value.t -> unit Prog.t
 
-(** [read t ~me] — returns the agreed value. Blocks (keeps re-scanning)
-    while any process sits in its unsafe window; [max_spins] bounds the
-    wait, returning [None] on timeout so tests can observe the blocking
-    behaviour that the revisionist simulation avoids. *)
-val read : t -> me:int -> max_spins:int -> Value.t option
+(** [read ~me ~max_spins] — returns the agreed value, and emits it as a
+    {!Read} note. Blocks (keeps re-scanning) while any process sits in
+    its unsafe window; [max_spins] bounds the wait, returning [None] on
+    timeout so tests can observe the blocking behaviour that the
+    revisionist simulation avoids. *)
+val read : me:int -> max_spins:int -> Value.t option Prog.t

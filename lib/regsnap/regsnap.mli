@@ -4,9 +4,10 @@
     snapshot [H] (§2.1), which it notes is implementable from registers
     [2] (Afek, Attiya, Dolev, Gafni, Merritt, Shavit: "Atomic snapshots
     of shared memory", JACM 1993). This module closes that gap in our
-    stack: the classic AADGMS construction, running on the fiber runtime
-    so that every {e register} access is a scheduling point, with an
-    operation history recorded for linearizability checking.
+    stack: the classic AADGMS construction, written as persistent programs
+    ({!Rsim_runtime.Prog}) so that every {e register} access is a
+    scheduling point, with an operation history emitted as notes for
+    linearizability checking.
 
     Construction: register [i] (written only by process [i]) holds
     [(value, seq, embedded_view)]. An [update] performs an embedded
@@ -29,12 +30,11 @@ module Ops : sig
   type res = Got of Value.t | Ack
 end
 
-(** The fiber runtime at register granularity. *)
-module F :
-  Rsim_runtime.Fiber.S with type op := Ops.op and type res := Ops.res
-
 (** One completed high-level operation, for linearizability checking:
-    interval endpoints are register-step indices. *)
+    interval endpoints are register-step indices. [inv] is the register
+    clock when the operation was invoked (the number of register steps
+    applied before it, as its process observed it: see {!scan}); [ret]
+    is one past its last step. *)
 type hop =
   | Update_op of {
       proc : int;
@@ -52,12 +52,25 @@ type hop =
       n_ops : int;
     }
 
+(** Programs at register granularity; each completed high-level
+    operation is emitted as a note. *)
+module Prog :
+  Rsim_runtime.Prog.S
+    with type op := Ops.op
+     and type res := Ops.res
+     and type note := hop
+
+(** The registers and the history of completed operations. *)
 type t
 
 val create : f:int -> t
 
-(** Pass to {!F.run}. *)
+(** The [apply] function to pass to {!Prog.start}. *)
 val apply : t -> pid:int -> Ops.op -> Ops.res
+
+(** The [emit] function to pass to {!Prog.start}: logs a completed
+    operation. *)
+val record : t -> hop -> unit
 
 (** Completed high-level operations, in completion order. *)
 val history : t -> hop list
@@ -66,10 +79,19 @@ val history : t -> hop list
     reads. *)
 val scan_step_bound : f:int -> int
 
-(** {2 High-level operations — inside fibers only} *)
+(** {2 High-level operations}
 
-(** [update t ~me v] sets this process's component to [v]. *)
-val update : t -> me:int -> Value.t -> unit
+    A process threads the register clock [now] through its operations:
+    0 before its first one, then what the previous one returned. It is
+    the clock at invocation, the [inv] of the operation's {!hop}: a
+    process that runs right after its previous step sees every step
+    applied so far. (A restarted process starts again from 0, which only
+    widens its first interval.) *)
 
-(** [scan t ~me] returns an atomic view of all [f] components. *)
-val scan : t -> me:int -> Value.t array
+(** [update ~f ~me ~now v] sets this process's component to [v] and
+    returns the clock after its last step. *)
+val update : f:int -> me:int -> now:int -> Value.t -> int Prog.t
+
+(** [scan ~f ~me ~now] returns an atomic view of all [f] components and
+    the clock after its last step. *)
+val scan : f:int -> me:int -> now:int -> (Value.t array * int) Prog.t

@@ -1,3 +1,22 @@
+type status = Done | Pending | Failed of exn | Crashed
+
+type 'op directive =
+  | Proceed
+  | Replace of 'op
+  | Crash
+  | Crash_restart of { delay : int }
+  | Stall of { steps : int }
+  | Raise of exn
+
+type event =
+  | Ev_crash of { pid : int; at : int; restarting : bool }
+  | Ev_restart of { pid : int; at : int; incarnation : int }
+  | Ev_stall of { pid : int; at : int; steps : int }
+  | Ev_replace of { pid : int; at : int }
+  | Ev_raise of { pid : int; at : int }
+
+type probe = step:int -> live:int list -> [ `Continue | `Stop ]
+
 module type OPS = sig
   type op
   type res
@@ -6,17 +25,50 @@ end
 
 module Obs = Rsim_obs.Obs
 
+(* Always-on fault-plane and throughput counters, no allocation (the
+   observability plane's "off" cost): a fault event is one atomic
+   increment, and [fiber.ops] gets one atomic add per run. *)
+let m_ops = Obs.Metrics.counter "fiber.ops"
+let m_crashes = Obs.Metrics.counter "fiber.faults.crash"
+let m_restarts = Obs.Metrics.counter "fiber.faults.restart"
+let m_stalls = Obs.Metrics.counter "fiber.faults.stall"
+let m_replaces = Obs.Metrics.counter "fiber.faults.replace"
+let m_raises = Obs.Metrics.counter "fiber.faults.raise"
+
+let record_event ~traced e =
+  (match e with
+  | Ev_crash _ -> Obs.Metrics.incr m_crashes
+  | Ev_restart _ -> Obs.Metrics.incr m_restarts
+  | Ev_stall _ -> Obs.Metrics.incr m_stalls
+  | Ev_replace _ -> Obs.Metrics.incr m_replaces
+  | Ev_raise _ -> Obs.Metrics.incr m_raises);
+  if traced then
+    match e with
+    | Ev_crash { pid; at; restarting } ->
+      Obs.Trace.instant ~name:"fault.crash" ~pid ~ts:at
+        ~args:[ ("restarting", Obs.Json.Bool restarting) ]
+        ()
+    | Ev_restart { pid; at; incarnation } ->
+      Obs.Trace.instant ~name:"fault.restart" ~pid ~ts:at
+        ~args:[ ("incarnation", Obs.Json.Int incarnation) ]
+        ()
+    | Ev_stall { pid; at; steps } ->
+      Obs.Trace.instant ~name:"fault.stall" ~pid ~ts:at
+        ~args:[ ("steps", Obs.Json.Int steps) ]
+        ()
+    | Ev_replace { pid; at } ->
+      Obs.Trace.instant ~name:"fault.replace" ~pid ~ts:at ()
+    | Ev_raise { pid; at } -> Obs.Trace.instant ~name:"fault.raise" ~pid ~ts:at ()
+
 module type S = sig
   type op
   type res
   type note
-  type trace_entry
-  type result
 
   type 'a t =
     | Return of 'a
     | Op of op * (res -> int -> 'a t)
-    | Emit of note * 'a t
+    | Emit of note * (unit -> 'a t)
 
   val return : 'a -> 'a t
   val op : op -> (res * int) t
@@ -24,18 +76,21 @@ module type S = sig
   val bind : 'a t -> ('a -> 'b t) -> 'b t
   val ( let* ) : 'a t -> ('a -> 'b t) -> 'b t
 
-  val drive :
-    perform:(op -> res) ->
-    index:(unit -> int) ->
-    emit:(note -> unit) ->
-    'a t ->
-    'a
+  type trace_entry = { idx : int; pid : int; op : op; res : res }
+
+  type result = {
+    statuses : status array;
+    trace : trace_entry list;
+    ops_per_fiber : int array;
+    total_ops : int;
+    events : event list;
+  }
 
   type run
 
   val start :
     ?max_ops:int ->
-    ?control:(pid:int -> nth:int -> op -> op Fiber.directive) ->
+    ?control:(pid:int -> nth:int -> op -> op directive) ->
     ?max_restarts:int ->
     ?obs_label:(op -> string) ->
     apply:(pid:int -> op -> res) ->
@@ -43,8 +98,7 @@ module type S = sig
     unit t list ->
     run
 
-  val run : ?probe:(step:int -> live:int list -> [ `Continue | `Stop ]) ->
-    sched:Rsim_shmem.Schedule.t -> run -> result
+  val run : ?probe:probe -> sched:Rsim_shmem.Schedule.t -> run -> result
 
   type saved
 
@@ -52,46 +106,51 @@ module type S = sig
   val restore : run -> saved -> unit
 end
 
-module Make
-    (M : OPS)
-    (F : Fiber.S with type op := M.op and type res := M.res) =
-struct
+module Make (M : OPS) = struct
   type 'a t =
     | Return of 'a
     | Op of M.op * (M.res -> int -> 'a t)
-    | Emit of M.note * 'a t
+    | Emit of M.note * (unit -> 'a t)
 
   let return x = Return x
   let op o = Op (o, fun r i -> Return (r, i))
-  let emit n = Emit (n, Return ())
+  let emit n = Emit (n, fun () -> Return ())
 
   let rec bind p f =
     match p with
     | Return x -> f x
     | Op (o, k) -> Op (o, fun r i -> bind (k r i) f)
-    | Emit (n, p) -> Emit (n, bind p f)
+    | Emit (n, p) -> Emit (n, fun () -> bind (p ()) f)
 
   let ( let* ) = bind
 
-  let rec drive ~perform ~index ~emit = function
-    | Return x -> x
-    | Op (o, k) ->
-      let r = perform o in
-      drive ~perform ~index ~emit (k r (index ()))
-    | Emit (n, p) ->
-      emit n;
-      drive ~perform ~index ~emit p
+  type trace_entry = { idx : int; pid : int; op : M.op; res : M.res }
+
+  type result = {
+    statuses : status array;
+    trace : trace_entry list;
+    ops_per_fiber : int array;
+    total_ops : int;
+    events : event list;
+  }
 
   (* A pid's program waits at its next operation, or is over: finished,
      failed or crashed. *)
-  type slot = Suspended of M.op * (M.res -> int -> unit t) | Over of Fiber.status
+  type slot = Suspended of M.op * (M.res -> int -> unit t) | Over of status
 
-  (* One run's state, laid out as {!Fiber.Make}'s: [clock] counts
-     scheduling decisions (stall and restart delays run against it, and it
-     fast-forwards when only waiting pids remain), [decisions] the
-     decisions made, densely. Everything a decision changes is in the
-     fields that {!save} copies; [hops] counts this run's own applied
-     operations for [fiber.ops]. *)
+  (* One run's state. [clock] counts scheduling decisions: stall windows
+     and restart delays are measured against it, so a stalled or
+     crashed-restarting pid wakes after others have been offered that
+     many turns, or at once if nobody else can run (time fast-forwards).
+     [decisions] counts the decisions made; unlike [clock] it never
+     jumps, so a probe sees a dense 0,1,2,... step sequence. The
+     schedulable pids, ascending, are cached in [live] between the events
+     that change them: a program finishing, crashing, stalling or
+     restarting sets [live_stale], and a stall running out reaches
+     [live_until], the earliest clock at which a pid the cache leaves out
+     wakes. Everything a decision changes is in the fields that {!save}
+     copies; [hops] counts this run's own applied operations for
+     [fiber.ops]. *)
   type run = {
     n : int;
     programs : unit t array;  (** initial programs, for restarts *)
@@ -99,13 +158,13 @@ struct
     ops_per_fiber : int array;
     apply : pid:int -> M.op -> M.res;
     emit : M.note -> unit;
-    control : (pid:int -> nth:int -> M.op -> M.op Fiber.directive) option;
+    control : (pid:int -> nth:int -> M.op -> M.op directive) option;
     max_ops : int;
     max_restarts : int;
     obs_label : M.op -> string;
     traced : bool;
-    mutable rev_trace : F.trace_entry list;
-    mutable rev_events : Fiber.event list;
+    mutable rev_trace : trace_entry list;
+    mutable rev_events : event list;
     mutable total : int;
     mutable clock : int;
     mutable decisions : int;
@@ -122,8 +181,8 @@ struct
   type saved = {
     s_slots : slot array;
     s_ops_per_fiber : int array;
-    s_rev_trace : F.trace_entry list;
-    s_rev_events : Fiber.event list;
+    s_rev_trace : trace_entry list;
+    s_rev_events : event list;
     s_total : int;
     s_clock : int;
     s_decisions : int;
@@ -163,17 +222,21 @@ struct
     st.restarts_pending <- s.s_restarts_pending;
     st.live_stale <- true
 
-  (* Run [pid]'s program up to its next operation or its end. *)
+  (* Run [pid]'s program up to its next operation or its end, emitting
+     its notes; an exception out of a continuation fails the program, as
+     one out of direct-style code past the notes would. *)
   let rec settle st pid = function
-    | Return () -> st.slots.(pid) <- Over Fiber.Done
+    | Return () -> st.slots.(pid) <- Over Done
     | Op (o, k) -> st.slots.(pid) <- Suspended (o, k)
-    | Emit (n, p) ->
+    | Emit (n, p) -> (
       st.emit n;
-      settle st pid p
+      match p () with
+      | p -> settle st pid p
+      | exception e -> st.slots.(pid) <- Over (Failed e))
 
   let event st e =
     st.rev_events <- e :: st.rev_events;
-    Fiber.record_event ~traced:st.traced e
+    record_event ~traced:st.traced e
 
   let do_restarts st =
     for pid = 0 to st.n - 1 do
@@ -183,7 +246,7 @@ struct
         st.restarts_pending <- st.restarts_pending - 1;
         st.incarnations.(pid) <- st.incarnations.(pid) + 1;
         event st
-          (Fiber.Ev_restart
+          (Ev_restart
              { pid; at = st.total; incarnation = st.incarnations.(pid) });
         settle st pid st.programs.(pid);
         st.live_stale <- true
@@ -224,7 +287,7 @@ struct
   let exec st pid k op =
     let res = st.apply ~pid op in
     let idx = st.total in
-    st.rev_trace <- { F.idx; pid; op; res } :: st.rev_trace;
+    st.rev_trace <- { idx; pid; op; res } :: st.rev_trace;
     st.total <- idx + 1;
     st.hops <- st.hops + 1;
     st.ops_per_fiber.(pid) <- st.ops_per_fiber.(pid) + 1;
@@ -232,30 +295,30 @@ struct
       Obs.Trace.sampled_complete ~name:(st.obs_label op) ~pid ~ts:idx ~dur:1 ();
     match k res idx with
     | p -> settle st pid p
-    | exception e -> st.slots.(pid) <- Over (Fiber.Failed e)
+    | exception e -> st.slots.(pid) <- Over (Failed e)
 
   let direct st c pid k pending_op =
     match c ~pid ~nth:st.ops_per_fiber.(pid) pending_op with
-    | Fiber.Proceed -> exec st pid k pending_op
-    | Fiber.Replace op' ->
-      event st (Fiber.Ev_replace { pid; at = st.total });
+    | Proceed -> exec st pid k pending_op
+    | Replace op' ->
+      event st (Ev_replace { pid; at = st.total });
       exec st pid k op'
-    | Fiber.Raise e ->
-      event st (Fiber.Ev_raise { pid; at = st.total });
-      st.slots.(pid) <- Over (Fiber.Failed e)
-    | Fiber.Crash ->
-      event st (Fiber.Ev_crash { pid; at = st.total; restarting = false });
-      st.slots.(pid) <- Over Fiber.Crashed
-    | Fiber.Crash_restart { delay } ->
+    | Raise e ->
+      event st (Ev_raise { pid; at = st.total });
+      st.slots.(pid) <- Over (Failed e)
+    | Crash ->
+      event st (Ev_crash { pid; at = st.total; restarting = false });
+      st.slots.(pid) <- Over Crashed
+    | Crash_restart { delay } ->
       let restarting = st.incarnations.(pid) < st.max_restarts in
-      event st (Fiber.Ev_crash { pid; at = st.total; restarting });
-      st.slots.(pid) <- Over Fiber.Crashed;
+      event st (Ev_crash { pid; at = st.total; restarting });
+      st.slots.(pid) <- Over Crashed;
       if restarting then begin
         st.restart_due.(pid) <- st.clock + max 1 delay;
         st.restarts_pending <- st.restarts_pending + 1
       end
-    | Fiber.Stall { steps } ->
-      event st (Fiber.Ev_stall { pid; at = st.total; steps });
+    | Stall { steps } ->
+      event st (Ev_stall { pid; at = st.total; steps });
       st.stalled_until.(pid) <- st.clock + max 1 steps;
       st.live_stale <- true
 
@@ -306,7 +369,7 @@ struct
       {
         n;
         programs;
-        slots = Array.make n (Over Fiber.Done);
+        slots = Array.make n (Over Done);
         ops_per_fiber = Array.make n 0;
         apply;
         emit;
@@ -333,14 +396,14 @@ struct
     Array.iteri (settle st) programs;
     st
 
-  let status_of = function Over s -> s | Suspended _ -> Fiber.Pending
+  let status_of = function Over s -> s | Suspended _ -> Pending
 
   let run ?probe ~sched st =
     match loop st probe sched with
     | () ->
-      Fiber.count_ops st.hops;
+      Obs.Metrics.add m_ops st.hops;
       {
-        F.statuses = Array.map status_of st.slots;
+        statuses = Array.map status_of st.slots;
         trace = List.rev st.rev_trace;
         ops_per_fiber = st.ops_per_fiber;
         total_ops = st.total;
@@ -348,6 +411,6 @@ struct
       }
     | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      Fiber.count_ops st.hops;
+      Obs.Metrics.add m_ops st.hops;
       Printexc.raise_with_backtrace e bt
 end

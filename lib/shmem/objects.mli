@@ -26,8 +26,6 @@ type op =
 
 val op_name : op -> string
 
-(** Which operations a kind supports (all kinds support [Read]). *)
-val supports : kind -> op -> bool
 
 (** [apply kind v op] is [Ok (v', response)]: the new component value and
     the operation's response. [Error] if the kind does not support [op]

@@ -5,7 +5,7 @@
     given scheduler + seed always produces the same execution, and a
     state saved midway replays the same decisions however often it is
     resumed. They are shared by the simulated-system engine ({!Run}) and
-    by the real-system fiber runtime.
+    by the real-system runtime ([Prog]).
 
     A schedule is data, not a chain of closures: each constructor below
     is one case of a variant, and [next] interprets it, allocating only

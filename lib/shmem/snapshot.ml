@@ -9,8 +9,6 @@ let create ~m =
   if m <= 0 then invalid_arg "Snapshot.create: m must be positive";
   Array.make m Value.Bot
 
-let size = Array.length
-
 let update t j v =
   if j < 0 || j >= Array.length t then
     invalid_arg (Printf.sprintf "Snapshot.update: component %d out of range" j);
@@ -25,10 +23,3 @@ let of_view view = Array.copy view
 let equal a b =
   Array.length a = Array.length b
   && Array.for_all2 Value.equal a b
-
-let pp fmt t =
-  Format.fprintf fmt "[@[%a@]]"
-    (Format.pp_print_array
-       ~pp_sep:(fun f () -> Format.fprintf f ";@ ")
-       Value.pp)
-    t

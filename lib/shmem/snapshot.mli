@@ -12,7 +12,6 @@ type t
 (** [create ~m] is a snapshot with [m] components, all [Value.Bot]. *)
 val create : m:int -> t
 
-val size : t -> int
 
 (** [update t j v] sets component [j] (0-based) to [v].
     Raises [Invalid_argument] if [j] is out of range. *)
@@ -29,4 +28,3 @@ val get : t -> int -> Value.t
 val of_view : Value.t array -> t
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -18,9 +18,6 @@
     [a(r) ≤ 2^{m(r-1)}] and [b(i) ≤ 2^{i·m·(m-1)} · const] are checked in
     tests. *)
 
-(** Binomial coefficient, saturating. *)
-val choose : int -> int -> int
-
 (** [a ~m r]; raises [Invalid_argument] unless [1 <= r <= m]. *)
 val a : m:int -> int -> int
 

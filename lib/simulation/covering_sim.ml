@@ -1,47 +1,29 @@
-open Rsim_value
 open Rsim_shmem
 open Rsim_augmented
+open Aug.Prog
 
-exception Terminated
+(* What a covering simulator carries from one M-operation to the next:
+   its simulated processes (slot g-1 holds p_{i,g}) and the serial of
+   its last M-operation. *)
+type state = { procs : Proc.t array; serial : int }
 
-type t = {
-  aug : Aug.t;
-  me : int;
-  procs : Proc.t array;  (* p_{i,1} .. p_{i,m}; slot g-1 holds p_{i,g} *)
-  journal : Journal.t;
-  local_cap : int;
-  m : int;
-  mutable output : Value.t option;
-  mutable bus : int;
-}
+let set procs g p =
+  let procs = Array.copy procs in
+  procs.(g) <- p;
+  procs
 
-let make ~aug ~me ~procs ~journal ~local_cap =
-  let m = Aug.m aug in
-  if Array.length procs <> m then
-    invalid_arg "Covering_sim.make: need exactly m simulated processes";
-  { aug; me; procs; journal; local_cap; m; output = None; bus = 0 }
-
-let output t = t.output
-let bu_count t = t.bus
-
-let decide t ~proc value =
-  t.output <- Some value;
-  Journal.push t.journal (Journal.Jdecided { proc; value });
-  raise Terminated
-
-(* Locally simulate process slot [g] against a private copy of M whose
-   contents start as [view], applying only updates to components in
-   [allowed], until it is poised to update a component outside [allowed]
-   or outputs. Returns the hidden steps ζ (in order) and the final
-   state. *)
-let local_simulate t ~g ~view ~allowed =
+(* Locally simulate [p] against a private copy of M whose contents start
+   as [view], applying only updates to components in [allowed], until it
+   is poised to update a component outside [allowed] or outputs. Returns
+   the final state, the hidden steps ζ (in order) and the outcome. *)
+let local_simulate ~local_cap ~g p ~view ~allowed =
   let rec go p local steps zeta =
-    if steps > t.local_cap then
+    if steps > local_cap then
       failwith
         (Printf.sprintf
            "Covering_sim: local simulation of process %d exceeded %d steps — \
             protocol is not obstruction-free within the cap"
-           g t.local_cap);
+           g local_cap);
     match Proc.poised p with
     | Proc.Scan ->
       let v = Snapshot.scan local in
@@ -52,100 +34,102 @@ let local_simulate t ~g ~view ~allowed =
     | Proc.Update (j, v) -> (p, List.rev zeta, `Poised (j, v))
     | Proc.Output y -> (p, List.rev zeta, `Out y)
   in
-  go t.procs.(g) (Snapshot.of_view view) 0 []
+  go p (Snapshot.of_view view) 0 []
 
-(* Apply the M.Block-Update that simulates the block update [bu]
-   (returned by Construct(s)); afterwards processes 1..s have performed
-   their poised updates. Returns the view if atomic. *)
-let simulate_block t bu =
-  let result = Aug.block_update t.aug ~me:t.me bu in
-  t.bus <- t.bus + 1;
-  let serial = Journal.bump t.journal in
-  let atomic = match result with `View _ -> true | `Yield -> false in
-  Journal.push t.journal (Journal.Jbu { serial; updates = bu; atomic });
-  List.iteri (fun g _ -> t.procs.(g) <- Proc.step_update t.procs.(g)) bu;
-  (result, serial)
-
-(* Algorithm 6. Returns the constructed block update [(j1,v1)...(jr,vr)]
-   where process slot g-1 is poised to perform Update (jg, vg). *)
-let rec construct t r =
-  if r = 1 then begin
-    (* Base case: simulate p_{i,1}'s next step (a scan) with M.Scan. *)
-    let view = Aug.scan t.aug ~me:t.me in
-    let serial = Journal.bump t.journal in
-    Journal.push t.journal (Journal.Jscan { serial; view });
-    t.procs.(0) <- Proc.step_scan t.procs.(0) view;
-    match Proc.poised t.procs.(0) with
-    | Proc.Update (j, v) -> [ (j, v) ]
-    | Proc.Output y -> decide t ~proc:0 y
+(* Algorithm 7's last step: p_{i,1}'s terminating solo run after the
+   block β, simulated locally from M's initial contents. Returns the
+   output and the steps ξ. *)
+let final_solo ~local_cap ~m p1 beta =
+  let local =
+    List.fold_left
+      (fun mem (j, v) -> Snapshot.update mem j v)
+      (Snapshot.create ~m) beta
+  in
+  let rec solo p local steps xi =
+    if steps > local_cap then
+      failwith
+        "Covering_sim: final solo execution exceeded the cap — protocol is \
+         not obstruction-free within the cap";
+    match Proc.poised p with
     | Proc.Scan ->
-      failwith "Covering_sim: protocol violates Assumption 1 (scan after scan)"
-  end
-  else begin
-    (* [seen] holds (component set, view, serial of the atomic
-       Block-Update that returned the view) — the paper's A. *)
-    let seen = ref [] in
-    let rec loop () =
-      let bu = construct t (r - 1) in
-      let comps = List.sort Int.compare (List.map fst bu) in
-      match
-        List.find_opt (fun (comps', _, _) -> comps' = comps) !seen
-      with
-      | Some (_, view, source_serial) -> begin
-        (* Revise the past of p_{i,r} using the stored view. *)
-        let p', zeta, outcome = local_simulate t ~g:(r - 1) ~view ~allowed:comps in
-        t.procs.(r - 1) <- p';
-        Journal.push t.journal
-          (Journal.Jrevise
-             {
-               after_serial = Journal.serial t.journal;
-               proc = r - 1;
-               source_serial;
-               zeta;
-             });
-        match outcome with
-        | `Poised (j, v) -> bu @ [ (j, v) ]
-        | `Out y -> decide t ~proc:(r - 1) y
-      end
-      | None -> begin
-        match simulate_block t bu with
-        | `View view, serial ->
-          seen := (comps, view, serial) :: !seen;
-          loop ()
-        | `Yield, _ -> loop ()
-      end
-    in
-    loop ()
-  end
+      let v = Snapshot.scan local in
+      solo (Proc.step_scan p v) local (steps + 1) (Journal.Zscan v :: xi)
+    | Proc.Update (j, v) ->
+      solo (Proc.step_update p) (Snapshot.update local j v) (steps + 1)
+        (Journal.Zupdate (j, v) :: xi)
+    | Proc.Output y -> (y, List.rev xi)
+  in
+  solo p1 local 0 []
 
-(* Algorithm 7. *)
-let body t _pid =
-  try
-    let beta = construct t t.m in
-    (* Locally simulate β followed by p_{i,1}'s terminating solo
-       execution; restore states afterwards (they are only stored values
-       here, so we simply do not overwrite [t.procs]). *)
-    let local =
-      List.fold_left
-        (fun mem (j, v) -> Snapshot.update mem j v)
-        (Snapshot.create ~m:t.m) beta
-    in
-    let p1 = Proc.step_update t.procs.(0) in
-    let rec solo p local steps xi =
-      if steps > t.local_cap then
-        failwith
-          "Covering_sim: final solo execution exceeded the cap — protocol is \
-           not obstruction-free within the cap";
+let program (cfg : Aug.config) ~me ~procs ~local_cap =
+  if Array.length procs <> cfg.m then
+    invalid_arg "Covering_sim.program: need exactly m simulated processes";
+  let journal event = emit (Journal.Entry { sim = me; event }) in
+  (* A simulated process output: the simulator adopts it and stops. *)
+  let decide ~proc value = journal (Journal.Jdecided { proc; value }) in
+  (* Algorithm 6, in continuation-passing style: [construct st r k]
+     constructs a block update [(j1,v1)...(jr,vr)], where process slot
+     g-1 is poised to perform Update (jg, vg), and passes it to [k] with
+     the state reached; a decision ends the program instead. *)
+  let rec construct st r k =
+    if r = 1 then
+      (* Base case: simulate p_{i,1}'s next step (a scan) with M.Scan. *)
+      let* view = Aug.scan_prog cfg ~me in
+      let serial = st.serial + 1 in
+      let* () = journal (Journal.Jscan { serial; view }) in
+      let p = Proc.step_scan st.procs.(0) view in
+      let st = { procs = set st.procs 0 p; serial } in
       match Proc.poised p with
+      | Proc.Update (j, v) -> k st [ (j, v) ]
+      | Proc.Output y -> decide ~proc:0 y
       | Proc.Scan ->
-        let v = Snapshot.scan local in
-        solo (Proc.step_scan p v) local (steps + 1) (Journal.Zscan v :: xi)
-      | Proc.Update (j, v) ->
-        solo (Proc.step_update p) (Snapshot.update local j v) (steps + 1)
-          (Journal.Zupdate (j, v) :: xi)
-      | Proc.Output y -> (y, List.rev xi)
-    in
-    let y, xi = solo p1 local 0 [] in
-    Journal.push t.journal (Journal.Jfinal { beta; xi; output = y });
-    t.output <- Some y
-  with Terminated -> ()
+        failwith "Covering_sim: protocol violates Assumption 1 (scan after scan)"
+    else
+      (* [seen] holds (component set, view, serial of the atomic
+         Block-Update that returned the view) — the paper's A. *)
+      let rec loop st seen =
+        construct st (r - 1) (fun st bu ->
+            let comps = List.sort Int.compare (List.map fst bu) in
+            match List.find_opt (fun (comps', _, _) -> comps' = comps) seen with
+            | Some (_, view, source_serial) -> (
+              (* Revise the past of p_{i,r} using the stored view. *)
+              let p, zeta, outcome =
+                local_simulate ~local_cap ~g:(r - 1) st.procs.(r - 1) ~view
+                  ~allowed:comps
+              in
+              let st = { st with procs = set st.procs (r - 1) p } in
+              let* () =
+                journal
+                  (Journal.Jrevise
+                     { after_serial = st.serial; proc = r - 1; source_serial; zeta })
+              in
+              match outcome with
+              | `Poised (j, v) -> k st (bu @ [ (j, v) ])
+              | `Out y -> decide ~proc:(r - 1) y)
+            | None -> (
+              (* Simulate the block update [bu] with an M.Block-Update;
+                 afterwards processes 1..|bu| have performed their
+                 poised updates. *)
+              let* result = Aug.block_update_prog cfg ~me bu in
+              let serial = st.serial + 1 in
+              let atomic = match result with `View _ -> true | `Yield -> false in
+              let* () = journal (Journal.Jbu { serial; updates = bu; atomic }) in
+              let procs =
+                Array.mapi
+                  (fun g p -> if g < List.length bu then Proc.step_update p else p)
+                  st.procs
+              in
+              let st = { procs; serial } in
+              match result with
+              | `View view -> loop st ((comps, view, serial) :: seen)
+              | `Yield -> loop st seen))
+      in
+      loop st []
+  in
+  (* Algorithm 7: construct an m-block β, then locally simulate β
+     followed by p_{i,1}'s terminating solo execution. *)
+  construct { procs; serial = 0 } cfg.m (fun st beta ->
+      let output, xi =
+        final_solo ~local_cap ~m:cfg.m (Proc.step_update st.procs.(0)) beta
+      in
+      journal (Journal.Jfinal { beta; xi; output }))

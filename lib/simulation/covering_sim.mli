@@ -12,29 +12,20 @@
     locally simulates the block followed by its first process's
     terminating solo run and outputs that value (Algorithm 7).
 
-    The simulator must run as a fiber under [Aug.F.run]. *)
+    The simulator is a persistent program: the states of its simulated
+    processes are immutable {!Rsim_shmem.Proc.t} values threaded through
+    its continuations, and everything it records leaves as
+    {!Journal.Entry} notes. Its output is the value of its
+    {!Journal.Jdecided} or {!Journal.Jfinal} entry. *)
 
-open Rsim_value
-
-type t
-
-(** [make ~aug ~me ~procs ~journal ~local_cap] — [procs] are the [m]
+(** [program cfg ~me ~procs ~local_cap] is simulator [me]'s program over
+    the augmented snapshot configured by [cfg]. [procs] are the [m]
     simulated processes [p_{i,1} .. p_{i,m}] in their initial states
     (each poised to scan); [local_cap] bounds every local (hidden) solo
     simulation, failing loudly if the protocol is not obstruction-free. *)
-val make :
-  aug:Rsim_augmented.Aug.t ->
+val program :
+  Rsim_augmented.Aug.config ->
   me:int ->
   procs:Rsim_shmem.Proc.t array ->
-  journal:Journal.t ->
   local_cap:int ->
-  t
-
-(** The fiber body. *)
-val body : t -> int -> unit
-
-val output : t -> Value.t option
-
-(** Number of M.Block-Updates this simulator applied (for comparison
-    with {!Complexity.b}). *)
-val bu_count : t -> int
+  unit Rsim_augmented.Aug.Prog.t

@@ -1,42 +1,24 @@
-open Rsim_value
 open Rsim_shmem
 open Rsim_augmented
+open Aug.Prog
 
-type t = {
-  aug : Aug.t;
-  me : int;
-  mutable proc : Proc.t;
-  journal : Journal.t;
-  mutable output : Value.t option;
-  mutable bus : int;
-}
-
-let make ~aug ~me ~proc ~journal =
-  { aug; me; proc; journal; output = None; bus = 0 }
-
-let output t = t.output
-let bu_count t = t.bus
-
-let body t _pid =
-  let rec loop () =
-    match Proc.poised t.proc with
+let program cfg ~me ~proc =
+  let journal event = emit (Journal.Entry { sim = me; event }) in
+  let rec loop proc serial =
+    match Proc.poised proc with
     | Proc.Scan ->
-      let view = Aug.scan t.aug ~me:t.me in
-      let serial = Journal.bump t.journal in
-      Journal.push t.journal (Journal.Jscan { serial; view });
-      t.proc <- Proc.step_scan t.proc view;
-      loop ()
+      let* view = Aug.scan_prog cfg ~me in
+      let serial = serial + 1 in
+      let* () = journal (Journal.Jscan { serial; view }) in
+      loop (Proc.step_scan proc view) serial
     | Proc.Update (j, v) ->
-      let result = Aug.block_update t.aug ~me:t.me [ (j, v) ] in
-      t.bus <- t.bus + 1;
-      let serial = Journal.bump t.journal in
+      let* result = Aug.block_update_prog cfg ~me [ (j, v) ] in
+      let serial = serial + 1 in
       let atomic = match result with `View _ -> true | `Yield -> false in
-      Journal.push t.journal
-        (Journal.Jbu { serial; updates = [ (j, v) ]; atomic });
-      t.proc <- Proc.step_update t.proc;
-      loop ()
-    | Proc.Output y ->
-      t.output <- Some y;
-      Journal.push t.journal (Journal.Jdecided { proc = 0; value = y })
+      let* () =
+        journal (Journal.Jbu { serial; updates = [ (j, v) ]; atomic })
+      in
+      loop (Proc.step_update proc) serial
+    | Proc.Output y -> journal (Journal.Jdecided { proc = 0; value = y })
   in
-  loop ()
+  loop proc 0

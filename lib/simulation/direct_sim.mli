@@ -7,19 +7,12 @@
     protocol guarantees their simulated processes terminate whenever
     only they keep taking steps (Lemma 32). *)
 
-open Rsim_value
-
-type t
-
-val make :
-  aug:Rsim_augmented.Aug.t ->
+(** [program cfg ~me ~proc] is simulator [me]'s program: it loops until
+    the simulated process [proc] outputs, emitting its journal as
+    {!Journal.Entry} notes; the output is its {!Journal.Jdecided}
+    entry's. *)
+val program :
+  Rsim_augmented.Aug.config ->
   me:int ->
   proc:Rsim_shmem.Proc.t ->
-  journal:Journal.t ->
-  t
-
-(** The fiber body. Loops until the simulated process outputs. *)
-val body : t -> int -> unit
-
-val output : t -> Value.t option
-val bu_count : t -> int
+  unit Rsim_augmented.Aug.Prog.t

@@ -26,7 +26,7 @@ type spec = {
 type quarantine = { sim : int; at_op : int; reason : string }
 
 type fault_report = {
-  events : Rsim_runtime.Fiber.event list;
+  events : Rsim_runtime.Prog.event list;
   quarantined : quarantine list;
   watchdog_budget : int;
 }
@@ -34,10 +34,10 @@ type fault_report = {
 type result = {
   outputs : (int * Value.t) list;
   aug : Aug.t;
-  trace : Aug.F.trace_entry list;
+  trace : Aug.Prog.trace_entry list;
   journals : Journal.t array;
   partition : int array array;
-  statuses : Rsim_runtime.Fiber.status array;
+  statuses : Rsim_runtime.Prog.status array;
   ops_per_sim : int array;
   bu_counts : int array;
   total_ops : int;
@@ -78,8 +78,23 @@ let default_watchdog ~f ~m ~max_ops =
   if Complexity.is_saturated b || b > (max_ops - 64) / 4 then max_ops
   else (4 * b) + 64
 
-let run ?(max_ops = 2_000_000) ?(local_cap = 100_000) ?(faults = [])
-    ?watchdog ?probe ~sched spec =
+(* A simulation in progress: the shared object, the interpreter's run,
+   and what the run's notes and its watchdog record — per simulator its
+   journal, latest event first, and the quarantines, latest first.
+   [save] copies the mutable parts; the rest is fixed at [start]. *)
+type sim = {
+  spec : spec;
+  part : int array array;
+  watchdog_budget : int;
+  aug : Aug.t;
+  plan : Aug.Ops.op Rsim_faults.Faults.plan;
+  run : Aug.Prog.run;
+  rev_journals : Journal.event list array;
+  rev_quarantined : quarantine list ref;
+}
+
+let start ?(max_ops = 2_000_000) ?(local_cap = 100_000) ?(faults = [])
+    ?watchdog spec =
   check_spec spec;
   let watchdog_budget =
     match watchdog with
@@ -87,53 +102,39 @@ let run ?(max_ops = 2_000_000) ?(local_cap = 100_000) ?(faults = [])
     | None -> default_watchdog ~f:spec.f ~m:spec.m ~max_ops
   in
   let aug = Aug.create ~f:spec.f ~m:spec.m () in
+  let cfg = Aug.config aug in
   let part = partition ~m:spec.m ~f:spec.f ~d:spec.d in
-  let journals = Array.init spec.f (fun _ -> Journal.create ()) in
   let inputs = Array.of_list spec.inputs in
-  let covering = Array.make spec.f None in
-  let direct = Array.make spec.f None in
-  let bodies =
+  let programs =
     List.init spec.f (fun i ->
-        if i < spec.f - spec.d then begin
-          let procs =
-            Array.map (fun pid -> spec.protocol pid inputs.(i)) part.(i)
-          in
-          let sim =
-            Covering_sim.make ~aug ~me:i ~procs ~journal:journals.(i) ~local_cap
-          in
-          covering.(i) <- Some sim;
-          Covering_sim.body sim
-        end
-        else begin
-          let pid = part.(i).(0) in
-          let sim =
-            Direct_sim.make ~aug ~me:i
-              ~proc:(spec.protocol pid inputs.(i))
-              ~journal:journals.(i)
-          in
-          direct.(i) <- Some sim;
-          Direct_sim.body sim
-        end)
+        if i < spec.f - spec.d then
+          Covering_sim.program cfg ~me:i
+            ~procs:(Array.map (fun pid -> spec.protocol pid inputs.(i)) part.(i))
+            ~local_cap
+        else
+          Direct_sim.program cfg ~me:i
+            ~proc:(spec.protocol part.(i).(0) inputs.(i)))
   in
   Log.debug (fun k ->
       k "starting simulation: n=%d m=%d f=%d d=%d watchdog=%d" spec.n spec.m
         spec.f spec.d watchdog_budget);
+  let plan = Rsim_faults.Faults.plan ~adapter:Aug.fault_adapter faults in
+  let rev_journals = Array.make spec.f [] in
+  let rev_quarantined = ref [] in
   (* Supervision: injected faults first, then the per-simulator step
      watchdog. A simulator that exceeds Lemma 31's budget is diverging
      (or being starved into unbounded work by a bug); it is quarantined —
      crashed in place — and the run continues with the others. *)
-  let plan = Rsim_faults.Faults.plan ~adapter:Aug.fault_adapter faults in
-  let quarantined = ref [] in
   let control ~pid ~nth op =
     match Rsim_faults.Faults.control plan ~pid ~nth op with
-    | Rsim_runtime.Fiber.Proceed when nth >= watchdog_budget ->
+    | Rsim_runtime.Prog.Proceed when nth >= watchdog_budget ->
       Log.debug (fun k ->
           k "watchdog: quarantining simulator %d after %d H-operations" pid nth);
       Obs.Metrics.incr m_quarantines;
       Obs.Trace.instant ~name:"watchdog.quarantine" ~pid ~ts:(Aug.clock aug)
         ~args:[ ("budget", Obs.Json.Int watchdog_budget) ]
         ();
-      quarantined :=
+      rev_quarantined :=
         {
           sim = pid;
           at_op = nth;
@@ -141,73 +142,129 @@ let run ?(max_ops = 2_000_000) ?(local_cap = 100_000) ?(faults = [])
             Printf.sprintf "step budget exceeded (%d H-operations >= %d)" nth
               watchdog_budget;
         }
-        :: !quarantined;
-      Rsim_runtime.Fiber.Crash
+        :: !rev_quarantined;
+      Rsim_runtime.Prog.Crash
     | directive -> directive
   in
-  let fr =
-    Aug.F.run ~max_ops ~control ~obs_label:Aug.op_name ?probe ~sched
-      ~apply:(Aug.apply aug) bodies
-  in
-  Log.debug (fun k ->
-      k "simulation finished: %d H-operations, all_done=%b" fr.Aug.F.total_ops
-        (Array.for_all
-           (function Rsim_runtime.Fiber.Done -> true | _ -> false)
-           fr.Aug.F.statuses));
-  Obs.Metrics.incr m_runs;
-  let revisions_of j =
-    List.fold_left
-      (fun acc ev ->
-        match ev with
-        | Journal.Jrevise _ -> acc + 1
-        | Journal.Jscan _ | Journal.Jbu _ | Journal.Jfinal _
-        | Journal.Jdecided _ -> acc)
-      0 (Journal.events j)
-  in
-  Array.iter (fun j -> Obs.Metrics.observe h_revisions (revisions_of j)) journals;
-  Array.iter (fun n -> Obs.Metrics.observe h_sim_ops n) fr.Aug.F.ops_per_fiber;
-  (* Headroom between the busiest simulator and the watchdog's
-     Lemma-31-calibrated budget: how far this run was from quarantine. *)
-  let busiest = Array.fold_left max 0 fr.Aug.F.ops_per_fiber in
-  Obs.Metrics.set g_watchdog_margin (watchdog_budget - busiest);
-  let output_of i =
-    match (covering.(i), direct.(i)) with
-    | Some c, _ -> Covering_sim.output c
-    | _, Some d -> Direct_sim.output d
-    | None, None -> None
-  in
-  let bu_of i =
-    match (covering.(i), direct.(i)) with
-    | Some c, _ -> Covering_sim.bu_count c
-    | _, Some d -> Direct_sim.bu_count d
-    | None, None -> 0
-  in
-  let outputs =
-    List.filter_map
-      (fun i -> Option.map (fun v -> (i, v)) (output_of i))
-      (List.init spec.f Fun.id)
+  let emit = function
+    | Journal.Entry { sim; event } ->
+      rev_journals.(sim) <- event :: rev_journals.(sim)
+    | note -> Aug.record aug note
   in
   {
-    outputs;
+    spec;
+    part;
+    watchdog_budget;
     aug;
-    trace = fr.Aug.F.trace;
+    plan;
+    run =
+      Aug.Prog.start ~max_ops ~control ~obs_label:Aug.op_name
+        ~apply:(Aug.apply aug) ~emit programs;
+    rev_journals;
+    rev_quarantined;
+  }
+
+type saved = {
+  s_run : Aug.Prog.saved;
+  s_aug : Aug.saved;
+  s_rev_journals : Journal.event list array;
+  s_rev_quarantined : quarantine list;
+  s_fired : int;
+}
+
+let save sim =
+  {
+    s_run = Aug.Prog.save sim.run;
+    s_aug = Aug.save sim.aug;
+    s_rev_journals = Array.copy sim.rev_journals;
+    s_rev_quarantined = !(sim.rev_quarantined);
+    s_fired = Rsim_faults.Faults.fired_set sim.plan;
+  }
+
+let restore sim s =
+  Aug.Prog.restore sim.run s.s_run;
+  Aug.restore sim.aug s.s_aug;
+  Array.blit s.s_rev_journals 0 sim.rev_journals 0 sim.spec.f;
+  sim.rev_quarantined := s.s_rev_quarantined;
+  Rsim_faults.Faults.set_fired sim.plan s.s_fired
+
+let is_done = function
+  | Rsim_runtime.Prog.Done -> true
+  | Rsim_runtime.Prog.Pending | Rsim_runtime.Prog.Failed _
+  | Rsim_runtime.Prog.Crashed -> false
+
+(* What a simulator's journal says it output: a decision, or the final
+   block's solo run. *)
+let output_of events =
+  List.fold_left
+    (fun acc ev ->
+      match ev with
+      | Journal.Jdecided { value; _ } | Journal.Jfinal { output = value; _ } ->
+        Some value
+      | Journal.Jscan _ | Journal.Jbu _ | Journal.Jrevise _ -> acc)
+    None events
+
+let count is events =
+  List.fold_left (fun n ev -> if is ev then n + 1 else n) 0 events
+
+let is_bu = function
+  | Journal.Jbu _ -> true
+  | Journal.Jscan _ | Journal.Jrevise _ | Journal.Jfinal _
+  | Journal.Jdecided _ -> false
+
+let is_revision = function
+  | Journal.Jrevise _ -> true
+  | Journal.Jscan _ | Journal.Jbu _ | Journal.Jfinal _
+  | Journal.Jdecided _ -> false
+
+let finish ?probe ~sched sim =
+  let fr = Aug.Prog.run ?probe ~sched sim.run in
+  let all_done = Array.for_all is_done fr.Aug.Prog.statuses in
+  Log.debug (fun k ->
+      k "simulation finished: %d H-operations, all_done=%b"
+        fr.Aug.Prog.total_ops all_done);
+  Obs.Metrics.incr m_runs;
+  let events = Array.map List.rev sim.rev_journals in
+  Array.iter
+    (fun evs -> Obs.Metrics.observe h_revisions (count is_revision evs))
+    events;
+  Array.iter (Obs.Metrics.observe h_sim_ops) fr.Aug.Prog.ops_per_fiber;
+  (* Headroom between the busiest simulator and the watchdog's
+     Lemma-31-calibrated budget: how far this run was from quarantine. *)
+  let busiest = Array.fold_left max 0 fr.Aug.Prog.ops_per_fiber in
+  Obs.Metrics.set g_watchdog_margin (sim.watchdog_budget - busiest);
+  let journals =
+    Array.map
+      (fun evs ->
+        let j = Journal.create () in
+        List.iter (Journal.push j) evs;
+        j)
+      events
+  in
+  {
+    outputs =
+      List.filter_map
+        (fun i -> Option.map (fun v -> (i, v)) (output_of events.(i)))
+        (List.init sim.spec.f Fun.id);
+    aug = sim.aug;
+    trace = fr.Aug.Prog.trace;
     journals;
-    partition = part;
-    statuses = fr.Aug.F.statuses;
-    ops_per_sim = fr.Aug.F.ops_per_fiber;
-    bu_counts = Array.init spec.f bu_of;
-    total_ops = fr.Aug.F.total_ops;
-    all_done =
-      Array.for_all
-        (function Rsim_runtime.Fiber.Done -> true | _ -> false)
-        fr.Aug.F.statuses;
+    partition = sim.part;
+    statuses = fr.Aug.Prog.statuses;
+    ops_per_sim = fr.Aug.Prog.ops_per_fiber;
+    bu_counts = Array.map (count is_bu) events;
+    total_ops = fr.Aug.Prog.total_ops;
+    all_done;
     report =
       {
-        events = fr.Aug.F.events;
-        quarantined = List.rev !quarantined;
-        watchdog_budget;
+        events = fr.Aug.Prog.events;
+        quarantined = List.rev !(sim.rev_quarantined);
+        watchdog_budget = sim.watchdog_budget;
       };
   }
+
+let run ?max_ops ?local_cap ?faults ?watchdog ~sched spec =
+  finish ~sched (start ?max_ops ?local_cap ?faults ?watchdog spec)
 
 type invalid =
   | Simulator_raised of { sim : int; exn : string }
@@ -246,33 +303,33 @@ let validate ?(survivors_only = false) spec result ~task =
      fault injection, in which case it is a crash. *)
   let raised =
     sims_with result (function
-      | Rsim_runtime.Fiber.Failed e -> not (Rsim_faults.Faults.is_injected e)
-      | Rsim_runtime.Fiber.Done | Rsim_runtime.Fiber.Pending
-      | Rsim_runtime.Fiber.Crashed -> false)
+      | Rsim_runtime.Prog.Failed e -> not (Rsim_faults.Faults.is_injected e)
+      | Rsim_runtime.Prog.Done | Rsim_runtime.Prog.Pending
+      | Rsim_runtime.Prog.Crashed -> false)
   in
   let crashed =
     sims_with result (function
-      | Rsim_runtime.Fiber.Crashed -> true
-      | Rsim_runtime.Fiber.Failed e -> Rsim_faults.Faults.is_injected e
-      | Rsim_runtime.Fiber.Done | Rsim_runtime.Fiber.Pending -> false)
+      | Rsim_runtime.Prog.Crashed -> true
+      | Rsim_runtime.Prog.Failed e -> Rsim_faults.Faults.is_injected e
+      | Rsim_runtime.Prog.Done | Rsim_runtime.Prog.Pending -> false)
   in
   let pending =
     sims_with result (function
-      | Rsim_runtime.Fiber.Pending -> true
-      | Rsim_runtime.Fiber.Done | Rsim_runtime.Fiber.Failed _
-      | Rsim_runtime.Fiber.Crashed -> false)
+      | Rsim_runtime.Prog.Pending -> true
+      | Rsim_runtime.Prog.Done | Rsim_runtime.Prog.Failed _
+      | Rsim_runtime.Prog.Crashed -> false)
   in
   let done_ =
     sims_with result (function
-      | Rsim_runtime.Fiber.Done -> true
-      | Rsim_runtime.Fiber.Pending | Rsim_runtime.Fiber.Failed _
-      | Rsim_runtime.Fiber.Crashed -> false)
+      | Rsim_runtime.Prog.Done -> true
+      | Rsim_runtime.Prog.Pending | Rsim_runtime.Prog.Failed _
+      | Rsim_runtime.Prog.Crashed -> false)
   in
   match raised with
   | sim :: _ ->
     let exn =
       match result.statuses.(sim) with
-      | Rsim_runtime.Fiber.Failed e -> Printexc.to_string e
+      | Rsim_runtime.Prog.Failed e -> Printexc.to_string e
       | _ -> assert false
     in
     Error (Simulator_raised { sim; exn })

@@ -32,21 +32,24 @@ type quarantine = { sim : int; at_op : int; reason : string }
 
 (** What the fault plane and the supervision layer did during the run. *)
 type fault_report = {
-  events : Rsim_runtime.Fiber.event list;
+  events : Rsim_runtime.Prog.event list;
       (** injected crashes/restarts/stalls/drops, plus watchdog kills *)
   quarantined : quarantine list;
   watchdog_budget : int;  (** per-simulator H-operation budget in force *)
 }
 
 type result = {
-  outputs : (int * Value.t) list;  (** simulator pid ↦ output *)
+  outputs : (int * Value.t) list;
+      (** simulator pid ↦ output, from its {!Journal.Jdecided} or
+          {!Journal.Jfinal} entry *)
   aug : Rsim_augmented.Aug.t;
-  trace : Rsim_augmented.Aug.F.trace_entry list;
+  trace : Rsim_augmented.Aug.Prog.trace_entry list;
   journals : Journal.t array;
   partition : int array array;  (** simulator ↦ global simulated pids *)
-  statuses : Rsim_runtime.Fiber.status array;
+  statuses : Rsim_runtime.Prog.status array;
   ops_per_sim : int array;  (** H-operations per simulator *)
-  bu_counts : int array;  (** M.Block-Updates applied per simulator *)
+  bu_counts : int array;
+      (** M.Block-Updates applied per simulator ({!Journal.Jbu} entries) *)
   total_ops : int;
   all_done : bool;
   report : fault_report;
@@ -71,6 +74,8 @@ val check_shape :
 val default_watchdog : f:int -> m:int -> max_ops:int -> int
 
 (** Run the simulation to completion (or until [max_ops] H-operations).
+    The simulators are persistent programs ({!Covering_sim},
+    {!Direct_sim}) run by {!Rsim_augmented.Aug.Prog}'s interpreter.
     [local_cap] bounds each hidden local simulation.
 
     [faults] (default none) is a fault-plane profile applied at the
@@ -80,22 +85,53 @@ val default_watchdog : f:int -> m:int -> max_ops:int -> int
     supervision step budget: a simulator that performs that many
     H-operations is diverging and gets quarantined — crashed in place,
     recorded in [result.report.quarantined] — while the run continues
-    with the others.
-
-    [probe] is forwarded to the fiber runtime
-    ({!Rsim_augmented.Aug.F.run}): called before every scheduling
-    decision with the decision index and the live pids; returning
-    [`Stop] ends the run there. Exploration engines use it to branch
-    without replaying prefixes. *)
+    with the others. *)
 val run :
   ?max_ops:int ->
   ?local_cap:int ->
   ?faults:Rsim_faults.Faults.spec list ->
   ?watchdog:int ->
-  ?probe:Rsim_augmented.Aug.F.probe ->
   sched:Schedule.t ->
   spec ->
   result
+
+(** {2 Resuming saved states}
+
+    [run] is [finish ~sched (start spec)]. Exploration engines split it
+    to branch without replaying prefixes: a probe saves the simulation at
+    a scheduling decision, and another execution restores it there. *)
+
+(** A simulation started and not yet finished. *)
+type sim
+
+(** [start spec] builds the simulators' programs and the run that
+    interprets them, before any scheduling decision. The optional
+    arguments are {!run}'s. *)
+val start :
+  ?max_ops:int ->
+  ?local_cap:int ->
+  ?faults:Rsim_faults.Faults.spec list ->
+  ?watchdog:int ->
+  spec ->
+  sim
+
+(** [finish ?probe ~sched s] runs [s] until it ends, calling [probe]
+    before every scheduling decision ({!Rsim_runtime.Prog.S.run}), and
+    returns its result. *)
+val finish : ?probe:Rsim_runtime.Prog.probe -> sched:Schedule.t -> sim -> result
+
+(** A simulation's state at one scheduling decision: the interpreter's
+    run, the augmented snapshot, the journals, the quarantines and the
+    fault plan's fired set. Immutable. *)
+type saved
+
+(** [save s], called from [s]'s probe. *)
+val save : sim -> saved
+
+(** [restore s v], called from [s]'s probe, puts [s] in state [v] (saved
+    from a simulation of the same spec and options): the decision that
+    probe call precedes is made from [v]. [v] stays valid. *)
+val restore : sim -> saved -> unit
 
 (** Why a run's outputs do not validate. [Simulator_crashed] covers
     injected crashes, injected exceptions and watchdog quarantines —

@@ -18,14 +18,10 @@ type event =
     }
   | Jdecided of { proc : int; value : Value.t }
 
-type t = { mutable rev : event list; mutable count : int }
+type Rsim_augmented.Aug.note += Entry of { sim : int; event : event }
 
-let create () = { rev = []; count = 0 }
-let serial t = t.count
+type t = { mutable rev : event list }
 
-let bump t =
-  t.count <- t.count + 1;
-  t.count
-
+let create () = { rev = [] }
 let push t e = t.rev <- e :: t.rev
 let events t = List.rev t.rev

@@ -2,7 +2,8 @@
 
     Each simulator records the M-operations it applies, the revisions of
     its simulated processes' pasts, and its final locally-simulated
-    steps. The journal, together with the augmented snapshot's own log
+    steps, by emitting {!Entry} notes from its program; the harness files
+    them into one journal per simulator. The journal, together with the augmented snapshot's own log
     and trace, lets {!Analysis} reconstruct the simulated execution of
     Lemma 26 and replay it against the protocol. *)
 
@@ -35,17 +36,13 @@ type event =
       (** a simulated process output during construction; the simulator
           adopts its value *)
 
+(** A journal event of simulator [sim], as its program emits it. Serials
+    count the simulator's completed M-operations from 1. *)
+type Rsim_augmented.Aug.note += Entry of { sim : int; event : event }
+
 type t
 
 val create : unit -> t
-
-(** Number of M-operations this simulator has completed. *)
-val serial : t -> int
-
-(** Record the completion of one M-operation; returns its serial
-    (1-based). *)
-val bump : t -> int
-
 val push : t -> event -> unit
 
 (** Events in the order they were recorded. *)

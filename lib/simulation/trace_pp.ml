@@ -14,7 +14,7 @@ let pp_view fmt view =
 
 let pp_htrace fmt trace =
   List.iter
-    (fun (e : Aug.F.trace_entry) ->
+    (fun (e : Aug.Prog.trace_entry) ->
       match e.op with
       | Aug.Ops.Hscan -> Format.fprintf fmt "%4d q%d H.scan@." e.idx e.pid
       | Aug.Ops.Happend_triples triples ->

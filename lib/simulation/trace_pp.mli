@@ -8,7 +8,7 @@
 
 (** The raw single-writer-snapshot operations, one line each. *)
 val pp_htrace :
-  Format.formatter -> Rsim_augmented.Aug.F.trace_entry list -> unit
+  Format.formatter -> Rsim_augmented.Aug.Prog.trace_entry list -> unit
 
 (** Everything about a finished run: architecture, per-simulator
     journals, M-operation log, and outcome. *)

@@ -15,10 +15,6 @@ open Rsim_value
 (** Whether a value sequence exhibits ABA. *)
 val has_aba : Value.t list -> bool
 
-(** Value history of every component along a run (including initial
-    values), oldest first. *)
-val component_histories : Mrun.config -> Value.t list array
-
 (** [check run] is [Ok ()] if no component of the finished run exhibits
     ABA, [Error msg] naming the first offending component otherwise. *)
 val check : Mrun.config -> (unit, string) result

@@ -11,7 +11,6 @@ let convert nd ~cap ~input =
   { nd; state = nd.Ndproto.init input; ep = Ndproto.initial_ep nd; cap }
 
 let nd t = t.nd
-let state t = t.state
 let expected t = Array.copy t.ep
 let poised t = t.nd.Ndproto.view t.state
 

@@ -22,7 +22,6 @@ type t
 val convert : Ndproto.t -> cap:int -> input:Value.t -> t
 
 val nd : t -> Ndproto.t
-val state : t -> Value.t
 val expected : t -> Value.t array
 
 (** The deterministic process's next step, or its output. *)

@@ -44,7 +44,6 @@ let live c =
     (List.init (Array.length c.procs) Fun.id)
 
 let trace c = List.rev c.rev_trace
-let step_counts c = Array.copy c.steps
 
 let step_pid c pid =
   match Derandomize.poised c.procs.(pid) with

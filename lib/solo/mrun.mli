@@ -24,7 +24,6 @@ val mem : config -> Value.t array
 val proc : config -> int -> Derandomize.t
 val live : config -> int list
 val trace : config -> event list
-val step_counts : config -> int array
 val step_pid : config -> int -> config
 
 type outcome = All_done | Step_limit | Schedule_exhausted

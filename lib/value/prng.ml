@@ -40,10 +40,6 @@ let choose t xs =
     let k, t' = int t (List.length xs) in
     (List.nth xs k, t')
 
-let split t =
-  let r1, t' = next t in
-  (mix64 r1, t')
-
 let shuffle t xs =
   let arr = Array.of_list xs in
   let n = Array.length arr in

@@ -1,10 +1,10 @@
-(** Deterministic, splittable pseudo-random number generator.
+(** Deterministic pseudo-random number generator.
 
     All randomized schedulers and tests in this repository draw from this
     PRNG rather than [Stdlib.Random], so that every execution is exactly
     reproducible from a seed. The generator is a 64-bit SplitMix64, which
-    has good statistical quality for test-case generation and is trivially
-    splittable. *)
+    has good statistical quality for test-case generation. It is a
+    persistent value: a draw returns the next generator. *)
 
 type t
 
@@ -22,8 +22,6 @@ val float : t -> float * t
 (** [choose t xs] picks a uniform element of [xs]. Raises on empty list. *)
 val choose : t -> 'a list -> 'a * t
 
-(** [split t] returns two independent generators. *)
-val split : t -> t * t
 
 (** [shuffle t xs] is a uniform permutation of [xs]. *)
 val shuffle : t -> 'a list -> 'a list * t

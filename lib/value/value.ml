@@ -8,7 +8,6 @@ type t =
   | List of t list
 [@@deriving eq, ord, show { with_path = false }]
 
-let to_string = show
 let is_bot v = match v with Bot -> true | _ -> false
 
 let int_exn = function

@@ -22,7 +22,6 @@ val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 val show : t -> string
-val to_string : t -> string
 
 val is_bot : t -> bool
 

@@ -42,7 +42,7 @@ type update_item = {
 let reconstruct_updates ~kind_of trace =
   let updates = ref [] in
   List.iter
-    (fun (e : Aug.F.trace_entry) ->
+    (fun (e : Aug.Prog.trace_entry) ->
       match e.op with
       | Aug.Ops.Happend_triples (({ ts; _ } :: _) as triples) ->
         let kind = kind_of (e.pid, ts) in
@@ -76,7 +76,7 @@ let assign_lin_points ~m trace updates =
     pending;
   let maxts = Array.make m None in
   List.iter
-    (fun (e : Aug.F.trace_entry) ->
+    (fun (e : Aug.Prog.trace_entry) ->
       match e.op with
       | Aug.Ops.Happend_triples triples ->
         List.iter
@@ -164,7 +164,7 @@ let window_start ~trace ~last ~x_idx =
   let target = profile last in
   let best = ref None in
   List.iter
-    (fun (e : Aug.F.trace_entry) ->
+    (fun (e : Aug.Prog.trace_entry) ->
       match (e.op, e.res) with
       | Aug.Ops.Hscan, Aug.Ops.Snap s when e.idx < x_idx && profile s = target ->
         best := Some e.idx
@@ -392,7 +392,7 @@ let check aug trace =
   (* ---- Theorem 20 and Lemma 2. ---- *)
   let triple_appends_between ~lo ~hi ~pred =
     List.filter
-      (fun (e : Aug.F.trace_entry) ->
+      (fun (e : Aug.Prog.trace_entry) ->
         e.idx > lo && e.idx < hi && Aug.Ops.appends_triples e.op && pred e.pid)
       trace
   in

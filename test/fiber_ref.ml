@@ -1,17 +1,22 @@
-(* The fiber runtime as it was before a hop became allocation-light: it
-   rebuilds the live list and a per-hop [exec] closure on every
-   scheduling decision. [Make] is kept verbatim as the reference that
-   the equivalence test in test_runtime.ml compares
-   {!Rsim_runtime.Fiber.Make} against; the types are the runtime's own,
-   so both take the same control hooks and report comparable results. *)
+(* The effect-handler fiber runtime that ran the real processes before
+   they became persistent programs, as it was before a hop became
+   allocation-light: it rebuilds the live list and a per-hop [exec]
+   closure on every scheduling decision. [Make] is kept as the reference
+   that the equivalence test in test_runtime.ml compares
+   {!Rsim_runtime.Prog.Make}'s interpreter against, driving the same
+   programs in direct style; the types are the interpreter's own, so
+   both take the same control hooks and report comparable results. *)
 
-module Fiber = Rsim_runtime.Fiber
+module Prog = Rsim_runtime.Prog
 
-module type OPS = Fiber.OPS
+module type OPS = sig
+  type op
+  type res
+end
 
-type status = Fiber.status = Done | Pending | Failed of exn | Crashed
+type status = Prog.status = Done | Pending | Failed of exn | Crashed
 
-type 'op directive = 'op Fiber.directive =
+type 'op directive = 'op Prog.directive =
   | Proceed
   | Replace of 'op
   | Crash
@@ -19,7 +24,7 @@ type 'op directive = 'op Fiber.directive =
   | Stall of { steps : int }
   | Raise of exn
 
-type event = Fiber.event =
+type event = Prog.event =
   | Ev_crash of { pid : int; at : int; restarting : bool }
   | Ev_restart of { pid : int; at : int; incarnation : int }
   | Ev_stall of { pid : int; at : int; steps : int }

@@ -95,7 +95,7 @@ let snapshot_spec m : (Value.t array, snap_op) Linearize.spec =
         | `S -> (st, Value.List (Array.to_list st)));
   }
 
-let mop_history aug (trace : Aug.F.trace_entry list) =
+let mop_history aug (trace : Aug.Prog.trace_entry list) =
   let completed = Hashtbl.create 16 in
   List.iter
     (function
@@ -137,7 +137,7 @@ let mop_history aug (trace : Aug.F.trace_entry list) =
      invocation point. *)
   let last_scan = Hashtbl.create 8 in
   List.iter
-    (fun (e : Aug.F.trace_entry) ->
+    (fun (e : Aug.Prog.trace_entry) ->
       match e.op with
       | Aug.Ops.Hscan -> Hashtbl.replace last_scan e.pid e.idx
       | Aug.Ops.Happend_triples (({ Hrep.ts; _ } :: _) as triples)

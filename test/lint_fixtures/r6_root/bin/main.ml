@@ -1,0 +1,4 @@
+module U = Used
+
+let () = ignore (U.through_alias + Sibling.total)
+let () = ignore Used.(through_open)

@@ -107,8 +107,8 @@ end
    append before the yield-check scan forces a yield, and [x_idx]
    precedes that scan); [Skip_yield_check] and [Yield_on_higher]
    break exactly this invariant. *)
-let race_errors aug (result : Aug.F.result) =
-  let f = Array.length result.Aug.F.statuses in
+let race_errors aug (result : Aug.Prog.result) =
+  let f = Array.length result.Aug.Prog.statuses in
   let t = Hb.Tracker.create ~procs:f ~locs:f in
   (* Fault events, grouped by the operation count at which they
      fired: ticked just before the trace entry with that index. *)
@@ -117,17 +117,17 @@ let race_errors aug (result : Aug.F.result) =
     (fun ev ->
       let pid, at =
         match ev with
-        | Rsim_runtime.Fiber.Ev_crash { pid; at; _ }
-        | Rsim_runtime.Fiber.Ev_restart { pid; at; _ }
-        | Rsim_runtime.Fiber.Ev_stall { pid; at; _ }
-        | Rsim_runtime.Fiber.Ev_replace { pid; at }
-        | Rsim_runtime.Fiber.Ev_raise { pid; at } -> (pid, at)
+        | Rsim_runtime.Prog.Ev_crash { pid; at; _ }
+        | Rsim_runtime.Prog.Ev_restart { pid; at; _ }
+        | Rsim_runtime.Prog.Ev_stall { pid; at; _ }
+        | Rsim_runtime.Prog.Ev_replace { pid; at }
+        | Rsim_runtime.Prog.Ev_raise { pid; at } -> (pid, at)
       in
       Hashtbl.add boundaries at pid)
-    result.Aug.F.events;
+    result.Aug.Prog.events;
   let stamps = Hashtbl.create 64 in
   List.iter
-    (fun (e : Aug.F.trace_entry) ->
+    (fun (e : Aug.Prog.trace_entry) ->
       List.iter
         (fun pid -> Hb.Tracker.boundary t ~pid)
         (Hashtbl.find_all boundaries e.idx);
@@ -136,10 +136,10 @@ let race_errors aug (result : Aug.F.result) =
       | Aug.Ops.Happend_triples _ | Aug.Ops.Happend_lrecords _ ->
         Hb.Tracker.write t ~pid:e.pid ~loc:e.pid);
       Hashtbl.replace stamps e.idx (Hb.Tracker.stamp t ~pid:e.pid))
-    result.Aug.F.trace;
+    result.Aug.Prog.trace;
   let appends =
     List.filter_map
-      (fun (e : Aug.F.trace_entry) ->
+      (fun (e : Aug.Prog.trace_entry) ->
         match e.op with
         | Aug.Ops.Happend_triples ts ->
           Some
@@ -147,7 +147,7 @@ let race_errors aug (result : Aug.F.result) =
               e.pid,
               List.map (fun (tr : Hrep.triple) -> tr.Hrep.comp) ts )
         | Aug.Ops.Hscan | Aug.Ops.Happend_lrecords _ -> None)
-      result.Aug.F.trace
+      result.Aug.Prog.trace
   in
   let errs = ref [] in
   List.iter

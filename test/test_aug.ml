@@ -2,17 +2,35 @@ open Rsim_value
 open Rsim_shmem
 open Rsim_augmented
 
-let check_spec name (aug, (result : Aug.F.result)) =
+let check_spec name (aug, (result : Aug.Prog.result)) =
   let report = Aug_spec.check aug result.trace in
   if not report.Aug_spec.ok then
     Alcotest.failf "%s: spec violations:@.%a" name Aug_spec.pp_report report
 
-let no_failures (result : Aug.F.result) =
+(* Run one program per process against [aug]. *)
+let run ?max_ops ~sched aug programs =
+  Aug.Prog.run ~sched
+    (Aug.Prog.start ?max_ops ~apply:(Aug.apply aug) ~emit:(Aug.record aug)
+       programs)
+
+let ( let* ) = Aug.Prog.bind
+let return = Aug.Prog.return
+
+(* A Block-Update or a Scan by [me], as a whole program. *)
+let bu aug ~me updates =
+  let* _ = Aug.block_update_prog (Aug.config aug) ~me updates in
+  return ()
+
+let scan aug ~me =
+  let* _ = Aug.scan_prog (Aug.config aug) ~me in
+  return ()
+
+let no_failures (result : Aug.Prog.result) =
   Array.iter
     (function
-      | Rsim_runtime.Fiber.Failed e -> raise e
-      | Rsim_runtime.Fiber.Done | Rsim_runtime.Fiber.Pending
-      | Rsim_runtime.Fiber.Crashed -> ())
+      | Rsim_runtime.Prog.Failed e -> raise e
+      | Rsim_runtime.Prog.Done | Rsim_runtime.Prog.Pending
+      | Rsim_runtime.Prog.Crashed -> ())
     result.statuses
 
 (* ---- solo behaviour ---- *)
@@ -21,14 +39,16 @@ let test_solo_basic () =
   let views = ref [] in
   let aug = Aug.create ~f:1 ~m:3 () in
   let result =
-    Aug.F.run ~sched:Schedule.round_robin ~apply:(Aug.apply aug)
+    run ~sched:Schedule.round_robin aug
       [
-        (fun _ ->
-          (match Aug.block_update aug ~me:0 [ (0, Value.Int 1); (2, Value.Int 3) ] with
-          | `View v -> views := ("bu", v) :: !views
-          | `Yield -> Alcotest.fail "q0 must be atomic");
-          let v = Aug.scan aug ~me:0 in
-          views := ("scan", v) :: !views);
+        (let cfg = Aug.config aug in
+         let* r = Aug.block_update_prog cfg ~me:0 [ (0, Value.Int 1); (2, Value.Int 3) ] in
+         (match r with
+         | `View v -> views := ("bu", v) :: !views
+         | `Yield -> Alcotest.fail "q0 must be atomic");
+         let* v = Aug.scan_prog cfg ~me:0 in
+         views := ("scan", v) :: !views;
+         return ());
       ]
   in
   no_failures result;
@@ -48,11 +68,8 @@ let test_solo_basic () =
 let test_bu_step_count () =
   let aug = Aug.create ~f:2 ~m:2 () in
   let result =
-    Aug.F.run ~sched:Schedule.round_robin ~apply:(Aug.apply aug)
-      [
-        (fun _ -> ignore (Aug.block_update aug ~me:0 [ (0, Value.Int 1) ]));
-        (fun _ -> ignore (Aug.block_update aug ~me:1 [ (1, Value.Int 2) ]));
-      ]
+    run ~sched:Schedule.round_robin aug
+      [ bu aug ~me:0 [ (0, Value.Int 1) ]; bu aug ~me:1 [ (1, Value.Int 2) ] ]
   in
   no_failures result;
   List.iter
@@ -73,10 +90,12 @@ let test_forced_yield () =
   let aug = Aug.create ~f:2 ~m:2 () in
   let sched = Schedule.script [ 1; 0; 0; 0; 0; 0; 0; 1; 1; 1; 1; 1 ] in
   let result =
-    Aug.F.run ~sched ~apply:(Aug.apply aug)
+    run ~sched aug
       [
-        (fun _ -> ignore (Aug.block_update aug ~me:0 [ (0, Value.Int 10) ]));
-        (fun _ -> q1_result := Some (Aug.block_update aug ~me:1 [ (1, Value.Int 20) ]));
+        bu aug ~me:0 [ (0, Value.Int 10) ];
+        (let* r = Aug.block_update_prog (Aug.config aug) ~me:1 [ (1, Value.Int 20) ] in
+         q1_result := Some r;
+         return ());
       ]
   in
   no_failures result;
@@ -91,17 +110,18 @@ let test_no_yield_without_contention () =
   let aug = Aug.create ~f:3 ~m:3 () in
   let results = Array.make 3 None in
   let result =
-    Aug.F.run ~sched:(Schedule.script (List.concat_map (fun p -> List.init 6 (fun _ -> p)) [ 2; 1; 0; 2; 0 ]))
-      ~apply:(Aug.apply aug)
-      [
-        (fun _ ->
-          results.(0) <- Some (Aug.block_update aug ~me:0 [ (0, Value.Int 1) ]);
-          ignore (Aug.block_update aug ~me:0 [ (1, Value.Int 2) ]));
-        (fun _ -> results.(1) <- Some (Aug.block_update aug ~me:1 [ (1, Value.Int 3) ]));
-        (fun _ ->
-          results.(2) <- Some (Aug.block_update aug ~me:2 [ (2, Value.Int 4) ]);
-          ignore (Aug.block_update aug ~me:2 [ (0, Value.Int 5) ]));
-      ]
+    run ~sched:(Schedule.script (List.concat_map (fun p -> List.init 6 (fun _ -> p)) [ 2; 1; 0; 2; 0 ]))
+      aug
+      (List.map
+         (fun (me, first, rest) ->
+           let* r = Aug.block_update_prog (Aug.config aug) ~me [ first ] in
+           results.(me) <- Some r;
+           match rest with None -> return () | Some u -> bu aug ~me [ u ])
+         [
+           (0, (0, Value.Int 1), Some (1, Value.Int 2));
+           (1, (1, Value.Int 3), None);
+           (2, (2, Value.Int 4), Some (0, Value.Int 5));
+         ])
   in
   no_failures result;
   Array.iteri
@@ -120,10 +140,12 @@ let test_higher_id_does_not_force_yield () =
   let aug = Aug.create ~f:2 ~m:2 () in
   let sched = Schedule.script [ 0; 1; 1; 1; 1; 1; 1; 0; 0; 0; 0; 0 ] in
   let result =
-    Aug.F.run ~sched ~apply:(Aug.apply aug)
+    run ~sched aug
       [
-        (fun _ -> q0_result := Some (Aug.block_update aug ~me:0 [ (0, Value.Int 10) ]));
-        (fun _ -> ignore (Aug.block_update aug ~me:1 [ (1, Value.Int 20) ]));
+        (let* r = Aug.block_update_prog (Aug.config aug) ~me:0 [ (0, Value.Int 10) ] in
+         q0_result := Some r;
+         return ());
+        bu aug ~me:1 [ (1, Value.Int 20) ];
       ]
   in
   no_failures result;
@@ -137,11 +159,13 @@ let test_scan_sees_last_update () =
   let aug = Aug.create ~f:2 ~m:2 () in
   let seen = ref [||] in
   let result =
-    Aug.F.run ~sched:(Schedule.script (List.init 6 (fun _ -> 0) @ List.init 10 (fun _ -> 1)))
-      ~apply:(Aug.apply aug)
+    run ~sched:(Schedule.script (List.init 6 (fun _ -> 0) @ List.init 10 (fun _ -> 1)))
+      aug
       [
-        (fun _ -> ignore (Aug.block_update aug ~me:0 [ (0, Value.Int 7) ]));
-        (fun _ -> seen := Aug.scan aug ~me:1);
+        bu aug ~me:0 [ (0, Value.Int 7) ];
+        (let* v = Aug.scan_prog (Aug.config aug) ~me:1 in
+         seen := v;
+         return ());
       ]
   in
   no_failures result;
@@ -150,37 +174,34 @@ let test_scan_sees_last_update () =
   check_spec "scan sees update" (aug, result)
 
 let test_block_update_validation () =
-  let aug = Aug.create ~f:1 ~m:2 () in
-  let result =
-    Aug.F.run ~sched:Schedule.round_robin ~apply:(Aug.apply aug)
-      [
-        (fun _ ->
-          (try ignore (Aug.block_update aug ~me:0 []) with
-          | Invalid_argument _ -> ());
-          (try ignore (Aug.block_update aug ~me:0 [ (0, Value.Bot); (0, Value.Bot) ])
-           with Invalid_argument _ -> ());
-          try ignore (Aug.block_update aug ~me:0 [ (5, Value.Bot) ])
-          with Invalid_argument _ -> ());
-      ]
-  in
-  no_failures result;
-  Alcotest.(check int) "nothing logged" 0 (List.length (Aug.log aug))
+  (* A malformed Block-Update is refused when its program is built,
+     before it issues any operation. *)
+  let cfg = Aug.config (Aug.create ~f:1 ~m:2 ()) in
+  List.iter
+    (fun (what, updates) ->
+      Alcotest.(check bool) what true
+        (match Aug.block_update_prog cfg ~me:0 updates with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [
+      ("empty update list", []);
+      ("repeated component", [ (0, Value.Bot); (0, Value.Bot) ]);
+      ("component out of range", [ (5, Value.Bot) ]);
+    ]
 
 (* ---- exhaustive model checking over ALL interleavings ---- *)
 
-(* Enumerate every complete interleaving of the given fiber programs by
-   DFS over schedule prefixes, replaying from scratch each time (the
-   effect-fiber continuations are one-shot, so branching requires
-   replay; programs are tiny, so this is cheap). Each complete execution
-   is checked against the full §3 specification. *)
+(* Enumerate every complete interleaving of the given programs by DFS
+   over schedule prefixes, replaying from scratch each time (programs
+   are tiny, so this is cheap, and it keeps this check independent of
+   the exploration engine's saved states). Each complete execution is
+   checked against the full §3 specification. *)
 let exhaustive_check ~f ~m ~bodies ~max_len =
   let executions = ref 0 in
   let replay script =
     let aug = Aug.create ~f ~m () in
     let result =
-      Aug.F.run ~max_ops:(max_len + 1)
-        ~sched:(Schedule.script script)
-        ~apply:(Aug.apply aug)
+      run ~max_ops:(max_len + 1) ~sched:(Schedule.script script) aug
         (bodies aug)
     in
     (aug, result)
@@ -192,15 +213,15 @@ let exhaustive_check ~f ~m ~bodies ~max_len =
       let aug, result = replay script in
       let live =
         List.filter
-          (fun pid -> result.Aug.F.statuses.(pid) = Rsim_runtime.Fiber.Pending)
+          (fun pid -> result.Aug.Prog.statuses.(pid) = Rsim_runtime.Prog.Pending)
           (List.init f Fun.id)
       in
       (* Only branch when the whole script was consumed; a script that
-         ends early (fiber done) is a complete execution. *)
+         ends early (every process done) is a complete execution. *)
       if live = [] then begin
         incr executions;
         no_failures result;
-        let report = Aug_spec.check aug result.Aug.F.trace in
+        let report = Aug_spec.check aug result.Aug.Prog.trace in
         if not report.Aug_spec.ok then
           Alcotest.failf "exhaustive: script [%s] violates the spec:@.%a"
             (String.concat ";" (List.map string_of_int script))
@@ -215,10 +236,7 @@ let exhaustive_check ~f ~m ~bodies ~max_len =
 
 let test_exhaustive_two_bus () =
   let bodies aug =
-    [
-      (fun _ -> ignore (Aug.block_update aug ~me:0 [ (0, Value.Int 1) ]));
-      (fun _ -> ignore (Aug.block_update aug ~me:1 [ (0, Value.Int 2) ]));
-    ]
+    [ bu aug ~me:0 [ (0, Value.Int 1) ]; bu aug ~me:1 [ (0, Value.Int 2) ] ]
   in
   let n = exhaustive_check ~f:2 ~m:2 ~bodies ~max_len:16 in
   Alcotest.(check bool)
@@ -227,10 +245,7 @@ let test_exhaustive_two_bus () =
 
 let test_exhaustive_bu_vs_scan () =
   let bodies aug =
-    [
-      (fun _ -> ignore (Aug.block_update aug ~me:0 [ (0, Value.Int 1); (1, Value.Int 2) ]));
-      (fun _ -> ignore (Aug.scan aug ~me:1));
-    ]
+    [ bu aug ~me:0 [ (0, Value.Int 1); (1, Value.Int 2) ]; scan aug ~me:1 ]
   in
   let n = exhaustive_check ~f:2 ~m:2 ~bodies ~max_len:20 in
   Alcotest.(check bool)
@@ -240,10 +255,9 @@ let test_exhaustive_bu_vs_scan () =
 let test_exhaustive_bu_then_scan_each () =
   let bodies aug =
     [
-      (fun _ ->
-        ignore (Aug.block_update aug ~me:0 [ (0, Value.Int 1) ]);
-        ignore (Aug.scan aug ~me:0));
-      (fun _ -> ignore (Aug.block_update aug ~me:1 [ (1, Value.Int 2) ]));
+      (let* () = bu aug ~me:0 [ (0, Value.Int 1) ] in
+       scan aug ~me:0);
+      bu aug ~me:1 [ (1, Value.Int 2) ];
     ]
   in
   let n = exhaustive_check ~f:2 ~m:2 ~bodies ~max_len:24 in
@@ -253,34 +267,18 @@ let test_exhaustive_bu_then_scan_each () =
 
 (* ---- randomized adversarial workloads, checked against the spec ---- *)
 
-let random_body ~aug ~m ~n_ops ~seed pid =
-  let g = ref (Prng.make (seed + (1000 * pid))) in
-  let draw n =
-    let k, g' = Prng.int !g n in
-    g := g';
-    k
-  in
-  for _ = 1 to n_ops do
-    if draw 3 = 0 then ignore (Aug.scan aug ~me:pid)
-    else begin
-      let r = 1 + draw (min m 3) in
-      let comps = ref [] in
-      while List.length !comps < r do
-        let j = draw m in
-        if not (List.mem j !comps) then comps := j :: !comps
-      done;
-      let updates = List.map (fun j -> (j, Value.Int (draw 100))) !comps in
-      ignore (Aug.block_update aug ~me:pid updates)
-    end
-  done
+(* [n_ops] M-operations of process [pid]: a Scan with probability 1/3,
+   else a Block-Update to between 1 and 3 distinct components. *)
+let random_body ~aug ~n_ops ~seed pid =
+  Aug.random_prog (Aug.config aug) ~me:pid ~seed:(seed + (1000 * pid))
+    ~ops:n_ops ~max_comps:3 ~values:100
 
 let random_workload_case ~f ~m ~n_ops ~seed () =
   let aug = Aug.create ~f ~m () in
   let result =
-    Aug.F.run ~max_ops:20_000
-      ~sched:(Schedule.random ~seed)
-      ~apply:(Aug.apply aug)
-      (List.init f (fun _ -> random_body ~aug ~m ~n_ops ~seed))
+    run ~max_ops:20_000
+      ~sched:(Schedule.random ~seed) aug
+      (List.init f (random_body ~aug ~n_ops ~seed))
   in
   no_failures result;
   check_spec (Printf.sprintf "random f=%d m=%d seed=%d" f m seed) (aug, result)
@@ -291,10 +289,9 @@ let prop_random_workloads =
     (fun (seed, f, m) ->
       let aug = Aug.create ~f ~m () in
       let result =
-        Aug.F.run ~max_ops:20_000
-          ~sched:(Schedule.random ~seed)
-          ~apply:(Aug.apply aug)
-          (List.init f (fun _ -> random_body ~aug ~m ~n_ops:6 ~seed))
+        run ~max_ops:20_000
+          ~sched:(Schedule.random ~seed) aug
+          (List.init f (random_body ~aug ~n_ops:6 ~seed))
       in
       no_failures result;
       let report = Aug_spec.check aug result.trace in
@@ -318,10 +315,9 @@ let prop_scripted_schedules =
       let script = List.init (10 + draw (30 * f)) (fun _ -> draw f) in
       let aug = Aug.create ~f ~m () in
       let result =
-        Aug.F.run ~max_ops:20_000
-          ~sched:(Schedule.script script)
-          ~apply:(Aug.apply aug)
-          (List.init f (fun _ -> random_body ~aug ~m ~n_ops:3 ~seed))
+        run ~max_ops:20_000
+          ~sched:(Schedule.script script) aug
+          (List.init f (random_body ~aug ~n_ops:3 ~seed))
       in
       let report = Aug_spec.check aug result.trace in
       if not report.Aug_spec.ok then
@@ -351,10 +347,9 @@ let prop_crashy_schedules =
       in
       let aug = Aug.create ~f ~m () in
       let result =
-        Aug.F.run ~max_ops:20_000
-          ~sched:(Schedule.with_crashes crashes (Schedule.random ~seed))
-          ~apply:(Aug.apply aug)
-          (List.init f (fun _ -> random_body ~aug ~m ~n_ops:4 ~seed))
+        run ~max_ops:20_000
+          ~sched:(Schedule.with_crashes crashes (Schedule.random ~seed)) aug
+          (List.init f (random_body ~aug ~n_ops:4 ~seed))
       in
       let report = Aug_spec.check aug result.trace in
       if not report.Aug_spec.ok then
@@ -371,12 +366,11 @@ let prop_deterministic =
       let go () =
         let aug = Aug.create ~f:3 ~m:2 () in
         let result =
-          Aug.F.run ~max_ops:5_000
-            ~sched:(Schedule.random ~seed)
-            ~apply:(Aug.apply aug)
-            (List.init 3 (fun _ -> random_body ~aug ~m:2 ~n_ops:4 ~seed))
+          run ~max_ops:5_000
+            ~sched:(Schedule.random ~seed) aug
+            (List.init 3 (random_body ~aug ~n_ops:4 ~seed))
         in
-        List.map (fun (e : Aug.F.trace_entry) -> e.pid) result.trace
+        List.map (fun (e : Aug.Prog.trace_entry) -> e.pid) result.trace
       in
       go () = go ())
 
@@ -391,13 +385,12 @@ let test_scan_blocked_by_updates () =
     @ List.init 10 (fun _ -> 1)
   in
   let result =
-    Aug.F.run ~sched:(Schedule.script pattern) ~apply:(Aug.apply aug)
+    run ~sched:(Schedule.script pattern) aug
       [
-        (fun _ ->
-          for i = 1 to 3 do
-            ignore (Aug.block_update aug ~me:0 [ (0, Value.Int i) ])
-          done);
-        (fun _ -> ignore (Aug.scan aug ~me:1));
+        (let* () = bu aug ~me:0 [ (0, Value.Int 1) ] in
+         let* () = bu aug ~me:0 [ (0, Value.Int 2) ] in
+         bu aug ~me:0 [ (0, Value.Int 3) ]);
+        scan aug ~me:1;
       ]
   in
   no_failures result;
@@ -531,10 +524,9 @@ let test_checker_matches_reference () =
   for seed = 0 to 29 do
     let aug = Aug.create ~helping:false ~f:3 ~m:3 () in
     let result =
-      Aug.F.run ~max_ops:20_000
-        ~sched:(Schedule.random ~seed)
-        ~apply:(Aug.apply aug)
-        (List.init 3 (fun _ -> random_body ~aug ~m:3 ~n_ops:6 ~seed))
+      run ~max_ops:20_000
+        ~sched:(Schedule.random ~seed) aug
+        (List.init 3 (random_body ~aug ~n_ops:6 ~seed))
     in
     compare_with_reference tally
       (Printf.sprintf "helping:false seed %d" seed)
@@ -561,13 +553,13 @@ let test_window_start_latest () =
   let h1 = Array.copy h0 in
   h1.(0) <- Hrep.append_triples h1.(0) [ triple ];
   let scan idx s =
-    { Aug.F.idx; pid = 1; op = Aug.Ops.Hscan; res = Aug.Ops.Snap s }
+    { Aug.Prog.idx; pid = 1; op = Aug.Ops.Hscan; res = Aug.Ops.Snap s }
   in
   let trace =
     [
       scan 0 h0;
       scan 1 h0;
-      { Aug.F.idx = 2; pid = 0; op = Aug.Ops.Happend_triples [ triple ];
+      { Aug.Prog.idx = 2; pid = 0; op = Aug.Ops.Happend_triples [ triple ];
         res = Aug.Ops.Ack };
       scan 3 h1;
       scan 4 h0;

@@ -4,6 +4,8 @@ open Rsim_augmented
 open Rsim_explore
 
 module Faults = Rsim_faults.Faults
+module Harness = Rsim_simulation.Harness
+module Journal = Rsim_simulation.Journal
 
 let get_builtin ?inject ?faults ?oracles name ~f ~m =
   match Explore.Aug_target.builtin ?inject ?faults ?oracles ~name ~f ~m () with
@@ -206,23 +208,29 @@ let crash_run ~crash_after =
       (Schedule.script (List.init 6 (fun _ -> 1) @ List.init 12 (fun _ -> 0)))
   in
   let result =
-    Aug.F.run ~sched ~apply:(Aug.apply aug)
-      [
-        (fun _ -> seen := Aug.scan aug ~me:0);
-        (fun _ -> ignore (Aug.block_update aug ~me:1 [ (0, Value.Int 42) ]));
-      ]
+    let cfg = Aug.config aug in
+    let open Aug.Prog in
+    run ~sched
+      (start ~apply:(Aug.apply aug) ~emit:(Aug.record aug)
+         [
+           (let* v = Aug.scan_prog cfg ~me:0 in
+            seen := v;
+            return ());
+           (let* _ = Aug.block_update_prog cfg ~me:1 [ (0, Value.Int 42) ] in
+            return ());
+         ])
   in
   Alcotest.(check bool) "q1 crashed mid-operation" true
-    (result.Aug.F.statuses.(1) = Rsim_runtime.Fiber.Pending);
+    (result.Aug.Prog.statuses.(1) = Rsim_runtime.Prog.Pending);
   Alcotest.(check bool) "q0 survived" true
-    (result.Aug.F.statuses.(0) = Rsim_runtime.Fiber.Done);
+    (result.Aug.Prog.statuses.(0) = Rsim_runtime.Prog.Done);
   (aug, result, !seen)
 
-let check_crash_spec name aug (result : Aug.F.result) =
+let check_crash_spec name aug (result : Aug.Prog.result) =
   (* The survivor's Scans must satisfy the spec — Corollary 15 in
      particular: every pair of views is comparable, later scans dominate
      earlier ones — even with a crashed Block-Update in the history. *)
-  let report = Aug_spec.check aug result.Aug.F.trace in
+  let report = Aug_spec.check aug result.Aug.Prog.trace in
   if not report.Aug_spec.ok then
     Alcotest.failf "%s: spec violations on crashy run:@.%a" name
       Aug_spec.pp_report report
@@ -232,7 +240,7 @@ let test_crash_before_x () =
   Alcotest.(check bool) "update invisible before X" true (Value.is_bot seen.(0));
   check_crash_spec "crash pre-X" aug result;
   let spec, entries =
-    Explore.mop_history aug (Aug_spec.index aug result.Aug.F.trace)
+    Explore.mop_history aug (Aug_spec.index aug result.Aug.Prog.trace)
   in
   Alcotest.(check bool) "pending update droppable: history linearizable" true
     (Linearize.check spec entries)
@@ -243,7 +251,7 @@ let test_crash_after_x () =
     (Value.equal seen.(0) (Value.Int 42));
   check_crash_spec "crash post-X" aug result;
   let spec, entries =
-    Explore.mop_history aug (Aug_spec.index aug result.Aug.F.trace)
+    Explore.mop_history aug (Aug_spec.index aug result.Aug.Prog.trace)
   in
   Alcotest.(check bool) "crashed Block-Update left a pending entry" true
     (List.exists (fun (e : _ Linearize.entry) -> e.Linearize.ret = None) entries);
@@ -519,8 +527,30 @@ let test_engine_matches_naive () =
   in
   check "clean" (clean_workload ());
   check "seeded" (seeded_workload ());
-  (* fibers: a task replays its decision list *)
+  (* simulations: a task restores the simulation state saved at its node *)
   check "racing" (Explore.Harness_target.racing ~n:2 ~m:1 ~f:2 ~d:0 ())
+
+let test_racing_tree_pinned () =
+  (* The Corollary 33 witness tree, exhaustive under a preemption bound
+     and with no early stop: each frontier task resumes the simulation
+     saved at its node. The counts are pinned, so a change to the
+     simulators, the runtime or the engine cannot move the tree
+     silently. *)
+  let r =
+    Explore.exhaustive ~max_steps:80 ~preemption_bound:2
+      ~max_violations:1_000_000 ~domains:2
+      (Explore.Harness_target.racing ~n:4 ~m:2 ~f:2 ~d:0 ())
+  in
+  Alcotest.(check (list int))
+    "prefixes, executions, complete, truncated, violations"
+    [ 17831; 842; 842; 0; 11 ]
+    [
+      r.Explore.prefixes;
+      r.Explore.executions;
+      r.Explore.complete;
+      r.Explore.truncated;
+      List.length r.Explore.violations;
+    ]
 
 let test_domain_count_invariance () =
   (* Pruning off fixes the tree; the report must then be bit-identical
@@ -671,7 +701,7 @@ let snap_key (s : Hrep.snap) =
           c.Hrep.lrecords ))
     s
 
-let entry_key (e : Aug.F.trace_entry) =
+let entry_key (e : Aug.Prog.trace_entry) =
   let op =
     match e.op with
     | Aug.Ops.Hscan -> snap_key [||]
@@ -700,6 +730,70 @@ let mop_key = function
    and judged errors. Each schedule picks among the live pids by a hash
    of (decision, live set), so the resumed execution, told the node's
    depth, makes the same decisions after it. *)
+(* For 30 seeds: run [w] from scratch under a pseudo-random schedule,
+   save the state at a decision drawn from the seed and [salt] (for odd
+   seeds, one of the last four), then
+   resume a fresh execution there and check that it reports what the
+   scratch run did: script, live set, steps, judged errors and what a
+   capturing oracle put in [seen]. Returns the number of states
+   resumed. *)
+let resumes_match ~what ~salt ~max_ops (w : Explore.workload) seen =
+  let resumed = ref 0 in
+  for seed = 1 to 30 do
+    let pick step live =
+      let h = Hashtbl.hash (seed, step, live) in
+      Some (List.nth live (h mod List.length live))
+    in
+    let run ?probe sched =
+      let out = w.Explore.exec ~probe ~certify:false ~sched ~max_ops ~check:true in
+      (out.Explore.script, out.Explore.live, out.Explore.steps,
+       out.Explore.errors, !seen)
+    in
+    let decisions = ref 0 in
+    let scratch =
+      run
+        (Schedule.fn (fun ~step ~live ->
+             decisions := step + 1;
+             pick step live))
+    in
+    (* Odd seeds resume near the end, where the events of the whole run
+       are in the saved state. *)
+    let depth =
+      let h = Hashtbl.hash (seed, salt) in
+      if seed mod 2 = 0 then h mod max 1 !decisions
+      else max 0 (!decisions - 1 - (h mod 4))
+    in
+    let node = ref None in
+    ignore
+      (run
+         ~probe:(fun (pv : Explore.probe_view) ->
+           if pv.step = depth then begin
+             node := Some (pv.save ());
+             `Stop
+           end
+           else `Continue)
+         (Schedule.fn (fun ~step ~live -> pick step live)));
+    match !node with
+    | None -> ()
+    | Some n ->
+      incr resumed;
+      let step = ref 0 in
+      let restored = ref false in
+      let probe (pv : Explore.probe_view) =
+        if not !restored then begin
+          restored := true;
+          pv.restore n;
+          step := depth
+        end
+        else step := pv.step;
+        `Continue
+      in
+      let again = run ~probe (Schedule.fn (fun ~step:_ ~live -> pick !step live)) in
+      if again <> scratch then
+        Alcotest.failf "%s seed %d: resumed at %d differs" what seed depth
+  done;
+  !resumed
+
 let test_resume_matches_scratch () =
   let resumed = ref 0 in
   List.iter
@@ -724,66 +818,18 @@ let test_resume_matches_scratch () =
               check =
                 (fun ex ->
                   seen :=
-                    ( List.map entry_key ex.result.Aug.F.trace,
+                    ( List.map entry_key ex.result.Aug.Prog.trace,
                       List.map mop_key (Aug.log ex.aug) );
                   []);
             }
           in
           let oracles = Explore.Aug_target.default_oracles @ [ capture ] in
           let w = get_builtin ?inject ?faults ~oracles name ~f ~m in
-          for seed = 1 to 30 do
-            let pick step live =
-              let h = Hashtbl.hash (seed, step, live) in
-              Some (List.nth live (h mod List.length live))
-            in
-            let run ?probe sched =
-              let out =
-                w.Explore.exec ~probe ~certify:false ~sched ~max_ops:60
-                  ~check:true
-              in
-              (out.Explore.script, out.Explore.live, out.Explore.steps,
-               out.Explore.errors, !seen)
-            in
-            let decisions = ref 0 in
-            let scratch =
-              run
-                (Schedule.fn (fun ~step ~live ->
-                     decisions := step + 1;
-                     pick step live))
-            in
-            let depth = Hashtbl.hash (seed, name, k) mod max 1 !decisions in
-            let node = ref None in
-            ignore
-              (run
-                 ~probe:(fun (pv : Explore.probe_view) ->
-                   if pv.step = depth then begin
-                     node := Some (pv.save ());
-                     `Stop
-                   end
-                   else `Continue)
-                 (Schedule.fn (fun ~step ~live -> pick step live)));
-            match !node with
-            | None -> ()
-            | Some n ->
-              incr resumed;
-              let step = ref 0 in
-              let restored = ref false in
-              let probe (pv : Explore.probe_view) =
-                if not !restored then begin
-                  restored := true;
-                  pv.restore n;
-                  step := depth
-                end
-                else step := pv.step;
-                `Continue
-              in
-              let again =
-                run ~probe (Schedule.fn (fun ~step:_ ~live -> pick !step live))
-              in
-              if again <> scratch then
-                Alcotest.failf "%s (case %d) seed %d: resumed at %d differs"
-                  name k seed depth
-          done)
+          resumed :=
+            !resumed
+            + resumes_match
+                ~what:(Printf.sprintf "%s (case %d)" name k)
+                ~salt:(name, k) ~max_ops:60 w seen)
         [
           (None, `None);
           (None, `Chaos);
@@ -794,9 +840,62 @@ let test_resume_matches_scratch () =
           (None, `Literal "drop@1:1,corrupt@2:3#5,raise@0:4,stall@1:5*3");
         ])
     Explore.Aug_target.builtin_names;
+  (* The simulation: clean, crashy, with a watchdog that quarantines
+     simulators, and under the chaos profile (stalls and restarts), so a
+     saved state carries journals, crashes, quarantines and a fired
+     set. *)
+  let quarantines = ref 0 and crashes = ref 0 in
+  List.iter
+    (fun (n, m, f, watchdog) ->
+      List.iteri
+        (fun k (faults, watchdog) ->
+          let seen = ref ([], [||], [], [], []) in
+          let capture : Explore.Harness_target.exec Explore.Oracle.t =
+            {
+              Explore.Oracle.name = "capture";
+              on_truncated = true;
+              check =
+                (fun { result = r; _ } ->
+                  let q = r.Harness.report.Harness.quarantined in
+                  quarantines := !quarantines + List.length q;
+                  Array.iter
+                    (fun st -> if st = Rsim_runtime.Prog.Crashed then incr crashes)
+                    r.Harness.statuses;
+                  seen :=
+                    ( List.map entry_key r.Harness.trace,
+                      Array.map Journal.events r.Harness.journals,
+                      r.Harness.outputs,
+                      List.map (fun (q : Harness.quarantine) -> (q.sim, q.at_op)) q,
+                      List.map mop_key (Aug.log r.Harness.aug) );
+                  []);
+            }
+          in
+          let oracles =
+            (if faults = [] then Explore.Harness_target.default_oracles
+             else Explore.Harness_target.fault_oracles)
+            @ [ capture ]
+          in
+          let w =
+            Explore.Harness_target.racing ~oracles ~faults ?watchdog ~n ~m ~f
+              ~d:0 ()
+          in
+          resumed :=
+            !resumed
+            + resumes_match
+                ~what:(Printf.sprintf "racing n%d m%d f%d (case %d)" n m f k)
+                ~salt:(n, k) ~max_ops:200 w seen)
+        [
+          ([], None);
+          (Option.get (Faults.named "crashy" ~n_procs:f ~seed:(n + 1)), None);
+          ([], Some watchdog);
+          (Option.get (Faults.named "chaos" ~n_procs:f ~seed:n), None);
+        ])
+    [ (2, 1, 2, 8); (4, 2, 2, 20) ];
   Alcotest.(check bool)
-    (Printf.sprintf "states resumed (%d)" !resumed)
-    true (!resumed > 500)
+    (Printf.sprintf "states resumed (%d), quarantines (%d) and crashes (%d) seen"
+       !resumed !quarantines !crashes)
+    true
+    (!resumed > 600 && !quarantines > 0 && !crashes > !quarantines)
 
 let test_sweep_domain_clamp () =
   (* Tiny budgets must not spawn idle domains. *)
@@ -987,7 +1086,7 @@ let reference_oracle t : Explore.Aug_target.exec Explore.Oracle.t =
         if want <> [] then t.racy <- t.racy + 1;
         if got <> want then t.race_diffs <- t.race_diffs + 1;
         let spec, entries = Explore.mop_history aug (Lazy.force ex.index) in
-        let _, ref_entries = Linearize_ref.mop_history aug result.Aug.F.trace in
+        let _, ref_entries = Linearize_ref.mop_history aug result.Aug.Prog.trace in
         if entries <> ref_entries then t.history_diffs <- t.history_diffs + 1;
         (* the oracle searches histories of at most 16 operations *)
         if List.compare_length_with entries 16 <= 0 then begin
@@ -1047,39 +1146,6 @@ let test_matches_references () =
     (Printf.sprintf "same Wing-Gong witness on %d histories" t.searched)
     0 t.search_diffs
 
-(* ---- fiber reclamation: the engines leave no fiber behind ---- *)
-
-module Metrics = Rsim_obs.Obs.Metrics
-
-let check_no_live_fibers what =
-  Alcotest.(check int) (what ^ ": no live fibers") 0
-    (Metrics.gauge_value (Metrics.gauge "fiber.live"))
-
-let test_no_live_fibers_after_early_stop () =
-  (* The seeded bug stops the engine at its first counterexample while
-     both domains still hold truncated and probe-stopped executions. *)
-  let rep = Explore.exhaustive ~max_steps:10 ~domains:2 (seeded_workload ()) in
-  Alcotest.(check bool) "stopped on a counterexample" true
-    (rep.Explore.violations <> []);
-  check_no_live_fibers "exhaustive early stop at 2 domains"
-
-let test_no_live_fibers_after_crashy_sweep () =
-  let faults =
-    match Faults.resolve ~n_procs:3 ~seed:7 "crashy" with
-    | Ok fs -> fs
-    | Error e -> Alcotest.failf "crashy profile failed to resolve: %s" e
-  in
-  let w = get_builtin ~faults "mixed" ~f:3 ~m:2 in
-  let crashes = Metrics.counter "fiber.faults.crash" in
-  let before = Metrics.counter_value crashes in
-  let rep = Explore.sweep ~domains:2 ~max_steps:60 ~budget:200 ~seed:7 w in
-  Alcotest.(check (list (list int)))
-    "crashy sweep is violation-free" []
-    (List.map (fun v -> v.Explore.script) rep.Explore.violations);
-  Alcotest.(check bool) "crashes fired" true
-    (Metrics.counter_value crashes > before);
-  check_no_live_fibers "crashy sweep"
-
 let () =
   Alcotest.run "explore"
     [
@@ -1106,6 +1172,7 @@ let () =
         [
           Alcotest.test_case "engine matches naive DFS" `Quick
             test_engine_matches_naive;
+          Alcotest.test_case "racing tree pinned" `Quick test_racing_tree_pinned;
           Alcotest.test_case "report invariant at 1/2/4 domains" `Quick
             test_domain_count_invariance;
           Alcotest.test_case "dedup cuts keep the bug" `Quick
@@ -1154,13 +1221,6 @@ let () =
         [
           Alcotest.test_case "race, history and search match" `Quick
             test_matches_references;
-        ] );
-      ( "fiber reclamation",
-        [
-          Alcotest.test_case "none live after an early stop at 2 domains"
-            `Quick test_no_live_fibers_after_early_stop;
-          Alcotest.test_case "none live after a crashy sweep" `Quick
-            test_no_live_fibers_after_crashy_sweep;
         ] );
       ( "artifact versioning",
         [

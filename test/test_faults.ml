@@ -94,18 +94,18 @@ let test_plan_fires_once () =
   let plan = Faults.plan ~adapter:Faults.null_adapter specs in
   (* wrong pid, wrong op index: no fire *)
   Alcotest.(check bool) "other pid proceeds" true
-    (Faults.control plan ~pid:0 ~nth:2 () = Rsim_runtime.Fiber.Proceed);
+    (Faults.control plan ~pid:0 ~nth:2 () = Rsim_runtime.Prog.Proceed);
   Alcotest.(check bool) "earlier op proceeds" true
-    (Faults.control plan ~pid:1 ~nth:1 () = Rsim_runtime.Fiber.Proceed);
+    (Faults.control plan ~pid:1 ~nth:1 () = Rsim_runtime.Prog.Proceed);
   Alcotest.(check bool) "nothing fired yet" true (Faults.fired plan = []);
   (* the victim op *)
   Alcotest.(check bool) "victim op crashes" true
-    (Faults.control plan ~pid:1 ~nth:2 () = Rsim_runtime.Fiber.Crash);
+    (Faults.control plan ~pid:1 ~nth:2 () = Rsim_runtime.Prog.Crash);
   Alcotest.(check bool) "spec recorded as fired" true
     (Faults.fired plan = specs);
   (* same (pid, nth) again — e.g. after a restart replays op 2 — no refire *)
   Alcotest.(check bool) "fires at most once" true
-    (Faults.control plan ~pid:1 ~nth:2 () = Rsim_runtime.Fiber.Proceed)
+    (Faults.control plan ~pid:1 ~nth:2 () = Rsim_runtime.Prog.Proceed)
 
 let test_null_adapter_skips_value_faults () =
   let plan =
@@ -116,9 +116,9 @@ let test_null_adapter_skips_value_faults () =
       ]
   in
   Alcotest.(check bool) "drop skipped without an adapter" true
-    (Faults.control plan ~pid:0 ~nth:0 () = Rsim_runtime.Fiber.Proceed);
+    (Faults.control plan ~pid:0 ~nth:0 () = Rsim_runtime.Prog.Proceed);
   Alcotest.(check bool) "corrupt skipped without an adapter" true
-    (Faults.control plan ~pid:0 ~nth:1 () = Rsim_runtime.Fiber.Proceed)
+    (Faults.control plan ~pid:0 ~nth:1 () = Rsim_runtime.Prog.Proceed)
 
 let test_aug_adapter_drop () =
   let tr =

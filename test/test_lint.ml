@@ -1,5 +1,5 @@
 (* rsim-lint engine tests (DESIGN §10): each fixture under
-   lint_fixtures/ trips exactly its own rule once, the [@rsim.shared]
+   lint_fixtures/ trips exactly its own rule (R6 twice), the [@rsim.shared]
    annotation and the zone gates silence correctly, and the baseline
    machinery diffs by (rule, file, message). *)
 
@@ -65,6 +65,18 @@ let test_r5 () =
     "path is workspace-relative" "lib/nomli/nomli.ml"
     (List.hd report.Lint.findings).Lint.file
 
+let test_r6 () =
+  let report = Lint.scan ~root:(Filename.concat fixture_dir "r6_root") () in
+  Alcotest.(check (list (pair string string)))
+    "values no other library refers to, through an alias or an open"
+    [
+      ("R6", "val Used.sibling_only is used by no module outside its library");
+      ("R6", "val Used.unused is used by no module outside its library");
+    ]
+    (List.map
+       (fun (f : Lint.finding) -> (f.Lint.rule, f.Lint.message))
+       report.Lint.findings)
+
 let test_parse_error () =
   let fs = Lint.lint_source ~file:"lib/x/broken.ml" "let let let" in
   Alcotest.(check (list string)) "unparseable -> parse finding" [ "parse" ]
@@ -120,6 +132,7 @@ let () =
           Alcotest.test_case "R3 nondeterminism" `Quick test_r3;
           Alcotest.test_case "R4 partial functions" `Quick test_r4;
           Alcotest.test_case "R5 missing interface" `Quick test_r5;
+          Alcotest.test_case "R6 unused interface values" `Quick test_r6;
           Alcotest.test_case "parse errors are findings" `Quick
             test_parse_error;
         ] );

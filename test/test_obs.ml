@@ -266,12 +266,16 @@ let test_aug_counters_move () =
   let c_bu = Obs.Metrics.counter "aug.bu.total" in
   let before = Obs.Metrics.counter_value c_bu in
   let aug = Aug.create ~f:2 ~m:2 () in
+  let bu me =
+    Aug.Prog.bind
+      (Aug.block_update_prog (Aug.config aug) ~me
+         [ (me, Rsim_value.Value.Int (me + 1)) ])
+      (fun _ -> Aug.Prog.return ())
+  in
   ignore
-    (Aug.F.run ~sched:Rsim_shmem.Schedule.round_robin ~apply:(Aug.apply aug)
-       [
-         (fun _ -> ignore (Aug.block_update aug ~me:0 [ (0, Rsim_value.Value.Int 1) ]));
-         (fun _ -> ignore (Aug.block_update aug ~me:1 [ (1, Rsim_value.Value.Int 2) ]));
-       ]);
+    (Aug.Prog.run ~sched:Rsim_shmem.Schedule.round_robin
+       (Aug.Prog.start ~apply:(Aug.apply aug) ~emit:(Aug.record aug)
+          [ bu 0; bu 1 ]));
   Alcotest.(check int) "two block-updates counted" (before + 2)
     (Obs.Metrics.counter_value c_bu)
 

@@ -353,44 +353,47 @@ let test_approx_shared_slots () =
 
 (* ---- Safe agreement (the BG building block, for contrast) ---- *)
 
-let run_sa ~f ~sched ~bodies_of =
+(* Runs one program per process; returns the run's result and what
+   each process's read returned ([Some Bot] for a process that never
+   finished a read). *)
+let run_sa ~f ~sched programs =
   let sa = Safe_agreement.create ~f in
+  let outs = Array.make f (Some Value.Bot) in
+  let emit (Safe_agreement.Read { proc; value }) = outs.(proc) <- value in
   let result =
-    Safe_agreement.F.run ~max_ops:10_000 ~sched
-      ~apply:(Safe_agreement.apply sa)
-      (bodies_of sa)
+    Safe_agreement.Prog.run ~sched
+      (Safe_agreement.Prog.start ~max_ops:10_000 ~apply:(Safe_agreement.apply sa)
+         ~emit programs)
   in
   Array.iter
     (function
-      | Rsim_runtime.Fiber.Failed e -> raise e
-      | Rsim_runtime.Fiber.Done | Rsim_runtime.Fiber.Pending
-      | Rsim_runtime.Fiber.Crashed -> ())
-    result.Safe_agreement.F.statuses;
-  result
+      | Rsim_runtime.Prog.Failed e -> raise e
+      | Rsim_runtime.Prog.Done | Rsim_runtime.Prog.Pending
+      | Rsim_runtime.Prog.Crashed -> ())
+    result.Safe_agreement.Prog.statuses;
+  (result, outs)
+
+(* Propose [v], then read with at most [max_spins] scans. *)
+let propose_read ~me ~max_spins v =
+  Safe_agreement.Prog.bind (Safe_agreement.propose v) (fun () ->
+      Safe_agreement.Prog.bind (Safe_agreement.read ~me ~max_spins) (fun _ ->
+          Safe_agreement.Prog.return ()))
+
+let idle = Safe_agreement.Prog.return ()
 
 let test_sa_solo () =
-  let out = ref None in
-  let _ =
-    run_sa ~f:2 ~sched:Schedule.round_robin ~bodies_of:(fun sa ->
-        [
-          (fun _ ->
-            Safe_agreement.propose sa ~me:0 (i 7);
-            out := Safe_agreement.read sa ~me:0 ~max_spins:10);
-          (fun _ -> ());
-        ])
+  let _, outs =
+    run_sa ~f:2 ~sched:Schedule.round_robin
+      [ propose_read ~me:0 ~max_spins:10 (i 7); idle ]
   in
-  Alcotest.(check bool) "reads own proposal" true (!out = Some (i 7))
+  Alcotest.(check bool) "reads own proposal" true (outs.(0) = Some (i 7))
 
 let test_sa_agreement_random () =
   List.iter
     (fun seed ->
-      let outs = Array.make 3 None in
-      let _ =
-        run_sa ~f:3 ~sched:(Schedule.random ~seed) ~bodies_of:(fun sa ->
-            List.init 3 (fun me ->
-                fun _ ->
-                  Safe_agreement.propose sa ~me (i (100 + me));
-                  outs.(me) <- Safe_agreement.read sa ~me ~max_spins:50))
+      let _, outs =
+        run_sa ~f:3 ~sched:(Schedule.random ~seed)
+          (List.init 3 (fun me -> propose_read ~me ~max_spins:50 (i (100 + me))))
       in
       let got = Array.to_list outs |> List.filter_map Fun.id in
       Alcotest.(check int) "all read" 3 (List.length got);
@@ -412,41 +415,72 @@ let test_sa_crash_in_unsafe_window_blocks () =
      keeps Block-Updates wait-free and Scans non-blocking under crashes,
      because helping information lives in the shared object, not in a
      live proposer). *)
-  let out = ref (Some Value.Bot) in
   let sched =
     (* pid 0 takes exactly 1 step (its level-1 write), then crashes. *)
     Schedule.with_crashes [ (0, 1) ] Schedule.round_robin
   in
-  let _ =
-    run_sa ~f:2 ~sched ~bodies_of:(fun sa ->
-        [
-          (fun _ -> Safe_agreement.propose sa ~me:0 (i 1));
-          (fun _ ->
-            Safe_agreement.propose sa ~me:1 (i 2);
-            out := Safe_agreement.read sa ~me:1 ~max_spins:100);
-        ])
+  let _, outs =
+    run_sa ~f:2 ~sched
+      [ Safe_agreement.propose (i 1); propose_read ~me:1 ~max_spins:100 (i 2) ]
   in
-  Alcotest.(check bool) "reader blocked (timed out)" true (!out = None)
+  Alcotest.(check bool) "reader blocked (timed out)" true (outs.(1) = None)
 
 let test_sa_crash_after_settling_ok () =
-  let out = ref None in
   let sched =
     (* pid 0 completes its propose (3 steps), then crashes. *)
     Schedule.with_crashes [ (0, 3) ] Schedule.round_robin
   in
-  let _ =
-    run_sa ~f:2 ~sched ~bodies_of:(fun sa ->
-        [
-          (fun _ ->
-            Safe_agreement.propose sa ~me:0 (i 1);
-            ignore (Safe_agreement.read sa ~me:0 ~max_spins:10));
-          (fun _ ->
-            Safe_agreement.propose sa ~me:1 (i 2);
-            out := Safe_agreement.read sa ~me:1 ~max_spins:100);
-        ])
+  let _, outs =
+    run_sa ~f:2 ~sched
+      [
+        propose_read ~me:0 ~max_spins:10 (i 1);
+        propose_read ~me:1 ~max_spins:100 (i 2);
+      ]
   in
   Alcotest.(check bool) "reader unblocked after settled crash" true
-    (match !out with Some _ -> true | None -> false)
+    (match outs.(1) with Some v -> not (Value.is_bot v) | None -> false)
+
+(* Statuses, reads and schedules of random and crashing runs, pinned by
+   a digest recorded when the processes were direct-style fibers: a
+   digest that moves is a change of behaviour. *)
+let test_sa_golden () =
+  let show_status = function
+    | Rsim_runtime.Prog.Done -> "done"
+    | Rsim_runtime.Prog.Pending -> "pending"
+    | Rsim_runtime.Prog.Crashed -> "crashed"
+    | Rsim_runtime.Prog.Failed e -> "failed " ^ Printexc.to_string e
+  in
+  let render ~f ~sched =
+    let result, outs =
+      run_sa ~f ~sched
+        (List.init f (fun me -> propose_read ~me ~max_spins:50 (i (100 + me))))
+    in
+    String.concat " "
+      (Array.to_list (Array.map show_status result.Safe_agreement.Prog.statuses))
+    ^ " | "
+    ^ String.concat " "
+        (Array.to_list
+           (Array.map (function None -> "none" | Some v -> Value.show v) outs))
+    ^ " | "
+    ^ String.concat " "
+        (List.map
+           (fun (e : Safe_agreement.Prog.trace_entry) -> string_of_int e.pid)
+           result.Safe_agreement.Prog.trace)
+    ^ "\n"
+  in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun f ->
+      for seed = 0 to 39 do
+        Buffer.add_string b (render ~f ~sched:(Schedule.random ~seed))
+      done;
+      for k = 0 to 7 do
+        Buffer.add_string b
+          (render ~f ~sched:(Schedule.with_crashes [ (0, k) ] Schedule.round_robin))
+      done)
+    [ 2; 3 ];
+  Alcotest.(check string) "digest" "699fb785b4d8c65d580fb3e66b826133"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 (* ---- Pathological ---- *)
 
@@ -558,6 +592,7 @@ let () =
             test_sa_crash_in_unsafe_window_blocks;
           Alcotest.test_case "settled crash harmless" `Quick
             test_sa_crash_after_settling_ok;
+          Alcotest.test_case "golden" `Quick test_sa_golden;
         ] );
       ("pathological", [ Alcotest.test_case "behaviours" `Quick test_pathological ]);
       ( "properties",

@@ -357,7 +357,7 @@ let test_non_of_protocol_fails_loudly () =
   let r = Harness.run ~local_cap:500 ~max_ops:100_000 ~sched:Schedule.round_robin spec in
   let failed =
     Array.exists
-      (function Rsim_runtime.Fiber.Failed _ -> true | _ -> false)
+      (function Rsim_runtime.Prog.Failed _ -> true | _ -> false)
       r.Harness.statuses
   in
   Alcotest.(check bool) "a simulator failed on the cap" true
@@ -462,12 +462,12 @@ let test_crashed_simulator_strict_vs_survivors () =
       ~sched:Schedule.round_robin spec
   in
   Alcotest.(check bool) "simulator 1 crashed" true
-    (r.Harness.statuses.(1) = Rsim_runtime.Fiber.Crashed);
+    (r.Harness.statuses.(1) = Rsim_runtime.Prog.Crashed);
   Alcotest.(check bool) "simulator 0 survived" true
-    (r.Harness.statuses.(0) = Rsim_runtime.Fiber.Done);
+    (r.Harness.statuses.(0) = Rsim_runtime.Prog.Done);
   Alcotest.(check bool) "crash event in the report" true
     (List.exists
-       (function Rsim_runtime.Fiber.Ev_crash { pid = 1; _ } -> true | _ -> false)
+       (function Rsim_runtime.Prog.Ev_crash { pid = 1; _ } -> true | _ -> false)
        r.Harness.report.Harness.events);
   (match Harness.validate spec r ~task:Task.consensus with
   | Error (Harness.Simulator_crashed { sims = [ 1 ] }) -> ()
@@ -492,7 +492,7 @@ let test_crash_at_every_op_survivor_valid () =
     Alcotest.(check bool)
       (Printf.sprintf "survivor done (crash at %d)" at_op)
       true
-      (r.Harness.statuses.(0) = Rsim_runtime.Fiber.Done);
+      (r.Harness.statuses.(0) = Rsim_runtime.Prog.Done);
     match Harness.validate ~survivors_only:true spec r ~task:Task.consensus with
     | Ok () -> ()
     | Error e ->
@@ -518,7 +518,7 @@ let test_stalled_simulator_still_validates () =
   Alcotest.(check bool) "all done despite the stall" true r.Harness.all_done;
   Alcotest.(check bool) "stall event recorded" true
     (List.exists
-       (function Rsim_runtime.Fiber.Ev_stall { pid = 0; _ } -> true | _ -> false)
+       (function Rsim_runtime.Prog.Ev_stall { pid = 0; _ } -> true | _ -> false)
        r.Harness.report.Harness.events);
   match Harness.validate spec r ~task:Task.consensus with
   | Ok () -> ()
@@ -580,7 +580,7 @@ let test_injected_exception_is_a_crash () =
       ~sched:Schedule.round_robin spec
   in
   (match r.Harness.statuses.(1) with
-  | Rsim_runtime.Fiber.Failed e ->
+  | Rsim_runtime.Prog.Failed e ->
     Alcotest.(check bool) "the injected exception" true
       (Rsim_faults.Faults.is_injected e)
   | _ -> Alcotest.fail "expected Failed (Injected _)");
@@ -778,6 +778,182 @@ let test_analysis_matches_reference () =
     Alcotest.failf "%d reports differ from the reference; e.g. %s"
       (List.length !mismatches) first
 
+(* ---- golden pin: what a simulation run reports ----
+
+   Digests of everything a run reports — trace (pid, operation, result),
+   journals, outputs, statuses, fault events, per-simulator operations
+   and Block-Updates, quarantines — over the benchmark's reduce shapes,
+   seeds 0-9, clean and under the crashy profile, recorded when the
+   simulators were direct-style fibers. A digest that moves is a change
+   of behaviour, not a reason to record a new one. *)
+
+module Aug = Rsim_augmented.Aug
+module Hrep = Rsim_augmented.Hrep
+module Vts = Rsim_augmented.Vts
+module Faults = Rsim_faults.Faults
+
+let values a = String.concat "," (Array.to_list (Array.map Value.show a))
+
+let updates us =
+  String.concat ";"
+    (List.map (fun (j, v) -> Printf.sprintf "%d=%s" j (Value.show v)) us)
+
+(* A snapshot of H is a prefix of the run's own appends, so its
+   per-component lengths pin it down. *)
+let snap (s : Hrep.snap) =
+  String.concat ","
+    (Array.to_list
+       (Array.map
+          (fun (c : Hrep.component) ->
+            Printf.sprintf "%d/%d" c.Hrep.n_triples (List.length c.Hrep.lrecords))
+          s))
+
+let render_op = function
+  | Aug.Ops.Hscan -> "S"
+  | Aug.Ops.Happend_triples trs ->
+    "T"
+    ^ String.concat ";"
+        (List.map
+           (fun (t : Hrep.triple) ->
+             Printf.sprintf "%d=%s@%s" t.Hrep.comp (Value.show t.Hrep.value)
+               (Vts.show t.Hrep.ts))
+           trs)
+  | Aug.Ops.Happend_lrecords recs ->
+    "L"
+    ^ String.concat ";"
+        (List.map
+           (fun (r : Hrep.lrecord) ->
+             Printf.sprintf "%d.%d:%s" r.Hrep.dest r.Hrep.index (snap r.Hrep.payload))
+           recs)
+
+let render_res = function Aug.Ops.Snap s -> "H" ^ snap s | Aug.Ops.Ack -> "A"
+
+let zeta z =
+  String.concat ";"
+    (List.map
+       (function
+         | Journal.Zscan v -> "s" ^ values v
+         | Journal.Zupdate (j, v) -> Printf.sprintf "u%d=%s" j (Value.show v))
+       z)
+
+let render_event = function
+  | Journal.Jscan { serial; view } -> Printf.sprintf "S%d[%s]" serial (values view)
+  | Journal.Jbu { serial; updates = us; atomic } ->
+    Printf.sprintf "B%d[%s]%b" serial (updates us) atomic
+  | Journal.Jrevise { after_serial; proc; source_serial; zeta = z } ->
+    Printf.sprintf "R%d.%d.%d[%s]" after_serial proc source_serial (zeta z)
+  | Journal.Jfinal { beta; xi; output } ->
+    Printf.sprintf "F[%s][%s]%s" (updates beta) (zeta xi) (Value.show output)
+  | Journal.Jdecided { proc; value } ->
+    Printf.sprintf "D%d=%s" proc (Value.show value)
+
+let render_status = function
+  | Rsim_runtime.Prog.Done -> "done"
+  | Rsim_runtime.Prog.Pending -> "pending"
+  | Rsim_runtime.Prog.Crashed -> "crashed"
+  | Rsim_runtime.Prog.Failed e -> "failed " ^ Printexc.to_string e
+
+let render_fault_event = function
+  | Rsim_runtime.Prog.Ev_crash { pid; at; restarting } ->
+    Printf.sprintf "c%d@%d%b" pid at restarting
+  | Rsim_runtime.Prog.Ev_restart { pid; at; incarnation } ->
+    Printf.sprintf "r%d@%d#%d" pid at incarnation
+  | Rsim_runtime.Prog.Ev_stall { pid; at; steps } ->
+    Printf.sprintf "s%d@%d*%d" pid at steps
+  | Rsim_runtime.Prog.Ev_replace { pid; at } -> Printf.sprintf "p%d@%d" pid at
+  | Rsim_runtime.Prog.Ev_raise { pid; at } -> Printf.sprintf "x%d@%d" pid at
+
+let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
+
+(* Everything a run reports, as text. *)
+let render (r : Harness.result) =
+  let b = Buffer.create 4096 in
+  let add s =
+    Buffer.add_string b s;
+    Buffer.add_char b '\n'
+  in
+  List.iter
+    (fun (e : Aug.Prog.trace_entry) ->
+      add (Printf.sprintf "%d %s %s" e.pid (render_op e.op) (render_res e.res)))
+    r.Harness.trace;
+  Array.iteri
+    (fun i j ->
+      add
+        (Printf.sprintf "journal %d: %s" i
+           (String.concat " " (List.map render_event (Journal.events j)))))
+    r.Harness.journals;
+  add
+    (String.concat " "
+       (List.map (fun (i, v) -> Printf.sprintf "%d=%s" i (Value.show v)) r.Harness.outputs));
+  add (String.concat " " (Array.to_list (Array.map render_status r.Harness.statuses)));
+  add
+    (String.concat " "
+       (List.map render_fault_event r.Harness.report.Harness.events));
+  add (ints r.Harness.ops_per_sim);
+  add (ints r.Harness.bu_counts);
+  add
+    (String.concat " "
+       (List.map
+          (fun (q : Harness.quarantine) ->
+            Printf.sprintf "%d@%d:%s" q.Harness.sim q.Harness.at_op q.Harness.reason)
+          r.Harness.report.Harness.quarantined));
+  add (Printf.sprintf "%d %b" r.Harness.total_ops r.Harness.all_done);
+  Buffer.contents b
+
+(* The digest of seeds 0-9 of one shape, clean or under the crashy
+   profile, and with a watchdog budget if given. *)
+let golden_digest ?watchdog ~crashy (n, m, f, d) =
+  let spec = racing_spec ~n ~m ~f ~d (List.init f (fun p -> i (p + 1))) in
+  let b = Buffer.create 65536 in
+  for seed = 0 to 9 do
+    let faults =
+      if crashy then Option.get (Faults.named "crashy" ~n_procs:f ~seed) else []
+    in
+    let r = Harness.run ~faults ?watchdog ~sched:(Schedule.random ~seed) spec in
+    Buffer.add_string b (render r)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden () =
+  (* The shapes of the benchmark's reduce workload, with their clean and
+     crashy digests. *)
+  let digests =
+    [
+      ((2, 2, 1, 0), "7e89a7898b5a305c91509eb67c9620e2", "cdc57b46251b68733edd16aff17bbada");
+      ((4, 2, 2, 0), "909614091360c41ac19f8c64de9a62aa", "61191bea1e640275b81dff25659721a8");
+      ((6, 3, 2, 0), "8051c78d04ad7bb98cbd303d2ebcdb57", "3a2d404a1c98ffe90e566011b24d4e74");
+      ((5, 2, 3, 1), "19b5e995b0df314a54e8ff4b53469232", "07ec77724b3c3ba63031345f008890df");
+      ((7, 2, 4, 1), "56f4cb81509f412cd3d55281bfdcb093", "d4c474cfa9e5544df2f09b41ec16f6b6");
+      ((7, 5, 2, 1), "0abe70af7f07799aebaeb561c5f747eb", "7538a2561ed25b0f1b2c6c5a3676bd9d");
+      ((8, 2, 4, 0), "fd3f23db85494182740d2533fc976ad1", "6986c1205f139688a3be7b1da9990d43");
+      ((10, 3, 3, 1), "78c2cffe3a4b513d35b423b2bab5da3c", "47d07d2b13391ccbdc7cd83db88906b4");
+      ((12, 3, 4, 0), "7d7d9a583ed87ec644ced118b1305655", "e9dcad5aec6e2b6cd8407998e88b7e9c");
+      ((13, 4, 3, 1), "e2a10fd7c2f6782d3754cce1cea550e8", "fbf95a52175f3c073537d411ea7b9d8e");
+      ((16, 4, 4, 0), "318e96996aad31cd4927857f49425efd", "79cdcb6aa7d7ed034c1031a18a84cc79");
+    ]
+  in
+  List.iter
+    (fun (((n, m, f, d) as shape), clean, crashy) ->
+      let what = Printf.sprintf "n=%d m=%d f=%d d=%d" n m f d in
+      Alcotest.(check string) (what ^ ", clean") clean
+        (golden_digest ~crashy:false shape);
+      Alcotest.(check string) (what ^ ", crashy") crashy
+        (golden_digest ~crashy:true shape))
+    digests;
+  (* A watchdog budget of 40 H-operations quarantines simulators on
+     this shape (on 9 of the 10 seeds). *)
+  let spec = racing_spec ~n:6 ~m:3 ~f:2 ~d:0 [ i 1; i 2 ] in
+  let quarantined =
+    List.init 10 (fun seed ->
+        (Harness.run ~watchdog:40 ~sched:(Schedule.random ~seed) spec).Harness.report
+          .Harness.quarantined)
+  in
+  Alcotest.(check bool) "the watchdog quarantines" true
+    (List.exists (fun q -> q <> []) quarantined);
+  Alcotest.(check string) "n=6 m=3 f=2 d=0, watchdog 40"
+    "82b50ad30d66a56b4e0a753f08854322"
+    (golden_digest ~watchdog:40 ~crashy:false (6, 3, 2, 0))
+
 let () =
   Alcotest.run "simulation"
     [
@@ -785,6 +961,7 @@ let () =
         [
           Alcotest.test_case "Lemma 26 replay matches the reference" `Quick
             test_analysis_matches_reference;
+          Alcotest.test_case "golden digests" `Quick test_golden;
         ] );
       ( "structure",
         [
