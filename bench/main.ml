@@ -1,88 +1,13 @@
-(* Benchmark & experiment harness.
+(* The explorer and observability snapshots that CI gates read.
 
-   Two halves:
-   1. Regenerate every experiment table (E1..E10 of EXPERIMENTS.md) —
-      the paper has no measured tables of its own, so these executable
-      checks of its lemmas and bounds are what we reproduce.
-   2. Bechamel micro-benchmarks, one per experiment workload, measuring
-      the cost of the machinery itself (augmented-snapshot operations,
-      spec checking, full simulations, replay analysis, solo-path
-      search, bound tables). *)
+   [--explore-only] writes BENCH_explore.json: the parallel engine
+   against the sequential DFS, and exhaustive throughput at 1, 2 and 4
+   domains. [--obs-only] writes BENCH_obs.json: what tracing costs a
+   sweep, and raw augmented-snapshot throughput. The experiment tables
+   are printed by [rsim experiments]; per-layer costs are measured by
+   perfbench. *)
 
 open Core
-open Bechamel
-open Toolkit
-
-(* -------- part 2: one Test.make per experiment workload -------- *)
-
-let stage = Staged.stage
-
-let e1_aug_ops =
-  Test.make ~name:"e1/aug-workload f=3 m=3"
-    (stage (fun () -> Rsim_experiments.Exp_common.aug_workload ~f:3 ~m:3 ~n_ops:6 ~seed:11 ()))
-
-let e2_yield_probe =
-  Test.make ~name:"e2/aug-workload f=4 m=3"
-    (stage (fun () -> Rsim_experiments.Exp_common.aug_workload ~f:4 ~m:3 ~n_ops:6 ~seed:12 ()))
-
-let e3_spec_check =
-  let aug, trace = Rsim_experiments.Exp_common.aug_workload ~f:3 ~m:3 ~n_ops:8 ~seed:13 () in
-  Test.make ~name:"e3/spec-check (fixed trace)"
-    (stage (fun () -> Aug_spec.check aug trace))
-
-let e4_replay =
-  let spec, result = Rsim_experiments.Exp_common.racing_sim ~n:6 ~m:3 ~f:2 ~d:0 ~seed:14 in
-  Test.make ~name:"e4/lemma26-replay (fixed run)"
-    (stage (fun () -> Analysis.check spec result))
-
-let e5_reduction_small =
-  Test.make ~name:"e5/simulation n=4 m=2 f=2"
-    (stage (fun () -> Rsim_experiments.Exp_common.racing_sim ~n:4 ~m:2 ~f:2 ~d:0 ~seed:15))
-
-let e5_reduction_mid =
-  Test.make ~name:"e5/simulation n=8 m=2 f=4"
-    (stage (fun () -> Rsim_experiments.Exp_common.racing_sim ~n:8 ~m:2 ~f:4 ~d:0 ~seed:16))
-
-let e5_reduction_direct =
-  Test.make ~name:"e5/simulation n=7 m=5 f=2 d=1"
-    (stage (fun () -> Rsim_experiments.Exp_common.racing_sim ~n:7 ~m:5 ~f:2 ~d:1 ~seed:17))
-
-let e6_complexity =
-  Test.make ~name:"e6/a-b-bounds m<=6"
-    (stage (fun () ->
-         for m = 1 to 6 do
-           for i = 1 to 6 do
-             ignore (Complexity.b ~m i)
-           done
-         done))
-
-let e7_tables =
-  Test.make ~name:"e7/bound-tables"
-    (stage (fun () ->
-         ignore
-           (Tables.kset_rows ~ns:[ 8; 16; 32; 64 ] ~ks:[ 1; 2; 4; 7 ]
-              ~xs:[ 1; 2; 4 ])))
-
-let e8_solo_search =
-  let nd = Nd_examples.coin_consensus ~me:0 () in
-  let state = nd.Ndproto.init (Value.Int 1) in
-  let ep = Ndproto.initial_ep nd in
-  Test.make ~name:"e8/solo-path-search"
-    (stage (fun () -> Solo_path.shortest nd ~state ~ep ~cap:10_000))
-
-let e8_derand_run =
-  Test.make ~name:"e8/derandomized-run"
-    (stage (fun () ->
-         let procs =
-           [
-             Derandomize.convert (Nd_examples.coin_consensus ~me:0 ()) ~cap:10_000
-               ~input:(Value.Int 1);
-             Derandomize.convert (Nd_examples.coin_consensus ~me:1 ()) ~cap:10_000
-               ~input:(Value.Int 2);
-           ]
-         in
-         Mrun.run ~max_steps:500 ~sched:(Schedule.random ~seed:18)
-           (Mrun.init procs)))
 
 let explore_workload () =
   match
@@ -93,26 +18,6 @@ let explore_workload () =
   | Some w -> w
   | None -> assert false
 
-let explore_exhaustive =
-  let w = explore_workload () in
-  Test.make ~name:"explore/exhaustive f=2 m=2 <=8"
-    (stage (fun () -> Explore.exhaustive ~max_steps:8 w))
-
-let explore_sweep_1d =
-  let w = explore_workload () in
-  Test.make ~name:"explore/sweep 64 scheds 1 domain"
-    (stage (fun () -> Explore.sweep ~domains:1 ~max_steps:40 ~budget:64 ~seed:21 w))
-
-let explore_sweep_4d =
-  let w = explore_workload () in
-  Test.make ~name:"explore/sweep 64 scheds 4 domains"
-    (stage (fun () -> Explore.sweep ~domains:4 ~max_steps:40 ~budget:64 ~seed:21 w))
-
-(* Fault-plane overhead: the same two conflicting Block-Updates run with
-   no control hook at all, with the hook installed but an empty fault
-   plan (the faults-off cost every supervised run now pays per
-   H-operation), and with a real injected crash. The first two should be
-   indistinguishable. *)
 let bu_programs =
   let cfg = Aug.config (Aug.create ~f:2 ~m:2 ()) in
   let bu me comp =
@@ -122,140 +27,16 @@ let bu_programs =
   in
   [ bu 0 0; bu 1 1 ]
 
-let bu_run ?control () =
+let bu_run () =
   let aug = Aug.create ~f:2 ~m:2 () in
   Aug.Prog.run ~sched:Schedule.round_robin
-    (Aug.Prog.start ?control ~apply:(Aug.apply aug) ~emit:(Aug.record aug)
+    (Aug.Prog.start ~apply:(Aug.apply aug) ~emit:(Aug.record aug)
        bu_programs)
 
-let faults_no_hook =
-  Test.make ~name:"faults/bu-run no hook" (stage (fun () -> bu_run ()))
-
-let faults_empty_plan =
-  Test.make ~name:"faults/bu-run empty plan (off)"
-    (stage (fun () ->
-         let plan = Faults.plan ~adapter:Aug.fault_adapter [] in
-         bu_run ~control:(Faults.control plan) ()))
-
-let faults_crash =
-  let specs =
-    match Faults.of_string "crash@1:3" with Ok s -> s | Error _ -> assert false
-  in
-  Test.make ~name:"faults/bu-run crash@1:3"
-    (stage (fun () ->
-         let plan = Faults.plan ~adapter:Aug.fault_adapter specs in
-         bu_run ~control:(Faults.control plan) ()))
-
-let regsnap_programs =
-  let open Regsnap.Prog in
-  let update me v =
-    let* _ = Regsnap.update ~f:3 ~me ~now:0 (Value.Int v) in
-    return ()
-  in
-  [
-    update 0 1;
-    update 1 2;
-    (let* _ = Regsnap.scan ~f:3 ~me:2 ~now:0 in
-     return ());
-  ]
-
-let substrate_regsnap =
-  Test.make ~name:"substrate/regsnap scan f=3"
-    (stage (fun () ->
-         let t = Regsnap.create ~f:3 in
-         ignore
-           (Regsnap.Prog.run ~sched:Schedule.round_robin
-              (Regsnap.Prog.start ~apply:(Regsnap.apply t)
-                 ~emit:(Regsnap.record t) regsnap_programs))))
-
-let substrate_sperner =
-  Test.make ~name:"substrate/sperner walk s=12"
-    (stage (fun () ->
-         let coloring = Sperner.random_coloring ~s:12 ~seed:99 in
-         Sperner.find_by_walk ~s:12 ~coloring))
-
-let tests =
-  [
-    e1_aug_ops;
-    e2_yield_probe;
-    e3_spec_check;
-    e4_replay;
-    e5_reduction_small;
-    e5_reduction_mid;
-    e5_reduction_direct;
-    e6_complexity;
-    e7_tables;
-    e8_solo_search;
-    e8_derand_run;
-    explore_exhaustive;
-    explore_sweep_1d;
-    explore_sweep_4d;
-    faults_no_hook;
-    faults_empty_plan;
-    faults_crash;
-    substrate_regsnap;
-    substrate_sperner;
-  ]
-
-let run_benchmarks () =
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
-  let instances = Instance.[ monotonic_clock ] in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  Printf.printf "%-36s %14s %10s\n" "benchmark" "time/run" "r2";
-  print_endline (String.make 64 '-');
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let estimates = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let time =
-            match Analyze.OLS.estimates ols_result with
-            | Some (t :: _) -> t
-            | _ -> nan
-          in
-          let r2 =
-            match Analyze.OLS.r_square ols_result with
-            | Some r -> Printf.sprintf "%.4f" r
-            | None -> "-"
-          in
-          let human t =
-            if t > 1e9 then Printf.sprintf "%8.2f s " (t /. 1e9)
-            else if t > 1e6 then Printf.sprintf "%8.2f ms" (t /. 1e6)
-            else if t > 1e3 then Printf.sprintf "%8.2f us" (t /. 1e3)
-            else Printf.sprintf "%8.0f ns" t
-          in
-          Printf.printf "%-36s %14s %10s\n" name (human time) r2)
-        estimates)
-    tests
-
-(* -------- explorer throughput: schedules per second -------- *)
-
-let explore_throughput () =
-  let w = explore_workload () in
-  let report name executions dt =
-    Printf.printf "%-36s %8d scheds %8.2f s %10.0f scheds/s\n" name executions
-      dt
-      (if dt > 0. then float_of_int executions /. dt else nan)
-  in
+let time f =
   let t0 = Unix.gettimeofday () in
-  let rep = Explore.exhaustive ~max_steps:10 w in
-  report "exhaustive f=2 m=2 <=10"
-    (rep.Explore.complete + rep.Explore.truncated)
-    (Unix.gettimeofday () -. t0);
-  let budget = 2048 in
-  List.iter
-    (fun domains ->
-      let t0 = Unix.gettimeofday () in
-      let rep = Explore.sweep ~domains ~max_steps:60 ~budget ~seed:31 w in
-      report
-        (Printf.sprintf "sweep %d scheds %d domain%s" budget domains
-           (if domains = 1 then "" else "s"))
-        rep.Explore.executions
-        (Unix.gettimeofday () -. t0))
-    [ 1; 2; 4 ]
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
 
 (* -------- explorer snapshot: BENCH_explore.json -------- *)
 
@@ -268,11 +49,6 @@ let explore_throughput () =
 let explore_snapshot () =
   let w = explore_workload () in
   let max_steps = 12 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   (* warm up the allocator / code paths before timing *)
   ignore (Explore.exhaustive ~max_steps:8 w);
   let naive, dt_naive =
@@ -357,11 +133,6 @@ let explore_snapshot () =
   Printf.printf "%-36s %10.2fx\n" "scaling 1 -> 4 domains" scaling_1_to_4;
   print_endline "wrote BENCH_explore.json"
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 (* -------- observability snapshot: BENCH_obs.json -------- *)
 
 (* Measure what the observability plane costs and what it reports:
@@ -421,42 +192,20 @@ let obs_snapshot () =
   print_endline "wrote BENCH_obs.json"
 
 let () =
+  let banner title =
+    print_endline "======================================================";
+    Printf.printf " %s\n" title;
+    print_endline "======================================================"
+  in
   if Array.exists (( = ) "--explore-only") Sys.argv then begin
-    print_endline "======================================================";
-    print_endline " Explorer snapshot (BENCH_explore.json)";
-    print_endline "======================================================";
-    explore_snapshot ();
-    exit 0
-  end;
-  if Array.exists (( = ) "--obs-only") Sys.argv then begin
-    print_endline "======================================================";
-    print_endline " Observability snapshot (BENCH_obs.json)";
-    print_endline "======================================================";
-    obs_snapshot ();
-    exit 0
-  end;
-  print_endline "======================================================";
-  print_endline " Experiment tables (EXPERIMENTS.md, E1..E10)";
-  print_endline "======================================================";
-  Rsim_experiments.Experiments.print_all Format.std_formatter;
-  Format.pp_print_flush Format.std_formatter ();
-  print_newline ();
-  print_endline "======================================================";
-  print_endline " Micro-benchmarks (bechamel, monotonic clock)";
-  print_endline "======================================================";
-  run_benchmarks ();
-  print_newline ();
-  print_endline "======================================================";
-  print_endline " Explorer throughput (schedules per second)";
-  print_endline "======================================================";
-  explore_throughput ();
-  print_newline ();
-  print_endline "======================================================";
-  print_endline " Explorer snapshot (BENCH_explore.json)";
-  print_endline "======================================================";
-  explore_snapshot ();
-  print_newline ();
-  print_endline "======================================================";
-  print_endline " Observability snapshot (BENCH_obs.json)";
-  print_endline "======================================================";
-  obs_snapshot ()
+    banner "Explorer snapshot (BENCH_explore.json)";
+    explore_snapshot ()
+  end
+  else if Array.exists (( = ) "--obs-only") Sys.argv then begin
+    banner "Observability snapshot (BENCH_obs.json)";
+    obs_snapshot ()
+  end
+  else begin
+    prerr_endline "usage: main.exe (--explore-only | --obs-only)";
+    exit 2
+  end

@@ -314,40 +314,18 @@ let save_violations ~out ~workload ~max_steps violations =
       violations
 
 let build_workload ~workload ~f ~m ~n ~d ~inject ~faults ~seed =
-  let inject =
-    match inject with
-    | None -> Ok None
-    | Some s -> (
-      match Explore.fault_of_string s with
-      | Some fault -> Ok (Some fault)
-      | None -> Error (Printf.sprintf "unknown seeded bug %S" s))
-  in
   let faults =
     (* a named family (crashy, ...) draws its specs from (f, seed), so
-       the same command line always injects the same faults *)
+       the same command line always injects the same faults; an f < 1
+       is refused by the decoder *)
     match faults with
     | None -> Ok []
-    | Some s -> Faults.resolve ~n_procs:f ~seed s
+    | Some s -> Faults.resolve ~n_procs:(max f 0) ~seed s
   in
-  match (inject, faults) with
-  | Error e, _ | _, Error e -> Error e
-  | Ok inject, Ok faults -> (
-    match workload with
-    | "racing" ->
-      if inject <> None then
-        Error "--inject applies to augmented-snapshot workloads only"
-      else
-        Result.map
-          (fun () -> Explore.Harness_target.racing ~faults ~n ~m ~f ~d ())
-          (Harness.check_shape ~n ~m ~f ~d)
-    | name -> (
-      match Explore.Aug_target.builtin ?inject ~faults ~name ~f ~m () with
-      | Some w -> Ok w
-      | None ->
-        Error
-          (Printf.sprintf "unknown workload %S (expected one of: %s)" name
-             (String.concat ", "
-                (Explore.Aug_target.builtin_names @ [ "racing" ])))))
+  Result.bind faults (fun faults ->
+      Explore.build_workload ~name:workload
+        ~params:[ ("n", n); ("m", m); ("f", f); ("d", d) ]
+        ?inject ~faults ())
 
 let explore_cmd =
   let workload =
@@ -497,8 +475,9 @@ let explore_cmd =
            Cmd.Exit.info 2
              ~doc:
                "the workload could not be built (unknown name, bad seeded bug \
-                or fault profile, or a racing shape that Harness rejects, \
-                such as (f-d)*m + d > n).";
+                or fault profile, f or m below 1, a seeded bug on racing, or \
+                a racing shape that Harness rejects, such as (f-d)*m + d > \
+                n).";
            Cmd.Exit.info Cmd.Exit.cli_error ~doc:"command-line parse error.";
          ])
     Term.(
@@ -567,7 +546,8 @@ let replay_cmd =
              ~doc:
                "the artifact cannot be read or rebuilt: missing file, \
                 directory, unreadable permissions, malformed JSON, unknown \
-                workload, bad fault profile, or a newer schema version.";
+                workload, bad fault profile, a shape that $(b,explore) \
+                refuses, or a newer schema version.";
            Cmd.Exit.info Cmd.Exit.cli_error ~doc:"command-line parse error.";
          ])
     Term.(const run $ path $ metrics_arg $ trace_out_arg)
@@ -687,7 +667,8 @@ let lint_cmd =
         close_out oc);
       if update then begin
         let oc = open_out bpath in
-        output_string oc (Lint.baseline_to_string report.Lint.findings);
+        output_string oc
+          (Lint.baseline_to_string ~previous:base report.Lint.findings);
         close_out oc;
         Printf.printf "baseline updated: %d findings\n"
           (List.length report.Lint.findings)
@@ -711,8 +692,9 @@ let lint_cmd =
          "Static analysis of the workspace: shared-mutability discipline \
           (R1), no direct printing in libraries (R2), determinism of the \
           model-checked paths (R3), no partial functions on hot paths (R4), \
-          interfaces everywhere (R5). Fails only on findings not in the \
-          committed baseline."
+          interfaces everywhere (R5), and interfaces that hold only what \
+          modules outside their library use (R6). Fails only on findings \
+          not in the committed baseline."
        ~exits:
          [
            Cmd.Exit.info 0 ~doc:"no fresh findings.";

@@ -7,6 +7,46 @@ open Core
 
 type t = { id : string; title : string; run : unit -> string list }
 
+(* A random augmented-snapshot workload: [f] processes perform [n_ops]
+   operations each (a mix of Scans and Block-Updates drawn from the seed,
+   {!Aug.random_prog}) under a seeded uniform scheduler. [helping] is
+   {!Aug.create}'s. Returns the object and the trace. *)
+let aug_workload ?helping ~f ~m ~n_ops ~seed () =
+  let aug = Aug.create ?helping ~f ~m () in
+  let cfg = Aug.config aug in
+  let programs =
+    List.init f (fun me ->
+        Aug.random_prog cfg ~me ~seed:(seed + (1000 * me)) ~ops:n_ops
+          ~max_comps:3 ~values:100)
+  in
+  let result =
+    Aug.Prog.run
+      ~sched:(Schedule.random ~seed)
+      (Aug.Prog.start ~max_ops:100_000 ~apply:(Aug.apply aug)
+         ~emit:(Aug.record aug) programs)
+  in
+  (aug, result.Aug.Prog.trace)
+
+(* The racing protocol through the full simulation harness. *)
+let racing_sim ~n ~m ~f ~d ~seed =
+  let spec =
+    {
+      Harness.protocol = (fun pid input -> (Racing.protocol ~m ()) pid input);
+      n;
+      m;
+      f;
+      d;
+      inputs = List.init f (fun p -> Value.Int (p + 1));
+    }
+  in
+  let result = Harness.run ~sched:(Schedule.random ~seed) spec in
+  (spec, result)
+
+(* Percentage, one decimal. *)
+let pct num den =
+  if den = 0 then "n/a"
+  else Printf.sprintf "%.1f%%" (100.0 *. float_of_int num /. float_of_int den)
+
 (* ------------------------------------------------------------------ *)
 (* E1 — Lemma 2: step complexity of Block-Update and Scan.             *)
 (* ------------------------------------------------------------------ *)
@@ -29,7 +69,7 @@ let e1 =
               let max_bu = ref 0 and max_scan = ref 0 in
               List.iter
                 (fun seed ->
-                  let aug, trace = Exp_common.aug_workload ~f ~m ~n_ops:10 ~seed () in
+                  let aug, trace = aug_workload ~f ~m ~n_ops:10 ~seed () in
                   let report = Aug_spec.check aug trace in
                   if not report.Aug_spec.ok then checks := false;
                   bus := !bus + report.Aug_spec.stats.Aug_spec.n_bus;
@@ -59,7 +99,7 @@ let e2 =
     let ok = ref true in
     List.iter
       (fun seed ->
-        let aug, trace = Exp_common.aug_workload ~f ~m ~n_ops:10 ~seed () in
+        let aug, trace = aug_workload ~f ~m ~n_ops:10 ~seed () in
         let report = Aug_spec.check aug trace in
         if not report.Aug_spec.ok then ok := false;
         List.iter
@@ -77,7 +117,7 @@ let e2 =
     ]
     @ List.init f (fun i ->
           Printf.sprintf "  q%d | %7d %7d %10s" i atomic.(i) yield.(i)
-            (Exp_common.pct yield.(i) (atomic.(i) + yield.(i))))
+            (pct yield.(i) (atomic.(i) + yield.(i))))
     @ [
         Printf.sprintf "q0 always atomic: %s; all Theorem 20 checks: %s"
           (if yield.(0) = 0 then "yes" else "NO")
@@ -102,7 +142,7 @@ let e3 =
           let scans = ref 0 and bus = ref 0 in
           List.iter
             (fun seed ->
-              let aug, trace = Exp_common.aug_workload ~f ~m ~n_ops:8 ~seed () in
+              let aug, trace = aug_workload ~f ~m ~n_ops:8 ~seed () in
               let report = Aug_spec.check aug trace in
               incr total;
               if not report.Aug_spec.ok then begin
@@ -142,7 +182,7 @@ let e4 =
           let lin = ref 0 and revs = ref 0 and hidden = ref 0 in
           List.iter
             (fun seed ->
-              let spec, result = Exp_common.racing_sim ~n ~m ~f ~d ~seed in
+              let spec, result = racing_sim ~n ~m ~f ~d ~seed in
               let rep = Analysis.check spec result in
               if not rep.Analysis.ok then incr bad;
               lin := !lin + rep.Analysis.stats.Analysis.n_lin_items;
@@ -187,7 +227,7 @@ let e5 =
           let steps = ref 0 in
           List.iter
             (fun seed ->
-              let spec, result = Exp_common.racing_sim ~n ~m ~f ~d ~seed in
+              let spec, result = racing_sim ~n ~m ~f ~d ~seed in
               if result.Harness.all_done then incr wait_free;
               steps := !steps + result.Harness.total_ops;
               match Harness.validate spec result ~task:(Task.kset ~k) with
@@ -195,8 +235,8 @@ let e5 =
               | Error _ -> ())
             (List.init runs (fun s -> s + 1));
           Printf.sprintf "%3d %3d %3d %3d %3d | %9s %9s | %8d" n m f d k
-            (Exp_common.pct !wait_free runs)
-            (Exp_common.pct !valid runs)
+            (pct !wait_free runs)
+            (pct !valid runs)
             (!steps / runs))
         cases
     in
@@ -222,7 +262,7 @@ let e5b =
       let first = ref None in
       let violations = ref 0 in
       for seed = 0 to seeds - 1 do
-        let spec, result = Exp_common.racing_sim ~n ~m ~f ~d ~seed in
+        let spec, result = racing_sim ~n ~m ~f ~d ~seed in
         match Harness.validate spec result ~task:Task.consensus with
         | Error _ when result.Harness.all_done ->
           incr violations;
@@ -305,7 +345,7 @@ let e6 =
           let max_bus = Array.make f 0 in
           List.iter
             (fun seed ->
-              let _, result = Exp_common.racing_sim ~n ~m ~f ~d:0 ~seed in
+              let _, result = racing_sim ~n ~m ~f ~d:0 ~seed in
               Array.iteri
                 (fun i c -> max_bus.(i) <- max max_bus.(i) c)
                 result.Harness.bu_counts)
@@ -415,9 +455,9 @@ let e8 =
       Printf.sprintf
         "coin consensus, derandomized: solo termination from %d random configs: %s"
         trials
-        (Exp_common.pct !of_ok trials);
+        (pct !of_ok trials);
       Printf.sprintf "agreement among fully-decided runs: %s"
-        (Exp_common.pct !agree !decided_runs);
+        (pct !agree !decided_runs);
       Printf.sprintf "ABA runs, untagged registers : %d / %d" (aba ~tagged:false)
         trials;
       Printf.sprintf "ABA runs, tagged (Cor 36)    : %d / %d" (aba ~tagged:true)
@@ -433,7 +473,7 @@ let e8 =
 
 let e9 =
   let workload ~helping ~f ~m ~seed =
-    let aug, trace = Exp_common.aug_workload ~helping ~f ~m ~n_ops:8 ~seed () in
+    let aug, trace = aug_workload ~helping ~f ~m ~n_ops:8 ~seed () in
     Aug_spec.check aug trace
   in
   let run () =
@@ -504,8 +544,8 @@ let e10 =
             | Error _ -> ()
           done;
           Printf.sprintf "%3d %3d | %9s %9s | %9d %12d" n m
-            (Exp_common.pct !wait_free runs)
-            (Exp_common.pct !valid runs)
+            (pct !wait_free runs)
+            (pct !valid runs)
             !max_steps budget)
         [ 2; 3; 4 ]
     in

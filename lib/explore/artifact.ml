@@ -34,42 +34,11 @@ let of_violation ~(workload : Explore.workload) ~max_steps
   }
 
 let to_workload t =
-  let p k = List.assoc_opt k t.params in
-  let faults =
-    match t.faults with
-    | None -> Ok []
-    | Some s -> Rsim_faults.Faults.of_string s
-  in
-  match faults with
+  match Option.fold ~none:(Ok []) ~some:Rsim_faults.Faults.of_string t.faults with
   | Error e -> Error ("artifact: bad fault profile: " ^ e)
-  | Ok faults -> (
-    match t.workload with
-    | "racing" -> (
-      if t.inject <> None then
-        Error "racing workloads do not support seeded bugs"
-      else
-        match (p "n", p "m", p "f", p "d") with
-        | Some n, Some m, Some f, Some d ->
-          Ok (Explore.Harness_target.racing ~faults ~n ~m ~f ~d ())
-        | _ -> Error "racing artifact is missing one of n/m/f/d")
-    | name -> (
-      match (p "f", p "m") with
-      | Some f, Some m -> (
-        let inject =
-          match t.inject with
-          | None -> Ok None
-          | Some s -> (
-            match Explore.fault_of_string s with
-            | Some fault -> Ok (Some fault)
-            | None -> Error ("unknown injected fault: " ^ s))
-        in
-        match inject with
-        | Error e -> Error e
-        | Ok inject -> (
-          match Explore.Aug_target.builtin ?inject ~faults ~name ~f ~m () with
-          | Some w -> Ok w
-          | None -> Error ("unknown workload: " ^ name)))
-      | _ -> Error "artifact is missing f/m parameters"))
+  | Ok faults ->
+    Explore.build_workload ~name:t.workload ~params:t.params ?inject:t.inject
+      ~faults ()
 
 (* ---------------------------------------------------------------- *)
 (* Serialization (via the observability plane's JSON)                *)

@@ -50,8 +50,9 @@ val of_violation :
 
 (** Rebuild the workload this artifact was produced from — including its
     fault profile, so the replay faults the same ops of the same pids.
-    Fails on an unknown workload name, unparseable bug or fault profile,
-    or missing parameters. *)
+    Fails on an unparseable fault profile, or on whatever
+    {!Explore.build_workload} refuses (an unknown workload or bug,
+    missing parameters, an invalid shape). *)
 val to_workload : t -> (Explore.workload, string) result
 
 val to_json : t -> string

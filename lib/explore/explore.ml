@@ -1396,3 +1396,47 @@ module Harness_target = struct
       exec;
     }
 end
+
+(* ---------------------------------------------------------------- *)
+(* Workloads from their description                                  *)
+(* ---------------------------------------------------------------- *)
+
+let build_workload ~name ~params ?inject ~faults () =
+  let ( let* ) = Result.bind in
+  let param k =
+    Option.to_result
+      ~none:(Printf.sprintf "workload %s: missing parameter %s" name k)
+      (List.assoc_opt k params)
+  in
+  let unknown =
+    Error
+      (Printf.sprintf "unknown workload %S (expected one of: %s)" name
+         (String.concat ", " (Aug_target.builtin_names @ [ "racing" ])))
+  in
+  if name = "racing" then
+    let* n = param "n" in
+    let* m = param "m" in
+    let* f = param "f" in
+    let* d = param "d" in
+    if inject <> None then
+      Error "seeded bugs apply to augmented-snapshot workloads only"
+    else
+      let* () = Harness.check_shape ~n ~m ~f ~d in
+      Ok (Harness_target.racing ~faults ~n ~m ~f ~d ())
+  else if not (List.mem name Aug_target.builtin_names) then unknown
+  else
+    let* f = param "f" in
+    let* m = param "m" in
+    let* inject =
+      match inject with
+      | None -> Ok None
+      | Some s -> (
+        match fault_of_string s with
+        | Some bug -> Ok (Some bug)
+        | None -> Error (Printf.sprintf "unknown seeded bug %S" s))
+    in
+    if f < 1 then Error "f must be >= 1"
+    else if m < 1 then Error "m must be >= 1"
+    else
+      Option.fold ~none:unknown ~some:Result.ok
+        (Aug_target.builtin ?inject ~faults ~name ~f ~m ())

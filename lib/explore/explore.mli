@@ -403,6 +403,25 @@ module Harness_target : sig
     workload
 end
 
+(** {2 Workloads from their description} *)
+
+(** The one decoder of a workload description, shared by the CLI's
+    options and {!Artifact.to_workload}: a [name] from
+    {!Aug_target.builtin_names} or ["racing"], its [params] ([f] and [m]
+    for a builtin; [n], [m], [f] and [d] for racing; others are
+    ignored), a seeded-bug name ({!fault_of_string}) and fault specs.
+    Returns [Error msg], and builds nothing, on an unknown name or
+    seeded bug, a missing parameter, a builtin with [f < 1] or [m < 1],
+    a racing shape {!Rsim_simulation.Harness.check_shape} refuses, or a
+    seeded bug on racing. *)
+val build_workload :
+  name:string ->
+  params:(string * int) list ->
+  ?inject:string ->
+  faults:Rsim_faults.Faults.spec list ->
+  unit ->
+  (workload, string) result
+
 (**/**)
 
 (** Exposed for the crash-fault tests: the Wing-Gong history of

@@ -575,7 +575,14 @@ let report_to_json ~tool ~fresh r =
 
 let key f = (f.rule, f.file, f.message)
 
-let baseline_to_string findings =
+type entry = { key : string * string * string; reason : string option }
+
+let baseline_to_string ~previous findings =
+  let reason f =
+    List.find_map
+      (fun e -> if e.key = key f then e.reason else None)
+      previous
+  in
   J.to_string_pretty
     (J.Obj
        [
@@ -584,11 +591,15 @@ let baseline_to_string findings =
              (List.map
                 (fun f ->
                   J.Obj
-                    [
-                      ("rule", J.Str f.rule);
-                      ("file", J.Str f.file);
-                      ("message", J.Str f.message);
-                    ])
+                    ([
+                       ("rule", J.Str f.rule);
+                       ("file", J.Str f.file);
+                       ("message", J.Str f.message);
+                     ]
+                    @
+                    match reason f with
+                    | Some r -> [ ("reason", J.Str r) ]
+                    | None -> []))
                 findings) );
        ])
   ^ "\n"
@@ -599,19 +610,24 @@ let baseline_of_string s =
   | Ok j -> (
     match J.member "findings" j with
     | Some (J.Arr items) ->
-      let keys =
+      let entries =
         List.filter_map
           (fun item ->
             match
               ( J.member "rule" item,
                 J.member "file" item,
-                J.member "message" item )
+                J.member "message" item,
+                J.member "reason" item )
             with
-            | Some (J.Str r), Some (J.Str f), Some (J.Str m) -> Some (r, f, m)
+            | Some (J.Str r), Some (J.Str f), Some (J.Str m), reason ->
+              let reason =
+                match reason with Some (J.Str why) -> Some why | _ -> None
+              in
+              Some { key = (r, f, m); reason }
             | _ -> None)
           items
       in
-      if List.length keys = List.length items then Ok keys
+      if List.length entries = List.length items then Ok entries
       else Error "baseline: malformed finding entry"
     | _ -> Error "baseline: missing findings array")
 
@@ -620,7 +636,9 @@ let load_baseline ~path =
   else baseline_of_string (read_file path)
 
 let fresh_against ~baseline findings =
-  List.filter (fun f -> not (List.mem (key f) baseline)) findings
+  List.filter
+    (fun f -> not (List.exists (fun e -> e.key = key f) baseline))
+    findings
 
 let pp_finding ppf f =
   Format.fprintf ppf "%s:%d:%d: [%s] %s" f.file f.line f.col f.rule f.message

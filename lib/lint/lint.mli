@@ -27,8 +27,8 @@
 
     Findings are diffed against a committed baseline keyed by
     (rule, file, message) so CI fails only on regressions; an entry may
-    carry a ["reason"], which the diff ignores (and rewriting the
-    baseline drops). The JSON report is
+    carry a ["reason"], which the diff ignores and rewriting the
+    baseline keeps for every key still found. The JSON report is
     [{tool; files; total; fresh; findings}]. *)
 
 type finding = {
@@ -56,17 +56,20 @@ val scan : ?dirs:string list -> root:string -> unit -> report
 val report_to_json :
   tool:string -> fresh:finding list -> report -> Rsim_obs.Obs.Json.t
 
-val baseline_to_string : finding list -> string
+(** A baseline entry: the (rule, file, message) key that excuses a
+    finding, and the reason it is excused, if one is given. *)
+type entry = { key : string * string * string; reason : string option }
 
-val baseline_of_string :
-  string -> ((string * string * string) list, string) result
+(** The baseline that excuses [findings]. A finding whose key has an
+    entry in [previous] keeps that entry's reason. *)
+val baseline_to_string : previous:entry list -> finding list -> string
+
+val baseline_of_string : string -> (entry list, string) result
 
 (** [Ok []] when the file does not exist. *)
-val load_baseline :
-  path:string -> ((string * string * string) list, string) result
+val load_baseline : path:string -> (entry list, string) result
 
 (** The findings not excused by the baseline. *)
-val fresh_against :
-  baseline:(string * string * string) list -> finding list -> finding list
+val fresh_against : baseline:entry list -> finding list -> finding list
 
 val pp_finding : Format.formatter -> finding -> unit

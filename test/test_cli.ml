@@ -83,6 +83,66 @@ let test_explore_bad_shape () =
 
 let test_simulate_bad_shape () = check_bad_shape "simulate -n 3 -m 2 -f 2 -d 0"
 
+(* A workload the decoder refuses, from the command line or from an
+   artifact, exits 2 with the reason on stderr, not 125 with an
+   uncaught exception. *)
+let check_refused args ~reason =
+  let code, _, err = run args in
+  Alcotest.(check int) (args ^ ": exit code") 2 code;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: stderr gives the reason: %S" args err)
+    true
+    (contains ~sub:reason err && not (contains ~sub:"uncaught" err))
+
+let test_explore_empty_shape () =
+  check_refused "explore --workload mixed -f 0 -m 2" ~reason:"f must be >= 1";
+  check_refused "explore --workload mixed -f 2 -m 0" ~reason:"m must be >= 1"
+
+(* Write an artifact that records [workload] with [params] and [inject]
+   and a two-step script; return its path. *)
+let artifact ~workload ~params ~inject =
+  let path = Filename.temp_file "rsim_cli" ".json" in
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc
+        {|{"version": 2, "workload": %S, "params": {%s}, "inject": %s,
+"faults": null, "max_steps": 12, "errors": [], "original": [0, 1],
+"script": [0, 1]}|}
+        workload
+        (String.concat ", "
+           (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) params))
+        (match inject with None -> "null" | Some s -> Printf.sprintf "%S" s));
+  path
+
+let test_artifact_bad_shape () =
+  List.iter
+    (fun (workload, params, reason) ->
+      let path = artifact ~workload ~params ~inject:None in
+      List.iter
+        (fun cmd -> check_refused (cmd ^ " " ^ path) ~reason)
+        [ "replay"; "stats" ];
+      Sys.remove path)
+    [
+      ( "racing",
+        [ ("n", 3); ("m", 2); ("f", 2); ("d", 0) ],
+        "(f-d)*m + d = 4 exceeds n = 3" );
+      ("mixed", [ ("f", 0); ("m", 2) ], "f must be >= 1");
+    ]
+
+(* A seeded bug on racing gets the same message from the command line
+   and from an artifact. *)
+let test_racing_seeded_bug () =
+  let reason = "seeded bugs apply to augmented-snapshot workloads only" in
+  check_refused
+    "explore --workload racing -n 4 -m 2 -f 2 --inject yield-on-higher" ~reason;
+  let path =
+    artifact ~workload:"racing"
+      ~params:[ ("n", 4); ("m", 2); ("f", 2); ("d", 0) ]
+      ~inject:(Some "yield-on-higher")
+  in
+  check_refused ("replay " ^ path) ~reason;
+  check_refused ("stats " ^ path) ~reason;
+  Sys.remove path
+
 let () =
   Alcotest.run "cli"
     [
@@ -97,5 +157,11 @@ let () =
             test_explore_bad_shape;
           Alcotest.test_case "simulate: shape exceeds n" `Quick
             test_simulate_bad_shape;
+          Alcotest.test_case "explore: f or m below 1" `Quick
+            test_explore_empty_shape;
+          Alcotest.test_case "replay and stats: invalid artifact shape" `Quick
+            test_artifact_bad_shape;
+          Alcotest.test_case "seeded bug on racing" `Quick
+            test_racing_seeded_bug;
         ] );
     ]

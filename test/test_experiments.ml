@@ -1,6 +1,6 @@
 (* Integration tests over the experiment harness: every experiment runs,
    produces non-trivial output, and reports no internal check failures.
-   These are the same code paths `dune exec bench/main.exe` prints. *)
+   These are the same code paths `rsim experiments` prints. *)
 
 open Rsim_experiments
 

@@ -84,7 +84,7 @@ let test_parse_error () =
 
 let test_baseline () =
   let fs = lint_fixture ~as_:"lib/protocols/fix.ml" "r2_print.ml" in
-  let s = Lint.baseline_to_string fs in
+  let s = Lint.baseline_to_string ~previous:[] fs in
   (match Lint.baseline_of_string s with
   | Error e -> Alcotest.fail e
   | Ok keys ->
@@ -95,6 +95,51 @@ let test_baseline () =
   Alcotest.(check int)
     "empty baseline leaves findings fresh" (List.length fs)
     (List.length (Lint.fresh_against ~baseline:[] fs))
+
+(* Rewriting the baseline file keeps the reason of every entry whose key
+   is still found, gives a new finding no reason, and drops the entries
+   that excuse nothing any more. *)
+let test_baseline_reasons () =
+  let module J = Rsim_obs.Obs.Json in
+  let f = List.hd (lint_fixture ~as_:"lib/protocols/fix.ml" "r2_print.ml") in
+  let fresh = { f with Lint.message = "a finding the baseline lacks" } in
+  let entry rule file message reason =
+    J.Obj
+      [
+        ("rule", J.Str rule);
+        ("file", J.Str file);
+        ("message", J.Str message);
+        ("reason", J.Str reason);
+      ]
+  in
+  let path = Filename.temp_file "rsim_lint" ".json" in
+  let write text = Out_channel.with_open_bin path (fun oc -> output_string oc text) in
+  let load () =
+    match Lint.load_baseline ~path with
+    | Ok entries -> entries
+    | Error e -> Alcotest.fail e
+  in
+  write
+    (J.to_string_pretty
+       (J.Obj
+          [
+            ( "findings",
+              J.Arr
+                [
+                  entry f.Lint.rule f.Lint.file f.Lint.message "why it stays";
+                  entry "R1" "lib/gone.ml" "fixed since" "stale";
+                ] );
+          ]));
+  write (Lint.baseline_to_string ~previous:(load ()) [ f; fresh ]);
+  let back = load () in
+  Sys.remove path;
+  Alcotest.(check (list (pair (triple string string string) (option string))))
+    "reasons after the update"
+    [
+      ((f.Lint.rule, f.Lint.file, f.Lint.message), Some "why it stays");
+      ((fresh.Lint.rule, fresh.Lint.file, fresh.Lint.message), None);
+    ]
+    (List.map (fun (e : Lint.entry) -> (e.key, e.reason)) back)
 
 let test_report_json () =
   let fs = lint_fixture ~as_:"lib/protocols/fix.ml" "r2_print.ml" in
@@ -139,6 +184,8 @@ let () =
       ( "baseline",
         [
           Alcotest.test_case "round trip + diff" `Quick test_baseline;
+          Alcotest.test_case "update keeps reasons" `Quick
+            test_baseline_reasons;
           Alcotest.test_case "report JSON schema" `Quick test_report_json;
         ] );
     ]
