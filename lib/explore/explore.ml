@@ -53,8 +53,17 @@ type node =
     }
   | Sim of Harness.saved
 
+type outcome = {
+  script : int list;
+  live : int list;
+  steps : int;
+  errors : string list;
+  judge : unit -> string list;
+}
+
 (* What the exploration engine sees at every scheduling decision of a
-   probed execution (see {!Rsim_runtime.Prog.probe}). *)
+   probed execution (see {!Rsim_runtime.Prog.probe}), and at every end
+   of it ([leaf_view]). *)
 type probe_view = {
   step : int;
   live : int list;
@@ -63,14 +72,11 @@ type probe_view = {
   restore : node -> unit;
 }
 
-type probe = probe_view -> [ `Continue | `Stop ]
+type leaf_view = { outcome : unit -> outcome; restore : node -> unit }
 
-type outcome = {
-  script : int list;
-  live : int list;
-  steps : int;
-  errors : string list;
-  judge : unit -> string list;
+type probe = {
+  decide : probe_view -> [ `Continue | `Stop ];
+  leaf : leaf_view -> unit;
 }
 
 type workload = {
@@ -326,12 +332,23 @@ type frontier_task = {
   origin : int;
 }
 
-(* The parallel prefix-sharing engine. A frontier task resumes its node
-   (the workload restores the state saved there), and from there the
-   execution continues greedily down the lowest-pid branch while the
-   probe emits one frontier task per sibling branch, carrying the node
-   saved at that decision. Every tree edge is then executed exactly once, and the leaf
-   is judged in the same execution via the outcome's lazy [judge].
+(* The parallel prefix-sharing engine. A domain takes a task from the
+   shared frontier and walks its whole subtree in one execution. From a
+   task's node (the workload restores the state saved there) the
+   execution goes greedily down the lowest-pid branch while the probe
+   saves one sibling task per other branch. At the leaf the execution
+   reports its end: the engine judges the leaf, pushes the task's
+   siblings onto the walk's own stack, and restores the next task on it,
+   so the same execution goes on from there. Every tree edge is then
+   executed exactly once, and each task still counts as one execution.
+
+   The walk's stack holds its tasks in the order the shared frontier
+   would, so at one domain the walk order is the order of a shared
+   frontier that every task goes through. When another domain is
+   waiting for work (one atomic read per leaf), the walker donates the
+   bottom half of its stack to the shared frontier: it goes on with the
+   tasks one domain would take next, so an early stop more often keeps
+   the violation one domain finds first.
 
    Determinism: state claims are atomic, and equal (fingerprint, depth,
    bound-state) keys have equal futures, so absent an early stop all
@@ -374,8 +391,9 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
     fresh
   in
   (* Shared LIFO frontier: a mutex-and-condition chunked queue. [pop]
-     blocks while tasks are in flight (they may push children); the last
-     domain to drain it broadcasts termination. *)
+     blocks while walks are in flight (they may donate tasks); the last
+     domain to drain it broadcasts termination. [waiting] counts the
+     domains blocked in [pop], for walkers to read without the lock. *)
   let fmu = Mutex.create () in
   let fcv = Condition.create () in
   let stack = (ref [] [@rsim.shared "guarded by fmu"]) in
@@ -383,6 +401,7 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
   let in_flight = (ref 0 [@rsim.shared "guarded by fmu"]) in
   let finished = (ref false [@rsim.shared "guarded by fmu"]) in
   let stop = Atomic.make false in
+  let waiting = Atomic.make 0 in
   let push ts =
     if ts <> [] then begin
       Mutex.lock fmu;
@@ -418,7 +437,9 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
             None
           end
           else begin
+            Atomic.incr waiting;
             Condition.wait fcv fmu;
+            Atomic.decr waiting;
             wait ()
           end
     in
@@ -466,20 +487,44 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
     Mutex.unlock vmu;
     if enough then halt ()
   in
-  let process d (t : frontier_task) =
-    Atomic.incr n_exec;
-    Obs.Metrics.incr m_execs;
-    Obs.Metrics.incr m_tasks;
+  (* Walk the subtree of [t], popped from the shared frontier, in one
+     execution. *)
+  let walk d (t : frontier_task) =
+    (* The walk's own tasks, next first, in the order the shared
+       frontier would hold them. *)
+    let local = ref [] in
     let from = ref t.from in
-    let rev_path = ref t.rev_prefix in
-    let preempts = ref t.preempts in
-    let last = ref t.last in
-    let next_pick = ref t.first in
+    let rev_path = ref [] in
+    let preempts = ref 0 in
+    let last = ref (-1) in
+    let next_pick = ref (-1) in
     let children = ref [] in
     let aborted = ref false in
     let cut_off = ref false in
+    let start (t : frontier_task) =
+      Atomic.incr n_exec;
+      Obs.Metrics.incr m_execs;
+      Obs.Metrics.incr m_tasks;
+      rev_path := t.rev_prefix;
+      preempts := t.preempts;
+      last := t.last;
+      next_pick := t.first;
+      cut_off := false
+    in
+    (* Another domain waits: hand the shared frontier the bottom half
+       of the walk's stack, the tasks this walk would reach last, and
+       keep the top half, at least the next task. *)
+    let donate () =
+      let n = List.length !local in
+      if n >= 2 then begin
+        let kept = List.filteri (fun i _ -> i < (n + 1) / 2) !local in
+        let given = List.filteri (fun i _ -> i >= (n + 1) / 2) !local in
+        local := kept;
+        push (List.rev given)
+      end
+    in
     (* A decision past the task's own: claim the state, then go down the
-       lowest branch and emit one task per sibling. *)
+       lowest branch and save one task per sibling. *)
     let decide (pv : probe_view) =
       let fresh =
         (not dedup)
@@ -504,7 +549,7 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
         `Stop
       end
       else if pv.step >= max_steps then
-        (* Truncated leaf: counted post-run, like the complete case —
+        (* Truncated leaf: counted at the end, like the complete case —
            normally the op cap ends the run before the probe even fires
            here. *)
         `Stop
@@ -553,39 +598,60 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
           `Continue
       end
     in
-    let probe (pv : probe_view) =
-      if Atomic.get stop then begin
-        aborted := true;
-        `Stop
+    (* The end of a task: judge its leaf, then resume the walk's next
+       task, unless the engine stopped. *)
+    let leaf (lv : leaf_view) =
+      if not (!aborted || !cut_off) then begin
+        let script = List.rev !rev_path in
+        Obs.Metrics.observe h_preempt (preemptions_of script);
+        (* Leaf states are counted here, not in the probe: the probe only
+           fires while some process is live, and a truncated run is ended
+           by the op cap before the probe reaches the depth cut. *)
+        Atomic.incr n_nodes;
+        let out = lv.outcome () in
+        if out.live = [] then Atomic.incr n_complete else Atomic.incr n_trunc;
+        let errors = out.judge () in
+        if errors <> [] then report_raw script errors
+      end;
+      local := List.rev_append !children !local;
+      children := [];
+      if not (Atomic.get stop) then begin
+        if Atomic.get waiting > 0 then donate ();
+        match !local with
+        | ({ from = Some node; _ } as t) :: rest ->
+          local := rest;
+          start t;
+          lv.restore node
+        | { from = None; _ } :: _ | [] -> ()
       end
-      else
-        match !from with
-        | None -> decide pv
-        | Some node ->
-          (* The execution's first decision: go to the task's node, whose
-             state was claimed when the task was emitted, and take the
-             task's branch there. *)
-          from := None;
-          pv.restore node;
-          `Continue
     in
-    let out =
-      w.exec ~probe:(Some probe) ~certify:false
-        ~sched:(Schedule.fn (fun ~step:_ ~live:_ -> picks.(!next_pick)))
-        ~max_ops:max_steps ~check:false
+    let probe =
+      {
+        decide =
+          (fun pv ->
+            if Atomic.get stop then begin
+              aborted := true;
+              `Stop
+            end
+            else
+              match !from with
+              | None -> decide pv
+              | Some node ->
+                (* The walk's first decision: go to the task's node,
+                   whose state was claimed when the task was saved, and
+                   take the task's branch there. *)
+                from := None;
+                pv.restore node;
+                `Continue);
+        leaf;
+      }
     in
-    if not (!aborted || !cut_off) then begin
-      let script = List.rev !rev_path in
-      Obs.Metrics.observe h_preempt (preemptions_of script);
-      (* Leaf states are counted here, not in the probe: the probe only
-         fires while some process is live, and a truncated run is ended
-         by the op cap before the probe reaches the depth cut. *)
-      Atomic.incr n_nodes;
-      if out.live = [] then Atomic.incr n_complete else Atomic.incr n_trunc;
-      let errors = out.judge () in
-      if errors <> [] then report_raw script errors
-    end;
-    push !children;
+    start t;
+    ignore
+      (w.exec ~probe:(Some probe) ~certify:false
+         ~sched:(Schedule.fn (fun ~step:_ ~live:_ -> picks.(!next_pick)))
+         ~max_ops:max_steps ~check:false
+        : outcome);
     task_done ()
   in
   let worker d =
@@ -593,7 +659,7 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
       match pop d with
       | None -> ()
       | Some t ->
-        process d t;
+        walk d t;
         go ()
     in
     go ()
@@ -1140,64 +1206,73 @@ module Aug_target = struct
           ?control:(Option.map Faults.control plan)
           ~obs_label:Aug.op_name ~apply ~emit:(Aug.record aug) programs
       in
-      let result =
-        match probe with
-        | None -> Aug.Prog.run ~sched (start (Aug.apply aug))
-        | Some p ->
-          let d = digests ~f in
-          let run = start (fingerprinted aug ~f d) in
-          let save () =
-            Saved
-              {
-                run = Aug.Prog.save run;
-                aug = Aug.save aug;
-                digests = Array.copy d;
-                fired = (match plan with None -> 0 | Some p -> Faults.fired_set p);
-              }
-          in
-          let restore = function
-            | Saved s ->
-              Aug.Prog.restore run s.run;
-              Aug.restore aug s.aug;
-              Array.blit s.digests 0 d 0 (4 * f);
-              Option.iter (fun p -> Faults.set_fired p s.fired) plan
-            | Sim _ ->
-              invalid_arg "Aug_target: not an augmented-snapshot state"
-          in
-          (* One [fingerprint] closure for the whole execution: it reads
-             the live set of the probe call it is handed to. *)
-          let probed = ref [] in
-          let fingerprint () = Some (fingerprint d ~f !probed) in
-          Aug.Prog.run
-            ~probe:(fun ~step ~live ->
-              probed := live;
-              p { step; live; fingerprint; save; restore })
-            ~sched run
-      in
-      let live = live_of result.Aug.Prog.statuses in
-      let complete = live = [] in
-      let index = lazy (Aug_spec.index aug result.Aug.Prog.trace) in
-      let ex =
+      (* What the execution reached, judged now if [check]. It reads
+         [aug], so a probed execution's outcome must be judged before the
+         run moves on. *)
+      let outcome_of (result : Aug.Prog.result) =
+        let live = live_of result.statuses in
+        let complete = live = [] in
+        let index = lazy (Aug_spec.index aug result.trace) in
+        let ex =
+          {
+            aug;
+            result;
+            complete;
+            index;
+            spec_report = lazy (Aug_spec.report (Lazy.force index));
+            linearizable = lazy (wing_gong aug (Lazy.force index));
+          }
+        in
+        let judge_now () = judge ocs ~complete ex in
         {
-          aug;
-          result;
-          complete;
-          index;
-          spec_report = lazy (Aug_spec.report (Lazy.force index));
-          linearizable = lazy (wing_gong aug (Lazy.force index));
+          script =
+            List.map (fun (e : Aug.Prog.trace_entry) -> e.pid) result.trace;
+          live;
+          steps = result.total_ops;
+          errors = (if check then judge_now () else []);
+          judge = judge_now;
         }
       in
-      let judge_now () = judge ocs ~complete ex in
-      {
-        script =
-          List.map
-            (fun (e : Aug.Prog.trace_entry) -> e.pid)
-            result.Aug.Prog.trace;
-        live;
-        steps = result.Aug.Prog.total_ops;
-        errors = (if check then judge_now () else []);
-        judge = judge_now;
-      }
+      match probe with
+      | None -> outcome_of (Aug.Prog.run ~sched (start (Aug.apply aug)))
+      | Some p ->
+        let d = digests ~f in
+        let run = start (fingerprinted aug ~f d) in
+        let save () =
+          Saved
+            {
+              run = Aug.Prog.save run;
+              aug = Aug.save aug;
+              digests = Array.copy d;
+              fired =
+                (match plan with None -> 0 | Some p -> Faults.fired_set p);
+            }
+        in
+        let restore = function
+          | Saved s ->
+            Aug.Prog.restore run s.run;
+            Aug.restore aug s.aug;
+            Array.blit s.digests 0 d 0 (4 * f);
+            Option.iter (fun p -> Faults.set_fired p s.fired) plan
+          | Sim _ -> invalid_arg "Aug_target: not an augmented-snapshot state"
+        in
+        (* One [fingerprint] closure for the whole execution: it reads the
+           live set of the probe call it is handed to. *)
+        let probed = ref [] in
+        let fingerprint () = Some (fingerprint d ~f !probed) in
+        let leaf =
+          {
+            outcome = (fun () -> outcome_of (Aug.Prog.current run));
+            restore;
+          }
+        in
+        outcome_of
+          (Aug.Prog.run
+             ~probe:(fun ~step ~live ->
+               probed := live;
+               p.decide { step; live; fingerprint; save; restore })
+             ~at_end:(fun () -> p.leaf leaf)
+             ~sched run)
     in
     {
       name;
@@ -1357,35 +1432,39 @@ module Harness_target = struct
         }
       in
       let sim = Harness.start ~max_ops ~faults ?watchdog hspec in
-      let result =
-        match probe with
-        | None -> Harness.finish ~sched sim
-        | Some p ->
-          (* A node is the simulation's saved state. No state fingerprint
-             for simulation runs: simulator local state is too rich to
-             digest soundly at this boundary, so the engine shares
-             prefixes but never dedups. *)
-          let save () = Sim (Harness.save sim) in
-          let restore = function
-            | Sim s -> Harness.restore sim s
-            | Saved _ -> invalid_arg "Harness_target: not a simulation state"
-          in
-          Harness.finish
-            ~probe:(fun ~step ~live ->
-              p { step; live; fingerprint = no_fingerprint; save; restore })
-            ~sched sim
+      let outcome_of (result : Harness.result) =
+        let live = live_of result.statuses in
+        let complete = live = [] in
+        let judge_now () = judge ocs ~complete { hspec; result; complete } in
+        {
+          script =
+            List.map (fun (e : Aug.Prog.trace_entry) -> e.pid) result.trace;
+          live;
+          steps = result.total_ops;
+          errors = (if check then judge_now () else []);
+          judge = judge_now;
+        }
       in
-      let live = live_of result.Harness.statuses in
-      let complete = live = [] in
-      let judge_now () = judge ocs ~complete { hspec; result; complete } in
-      {
-        script =
-          List.map (fun (e : Aug.Prog.trace_entry) -> e.pid) result.Harness.trace;
-        live;
-        steps = result.Harness.total_ops;
-        errors = (if check then judge_now () else []);
-        judge = judge_now;
-      }
+      match probe with
+      | None -> outcome_of (Harness.finish ~sched sim)
+      | Some p ->
+        (* A node is the simulation's saved state. No state fingerprint
+           for simulation runs: simulator local state is too rich to
+           digest soundly at this boundary, so the engine shares prefixes
+           but never dedups. *)
+        let save () = Sim (Harness.save sim) in
+        let restore = function
+          | Sim s -> Harness.restore sim s
+          | Saved _ -> invalid_arg "Harness_target: not a simulation state"
+        in
+        outcome_of
+          (Harness.finish
+             ~probe:(fun ~step ~live ->
+               p.decide
+                 { step; live; fingerprint = no_fingerprint; save; restore })
+             ~at_end:(fun result ->
+               p.leaf { outcome = (fun () -> outcome_of (result ())); restore })
+             ~sched sim)
     in
     {
       name = "racing";
@@ -1413,6 +1492,19 @@ let build_workload ~name ~params ?inject ~faults () =
       (Printf.sprintf "unknown workload %S (expected one of: %s)" name
          (String.concat ", " (Aug_target.builtin_names @ [ "racing" ])))
   in
+  (* A fault aimed at a pid the workload does not have would never fire,
+     and the run would pass unfaulted. *)
+  let pids_in ~f =
+    match
+      List.find_opt (fun (s : Faults.spec) -> s.pid < 0 || s.pid >= f) faults
+    with
+    | None -> Ok ()
+    | Some s ->
+      Error
+        (Printf.sprintf "fault spec %s: pid %d is not one of the %d processes \
+                         (0 to %d)"
+           (Faults.to_string [ s ]) s.pid f (f - 1))
+  in
   if name = "racing" then
     let* n = param "n" in
     let* m = param "m" in
@@ -1422,6 +1514,7 @@ let build_workload ~name ~params ?inject ~faults () =
       Error "seeded bugs apply to augmented-snapshot workloads only"
     else
       let* () = Harness.check_shape ~n ~m ~f ~d in
+      let* () = pids_in ~f in
       Ok (Harness_target.racing ~faults ~n ~m ~f ~d ())
   else if not (List.mem name Aug_target.builtin_names) then unknown
   else
@@ -1438,5 +1531,6 @@ let build_workload ~name ~params ?inject ~faults () =
     if f < 1 then Error "f must be >= 1"
     else if m < 1 then Error "m must be >= 1"
     else
+      let* () = pids_in ~f in
       Option.fold ~none:unknown ~some:Result.ok
         (Aug_target.builtin ?inject ~faults ~name ~f ~m ())

@@ -13,10 +13,11 @@
       parallel prefix-sharing frontier: the probe hook enumerates sibling
       branches mid-run, and each sibling's frontier task resumes the run
       state saved at its branching point, so every tree edge is executed
-      once and no prefix is replayed; states
+      once and no prefix is replayed; one execution walks a whole
+      subtree, going from leaf to the next saved state; states
       already reached by an equivalent interleaving are pruned by
-      fingerprint, and the frontier is shared work-stealing-style across
-      [Domain]s with a deterministic merge;
+      fingerprint, and walkers hand work to idle [Domain]s through a
+      shared frontier, with a deterministic merge;
     - {!sweep} runs seeded randomized schedules — uniform, crashy
       ({!Rsim_shmem.Schedule.with_crashes}), x-obstruction
       ({!Rsim_shmem.Schedule.among}), starvation
@@ -38,6 +39,20 @@ open Rsim_shmem
     a node can resume it. *)
 type node
 
+(** The result of driving one execution under one schedule. *)
+type outcome = {
+  script : int list;
+      (** the pids actually scheduled, in order — a deterministic replay
+          script for {!Rsim_shmem.Schedule.script} *)
+  live : int list;  (** pids still pending when the run stopped *)
+  steps : int;  (** base-object operations executed *)
+  errors : string list;  (** oracle violations; [[]] if passing or unchecked *)
+  judge : unit -> string list;
+      (** judge this execution now — lets an engine run with [check]
+          false and pay for oracles only on executions that are real
+          leaves (not pruned mid-run) *)
+}
+
 (** What the exploration engine observes at one scheduling decision of a
     probed execution: the decision index, the schedulable pids, and a
     canonical state fingerprint (two independently-mixed digests of the
@@ -49,7 +64,7 @@ type node
     workload may build one [fingerprint] per execution that reads the
     state of the current decision. {!exhaustive} calls it only at fresh
     decisions, past the node a task resumes: the states up to there were
-    claimed when the task was emitted, so their fingerprints would be
+    claimed when the task was saved, so their fingerprints would be
     thrown away.
 
     [save ()] returns the node of this decision, and [restore n], called
@@ -65,32 +80,35 @@ type probe_view = {
   restore : node -> unit;
 }
 
-(** Returning [`Stop] ends the execution at that decision point. *)
-type probe = probe_view -> [ `Continue | `Stop ]
+(** What the engine observes each time a probed execution reaches an
+    end: every process over, the step cap, the schedule exhausted, or a
+    decision at which [decide] returned [`Stop]. [outcome ()] is the
+    execution as it stands there, to be judged during this call (it
+    reads state the execution goes on to change). [restore n] moves the
+    execution to node [n]: it goes on from there, making [n]'s decision
+    without a further [decide] call, so one execution can walk a whole
+    subtree of saved nodes. An execution whose [leaf] call restores
+    nothing ends, and [exec] returns its outcome. *)
+type leaf_view = { outcome : unit -> outcome; restore : node -> unit }
 
-(** The result of driving one execution under one schedule. *)
-type outcome = {
-  script : int list;
-      (** the pids actually scheduled, in order — a deterministic replay
-          script for {!Rsim_shmem.Schedule.script} *)
-  live : int list;  (** pids still pending when the run stopped *)
-  steps : int;  (** base-object operations executed *)
-  errors : string list;  (** oracle violations; [[]] if passing or unchecked *)
-  judge : unit -> string list;
-      (** judge this execution now — lets an engine run with [check]
-          false and pay for oracles only on executions that are real
-          leaves (not pruned mid-run) *)
+(** [decide] is called before every scheduling decision; returning
+    [`Stop] ends the execution at that decision. [leaf] is called at
+    every end. *)
+type probe = {
+  decide : probe_view -> [ `Continue | `Stop ];
+  leaf : leaf_view -> unit;
 }
 
-(** How to build a fresh instance, run its processes, and judge the
-    result. [exec] must be re-entrant (fresh state on every call): both
-    engines call it concurrently from several [Domain]s. When [check] is
-    false the engine only needs [script]/[live]/[steps] and judges
-    lazily via [judge]. [probe], if given, is called before every
-    scheduling decision with the reached state's {!probe_view}; an
-    execution that the probe moves to a saved node still enters through
-    [exec]. [certify] is ignored by every workload and engine; the label
-    stays only because the benchmark's exec wrapper still passes it. *)
+(** How to build an instance, run its processes, and judge the result.
+    [exec] must be re-entrant: every call builds its own instance, and
+    both engines call it concurrently from several [Domain]s. When
+    [check] is false the engine only needs [script]/[live]/[steps] and
+    judges lazily via [judge]. [probe], if given, is called before every
+    scheduling decision with the reached state's {!probe_view} and at
+    every end with a {!leaf_view}; one call can then run many
+    executions, moved from node to node by the probe. [certify] is
+    ignored by every workload and engine; the label stays only because
+    the benchmark's exec wrapper still passes it. *)
 type workload = {
   name : string;
   n_procs : int;
@@ -120,7 +138,9 @@ type exhaustive_report = {
   complete : int;  (** executions in which every process finished *)
   truncated : int;  (** executions cut off by the step bound *)
   prefixes : int;  (** tree nodes expanded (schedule prefixes visited) *)
-  executions : int;  (** workload executions actually run *)
+  executions : int;
+      (** executions run: one per task, that is per resumed branch, though
+          one [exec] call walks many tasks *)
   dedup_hits : int;  (** branches cut at an already-claimed state *)
   pruned : int;
       (** always 0; kept only because the benchmark still reads it *)
@@ -132,6 +152,16 @@ type exhaustive_report = {
     [max_steps] (default 64) with the parallel prefix-sharing engine.
     Oracles run on every maximal execution — complete or truncated
     (subject to each oracle's [on_truncated]).
+
+    A worker takes a task (a saved node and the branch to take there)
+    from the shared frontier and walks its whole subtree in one [exec]
+    call: at each leaf the probe's [leaf] hook judges it and restores
+    the next task of the walk's own stack, which holds tasks in the
+    order the shared frontier would. Each resumed task counts as one
+    execution. While another worker waits for work, a walker donates
+    the bottom half of its stack to the shared frontier at each leaf.
+    At one domain the walk order is fixed, so even an early-stopped
+    report is reproducible there.
 
     [preemption_bound], if given, only explores schedules with at most
     that many preemptions (a context switch away from a process that could
@@ -299,13 +329,13 @@ module Aug_target : sig
   (** [[no_failure; spec; theorem20; progress ()]]. *)
   val default_oracles : exec Oracle.t list
 
-  (** Build a workload over a fresh augmented snapshot per execution.
+  (** Build a workload over a fresh augmented snapshot per [exec] call.
       [programs cfg] gives the processes' programs (one per pid, [f] of
       them); it is called once, and every execution runs the same
       persistent programs on the interpreter
       ({!Rsim_augmented.Aug.Prog}). [faults] is a fault-plane profile
-      compiled afresh (fired set and all) on every execution, so replays
-      are deterministic. Executions maintain rolling state digests, so
+      compiled afresh (fired set and all) on every [exec] call, so
+      replays are deterministic. Executions maintain rolling state digests, so
       the exploration engine's probe always gets a fingerprint, and a
       saved node holds the run state, the object's state, the digests
       and the fired set. *)
@@ -412,8 +442,9 @@ end
     ignored), a seeded-bug name ({!fault_of_string}) and fault specs.
     Returns [Error msg], and builds nothing, on an unknown name or
     seeded bug, a missing parameter, a builtin with [f < 1] or [m < 1],
-    a racing shape {!Rsim_simulation.Harness.check_shape} refuses, or a
-    seeded bug on racing. *)
+    a racing shape {!Rsim_simulation.Harness.check_shape} refuses, a
+    seeded bug on racing, or a fault spec whose pid is not in
+    [\[0, f)] (one that would never fire). *)
 val build_workload :
   name:string ->
   params:(string * int) list ->

@@ -98,7 +98,14 @@ module type S = sig
     unit t list ->
     run
 
-  val run : ?probe:probe -> sched:Rsim_shmem.Schedule.t -> run -> result
+  val run :
+    ?probe:probe ->
+    ?at_end:(unit -> unit) ->
+    sched:Rsim_shmem.Schedule.t ->
+    run ->
+    result
+
+  val current : run -> result
 
   type saved
 
@@ -150,7 +157,8 @@ module Make (M : OPS) = struct
      [live_until], the earliest clock at which a pid the cache leaves out
      wakes. Everything a decision changes is in the fields that {!save}
      copies; [hops] counts this run's own applied operations for
-     [fiber.ops]. *)
+     [fiber.ops], and [restored] says whether {!restore} was called since
+     [at_end] last was. *)
   type run = {
     n : int;
     programs : unit t array;  (** initial programs, for restarts *)
@@ -176,6 +184,7 @@ module Make (M : OPS) = struct
     mutable live_stale : bool;
     mutable live_until : int;
     mutable hops : int;
+    mutable restored : bool;
   }
 
   type saved = {
@@ -220,7 +229,8 @@ module Make (M : OPS) = struct
     st.clock <- s.s_clock;
     st.decisions <- s.s_decisions;
     st.restarts_pending <- s.s_restarts_pending;
-    st.live_stale <- true
+    st.live_stale <- true;
+    st.restored <- true
 
   (* Run [pid]'s program up to its next operation or its end, emitting
      its notes; an exception out of a continuation fails the program, as
@@ -328,22 +338,28 @@ module Make (M : OPS) = struct
     | Some p -> (
       match p ~step:st.decisions ~live with `Continue -> false | `Stop -> true)
 
-  let rec loop st probe sched =
-    if st.total < st.max_ops then begin
+  (* [probed] is false right after [at_end] restored a saved state: that
+     state's decision was probed by the run that saved it, so it is made
+     without a second probe call. *)
+  let rec loop st probe at_end sched ~probed =
+    if st.total >= st.max_ops then ended st probe at_end sched
+    else begin
       if st.restarts_pending > 0 then do_restarts st;
       match pending_pids st with
       | [] ->
         let c = earliest_wake st in
         if c < max_int then begin
           st.clock <- c;
-          loop st probe sched
+          loop st probe at_end sched ~probed
         end
+        else ended st probe at_end sched
       | live -> (
-        if not (probe_stops st probe live) then
+        if probed && probe_stops st probe live then ended st probe at_end sched
+        else
           (* The probe may have restored a saved state: decide from the
              live set it left. *)
           match Rsim_shmem.Schedule.next sched ~live:(pending_pids st) with
-          | None -> ()
+          | None -> ended st probe at_end sched
           | Some (pid, sched') ->
             st.clock <- st.clock + 1;
             st.decisions <- st.decisions + 1;
@@ -356,8 +372,18 @@ module Make (M : OPS) = struct
             (match st.slots.(pid) with
             | Suspended _ -> ()
             | Over _ -> st.live_stale <- true);
-            loop st probe sched')
+            loop st probe at_end sched' ~probed:true)
     end
+
+  (* The run is at an end: [at_end] may restore a saved state, and the
+     run then goes on from it with the schedule as it stands. *)
+  and ended st probe at_end sched =
+    match at_end with
+    | None -> ()
+    | Some f ->
+      st.restored <- false;
+      f ();
+      if st.restored then loop st probe at_end sched ~probed:false
 
   let default_obs_label (_ : M.op) = "op"
 
@@ -391,6 +417,7 @@ module Make (M : OPS) = struct
         live_stale = true;
         live_until = max_int;
         hops = 0;
+        restored = false;
       }
     in
     Array.iteri (settle st) programs;
@@ -398,17 +425,20 @@ module Make (M : OPS) = struct
 
   let status_of = function Over s -> s | Suspended _ -> Pending
 
-  let run ?probe ~sched st =
-    match loop st probe sched with
+  let current st =
+    {
+      statuses = Array.map status_of st.slots;
+      trace = List.rev st.rev_trace;
+      ops_per_fiber = Array.copy st.ops_per_fiber;
+      total_ops = st.total;
+      events = List.rev st.rev_events;
+    }
+
+  let run ?probe ?at_end ~sched st =
+    match loop st probe at_end sched ~probed:true with
     | () ->
       Obs.Metrics.add m_ops st.hops;
-      {
-        statuses = Array.map status_of st.slots;
-        trace = List.rev st.rev_trace;
-        ops_per_fiber = st.ops_per_fiber;
-        total_ops = st.total;
-        events = List.rev st.rev_events;
-      }
+      current st
     | exception e ->
       let bt = Printexc.get_raw_backtrace () in
       Obs.Metrics.add m_ops st.hops;

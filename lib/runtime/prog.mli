@@ -163,10 +163,33 @@ module type S = sig
 
   (** Runs until no program is pending or due to wake, the schedule is
       exhausted, [max_ops] operations have executed, or [probe] returns
-      [`Stop]; programs still waiting then read {!Pending}. [fiber.ops]
-      gains the operations this call applied. Exceptions out of [apply],
-      [control], [probe] or the schedule propagate unchanged. *)
-  val run : ?probe:probe -> sched:Rsim_shmem.Schedule.t -> run -> result
+      [`Stop]; programs still waiting then read {!Pending}.
+
+      Each time the run reaches such an end, [at_end] (if given) is
+      called once. A hook that calls {!restore} continues the run: it
+      goes on from the restored state with the schedule as it stands,
+      and the restored state's decision is made without another [probe]
+      call (the run that saved it probed it). A hook that restores
+      nothing ends the run. So one run can walk a whole tree of saved
+      states, and {!current} tells the hook what the run reached at
+      each end.
+
+      Returns what {!current} would at the final end. [fiber.ops] gains
+      the operations this call applied. Exceptions out of [apply],
+      [control], [probe], [at_end] or the schedule propagate
+      unchanged. *)
+  val run :
+    ?probe:probe ->
+    ?at_end:(unit -> unit) ->
+    sched:Rsim_shmem.Schedule.t ->
+    run ->
+    result
+
+  (** [current r] is what [r] has reached so far, as {!run} would
+      return it if the run ended here: the statuses, trace, per-pid
+      counts and events up to now. It shares no mutable array with [r],
+      so it stays as it is when the run goes on. *)
+  val current : run -> result
 
   (** A run's state at one scheduling decision, immutable. *)
   type saved
@@ -179,8 +202,9 @@ module type S = sig
 
   (** [restore r s], called from [r]'s probe, puts [r] in state [s]: the
       decision that probe call precedes is made from [s], and the run
-      goes on from there. [s] stays valid, and can be restored into any
-      number of runs of the same programs, on any domain. *)
+      goes on from there. Called from [r]'s [at_end] hook, it continues
+      the run from [s] (see {!run}). [s] stays valid, and can be restored
+      into any number of runs of the same programs, on any domain. *)
   val restore : run -> saved -> unit
 end
 

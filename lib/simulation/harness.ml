@@ -217,8 +217,8 @@ let is_revision = function
   | Journal.Jscan _ | Journal.Jbu _ | Journal.Jfinal _
   | Journal.Jdecided _ -> false
 
-let finish ?probe ~sched sim =
-  let fr = Aug.Prog.run ?probe ~sched sim.run in
+(* [sim]'s result from its run's, recorded in the per-run metrics. *)
+let result_of sim (fr : Aug.Prog.result) =
   let all_done = Array.for_all is_done fr.Aug.Prog.statuses in
   Log.debug (fun k ->
       k "simulation finished: %d H-operations, all_done=%b"
@@ -262,6 +262,23 @@ let finish ?probe ~sched sim =
         watchdog_budget = sim.watchdog_budget;
       };
   }
+
+(* With a hook, each end builds its result at most once, when the hook
+   or [finish] asks for it, so each end counts at most once in the
+   metrics. The hook is called at every end, so [last] is set by the
+   final one before it is read. *)
+let finish ?probe ?at_end ~sched sim =
+  match at_end with
+  | None -> result_of sim (Aug.Prog.run ?probe ~sched sim.run)
+  | Some hook ->
+    let last = ref (lazy (assert false)) in
+    let at_end () =
+      let r = lazy (result_of sim (Aug.Prog.current sim.run)) in
+      last := r;
+      hook (fun () -> Lazy.force r)
+    in
+    ignore (Aug.Prog.run ?probe ~at_end ~sched sim.run : Aug.Prog.result);
+    Lazy.force !last
 
 let run ?max_ops ?local_cap ?faults ?watchdog ~sched spec =
   finish ~sched (start ?max_ops ?local_cap ?faults ?watchdog spec)

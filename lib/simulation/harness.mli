@@ -115,10 +115,19 @@ val start :
   spec ->
   sim
 
-(** [finish ?probe ~sched s] runs [s] until it ends, calling [probe]
-    before every scheduling decision ({!Rsim_runtime.Prog.S.run}), and
-    returns its result. *)
-val finish : ?probe:Rsim_runtime.Prog.probe -> sched:Schedule.t -> sim -> result
+(** [finish ?probe ?at_end ~sched s] runs [s] until it ends, calling
+    [probe] before every scheduling decision and [at_end] at every end
+    ({!Rsim_runtime.Prog.S.run}), and returns its result. [at_end] gets
+    a function that builds the result the run has reached there; a hook
+    that calls {!restore} continues the run from the restored state, so
+    one [finish] can walk several saved states, and a hook that restores
+    nothing ends it. *)
+val finish :
+  ?probe:Rsim_runtime.Prog.probe ->
+  ?at_end:((unit -> result) -> unit) ->
+  sched:Schedule.t ->
+  sim ->
+  result
 
 (** A simulation's state at one scheduling decision: the interpreter's
     run, the augmented snapshot, the journals, the quarantines and the
@@ -130,7 +139,8 @@ val save : sim -> saved
 
 (** [restore s v], called from [s]'s probe, puts [s] in state [v] (saved
     from a simulation of the same spec and options): the decision that
-    probe call precedes is made from [v]. [v] stays valid. *)
+    probe call precedes is made from [v]. Called from [finish]'s
+    [at_end] hook, it continues the run from [v]. [v] stays valid. *)
 val restore : sim -> saved -> unit
 
 (** Why a run's outputs do not validate. [Simulator_crashed] covers

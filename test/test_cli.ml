@@ -100,23 +100,24 @@ let test_explore_empty_shape () =
 
 (* Write an artifact that records [workload] with [params] and [inject]
    and a two-step script; return its path. *)
-let artifact ~workload ~params ~inject =
+let artifact ?faults ~workload ~params ~inject () =
   let path = Filename.temp_file "rsim_cli" ".json" in
+  let opt = function None -> "null" | Some s -> Printf.sprintf "%S" s in
   Out_channel.with_open_bin path (fun oc ->
       Printf.fprintf oc
         {|{"version": 2, "workload": %S, "params": {%s}, "inject": %s,
-"faults": null, "max_steps": 12, "errors": [], "original": [0, 1],
+"faults": %s, "max_steps": 12, "errors": [], "original": [0, 1],
 "script": [0, 1]}|}
         workload
         (String.concat ", "
            (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) params))
-        (match inject with None -> "null" | Some s -> Printf.sprintf "%S" s));
+        (opt inject) (opt faults));
   path
 
 let test_artifact_bad_shape () =
   List.iter
     (fun (workload, params, reason) ->
-      let path = artifact ~workload ~params ~inject:None in
+      let path = artifact ~workload ~params ~inject:None () in
       List.iter
         (fun cmd -> check_refused (cmd ^ " " ^ path) ~reason)
         [ "replay"; "stats" ];
@@ -137,7 +138,31 @@ let test_racing_seeded_bug () =
   let path =
     artifact ~workload:"racing"
       ~params:[ ("n", 4); ("m", 2); ("f", 2); ("d", 0) ]
-      ~inject:(Some "yield-on-higher")
+      ~inject:(Some "yield-on-higher") ()
+  in
+  check_refused ("replay " ^ path) ~reason;
+  check_refused ("stats " ^ path) ~reason;
+  Sys.remove path
+
+(* A fault aimed at a pid the workload does not have would never fire:
+   the profile is refused, from the command line and from an artifact,
+   instead of reporting an unfaulted run as a faulted pass. *)
+let test_fault_pid_out_of_range () =
+  let reason = "pid 5 is not one of the 2 processes" in
+  check_refused
+    "explore --workload bu-conflict -f 2 -m 2 --faults crash@5:3 --max-steps 8"
+    ~reason;
+  check_refused
+    "explore --workload racing -n 4 -m 2 -f 2 --faults stall@5:0*2 \
+     --max-steps 8"
+    ~reason;
+  check_refused
+    "explore --workload bu-conflict -f 2 -m 2 --faults crash@-1:3 --max-steps 8"
+    ~reason:"expected a non-negative integer";
+  let path =
+    artifact ~faults:"crash@1:2,crash@5:3" ~workload:"bu-conflict"
+      ~params:[ ("f", 2); ("m", 2) ]
+      ~inject:None ()
   in
   check_refused ("replay " ^ path) ~reason;
   check_refused ("stats " ^ path) ~reason;
@@ -163,5 +188,7 @@ let () =
             test_artifact_bad_shape;
           Alcotest.test_case "seeded bug on racing" `Quick
             test_racing_seeded_bug;
+          Alcotest.test_case "fault pid outside the workload" `Quick
+            test_fault_pid_out_of_range;
         ] );
     ]

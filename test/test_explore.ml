@@ -492,6 +492,47 @@ let test_artifact_load_unreadable () =
       | Ok _ -> Alcotest.fail "malformed JSON should fail"
       | Error _ -> ())
 
+(* A fault profile aimed at a pid the workload does not have would
+   never fire, and a run would pass unfaulted: the decoder refuses it,
+   for builtins and racing alike, and so does an artifact. *)
+let test_fault_pids_checked () =
+  let crash pid = [ { Faults.pid; at_op = 3; action = Faults.Crash } ] in
+  let refused what name params faults =
+    match Explore.build_workload ~name ~params ~faults () with
+    | Ok _ -> Alcotest.failf "%s: built" what
+    | Error e ->
+      Alcotest.(check bool) (what ^ ": names the pid: " ^ e) true
+        (contains ~sub:"is not one of the" e)
+  in
+  let builtin = [ ("f", 2); ("m", 2) ] in
+  let racing = [ ("n", 4); ("m", 2); ("f", 2); ("d", 0) ] in
+  refused "builtin, pid f" "bu-conflict" builtin (crash 2);
+  refused "builtin, negative pid" "bu-conflict" builtin (crash (-1));
+  refused "racing, pid f" "racing" racing (crash 2);
+  refused "racing, negative pid" "racing" racing (crash (-1));
+  Alcotest.(check bool) "pid f - 1 builds" true
+    (Result.is_ok
+       (Explore.build_workload ~name:"bu-conflict" ~params:builtin
+          ~faults:(crash 1) ()));
+  let art =
+    {
+      Artifact.version = 2;
+      workload = "bu-conflict";
+      params = builtin;
+      inject = None;
+      faults = Some "crash@0:1,crash@5:3";
+      max_steps = 12;
+      errors = [];
+      original = [];
+      script = [];
+    }
+  in
+  match Artifact.to_workload art with
+  | Ok _ -> Alcotest.fail "artifact with pid 5 of 2 rebuilt"
+  | Error e ->
+    Alcotest.(check bool) ("artifact refused: " ^ e) true
+      (contains ~sub:"pid 5 is not one of the 2 processes" e)
+
 (* ---- parallel engine: equivalence, dedup soundness, clamps ---- *)
 
 let counts (r : Explore.exhaustive_report) =
@@ -686,6 +727,40 @@ let test_dedup_keeps_verdicts () =
       Some Aug.Spin_on_yield;
     ]
 
+(* The walk order at one domain, pinned on the benchmark's six exhaustive
+   hunt shapes: with an early stop at the first violation, the prefixes
+   expanded, the executions run and the first violation's shrunk script
+   all depend on the order in which tasks are taken, so a change to that
+   order moves them. *)
+let test_walk_order_pinned () =
+  List.iter
+    (fun (bug, name, f, m, max_steps, want) ->
+      let w =
+        get_builtin
+          ?inject:(Explore.fault_of_string bug)
+          ~oracles:Explore.Aug_target.default_oracles name ~f ~m
+      in
+      let r = Explore.exhaustive ~max_steps ~max_violations:1 ~domains:1 w in
+      let script =
+        match r.Explore.violations with
+        | v :: _ -> String.concat "" (List.map string_of_int v.Explore.script)
+        | [] -> "none"
+      in
+      Alcotest.(check (triple int int string))
+        (Printf.sprintf "%s %s f=%d %d steps: prefixes, executions, script" bug
+           name f max_steps)
+        want
+        (r.Explore.prefixes, r.Explore.executions, script))
+    [
+      ("yield-on-higher", "bu-conflict", 2, 2, 12, (25, 2, "10011111"));
+      ("yield-on-higher", "mixed", 3, 2, 14, (5106, 3738, "1111222221"));
+      ("yield-on-higher", "bu-then-scan", 3, 2, 14, (732, 447, "2020000"));
+      ("skip-yield-check", "bu-conflict", 3, 2, 14, (29, 2, "10011111"));
+      ( "skip-yield-check", "bu-then-scan", 2, 2, 14,
+        (1787, 911, "100000011111") );
+      ("skip-yield-check", "mixed", 3, 2, 11, (9327, 6745, "12222122222"));
+    ]
+
 (* ---- resuming saved states ---- *)
 
 (* What a trace entry and a logged M-operation say, with every snapshot
@@ -766,12 +841,17 @@ let resumes_match ~what ~salt ~max_ops (w : Explore.workload) seen =
     let node = ref None in
     ignore
       (run
-         ~probe:(fun (pv : Explore.probe_view) ->
-           if pv.step = depth then begin
-             node := Some (pv.save ());
-             `Stop
-           end
-           else `Continue)
+         ~probe:
+           {
+             Explore.decide =
+               (fun pv ->
+                 if pv.step = depth then begin
+                   node := Some (pv.save ());
+                   `Stop
+                 end
+                 else `Continue);
+             leaf = ignore;
+           }
          (Schedule.fn (fun ~step ~live -> pick step live)));
     match !node with
     | None -> ()
@@ -779,7 +859,7 @@ let resumes_match ~what ~salt ~max_ops (w : Explore.workload) seen =
       incr resumed;
       let step = ref 0 in
       let restored = ref false in
-      let probe (pv : Explore.probe_view) =
+      let decide (pv : Explore.probe_view) =
         if not !restored then begin
           restored := true;
           pv.restore n;
@@ -788,6 +868,7 @@ let resumes_match ~what ~salt ~max_ops (w : Explore.workload) seen =
         else step := pv.step;
         `Continue
       in
+      let probe = { Explore.decide; leaf = ignore } in
       let again = run ~probe (Schedule.fn (fun ~step:_ ~live -> pick !step live)) in
       if again <> scratch then
         Alcotest.failf "%s seed %d: resumed at %d differs" what seed depth
@@ -1181,6 +1262,8 @@ let () =
             test_dedup_keeps_verdicts;
           Alcotest.test_case "resumed states match scratch runs" `Quick
             test_resume_matches_scratch;
+          Alcotest.test_case "walk order pinned at 1 domain" `Quick
+            test_walk_order_pinned;
         ] );
       ( "sweep",
         [
@@ -1211,6 +1294,8 @@ let () =
             test_dropped_helping_write_caught;
           Alcotest.test_case "crashy racing sweep, survivors green" `Quick
             test_racing_crashy_survivors;
+          Alcotest.test_case "fault pids outside the workload refused" `Quick
+            test_fault_pids_checked;
         ] );
       ( "catch matrix",
         [

@@ -733,6 +733,105 @@ let test_hop_allocation () =
     Alcotest.failf "a cut 3-program run allocated %.1f minor words (budget 85)"
       per_run
 
+(* ---- the end of a run: [at_end] may walk on to a saved state ---- *)
+
+let pids (r : P.result) = List.map (fun (e : P.trace_entry) -> e.pid) r.P.trace
+
+(* The lowest live pid, or the highest when [high] is set. *)
+let pick_by high =
+  Schedule.fn (fun ~step:_ ~live ->
+      match live with
+      | [] -> None
+      | p :: _ -> Some (if !high then List.fold_left max p live else p))
+
+let test_end_without_restore () =
+  let _, apply = make_counter () in
+  let ends = ref 0 in
+  let st = P.start ~apply ~emit:ignore [ increments 3; increments 3 ] in
+  let r =
+    P.run ~at_end:(fun () -> incr ends) ~sched:(pick_by (ref false)) st
+  in
+  Alcotest.(check int) "one end" 1 !ends;
+  Alcotest.(check (list int)) "the plain run" [ 0; 0; 0; 1; 1; 1 ] (pids r);
+  let _, apply = make_counter () in
+  let stops = ref 0 in
+  let st = P.start ~apply ~emit:ignore [ increments 3; increments 3 ] in
+  let r =
+    P.run
+      ~probe:(fun ~step ~live:_ -> if step = 2 then `Stop else `Continue)
+      ~at_end:(fun () -> incr stops)
+      ~sched:(pick_by (ref false)) st
+  in
+  Alcotest.(check int) "a probe stop is an end too" 1 !stops;
+  Alcotest.(check (list int)) "stopped at decision 2" [ 0; 0 ] (pids r)
+
+let test_end_restore_resumes () =
+  let _, apply = make_counter () in
+  let st = P.start ~apply ~emit:ignore [ increments 3; increments 3 ] in
+  let node = ref None in
+  let probed = ref [] in
+  let probe ~step ~live:_ =
+    probed := step :: !probed;
+    if step = 2 then node := Some (P.save st);
+    `Continue
+  in
+  let high = ref false in
+  let leaves = ref [] in
+  let at_end () =
+    leaves := pids (P.current st) :: !leaves;
+    match !node with
+    | Some n ->
+      node := None;
+      high := true;
+      P.restore st n
+    | None -> ()
+  in
+  let r = P.run ~probe ~at_end ~sched:(pick_by high) st in
+  Alcotest.(check (list (list int)))
+    "both leaves, in order"
+    [ [ 0; 0; 0; 1; 1; 1 ]; [ 0; 0; 1; 1; 1; 0 ] ]
+    (List.rev !leaves);
+  Alcotest.(check (list int)) "the run ends at the second leaf"
+    [ 0; 0; 1; 1; 1; 0 ] (pids r);
+  Alcotest.(check int) "six operations" 6 r.P.total_ops;
+  Alcotest.(check (list int))
+    "the restored decision is not probed again"
+    [ 0; 1; 2; 3; 4; 5; 3; 4; 5 ]
+    (List.rev !probed)
+
+let test_end_result_is_a_copy () =
+  let _, apply = make_counter () in
+  let st = P.start ~apply ~emit:ignore [ increments 3; increments 3 ] in
+  let node = ref None in
+  let first = ref None in
+  let probe ~step ~live:_ =
+    if step = 1 then node := Some (P.save st);
+    `Continue
+  in
+  let high = ref false in
+  let at_end () =
+    match !node with
+    | Some n ->
+      first := Some (P.current st);
+      node := None;
+      high := true;
+      P.restore st n
+    | None -> ()
+  in
+  let r = P.run ~probe ~at_end ~sched:(pick_by high) st in
+  (match !first with
+  | None -> Alcotest.fail "no first leaf"
+  | Some l ->
+    Alcotest.(check (array int)) "first leaf's counts as they were" [| 3; 3 |]
+      l.P.ops_per_fiber;
+    Alcotest.(check bool) "first leaf's statuses as they were" true
+      (Array.for_all (( = ) Prog.Done) l.P.statuses);
+    Alcotest.(check bool) "no array shared with the final result" false
+      (l.P.ops_per_fiber == r.P.ops_per_fiber || l.P.statuses == r.P.statuses));
+  r.P.ops_per_fiber.(0) <- 99;
+  Alcotest.(check int) "the returned counts are the caller's own" 3
+    (P.current st).P.ops_per_fiber.(0)
+
 (* The group and case names ("fiber", "fiber reclamation") date from
    the fiber runtime; they identify the tests and so are kept. *)
 let () =
@@ -783,6 +882,15 @@ let () =
           Alcotest.test_case "chaos profile, 200 seeds" `Quick test_reclaim_chaos;
           Alcotest.test_case "exception out of apply" `Quick
             test_reclaim_apply_raises;
+        ] );
+      ( "end of run",
+        [
+          Alcotest.test_case "no restore ends the run" `Quick
+            test_end_without_restore;
+          Alcotest.test_case "a restore resumes the run" `Quick
+            test_end_restore_resumes;
+          Alcotest.test_case "a leaf result is a copy" `Quick
+            test_end_result_is_a_copy;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_total_equals_sum ]);
     ]
