@@ -43,15 +43,9 @@ let preemptions_of script =
 (* ---------------------------------------------------------------- *)
 
 (* How an execution gets back to a scheduling decision it passed: the
-   saved state of an augmented-snapshot run, or of a simulation. *)
-type node =
-  | Saved of {
-      run : Aug.Prog.saved;
-      aug : Aug.saved;
-      digests : int array;
-      fired : int;  (** {!Faults.fired_set} *)
-    }
-  | Sim of Harness.saved
+   saved state of the target that made it, keyed by the identity of the
+   workload that saved it (see [of_target]). *)
+type node = Node : 'saved Type.Id.t * 'saved -> node
 
 type outcome = {
   script : int list;
@@ -247,12 +241,13 @@ type exhaustive_report = {
   violations : violation list;
 }
 
-(* The pre-parallel engine, kept verbatim as the measurement baseline
-   for [bench --explore-only]: a single-domain DFS that re-executes
-   every schedule prefix from scratch (effect continuations are
-   one-shot) — O(L²) executions per leaf — and re-executes each leaf a
-   second time to judge it. Prefix accumulation is reverse-consed (one
-   [List.rev] per execution) instead of the former O(n) [@ [pid]]. *)
+(* The pre-parallel engine, kept as the reference the parallel engine
+   must match node for node (test_explore's "engine matches naive DFS")
+   and as the measurement baseline for [bench --explore-only]: a
+   single-domain DFS that saves no state, so it re-executes every
+   schedule prefix from scratch — O(L²) executions per leaf — and
+   re-executes each leaf a second time to judge it. Prefix accumulation
+   is reverse-consed (one [List.rev] per execution). *)
 let exhaustive_naive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
     w =
   let complete = ref 0 in
@@ -892,64 +887,211 @@ let mop_history aug ix =
   (snapshot_spec (Aug.m aug), List.rev !entries)
 
 (* ---------------------------------------------------------------- *)
-(* Oracles both targets share                                        *)
+(* Targets: one explorable system each                               *)
 (* ---------------------------------------------------------------- *)
 
-(* No process raised, apart from modeled faults; [noun] names a
-   process in the messages. *)
-let no_failure_errors ~noun statuses =
-  let errs = ref [] in
-  Array.iteri
-    (fun pid st ->
-      match st with
-      | Rsim_runtime.Prog.Failed e when not (Faults.is_injected e) ->
-        errs :=
-          Printf.sprintf "%s %d raised %s" noun pid (Printexc.to_string e)
-          :: !errs
-      | Rsim_runtime.Prog.Failed _ (* modeled fault: a crash *)
-      | Rsim_runtime.Prog.Done | Rsim_runtime.Prog.Pending
-      | Rsim_runtime.Prog.Crashed -> ())
-    statuses;
-  List.rev !errs
+(* What the oracles judge of one execution: the target's own result
+   ['r], and what every target has. *)
+type 'r exec = {
+  result : 'r;
+  noun : string;
+  aug : Aug.t;
+  statuses : Rsim_runtime.Prog.status array;
+  steps : int;
+  complete : bool;
+  index : Aug_spec.index Lazy.t;
+  spec_report : Aug_spec.report Lazy.t;
+  linearizable : bool Lazy.t;
+}
 
-(* The pids still pending when a run stopped. *)
-let live_of statuses =
-  let live = ref [] in
-  Array.iteri
-    (fun pid st ->
-      match st with
-      | Rsim_runtime.Prog.Pending -> live := pid :: !live
-      | Rsim_runtime.Prog.Done | Rsim_runtime.Prog.Failed _
-      | Rsim_runtime.Prog.Crashed -> ())
-    statuses;
-  List.rev !live
+(* One explorable system, which [of_target] turns into a workload. An
+   execution's state [t] starts (keeping what [fingerprint] reads only
+   if [probed]), runs as {!Rsim_runtime.Prog.S.run} does, tells what it
+   has [current]ly reached, and saves and restores itself. [view] is
+   what every target's oracles read of a result: the augmented
+   snapshot, the trace, the statuses and the step count. *)
+module type TARGET = sig
+  type t
+  type saved
+  type result
+
+  val noun : string
+  val start : max_ops:int -> probed:bool -> t
+  val save : t -> saved
+  val restore : t -> saved -> unit
+
+  val run :
+    ?probe:Rsim_runtime.Prog.probe ->
+    ?at_end:(unit -> unit) ->
+    sched:Schedule.t ->
+    t ->
+    unit
+
+  val current : t -> result
+
+  val view :
+    t ->
+    result ->
+    Aug.t * Aug.Prog.trace_entry list * Rsim_runtime.Prog.status array * int
+
+  val fingerprint : t -> live:int list -> (int * int) option
+end
+
+(* Wing-Gong on the M-operation history; histories longer than 16
+   operations pass unchecked, since the search is exponential. *)
+let wing_gong aug ix =
+  let spec, entries = mop_history aug ix in
+  List.length entries > 16 || Linearize.check spec entries
+
+(* The workload of a target. A node is the target's saved state keyed
+   by the workload's identity, so a node handed to another workload is
+   refused rather than misread. *)
+let of_target (type r) (module T : TARGET with type result = r) ~name
+    ~n_procs ~params ~inject ~faults ~(oracles : r exec Oracle.t list) =
+  let ocs = oracle_counters oracles in
+  let id = Type.Id.make () in
+  let exec ~probe ~certify:_ ~sched ~max_ops ~check =
+    let st = T.start ~max_ops ~probed:(Option.is_some probe) in
+    (* What the execution reached, judged now if [check]. It reads the
+       target's state, so a probed execution's outcome must be judged
+       before the run moves on. *)
+    let outcome_of r =
+      let aug, trace, statuses, steps = T.view st r in
+      let live =
+        List.filter
+          (fun pid -> statuses.(pid) = Rsim_runtime.Prog.Pending)
+          (List.init (Array.length statuses) Fun.id)
+      in
+      let complete = live = [] in
+      let index = lazy (Aug_spec.index aug trace) in
+      let ex =
+        {
+          result = r;
+          noun = T.noun;
+          aug;
+          statuses;
+          steps;
+          complete;
+          index;
+          spec_report = lazy (Aug_spec.report (Lazy.force index));
+          linearizable = lazy (wing_gong aug (Lazy.force index));
+        }
+      in
+      let judge_now () = judge ocs ~complete ex in
+      {
+        script = List.map (fun (e : Aug.Prog.trace_entry) -> e.pid) trace;
+        live;
+        steps;
+        errors = (if check then judge_now () else []);
+        judge = judge_now;
+      }
+    in
+    (* The outcome at the run's latest end, built at most once: for the
+       engine's [leaf], or as [exec]'s result at the final end. *)
+    let last = ref (lazy (outcome_of (T.current st))) in
+    (match probe with
+    | None -> T.run ~sched st
+    | Some p ->
+      let save () = Node (id, T.save st) in
+      let restore (Node (id', s)) =
+        match Type.Id.provably_equal id id' with
+        | Some Type.Equal -> T.restore st s
+        | None -> invalid_arg (name ^ ": a node saved by another workload")
+      in
+      (* One [fingerprint] closure for the whole execution: it reads the
+         live set of the probe call it is handed to. *)
+      let probed = ref [] in
+      let fingerprint () = T.fingerprint st ~live:!probed in
+      let leaf = { outcome = (fun () -> Lazy.force !last); restore } in
+      T.run
+        ~probe:(fun ~step ~live ->
+          probed := live;
+          p.decide { step; live; fingerprint; save; restore })
+        ~at_end:(fun () ->
+          last := lazy (outcome_of (T.current st));
+          p.leaf leaf)
+        ~sched st);
+    Lazy.force !last
+  in
+  {
+    name;
+    n_procs;
+    params;
+    inject;
+    faults = (if faults = [] then None else Some (Faults.to_string faults));
+    exec;
+  }
+
+(* ---------------------------------------------------------------- *)
+(* Oracles every target shares                                       *)
+(* ---------------------------------------------------------------- *)
+
+(* No process raised, apart from modeled faults. *)
+let no_failure : _ exec Oracle.t =
+  {
+    Oracle.name = "no-failure";
+    on_truncated = true;
+    check =
+      (fun { noun; statuses; _ } ->
+        let errs = ref [] in
+        Array.iteri
+          (fun pid st ->
+            match st with
+            | Rsim_runtime.Prog.Failed e when not (Faults.is_injected e) ->
+              errs :=
+                Printf.sprintf "%s %d raised %s" noun pid (Printexc.to_string e)
+                :: !errs
+            | Rsim_runtime.Prog.Failed _ (* modeled fault: a crash *)
+            | Rsim_runtime.Prog.Done | Rsim_runtime.Prog.Pending
+            | Rsim_runtime.Prog.Crashed -> ())
+          statuses;
+        List.rev !errs);
+  }
+
+let aug_spec : _ exec Oracle.t =
+  {
+    Oracle.name = "aug-spec";
+    on_truncated = true;
+    check =
+      (fun { spec_report = (lazy r); _ } ->
+        if r.Aug_spec.ok then [] else r.Aug_spec.errors);
+  }
 
 (* The non-blocking guarantee (Theorem 20's machinery): while any
    process is still pending, some M-operation must keep completing.
-   A truncated run whose final [window] H-operations contain no
-   M-operation completion is a progress violation — the detector for
+   A truncated run whose final [progress_window] H-operations contain
+   no M-operation completion is a progress violation — the detector for
    blocking bugs (e.g. [Spin_on_yield]) that every safety oracle is
-   blind to. [noun] names a process in the message. *)
-let progress_errors ~noun ~window ~complete ~steps aug =
-  if complete || steps < window then []
-  else
-    let horizon = steps - window in
-    let recent =
-      List.exists
-        (fun mop ->
-          (match mop with
-          | Aug.Scan_op { end_idx; _ } | Aug.Bu_op { end_idx; _ } -> end_idx)
-          >= horizon)
-        (Aug.log aug)
-    in
-    if recent then []
-    else
-      [
-        Printf.sprintf
-          "no M-operation completed in the final %d of %d steps while a %s \
-           was still pending (blocking)"
-          window steps noun;
-      ]
+   blind to. *)
+let progress_window = 48
+
+let progress : _ exec Oracle.t =
+  {
+    Oracle.name = "progress";
+    on_truncated = true;
+    check =
+      (fun { noun; aug; steps; complete; _ } ->
+        if complete || steps < progress_window then []
+        else
+          let horizon = steps - progress_window in
+          let recent =
+            List.exists
+              (fun mop ->
+                (match mop with
+                | Aug.Scan_op { end_idx; _ } | Aug.Bu_op { end_idx; _ } ->
+                  end_idx)
+                >= horizon)
+              (Aug.log aug)
+          in
+          if recent then []
+          else
+            [
+              Printf.sprintf
+                "no M-operation completed in the final %d of %d steps while \
+                 a %s was still pending (blocking)"
+                progress_window steps noun;
+            ]);
+  }
 
 (* ---------------------------------------------------------------- *)
 (* Augmented-snapshot workloads                                      *)
@@ -961,38 +1103,11 @@ let mix1 h x = ((h lxor x) * 0x100000001B3) land max_int
 let mix2 h x = ((h lxor (x * 0x9E3779B1)) * 0x27D4EB2F) land max_int
 
 module Aug_target = struct
-  type exec = {
-    aug : Aug.t;
-    result : Aug.Prog.result;
-    complete : bool;
-    index : Aug_spec.index Lazy.t;
-    spec_report : Aug_spec.report Lazy.t;
-    linearizable : bool Lazy.t;
-  }
+  type nonrec exec = Aug.Prog.result exec
 
-  (* Wing-Gong on the M-operation history; histories longer than 16
-     operations pass unchecked, since the search is exponential. *)
-  let wing_gong aug ix =
-    let spec, entries = mop_history aug ix in
-    List.length entries > 16 || Linearize.check spec entries
-
-  let no_failure : exec Oracle.t =
-    {
-      Oracle.name = "no-failure";
-      on_truncated = true;
-      check =
-        (fun { result; _ } ->
-          no_failure_errors ~noun:"process" result.Aug.Prog.statuses);
-    }
-
-  let spec : exec Oracle.t =
-    {
-      Oracle.name = "aug-spec";
-      on_truncated = true;
-      check =
-        (fun { spec_report = (lazy r); _ } ->
-          if r.Aug_spec.ok then [] else r.Aug_spec.errors);
-    }
+  let no_failure = no_failure
+  let spec = aug_spec
+  let progress = progress
 
   let theorem20 : exec Oracle.t =
     {
@@ -1019,16 +1134,6 @@ module Aug_target = struct
           else [ "no linearization of the M-operation history (Wing-Gong)" ]);
     }
 
-  let progress ?(window = 48) () : exec Oracle.t =
-    {
-      Oracle.name = "progress";
-      on_truncated = true;
-      check =
-        (fun { aug; result; complete; _ } ->
-          progress_errors ~noun:"process" ~window ~complete
-            ~steps:result.Aug.Prog.total_ops aug);
-    }
-
   (* Crash-robustness: when the run contains injected crashes, the
      surviving history must still satisfy the augmented-snapshot spec and
      stay linearizable with the crashed processes' updates pending. *)
@@ -1037,7 +1142,7 @@ module Aug_target = struct
       Oracle.name = "crash-robust";
       on_truncated = true;
       check =
-        (fun { result; spec_report; linearizable; _ } ->
+        (fun { statuses; spec_report; linearizable; _ } ->
           let crashed =
             Array.exists
               (function
@@ -1045,7 +1150,7 @@ module Aug_target = struct
                 | Rsim_runtime.Prog.Failed e -> Faults.is_injected e
                 | Rsim_runtime.Prog.Done | Rsim_runtime.Prog.Pending ->
                   false)
-              result.Aug.Prog.statuses
+              statuses
           in
           if not crashed then []
           else
@@ -1124,8 +1229,6 @@ module Aug_target = struct
       check = (fun { aug; index; _ } -> race_errors aug (Lazy.force index));
     }
 
-  let default_oracles = [ no_failure; spec; theorem20; progress () ]
-
   (* [Aug.apply] with rolling state digests for the engine's
      fingerprint, kept in [d] (see {!digests}): one pair of accumulators
      per process folding its (operation, result) history — programs are
@@ -1173,121 +1276,95 @@ module Aug_target = struct
   let digests ~f =
     Array.init (4 * f) (fun i -> if (i / f) mod 2 = 0 then 0x1505 else 0x9747)
 
-  let fingerprint d ~f live =
-    let fold mixf a b =
-      let h = ref 0 in
-      for i = a to a + f - 1 do
-        h := mixf !h d.(i)
-      done;
-      for i = b to b + f - 1 do
-        h := mixf !h d.(i)
-      done;
-      List.iter (fun p -> h := mixf !h (p + 1)) live;
-      !h
-    in
-    (fold mix1 0 (2 * f), fold mix2 f (3 * f))
-
-  let workload ?(oracles = default_oracles) ?inject ?(faults = [])
-      ~name ~f ~m ~programs () =
-    let ocs = oracle_counters oracles in
-    (* Programs are persistent: every execution starts the same ones. *)
-    let programs = programs (Aug.config (Aug.create ?inject ~f ~m ())) in
-    let exec ~probe ~certify:_ ~sched ~max_ops ~check =
-      let aug = Aug.create ?inject ~f ~m () in
-      (* A plan's fired set is single-run, so compile it afresh for every
-         execution: replays see the identical fault environment. *)
-      let plan =
-        match faults with
-        | [] -> None
-        | _ :: _ -> Some (Faults.plan ~adapter:Aug.fault_adapter faults)
-      in
-      let start apply =
-        Aug.Prog.start ~max_ops
-          ?control:(Option.map Faults.control plan)
-          ~obs_label:Aug.op_name ~apply ~emit:(Aug.record aug) programs
-      in
-      (* What the execution reached, judged now if [check]. It reads
-         [aug], so a probed execution's outcome must be judged before the
-         run moves on. *)
-      let outcome_of (result : Aug.Prog.result) =
-        let live = live_of result.statuses in
-        let complete = live = [] in
-        let index = lazy (Aug_spec.index aug result.trace) in
-        let ex =
-          {
-            aug;
-            result;
-            complete;
-            index;
-            spec_report = lazy (Aug_spec.report (Lazy.force index));
-            linearizable = lazy (wing_gong aug (Lazy.force index));
-          }
-        in
-        let judge_now () = judge ocs ~complete ex in
-        {
-          script =
-            List.map (fun (e : Aug.Prog.trace_entry) -> e.pid) result.trace;
-          live;
-          steps = result.total_ops;
-          errors = (if check then judge_now () else []);
-          judge = judge_now;
-        }
-      in
-      match probe with
-      | None -> outcome_of (Aug.Prog.run ~sched (start (Aug.apply aug)))
-      | Some p ->
-        let d = digests ~f in
-        let run = start (fingerprinted aug ~f d) in
-        let save () =
-          Saved
-            {
-              run = Aug.Prog.save run;
-              aug = Aug.save aug;
-              digests = Array.copy d;
-              fired =
-                (match plan with None -> 0 | Some p -> Faults.fired_set p);
-            }
-        in
-        let restore = function
-          | Saved s ->
-            Aug.Prog.restore run s.run;
-            Aug.restore aug s.aug;
-            Array.blit s.digests 0 d 0 (4 * f);
-            Option.iter (fun p -> Faults.set_fired p s.fired) plan
-          | Sim _ -> invalid_arg "Aug_target: not an augmented-snapshot state"
-        in
-        (* One [fingerprint] closure for the whole execution: it reads the
-           live set of the probe call it is handed to. *)
-        let probed = ref [] in
-        let fingerprint () = Some (fingerprint d ~f !probed) in
-        let leaf =
-          {
-            outcome = (fun () -> outcome_of (Aug.Prog.current run));
-            restore;
-          }
-        in
-        outcome_of
-          (Aug.Prog.run
-             ~probe:(fun ~step ~live ->
-               probed := live;
-               p.decide { step; live; fingerprint; save; restore })
-             ~at_end:(fun () -> p.leaf leaf)
-             ~sched run)
-    in
-    {
-      name;
-      n_procs = f;
-      params = [ ("f", f); ("m", m) ];
-      inject = Option.map fault_to_string inject;
-      faults = (if faults = [] then None else Some (Faults.to_string faults));
-      exec;
-    }
-
+  let default_oracles = [ no_failure; spec; theorem20; progress ]
   let builtin_names = [ "bu-conflict"; "bu-scan"; "bu-then-scan"; "mixed" ]
 
-  let builtin ?inject ?faults ?oracles ~name ~f ~m () =
+  (* A fresh augmented snapshot per execution, running [programs cfg]
+     (one per pid). *)
+  let workload ~oracles ~inject ~faults ~name ~f ~m programs =
+    (* Programs are persistent: every execution starts the same ones. *)
+    let programs = programs (Aug.config (Aug.create ?inject ~f ~m ())) in
+    let module T = struct
+      type t = {
+        aug : Aug.t;
+        run : Aug.Prog.run;
+        digests : int array;
+        plan : Aug.Ops.op Faults.plan option;
+      }
+
+      (* The run, the object, the digests and the plan's fired set. *)
+      type saved = Aug.Prog.saved * Aug.saved * int array * int
+      type result = Aug.Prog.result
+
+      let noun = "process"
+
+      let start ~max_ops ~probed =
+        let aug = Aug.create ?inject ~f ~m () in
+        (* A plan's fired set is single-run, so compile it afresh for
+           every execution: replays see the identical fault environment. *)
+        let plan =
+          if faults = [] then None
+          else Some (Faults.plan ~adapter:Aug.fault_adapter faults)
+        in
+        (* Only a probed run is asked for fingerprints. *)
+        let digests = if probed then digests ~f else [||] in
+        let apply =
+          if probed then fingerprinted aug ~f digests else Aug.apply aug
+        in
+        {
+          aug;
+          plan;
+          digests;
+          run =
+            Aug.Prog.start ~max_ops
+              ?control:(Option.map Faults.control plan)
+              ~obs_label:Aug.op_name ~apply ~emit:(Aug.record aug) programs;
+        }
+
+      let save t =
+        ( Aug.Prog.save t.run,
+          Aug.save t.aug,
+          Array.copy t.digests,
+          Option.fold ~none:0 ~some:Faults.fired_set t.plan )
+
+      let restore t (run, aug, digests, fired) =
+        Aug.Prog.restore t.run run;
+        Aug.restore t.aug aug;
+        Array.blit digests 0 t.digests 0 (Array.length digests);
+        Option.iter (fun p -> Faults.set_fired p fired) t.plan
+
+      let run ?probe ?at_end ~sched t =
+        ignore (Aug.Prog.run ?probe ?at_end ~sched t.run : result)
+
+      let current t = Aug.Prog.current t.run
+
+      let view t (r : result) = (t.aug, r.trace, r.statuses, r.total_ops)
+
+      let fingerprint t ~live =
+        let fold mixf a b =
+          let h = ref 0 in
+          for i = a to a + f - 1 do
+            h := mixf !h t.digests.(i)
+          done;
+          for i = b to b + f - 1 do
+            h := mixf !h t.digests.(i)
+          done;
+          List.iter (fun p -> h := mixf !h (p + 1)) live;
+          !h
+        in
+        Some (fold mix1 0 (2 * f), fold mix2 f (3 * f))
+    end in
+    of_target
+      (module T)
+      ~oracles ~name ~n_procs:f
+      ~params:[ ("f", f); ("m", m) ]
+      ~inject:(Option.map fault_to_string inject)
+      ~faults
+
+  let builtin ?inject ?(faults = []) ?(oracles = default_oracles) ~name ~f ~m
+      () =
     let mk programs =
-      Some (workload ?oracles ?inject ?faults ~name ~f ~m ~programs ())
+      Some (workload ~oracles ~inject ~faults ~name ~f ~m programs)
     in
     let open Aug.Prog in
     let each prog cfg = List.init f (fun me -> prog cfg ~me) in
@@ -1335,83 +1412,44 @@ end
 (* ---------------------------------------------------------------- *)
 
 module Harness_target = struct
-  let no_fingerprint () = None
-
-  type exec = { hspec : Harness.spec; result : Harness.result; complete : bool }
-
-  let no_failure : exec Oracle.t =
-    {
-      Oracle.name = "no-failure";
-      on_truncated = true;
-      check =
-        (fun { result; _ } ->
-          no_failure_errors ~noun:"simulator" result.Harness.statuses);
-    }
-
-  let aug_spec : exec Oracle.t =
-    {
-      Oracle.name = "aug-spec";
-      on_truncated = true;
-      check =
-        (fun { result; _ } ->
-          let r = Aug_spec.check result.Harness.aug result.Harness.trace in
-          if r.Aug_spec.ok then [] else r.Aug_spec.errors);
-    }
+  type nonrec exec = (Harness.spec * Harness.result) exec
 
   let analysis : exec Oracle.t =
     {
       Oracle.name = "lemma26-replay";
       on_truncated = false;
       check =
-        (fun { hspec; result; _ } ->
+        (fun { result = hspec, result; _ } ->
           let r = Analysis.check hspec result in
           if r.Analysis.ok then [] else r.Analysis.errors);
     }
 
-  let consensus : exec Oracle.t =
+  (* Simulators' outputs solve consensus; with [survivors_only],
+     crashed and quarantined simulators are excused. *)
+  let validated ~name ~survivors_only : exec Oracle.t =
     {
-      Oracle.name = "consensus";
+      Oracle.name;
       on_truncated = false;
       check =
-        (fun { hspec; result; _ } ->
-          match Harness.validate hspec result ~task:Task.consensus with
-          | Ok () -> []
-          | Error e -> [ Harness.explain e ]);
-    }
-
-  (* Crash-fault validation: crashed/quarantined simulators are excused;
-     the survivors must still solve the task. *)
-  let consensus_survivors : exec Oracle.t =
-    {
-      Oracle.name = "consensus-survivors";
-      on_truncated = false;
-      check =
-        (fun { hspec; result; _ } ->
+        (fun { result = hspec, result; _ } ->
           match
-            Harness.validate ~survivors_only:true hspec result
-              ~task:Task.consensus
+            Harness.validate ~survivors_only hspec result ~task:Task.consensus
           with
           | Ok () -> []
           | Error e -> [ Harness.explain e ]);
     }
 
-  (* Harness-level non-blocking detector, over the simulation's M. *)
-  let progress ?(window = 48) () : exec Oracle.t =
-    {
-      Oracle.name = "progress";
-      on_truncated = true;
-      check =
-        (fun { result; complete; _ } ->
-          progress_errors ~noun:"simulator" ~window ~complete
-            ~steps:result.Harness.total_ops result.Harness.aug);
-    }
+  let consensus = validated ~name:"consensus" ~survivors_only:false
+
+  let consensus_survivors =
+    validated ~name:"consensus-survivors" ~survivors_only:true
 
   let default_oracles = [ no_failure; aug_spec; analysis; consensus ]
 
   (* With faults on, strict all-done validation and the Lemma 26 replay
      no longer apply (crashed simulators leave partial journals): switch
      to survivor validation plus the progress detector. *)
-  let fault_oracles = [ no_failure; aug_spec; progress (); consensus_survivors ]
+  let fault_oracles = [ no_failure; aug_spec; progress; consensus_survivors ]
 
   let racing ?oracles ?(faults = []) ?watchdog ~n ~m ~f ~d () =
     let oracles =
@@ -1419,61 +1457,44 @@ module Harness_target = struct
       | Some os -> os
       | None -> if faults = [] then default_oracles else fault_oracles
     in
-    let ocs = oracle_counters oracles in
-    let exec ~probe ~certify:_ ~sched ~max_ops ~check =
-      let hspec =
-        {
-          Harness.protocol = (fun pid input -> (Racing.protocol ~m ()) pid input);
-          n;
-          m;
-          f;
-          d;
-          inputs = List.init f (fun p -> Value.Int (p + 1));
-        }
-      in
-      let sim = Harness.start ~max_ops ~faults ?watchdog hspec in
-      let outcome_of (result : Harness.result) =
-        let live = live_of result.statuses in
-        let complete = live = [] in
-        let judge_now () = judge ocs ~complete { hspec; result; complete } in
-        {
-          script =
-            List.map (fun (e : Aug.Prog.trace_entry) -> e.pid) result.trace;
-          live;
-          steps = result.total_ops;
-          errors = (if check then judge_now () else []);
-          judge = judge_now;
-        }
-      in
-      match probe with
-      | None -> outcome_of (Harness.finish ~sched sim)
-      | Some p ->
-        (* A node is the simulation's saved state. No state fingerprint
-           for simulation runs: simulator local state is too rich to
-           digest soundly at this boundary, so the engine shares prefixes
-           but never dedups. *)
-        let save () = Sim (Harness.save sim) in
-        let restore = function
-          | Sim s -> Harness.restore sim s
-          | Saved _ -> invalid_arg "Harness_target: not a simulation state"
-        in
-        outcome_of
-          (Harness.finish
-             ~probe:(fun ~step ~live ->
-               p.decide
-                 { step; live; fingerprint = no_fingerprint; save; restore })
-             ~at_end:(fun result ->
-               p.leaf { outcome = (fun () -> outcome_of (result ())); restore })
-             ~sched sim)
+    let hspec =
+      {
+        Harness.protocol = (fun pid input -> (Racing.protocol ~m ()) pid input);
+        n;
+        m;
+        f;
+        d;
+        inputs = List.init f (fun p -> Value.Int (p + 1));
+      }
     in
-    {
-      name = "racing";
-      n_procs = f;
-      params = [ ("n", n); ("m", m); ("f", f); ("d", d) ];
-      inject = None;
-      faults = (if faults = [] then None else Some (Faults.to_string faults));
-      exec;
-    }
+    let module T = struct
+      type t = Harness.sim
+      type saved = Harness.saved
+      type result = Harness.spec * Harness.result
+
+      let noun = "simulator"
+
+      let start ~max_ops ~probed:_ =
+        Harness.start ~max_ops ~faults ?watchdog hspec
+
+      let save = Harness.save
+      let restore = Harness.restore
+
+      let run = Harness.finish
+      let current sim = (hspec, Harness.current sim)
+
+      let view _ ((_, r) : result) =
+        (r.Harness.aug, r.trace, r.statuses, r.total_ops)
+
+      (* Simulator local state is too rich to digest soundly at this
+         boundary, so the engine shares prefixes but never dedups. *)
+      let fingerprint _ ~live:_ = None
+    end in
+    of_target
+      (module T)
+      ~oracles ~name:"racing" ~n_procs:f
+      ~params:[ ("n", n); ("m", m); ("f", f); ("d", d) ]
+      ~inject:None ~faults
 end
 
 (* ---------------------------------------------------------------- *)

@@ -35,8 +35,9 @@ open Rsim_shmem
 (** {2 Workloads and outcomes} *)
 
 (** How an execution gets back to a scheduling decision of another one:
-    the run state saved there. Only the workload whose execution produced
-    a node can resume it. *)
+    the state saved there by the system the workload explores, keyed by
+    the workload's identity. Only the workload whose execution produced
+    a node can resume it; any other raises [Invalid_argument]. *)
 type node
 
 (** The result of driving one execution under one schedule. *)
@@ -196,11 +197,13 @@ val exhaustive :
   workload ->
   exhaustive_report
 
-(** The pre-parallel engine, kept as the measurement baseline for
-    [bench --explore-only]: a single-domain DFS that re-executes every
-    schedule prefix from scratch (O(L²) executions per leaf) and
-    re-executes each leaf once more to judge it. Same report shape, with
-    [dedup_hits]/[pruned] 0 and [domains] 1. *)
+(** The pre-parallel engine: a single-domain DFS that saves no state,
+    so it re-executes every schedule prefix from scratch (O(L²)
+    executions per leaf) and re-executes each leaf once more to judge
+    it. It is the reference {!exhaustive} must match node for node with
+    [dedup] off at one domain (test_explore's "engine matches naive
+    DFS"), and the measurement baseline for [bench --explore-only]. Same
+    report shape, with [dedup_hits]/[pruned] 0 and [domains] 1. *)
 val exhaustive_naive :
   ?max_steps:int ->
   ?preemption_bound:int ->
@@ -254,6 +257,26 @@ module Oracle : sig
   }
 end
 
+(** What an oracle judges of one execution of either system: the
+    system's own result ['r] ({!Aug_target.exec}, {!Harness_target.exec})
+    and what both have, as both run over an augmented snapshot. The lazy
+    fields are built by the first oracle that reads them, so each
+    verdict is computed at most once per execution. *)
+type 'r exec = {
+  result : 'r;
+  noun : string;  (** a process in messages: ["process"] or ["simulator"] *)
+  aug : Rsim_augmented.Aug.t;  (** the augmented snapshot the run used *)
+  statuses : Rsim_runtime.Prog.status array;
+  steps : int;  (** H-operations executed *)
+  complete : bool;  (** no process was still pending *)
+  index : Rsim_augmented.Aug_spec.index Lazy.t;
+  spec_report : Rsim_augmented.Aug_spec.report Lazy.t;  (** of [index] *)
+  linearizable : bool Lazy.t;
+      (** the Wing-Gong verdict on {!mop_history} of [index]: [true] when
+          the M-operation history linearizes or has more than 16
+          operations *)
+}
+
 (** Seeded-bug names, as persisted in artifacts: ["skip-yield-check"],
     ["yield-on-higher"] and ["spin-on-yield"]. *)
 val fault_to_string : Rsim_augmented.Aug.fault -> string
@@ -263,23 +286,7 @@ val fault_of_string : string -> Rsim_augmented.Aug.fault option
 (** {2 Augmented-snapshot workloads} *)
 
 module Aug_target : sig
-  type exec = {
-    aug : Rsim_augmented.Aug.t;
-    result : Rsim_augmented.Aug.Prog.result;
-    complete : bool;  (** no process was still pending *)
-    index : Rsim_augmented.Aug_spec.index Lazy.t;
-        (** {!Rsim_augmented.Aug_spec.index} of the run, built by the first
-            oracle that needs it: [spec_report], [linearizable] and
-            {!race} read it *)
-    spec_report : Rsim_augmented.Aug_spec.report Lazy.t;
-        (** {!Rsim_augmented.Aug_spec.report} of [index], shared by
-            {!spec} and {!crash_robust} *)
-    linearizable : bool Lazy.t;
-        (** the Wing-Gong verdict on {!mop_history} of [index], shared by
-            {!linearizable} and {!crash_robust}: [true] when the
-            M-operation history linearizes or has more than 16
-            operations *)
-  }
+  type nonrec exec = Rsim_augmented.Aug.Prog.result exec
 
   (** No process raised. *)
   val no_failure : exec Oracle.t
@@ -300,11 +307,12 @@ module Aug_target : sig
   val linearizable : exec Oracle.t
 
   (** The non-blocking detector: fails a truncated execution whose final
-      [window] (default 48) base-object operations contain no
-      M-operation completion while some process is still pending. This is
-      the only oracle that catches {e blocking} bugs — a process spinning
-      instead of yielding violates no safety property. *)
-  val progress : ?window:int -> unit -> exec Oracle.t
+      48 base-object operations contain no M-operation completion while
+      some process is still pending. This is the only oracle that catches
+      {e blocking} bugs — a process spinning instead of yielding violates
+      no safety property. {!Harness_target.fault_oracles} run the same
+      oracle over the simulation's augmented snapshot. *)
+  val progress : exec Oracle.t
 
   (** When the execution contains injected crashes
       ({!Rsim_faults.Faults}), re-checks the §3 spec and Wing-Gong
@@ -326,37 +334,22 @@ module Aug_target : sig
       exactly this); catches [Skip_yield_check] and [Yield_on_higher]. *)
   val race : exec Oracle.t
 
-  (** [[no_failure; spec; theorem20; progress ()]]. *)
+  (** [[no_failure; spec; theorem20; progress]]. *)
   val default_oracles : exec Oracle.t list
-
-  (** Build a workload over a fresh augmented snapshot per [exec] call.
-      [programs cfg] gives the processes' programs (one per pid, [f] of
-      them); it is called once, and every execution runs the same
-      persistent programs on the interpreter
-      ({!Rsim_augmented.Aug.Prog}). [faults] is a fault-plane profile
-      compiled afresh (fired set and all) on every [exec] call, so
-      replays are deterministic. Executions maintain rolling state digests, so
-      the exploration engine's probe always gets a fingerprint, and a
-      saved node holds the run state, the object's state, the digests
-      and the fired set. *)
-  val workload :
-    ?oracles:exec Oracle.t list ->
-    ?inject:Rsim_augmented.Aug.fault ->
-    ?faults:Rsim_faults.Faults.spec list ->
-    name:string ->
-    f:int ->
-    m:int ->
-    programs:
-      (Rsim_augmented.Aug.config -> unit Rsim_augmented.Aug.Prog.t list) ->
-    unit ->
-    workload
 
   (** Named workloads, usable from the CLI and rebuildable from
       artifacts: ["bu-conflict"] (every process Block-Updates component
       0), ["bu-scan"] (process 0 Block-Updates, the rest Scan),
       ["bu-then-scan"] (every process Block-Updates then Scans), and
       ["mixed"] (a deterministic pseudo-random mix keyed on [f], [m]).
-      Returns [None] for an unknown name. *)
+      Every [exec] call runs the processes' persistent programs
+      ({!Rsim_augmented.Aug.Prog}) over a fresh augmented snapshot.
+      [faults] is a fault-plane profile compiled afresh (fired set and
+      all) on every [exec] call, so replays are deterministic. A probed
+      execution keeps rolling state digests, so the exploration engine's
+      probe always gets a fingerprint, and a node holds the run state,
+      the object's state, the digests and the fired set. Returns [None]
+      for an unknown name. *)
   val builtin :
     ?inject:Rsim_augmented.Aug.fault ->
     ?faults:Rsim_faults.Faults.spec list ->
@@ -373,41 +366,22 @@ end
 (** {2 Full-simulation workloads} *)
 
 module Harness_target : sig
-  type exec = {
-    hspec : Rsim_simulation.Harness.spec;
-    result : Rsim_simulation.Harness.result;
-    complete : bool;
-  }
+  type nonrec exec =
+    (Rsim_simulation.Harness.spec * Rsim_simulation.Harness.result) exec
 
-  val no_failure : exec Oracle.t
-
-  (** {!Rsim_augmented.Aug_spec.check} on the run's augmented snapshot. *)
-  val aug_spec : exec Oracle.t
-
-  (** The Lemma 26 replay, {!Rsim_simulation.Analysis.check}
-      (complete runs only). *)
-  val analysis : exec Oracle.t
-
-  (** Simulators' outputs solve consensus (complete runs only). *)
-  val consensus : exec Oracle.t
-
-  (** Crash-fault validation
-      ({!Rsim_simulation.Harness.validate}[ ~survivors_only:true]):
-      crashed and quarantined simulators are excused, the survivors'
-      outputs must still solve consensus (complete runs only). *)
-  val consensus_survivors : exec Oracle.t
-
-  (** The harness-level non-blocking detector — same contract as
-      {!Aug_target.progress}, over the simulation's augmented snapshot. *)
-  val progress : ?window:int -> unit -> exec Oracle.t
-
-  (** [[no_failure; aug_spec; analysis; consensus]]. *)
+  (** No simulator raised; the §3 spec of the run's augmented snapshot
+      ({!Aug_target.spec}); the Lemma 26 replay,
+      {!Rsim_simulation.Analysis.check}; and the simulators' outputs solve
+      consensus. The last two judge complete runs only. *)
   val default_oracles : exec Oracle.t list
 
-  (** [[no_failure; aug_spec; progress (); consensus_survivors]] — the
-      default when a fault profile is in force (crashed simulators leave
-      partial journals, so strict validation and the Lemma 26 replay do
-      not apply). *)
+  (** The default when a fault profile is in force: no simulator
+      raised, the §3 spec, {!Aug_target.progress}, and crash-fault
+      validation ({!Rsim_simulation.Harness.validate}[ ~survivors_only:true]:
+      crashed and quarantined simulators are excused, the survivors'
+      outputs must still solve consensus; complete runs only). Crashed
+      simulators leave partial journals, so strict validation and the
+      Lemma 26 replay do not apply. *)
   val fault_oracles : exec Oracle.t list
 
   (** The racing-consensus simulation of Theorem 21, explorable: [f]
@@ -418,7 +392,7 @@ module Harness_target : sig
       default oracles switch to {!fault_oracles}. Probed executions get
       no state fingerprint (simulator local state is too rich to digest
       soundly), so the engine shares prefixes but never prunes. A node
-      is the simulation's saved state ({!Rsim_simulation.Harness.save}):
+      holds the simulation's saved state ({!Rsim_simulation.Harness.save}):
       the journals, the quarantines and the fired set with the run and
       the object. *)
   val racing :

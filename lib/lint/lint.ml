@@ -42,13 +42,14 @@
        sibling .mli has its whole namespace public, which is how
        internal mutable state leaks across library boundaries.
 
-   R6  interfaces hold only what other modules use: a top-level [val]
-       in a lib/ .mli that no module outside its own library refers to
-       (in lib/, bin/, bench/, dev/, test/, perfbench/ or examples/) is
-       flagged, so leftovers do not pile up in interfaces. A reference
-       is [M.x] (through any module path or alias) or a bare [x] in a
-       file that opens [M]; being syntactic, the check over-counts
-       references rather than missing one.
+   R6  interfaces hold only what other modules use: a [val] in a lib/
+       .mli, at top level or in a submodule's [sig ... end], that no
+       module outside its own library refers to (in lib/, bin/, bench/,
+       dev/, test/, perfbench/ or examples/) is flagged, so leftovers do
+       not pile up in interfaces. A reference is [M.x] (through any
+       module path or alias) or a bare [x] in a file that opens [M]; being
+       syntactic, the check over-counts references rather than missing
+       one.
 
    Findings are compared against a committed baseline keyed by
    (rule, file, message) — line numbers shift too easily — so CI fails
@@ -487,10 +488,10 @@ let unused_vals ~root =
       let m =
         String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
       in
-      match parse_file ~root ~file Parse.interface with
-      | None -> []
-      | Some sg ->
-        List.filter_map
+      (* A [val] in a submodule's signature is keyed by the submodule's
+         name, which is what [references] records for [M.Sub.x]. *)
+      let rec unused path m (sg : Parsetree.signature) =
+        List.concat_map
           (fun (item : Parsetree.signature_item) ->
             match item.psig_desc with
             | Psig_value vd
@@ -498,7 +499,7 @@ let unused_vals ~root =
                      (List.exists (( <> ) lib)
                         (Hashtbl.find_all users (m, vd.pval_name.txt))) ->
               let p = vd.pval_loc.loc_start in
-              Some
+              [
                 {
                   rule = "R6";
                   file;
@@ -506,11 +507,23 @@ let unused_vals ~root =
                   col = p.pos_cnum - p.pos_bol;
                   message =
                     Printf.sprintf
-                      "val %s.%s is used by no module outside its library" m
-                      vd.pval_name.txt;
-                }
-            | _ -> None)
-          sg)
+                      "val %s.%s is used by no module outside its library"
+                      path vd.pval_name.txt;
+                };
+              ]
+            | Psig_module
+                {
+                  pmd_name = { txt = Some sub; _ };
+                  pmd_type = { pmty_desc = Pmty_signature sg; _ };
+                  _;
+                } ->
+              unused (path ^ "." ^ sub) sub sg
+            | _ -> [])
+          sg
+      in
+      match parse_file ~root ~file Parse.interface with
+      | None -> []
+      | Some sg -> unused m m sg)
     (List.sort compare intfs)
 
 let compare_finding a b =

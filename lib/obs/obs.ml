@@ -276,8 +276,6 @@ module Log = struct
 
   let severity = function Error -> 0 | Warn -> 1 | Info -> 2 | Debug -> 3
   let current : level option ref = ref (Some Error)
-  let set_level l = current := l
-  let level () = !current
 
   let enabled l =
     match !current with
@@ -309,7 +307,6 @@ module Log = struct
           Printf.eprintf ("rsim: [%s] " ^^ fmt ^^ "\n%!") (tag l))
 
   let err m = log Error m
-  let warn m = log Warn m
   let info m = log Info m
   let debug m = log Debug m
 end

@@ -49,19 +49,13 @@ end
 (** {1 Leveled logging} *)
 
 (** The single diagnostics facade for the whole repository: quiet by
-    default, enabled with [RSIM_LOG=debug|info|warn|error|quiet] (or
-    {!Log.set_level}), always writing to [stderr] so machine-readable
-    stdout (metrics dumps, artifacts) stays clean. The [msgf] style
+    default, enabled with [RSIM_LOG=debug|info|warn|error|quiet], always
+    writing to [stderr] so machine-readable stdout (metrics dumps,
+    artifacts) stays clean. The [msgf] style
     ([Log.debug (fun k -> k "fmt" ...)]) means disabled levels never
     format their arguments. *)
 module Log : sig
   type level = Error | Warn | Info | Debug
-
-  (** [None] = quiet: nothing is printed, not even errors. *)
-  val set_level : level option -> unit
-
-  val level : unit -> level option
-  val enabled : level -> bool
 
   (** Re-read [RSIM_LOG]. Called automatically at module
       initialization; call again if the environment changed. *)
@@ -70,7 +64,6 @@ module Log : sig
   type 'a msgf = (('a, out_channel, unit) format -> 'a) -> unit
 
   val err : 'a msgf -> unit
-  val warn : 'a msgf -> unit
   val info : 'a msgf -> unit
   val debug : 'a msgf -> unit
 end

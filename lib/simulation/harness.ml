@@ -263,25 +263,14 @@ let result_of sim (fr : Aug.Prog.result) =
       };
   }
 
-(* With a hook, each end builds its result at most once, when the hook
-   or [finish] asks for it, so each end counts at most once in the
-   metrics. The hook is called at every end, so [last] is set by the
-   final one before it is read. *)
 let finish ?probe ?at_end ~sched sim =
-  match at_end with
-  | None -> result_of sim (Aug.Prog.run ?probe ~sched sim.run)
-  | Some hook ->
-    let last = ref (lazy (assert false)) in
-    let at_end () =
-      let r = lazy (result_of sim (Aug.Prog.current sim.run)) in
-      last := r;
-      hook (fun () -> Lazy.force r)
-    in
-    ignore (Aug.Prog.run ?probe ~at_end ~sched sim.run : Aug.Prog.result);
-    Lazy.force !last
+  ignore (Aug.Prog.run ?probe ?at_end ~sched sim.run : Aug.Prog.result)
+
+let current sim = result_of sim (Aug.Prog.current sim.run)
 
 let run ?max_ops ?local_cap ?faults ?watchdog ~sched spec =
-  finish ~sched (start ?max_ops ?local_cap ?faults ?watchdog spec)
+  let sim = start ?max_ops ?local_cap ?faults ?watchdog spec in
+  result_of sim (Aug.Prog.run ~sched sim.run)
 
 type invalid =
   | Simulator_raised of { sim : int; exn : string }

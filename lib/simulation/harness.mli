@@ -97,9 +97,10 @@ val run :
 
 (** {2 Resuming saved states}
 
-    [run] is [finish ~sched (start spec)]. Exploration engines split it
-    to branch without replaying prefixes: a probe saves the simulation at
-    a scheduling decision, and another execution restores it there. *)
+    [run] is {!start}, {!finish} and {!current}. Exploration engines
+    split it to branch without replaying prefixes: a probe saves the
+    simulation at a scheduling decision, and another execution restores
+    it there. *)
 
 (** A simulation started and not yet finished. *)
 type sim
@@ -117,17 +118,20 @@ val start :
 
 (** [finish ?probe ?at_end ~sched s] runs [s] until it ends, calling
     [probe] before every scheduling decision and [at_end] at every end
-    ({!Rsim_runtime.Prog.S.run}), and returns its result. [at_end] gets
-    a function that builds the result the run has reached there; a hook
-    that calls {!restore} continues the run from the restored state, so
-    one [finish] can walk several saved states, and a hook that restores
-    nothing ends it. *)
+    ({!Rsim_runtime.Prog.S.run}). A hook that calls {!restore} continues
+    the run from the restored state, so one [finish] can walk several
+    saved states, and a hook that restores nothing ends it. *)
 val finish :
   ?probe:Rsim_runtime.Prog.probe ->
-  ?at_end:((unit -> result) -> unit) ->
+  ?at_end:(unit -> unit) ->
   sched:Schedule.t ->
   sim ->
-  result
+  unit
+
+(** [current s] is what [s] has reached, as {!run} would return it if
+    the run ended here. Each call builds a new result and counts as one
+    run in the metrics. *)
+val current : sim -> result
 
 (** A simulation's state at one scheduling decision: the interpreter's
     run, the augmented snapshot, the journals, the quarantines and the

@@ -761,6 +761,46 @@ let test_walk_order_pinned () =
       ("skip-yield-check", "mixed", 3, 2, 11, (9327, 6745, "12222122222"));
     ]
 
+(* A node resumes only in the workload that saved it: handed to an
+   execution of another workload, of the other system or of the same
+   one, restoring it raises [Invalid_argument] instead of misreading
+   the state. *)
+let test_foreign_node_refused () =
+  let exec w decide =
+    w.Explore.exec
+      ~probe:(Some { Explore.decide; leaf = ignore })
+      ~certify:false ~sched:Schedule.round_robin ~max_ops:20 ~check:false
+  in
+  let saved w =
+    let node = ref None in
+    ignore
+      (exec w (fun pv ->
+           node := Some (pv.Explore.save ());
+           `Stop));
+    Option.get !node
+  in
+  let refused w node =
+    let first = ref true in
+    match
+      exec w (fun pv ->
+          if !first then pv.Explore.restore node;
+          first := false;
+          `Continue)
+    with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let racing = Explore.Harness_target.racing ~n:2 ~m:1 ~f:2 ~d:0 () in
+  let builtin = clean_workload () in
+  Alcotest.(check bool) "a racing node, restored by a builtin" true
+    (refused builtin (saved racing));
+  Alcotest.(check bool) "a builtin node, restored by racing" true
+    (refused racing (saved builtin));
+  Alcotest.(check bool) "a builtin node, restored by another builtin" true
+    (refused (clean_workload ()) (saved builtin));
+  Alcotest.(check bool) "a node, restored by its own workload" false
+    (refused builtin (saved builtin))
+
 (* ---- resuming saved states ---- *)
 
 (* What a trace entry and a logged M-operation say, with every snapshot
@@ -936,7 +976,7 @@ let test_resume_matches_scratch () =
               Explore.Oracle.name = "capture";
               on_truncated = true;
               check =
-                (fun { result = r; _ } ->
+                (fun { result = _, r; _ } ->
                   let q = r.Harness.report.Harness.quarantined in
                   quarantines := !quarantines + List.length q;
                   Array.iter
@@ -1052,7 +1092,7 @@ let test_race_oracle_clean () =
 let matrix_oracles =
   Explore.Aug_target.
     [
-      no_failure; spec; theorem20; progress (); linearizable; crash_robust; race;
+      no_failure; spec; theorem20; progress; linearizable; crash_robust; race;
     ]
 
 let matrix_profile = "restart@0:7+2,crash@3:12,restart@2:7+1"
@@ -1264,6 +1304,8 @@ let () =
             test_resume_matches_scratch;
           Alcotest.test_case "walk order pinned at 1 domain" `Quick
             test_walk_order_pinned;
+          Alcotest.test_case "foreign nodes refused" `Quick
+            test_foreign_node_refused;
         ] );
       ( "sweep",
         [

@@ -68,10 +68,14 @@ let test_r5 () =
 let test_r6 () =
   let report = Lint.scan ~root:(Filename.concat fixture_dir "r6_root") () in
   Alcotest.(check (list (pair string string)))
-    "values no other library refers to, through an alias or an open"
+    "values no other library refers to, through an alias or an open, at \
+     top level or in a submodule"
     [
       ("R6", "val Used.sibling_only is used by no module outside its library");
       ("R6", "val Used.unused is used by no module outside its library");
+      ( "R6",
+        "val Used.Nested.unused_nested is used by no module outside its \
+         library" );
     ]
     (List.map
        (fun (f : Lint.finding) -> (f.Lint.rule, f.Lint.message))

@@ -664,7 +664,7 @@ let test_analysis_matches_reference () =
           name = "analysis-reference";
           on_truncated = true;
           check =
-            (fun { hspec; result; _ } ->
+            (fun { result = hspec, result; _ } ->
               incr swept;
               let want =
                 compare_with_reference mismatches (profile ^ " racing sweep")
