@@ -109,6 +109,15 @@ let config t = t.cfg
 let f t = t.cfg.f
 let m t = t.cfg.m
 let log t = List.rev t.rev_log
+
+let iter_log t f =
+  let rec go = function
+    | [] -> ()
+    | mop :: older ->
+      go older;
+      f mop
+  in
+  go t.rev_log
 let clock t = t.clock
 let record t = function
   | Mop mop -> t.rev_log <- mop :: t.rev_log

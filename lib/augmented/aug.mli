@@ -144,6 +144,10 @@ val record : t -> note -> unit
 (** Completed M-operations so far, in completion order. *)
 val log : t -> mop list
 
+(** [iter_log t f] calls [f] on {!log}'s entries, in completion order,
+    without building the list. *)
+val iter_log : t -> (mop -> unit) -> unit
+
 (** Number of [H] operations executed so far. *)
 val clock : t -> int
 

@@ -14,200 +14,242 @@ type update = {
   u_lin : int;
   u_g : int;
   u_inv : int;
-  mutable u_bu : int;
 }
 
 type scan = { s_log : int; s_proc : int; s_view : Value.t array; s_end : int }
 
-type index = {
-  m : int;  (* components of M *)
-  trace : Aug.Prog.trace_entry array;  (* entry [k] has index [k] *)
-  log : Aug.mop array;  (* [Aug.log], in completion order *)
-  updates : update array;
-      (* every Update, in trace order, including those of Block-Updates
-         that executed X but never completed *)
-  app_start : int array;
-      (* the Line-4 appends, in trace order: append [a] holds
-         [updates.(app_start.(a) .. app_start.(a + 1) - 1)] *)
-  by_key : int array;
-      (* the appends by (timestamp, writer), ties in trace order *)
-  order : update array;  (* by (u_lin, u_ts, u_comp), ties in trace order *)
-  by_end : scan array;
-      (* the completed Scans by [s_end], ties in log order ([s_log]) *)
+(* The [H.scan]s so far, latest first. *)
+type hscans =
+  | No_hscan
+  | Hscan of { idx : int; pid : int; snap : Hrep.snap; before : hscans }
+
+(* A completed Block-Update, as its timestamp's entry records it. *)
+type completed = { c_writer : int; c_log : int; c_atomic : bool }
+
+(* What the index knows of one timestamp: the Line-4 appends that carry
+   it, latest first, each one's Updates in triple order, and the
+   completed Block-Updates that carry it, latest first. An append's key
+   (timestamp, writer) is its first triple's, which all its triples
+   share (Line 3 makes one timestamp per Block-Update). *)
+type stamp = {
+  st_ts : Vts.t;
+  st_apps : update list list;
+  st_done : completed list;
 }
 
-(* Stable in-place insertion sort. Every array sorted here is nearly in
-   order already: an Update linearizes at or before its own append,
-   timestamps grow along the trace (Corollary 8), and Scans complete at
-   their final [H.scan]. *)
-let insertion_sort cmp a =
-  for i = 1 to Array.length a - 1 do
-    let x = a.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && cmp a.(!j) x > 0 do
-      a.(!j + 1) <- a.(!j);
-      decr j
-    done;
-    a.(!j + 1) <- x
-  done
+(* An atomic Block-Update's window (L, X], with L as [window_start]
+   finds it ([-1] when it cannot). *)
+type window = {
+  w_proc : int;
+  w_ts : Vts.t;
+  w_start : int;
+  w_x : int;
+  w_view : Value.t array;
+  w_l : int;
+}
 
-(* The least [i] in [0, n) with [above i], or [n]; [above] is monotone. *)
-let first_above n above =
-  let rec go lo hi =
-    if lo >= hi then lo
+(* The verdicts settled when an operation completed, latest first; a
+   new record only when one of them changes. *)
+type settled = {
+  lemma9 : string list;
+  lemma11_12 : string list;
+  lemma2_thm20 : string list;
+  rejudge : bool;
+      (* an append carries the key of a Block-Update that already
+         completed, so that one's settled Lemma 11/12 verdict is stale *)
+}
+
+(* What changes only at a triple append or an M-operation's completion.
+   Lists are latest first. *)
+type core = {
+  m : int;  (* components of M *)
+  ups : update list;  (* every Update, by trace position *)
+  apps : update list;  (* the first Update of each triple append *)
+  order : update list;
+      (* the Updates by (u_lin, u_ts, u_comp), ties in trace order *)
+  records : (int * Vts.t) list array;
+      (* per component, each index at which the largest timestamp
+         appended to it grew, with that timestamp *)
+  stamps : stamp list;
+      (* by timestamp, largest first: nearly the order of the appends,
+         since a new timestamp exceeds every one its Line-2 scan saw
+         (Corollary 8), so the walks below stop early *)
+  scans : scan list;  (* the completed Scans by (s_end, s_log) *)
+  windows : window list;  (* the atomic Block-Updates, by log position *)
+  rev_log : Aug.mop list;
+  n_log : int;
+  n_scans : int;
+  n_pending_apps : int;  (* appends no completed Block-Update owns *)
+  settled : settled;
+}
+
+(* The H.scans change on most hops and sit outside [core], so that such
+   a hop allocates a record of two fields and a link. *)
+type index = { hscans : hscans; core : core }
+
+let start ~m =
+  {
+    hscans = No_hscan;
+    core =
+      {
+        m;
+        ups = [];
+        apps = [];
+        order = [];
+        records = Array.make m [];
+        stamps = [];
+        scans = [];
+        windows = [];
+        rev_log = [];
+        n_log = 0;
+        n_scans = 0;
+        n_pending_apps = 0;
+        settled =
+          { lemma9 = []; lemma11_12 = []; lemma2_thm20 = []; rejudge = false };
+      };
+  }
+
+let n_ups c = match c.ups with u :: _ -> u.u_id + 1 | [] -> 0
+
+let rec find_stamp ts = function
+  | st :: older ->
+    let o = Vts.compare st.st_ts ts in
+    if o > 0 then find_stamp ts older
+    else if o = 0 then st
+    else { st_ts = ts; st_apps = []; st_done = [] }
+  | [] -> { st_ts = ts; st_apps = []; st_done = [] }
+
+let stamp_of c ts = find_stamp ts c.stamps
+
+(* [stamps] with [st] in place of the entry of its timestamp. *)
+let rec put st = function
+  | s :: older ->
+    let o = Vts.compare s.st_ts st.st_ts in
+    if o > 0 then s :: put st older
+    else if o = 0 then st :: older
+    else st :: s :: older
+  | [] -> [ st ]
+
+let rec last_scan_by pid = function
+  | No_hscan -> -1
+  | Hscan h -> if h.pid = pid then h.idx else last_scan_by pid h.before
+
+(* The linearization order: [a] before [b]. *)
+let lin_before a b =
+  a.u_lin < b.u_lin
+  || a.u_lin = b.u_lin
+     &&
+     let c = Vts.compare a.u_ts b.u_ts in
+     c < 0 || (c = 0 && a.u_comp < b.u_comp)
+
+(* [u], the latest Update by trace position, into [order]: after every
+   Update it does not precede. An Update rarely linearizes before its
+   own append, so the walk is short. *)
+let rec insert_lin u = function
+  | v :: rest when lin_before u v -> v :: insert_lin u rest
+  | order -> u :: order
+
+let rec insert_scan s = function
+  | t :: rest when t.s_end > s.s_end -> t :: insert_scan s rest
+  | scans -> s :: scans
+
+(* The oldest append's writer, or [default] when there is none. *)
+let rec owner default = function
+  | [] -> default
+  | [ u :: _ ] -> u.u_writer
+  | _ :: older -> owner default older
+
+(* The linearization point of an Update (j, t) is the first trace index
+   at which H contains a triple for component j with timestamp ≽ t: the
+   oldest of the latest records whose timestamp is ≽ t. An Update's own
+   append is among them, so its point is always found. *)
+let rec first_reaching ts lin = function
+  | (idx, top) :: rest when Vts.geq top ts -> first_reaching ts idx rest
+  | _ -> lin
+
+(* The latest of [dones] by [writer]; [c_log = -1] when there is none. *)
+let rec done_by writer = function
+  | [] -> { c_writer = writer; c_log = -1; c_atomic = false }
+  | d :: older -> if d.c_writer = writer then d else done_by writer older
+
+(* One triple append by [pid] at [idx]: its Updates, their points, and
+   its Lemma 9 verdict. *)
+let append ix ~idx ~pid (first : Hrep.triple) triples =
+  let c = ix.core in
+  let ts = first.ts in
+  let stamp = stamp_of c ts in
+  (* Lemma 9: the first writer of a timestamp owns it; each Update of
+     another writer with that timestamp is reported. *)
+  let own = owner pid stamp.st_apps in
+  let owned = (done_by pid stamp.st_done).c_log >= 0 in
+  let settled =
+    let s = c.settled in
+    if own = pid && not owned then s
     else
-      let mid = (lo + hi) / 2 in
-      if above mid then go lo mid else go (mid + 1) hi
+      {
+        s with
+        lemma9 =
+          (if own = pid then s.lemma9
+           else
+             List.fold_left
+               (fun errs _ ->
+                 Printf.sprintf "Lemma 9: timestamp %s used by both q%d and q%d"
+                   (Vts.show ts) own pid
+                 :: errs)
+               s.lemma9 triples);
+        rejudge = s.rejudge || owned;
+      }
   in
-  go 0 n
-
-let compare_key ts writer (u : update) =
-  let c = Vts.compare ts u.u_ts in
-  if c <> 0 then c else Int.compare writer u.u_writer
-
-(* The first Update of append [a]. An append's key (timestamp, writer)
-   is its first triple's, which all its triples share (Line 3 makes one
-   timestamp per Block-Update). *)
-let first_update ix a = ix.updates.(ix.app_start.(a))
-
-(* [f u] for every Update whose append has key [(ts, writer)], in trace
-   order: the Updates of the Block-Update [(writer, ts)]. *)
-let iter_bu_updates ix ~writer ~ts f =
-  let key = first_update ix and by_key = ix.by_key in
-  let n = Array.length by_key in
-  let k = ref (first_above n (fun k -> compare_key ts writer (key by_key.(k)) <= 0)) in
-  while !k < n && compare_key ts writer (key by_key.(!k)) = 0 do
-    let a = by_key.(!k) in
-    for i = ix.app_start.(a) to ix.app_start.(a + 1) - 1 do
-      f ix.updates.(i)
-    done;
-    incr k
-  done
-
-let index aug trace =
-  let m = Aug.m aug in
-  (* The interpreter numbers operations densely: entry [k] has [idx = k]. *)
-  let trace = Array.of_list trace in
-  let log = Array.of_list (Aug.log aug) in
-  (* The linearization point of an Update (j, t) is the first trace index
-     at which H contains a triple for component j with timestamp ≽ t.
-     [records.(j)], newest first, holds each index at which the largest
-     timestamp appended to j grew, with that timestamp; an Update's own
-     append is among them, so its point is always found. *)
-  let records = Array.make m [] in
-  let rec first_reaching ts lin = function
-    | (idx, top) :: rest when Vts.geq top ts -> first_reaching ts idx rest
-    | _ -> lin
+  (* Before an append, the writer's latest [H.scan] is its Line-2 scan. *)
+  let inv = match last_scan_by pid ix.hscans with -1 -> idx | s -> s in
+  let records = Array.copy c.records in
+  let rec add g n mine ups order = function
+    | [] -> (List.rev mine, ups, order)
+    | (tr : Hrep.triple) :: rest ->
+      let j = tr.comp in
+      (match records.(j) with
+      | (_, top) :: _ when Vts.geq top tr.ts -> ()
+      | _ -> records.(j) <- (idx, tr.ts) :: records.(j));
+      let u =
+        {
+          u_id = n;
+          u_writer = pid;
+          u_ts = tr.ts;
+          u_comp = j;
+          u_value = tr.value;
+          u_x_idx = idx;
+          u_lin = first_reaching tr.ts idx records.(j);
+          u_g = g;
+          u_inv = inv;
+        }
+      in
+      add (g + 1) (n + 1) (u :: mine) (u :: ups) (insert_lin u order) rest
   in
-  (* Each process's latest [H.scan]: before an append, its Line-2 scan. *)
-  let last_scan = Array.make (Aug.f aug) (-1) in
-  let rev_updates = ref [] and n_updates = ref 0 and rev_starts = ref [] in
-  Array.iter
-    (fun (e : Aug.Prog.trace_entry) ->
-      match e.op with
-      | Aug.Ops.Hscan -> last_scan.(e.pid) <- e.idx
-      | Aug.Ops.Happend_triples (_ :: _ as triples) ->
-        rev_starts := !n_updates :: !rev_starts;
-        let inv = if last_scan.(e.pid) < 0 then e.idx else last_scan.(e.pid) in
-        List.iteri
-          (fun g (tr : Hrep.triple) ->
-            let j = tr.comp in
-            (match records.(j) with
-            | (_, top) :: _ when Vts.geq top tr.ts -> ()
-            | _ -> records.(j) <- (e.idx, tr.ts) :: records.(j));
-            rev_updates :=
-              {
-                u_id = !n_updates;
-                u_comp = j;
-                u_value = tr.value;
-                u_ts = tr.ts;
-                u_writer = e.pid;
-                u_x_idx = e.idx;
-                u_lin = first_reaching tr.ts e.idx records.(j);
-                u_g = g;
-                u_inv = inv;
-                u_bu = -1;
-              }
-              :: !rev_updates;
-            incr n_updates)
-          triples
-      | Aug.Ops.Happend_triples [] | Aug.Ops.Happend_lrecords _ -> ())
-    trace;
-  let updates = Array.of_list (List.rev !rev_updates) in
-  let app_start = Array.of_list (List.rev (!n_updates :: !rev_starts)) in
-  let key a = updates.(app_start.(a)) in
-  let by_key = Array.init (Array.length app_start - 1) Fun.id in
-  insertion_sort
-    (fun a b -> compare_key (key a).u_ts (key a).u_writer (key b))
-    by_key;
-  let order = Array.copy updates in
-  insertion_sort
-    (fun a b ->
-      let c = Int.compare a.u_lin b.u_lin in
-      if c <> 0 then c
-      else
-        let c = Vts.compare a.u_ts b.u_ts in
-        if c <> 0 then c else Int.compare a.u_comp b.u_comp)
-    order;
-  let rev_scans = ref [] and n_scans = ref 0 in
-  Array.iter
-    (function
-      | Aug.Bu_op _ -> ()
-      | Aug.Scan_op { proc; view; end_idx; _ } ->
-        rev_scans :=
-          { s_log = !n_scans; s_proc = proc; s_view = view; s_end = end_idx }
-          :: !rev_scans;
-        incr n_scans)
-    log;
-  let by_end = Array.of_list (List.rev !rev_scans) in
-  insertion_sort (fun a b -> Int.compare a.s_end b.s_end) by_end;
-  let ix = { m; trace; log; updates; app_start; by_key; order; by_end } in
-  (* Classify each Update by its Block-Update [(pid, ts)], the latest
-     completed one in log order winning. *)
-  Array.iteri
-    (fun p -> function
-      | Aug.Bu_op { proc; ts; _ } ->
-        iter_bu_updates ix ~writer:proc ~ts (fun u -> u.u_bu <- p)
-      | Aug.Scan_op _ -> ())
-    log;
-  ix
+  let mine, ups, order = add 0 (n_ups c) [] c.ups c.order triples in
+  {
+    ix with
+    core =
+      {
+        c with
+        ups;
+        apps = (match mine with u :: _ -> u :: c.apps | [] -> c.apps);
+        order;
+        records;
+        stamps = put { stamp with st_apps = mine :: stamp.st_apps } c.stamps;
+        n_pending_apps = (if owned then c.n_pending_apps else c.n_pending_apps + 1);
+        settled;
+      };
+  }
 
-(* Whether [u]'s completed Block-Update returned [Atomic]. *)
-let is_atomic ix u =
-  u.u_bu >= 0
-  &&
-  match ix.log.(u.u_bu) with
-  | Aug.Bu_op { result = Aug.Atomic _; _ } -> true
-  | Aug.Bu_op { result = Aug.Yield; _ } | Aug.Scan_op _ -> false
-
-(* Walk the linearization: Updates in [order], each Scan after every
-   Update linearized at or before its index (§3.3). *)
-let iter_lin ix ~update ~scan =
-  let us = ix.order and ss = ix.by_end in
-  let rec go i j =
-    if i < Array.length us && (j >= Array.length ss || us.(i).u_lin <= ss.(j).s_end)
-    then begin
-      update us.(i);
-      go (i + 1) j
-    end
-    else if j < Array.length ss then begin
-      scan ss.(j);
-      go i (j + 1)
-    end
-  in
-  go 0 0
-
-(* The Updates are in trace order, so those appended inside (lo, hi)
-   are one run of them. *)
-let iter_appended ix ~lo ~hi f =
-  let us = ix.updates in
-  let i = ref (first_above (Array.length us) (fun i -> us.(i).u_x_idx > lo)) in
-  while !i < Array.length us && us.(!i).u_x_idx < hi do
-    f us.(!i);
-    incr i
-  done
-
-let iter_pending ix f = Array.iter (fun u -> if u.u_bu < 0 then f u) ix.updates
+let hop ix ~idx ~pid (op : Aug.Ops.op) (res : Aug.Ops.res) =
+  match (op, res) with
+  | Aug.Ops.Hscan, Aug.Ops.Snap snap ->
+    { ix with hscans = Hscan { idx; pid; snap; before = ix.hscans } }
+  | Aug.Ops.Happend_triples (first :: _ as triples), _ ->
+    append ix ~idx ~pid first triples
+  | Aug.Ops.Hscan, Aug.Ops.Ack
+  | (Aug.Ops.Happend_triples [] | Aug.Ops.Happend_lrecords _), _ ->
+    ix
 
 (* The paper's scan-result equality is over update triples (the prefix
    relation of Observation 1), so "the last scan that returns ℓ" means
@@ -216,23 +258,245 @@ let iter_pending ix f = Array.iter (fun u -> if u.u_bu < 0 then f u) ix.updates
 let same_triple_counts (s : Hrep.snap) (last : Hrep.snap) =
   let n = Array.length s in
   let rec from j =
-    j = n
-    || s.(j).Hrep.n_triples = last.(j).Hrep.n_triples
-       && from (j + 1)
+    j = n || (s.(j).Hrep.n_triples = last.(j).Hrep.n_triples && from (j + 1))
   in
   n = Array.length last && from 0
 
-(* Walk back from [x_idx - 1] to the first matching scan. *)
+(* Walk back from the latest [H.scan] below [x_idx] to the first
+   matching one. *)
 let window_start ix ~last ~x_idx =
-  let trace = ix.trace in
-  let rec back k =
-    if k < 0 then None
-    else
-      match (trace.(k).op, trace.(k).res) with
-      | Aug.Ops.Hscan, Aug.Ops.Snap s when same_triple_counts s last -> Some k
-      | _ -> back (k - 1)
+  let rec back = function
+    | No_hscan -> None
+    | Hscan h ->
+      if h.idx < x_idx && same_triple_counts h.snap last then Some h.idx
+      else back h.before
   in
-  back (min (x_idx - 1) (Array.length trace - 1))
+  back ix.hscans
+
+(* Triple appends strictly inside [(lo, hi)] by another process than
+   [proc], or by a lower one if [lower], counted up to [limit]; [apps] is
+   latest first. *)
+let appends_inside ?(limit = max_int) ~lo ~hi ~proc ~lower apps =
+  let rec count n = function
+    | u :: older when n < limit && u.u_x_idx > lo ->
+      let q = u.u_writer in
+      count
+        (if u.u_x_idx < hi && (if lower then q < proc else q <> proc) then n + 1
+         else n)
+        older
+    | _ -> n
+  in
+  count 0 apps
+
+let rec owned_by proc n = function
+  | [] -> n
+  | (u :: _) :: older when u.u_writer = proc -> owned_by proc (n + 1) older
+  | _ :: older -> owned_by proc n older
+
+(* Lemmas 11 and 12 for the Block-Update by [proc] with timestamp [ts]:
+   its Updates, appends in trace order, onto [errs] (latest first). *)
+let judge_bu stamp ~proc ~ts ~start_idx ~x_idx result errs =
+  let check errs u =
+    match (result : Aug.bu_result) with
+    | Aug.Atomic _ ->
+      if u.u_lin <> x_idx then
+        Printf.sprintf
+          "Lemma 11: atomic Block-Update by q%d (ts %s): update to %d \
+           linearized at %d, not at X=%d"
+          proc (Vts.show ts) u.u_comp u.u_lin x_idx
+        :: errs
+      else errs
+    | Aug.Yield ->
+      if not (u.u_lin > start_idx && u.u_lin <= x_idx) then
+        Printf.sprintf
+          "Lemma 12: yield Block-Update by q%d (ts %s): update to %d \
+           linearized at %d outside (%d, %d]"
+          proc (Vts.show ts) u.u_comp u.u_lin start_idx x_idx
+        :: errs
+      else errs
+  in
+  let rec go errs = function
+    | [] -> errs
+    | mine :: older -> (
+      let errs = go errs older in
+      match mine with
+      | u :: _ when u.u_writer = proc -> List.fold_left check errs mine
+      | _ -> errs)
+  in
+  go errs stamp.st_apps
+
+(* One completed M-operation: its log entry, and the verdicts no later
+   hop can change. *)
+let complete ix (mop : Aug.mop) =
+  let c = ix.core in
+  let s = c.settled in
+  let core =
+    match mop with
+    | Aug.Scan_op { proc; start_idx; end_idx; n_ops; view; _ } ->
+      (* Lemma 2: every append inside the Scan's interval is out. *)
+      let k =
+        appends_inside ~lo:start_idx ~hi:end_idx ~proc ~lower:false c.apps
+      in
+      {
+        c with
+        rev_log = mop :: c.rev_log;
+        n_log = c.n_log + 1;
+        scans =
+          insert_scan
+            { s_log = c.n_scans; s_proc = proc; s_view = view; s_end = end_idx }
+            c.scans;
+        n_scans = c.n_scans + 1;
+        settled =
+          (if n_ops > (2 * k) + 3 then
+             {
+               s with
+               lemma2_thm20 =
+                 Printf.sprintf "Lemma 2: Scan by q%d took %d > 2k+3 = %d steps"
+                   proc n_ops
+                   ((2 * k) + 3)
+                 :: s.lemma2_thm20;
+             }
+           else s);
+      }
+    | Aug.Bu_op { proc; ts; start_idx; x_idx; end_idx; n_ops; result; _ } ->
+      let stamp = stamp_of c ts in
+      let atomic, windows =
+        match result with
+        | Aug.Atomic { view; last } ->
+          ( true,
+            {
+              w_proc = proc;
+              w_ts = ts;
+              w_start = start_idx;
+              w_x = x_idx;
+              w_view = view;
+              w_l = Option.value ~default:(-1) (window_start ix ~last ~x_idx);
+            }
+            :: c.windows )
+        | Aug.Yield -> (false, c.windows)
+      in
+      (* Lemma 2 and Theorem 20: every append inside the interval is out. *)
+      let lemma2_thm20 =
+        let errs = s.lemma2_thm20 in
+        let errs =
+          if n_ops > 6 then
+            Printf.sprintf "Lemma 2: Block-Update by q%d took %d > 6 steps" proc
+              n_ops
+            :: errs
+          else errs
+        in
+        if atomic then errs
+        else
+          let errs =
+            if proc = 0 then
+              Printf.sprintf "Theorem 20: q0's Block-Update (ts %s) returned Y"
+                (Vts.show ts)
+              :: errs
+            else errs
+          in
+          if
+            appends_inside ~limit:1 ~lo:start_idx ~hi:end_idx ~proc ~lower:true
+              c.apps
+            = 0
+          then
+            Printf.sprintf
+              "Theorem 20: Block-Update by q%d (ts %s) yielded without a \
+               lower-id update in its interval (%d, %d)"
+              proc (Vts.show ts) start_idx end_idx
+            :: errs
+          else errs
+      in
+      let lemma11_12 =
+        judge_bu stamp ~proc ~ts ~start_idx ~x_idx result s.lemma11_12
+      in
+      {
+        c with
+        rev_log = mop :: c.rev_log;
+        n_log = c.n_log + 1;
+        stamps =
+          put
+            {
+              stamp with
+              st_done =
+                { c_writer = proc; c_log = c.n_log; c_atomic = atomic }
+                :: stamp.st_done;
+            }
+            c.stamps;
+        windows;
+        n_pending_apps =
+          (if (done_by proc stamp.st_done).c_log >= 0 then c.n_pending_apps
+           else c.n_pending_apps - owned_by proc 0 stamp.st_apps);
+        settled =
+          (if lemma11_12 == s.lemma11_12 && lemma2_thm20 == s.lemma2_thm20 then s
+           else { s with lemma11_12; lemma2_thm20 });
+      }
+  in
+  { ix with core }
+
+let end_idx = function
+  | Aug.Scan_op { end_idx; _ } | Aug.Bu_op { end_idx; _ } -> end_idx
+
+(* A run emits an M-operation right after the hop at its [end_idx], so
+   the fold completes it there too. *)
+let index aug trace =
+  let ix = ref (start ~m:(Aug.m aug)) and rest = ref trace in
+  let rec upto idx =
+    match !rest with
+    | (e : Aug.Prog.trace_entry) :: more when e.idx <= idx ->
+      ix := hop !ix ~idx:e.idx ~pid:e.pid e.op e.res;
+      rest := more;
+      upto idx
+    | _ -> ()
+  in
+  Aug.iter_log aug (fun mop ->
+      upto (end_idx mop);
+      ix := complete !ix mop);
+  upto max_int;
+  !ix
+
+let bu_of ix u = (done_by u.u_writer (stamp_of ix.core u.u_ts).st_done).c_log
+
+(* Whether [u]'s completed Block-Update returned [Atomic]. *)
+let is_atomic c u = (done_by u.u_writer (stamp_of c u.u_ts).st_done).c_atomic
+
+(* Walk the linearization: Updates in order, each Scan after every
+   Update linearized at or before its index (§3.3). Both lists are
+   latest first, so the walk recurses to the first item and acts on the
+   way back. *)
+let iter_lin ix ~update ~scan =
+  let rec go us ss =
+    match (us, ss) with
+    | [], [] -> ()
+    | u :: us', s :: _ when u.u_lin > s.s_end ->
+      go us' ss;
+      update u
+    | _, s :: ss' ->
+      go us ss';
+      scan s
+    | u :: us', [] ->
+      go us' [];
+      update u
+  in
+  go ix.core.order ix.core.scans
+
+let iter_appended ix ~lo ~hi f =
+  let rec go = function
+    | u :: older when u.u_x_idx > lo ->
+      go older;
+      if u.u_x_idx < hi then f u
+    | _ -> ()
+  in
+  go ix.core.ups
+
+let iter_pending ix f =
+  if ix.core.n_pending_apps > 0 then
+    let rec go = function
+      | [] -> ()
+      | u :: older ->
+        go older;
+        if bu_of ix u < 0 then f u
+    in
+    go ix.core.ups
 
 (* ---------------------------------------------------------------- *)
 (* The checker                                                       *)
@@ -258,148 +522,112 @@ let pp_report fmt r =
     (Format.pp_print_list Format.pp_print_string)
     r.errors
 
-(* An atomic Block-Update's window (L, X], with L as [window_start]
-   finds it ([-1] when it cannot) and whether its view is M at L. *)
-type window = {
-  w_proc : int;
-  w_ts : Vts.t;
-  w_start : int;
-  w_x : int;
-  w_view : Value.t array;
-  w_l : int;
-  mutable w_view_ok : bool;
-}
+(* [f] on each item of a latest-first list, oldest first. *)
+let rec iter_oldest_first f = function
+  | [] -> ()
+  | x :: older ->
+    iter_oldest_first f older;
+    f x
+
+(* Whether [view] is M at [l]: per component, the value of the last
+   Update in the linearization with a point below [l], or ⊥. [order] is
+   latest first, so the first one met per component is it. *)
+let view_at ~m order ~l view =
+  let seen = Bytes.make m '\000' in
+  let rec go left = function
+    | [] ->
+      let rec bots j =
+        j = m
+        || (Bytes.get seen j <> '\000' || Value.equal view.(j) Value.Bot)
+           && bots (j + 1)
+      in
+      bots 0
+    | u :: rest ->
+      if u.u_lin >= l || Bytes.get seen u.u_comp <> '\000' then go left rest
+      else begin
+        Bytes.set seen u.u_comp '\001';
+        Value.equal u.u_value view.(u.u_comp) && (left = 1 || go (left - 1) rest)
+      end
+  in
+  m = Array.length view && go m order
 
 let report ix =
-  let errors = ref [] in
+  let c = ix.core in
+  let errors = ref c.settled.lemma9 in
   let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
-  let by_key = ix.by_key in
-  let n_apps = Array.length by_key in
-  let first_update = first_update ix in
-
-  (* Lemma 9: timestamps of distinct Block-Updates are distinct. The
-     first writer of a timestamp, in trace order, owns it; every Update
-     of another writer with that timestamp is reported. *)
-  let owner = Array.make n_apps (-1) in
-  let k = ref 0 in
-  while !k < n_apps do
-    let ts = (first_update by_key.(!k)).u_ts in
-    let hi = ref !k and first = ref by_key.(!k) in
-    while !hi < n_apps && Vts.equal (first_update by_key.(!hi)).u_ts ts do
-      first := min !first by_key.(!hi);
-      incr hi
-    done;
-    for g = !k to !hi - 1 do
-      owner.(by_key.(g)) <- (first_update !first).u_writer
-    done;
-    k := !hi
-  done;
-  for a = 0 to n_apps - 1 do
-    let u = first_update a in
-    if owner.(a) <> u.u_writer then
-      for _ = ix.app_start.(a) to ix.app_start.(a + 1) - 1 do
-        err "Lemma 9: timestamp %s used by both q%d and q%d" (Vts.show u.u_ts)
-          owner.(a) u.u_writer
-      done
-  done;
-
-  (* Each atomic Block-Update's L, located before the replay so that the
-     replay can take M at L. *)
-  let windows =
-    Array.of_list
-      (Array.fold_right
-         (fun mop ws ->
-           match mop with
-           | Aug.Bu_op
-               { proc; ts; x_idx; start_idx; result = Aug.Atomic { view; last }; _ }
-             ->
-             {
-               w_proc = proc;
-               w_ts = ts;
-               w_start = start_idx;
-               w_x = x_idx;
-               w_view = view;
-               w_l = Option.value ~default:(-1) (window_start ix ~last ~x_idx);
-               w_view_ok = true;
-             }
-             :: ws
-           | Aug.Bu_op _ | Aug.Scan_op _ -> ws)
-         ix.log [])
-  in
-  let by_l = Array.copy windows in
-  insertion_sort (fun a b -> Int.compare a.w_l b.w_l) by_l;
 
   (* Corollary 15: replay M along the linearization; every Scan's view
-     must match. The same replay numbers the linearization and takes M
-     at each window's L (Lemma 19): the Updates linearized before L. *)
-  let contents = Array.make ix.m Value.Bot in
-  (* each Update's position in the linearization, by [u_id] *)
-  let pos = Array.make (Array.length ix.updates) 0 in
-  let n_lin = ref 0 and next_l = ref 0 in
-  let take_m_at_l upto =
-    while !next_l < Array.length by_l && by_l.(!next_l).w_l <= upto do
-      let w = by_l.(!next_l) in
-      w.w_view_ok <- Array.for_all2 Value.equal contents w.w_view;
-      incr next_l
-    done
-  in
-  iter_lin ix
-    ~update:(fun u ->
-      take_m_at_l u.u_lin;
-      contents.(u.u_comp) <- u.u_value;
-      pos.(u.u_id) <- !n_lin;
-      incr n_lin)
-    ~scan:(fun s ->
-      if not (Array.for_all2 Value.equal contents s.s_view) then
-        err "Corollary 15: Scan by q%d at idx %d returned a stale view" s.s_proc
-          s.s_end;
-      incr n_lin);
-  take_m_at_l max_int;
+     must match. Later hops can still put Updates before a Scan. *)
+  if c.scans <> [] then begin
+    let contents = Array.make c.m Value.Bot in
+    iter_lin ix
+      ~update:(fun u -> contents.(u.u_comp) <- u.u_value)
+      ~scan:(fun s ->
+        if not (Array.for_all2 Value.equal contents s.s_view) then
+          err "Corollary 15: Scan by q%d at idx %d returned a stale view"
+            s.s_proc s.s_end)
+  end;
 
-  (* Lemma 11 / Lemma 12. *)
-  Array.iter
-    (function
-      | Aug.Bu_op { proc; ts; x_idx; start_idx; result; _ } ->
-        iter_bu_updates ix ~writer:proc ~ts (fun u ->
-            match result with
-            | Aug.Atomic _ ->
-              if u.u_lin <> x_idx then
-                err
-                  "Lemma 11: atomic Block-Update by q%d (ts %s): update to %d \
-                   linearized at %d, not at X=%d"
-                  proc (Vts.show ts) u.u_comp u.u_lin x_idx
-            | Aug.Yield ->
-              if not (u.u_lin > start_idx && u.u_lin <= x_idx) then
-                err
-                  "Lemma 12: yield Block-Update by q%d (ts %s): update to %d \
-                   linearized at %d outside (%d, %d]"
-                  proc (Vts.show ts) u.u_comp u.u_lin start_idx x_idx)
-      | Aug.Scan_op _ -> ())
-    ix.log;
+  (* Lemma 11 / Lemma 12, settled when each Block-Update completed. *)
+  if c.settled.rejudge then
+    iter_oldest_first
+      (function
+        | Aug.Bu_op { proc; ts; start_idx; x_idx; result; _ } ->
+          errors :=
+            judge_bu (stamp_of c ts) ~proc ~ts ~start_idx ~x_idx result !errors
+        | Aug.Scan_op _ -> ())
+      c.rev_log
+  else errors := c.settled.lemma11_12 @ !errors;
 
   (* Lemma 11 contiguity: in the final order, the updates of each atomic
-     Block-Update appear consecutively. *)
-  Array.iter
+     Block-Update appear consecutively. They do when they all linearize
+     at its X and no other writer's Update has its timestamp: the order
+     then puts them together, and no Scan goes between Updates with one
+     point. Otherwise compare their positions. *)
+  let pos = ref [||] in
+  let position u =
+    if Array.length !pos = 0 then begin
+      let p = Array.make (n_ups c) 0 and n = ref 0 in
+      iter_lin ix
+        ~update:(fun u ->
+          p.(u.u_id) <- !n;
+          incr n)
+        ~scan:(fun _ -> incr n);
+      pos := p
+    end;
+    !pos.(u.u_id)
+  in
+  iter_oldest_first
     (fun w ->
-      let positions = ref [] in
-      iter_bu_updates ix ~writer:w.w_proc ~ts:w.w_ts (fun u ->
-          positions := pos.(u.u_id) :: !positions);
-      match List.sort Int.compare !positions with
-      | [] -> ()
-      | first :: _ as ps ->
-        List.iteri
-          (fun k p ->
-            if p <> first + k then
-              err
-                "Lemma 11: updates of atomic Block-Update by q%d (ts %s) are \
-                 not consecutive in the linearization"
-                w.w_proc (Vts.show w.w_ts))
-          ps)
-    windows;
+      let stamp = stamp_of c w.w_ts in
+      let together =
+        List.for_all
+          (List.for_all (fun u -> u.u_writer = w.w_proc && u.u_lin = w.w_x))
+          stamp.st_apps
+      in
+      if not together then
+        let positions = ref [] in
+        iter_oldest_first
+          (function
+            | u :: _ as mine when u.u_writer = w.w_proc ->
+              List.iter (fun u -> positions := position u :: !positions) mine
+            | _ -> ())
+          stamp.st_apps;
+        match List.sort Int.compare !positions with
+        | [] -> ()
+        | first :: _ as ps ->
+          List.iteri
+            (fun k p ->
+              if p <> first + k then
+                err
+                  "Lemma 11: updates of atomic Block-Update by q%d (ts %s) are \
+                   not consecutive in the linearization"
+                  w.w_proc (Vts.show w.w_ts))
+            ps)
+    c.windows;
 
   (* ---- Windows (Lemmas 16-19). ---- *)
-  let located = ref [] in
-  Array.iter
+  iter_oldest_first
     (fun w ->
       let proc = w.w_proc and l_idx = w.w_l and x_idx = w.w_x in
       if l_idx < 0 then
@@ -411,39 +639,37 @@ let report ix =
             "Lemma 16: atomic Block-Update by q%d (ts %s): L=%d before its \
              first scan %d"
             proc (Vts.show w.w_ts) l_idx w.w_start;
-        located := w :: !located;
-        if not w.w_view_ok then
+        if not (view_at ~m:c.m c.order ~l:l_idx w.w_view) then
           err
             "Lemma 19: atomic Block-Update by q%d (ts %s): returned view \
              differs from M at L=%d"
             proc (Vts.show w.w_ts) l_idx;
         (* Lemma 17: no Scan linearized in (L, X), reported in log order. *)
-        let inside = ref [] in
-        let ss = ix.by_end in
-        let j = ref (first_above (Array.length ss) (fun j -> ss.(j).s_end > l_idx)) in
-        while !j < Array.length ss && ss.(!j).s_end < x_idx do
-          inside := ss.(!j) :: !inside;
-          incr j
-        done;
+        let rec inside acc = function
+          | s :: older when s.s_end > l_idx ->
+            inside (if s.s_end < x_idx then s :: acc else acc) older
+          | _ -> acc
+        in
         List.iter
           (fun s ->
             err "Lemma 17: Scan by q%d linearized at %d inside window (%d, %d) of q%d"
               s.s_proc s.s_end l_idx x_idx proc)
-          (List.sort (fun a b -> Int.compare a.s_log b.s_log) !inside);
+          (List.sort (fun a b -> Int.compare a.s_log b.s_log) (inside [] c.scans));
         (* Lemma 19: only Updates of non-atomic Block-Updates by other
            processes linearize strictly inside the window; reported in
            trace order. *)
-        let bad = ref [] in
-        let us = ix.order in
-        let i = ref (first_above (Array.length us) (fun i -> us.(i).u_lin > l_idx)) in
-        while !i < Array.length us && us.(!i).u_lin < x_idx do
-          let u = us.(!i) in
-          if is_atomic ix u || u.u_writer = proc then bad := u :: !bad;
-          incr i
-        done;
+        let rec bad acc = function
+          | u :: older when u.u_lin > l_idx ->
+            bad
+              (if u.u_lin < x_idx && (is_atomic c u || u.u_writer = proc) then
+                 u :: acc
+               else acc)
+              older
+          | _ -> acc
+        in
         List.iter
           (fun u ->
-            if is_atomic ix u then
+            if is_atomic c u then
               err
                 "Lemma 19: update by q%d (atomic BU) linearized at %d inside \
                  window (%d, %d) of q%d"
@@ -453,93 +679,51 @@ let report ix =
                 "Lemma 19: update by the window owner q%d linearized inside its \
                  own window (%d, %d)"
                 proc l_idx x_idx)
-          (List.sort (fun a b -> Int.compare a.u_id b.u_id) !bad)
+          (List.sort (fun a b -> Int.compare a.u_id b.u_id) (bad [] c.order))
       end)
-    windows;
-  (* Lemma 18: windows pairwise disjoint. *)
+    c.windows;
+  (* Lemma 18: windows pairwise disjoint, latest first. *)
   let rec pairs = function
     | [] -> ()
     | w1 :: rest ->
-      List.iter
-        (fun w2 ->
-          let overlap = w1.w_l < w2.w_x && w2.w_l < w1.w_x in
-          if
-            overlap
-            && not
-                 (w1.w_x = w2.w_x && w1.w_proc = w2.w_proc && Vts.equal w1.w_ts w2.w_ts)
-          then
-            err "Lemma 18: windows (%d,%d] of q%d and (%d,%d] of q%d intersect"
-              w1.w_l w1.w_x w1.w_proc w2.w_l w2.w_x w2.w_proc)
-        rest;
+      if w1.w_l >= 0 then
+        List.iter
+          (fun w2 ->
+            let overlap = w2.w_l >= 0 && w1.w_l < w2.w_x && w2.w_l < w1.w_x in
+            if
+              overlap
+              && not
+                   (w1.w_x = w2.w_x && w1.w_proc = w2.w_proc
+                  && Vts.equal w1.w_ts w2.w_ts)
+            then
+              err "Lemma 18: windows (%d,%d] of q%d and (%d,%d] of q%d intersect"
+                w1.w_l w1.w_x w1.w_proc w2.w_l w2.w_x w2.w_proc)
+          rest;
       pairs rest
   in
-  pairs !located;
+  pairs c.windows;
 
-  (* ---- Theorem 20 and Lemma 2, and the stats, in one log pass. ---- *)
-  (* Triple appends by a [pred] process strictly inside [(lo, hi)],
-     counted up to [limit]: the appends are in trace order. *)
-  let triple_appends_between ?(limit = max_int) ~lo ~hi ~pred () =
-    let rec count a n =
-      if a >= n_apps || n >= limit then n
-      else
-        let u = first_update a in
-        if u.u_x_idx >= hi then n
-        else count (a + 1) (if pred u.u_writer then n + 1 else n)
-    in
-    count (first_above n_apps (fun a -> (first_update a).u_x_idx > lo)) 0
+  (* Theorem 20 and Lemma 2, settled when each operation completed. *)
+  errors := c.settled.lemma2_thm20 @ !errors;
+  let rec tally n_bus n_atomic max_scan_ops max_bu_ops = function
+    | [] ->
+      {
+        n_scans = c.n_scans;
+        n_bus;
+        n_atomic;
+        n_yield = n_bus - n_atomic;
+        n_incomplete_bus = c.n_pending_apps;
+        max_scan_ops;
+        max_bu_ops;
+      }
+    | Aug.Scan_op { n_ops; _ } :: older ->
+      tally n_bus n_atomic (max max_scan_ops n_ops) max_bu_ops older
+    | Aug.Bu_op { n_ops; result; _ } :: older ->
+      let atomic = match result with Aug.Atomic _ -> 1 | Aug.Yield -> 0 in
+      tally (n_bus + 1) (n_atomic + atomic) max_scan_ops (max max_bu_ops n_ops)
+        older
   in
-  let n_scans = ref 0 and n_bus = ref 0 and n_atomic = ref 0 and n_yield = ref 0 in
-  let max_scan_ops = ref 0 and max_bu_ops = ref 0 in
-  Array.iter
-    (function
-      | Aug.Bu_op { proc; ts; start_idx; end_idx; n_ops; result; _ } ->
-        incr n_bus;
-        max_bu_ops := max !max_bu_ops n_ops;
-        if n_ops > 6 then
-          err "Lemma 2: Block-Update by q%d took %d > 6 steps" proc n_ops;
-        (match result with
-        | Aug.Yield ->
-          incr n_yield;
-          if proc = 0 then
-            err "Theorem 20: q0's Block-Update (ts %s) returned Y" (Vts.show ts);
-          if
-            triple_appends_between ~limit:1 ~lo:start_idx ~hi:end_idx
-              ~pred:(fun p -> p < proc)
-              ()
-            = 0
-          then
-            err
-              "Theorem 20: Block-Update by q%d (ts %s) yielded without a \
-               lower-id update in its interval (%d, %d)"
-              proc (Vts.show ts) start_idx end_idx
-        | Aug.Atomic _ -> incr n_atomic)
-      | Aug.Scan_op { proc; start_idx; end_idx; n_ops; _ } ->
-        incr n_scans;
-        max_scan_ops := max !max_scan_ops n_ops;
-        let k =
-          triple_appends_between ~lo:start_idx ~hi:end_idx
-            ~pred:(fun p -> p <> proc)
-            ()
-        in
-        if n_ops > (2 * k) + 3 then
-          err "Lemma 2: Scan by q%d took %d > 2k+3 = %d steps" proc n_ops
-            ((2 * k) + 3))
-    ix.log;
-  let n_incomplete = ref 0 in
-  for a = 0 to n_apps - 1 do
-    if (first_update a).u_bu < 0 then incr n_incomplete
-  done;
-  let stats =
-    {
-      n_scans = !n_scans;
-      n_bus = !n_bus;
-      n_atomic = !n_atomic;
-      n_yield = !n_yield;
-      n_incomplete_bus = !n_incomplete;
-      max_scan_ops = !max_scan_ops;
-      max_bu_ops = !max_bu_ops;
-    }
-  in
+  let stats = tally 0 0 0 0 c.rev_log in
   { ok = !errors = []; errors = List.rev !errors; stats }
 
 let check aug trace = report (index aug trace)

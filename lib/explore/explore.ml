@@ -48,7 +48,7 @@ let preemptions_of script =
 type node = Node : 'saved Type.Id.t * 'saved -> node
 
 type outcome = {
-  script : int list;
+  script : int list Lazy.t;
   live : int list;
   steps : int;
   errors : string list;
@@ -263,8 +263,8 @@ let exhaustive_naive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
     let out = replay w ~max_steps ~script in
     if out.errors <> [] then begin
       violations :=
-        record_violation w ~max_steps !violations ~script:out.script
-          ~errors:out.errors;
+        record_violation w ~max_steps !violations
+          ~script:(Lazy.force out.script) ~errors:out.errors;
       if List.length !violations >= max_violations then stop := true
     end
   in
@@ -789,7 +789,7 @@ let sweep ?domains ?(max_steps = 200) ?(max_violations = 1) ~budget ~seed w =
         w.exec ~probe:None ~certify:false ~sched ~max_ops:max_steps
           ~check:true
       in
-      Obs.Metrics.observe h_preempt (preemptions_of out.script);
+      Obs.Metrics.observe h_preempt (preemptions_of (Lazy.force out.script));
       incr count;
       if out.errors <> [] then begin
         Atomic.incr found;
@@ -822,8 +822,9 @@ let sweep ?domains ?(max_steps = 200) ?(max_violations = 1) ~budget ~seed w =
     List.fold_left
       (fun acc (out : outcome) ->
         if List.length acc >= max_violations then acc
-        else record_violation w ~max_steps acc ~script:out.script
-               ~errors:out.errors)
+        else
+          record_violation w ~max_steps acc ~script:(Lazy.force out.script)
+            ~errors:out.errors)
       [] raw
   in
   { executions; domains; violations = List.rev violations }
@@ -849,7 +850,7 @@ let snapshot_spec m : (Value.t array, snap_op) Linearize.spec =
 
 let mop_history aug ix =
   let entries = ref [] in
-  List.iter
+  Aug.iter_log aug
     (function
       | Aug.Scan_op { proc; start_idx; end_idx; view; _ } ->
         entries :=
@@ -874,8 +875,7 @@ let mop_history aug ix =
                 Linearize.entry ~proc ~op:(`U [ (j, v) ]) ~inv:start_idx
                   ~ret:end_idx ()
                 :: !entries)
-            updates))
-    (Aug.log aug);
+            updates));
   (* Incomplete Block-Updates: triples were appended but the M-operation
      never returned — pending Updates, which may take effect or not,
      invoked at the writer's Line-2 scan. *)
@@ -900,7 +900,10 @@ type 'r exec = {
   steps : int;
   complete : bool;
   index : Aug_spec.index Lazy.t;
+      (* a probed run's own, extended hop by hop; otherwise the fold of
+         the trace, built when first read *)
   spec_report : Aug_spec.report Lazy.t;
+      (* [index]'s settled verdicts and the checks judged at the end *)
   linearizable : bool Lazy.t;
 }
 
@@ -909,7 +912,9 @@ type 'r exec = {
    if [probed]), runs as {!Rsim_runtime.Prog.S.run} does, tells what it
    has [current]ly reached, and saves and restores itself. [view] is
    what every target's oracles read of a result: the augmented
-   snapshot, the trace, the statuses and the step count. *)
+   snapshot, the trace, the statuses and the step count. [index] is the
+   result's trace index: one the target extends as it runs, or the fold
+   of [view]'s trace. *)
 module type TARGET = sig
   type t
   type saved
@@ -934,6 +939,7 @@ module type TARGET = sig
     result ->
     Aug.t * Aug.Prog.trace_entry list * Rsim_runtime.Prog.status array * int
 
+  val index : t -> result -> Aug_spec.index Lazy.t
   val fingerprint : t -> live:int list -> (int * int) option
 end
 
@@ -957,13 +963,13 @@ let of_target (type r) (module T : TARGET with type result = r) ~name
        before the run moves on. *)
     let outcome_of r =
       let aug, trace, statuses, steps = T.view st r in
-      let live =
-        List.filter
-          (fun pid -> statuses.(pid) = Rsim_runtime.Prog.Pending)
-          (List.init (Array.length statuses) Fun.id)
-      in
+      let live = ref [] in
+      for pid = Array.length statuses - 1 downto 0 do
+        if statuses.(pid) = Rsim_runtime.Prog.Pending then live := pid :: !live
+      done;
+      let live = !live in
       let complete = live = [] in
-      let index = lazy (Aug_spec.index aug trace) in
+      let index = T.index st r in
       let ex =
         {
           result = r;
@@ -979,7 +985,7 @@ let of_target (type r) (module T : TARGET with type result = r) ~name
       in
       let judge_now () = judge ocs ~complete ex in
       {
-        script = List.map (fun (e : Aug.Prog.trace_entry) -> e.pid) trace;
+        script = lazy (List.map (fun (e : Aug.Prog.trace_entry) -> e.pid) trace);
         live;
         steps;
         errors = (if check then judge_now () else []);
@@ -1074,16 +1080,11 @@ let progress : _ exec Oracle.t =
         if complete || steps < progress_window then []
         else
           let horizon = steps - progress_window in
-          let recent =
-            List.exists
-              (fun mop ->
-                (match mop with
-                | Aug.Scan_op { end_idx; _ } | Aug.Bu_op { end_idx; _ } ->
-                  end_idx)
-                >= horizon)
-              (Aug.log aug)
-          in
-          if recent then []
+          let recent = ref false in
+          Aug.iter_log aug (function
+            | Aug.Scan_op { end_idx; _ } | Aug.Bu_op { end_idx; _ } ->
+              if end_idx >= horizon then recent := true);
+          if !recent then []
           else
             [
               Printf.sprintf
@@ -1115,13 +1116,14 @@ module Aug_target = struct
       on_truncated = true;
       check =
         (fun { aug; _ } ->
-          List.filter_map
-            (function
-              | Aug.Bu_op { proc = 0; result = Aug.Yield; ts; _ } ->
-                Some
-                  (Printf.sprintf "process 0 yielded (ts %s)" (Vts.show ts))
-              | Aug.Bu_op _ | Aug.Scan_op _ -> None)
-            (Aug.log aug));
+          let errs = ref [] in
+          Aug.iter_log aug (function
+            | Aug.Bu_op { proc = 0; result = Aug.Yield; ts; _ } ->
+              errs :=
+                Printf.sprintf "process 0 yielded (ts %s)" (Vts.show ts)
+                :: !errs
+            | Aug.Bu_op _ | Aug.Scan_op _ -> ());
+          List.rev !errs);
     }
 
   let linearizable : exec Oracle.t =
@@ -1197,7 +1199,7 @@ module Aug_target = struct
      are walked. Errors come in log order, then trace order. *)
   let race_errors aug ix =
     let errs = ref [] in
-    List.iter
+    Aug.iter_log aug
       (function
         | Aug.Scan_op _ | Aug.Bu_op { result = Aug.Yield; _ } -> ()
         | Aug.Bu_op
@@ -1218,8 +1220,7 @@ module Aug_target = struct
                      scan at %d)"
                     q start_idx x_idx p idx start_idx
                   :: !errs
-              end))
-      (Aug.log aug);
+              end));
     List.rev !errs
 
   let race : exec Oracle.t =
@@ -1290,10 +1291,16 @@ module Aug_target = struct
         run : Aug.Prog.run;
         digests : int array;
         plan : Aug.Ops.op Faults.plan option;
+        probed : bool;
+        ix : Aug_spec.index ref;
+            (* a probed run's trace index, extended by every hop and
+               completion *)
       }
 
-      (* The run, the object, the digests and the plan's fired set. *)
-      type saved = Aug.Prog.saved * Aug.saved * int array * int
+      (* The run, the object, the digests, the plan's fired set and the
+         trace index. *)
+      type saved =
+        Aug.Prog.saved * Aug.saved * int array * int * Aug_spec.index
       type result = Aug.Prog.result
 
       let noun = "process"
@@ -1306,32 +1313,51 @@ module Aug_target = struct
           if faults = [] then None
           else Some (Faults.plan ~adapter:Aug.fault_adapter faults)
         in
-        (* Only a probed run is asked for fingerprints. *)
+        (* Only a probed run is asked for fingerprints, and only its
+           leaves are judged from an index extended as the run goes:
+           other runs fold the trace once, if an oracle reads it. *)
         let digests = if probed then digests ~f else [||] in
-        let apply =
-          if probed then fingerprinted aug ~f digests else Aug.apply aug
+        let ix = ref (Aug_spec.start ~m) in
+        let apply, emit =
+          if not probed then (Aug.apply aug, Aug.record aug)
+          else
+            let fp = fingerprinted aug ~f digests in
+            ( (fun ~pid op ->
+                let idx = Aug.clock aug in
+                let res = fp ~pid op in
+                ix := Aug_spec.hop !ix ~idx ~pid op res;
+                res),
+              fun note ->
+                Aug.record aug note;
+                match note with
+                | Aug.Mop mop -> ix := Aug_spec.complete !ix mop
+                | _ -> () )
         in
         {
           aug;
           plan;
           digests;
+          probed;
+          ix;
           run =
             Aug.Prog.start ~max_ops
               ?control:(Option.map Faults.control plan)
-              ~obs_label:Aug.op_name ~apply ~emit:(Aug.record aug) programs;
+              ~obs_label:Aug.op_name ~apply ~emit programs;
         }
 
       let save t =
         ( Aug.Prog.save t.run,
           Aug.save t.aug,
           Array.copy t.digests,
-          Option.fold ~none:0 ~some:Faults.fired_set t.plan )
+          Option.fold ~none:0 ~some:Faults.fired_set t.plan,
+          !(t.ix) )
 
-      let restore t (run, aug, digests, fired) =
+      let restore t (run, aug, digests, fired, ix) =
         Aug.Prog.restore t.run run;
         Aug.restore t.aug aug;
         Array.blit digests 0 t.digests 0 (Array.length digests);
-        Option.iter (fun p -> Faults.set_fired p fired) t.plan
+        Option.iter (fun p -> Faults.set_fired p fired) t.plan;
+        t.ix := ix
 
       let run ?probe ?at_end ~sched t =
         ignore (Aug.Prog.run ?probe ?at_end ~sched t.run : result)
@@ -1339,6 +1365,10 @@ module Aug_target = struct
       let current t = Aug.Prog.current t.run
 
       let view t (r : result) = (t.aug, r.trace, r.statuses, r.total_ops)
+
+      let index t (r : result) =
+        if t.probed then Lazy.from_val !(t.ix)
+        else lazy (Aug_spec.index t.aug r.trace)
 
       let fingerprint t ~live =
         let fold mixf a b =
@@ -1485,6 +1515,9 @@ module Harness_target = struct
 
       let view _ ((_, r) : result) =
         (r.Harness.aug, r.trace, r.statuses, r.total_ops)
+
+      let index _ ((_, r) : result) =
+        lazy (Aug_spec.index r.Harness.aug r.trace)
 
       (* Simulator local state is too rich to digest soundly at this
          boundary, so the engine shares prefixes but never dedups. *)

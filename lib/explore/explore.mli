@@ -42,9 +42,10 @@ type node
 
 (** The result of driving one execution under one schedule. *)
 type outcome = {
-  script : int list;
+  script : int list Lazy.t;
       (** the pids actually scheduled, in order — a deterministic replay
-          script for {!Rsim_shmem.Schedule.script} *)
+          script for {!Rsim_shmem.Schedule.script}; built when first
+          read *)
   live : int list;  (** pids still pending when the run stopped *)
   steps : int;  (** base-object operations executed *)
   errors : string list;  (** oracle violations; [[]] if passing or unchecked *)
@@ -270,7 +271,15 @@ type 'r exec = {
   steps : int;  (** H-operations executed *)
   complete : bool;  (** no process was still pending *)
   index : Rsim_augmented.Aug_spec.index Lazy.t;
-  spec_report : Rsim_augmented.Aug_spec.report Lazy.t;  (** of [index] *)
+      (** the run's trace index: in an execution {!exhaustive} probes,
+          the one the run extended hop by hop, whose completed
+          M-operations already carry their settled verdicts; in any other,
+          the fold of the trace ({!Rsim_augmented.Aug_spec.index}), built
+          when first read *)
+  spec_report : Rsim_augmented.Aug_spec.report Lazy.t;
+      (** {!Rsim_augmented.Aug_spec.report} of [index]: its settled
+          verdicts, and the checks a later hop could still change judged
+          over the whole execution *)
   linearizable : bool Lazy.t;
       (** the Wing-Gong verdict on {!mop_history} of [index]: [true] when
           the M-operation history linearizes or has more than 16

@@ -48,9 +48,10 @@ end
 
 (** {1 Leveled logging} *)
 
-(** The single diagnostics facade for the whole repository: quiet by
-    default, enabled with [RSIM_LOG=debug|info|warn|error|quiet], always
-    writing to [stderr] so machine-readable stdout (metrics dumps,
+(** The single diagnostics facade for the whole repository. Errors
+    print by default; [RSIM_LOG=debug|info|warn|error] sets the least
+    severe level printed and [RSIM_LOG=quiet] silences everything. It
+    always writes to [stderr] so machine-readable stdout (metrics dumps,
     artifacts) stays clean. The [msgf] style
     ([Log.debug (fun k -> k "fmt" ...)]) means disabled levels never
     format their arguments. *)

@@ -436,9 +436,15 @@ let ref_lin_item = function
   | Aug_spec_ref.L_update { writer; ts; comp; value; x_idx; lin_idx } ->
     `Update (writer, Vts.to_array ts, comp, value, x_idx, lin_idx)
 
-let compare_with_reference tally what aug trace =
-  let ix = Aug_spec.index aug trace in
-  let got = Aug_spec.report ix in
+(* Compare the report and linearization of [ix] (by default the fold of
+   [trace]) with the reference's on [aug] and [trace]. *)
+let compare_with_reference tally what ?ix ?got aug trace =
+  let ix =
+    match ix with Some ix -> Lazy.force ix | None -> Aug_spec.index aug trace
+  in
+  let got =
+    match got with Some got -> Lazy.force got | None -> Aug_spec.report ix
+  in
   let want = Aug_spec_ref.check aug trace in
   tally.compared <- tally.compared + 1;
   if not want.Aug_spec.ok then tally.failing <- tally.failing + 1;
@@ -455,23 +461,36 @@ let compare_with_reference tally what aug trace =
         (List.length got) (List.length want)
       :: tally.mismatches
 
-(* An oracle that judges nothing and compares the two checkers on every
-   execution the engine produces, complete or truncated. *)
+(* An oracle that judges nothing and compares the engine's own report
+   and index, the ones every other oracle reads, with the reference on
+   every execution the engine produces, complete or truncated: in an
+   exhaustive tree they were extended hop by hop, in a sweep folded. *)
 let reference_oracle tally : Rsim_explore.Explore.Aug_target.exec
     Rsim_explore.Explore.Oracle.t =
   {
     name = "spec-reference";
     on_truncated = true;
     check =
-      (fun { aug; result; _ } ->
-        compare_with_reference tally "explored execution" aug result.trace;
+      (fun { aug; result; index; spec_report; _ } ->
+        compare_with_reference tally "explored execution" ~ix:index
+          ~got:spec_report aug result.trace;
         []);
   }
 
+let new_tally () = { compared = 0; failing = 0; mismatches = [] }
+
+let no_mismatch what tally =
+  match tally.mismatches with
+  | [] -> ()
+  | first :: _ ->
+    Alcotest.failf
+      "%s: %d of %d reports or linearizations differ from the reference; \
+       e.g. %s"
+      what (List.length tally.mismatches) tally.compared first
+
 let test_checker_matches_reference () =
-  let module Explore = Rsim_explore.Explore in
   let module Harness = Rsim_simulation.Harness in
-  let tally = { compared = 0; failing = 0; mismatches = [] } in
+  let tally = new_tally () in
   (* Theorem 21 simulations of racing consensus, up to n=16 m=4 f=4. *)
   List.iter
     (fun (n, m, f, d) ->
@@ -493,33 +512,6 @@ let test_checker_matches_reference () =
           r.Harness.aug r.Harness.trace
       done)
     [ (4, 2, 2, 0); (5, 2, 3, 1); (7, 5, 2, 1); (13, 4, 3, 1); (16, 4, 4, 0) ];
-  (* The builtin shapes, clean and with each seeded yield bug, over
-     exhaustive trees and under a fault profile with drops, corruptions,
-     crashes and restarts. *)
-  let faults =
-    match
-      Rsim_faults.Faults.of_string
-        "drop@1:3,corrupt@2:6#5,restart@0:7+2,crash@2:14"
-    with
-    | Ok specs -> specs
-    | Error e -> Alcotest.failf "fault grammar: %s" e
-  in
-  let oracles = [ reference_oracle tally ] in
-  List.iter
-    (fun inject ->
-      List.iter
-        (fun (name, f, max_steps) ->
-          let build ?faults () =
-            Option.get
-              (Explore.Aug_target.builtin ?inject ?faults ~oracles ~name ~f
-                 ~m:2 ())
-          in
-          ignore (Explore.exhaustive ~domains:1 ~max_steps (build ()));
-          ignore
-            (Explore.sweep ~domains:1 ~max_steps:200 ~budget:40 ~seed:f
-               (build ~faults ())))
-        [ ("bu-conflict", 2, 10); ("bu-then-scan", 3, 9); ("mixed", 3, 9) ])
-    [ None; Some Aug.Skip_yield_check; Some Aug.Yield_on_higher ];
   (* The E9 ablation: no helping writes. *)
   for seed = 0 to 29 do
     let aug = Aug.create ~helping:false ~f:3 ~m:3 () in
@@ -532,17 +524,97 @@ let test_checker_matches_reference () =
       (Printf.sprintf "helping:false seed %d" seed)
       aug result.trace
   done;
-  (match tally.mismatches with
-  | [] -> ()
-  | first :: _ ->
-    Alcotest.failf
-      "%d of %d reports or linearizations differ from the reference; e.g. %s"
-      (List.length tally.mismatches) tally.compared first);
+  no_mismatch "folded" tally;
   Alcotest.(check bool)
-    (Printf.sprintf "corpus has failing reports (%d of %d)" tally.failing
+    (Printf.sprintf "folded corpus has failing reports (%d of %d)" tally.failing
        tally.compared)
     true
     (tally.failing > 0 && tally.failing < tally.compared)
+
+(* The engine's report, extended hop by hop in exhaustive trees and
+   folded in sweeps, on the builtin shapes: clean and with each seeded
+   bug, unfaulted and under a profile with drops, corruptions, crashes
+   and restarts. *)
+let test_engine_report_matches_reference () =
+  let module Explore = Rsim_explore.Explore in
+  let faults =
+    match
+      Rsim_faults.Faults.of_string
+        "drop@1:3,corrupt@2:6#5,restart@0:7+2,crash@2:14"
+    with
+    | Ok specs -> specs
+    | Error e -> Alcotest.failf "fault grammar: %s" e
+  in
+  List.iter
+    (fun inject ->
+      let tally = new_tally () in
+      let oracles = [ reference_oracle tally ] in
+      List.iter
+        (fun (name, f, max_steps) ->
+          let build ?faults () =
+            Option.get
+              (Explore.Aug_target.builtin ?inject ?faults ~oracles ~name ~f
+                 ~m:2 ())
+          in
+          ignore (Explore.exhaustive ~domains:1 ~max_steps (build ()));
+          ignore
+            (Explore.exhaustive ~domains:1 ~max_steps:(max_steps - 2)
+               (build ~faults ()));
+          ignore
+            (Explore.sweep ~domains:1 ~max_steps:200 ~budget:40 ~seed:f
+               (build ~faults ())))
+        [ ("bu-conflict", 2, 10); ("bu-then-scan", 3, 9); ("mixed", 3, 9) ];
+      let what =
+        Option.fold ~none:"clean" ~some:Explore.fault_to_string inject
+      in
+      no_mismatch what tally;
+      match inject with
+      | None -> ()
+      | Some _ ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: failing reports (%d of %d)" what tally.failing
+             tally.compared)
+          true (tally.failing > 0))
+    [
+      None;
+      Some Aug.Skip_yield_check;
+      Some Aug.Yield_on_higher;
+      Some Aug.Spin_on_yield;
+    ]
+
+(* A dropped Line-4 write leaves the next Block-Update of q1 in mixed
+   f=3 m=2 with the same timestamp as the one that completed, so its
+   Updates join a Block-Update whose Lemma 11/12 verdict was already
+   settled: the report must judge those again. *)
+let test_reused_key_matches_reference () =
+  let module Explore = Rsim_explore.Explore in
+  let tally = new_tally () in
+  let faults = Result.get_ok (Rsim_faults.Faults.of_string "drop@1:1") in
+  let w =
+    Option.get
+      (Explore.Aug_target.builtin ~faults ~oracles:[ reference_oracle tally ]
+         ~name:"mixed" ~f:3 ~m:2 ())
+  in
+  ignore (Explore.exhaustive ~domains:1 ~preemption_bound:1 ~max_steps:20 w);
+  no_mismatch "reused key" tally;
+  Alcotest.(check bool)
+    (Printf.sprintf "failing reports (%d of %d)" tally.failing tally.compared)
+    true (tally.failing > 0)
+
+(* Leaves of 40 to 80 hops, where a leaf's index shares the most with
+   its siblings': mixed f=3 m=2 under preemption bound 2. *)
+let test_long_leaves_match_reference () =
+  let module Explore = Rsim_explore.Explore in
+  let tally = new_tally () in
+  let w =
+    Option.get
+      (Explore.Aug_target.builtin ~oracles:[ reference_oracle tally ]
+         ~name:"mixed" ~f:3 ~m:2 ())
+  in
+  let r = Explore.exhaustive ~domains:1 ~preemption_bound:2 ~max_steps:80 w in
+  Alcotest.(check int) "complete leaves" 5706 r.Explore.complete;
+  Alcotest.(check int) "every leaf compared" 5706 tally.compared;
+  no_mismatch "long leaves" tally
 
 let test_window_start_latest () =
   (* Scans at 0 and 1 both return the empty H; the append at 2 changes
@@ -622,6 +694,12 @@ let () =
         [
           Alcotest.test_case "check matches the reference" `Quick
             test_checker_matches_reference;
+          Alcotest.test_case "engine report matches" `Quick
+            test_engine_report_matches_reference;
+          Alcotest.test_case "long leaves match" `Quick
+            test_long_leaves_match_reference;
+          Alcotest.test_case "reused key judged again" `Quick
+            test_reused_key_matches_reference;
           Alcotest.test_case "window_start picks the latest scan" `Quick
             test_window_start_latest;
         ] );

@@ -861,7 +861,7 @@ let resumes_match ~what ~salt ~max_ops (w : Explore.workload) seen =
     in
     let run ?probe sched =
       let out = w.Explore.exec ~probe ~certify:false ~sched ~max_ops ~check:true in
-      (out.Explore.script, out.Explore.live, out.Explore.steps,
+      (Lazy.force out.Explore.script, out.Explore.live, out.Explore.steps,
        out.Explore.errors, !seen)
     in
     let decisions = ref 0 in
