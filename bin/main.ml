@@ -112,7 +112,7 @@ let simulate_cmd =
     let checks_ok =
       if not check then true
       else
-        let aug_rep = Aug_spec.check result.Harness.aug result.Harness.trace in
+        let aug_rep = Aug_spec.report result.Harness.index in
         Format.printf "augmented-snapshot spec: %s@."
           (if aug_rep.Aug_spec.ok then "all lemmas hold" else "FAILED");
         if not aug_rep.Aug_spec.ok then
@@ -327,6 +327,22 @@ let build_workload ~workload ~f ~m ~n ~d ~inject ~faults ~seed =
         ~params:[ ("n", n); ("m", m); ("f", f); ("d", d) ]
         ?inject ~faults ())
 
+(* Engine bounds a run cannot honour. Each would read as a pass: a
+   negative step or preemption bound and an empty sweep explore
+   nothing, and an engine that may keep no violation stops at the first
+   one and drops it. *)
+let check_bounds ~mode ~max_steps ~preemption_bound ~budget ~max_violations =
+  let below flag lo v =
+    Error (Printf.sprintf "%s must be >= %d (got %d)" flag lo v)
+  in
+  match preemption_bound with
+  | Some b when b < 0 -> below "--preemption-bound" 0 b
+  | Some _ | None ->
+    if max_steps < 0 then below "--max-steps" 0 max_steps
+    else if max_violations < 1 then below "--max-violations" 1 max_violations
+    else if mode = `Sweep && budget < 1 then below "--budget" 1 budget
+    else Ok ()
+
 let explore_cmd =
   let workload =
     Arg.(
@@ -414,7 +430,12 @@ let explore_cmd =
   let run workload f m n d mode max_steps preemption_bound budget domains
       no_dedup seed inject faults max_violations out
       metrics trace_out =
-    match build_workload ~workload ~f ~m ~n ~d ~inject ~faults ~seed with
+    match
+      Result.bind
+        (check_bounds ~mode ~max_steps ~preemption_bound ~budget
+           ~max_violations)
+        (fun () -> build_workload ~workload ~f ~m ~n ~d ~inject ~faults ~seed)
+    with
     | Error e ->
       Log.err (fun k -> k "explore: %s" e);
       exit 2
@@ -477,7 +498,9 @@ let explore_cmd =
                "the workload could not be built (unknown name, bad seeded bug \
                 or fault profile, f or m below 1, a seeded bug on racing, or \
                 a racing shape that Harness rejects, such as (f-d)*m + d > \
-                n).";
+                n), or a bound is out of range (a negative --max-steps or \
+                --preemption-bound, --max-violations below 1, or a sweep \
+                --budget below 1).";
            Cmd.Exit.info Cmd.Exit.cli_error ~doc:"command-line parse error.";
          ])
     Term.(

@@ -454,6 +454,19 @@ let index aug trace =
   upto max_int;
   !ix
 
+(* The same two steps, as the run takes them: an H-operation gets the
+   clock it ran at, and each M-operation completes right after its last
+   hop. *)
+let recording aug ix ~apply =
+  ( (fun ~pid op ->
+      let idx = Aug.clock aug in
+      let res = apply ~pid op in
+      ix := hop !ix ~idx ~pid op res;
+      res),
+    fun note ->
+      Aug.record aug note;
+      match note with Aug.Mop mop -> ix := complete !ix mop | _ -> () )
+
 let bu_of ix u = (done_by u.u_writer (stamp_of ix.core u.u_ts).st_done).c_log
 
 (* Whether [u]'s completed Block-Update returned [Atomic]. *)

@@ -40,13 +40,21 @@
     Lemma 26 replay read them, through the accessors below; nothing else
     walks the trace to derive them.
 
-    The index grows with the run: {!hop} adds one [H]-operation (an
-    [H.scan], or a Line-4 append with its Updates and their
-    linearization points) and {!complete} one completed M-operation. An
-    index is an immutable value, so a run that saves its state at a
-    scheduling decision keeps the index of that point by keeping the
-    pointer, and every branch from there extends the same one. {!index}
-    is the fold of the same two steps over a finished run. *)
+    The index grows with the run, in two steps. A hop adds one
+    [H]-operation: an [H.scan], or a Line-4 append whose Updates get
+    their linearization points there, at or before the append, never to
+    move, and whose Lemma 9 verdict is settled there. A completion adds
+    one completed M-operation, right after the hop at its [end_idx], and
+    settles what no later hop can change (see {!report}). An index is an
+    immutable value, so a run that saves its state at a scheduling
+    decision keeps the index of that point by keeping the pointer, and
+    every branch from there extends the same one.
+
+    Who builds it: every run the explorer or the simulation harness
+    drives takes both steps as it goes, through {!recording}, and hands
+    the index to its checkers with the run's result. {!index} is the
+    fold of the same two steps over a finished run, behind {!check}, for
+    callers that drive {!Aug.Prog} themselves. *)
 
 (** One Update of M: one triple of a Line-4 append. *)
 type update = private {
@@ -77,23 +85,24 @@ type index
 (** [start ~m] is the index of an empty execution on [m] components. *)
 val start : m:int -> index
 
-(** [hop ix ~idx ~pid op res] extends [ix] by the [H]-operation [op] of
-    process [pid] at trace index [idx], which returned [res]. An append
-    of triples adds its Updates: each one's linearization point is fixed
-    here, at or before [idx], and never moves. It also settles the
-    append's Lemma 9 verdict. *)
-val hop : index -> idx:int -> pid:int -> Aug.Ops.op -> Aug.Ops.res -> index
-
-(** [complete ix mop] extends [ix] by the M-operation [mop], completed at
-    the hop just added (its [end_idx]), and settles what no later hop can
-    change (see {!report}). *)
-val complete : index -> Aug.mop -> index
-
 (** [index aug trace] is the index of a finished execution: the fold of
-    {!hop} over [trace] (the {!Aug.Prog.run} trace of the same run, whose
-    entry [k] has index [k]) with {!complete} applied to each entry of
-    [Aug.log aug] right after the hop at its [end_idx]. *)
+    the hop step over [trace] (the {!Aug.Prog.run} trace of the same run,
+    whose entry [k] has index [k]) with the completion step applied to
+    each entry of [Aug.log aug] right after the hop at its [end_idx]. *)
 val index : Aug.t -> Aug.Prog.trace_entry list -> index
+
+(** [recording aug ix ~apply] is the [apply] and [emit] pair to pass to
+    {!Aug.Prog.start} for a run over [aug] that keeps its index in [ix]:
+    [apply] (normally [Aug.apply aug]), followed by the hop step at the
+    trace index the operation ran at, and {!Aug.record}, followed by the
+    completion step for each completed M-operation. [ix] starts at
+    [start ~m:(Aug.m aug)]; a run that saves and restores its state
+    saves and restores [!ix] with it. *)
+val recording :
+  Aug.t ->
+  index ref ->
+  apply:(pid:int -> Aug.Ops.op -> Aug.Ops.res) ->
+  (pid:int -> Aug.Ops.op -> Aug.Ops.res) * (Aug.note -> unit)
 
 (** [bu_of ix u] is the position in [Aug.log] of the completed
     Block-Update with [u]'s (writer, timestamp), the latest one if

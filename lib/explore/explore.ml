@@ -230,6 +230,20 @@ let record_violation w ~max_steps acc ~script ~errors =
 (* Exhaustive enumeration                                            *)
 (* ---------------------------------------------------------------- *)
 
+(* The parallel workers of either engine: [domains] if given, else one
+   per core the main domain leaves over, up to four; at least one. *)
+let domain_count = function
+  | Some d -> max 1 d
+  | None -> max 1 (min 4 (Domain.recommended_domain_count () - 1))
+
+(* An engine that may keep no violation would stop at the first one and
+   drop it, and report a pass. *)
+let check_max_violations engine n =
+  if n < 1 then
+    invalid_arg
+      (Printf.sprintf "Explore.%s: max_violations must be >= 1 (got %d)" engine
+         n)
+
 type exhaustive_report = {
   complete : int;
   truncated : int;
@@ -353,11 +367,8 @@ type frontier_task = {
    and an early stop keeps whichever raw violations arrived first. *)
 let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
     ?domains ?dedup w =
-  let domains =
-    match domains with
-    | Some d -> max 1 d
-    | None -> max 1 (min 4 (Domain.recommended_domain_count () - 1))
-  in
+  check_max_violations "exhaustive" max_violations;
+  let domains = domain_count domains in
   (* Under a preemption bound the state key carries the preemption count
      and the last pid, so few states merge and claiming costs more than
      it cuts: dedup is off there unless asked for. Injected faults give
@@ -770,11 +781,8 @@ let gen_sched ~n_procs ~max_steps ~seed =
     Schedule.script (gen g (2 * max_steps) [])
 
 let sweep ?domains ?(max_steps = 200) ?(max_violations = 1) ~budget ~seed w =
-  let domains =
-    match domains with
-    | Some d -> max 1 d
-    | None -> max 1 (min 4 (Domain.recommended_domain_count () - 1))
-  in
+  check_max_violations "sweep" max_violations;
+  let domains = domain_count domains in
   (* No point spawning domains that would get an empty seed range. *)
   let domains = min domains (max 1 budget) in
   let found = Atomic.make 0 in
@@ -899,9 +907,7 @@ type 'r exec = {
   statuses : Rsim_runtime.Prog.status array;
   steps : int;
   complete : bool;
-  index : Aug_spec.index Lazy.t;
-      (* a probed run's own, extended hop by hop; otherwise the fold of
-         the trace, built when first read *)
+  index : Aug_spec.index;  (* the run's own, extended hop by hop *)
   spec_report : Aug_spec.report Lazy.t;
       (* [index]'s settled verdicts and the checks judged at the end *)
   linearizable : bool Lazy.t;
@@ -912,9 +918,8 @@ type 'r exec = {
    if [probed]), runs as {!Rsim_runtime.Prog.S.run} does, tells what it
    has [current]ly reached, and saves and restores itself. [view] is
    what every target's oracles read of a result: the augmented
-   snapshot, the trace, the statuses and the step count. [index] is the
-   result's trace index: one the target extends as it runs, or the fold
-   of [view]'s trace. *)
+   snapshot, the trace, the statuses, the step count and the trace
+   index the run extended as it went ({!Aug_spec.recording}). *)
 module type TARGET = sig
   type t
   type saved
@@ -937,9 +942,12 @@ module type TARGET = sig
   val view :
     t ->
     result ->
-    Aug.t * Aug.Prog.trace_entry list * Rsim_runtime.Prog.status array * int
+    Aug.t
+    * Aug.Prog.trace_entry list
+    * Rsim_runtime.Prog.status array
+    * int
+    * Aug_spec.index
 
-  val index : t -> result -> Aug_spec.index Lazy.t
   val fingerprint : t -> live:int list -> (int * int) option
 end
 
@@ -962,14 +970,13 @@ let of_target (type r) (module T : TARGET with type result = r) ~name
        target's state, so a probed execution's outcome must be judged
        before the run moves on. *)
     let outcome_of r =
-      let aug, trace, statuses, steps = T.view st r in
+      let aug, trace, statuses, steps, index = T.view st r in
       let live = ref [] in
       for pid = Array.length statuses - 1 downto 0 do
         if statuses.(pid) = Rsim_runtime.Prog.Pending then live := pid :: !live
       done;
       let live = !live in
       let complete = live = [] in
-      let index = T.index st r in
       let ex =
         {
           result = r;
@@ -979,8 +986,8 @@ let of_target (type r) (module T : TARGET with type result = r) ~name
           steps;
           complete;
           index;
-          spec_report = lazy (Aug_spec.report (Lazy.force index));
-          linearizable = lazy (wing_gong aug (Lazy.force index));
+          spec_report = lazy (Aug_spec.report index);
+          linearizable = lazy (wing_gong aug index);
         }
       in
       let judge_now () = judge ocs ~complete ex in
@@ -1227,7 +1234,7 @@ module Aug_target = struct
     {
       Oracle.name = "race";
       on_truncated = true;
-      check = (fun { aug; index; _ } -> race_errors aug (Lazy.force index));
+      check = (fun { aug; index; _ } -> race_errors aug index);
     }
 
   (* [Aug.apply] with rolling state digests for the engine's
@@ -1291,10 +1298,7 @@ module Aug_target = struct
         run : Aug.Prog.run;
         digests : int array;
         plan : Aug.Ops.op Faults.plan option;
-        probed : bool;
-        ix : Aug_spec.index ref;
-            (* a probed run's trace index, extended by every hop and
-               completion *)
+        ix : Aug_spec.index ref;  (* extended by every hop and completion *)
       }
 
       (* The run, the object, the digests, the plan's fired set and the
@@ -1313,31 +1317,19 @@ module Aug_target = struct
           if faults = [] then None
           else Some (Faults.plan ~adapter:Aug.fault_adapter faults)
         in
-        (* Only a probed run is asked for fingerprints, and only its
-           leaves are judged from an index extended as the run goes:
-           other runs fold the trace once, if an oracle reads it. *)
+        (* Only a probed run is asked for fingerprints, so only it
+           keeps the digests. *)
         let digests = if probed then digests ~f else [||] in
         let ix = ref (Aug_spec.start ~m) in
         let apply, emit =
-          if not probed then (Aug.apply aug, Aug.record aug)
-          else
-            let fp = fingerprinted aug ~f digests in
-            ( (fun ~pid op ->
-                let idx = Aug.clock aug in
-                let res = fp ~pid op in
-                ix := Aug_spec.hop !ix ~idx ~pid op res;
-                res),
-              fun note ->
-                Aug.record aug note;
-                match note with
-                | Aug.Mop mop -> ix := Aug_spec.complete !ix mop
-                | _ -> () )
+          Aug_spec.recording aug ix
+            ~apply:
+              (if probed then fingerprinted aug ~f digests else Aug.apply aug)
         in
         {
           aug;
           plan;
           digests;
-          probed;
           ix;
           run =
             Aug.Prog.start ~max_ops
@@ -1364,11 +1356,8 @@ module Aug_target = struct
 
       let current t = Aug.Prog.current t.run
 
-      let view t (r : result) = (t.aug, r.trace, r.statuses, r.total_ops)
-
-      let index t (r : result) =
-        if t.probed then Lazy.from_val !(t.ix)
-        else lazy (Aug_spec.index t.aug r.trace)
+      let view t (r : result) =
+        (t.aug, r.trace, r.statuses, r.total_ops, !(t.ix))
 
       let fingerprint t ~live =
         let fold mixf a b =
@@ -1514,10 +1503,7 @@ module Harness_target = struct
       let current sim = (hspec, Harness.current sim)
 
       let view _ ((_, r) : result) =
-        (r.Harness.aug, r.trace, r.statuses, r.total_ops)
-
-      let index _ ((_, r) : result) =
-        lazy (Aug_spec.index r.Harness.aug r.trace)
+        (r.Harness.aug, r.trace, r.statuses, r.total_ops, r.index)
 
       (* Simulator local state is too rich to digest soundly at this
          boundary, so the engine shares prefixes but never dedups. *)

@@ -186,7 +186,8 @@ type exhaustive_report = {
     Stops early (atomically, across all domains) after [max_violations]
     (default 1) raw violations, keeping whichever arrived first; the raw
     set is then merged (shortest script first), shrunk, and
-    deduplicated. Equal states can have different histories, so [dedup]
+    deduplicated. Raises [Invalid_argument] if [max_violations < 1].
+    Equal states can have different histories, so [dedup]
     can miss a violation of a history-judged oracle at the tightest
     bound that shows it (DESIGN §9). *)
 val exhaustive :
@@ -229,7 +230,8 @@ type sweep_report = {
     [Schedule.random]) and random scripts. Executions are capped at
     [max_steps] (default 200) operations. Violations are shrunk and
     deduplicated in the calling domain; workers stop early once
-    [max_violations] (default 1) have been found. *)
+    [max_violations] (default 1) have been found. Raises
+    [Invalid_argument] if [max_violations < 1]. *)
 val sweep :
   ?domains:int ->
   ?max_steps:int ->
@@ -270,12 +272,10 @@ type 'r exec = {
   statuses : Rsim_runtime.Prog.status array;
   steps : int;  (** H-operations executed *)
   complete : bool;  (** no process was still pending *)
-  index : Rsim_augmented.Aug_spec.index Lazy.t;
-      (** the run's trace index: in an execution {!exhaustive} probes,
-          the one the run extended hop by hop, whose completed
-          M-operations already carry their settled verdicts; in any other,
-          the fold of the trace ({!Rsim_augmented.Aug_spec.index}), built
-          when first read *)
+  index : Rsim_augmented.Aug_spec.index;
+      (** the run's trace index, which the run extended hop by hop
+          ({!Rsim_augmented.Aug_spec.recording}), so its completed
+          M-operations already carry their settled verdicts *)
   spec_report : Rsim_augmented.Aug_spec.report Lazy.t;
       (** {!Rsim_augmented.Aug_spec.report} of [index]: its settled
           verdicts, and the checks a later hop could still change judged

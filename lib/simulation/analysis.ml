@@ -39,7 +39,7 @@ let check (spec : Harness.spec) (result : Harness.result) =
   else begin
     let aug = result.Harness.aug in
     let part = result.Harness.partition in
-    let ix = Aug_spec.index aug result.Harness.trace in
+    let ix = result.Harness.index in
 
     (* ---- 1. Match each simulator's completed M-ops (Aug log) with its
        journal events, in per-simulator order. [paired.(p)]: log entry

@@ -43,6 +43,7 @@ type result = {
   total_ops : int;
   all_done : bool;
   report : fault_report;
+  index : Aug_spec.index;
 }
 
 let partition ~m ~f ~d =
@@ -80,8 +81,9 @@ let default_watchdog ~f ~m ~max_ops =
 
 (* A simulation in progress: the shared object, the interpreter's run,
    and what the run's notes and its watchdog record — per simulator its
-   journal, latest event first, and the quarantines, latest first.
-   [save] copies the mutable parts; the rest is fixed at [start]. *)
+   journal, latest event first, and the quarantines, latest first — and
+   the trace index its hops and completions extend. [save] copies the
+   mutable parts; the rest is fixed at [start]. *)
 type sim = {
   spec : spec;
   part : int array array;
@@ -91,6 +93,7 @@ type sim = {
   run : Aug.Prog.run;
   rev_journals : Journal.event list array;
   rev_quarantined : quarantine list ref;
+  ix : Aug_spec.index ref;
 }
 
 let start ?(max_ops = 2_000_000) ?(local_cap = 100_000) ?(faults = [])
@@ -146,10 +149,12 @@ let start ?(max_ops = 2_000_000) ?(local_cap = 100_000) ?(faults = [])
       Rsim_runtime.Prog.Crash
     | directive -> directive
   in
+  let ix = ref (Aug_spec.start ~m:spec.m) in
+  let apply, record = Aug_spec.recording aug ix ~apply:(Aug.apply aug) in
   let emit = function
     | Journal.Entry { sim; event } ->
       rev_journals.(sim) <- event :: rev_journals.(sim)
-    | note -> Aug.record aug note
+    | note -> record note
   in
   {
     spec;
@@ -158,10 +163,11 @@ let start ?(max_ops = 2_000_000) ?(local_cap = 100_000) ?(faults = [])
     aug;
     plan;
     run =
-      Aug.Prog.start ~max_ops ~control ~obs_label:Aug.op_name
-        ~apply:(Aug.apply aug) ~emit programs;
+      Aug.Prog.start ~max_ops ~control ~obs_label:Aug.op_name ~apply ~emit
+        programs;
     rev_journals;
     rev_quarantined;
+    ix;
   }
 
 type saved = {
@@ -170,6 +176,7 @@ type saved = {
   s_rev_journals : Journal.event list array;
   s_rev_quarantined : quarantine list;
   s_fired : int;
+  s_ix : Aug_spec.index;
 }
 
 let save sim =
@@ -179,6 +186,7 @@ let save sim =
     s_rev_journals = Array.copy sim.rev_journals;
     s_rev_quarantined = !(sim.rev_quarantined);
     s_fired = Rsim_faults.Faults.fired_set sim.plan;
+    s_ix = !(sim.ix);
   }
 
 let restore sim s =
@@ -186,7 +194,8 @@ let restore sim s =
   Aug.restore sim.aug s.s_aug;
   Array.blit s.s_rev_journals 0 sim.rev_journals 0 sim.spec.f;
   sim.rev_quarantined := s.s_rev_quarantined;
-  Rsim_faults.Faults.set_fired sim.plan s.s_fired
+  Rsim_faults.Faults.set_fired sim.plan s.s_fired;
+  sim.ix := s.s_ix
 
 let is_done = function
   | Rsim_runtime.Prog.Done -> true
@@ -261,6 +270,7 @@ let result_of sim (fr : Aug.Prog.result) =
         quarantined = List.rev !(sim.rev_quarantined);
         watchdog_budget = sim.watchdog_budget;
       };
+    index = !(sim.ix);
   }
 
 let finish ?probe ?at_end ~sched sim =

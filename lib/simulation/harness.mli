@@ -53,6 +53,10 @@ type result = {
   total_ops : int;
   all_done : bool;
   report : fault_report;
+  index : Rsim_augmented.Aug_spec.index;
+      (** the §3.3 trace index of [trace] and [aug]'s log, which the run
+          extended as it went ({!Rsim_augmented.Aug_spec.recording}); what
+          {!Analysis.check} and the explorer's oracles read *)
 }
 
 (** The assignment of simulated processes to simulators: covering
@@ -134,8 +138,8 @@ val finish :
 val current : sim -> result
 
 (** A simulation's state at one scheduling decision: the interpreter's
-    run, the augmented snapshot, the journals, the quarantines and the
-    fault plan's fired set. Immutable. *)
+    run, the augmented snapshot, the journals, the quarantines, the
+    fault plan's fired set and the trace index. Immutable. *)
 type saved
 
 (** [save s], called from [s]'s probe. *)

@@ -440,7 +440,7 @@ let ref_lin_item = function
    [trace]) with the reference's on [aug] and [trace]. *)
 let compare_with_reference tally what ?ix ?got aug trace =
   let ix =
-    match ix with Some ix -> Lazy.force ix | None -> Aug_spec.index aug trace
+    match ix with Some ix -> ix | None -> Aug_spec.index aug trace
   in
   let got =
     match got with Some got -> Lazy.force got | None -> Aug_spec.report ix
@@ -463,19 +463,22 @@ let compare_with_reference tally what ?ix ?got aug trace =
 
 (* An oracle that judges nothing and compares the engine's own report
    and index, the ones every other oracle reads, with the reference on
-   every execution the engine produces, complete or truncated: in an
-   exhaustive tree they were extended hop by hop, in a sweep folded. *)
-let reference_oracle tally : Rsim_explore.Explore.Aug_target.exec
-    Rsim_explore.Explore.Oracle.t =
+   every execution the engine produces, complete or truncated: the run
+   extended that index hop by hop. [trace] reads a result's trace. *)
+let reference_oracle tally ~trace : _ Rsim_explore.Explore.Oracle.t =
   {
     name = "spec-reference";
     on_truncated = true;
     check =
-      (fun { aug; result; index; spec_report; _ } ->
+      (fun ({ aug; result; index; spec_report; _ } :
+             _ Rsim_explore.Explore.exec) ->
         compare_with_reference tally "explored execution" ~ix:index
-          ~got:spec_report aug result.trace;
+          ~got:spec_report aug (trace result);
         []);
   }
+
+let aug_reference tally =
+  reference_oracle tally ~trace:(fun (r : Aug.Prog.result) -> r.trace)
 
 let new_tally () = { compared = 0; failing = 0; mismatches = [] }
 
@@ -507,9 +510,13 @@ let test_checker_matches_reference () =
       in
       for seed = 1 to 3 do
         let r = Harness.run ~sched:(Schedule.random ~seed) spec in
-        compare_with_reference tally
-          (Printf.sprintf "racing n=%d m=%d f=%d d=%d seed %d" n m f d seed)
-          r.Harness.aug r.Harness.trace
+        let what =
+          Printf.sprintf "racing n=%d m=%d f=%d d=%d seed %d" n m f d seed
+        in
+        (* the index the run carried, then the fold of its trace *)
+        compare_with_reference tally (what ^ ", carried") ~ix:r.Harness.index
+          r.Harness.aug r.Harness.trace;
+        compare_with_reference tally what r.Harness.aug r.Harness.trace
       done)
     [ (4, 2, 2, 0); (5, 2, 3, 1); (7, 5, 2, 1); (13, 4, 3, 1); (16, 4, 4, 0) ];
   (* The E9 ablation: no helping writes. *)
@@ -524,19 +531,21 @@ let test_checker_matches_reference () =
       (Printf.sprintf "helping:false seed %d" seed)
       aug result.trace
   done;
-  no_mismatch "folded" tally;
+  no_mismatch "simulations and ablation" tally;
   Alcotest.(check bool)
-    (Printf.sprintf "folded corpus has failing reports (%d of %d)" tally.failing
+    (Printf.sprintf "corpus has failing reports (%d of %d)" tally.failing
        tally.compared)
     true
     (tally.failing > 0 && tally.failing < tally.compared)
 
-(* The engine's report, extended hop by hop in exhaustive trees and
-   folded in sweeps, on the builtin shapes: clean and with each seeded
-   bug, unfaulted and under a profile with drops, corruptions, crashes
-   and restarts. *)
+(* The engine's report, from the index each run extends hop by hop, on
+   the builtin shapes (clean and with each seeded bug, unfaulted and
+   under a profile with drops, corruptions, crashes and restarts, in
+   exhaustive trees and sweeps) and on the racing simulation's
+   preemption-bounded tree, whose index the harness carries. *)
 let test_engine_report_matches_reference () =
   let module Explore = Rsim_explore.Explore in
+  let module Harness = Rsim_simulation.Harness in
   let faults =
     match
       Rsim_faults.Faults.of_string
@@ -548,7 +557,7 @@ let test_engine_report_matches_reference () =
   List.iter
     (fun inject ->
       let tally = new_tally () in
-      let oracles = [ reference_oracle tally ] in
+      let oracles = [ aug_reference tally ] in
       List.iter
         (fun (name, f, max_steps) ->
           let build ?faults () =
@@ -580,7 +589,23 @@ let test_engine_report_matches_reference () =
       Some Aug.Skip_yield_check;
       Some Aug.Yield_on_higher;
       Some Aug.Spin_on_yield;
-    ]
+    ];
+  let tally = new_tally () in
+  let racing =
+    Explore.Harness_target.racing
+      ~oracles:
+        [
+          reference_oracle tally ~trace:(fun ((_, r) : _ * Harness.result) ->
+              r.Harness.trace);
+        ]
+      ~n:4 ~m:2 ~f:2 ~d:0 ()
+  in
+  let r =
+    Explore.exhaustive ~domains:1 ~preemption_bound:2 ~max_steps:80 racing
+  in
+  Alcotest.(check int) "racing tree: complete leaves" 842 r.Explore.complete;
+  Alcotest.(check int) "racing tree: every leaf compared" 842 tally.compared;
+  no_mismatch "racing tree" tally
 
 (* A dropped Line-4 write leaves the next Block-Update of q1 in mixed
    f=3 m=2 with the same timestamp as the one that completed, so its
@@ -592,7 +617,7 @@ let test_reused_key_matches_reference () =
   let faults = Result.get_ok (Rsim_faults.Faults.of_string "drop@1:1") in
   let w =
     Option.get
-      (Explore.Aug_target.builtin ~faults ~oracles:[ reference_oracle tally ]
+      (Explore.Aug_target.builtin ~faults ~oracles:[ aug_reference tally ]
          ~name:"mixed" ~f:3 ~m:2 ())
   in
   ignore (Explore.exhaustive ~domains:1 ~preemption_bound:1 ~max_steps:20 w);
@@ -608,7 +633,7 @@ let test_long_leaves_match_reference () =
   let tally = new_tally () in
   let w =
     Option.get
-      (Explore.Aug_target.builtin ~oracles:[ reference_oracle tally ]
+      (Explore.Aug_target.builtin ~oracles:[ aug_reference tally ]
          ~name:"mixed" ~f:3 ~m:2 ())
   in
   let r = Explore.exhaustive ~domains:1 ~preemption_bound:2 ~max_steps:80 w in

@@ -168,6 +168,30 @@ let test_fault_pid_out_of_range () =
   check_refused ("stats " ^ path) ~reason;
   Sys.remove path
 
+(* An engine bound out of range would read as a pass on a seeded bug
+   the default bounds catch: a negative step or preemption bound and an
+   empty sweep explore nothing, and an engine that may keep no violation
+   stops at the first one and drops it. Each is refused. *)
+let test_bounds_out_of_range () =
+  let caught =
+    "explore --workload bu-conflict -f 2 -m 2 --inject yield-on-higher"
+  in
+  List.iter
+    (fun (flags, reason) -> check_refused (caught ^ " " ^ flags) ~reason)
+    [
+      ( "--max-steps 12 --max-violations 0",
+        "--max-violations must be >= 1 (got 0)" );
+      ( "--max-steps 12 --max-violations=-1",
+        "--max-violations must be >= 1 (got -1)" );
+      ("--max-steps=-5", "--max-steps must be >= 0 (got -5)");
+      ("--preemption-bound=-1", "--preemption-bound must be >= 0 (got -1)");
+      ("--mode sweep --budget 0", "--budget must be >= 1 (got 0)");
+      ("--mode sweep --budget=-3", "--budget must be >= 1 (got -3)");
+    ];
+  (* --max-steps 0 still means the engine's default, and catches the bug *)
+  let code, _, _ = run (caught ^ " --max-steps 0") in
+  Alcotest.(check int) "--max-steps 0: the bug is caught" 1 code
+
 let () =
   Alcotest.run "cli"
     [
@@ -190,5 +214,7 @@ let () =
             test_racing_seeded_bug;
           Alcotest.test_case "fault pid outside the workload" `Quick
             test_fault_pid_out_of_range;
+          Alcotest.test_case "explore: engine bounds out of range" `Quick
+            test_bounds_out_of_range;
         ] );
     ]

@@ -1206,7 +1206,7 @@ let reference_oracle t : Explore.Aug_target.exec Explore.Oracle.t =
         let want = List.map race_key (Race_ref.race_errors aug result) in
         if want <> [] then t.racy <- t.racy + 1;
         if got <> want then t.race_diffs <- t.race_diffs + 1;
-        let spec, entries = Explore.mop_history aug (Lazy.force ex.index) in
+        let spec, entries = Explore.mop_history aug ex.index in
         let _, ref_entries = Linearize_ref.mop_history aug result.Aug.Prog.trace in
         if entries <> ref_entries then t.history_diffs <- t.history_diffs + 1;
         (* the oracle searches histories of at most 16 operations *)
