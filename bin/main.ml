@@ -570,7 +570,9 @@ let replay_cmd =
                "the artifact cannot be read or rebuilt: missing file, \
                 directory, unreadable permissions, malformed JSON, unknown \
                 workload, bad fault profile, a shape that $(b,explore) \
-                refuses, or a newer schema version.";
+                refuses, a newer schema version, or a script it cannot \
+                run as written (max_steps below 1 or below the script's \
+                length, a pid the workload does not have).";
            Cmd.Exit.info Cmd.Exit.cli_error ~doc:"command-line parse error.";
          ])
     Term.(const run $ path $ metrics_arg $ trace_out_arg)
@@ -638,7 +640,7 @@ let lint_cmd =
     Arg.(
       value & opt string "."
       & info [ "root" ] ~docv:"DIR"
-          ~doc:"Workspace root to scan (lib/, bin/, bench/, dev/ under it).")
+          ~doc:"Workspace root to scan (lib/, bin/, dev/ under it).")
   in
   let baseline =
     Arg.(

@@ -2,8 +2,6 @@
 
    Usage:  validate_obs metrics FILE   — a `rsim ... --metrics json` dump
            validate_obs trace FILE     — a `--trace-out` Chrome trace
-           validate_obs bench FILE     — bench's BENCH_obs.json
-           validate_obs explore FILE   — bench's BENCH_explore.json
 
    For [metrics], FILE may be a whole captured stdout: the dump is the
    last line starting with '{'. Exits 0 if the file matches the schema,
@@ -90,73 +88,10 @@ let check_trace path =
     evs;
   Printf.printf "trace ok: %d events\n" (List.length evs)
 
-let check_bench path =
-  let j = parse "bench" (read_file path) in
-  List.iter
-    (fun name ->
-      match obj_field "bench" j name with
-      | J.Float f when Float.is_finite f && f >= 0. -> ()
-      | J.Int n when n >= 0 -> ()
-      | _ -> fail "bench: %S is not a non-negative number" name)
-    [
-      "schedules_per_sec_obs_off";
-      "schedules_per_sec_obs_on";
-      "aug_ops_per_sec";
-      "trace_events";
-    ];
-  ignore (obj_field "bench" j "obs_on_overhead_pct");
-  print_endline "bench snapshot ok"
-
-let check_explore path =
-  let j = parse "explore" (read_file path) in
-  let positive what v =
-    match v with
-    | J.Float f when Float.is_finite f && f > 0. -> ()
-    | J.Int n when n > 0 -> ()
-    | _ -> fail "explore: %S is not a positive number" what
-  in
-  let side name =
-    let s = obj_field "explore" j name in
-    positive (name ^ ".wall_s") (obj_field "explore" s "wall_s");
-    positive (name ^ ".executions") (obj_field "explore" s "executions");
-    positive (name ^ ".prefixes") (obj_field "explore" s "prefixes");
-    match obj_field "explore" s "violations" with
-    | J.Int 0 -> ()
-    | _ -> fail "explore: %s run of the clean workload found violations" name
-  in
-  side "naive";
-  side "engine";
-  (* The engine must never lose to the O(L^2) baseline outright; the
-     >= 4x target is asserted on the CI runner, not here — wall-clock
-     thresholds are too machine-dependent for a schema check. *)
-  positive "speedup_vs_naive" (obj_field "explore" j "speedup_vs_naive");
-  (match obj_field "explore" j "scaling" with
-  | J.Arr rows when List.length rows >= 2 ->
-    let execs =
-      List.map
-        (fun row ->
-          positive "scaling.domains" (obj_field "explore" row "domains");
-          positive "scaling.scheds_per_sec"
-            (obj_field "explore" row "scheds_per_sec");
-          obj_field "explore" row "executions")
-        rows
-    in
-    (* pruning is off for the scaling runs: every domain count must have
-       done identical work, or the engine is not domain-count invariant *)
-    (match execs with
-    | e :: rest when List.for_all (( = ) e) rest -> ()
-    | _ -> fail "explore: scaling rows did different amounts of work")
-  | J.Arr _ -> fail "explore: scaling has fewer than 2 rows"
-  | _ -> fail "explore: scaling is not an array");
-  positive "scaling_1_to_4" (obj_field "explore" j "scaling_1_to_4");
-  print_endline "explore snapshot ok"
-
 let () =
   match Sys.argv with
   | [| _; "metrics"; path |] -> check_metrics path
   | [| _; "trace"; path |] -> check_trace path
-  | [| _; "bench"; path |] -> check_bench path
-  | [| _; "explore"; path |] -> check_explore path
   | _ ->
-    prerr_endline "usage: validate_obs (metrics|trace|bench|explore) FILE";
+    prerr_endline "usage: validate_obs (metrics|trace) FILE";
     exit 2

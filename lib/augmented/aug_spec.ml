@@ -241,7 +241,21 @@ let append ix ~idx ~pid (first : Hrep.triple) triples =
       };
   }
 
+(* The trace index of the latest hop the index holds: its latest H.scan
+   or its latest append, whichever came later ([-1] for neither). *)
+let latest ix =
+  let s = match ix.hscans with Hscan h -> h.idx | No_hscan -> -1 in
+  match ix.core.apps with u :: _ when u.u_x_idx > s -> u.u_x_idx | _ -> s
+
+(* Hops arrive in trace order. An index fed one that does not (say, by a
+   run that restored its state but not its index) describes no run, and
+   walks over it need not end, so such a hop is refused at once. *)
 let hop ix ~idx ~pid (op : Aug.Ops.op) (res : Aug.Ops.res) =
+  let last = latest ix in
+  if idx <= last then
+    invalid_arg
+      (Printf.sprintf "Aug_spec.hop: trace index %d is not past the latest hop %d"
+         idx last);
   match (op, res) with
   | Aug.Ops.Hscan, Aug.Ops.Snap snap ->
     { ix with hscans = Hscan { idx; pid; snap; before = ix.hscans } }

@@ -33,12 +33,34 @@ let of_violation ~(workload : Explore.workload) ~max_steps
     script = v.Explore.script;
   }
 
+(* A script the replay cannot run as written would read as "not
+   reproduced": a step cap below 1 or below the script's length cuts it
+   short, and a pid the workload does not have is skipped. *)
+let check_script t (w : Explore.workload) =
+  let n = w.Explore.n_procs and len = List.length t.script in
+  if t.max_steps < 1 then
+    Error (Printf.sprintf "artifact: max_steps must be >= 1 (got %d)" t.max_steps)
+  else if len > t.max_steps then
+    Error
+      (Printf.sprintf "artifact: the %d-step script exceeds max_steps = %d" len
+         t.max_steps)
+  else
+    match List.find_opt (fun pid -> pid < 0 || pid >= n) t.script with
+    | Some pid ->
+      Error
+        (Printf.sprintf
+           "artifact: script pid %d is not one of the %d processes (0 to %d)"
+           pid n (n - 1))
+    | None -> Ok w
+
 let to_workload t =
   match Option.fold ~none:(Ok []) ~some:Rsim_faults.Faults.of_string t.faults with
   | Error e -> Error ("artifact: bad fault profile: " ^ e)
   | Ok faults ->
-    Explore.build_workload ~name:t.workload ~params:t.params ?inject:t.inject
-      ~faults ()
+    Result.bind
+      (Explore.build_workload ~name:t.workload ~params:t.params
+         ?inject:t.inject ~faults ())
+      (check_script t)
 
 (* ---------------------------------------------------------------- *)
 (* Serialization (via the observability plane's JSON)                *)

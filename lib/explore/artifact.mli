@@ -50,9 +50,12 @@ val of_violation :
 
 (** Rebuild the workload this artifact was produced from — including its
     fault profile, so the replay faults the same ops of the same pids.
-    Fails on an unparseable fault profile, or on whatever
+    Fails on an unparseable fault profile, on whatever
     {!Explore.build_workload} refuses (an unknown workload or bug,
-    missing parameters, an invalid shape). *)
+    missing parameters, an invalid shape), and on a script the replay
+    could not run as written: [max_steps < 1], a script longer than
+    [max_steps], or a script pid that is not one of the workload's
+    [n_procs] processes. *)
 val to_workload : t -> (Explore.workload, string) result
 
 val to_json : t -> string

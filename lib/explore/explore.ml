@@ -255,79 +255,6 @@ type exhaustive_report = {
   violations : violation list;
 }
 
-(* The pre-parallel engine, kept as the reference the parallel engine
-   must match node for node (test_explore's "engine matches naive DFS")
-   and as the measurement baseline for [bench --explore-only]: a
-   single-domain DFS that saves no state, so it re-executes every
-   schedule prefix from scratch — O(L²) executions per leaf — and
-   re-executes each leaf a second time to judge it. Prefix accumulation
-   is reverse-consed (one [List.rev] per execution). *)
-let exhaustive_naive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
-    w =
-  let complete = ref 0 in
-  let truncated = ref 0 in
-  let prefixes = ref 0 in
-  let executions = ref 0 in
-  let violations = ref [] in
-  let stop = ref false in
-  let leaf ~cut script =
-    if cut then incr truncated else incr complete;
-    Obs.Metrics.observe h_preempt (preemptions_of script);
-    incr executions;
-    let out = replay w ~max_steps ~script in
-    if out.errors <> [] then begin
-      violations :=
-        record_violation w ~max_steps !violations
-          ~script:(Lazy.force out.script) ~errors:out.errors;
-      if List.length !violations >= max_violations then stop := true
-    end
-  in
-  (* DFS over schedule prefixes. [last] is the pid of the previous step,
-     [preempts] the context switches away from a still-live process so
-     far. *)
-  let rec go rev_script nsteps preempts last =
-    if not !stop then begin
-      incr prefixes;
-      incr executions;
-      Obs.Metrics.incr m_execs;
-      let script = List.rev rev_script in
-      let out =
-        w.exec ~probe:None ~certify:false ~sched:(Schedule.script script)
-          ~max_ops:max_steps ~check:false
-      in
-      if out.live = [] then leaf ~cut:false script
-      else if nsteps >= max_steps then leaf ~cut:true script
-      else begin
-        let choices =
-          match preemption_bound with
-          | Some b when preempts >= b && last >= 0 && List.mem last out.live ->
-            [ last ]
-          | _ -> out.live
-        in
-        List.iter
-          (fun pid ->
-            let preempts' =
-              if last >= 0 && pid <> last && List.mem last out.live then
-                preempts + 1
-              else preempts
-            in
-            go (pid :: rev_script) (nsteps + 1) preempts' pid)
-          choices
-      end
-    end
-  in
-  go [] 0 0 (-1);
-  {
-    complete = !complete;
-    truncated = !truncated;
-    prefixes = !prefixes;
-    executions = !executions;
-    dedup_hits = 0;
-    pruned = 0;
-    domains = 1;
-    violations = List.rev !violations;
-  }
-
 (* A frontier entry: a tree node to resume from ([None]: the root) and
    the decision to take there. [rev_prefix] is every decision from the
    root, the task's own included, latest first: the leaf's script.

@@ -199,20 +199,6 @@ val exhaustive :
   workload ->
   exhaustive_report
 
-(** The pre-parallel engine: a single-domain DFS that saves no state,
-    so it re-executes every schedule prefix from scratch (O(L²)
-    executions per leaf) and re-executes each leaf once more to judge
-    it. It is the reference {!exhaustive} must match node for node with
-    [dedup] off at one domain (test_explore's "engine matches naive
-    DFS"), and the measurement baseline for [bench --explore-only]. Same
-    report shape, with [dedup_hits]/[pruned] 0 and [domains] 1. *)
-val exhaustive_naive :
-  ?max_steps:int ->
-  ?preemption_bound:int ->
-  ?max_violations:int ->
-  workload ->
-  exhaustive_report
-
 type sweep_report = {
   executions : int;  (** schedules actually executed *)
   domains : int;  (** parallel workers used *)

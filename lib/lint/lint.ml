@@ -44,10 +44,10 @@
 
    R6  interfaces hold only what other modules use: a [val] in a lib/
        .mli, at top level or in a submodule's [sig ... end], that no
-       module outside its own library refers to (in lib/, bin/, bench/,
-       dev/, test/, perfbench/ or examples/) is flagged, so leftovers do
-       not pile up in interfaces. A reference is [M.x] (through any
-       module path or alias) or a bare [x] in a file that opens [M]; being
+       module outside its own library refers to (in lib/, bin/, dev/,
+       test/, perfbench/ or examples/) is flagged, so leftovers do not
+       pile up in interfaces. A reference is [M.x] (through any module
+       path or alias) or a bare [x] in a file that opens [M]; being
        syntactic, the check over-counts references rather than missing
        one.
 
@@ -371,7 +371,7 @@ let lint_file ~root ~file =
 (* Workspace walking + R5                                            *)
 (* ---------------------------------------------------------------- *)
 
-let default_dirs = [ "lib"; "bin"; "bench"; "dev" ]
+let default_dirs = [ "lib"; "bin"; "dev" ]
 
 let rec walk_ext ext root rel acc =
   let abs = if rel = "" then root else Filename.concat root rel in
@@ -400,7 +400,7 @@ let files ?(dirs = default_dirs) ~root () =
 (* ---------------------------------------------------------------- *)
 
 let consumer_dirs =
-  [ "lib"; "bin"; "bench"; "dev"; "test"; "perfbench"; "examples" ]
+  [ "lib"; "bin"; "dev"; "test"; "perfbench"; "examples" ]
 
 (* The library directory of a file under lib/, or "" elsewhere. *)
 let library_of path =

@@ -21,9 +21,9 @@
       bare [failwith]) on those same hot paths.
     - {b R5} every [lib/] module has a sibling [.mli].
     - {b R6} every top-level [val] of a [lib/] [.mli] is referred to by
-      some module outside its library (in [lib/], [bin/], [bench/],
-      [dev/], [test/], [perfbench/] or [examples/]), so interfaces hold
-      only what other modules use.
+      some module outside its library (in [lib/], [bin/], [dev/],
+      [test/], [perfbench/] or [examples/]), so interfaces hold only
+      what other modules use.
 
     Findings are diffed against a committed baseline keyed by
     (rule, file, message) so CI fails only on regressions; an entry may
@@ -45,7 +45,7 @@ type report = { files : int;  (** files scanned *) findings : finding list }
 val lint_source : file:string -> string -> finding list
 
 (** Walk the workspace and apply every rule: R1–R5 to the [.ml] files
-    under [dirs] (default [lib bin bench dev], skipping [_build]-style
+    under [dirs] (default [lib bin dev], skipping [_build]-style
     directories), R6 to [lib/]'s interfaces. Findings are sorted by
     (file, line, rule, message). *)
 val scan : ?dirs:string list -> root:string -> unit -> report

@@ -676,6 +676,41 @@ let test_window_start_latest () =
       ("triple counts, not identity", h1, 5, Some 3);
     ]
 
+let test_hop_out_of_order () =
+  (* An index fed a hop at or below one it already holds describes no
+     run; it must be refused at once, not judged (a walk over it need not
+     end). Both ways in: the fold over a trace out of order, and a run
+     that restores its state but not its index. *)
+  let h0 = Hrep.create ~f:2 in
+  let triple = { Hrep.comp = 0; value = Value.Int 1; ts = Vts.of_array [| 1; 0 |] } in
+  let scan idx = { Aug.Prog.idx; pid = 1; op = Aug.Ops.Hscan; res = Aug.Ops.Snap h0 } in
+  let append idx =
+    { Aug.Prog.idx; pid = 0; op = Aug.Ops.Happend_triples [ triple ];
+      res = Aug.Ops.Ack }
+  in
+  let refused what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: the hop was taken" what
+  in
+  List.iter
+    (fun (what, trace) ->
+      refused what (fun () -> Aug_spec.index (Aug.create ~f:2 ~m:1 ()) trace))
+    [
+      ("a scan below a scan", [ scan 0; scan 2; scan 1 ]);
+      ("a scan at an append", [ scan 0; append 1; scan 1 ]);
+      ("an append below a scan", [ scan 0; scan 3; append 2 ]);
+    ];
+  let aug = Aug.create ~f:2 ~m:1 () in
+  let ix = ref (Aug_spec.start ~m:1) in
+  let apply, _ = Aug_spec.recording aug ix ~apply:(Aug.apply aug) in
+  let saved = Aug.save aug in
+  ignore (apply ~pid:0 Aug.Ops.Hscan);
+  ignore (apply ~pid:1 Aug.Ops.Hscan);
+  Aug.restore aug saved;
+  refused "a restored run that kept its index" (fun () ->
+      apply ~pid:0 Aug.Ops.Hscan)
+
 let () =
   Alcotest.run "aug"
     [
@@ -727,6 +762,8 @@ let () =
             test_reused_key_matches_reference;
           Alcotest.test_case "window_start picks the latest scan" `Quick
             test_window_start_latest;
+          Alcotest.test_case "a hop out of order is refused" `Quick
+            test_hop_out_of_order;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -98,20 +98,23 @@ let test_explore_empty_shape () =
   check_refused "explore --workload mixed -f 0 -m 2" ~reason:"f must be >= 1";
   check_refused "explore --workload mixed -f 2 -m 0" ~reason:"m must be >= 1"
 
-(* Write an artifact that records [workload] with [params] and [inject]
-   and a two-step script; return its path. *)
-let artifact ?faults ~workload ~params ~inject () =
+(* Write an artifact that records [workload] with [params] and [inject],
+   [max_steps] (default 12) and [script] (default a two-step one);
+   return its path. *)
+let artifact ?faults ?(max_steps = 12) ?(script = [ 0; 1 ]) ~workload ~params
+    ~inject () =
   let path = Filename.temp_file "rsim_cli" ".json" in
   let opt = function None -> "null" | Some s -> Printf.sprintf "%S" s in
+  let ints l = String.concat ", " (List.map string_of_int l) in
   Out_channel.with_open_bin path (fun oc ->
       Printf.fprintf oc
         {|{"version": 2, "workload": %S, "params": {%s}, "inject": %s,
-"faults": %s, "max_steps": 12, "errors": [], "original": [0, 1],
-"script": [0, 1]}|}
+"faults": %s, "max_steps": %d, "errors": [], "original": [%s],
+"script": [%s]}|}
         workload
         (String.concat ", "
            (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) params))
-        (opt inject) (opt faults));
+        (opt inject) (opt faults) max_steps (ints script) (ints script));
   path
 
 let test_artifact_bad_shape () =
@@ -127,6 +130,32 @@ let test_artifact_bad_shape () =
         [ ("n", 3); ("m", 2); ("f", 2); ("d", 0) ],
         "(f-d)*m + d = 4 exceeds n = 3" );
       ("mixed", [ ("f", 0); ("m", 2) ], "f must be >= 1");
+    ];
+  (* A script the replay cannot run as written is refused too, instead
+     of reading as "NOT reproduced". Each case edits one field of an
+     artifact that reproduces the seeded yield-on-higher bug. *)
+  let caught = [ 1; 0; 0; 1; 1; 1; 1; 1 ] in
+  let seeded ?(max_steps = 12) ?(script = caught) () =
+    artifact ~max_steps ~script ~workload:"bu-conflict"
+      ~params:[ ("f", 2); ("m", 2) ]
+      ~inject:(Some "yield-on-higher") ()
+  in
+  let path = seeded () in
+  let code, out, _ = run ("replay " ^ path) in
+  Alcotest.(check int) ("the unedited artifact reproduces: " ^ out) 0 code;
+  Sys.remove path;
+  List.iter
+    (fun (path, reason) ->
+      List.iter
+        (fun cmd -> check_refused (cmd ^ " " ^ path) ~reason)
+        [ "replay"; "stats" ];
+      Sys.remove path)
+    [
+      ( seeded ~script:[ 1; 0; 0; 7; 1; 1; 1; 1 ] (),
+        "script pid 7 is not one of the 2 processes" );
+      (seeded ~max_steps:(-5) (), "max_steps must be >= 1 (got -5)");
+      ( seeded ~max_steps:3 (),
+        "the 8-step script exceeds max_steps = 3" );
     ]
 
 (* A seeded bug on racing gets the same message from the command line

@@ -6,6 +6,7 @@ open Rsim_explore
 module Faults = Rsim_faults.Faults
 module Harness = Rsim_simulation.Harness
 module Journal = Rsim_simulation.Journal
+module Obs = Rsim_obs.Obs
 
 let get_builtin ?inject ?faults ?oracles name ~f ~m =
   match Explore.Aug_target.builtin ?inject ?faults ?oracles ~name ~f ~m () with
@@ -550,26 +551,51 @@ let seeded_workload () =
 
 let test_engine_matches_naive () =
   (* With pruning off and one domain the parallel engine must walk the
-     exact tree the pre-PR sequential DFS walked: same complete and
-     truncated counts, same prefix count, same violation set. The huge
-     [max_violations] keeps both engines from stopping early, so the
+     exact tree the sequential DFS of [Explore_ref] walks: same complete
+     and truncated counts, same prefix count, same violation set. The
+     huge [max_violations] keeps both engines from stopping early, so the
      traversals are comparable. *)
+  let ops = Obs.Metrics.counter "fiber.ops" in
+  let hops f =
+    let before = Obs.Metrics.counter_value ops in
+    let r = f () in
+    (r, Obs.Metrics.counter_value ops - before)
+  in
+  (* Returns the engine's prefix count and each engine's hops. *)
   let check name w =
-    let naive = Explore.exhaustive_naive ~max_steps:9 ~max_violations:10_000 w in
-    let engine =
-      Explore.exhaustive ~max_steps:9 ~max_violations:10_000 ~domains:1
-        ~dedup:false w
+    let naive, naive_hops =
+      hops (fun () ->
+          Explore_ref.exhaustive ~max_steps:9 ~max_violations:10_000 w)
+    in
+    let engine, engine_hops =
+      hops (fun () ->
+          Explore.exhaustive ~max_steps:9 ~max_violations:10_000 ~domains:1
+            ~dedup:false w)
     in
     Alcotest.(check (triple int int int))
       (name ^ ": counts match naive") (counts naive) (counts engine);
     Alcotest.(check (list (list int)))
       (name ^ ": violation scripts match naive")
-      (scripts naive) (scripts engine)
+      (scripts naive) (scripts engine);
+    (engine.Explore.prefixes, naive_hops, engine_hops)
   in
-  check "clean" (clean_workload ());
-  check "seeded" (seeded_workload ());
+  (* The work each engine does, in hops (H-operations applied): the
+     engine executes every tree edge once and replays no prefix, so it
+     applies one hop per prefix below the root; the reference
+     re-executes every prefix from the root and each leaf once more. *)
+  let prefixes, naive_hops, engine_hops = check "clean" (clean_workload ()) in
+  Alcotest.(check int)
+    "clean: the engine applies one hop per tree edge" (prefixes - 1)
+    engine_hops;
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "clean: the reference applies >= 4x the engine's hops (%d against %d)"
+       naive_hops engine_hops)
+    true
+    (naive_hops >= 4 * engine_hops);
+  ignore (check "seeded" (seeded_workload ()));
   (* simulations: a task restores the simulation state saved at its node *)
-  check "racing" (Explore.Harness_target.racing ~n:2 ~m:1 ~f:2 ~d:0 ())
+  ignore (check "racing" (Explore.Harness_target.racing ~n:2 ~m:1 ~f:2 ~d:0 ()))
 
 let test_racing_tree_pinned () =
   (* The Corollary 33 witness tree, exhaustive under a preemption bound
