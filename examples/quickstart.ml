@@ -42,8 +42,9 @@ let () =
         print_endline "q1 yielded: a lower-id update landed inside its interval");
       return ()
     in
-    run ~sched:Schedule.round_robin
-      (start ~apply:(Aug.apply aug) ~emit:(Aug.record aug) [ q0; q1 ])
+    let r = start ~apply:(Aug.apply aug) ~emit:(Aug.record aug) [ q0; q1 ] in
+    run ~sched:Schedule.round_robin r;
+    current r
   in
   let report = Aug_spec.check aug result.Aug.Prog.trace in
   Printf.printf "spec check (Lemmas 2-19, Thm 20): %s\n\n"

@@ -19,13 +19,12 @@ let aug_workload ?helping ~f ~m ~n_ops ~seed () =
         Aug.random_prog cfg ~me ~seed:(seed + (1000 * me)) ~ops:n_ops
           ~max_comps:3 ~values:100)
   in
-  let result =
-    Aug.Prog.run
-      ~sched:(Schedule.random ~seed)
-      (Aug.Prog.start ~max_ops:100_000 ~apply:(Aug.apply aug)
-         ~emit:(Aug.record aug) programs)
+  let run =
+    Aug.Prog.start ~max_ops:100_000 ~apply:(Aug.apply aug)
+      ~emit:(Aug.record aug) programs
   in
-  (aug, result.Aug.Prog.trace)
+  Aug.Prog.run ~sched:(Schedule.random ~seed) run;
+  (aug, (Aug.Prog.current run).trace)
 
 (* The racing protocol through the full simulation harness. *)
 let racing_sim ~n ~m ~f ~d ~seed =

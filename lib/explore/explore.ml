@@ -27,16 +27,18 @@ let m_steals = Obs.Metrics.counter "explore.steals"
 let m_dedup = Obs.Metrics.counter "explore.dedup.hits"
 let g_frontier = Obs.Metrics.gauge "explore.frontier.depth"
 
-(* Context switches away from a pid that appears again later — the
-   preemption depth of an executed schedule. *)
-let preemptions_of script =
+(* Context switches in a schedule, the pid of each step read by
+   [pid_of] — its preemption depth. Reading it backwards gives the same
+   count. *)
+let preemptions_of pid_of steps =
   let rec go last acc = function
     | [] -> acc
-    | pid :: rest ->
+    | step :: rest ->
+      let pid = pid_of step in
       if last >= 0 && pid <> last then go pid (acc + 1) rest
       else go pid acc rest
   in
-  go (-1) 0 script
+  go (-1) 0 steps
 
 (* ---------------------------------------------------------------- *)
 (* Workloads                                                         *)
@@ -48,12 +50,15 @@ let preemptions_of script =
 type node = Node : 'saved Type.Id.t * 'saved -> node
 
 type outcome = {
-  script : int list Lazy.t;
+  trace : Aug.Prog.trace_entry list;
   live : int list;
   steps : int;
   errors : string list;
   judge : unit -> string list;
 }
+
+let script_of out =
+  List.map (fun (e : Aug.Prog.trace_entry) -> e.pid) out.trace
 
 (* What the exploration engine sees at every scheduling decision of a
    probed execution (see {!Rsim_runtime.Prog.probe}), and at every end
@@ -412,7 +417,8 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
   let vmu = Mutex.create () in
   let raw = (ref [] [@rsim.shared "guarded by vmu"]) in
   let nraw = (ref 0 [@rsim.shared "guarded by vmu"]) in
-  let report_raw script errors =
+  let report_raw rev_script errors =
+    let script = List.rev rev_script in
     Mutex.lock vmu;
     raw := (script, errors) :: !raw;
     incr nraw;
@@ -535,8 +541,7 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
        task, unless the engine stopped. *)
     let leaf (lv : leaf_view) =
       if not (!aborted || !cut_off) then begin
-        let script = List.rev !rev_path in
-        Obs.Metrics.observe h_preempt (preemptions_of script);
+        Obs.Metrics.observe h_preempt (preemptions_of Fun.id !rev_path);
         (* Leaf states are counted here, not in the probe: the probe only
            fires while some process is live, and a truncated run is ended
            by the op cap before the probe reaches the depth cut. *)
@@ -544,7 +549,7 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
         let out = lv.outcome () in
         if out.live = [] then Atomic.incr n_complete else Atomic.incr n_trunc;
         let errors = out.judge () in
-        if errors <> [] then report_raw script errors
+        if errors <> [] then report_raw !rev_path errors
       end;
       local := List.rev_append !children !local;
       children := [];
@@ -698,14 +703,7 @@ let gen_sched ~n_procs ~max_steps ~seed =
     Schedule.phased ~prefix_len:(4 + len)
       ~prefix:(Schedule.among ~procs ~seed:sub_seed)
       ~suffix:(Schedule.random ~seed:(sub_seed lxor 0x5555))
-  | _ ->
-    let rec gen g k acc =
-      if k = 0 then List.rev acc
-      else
-        let pid, g = Prng.int g n_procs in
-        gen g (k - 1) (pid :: acc)
-    in
-    Schedule.script (gen g (2 * max_steps) [])
+  | _ -> Schedule.drawn g ~n:n_procs ~len:(2 * max_steps)
 
 let sweep ?domains ?(max_steps = 200) ?(max_violations = 1) ~budget ~seed w =
   check_max_violations "sweep" max_violations;
@@ -724,7 +722,8 @@ let sweep ?domains ?(max_steps = 200) ?(max_violations = 1) ~budget ~seed w =
         w.exec ~probe:None ~certify:false ~sched ~max_ops:max_steps
           ~check:true
       in
-      Obs.Metrics.observe h_preempt (preemptions_of (Lazy.force out.script));
+      Obs.Metrics.observe h_preempt
+        (preemptions_of (fun (e : Aug.Prog.trace_entry) -> e.pid) out.trace);
       incr count;
       if out.errors <> [] then begin
         Atomic.incr found;
@@ -758,7 +757,7 @@ let sweep ?domains ?(max_steps = 200) ?(max_violations = 1) ~budget ~seed w =
       (fun acc (out : outcome) ->
         if List.length acc >= max_violations then acc
         else
-          record_violation w ~max_steps acc ~script:(Lazy.force out.script)
+          record_violation w ~max_steps acc ~script:(script_of out)
             ~errors:out.errors)
       [] raw
   in
@@ -919,7 +918,7 @@ let of_target (type r) (module T : TARGET with type result = r) ~name
       in
       let judge_now () = judge ocs ~complete ex in
       {
-        script = lazy (List.map (fun (e : Aug.Prog.trace_entry) -> e.pid) trace);
+        trace;
         live;
         steps;
         errors = (if check then judge_now () else []);
@@ -1279,7 +1278,7 @@ module Aug_target = struct
         t.ix := ix
 
       let run ?probe ?at_end ~sched t =
-        ignore (Aug.Prog.run ?probe ?at_end ~sched t.run : result)
+        Aug.Prog.run ?probe ?at_end ~sched t.run
 
       let current t = Aug.Prog.current t.run
 

@@ -42,10 +42,8 @@ type node
 
 (** The result of driving one execution under one schedule. *)
 type outcome = {
-  script : int list Lazy.t;
-      (** the pids actually scheduled, in order — a deterministic replay
-          script for {!Rsim_shmem.Schedule.script}; built when first
-          read *)
+  trace : Rsim_augmented.Aug.Prog.trace_entry list;
+      (** the operations applied, in execution order *)
   live : int list;  (** pids still pending when the run stopped *)
   steps : int;  (** base-object operations executed *)
   errors : string list;  (** oracle violations; [[]] if passing or unchecked *)
@@ -54,6 +52,10 @@ type outcome = {
           false and pay for oracles only on executions that are real
           leaves (not pruned mid-run) *)
 }
+
+(** [script_of out] is the pids [out] scheduled, in order: a
+    deterministic replay script for {!Rsim_shmem.Schedule.script}. *)
+val script_of : outcome -> int list
 
 (** What the exploration engine observes at one scheduling decision of a
     probed execution: the decision index, the schedulable pids, and a
@@ -104,7 +106,7 @@ type probe = {
 (** How to build an instance, run its processes, and judge the result.
     [exec] must be re-entrant: every call builds its own instance, and
     both engines call it concurrently from several [Domain]s. When
-    [check] is false the engine only needs [script]/[live]/[steps] and
+    [check] is false the engine only needs [trace]/[live]/[steps] and
     judges lazily via [judge]. [probe], if given, is called before every
     scheduling decision with the reached state's {!probe_view} and at
     every end with a {!leaf_view}; one call can then run many
@@ -213,8 +215,9 @@ type sweep_report = {
     uniform random, random-with-crashes, x-obstruction suffixes
     ([Schedule.among]), starvation (a random victim hidden for an
     opening stretch: [Schedule.phased] over [Schedule.among], then
-    [Schedule.random]) and random scripts. Executions are capped at
-    [max_steps] (default 200) operations. Violations are shrunk and
+    [Schedule.random]) and random scripts ([Schedule.drawn], twice
+    [max_steps] long, drawn as far as the execution gets). Executions
+    are capped at [max_steps] (default 200) operations. Violations are shrunk and
     deduplicated in the calling domain; workers stop early once
     [max_violations] (default 1) have been found. Raises
     [Invalid_argument] if [max_violations < 1]. *)

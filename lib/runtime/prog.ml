@@ -103,7 +103,7 @@ module type S = sig
     ?at_end:(unit -> unit) ->
     sched:Rsim_shmem.Schedule.t ->
     run ->
-    result
+    unit
 
   val current : run -> result
 
@@ -436,9 +436,7 @@ module Make (M : OPS) = struct
 
   let run ?probe ?at_end ~sched st =
     match loop st probe at_end sched ~probed:true with
-    | () ->
-      Obs.Metrics.add m_ops st.hops;
-      current st
+    | () -> Obs.Metrics.add m_ops st.hops
     | exception e ->
       let bt = Printexc.get_raw_backtrace () in
       Obs.Metrics.add m_ops st.hops;

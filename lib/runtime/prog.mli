@@ -16,11 +16,12 @@
     the register-level snapshot ([Regsnap]) and safe agreement
     ([Safe_agreement]).
 
-    The interpreter ({!S.start}, {!S.run}) runs one program per pid. A
-    {!Rsim_shmem.Schedule.t} decides which pid's pending operation
-    executes next; operations are applied atomically, one at a time, so
-    the recorded trace {e is} the linearization order of base-object
-    operations — exactly the atomic-steps model of the paper (§2).
+    The interpreter ({!S.start}, {!S.run}, {!S.current}) runs one
+    program per pid. A {!Rsim_shmem.Schedule.t} decides which pid's
+    pending operation executes next; operations are applied atomically,
+    one at a time, so the recorded trace {e is} the linearization order
+    of base-object operations — exactly the atomic-steps model of the
+    paper (§2).
     Given the same programs, schedule, [apply] and [control], the
     execution and trace are identical. Programs share no mutable state
     other than through [apply] and [emit].
@@ -174,21 +175,21 @@ module type S = sig
       states, and {!current} tells the hook what the run reached at
       each end.
 
-      Returns what {!current} would at the final end. [fiber.ops] gains
-      the operations this call applied. Exceptions out of [apply],
-      [control], [probe], [at_end] or the schedule propagate
-      unchanged. *)
+      It builds no result: {!current} reads what the run reached, after
+      [run] returns or from [at_end]. [fiber.ops] gains the operations
+      this call applied. Exceptions out of [apply], [control], [probe],
+      [at_end] or the schedule propagate unchanged. *)
   val run :
     ?probe:probe ->
     ?at_end:(unit -> unit) ->
     sched:Rsim_shmem.Schedule.t ->
     run ->
-    result
+    unit
 
-  (** [current r] is what [r] has reached so far, as {!run} would
-      return it if the run ended here: the statuses, trace, per-pid
-      counts and events up to now. It shares no mutable array with [r],
-      so it stays as it is when the run goes on. *)
+  (** [current r] is what [r] has reached so far, the one way to read a
+      run's result: the statuses, trace, per-pid counts and events up to
+      now. Each call builds a new result; it shares no mutable array with
+      [r], so it stays as it is when the run goes on. *)
   val current : run -> result
 
   (** A run's state at one scheduling decision, immutable. *)

@@ -8,8 +8,12 @@
     by the real-system runtime ([Prog]).
 
     A schedule is data, not a chain of closures: each constructor below
-    is one case of a variant, and [next] interprets it, allocating only
-    the decision and the successor state. *)
+    is one case of a variant, and [next] interprets it. A decision of
+    [round_robin], [solo], [script], [drawn], [random] or [among]
+    allocates only the returned [Some (pid, t')] and the successor case:
+    the random ones keep their stream's start and a position, and draw
+    with {!Rsim_value.Prng.int_at}, so no generator state is boxed, and
+    [among] counts and indexes its eligible pids in place. *)
 
 type t
 
@@ -26,6 +30,12 @@ val solo : int -> t
 (** Follow a fixed pid script, skipping entries that are not live;
     exhausts at end of script. *)
 val script : int list -> t
+
+(** [drawn g ~n ~len] is [script] of [len] pids drawn from [g] with
+    successive [Prng.int _ n] calls, each drawn only when a decision
+    reaches it: an execution that stops early draws only what it used.
+    Raises [Invalid_argument] if [len > 0] and [n <= 0]. *)
+val drawn : Rsim_value.Prng.t -> n:int -> len:int -> t
 
 (** Uniformly random live process each step. *)
 val random : seed:int -> t

@@ -274,13 +274,14 @@ let result_of sim (fr : Aug.Prog.result) =
   }
 
 let finish ?probe ?at_end ~sched sim =
-  ignore (Aug.Prog.run ?probe ?at_end ~sched sim.run : Aug.Prog.result)
+  Aug.Prog.run ?probe ?at_end ~sched sim.run
 
 let current sim = result_of sim (Aug.Prog.current sim.run)
 
 let run ?max_ops ?local_cap ?faults ?watchdog ~sched spec =
   let sim = start ?max_ops ?local_cap ?faults ?watchdog spec in
-  result_of sim (Aug.Prog.run ~sched sim.run)
+  finish ~sched sim;
+  current sim
 
 type invalid =
   | Simulator_raised of { sim : int; exn : string }

@@ -6,7 +6,7 @@ type t = int64
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -17,12 +17,21 @@ let next t =
   let t' = Int64.add t golden_gamma in
   (mix64 t', t')
 
+(* A draw from state [t']: the top bits, via a logical shift, for
+   uniformity over small bounds. Inlined, so no int64 is boxed. *)
+let[@inline] draw t' bound =
+  Int64.to_int (Int64.shift_right_logical (mix64 t') 2) mod bound
+
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   let t' = Int64.add t golden_gamma in
-  (* Use the top bits via logical shift for uniformity over small bounds. *)
-  let k = Int64.to_int (Int64.shift_right_logical (mix64 t') 2) mod bound in
-  (k, t')
+  (draw t' bound, t')
+
+(* After [k] draws the state is [t + k * gamma], so the [k]-th draw mixes
+   [t + (k + 1) * gamma]. *)
+let int_at t k bound =
+  if bound <= 0 then invalid_arg "Prng.int_at: bound must be positive";
+  draw (Int64.add t (Int64.mul (Int64.of_int (k + 1)) golden_gamma)) bound
 
 let bool t =
   let r, t' = next t in

@@ -14,6 +14,14 @@ val make : int -> t
     Raises [Invalid_argument] if [bound <= 0]. *)
 val int : t -> int -> int * t
 
+(** [int_at t k bound] is the [k]-th draw of [t]'s stream, counting from
+    0: what [int] returns after [k] earlier draws ([int], [bool] or
+    [float]) from [t], each with the generator the previous one
+    returned. It allocates nothing, so a consumer can keep [t] and a
+    position instead of threading a generator. Raises
+    [Invalid_argument] if [bound <= 0]. *)
+val int_at : t -> int -> int -> int
+
 val bool : t -> bool * t
 
 (** Uniform float in [0, 1). *)

@@ -41,7 +41,7 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
     if out.errors <> [] then begin
       violations :=
         record_violation w ~max_steps !violations
-          ~script:(Lazy.force out.script) ~errors:out.errors;
+          ~script:(Explore.script_of out) ~errors:out.errors;
       if List.length !violations >= max_violations then stop := true
     end
   in

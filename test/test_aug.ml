@@ -9,9 +9,12 @@ let check_spec name (aug, (result : Aug.Prog.result)) =
 
 (* Run one program per process against [aug]. *)
 let run ?max_ops ~sched aug programs =
-  Aug.Prog.run ~sched
-    (Aug.Prog.start ?max_ops ~apply:(Aug.apply aug) ~emit:(Aug.record aug)
-       programs)
+  let r =
+    Aug.Prog.start ?max_ops ~apply:(Aug.apply aug) ~emit:(Aug.record aug)
+      programs
+  in
+  Aug.Prog.run ~sched r;
+  Aug.Prog.current r
 
 let ( let* ) = Aug.Prog.bind
 let return = Aug.Prog.return

@@ -211,15 +211,18 @@ let crash_run ~crash_after =
   let result =
     let cfg = Aug.config aug in
     let open Aug.Prog in
-    run ~sched
-      (start ~apply:(Aug.apply aug) ~emit:(Aug.record aug)
-         [
-           (let* v = Aug.scan_prog cfg ~me:0 in
-            seen := v;
-            return ());
-           (let* _ = Aug.block_update_prog cfg ~me:1 [ (0, Value.Int 42) ] in
-            return ());
-         ])
+    let r =
+      start ~apply:(Aug.apply aug) ~emit:(Aug.record aug)
+        [
+          (let* v = Aug.scan_prog cfg ~me:0 in
+           seen := v;
+           return ());
+          (let* _ = Aug.block_update_prog cfg ~me:1 [ (0, Value.Int 42) ] in
+           return ());
+        ]
+    in
+    run ~sched r;
+    current r
   in
   Alcotest.(check bool) "q1 crashed mid-operation" true
     (result.Aug.Prog.statuses.(1) = Rsim_runtime.Prog.Pending);
@@ -887,7 +890,7 @@ let resumes_match ~what ~salt ~max_ops (w : Explore.workload) seen =
     in
     let run ?probe sched =
       let out = w.Explore.exec ~probe ~certify:false ~sched ~max_ops ~check:true in
-      (Lazy.force out.Explore.script, out.Explore.live, out.Explore.steps,
+      (Explore.script_of out, out.Explore.live, out.Explore.steps,
        out.Explore.errors, !seen)
     in
     let decisions = ref 0 in
@@ -1054,6 +1057,47 @@ let test_sweep_domain_clamp () =
     true
     (rep.Explore.domains <= 2);
   Alcotest.(check int) "budget honored" 2 rep.Explore.executions
+
+(* The faulted sweep of the benchmark's sweep-faults shape, at one
+   domain, with the counters CI pins for it at two: the sweep's counts
+   do not depend on the domain count, so a change to any adversary
+   family, the runtime, the augmented snapshot or the fault plane shows
+   here too. *)
+let test_sweep_faulted_pinned () =
+  let faults =
+    match
+      Faults.resolve ~n_procs:4 ~seed:7 "restart@0:7+2,crash@3:12,restart@2:7+1"
+    with
+    | Ok fs -> fs
+    | Error e -> Alcotest.failf "fault profile: %s" e
+  in
+  let w =
+    match
+      Explore.build_workload ~name:"mixed" ~params:[ ("f", 4); ("m", 2) ] ~faults ()
+    with
+    | Ok w -> w
+    | Error e -> Alcotest.failf "workload: %s" e
+  in
+  let pins =
+    [
+      ("fiber.ops", 103_290);
+      ("fiber.faults.crash", 3_845);
+      ("fiber.faults.restart", 3_067);
+      ("aug.scan.total", 15_684);
+      ("aug.bu.total", 6_373);
+      ("aug.bu.yield", 1_517);
+      ("aug.helping.writes", 25_786);
+    ]
+  in
+  let counters = List.map (fun (name, _) -> Obs.Metrics.counter name) pins in
+  let before = List.map Obs.Metrics.counter_value counters in
+  let rep = Explore.sweep ~domains:1 ~max_steps:200 ~budget:2000 ~seed:7 w in
+  Alcotest.(check int) "executions" 2000 rep.Explore.executions;
+  Alcotest.(check int) "violations" 0 (List.length rep.Explore.violations);
+  List.iter2
+    (fun ((name, want), c) b ->
+      Alcotest.(check int) name want (Obs.Metrics.counter_value c - b))
+    (List.combine pins counters) before
 
 (* ---- linearizable oracle over full explorations ---- *)
 
@@ -1340,6 +1384,8 @@ let () =
             test_sweep_finds_seeded_bug;
           Alcotest.test_case "domains clamped to budget" `Quick
             test_sweep_domain_clamp;
+          Alcotest.test_case "faulted sweep pinned at 1 domain" `Quick
+            test_sweep_faulted_pinned;
         ] );
       ( "crash faults",
         [

@@ -272,10 +272,9 @@ let test_aug_counters_move () =
          [ (me, Rsim_value.Value.Int (me + 1)) ])
       (fun _ -> Aug.Prog.return ())
   in
-  ignore
-    (Aug.Prog.run ~sched:Rsim_shmem.Schedule.round_robin
-       (Aug.Prog.start ~apply:(Aug.apply aug) ~emit:(Aug.record aug)
-          [ bu 0; bu 1 ]));
+  Aug.Prog.run ~sched:Rsim_shmem.Schedule.round_robin
+    (Aug.Prog.start ~apply:(Aug.apply aug) ~emit:(Aug.record aug)
+       [ bu 0; bu 1 ]);
   Alcotest.(check int) "two block-updates counted" (before + 2)
     (Obs.Metrics.counter_value c_bu)
 

@@ -361,9 +361,12 @@ let run_sa ~f ~sched programs =
   let outs = Array.make f (Some Value.Bot) in
   let emit (Safe_agreement.Read { proc; value }) = outs.(proc) <- value in
   let result =
-    Safe_agreement.Prog.run ~sched
-      (Safe_agreement.Prog.start ~max_ops:10_000 ~apply:(Safe_agreement.apply sa)
-         ~emit programs)
+    let r =
+      Safe_agreement.Prog.start ~max_ops:10_000 ~apply:(Safe_agreement.apply sa)
+        ~emit programs
+    in
+    Safe_agreement.Prog.run ~sched r;
+    Safe_agreement.Prog.current r
   in
   Array.iter
     (function

@@ -18,9 +18,12 @@ let no_failures (result : P.result) =
 let with_snap ~f ~sched programs =
   let t = Regsnap.create ~f in
   let result =
-    P.run ~sched
-      (P.start ~max_ops:100_000 ~apply:(Regsnap.apply t) ~emit:(Regsnap.record t)
-         programs)
+    let r =
+      P.start ~max_ops:100_000 ~apply:(Regsnap.apply t) ~emit:(Regsnap.record t)
+        programs
+    in
+    P.run ~sched r;
+    P.current r
   in
   no_failures result;
   (t, result)

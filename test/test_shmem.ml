@@ -139,11 +139,15 @@ let test_schedule_crashes () =
 
 (* A constructor tree, built alike in both versions. [T_fn s] is a
    custom schedule whose decisions depend on the step, the live set and
-   [s], and that sometimes refuses or names a pid that is not live. *)
+   [s], and that sometimes refuses or names a pid that is not live.
+   [T_drawn (seed, n, len)] is [Schedule.drawn] of the stream of [seed],
+   which the reference runs as the script of the same draws, made up
+   front. *)
 type sched_tree =
   | T_round_robin
   | T_solo of int
   | T_script of int list
+  | T_drawn of int * int * int
   | T_random of int
   | T_among of int list * int
   | T_phased of int * sched_tree * sched_tree
@@ -160,6 +164,7 @@ let rec build_new = function
   | T_round_robin -> Schedule.round_robin
   | T_solo p -> Schedule.solo p
   | T_script ps -> Schedule.script ps
+  | T_drawn (seed, n, len) -> Schedule.drawn (Prng.make seed) ~n ~len
   | T_random seed -> Schedule.random ~seed
   | T_among (procs, seed) -> Schedule.among ~procs ~seed
   | T_phased (prefix_len, a, b) ->
@@ -167,10 +172,21 @@ let rec build_new = function
   | T_crashes (cs, a) -> Schedule.with_crashes cs (build_new a)
   | T_fn s -> Schedule.fn (fn_of s)
 
+(* [len] draws below [n] from the stream of [seed]. *)
+let draws seed ~n ~len =
+  let rec go g k acc =
+    if k = 0 then List.rev acc
+    else
+      let pid, g = Prng.int g n in
+      go g (k - 1) (pid :: acc)
+  in
+  go (Prng.make seed) len []
+
 let rec build_ref = function
   | T_round_robin -> Schedule_ref.round_robin
   | T_solo p -> Schedule_ref.solo p
   | T_script ps -> Schedule_ref.script ps
+  | T_drawn (seed, n, len) -> Schedule_ref.script (draws seed ~n ~len)
   | T_random seed -> Schedule_ref.random ~seed
   | T_among (procs, seed) -> Schedule_ref.among ~procs ~seed
   | T_phased (prefix_len, a, b) ->
@@ -179,19 +195,21 @@ let rec build_ref = function
   | T_fn s -> Schedule_ref.fn (fn_of s)
 
 (* Live sets are drawn from pids 0..4; the trees also name pids -2..5,
-   crash limits run from -1 and prefix lengths from -2. *)
+   drawn scripts pids up to 6, crash limits run from -1 and prefix
+   lengths from -2. *)
 let gen_tree g =
   let int n = Random.State.int g n in
   let pids k = List.init (int k) (fun _ -> int 7 - 1) in
   let rec gen depth =
-    match int (if depth = 0 then 5 else 8) with
+    match int (if depth = 0 then 6 else 9) with
     | 0 -> T_round_robin
     | 1 -> T_solo (int 5)
     | 2 -> T_script (pids 12)
     | 3 -> T_random (int 1000)
     | 4 -> T_fn (int 1000)
-    | 5 -> T_among (pids 4, int 1000)
-    | 6 -> T_phased (int 9 - 2, gen (depth - 1), gen (depth - 1))
+    | 5 -> T_drawn (int 1000, 1 + int 7, int 40)
+    | 6 -> T_among (pids 4, int 1000)
+    | 7 -> T_phased (int 9 - 2, gen (depth - 1), gen (depth - 1))
     | _ ->
       let cs = List.init (int 6) (fun _ -> (int 7 - 2, int 6 - 1)) in
       T_crashes (cs, gen (depth - 1))
@@ -219,6 +237,13 @@ let rec after next s lives k =
     | Some (_, s') -> after next s' rest (k - 1))
   | _ -> Some s
 
+(* Whether a script run over [lives] passes over an entry that is not
+   live. *)
+let rec skips script lives =
+  match (script, lives) with
+  | [], _ | _, [] -> false
+  | pid :: rest, live :: more -> (not (List.mem pid live)) || skips rest more
+
 let rec drop k l = if k = 0 then l else match l with [] -> [] | _ :: t -> drop (k - 1) t
 
 let rec has_feature p t =
@@ -227,12 +252,14 @@ let rec has_feature p t =
   match t with
   | T_phased (_, a, b) -> has_feature p a || has_feature p b
   | T_crashes (_, a) -> has_feature p a
-  | T_round_robin | T_solo _ | T_script _ | T_random _ | T_among _ | T_fn _ ->
+  | T_round_robin | T_solo _ | T_script _ | T_drawn _ | T_random _ | T_among _
+  | T_fn _ ->
     false
 
 let test_schedule_matches_reference () =
   let g = Random.State.make [| 15 |] in
   let dup = ref 0 and neg = ref 0 and short = ref 0 and outside = ref 0 in
+  let skipped = ref 0 and exhausted = ref 0 and replayed = ref 0 in
   for case = 1 to 5000 do
     let tree = gen_tree g in
     let lives = List.init 30 (fun _ -> gen_live g) in
@@ -247,7 +274,15 @@ let test_schedule_matches_reference () =
     | None -> ()
     | Some saved ->
       if decisions Schedule.next saved (drop k lives) <> drop k got then
-        Alcotest.failf "case %d: replay from step %d differs" case k);
+        Alcotest.failf "case %d: replay from step %d differs" case k;
+      (match tree with T_drawn _ when k > 0 -> incr replayed | _ -> ()));
+    (* A drawn script on its own: whether it skipped a pid that was not
+       live, and whether it ran out. *)
+    (match tree with
+    | T_drawn (seed, n, len) ->
+      if skips (draws seed ~n ~len) lives then incr skipped;
+      if List.mem None got && len > 0 then incr exhausted
+    | _ -> ());
     let count r p = if has_feature p tree then incr r in
     count dup (function
       | T_crashes (cs, _) ->
@@ -270,7 +305,13 @@ let test_schedule_matches_reference () =
                      prefixes (%d), foreign among pids (%d)"
        !dup !neg !short !outside)
     true
-    (!dup > 200 && !neg > 200 && !short > 200 && !outside > 200)
+    (!dup > 200 && !neg > 200 && !short > 200 && !outside > 200);
+  Alcotest.(check bool)
+    (Printf.sprintf "drawn scripts that skip (%d), run out (%d) and replay \
+                     from a saved successor (%d)"
+       !skipped !exhausted !replayed)
+    true
+    (!skipped > 200 && !exhausted > 200 && !replayed > 100)
 
 let test_run_all_done () =
   let procs = [ writer ~slot:0 ~input:(Value.Int 1); writer ~slot:1 ~input:(Value.Int 2) ] in

@@ -98,6 +98,49 @@ let test_prng_float () =
     Alcotest.(check bool) "unit interval" true (x >= 0.0 && x < 1.0)
   done
 
+(* [Prng.int_at g k bound] is the [k]-th of the draws [Prng.int] makes
+   from [g], each with the generator the previous one returned, for
+   random seeds, bounds (small and near [max_int]) and positions. *)
+let test_prng_int_at () =
+  let r = Random.State.make [| 25 |] in
+  for _ = 1 to 500 do
+    let start = Prng.make (Random.State.bits r - (1 lsl 29)) in
+    let bound =
+      if Random.State.bool r then 1 + Random.State.int r 10
+      else max_int - Random.State.int r 1000
+    in
+    (* [g] is the generator after [k] draws. *)
+    let rec walk g k =
+      if k < 200 then begin
+        let want, g' = Prng.int g bound in
+        let got = Prng.int_at start k bound in
+        if got <> want then
+          Alcotest.failf "draw %d below %d: int_at %d, int %d" k bound got want;
+        walk g' (k + 1)
+      end
+    in
+    walk start 0
+  done;
+  (* Far positions, reached by [k] draws. *)
+  for _ = 1 to 20 do
+    let start = Prng.make (Random.State.bits r) in
+    let bound = 1 + Random.State.int r 1000 in
+    let k = Random.State.int r 100_000 in
+    let rec skip g i = if i = 0 then g else skip (snd (Prng.int g bound)) (i - 1) in
+    let want, _ = Prng.int (skip start k) bound in
+    Alcotest.(check int) (Printf.sprintf "draw %d below %d" k bound) want
+      (Prng.int_at start k bound)
+  done
+
+let test_prng_int_at_bound () =
+  List.iter
+    (fun bound ->
+      Alcotest.check_raises
+        (Printf.sprintf "bound %d" bound)
+        (Invalid_argument "Prng.int_at: bound must be positive")
+        (fun () -> ignore (Prng.int_at (Prng.make 1) 3 bound)))
+    [ 0; -1; min_int ]
+
 (* qcheck properties *)
 
 let value_gen =
@@ -158,6 +201,8 @@ let () =
           Alcotest.test_case "choose" `Quick test_prng_choose;
           Alcotest.test_case "shuffle" `Quick test_prng_shuffle;
           Alcotest.test_case "float" `Quick test_prng_float;
+          Alcotest.test_case "positional draw" `Quick test_prng_int_at;
+          Alcotest.test_case "positional draw bound" `Quick test_prng_int_at_bound;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
