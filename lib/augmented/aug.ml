@@ -53,30 +53,7 @@ let fault_adapter : Ops.op Rsim_faults.Faults.adapter =
         | Ops.Happend_triples [] | Ops.Happend_lrecords _ | Ops.Hscan -> None);
   }
 
-type bu_result =
-  | Atomic of { view : Value.t array; last : Hrep.snap }
-  | Yield
-
-type mop =
-  | Scan_op of {
-      proc : int;
-      start_idx : int;
-      end_idx : int;
-      n_ops : int;
-      view : Value.t array;
-      h : Hrep.snap;
-    }
-  | Bu_op of {
-      proc : int;
-      ts : Vts.t;
-      updates : (int * Value.t) list;
-      start_idx : int;
-      x_idx : int;
-      end_idx : int;
-      n_ops : int;
-      h : Hrep.snap;
-      result : bu_result;
-    }
+include Aug_spec.Mop
 
 let mop_proc = function Scan_op { proc; _ } -> proc | Bu_op { proc; _ } -> proc
 
@@ -98,17 +75,22 @@ type t = {
   mutable h : Hrep.snap;
       (** published snapshot: replaced on every append, never mutated *)
   mutable clock : int;
-  mutable rev_log : mop list;
+  mutable ix : Aug_spec.index;  (** the trace index of the run so far *)
 }
 
 let create ?(helping = true) ?inject ~f ~m () =
   if f <= 0 || m <= 0 then invalid_arg "Aug.create: f and m must be positive";
-  { cfg = { f; m; helping; inject }; h = Hrep.create ~f; clock = 0; rev_log = [] }
+  {
+    cfg = { f; m; helping; inject };
+    h = Hrep.create ~f;
+    clock = 0;
+    ix = Aug_spec.start ~m;
+  }
 
 let config t = t.cfg
-let f t = t.cfg.f
 let m t = t.cfg.m
-let log t = List.rev t.rev_log
+let index t = t.ix
+let log t = List.rev (Aug_spec.rev_log t.ix)
 
 let iter_log t f =
   let rec go = function
@@ -117,29 +99,37 @@ let iter_log t f =
       go older;
       f mop
   in
-  go t.rev_log
+  go (Aug_spec.rev_log t.ix)
+
 let clock t = t.clock
+
 let record t = function
-  | Mop mop -> t.rev_log <- mop :: t.rev_log
+  | Mop mop -> t.ix <- Aug_spec.complete t.ix mop
   | _ -> ()
 
-type saved = { s_h : Hrep.snap; s_clock : int; s_rev_log : mop list }
+type saved = { s_h : Hrep.snap; s_clock : int; s_ix : Aug_spec.index }
 
-let save t = { s_h = t.h; s_clock = t.clock; s_rev_log = t.rev_log }
+let save t = { s_h = t.h; s_clock = t.clock; s_ix = t.ix }
 
 let restore t s =
   t.h <- s.s_h;
   t.clock <- s.s_clock;
-  t.rev_log <- s.s_rev_log
+  t.ix <- s.s_ix
 
+(* Each H-operation runs at the clock's trace index, and a scan or a
+   triple append extends the index there. *)
 let apply t ~pid (op : Ops.op) : Ops.res =
+  let idx = t.clock in
   let res : Ops.res =
     match op with
-    | Ops.Hscan -> Ops.Snap t.h
+    | Ops.Hscan ->
+      t.ix <- Aug_spec.hop_scan t.ix ~idx ~pid t.h;
+      Ops.Snap t.h
     | Ops.Happend_triples triples ->
       let h' = Array.copy t.h in
       h'.(pid) <- Hrep.append_triples h'.(pid) triples;
       t.h <- h';
+      t.ix <- Aug_spec.hop_append t.ix ~idx ~pid triples;
       Ops.Ack
     | Ops.Happend_lrecords recs ->
       let h' = Array.copy t.h in
@@ -147,7 +137,7 @@ let apply t ~pid (op : Ops.op) : Ops.res =
       t.h <- h';
       Ops.Ack
   in
-  t.clock <- t.clock + 1;
+  t.clock <- idx + 1;
   res
 
 open Prog

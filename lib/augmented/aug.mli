@@ -53,33 +53,12 @@ val op_name : Ops.op -> string
     Scans are neither droppable nor corruptible. *)
 val fault_adapter : Ops.op Rsim_faults.Faults.adapter
 
-type bu_result =
-  | Atomic of { view : Value.t array; last : Hrep.snap }
-      (** the returned past view, and the scan result ℓ it came from *)
-  | Yield
-
-(** Completed M-operations, logged for the checkers ({!Aug_spec}) and for
-    the simulation's execution analysis. *)
-type mop =
-  | Scan_op of {
-      proc : int;
-      start_idx : int;
-      end_idx : int;  (** index of the final [H.scan] = linearization point *)
-      n_ops : int;
-      view : Value.t array;
-      h : Hrep.snap;  (** the final scan's result *)
-    }
-  | Bu_op of {
-      proc : int;
-      ts : Vts.t;
-      updates : (int * Value.t) list;
-      start_idx : int;  (** Line-2 scan *)
-      x_idx : int;  (** Line-4 update [X] *)
-      end_idx : int;
-      n_ops : int;
-      h : Hrep.snap;  (** Line-2 scan result *)
-      result : bu_result;
-    }
+(** Completed M-operations ({!Aug_spec.Mop}): the log that the trace
+    index keeps, and what the simulation's execution analysis pairs with
+    its journals. *)
+include module type of struct
+  include Aug_spec.Mop
+end
 
 val mop_proc : mop -> int
 
@@ -115,8 +94,9 @@ module Prog :
 (** An object's immutable configuration: what programs close over. *)
 type config = { f : int; m : int; helping : bool; inject : fault option }
 
-(** An object's shared state: [H], the operation clock and the
-    M-operation log. *)
+(** An object's shared state: [H], the operation clock and the §3.3
+    trace index of the execution so far ({!Aug_spec.type-index}), which
+    holds the M-operation log. *)
 type t
 
 (** [create ~f ~m ()]: fresh object for [f] real processes and [m]
@@ -129,19 +109,27 @@ type t
 val create : ?helping:bool -> ?inject:fault -> f:int -> m:int -> unit -> t
 
 val config : t -> config
-val f : t -> int
 val m : t -> int
 
 (** The [apply] function to pass to {!Prog.start}: executes one [H]
-    operation atomically against this object's state. *)
+    operation atomically against this object's state, at trace index
+    {!clock}. An [H.scan] or a Line-4 append also takes the index's hop
+    step there ({!Aug_spec.hop_scan}, {!Aug_spec.hop_append}). *)
 val apply : t -> pid:int -> Ops.op -> Ops.res
 
-(** The [emit] function to pass to {!Prog.start}: logs a completed
-    M-operation ({!Mop}); other notes are left to the layer that emits
-    them. *)
+(** The [emit] function to pass to {!Prog.start}: takes the index's
+    completion step for a completed M-operation ({!Mop},
+    {!Aug_spec.complete}), which logs it; other notes are left to the
+    layer that emits them. *)
 val record : t -> note -> unit
 
-(** Completed M-operations so far, in completion order. *)
+(** The trace index of the execution so far: what {!Aug_spec.report}
+    judges and the explorer's oracles and the simulation's analysis
+    read. An immutable value: a later operation leaves it as it is. *)
+val index : t -> Aug_spec.index
+
+(** Completed M-operations so far, in completion order, as {!index}
+    holds them. *)
 val log : t -> mop list
 
 (** [iter_log t f] calls [f] on {!log}'s entries, in completion order,
@@ -151,8 +139,8 @@ val iter_log : t -> (mop -> unit) -> unit
 (** Number of [H] operations executed so far. *)
 val clock : t -> int
 
-(** The object's state at one point of a run: [H], the clock and the log,
-    all persistent values, so saving copies three words. *)
+(** The object's state at one point of a run: [H], the clock and the
+    index, all persistent values, so saving copies three words. *)
 type saved
 
 val save : t -> saved

@@ -1,5 +1,34 @@
 open Rsim_value
 
+module Mop = struct
+  type bu_result =
+    | Atomic of { view : Value.t array; last : Hrep.snap }
+    | Yield
+
+  type mop =
+    | Scan_op of {
+        proc : int;
+        start_idx : int;
+        end_idx : int;
+        n_ops : int;
+        view : Value.t array;
+        h : Hrep.snap;
+      }
+    | Bu_op of {
+        proc : int;
+        ts : Vts.t;
+        updates : (int * Value.t) list;
+        start_idx : int;
+        x_idx : int;
+        end_idx : int;
+        n_ops : int;
+        h : Hrep.snap;
+        result : bu_result;
+      }
+end
+
+open Mop
+
 (* ---------------------------------------------------------------- *)
 (* The trace index (§3.3)                                            *)
 (* ---------------------------------------------------------------- *)
@@ -76,7 +105,7 @@ type core = {
          (Corollary 8), so the walks below stop early *)
   scans : scan list;  (* the completed Scans by (s_end, s_log) *)
   windows : window list;  (* the atomic Block-Updates, by log position *)
-  rev_log : Aug.mop list;
+  rev_log : mop list;
   n_log : int;
   n_scans : int;
   n_pending_apps : int;  (* appends no completed Block-Update owns *)
@@ -247,23 +276,25 @@ let latest ix =
   let s = match ix.hscans with Hscan h -> h.idx | No_hscan -> -1 in
   match ix.core.apps with u :: _ when u.u_x_idx > s -> u.u_x_idx | _ -> s
 
-(* Hops arrive in trace order. An index fed one that does not (say, by a
-   run that restored its state but not its index) describes no run, and
-   walks over it need not end, so such a hop is refused at once. *)
-let hop ix ~idx ~pid (op : Aug.Ops.op) (res : Aug.Ops.res) =
+(* Hops arrive in trace order. An index fed one that does not describes
+   no run, and walks over it need not end, so such a hop is refused at
+   once. *)
+let in_order ix ~idx =
   let last = latest ix in
   if idx <= last then
     invalid_arg
-      (Printf.sprintf "Aug_spec.hop: trace index %d is not past the latest hop %d"
-         idx last);
-  match (op, res) with
-  | Aug.Ops.Hscan, Aug.Ops.Snap snap ->
-    { ix with hscans = Hscan { idx; pid; snap; before = ix.hscans } }
-  | Aug.Ops.Happend_triples (first :: _ as triples), _ ->
+      (Printf.sprintf "Aug_spec: trace index %d is not past the latest hop %d"
+         idx last)
+
+let hop_scan ix ~idx ~pid snap =
+  in_order ix ~idx;
+  { ix with hscans = Hscan { idx; pid; snap; before = ix.hscans } }
+
+let hop_append ix ~idx ~pid = function
+  | [] -> ix
+  | first :: _ as triples ->
+    in_order ix ~idx;
     append ix ~idx ~pid first triples
-  | Aug.Ops.Hscan, Aug.Ops.Ack
-  | (Aug.Ops.Happend_triples [] | Aug.Ops.Happend_lrecords _), _ ->
-    ix
 
 (* The paper's scan-result equality is over update triples (the prefix
    relation of Observation 1), so "the last scan that returns ℓ" means
@@ -311,8 +342,8 @@ let rec owned_by proc n = function
    its Updates, appends in trace order, onto [errs] (latest first). *)
 let judge_bu stamp ~proc ~ts ~start_idx ~x_idx result errs =
   let check errs u =
-    match (result : Aug.bu_result) with
-    | Aug.Atomic _ ->
+    match (result : bu_result) with
+    | Atomic _ ->
       if u.u_lin <> x_idx then
         Printf.sprintf
           "Lemma 11: atomic Block-Update by q%d (ts %s): update to %d \
@@ -320,7 +351,7 @@ let judge_bu stamp ~proc ~ts ~start_idx ~x_idx result errs =
           proc (Vts.show ts) u.u_comp u.u_lin x_idx
         :: errs
       else errs
-    | Aug.Yield ->
+    | Yield ->
       if not (u.u_lin > start_idx && u.u_lin <= x_idx) then
         Printf.sprintf
           "Lemma 12: yield Block-Update by q%d (ts %s): update to %d \
@@ -341,12 +372,12 @@ let judge_bu stamp ~proc ~ts ~start_idx ~x_idx result errs =
 
 (* One completed M-operation: its log entry, and the verdicts no later
    hop can change. *)
-let complete ix (mop : Aug.mop) =
+let complete ix (mop : mop) =
   let c = ix.core in
   let s = c.settled in
   let core =
     match mop with
-    | Aug.Scan_op { proc; start_idx; end_idx; n_ops; view; _ } ->
+    | Scan_op { proc; start_idx; end_idx; n_ops; view; _ } ->
       (* Lemma 2: every append inside the Scan's interval is out. *)
       let k =
         appends_inside ~lo:start_idx ~hi:end_idx ~proc ~lower:false c.apps
@@ -372,11 +403,11 @@ let complete ix (mop : Aug.mop) =
              }
            else s);
       }
-    | Aug.Bu_op { proc; ts; start_idx; x_idx; end_idx; n_ops; result; _ } ->
+    | Bu_op { proc; ts; start_idx; x_idx; end_idx; n_ops; result; _ } ->
       let stamp = stamp_of c ts in
       let atomic, windows =
         match result with
-        | Aug.Atomic { view; last } ->
+        | Atomic { view; last } ->
           ( true,
             {
               w_proc = proc;
@@ -387,7 +418,7 @@ let complete ix (mop : Aug.mop) =
               w_l = Option.value ~default:(-1) (window_start ix ~last ~x_idx);
             }
             :: c.windows )
-        | Aug.Yield -> (false, c.windows)
+        | Yield -> (false, c.windows)
       in
       (* Lemma 2 and Theorem 20: every append inside the interval is out. *)
       let lemma2_thm20 =
@@ -447,39 +478,7 @@ let complete ix (mop : Aug.mop) =
   in
   { ix with core }
 
-let end_idx = function
-  | Aug.Scan_op { end_idx; _ } | Aug.Bu_op { end_idx; _ } -> end_idx
-
-(* A run emits an M-operation right after the hop at its [end_idx], so
-   the fold completes it there too. *)
-let index aug trace =
-  let ix = ref (start ~m:(Aug.m aug)) and rest = ref trace in
-  let rec upto idx =
-    match !rest with
-    | (e : Aug.Prog.trace_entry) :: more when e.idx <= idx ->
-      ix := hop !ix ~idx:e.idx ~pid:e.pid e.op e.res;
-      rest := more;
-      upto idx
-    | _ -> ()
-  in
-  Aug.iter_log aug (fun mop ->
-      upto (end_idx mop);
-      ix := complete !ix mop);
-  upto max_int;
-  !ix
-
-(* The same two steps, as the run takes them: an H-operation gets the
-   clock it ran at, and each M-operation completes right after its last
-   hop. *)
-let recording aug ix ~apply =
-  ( (fun ~pid op ->
-      let idx = Aug.clock aug in
-      let res = apply ~pid op in
-      ix := hop !ix ~idx ~pid op res;
-      res),
-    fun note ->
-      Aug.record aug note;
-      match note with Aug.Mop mop -> ix := complete !ix mop | _ -> () )
+let rev_log ix = ix.core.rev_log
 
 let bu_of ix u = (done_by u.u_writer (stamp_of ix.core u.u_ts).st_done).c_log
 
@@ -599,10 +598,10 @@ let report ix =
   if c.settled.rejudge then
     iter_oldest_first
       (function
-        | Aug.Bu_op { proc; ts; start_idx; x_idx; result; _ } ->
+        | Bu_op { proc; ts; start_idx; x_idx; result; _ } ->
           errors :=
             judge_bu (stamp_of c ts) ~proc ~ts ~start_idx ~x_idx result !errors
-        | Aug.Scan_op _ -> ())
+        | Scan_op _ -> ())
       c.rev_log
   else errors := c.settled.lemma11_12 @ !errors;
 
@@ -743,14 +742,13 @@ let report ix =
         max_scan_ops;
         max_bu_ops;
       }
-    | Aug.Scan_op { n_ops; _ } :: older ->
+    | Scan_op { n_ops; _ } :: older ->
       tally n_bus n_atomic (max max_scan_ops n_ops) max_bu_ops older
-    | Aug.Bu_op { n_ops; result; _ } :: older ->
-      let atomic = match result with Aug.Atomic _ -> 1 | Aug.Yield -> 0 in
+    | Bu_op { n_ops; result; _ } :: older ->
+      let atomic = match result with Atomic _ -> 1 | Yield -> 0 in
       tally (n_bus + 1) (n_atomic + atomic) max_scan_ops (max max_bu_ops n_ops)
         older
   in
   let stats = tally 0 0 0 0 c.rev_log in
   { ok = !errors = []; errors = List.rev !errors; stats }
 
-let check aug trace = report (index aug trace)

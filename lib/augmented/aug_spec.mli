@@ -1,9 +1,9 @@
 (** Executable specification of the augmented snapshot (§3.1, §3.3).
 
     Given the [H] operations and the completed M-operations of an {!Aug}
-    execution, an {!index} reconstructs the paper's linearization, hop by
-    hop as the run goes or in one fold over a finished run, and {!report}
-    verifies on it every checkable claim of §3:
+    execution, an {!type-index} reconstructs the paper's linearization, hop
+    by hop as the run goes, and {!report} verifies on it every checkable
+    claim of §3:
 
     - {b Lemma 2} (step complexity): each Block-Update performs at most 6
       [H]-steps; each Scan performs at most [2k+3] steps, where [k] is
@@ -31,6 +31,41 @@
     with timestamp [≽ t]; ties are ordered by timestamp then component
     (§3.3). Scans linearize at their final [H.scan]. *)
 
+(** {2 Completed M-operations}
+
+    What Algorithms 3 and 4 emit when an M-operation completes. {!Aug}
+    re-exports these types, so they read as [Aug.Scan_op], [Aug.Bu_op],
+    [Aug.Atomic] and [Aug.Yield]. *)
+module Mop : sig
+  type bu_result =
+    | Atomic of { view : Rsim_value.Value.t array; last : Hrep.snap }
+        (** the returned past view, and the scan result ℓ it came from *)
+    | Yield
+
+  (** A completed M-operation, as the index and the simulation's
+      execution analysis read it. *)
+  type mop =
+    | Scan_op of {
+        proc : int;
+        start_idx : int;
+        end_idx : int;  (** index of the final [H.scan] = linearization point *)
+        n_ops : int;
+        view : Rsim_value.Value.t array;
+        h : Hrep.snap;  (** the final scan's result *)
+      }
+    | Bu_op of {
+        proc : int;
+        ts : Vts.t;
+        updates : (int * Rsim_value.Value.t) list;
+        start_idx : int;  (** Line-2 scan *)
+        x_idx : int;  (** Line-4 update [X] *)
+        end_idx : int;
+        n_ops : int;
+        h : Hrep.snap;  (** Line-2 scan result *)
+        result : bu_result;
+      }
+end
+
 (** {2 The trace index}
 
     The facts about one execution that every post-run checker reads:
@@ -50,11 +85,12 @@
     decision keeps the index of that point by keeping the pointer, and
     every branch from there extends the same one.
 
-    Who builds it: every run the explorer or the simulation harness
-    drives takes both steps as it goes, through {!recording}, and hands
-    the index to its checkers with the run's result. {!index} is the
-    fold of the same two steps over a finished run, behind {!check}, for
-    callers that drive {!Aug.Prog} themselves. *)
+    Who builds it: the augmented snapshot itself. Each {!Aug.t} holds
+    the index of its own execution next to [H] and the clock: its
+    [apply] takes the hop step for every [H.scan] and Line-4 append, its
+    [record] takes the completion step for every completed M-operation,
+    and saving and restoring the object saves and restores the index with
+    it. {!Aug.index} returns it; nothing rebuilds one from a trace. *)
 
 (** One Update of M: one triple of a Line-4 append. *)
 type update = private {
@@ -85,24 +121,24 @@ type index
 (** [start ~m] is the index of an empty execution on [m] components. *)
 val start : m:int -> index
 
-(** [index aug trace] is the index of a finished execution: the fold of
-    the hop step over [trace] (the {!Aug.Prog.run} trace of the same run,
-    whose entry [k] has index [k]) with the completion step applied to
-    each entry of [Aug.log aug] right after the hop at its [end_idx]. *)
-val index : Aug.t -> Aug.Prog.trace_entry list -> index
+(** [hop_scan ix ~idx ~pid snap] is [ix] extended by the [H.scan] of
+    [pid] at trace index [idx] that returned [snap]. Raises
+    [Invalid_argument] if [idx] is not past every hop [ix] holds. *)
+val hop_scan : index -> idx:int -> pid:int -> Hrep.snap -> index
 
-(** [recording aug ix ~apply] is the [apply] and [emit] pair to pass to
-    {!Aug.Prog.start} for a run over [aug] that keeps its index in [ix]:
-    [apply] (normally [Aug.apply aug]), followed by the hop step at the
-    trace index the operation ran at, and {!Aug.record}, followed by the
-    completion step for each completed M-operation. [ix] starts at
-    [start ~m:(Aug.m aug)]; a run that saves and restores its state
-    saves and restores [!ix] with it. *)
-val recording :
-  Aug.t ->
-  index ref ->
-  apply:(pid:int -> Aug.Ops.op -> Aug.Ops.res) ->
-  (pid:int -> Aug.Ops.op -> Aug.Ops.res) * (Aug.note -> unit)
+(** [hop_append ix ~idx ~pid triples] is [ix] extended by the Line-4
+    append of [triples] by [pid] at trace index [idx]: its Updates get
+    their linearization points, at or before [idx], never to move, and
+    its Lemma 9 verdict is settled. An empty append (a dropped write)
+    leaves [ix] as it is. Raises [Invalid_argument] as {!hop_scan} does. *)
+val hop_append : index -> idx:int -> pid:int -> Hrep.triple list -> index
+
+(** [complete ix mop] is [ix] extended by the completed M-operation
+    [mop], taken right after the hop at its [end_idx]. *)
+val complete : index -> Mop.mop -> index
+
+(** The completed M-operations [ix] holds, latest first. *)
+val rev_log : index -> Mop.mop list
 
 (** [bu_of ix u] is the position in [Aug.log] of the completed
     Block-Update with [u]'s (writer, timestamp), the latest one if
@@ -175,6 +211,3 @@ val pp_report : Format.formatter -> report -> unit
     check: Lemma 9, Corollary 15, Lemmas 11/12, contiguity, windows,
     Lemma 18, then Lemma 2 and Theorem 20. *)
 val report : index -> report
-
-(** [check aug trace] is [report (index aug trace)]. *)
-val check : Aug.t -> Aug.Prog.trace_entry list -> report

@@ -38,7 +38,17 @@ module Faults = Rsim_faults.Faults
 module Vts = Rsim_augmented.Vts
 module Hrep = Rsim_augmented.Hrep
 module Aug = Rsim_augmented.Aug
-module Aug_spec = Rsim_augmented.Aug_spec
+
+(* [check] is kept for the benchmark's [reduce] workload, which judges a
+   simulation with [Aug_spec.check result.aug result.trace]. The object
+   records its own index, so the trace goes unread. The benchmark change
+   that moves [reduce] to [Aug_spec.report result.index] (ROADMAP item 3)
+   deletes it. *)
+module Aug_spec = struct
+  include Rsim_augmented.Aug_spec
+
+  let check aug _trace = report (Aug.index aug)
+end
 
 module Task = Rsim_tasks.Task
 

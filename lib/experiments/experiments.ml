@@ -10,7 +10,8 @@ type t = { id : string; title : string; run : unit -> string list }
 (* A random augmented-snapshot workload: [f] processes perform [n_ops]
    operations each (a mix of Scans and Block-Updates drawn from the seed,
    {!Aug.random_prog}) under a seeded uniform scheduler. [helping] is
-   {!Aug.create}'s. Returns the object and the trace. *)
+   {!Aug.create}'s. Returns the object, which holds the run's trace
+   index. *)
 let aug_workload ?helping ~f ~m ~n_ops ~seed () =
   let aug = Aug.create ?helping ~f ~m () in
   let cfg = Aug.config aug in
@@ -24,7 +25,7 @@ let aug_workload ?helping ~f ~m ~n_ops ~seed () =
       ~emit:(Aug.record aug) programs
   in
   Aug.Prog.run ~sched:(Schedule.random ~seed) run;
-  (aug, (Aug.Prog.current run).trace)
+  aug
 
 (* The racing protocol through the full simulation harness. *)
 let racing_sim ~n ~m ~f ~d ~seed =
@@ -68,8 +69,8 @@ let e1 =
               let max_bu = ref 0 and max_scan = ref 0 in
               List.iter
                 (fun seed ->
-                  let aug, trace = aug_workload ~f ~m ~n_ops:10 ~seed () in
-                  let report = Aug_spec.check aug trace in
+                  let aug = aug_workload ~f ~m ~n_ops:10 ~seed () in
+                  let report = Aug_spec.report (Aug.index aug) in
                   if not report.Aug_spec.ok then checks := false;
                   bus := !bus + report.Aug_spec.stats.Aug_spec.n_bus;
                   scans := !scans + report.Aug_spec.stats.Aug_spec.n_scans;
@@ -98,8 +99,8 @@ let e2 =
     let ok = ref true in
     List.iter
       (fun seed ->
-        let aug, trace = aug_workload ~f ~m ~n_ops:10 ~seed () in
-        let report = Aug_spec.check aug trace in
+        let aug = aug_workload ~f ~m ~n_ops:10 ~seed () in
+        let report = Aug_spec.report (Aug.index aug) in
         if not report.Aug_spec.ok then ok := false;
         List.iter
           (function
@@ -141,8 +142,8 @@ let e3 =
           let scans = ref 0 and bus = ref 0 in
           List.iter
             (fun seed ->
-              let aug, trace = aug_workload ~f ~m ~n_ops:8 ~seed () in
-              let report = Aug_spec.check aug trace in
+              let aug = aug_workload ~f ~m ~n_ops:8 ~seed () in
+              let report = Aug_spec.report (Aug.index aug) in
               incr total;
               if not report.Aug_spec.ok then begin
                 incr failed;
@@ -472,8 +473,7 @@ let e8 =
 
 let e9 =
   let workload ~helping ~f ~m ~seed =
-    let aug, trace = aug_workload ~helping ~f ~m ~n_ops:8 ~seed () in
-    Aug_spec.check aug trace
+    Aug_spec.report (Aug.index (aug_workload ~helping ~f ~m ~n_ops:8 ~seed ()))
   in
   let run () =
     let total = 100 in

@@ -833,7 +833,7 @@ type 'r exec = {
   statuses : Rsim_runtime.Prog.status array;
   steps : int;
   complete : bool;
-  index : Aug_spec.index;  (* the run's own, extended hop by hop *)
+  index : Aug_spec.index;  (* the object's own, extended hop by hop *)
   spec_report : Aug_spec.report Lazy.t;
       (* [index]'s settled verdicts and the checks judged at the end *)
   linearizable : bool Lazy.t;
@@ -844,8 +844,8 @@ type 'r exec = {
    if [probed]), runs as {!Rsim_runtime.Prog.S.run} does, tells what it
    has [current]ly reached, and saves and restores itself. [view] is
    what every target's oracles read of a result: the augmented
-   snapshot, the trace, the statuses, the step count and the trace
-   index the run extended as it went ({!Aug_spec.recording}). *)
+   snapshot, whose trace index the run extended as it went
+   ({!Aug.index}), the trace, the statuses and the step count. *)
 module type TARGET = sig
   type t
   type saved
@@ -868,11 +868,7 @@ module type TARGET = sig
   val view :
     t ->
     result ->
-    Aug.t
-    * Aug.Prog.trace_entry list
-    * Rsim_runtime.Prog.status array
-    * int
-    * Aug_spec.index
+    Aug.t * Aug.Prog.trace_entry list * Rsim_runtime.Prog.status array * int
 
   val fingerprint : t -> live:int list -> (int * int) option
 end
@@ -896,7 +892,8 @@ let of_target (type r) (module T : TARGET with type result = r) ~name
        target's state, so a probed execution's outcome must be judged
        before the run moves on. *)
     let outcome_of r =
-      let aug, trace, statuses, steps, index = T.view st r in
+      let aug, trace, statuses, steps = T.view st r in
+      let index = Aug.index aug in
       let live = ref [] in
       for pid = Array.length statuses - 1 downto 0 do
         if statuses.(pid) = Rsim_runtime.Prog.Pending then live := pid :: !live
@@ -1224,13 +1221,10 @@ module Aug_target = struct
         run : Aug.Prog.run;
         digests : int array;
         plan : Aug.Ops.op Faults.plan option;
-        ix : Aug_spec.index ref;  (* extended by every hop and completion *)
       }
 
-      (* The run, the object, the digests, the plan's fired set and the
-         trace index. *)
-      type saved =
-        Aug.Prog.saved * Aug.saved * int array * int * Aug_spec.index
+      (* The run, the object, the digests and the plan's fired set. *)
+      type saved = Aug.Prog.saved * Aug.saved * int array * int
       type result = Aug.Prog.result
 
       let noun = "process"
@@ -1246,44 +1240,37 @@ module Aug_target = struct
         (* Only a probed run is asked for fingerprints, so only it
            keeps the digests. *)
         let digests = if probed then digests ~f else [||] in
-        let ix = ref (Aug_spec.start ~m) in
-        let apply, emit =
-          Aug_spec.recording aug ix
-            ~apply:
-              (if probed then fingerprinted aug ~f digests else Aug.apply aug)
+        let apply =
+          if probed then fingerprinted aug ~f digests else Aug.apply aug
         in
         {
           aug;
           plan;
           digests;
-          ix;
           run =
             Aug.Prog.start ~max_ops
               ?control:(Option.map Faults.control plan)
-              ~obs_label:Aug.op_name ~apply ~emit programs;
+              ~obs_label:Aug.op_name ~apply ~emit:(Aug.record aug) programs;
         }
 
       let save t =
         ( Aug.Prog.save t.run,
           Aug.save t.aug,
           Array.copy t.digests,
-          Option.fold ~none:0 ~some:Faults.fired_set t.plan,
-          !(t.ix) )
+          Option.fold ~none:0 ~some:Faults.fired_set t.plan )
 
-      let restore t (run, aug, digests, fired, ix) =
+      let restore t (run, aug, digests, fired) =
         Aug.Prog.restore t.run run;
         Aug.restore t.aug aug;
         Array.blit digests 0 t.digests 0 (Array.length digests);
-        Option.iter (fun p -> Faults.set_fired p fired) t.plan;
-        t.ix := ix
+        Option.iter (fun p -> Faults.set_fired p fired) t.plan
 
       let run ?probe ?at_end ~sched t =
         Aug.Prog.run ?probe ?at_end ~sched t.run
 
       let current t = Aug.Prog.current t.run
 
-      let view t (r : result) =
-        (t.aug, r.trace, r.statuses, r.total_ops, !(t.ix))
+      let view t (r : result) = (t.aug, r.trace, r.statuses, r.total_ops)
 
       let fingerprint t ~live =
         let fold mixf a b =
@@ -1429,7 +1416,7 @@ module Harness_target = struct
       let current sim = (hspec, Harness.current sim)
 
       let view _ ((_, r) : result) =
-        (r.Harness.aug, r.trace, r.statuses, r.total_ops, r.index)
+        (r.Harness.aug, r.trace, r.statuses, r.total_ops)
 
       (* Simulator local state is too rich to digest soundly at this
          boundary, so the engine shares prefixes but never dedups. *)

@@ -262,8 +262,8 @@ type 'r exec = {
   steps : int;  (** H-operations executed *)
   complete : bool;  (** no process was still pending *)
   index : Rsim_augmented.Aug_spec.index;
-      (** the run's trace index, which the run extended hop by hop
-          ({!Rsim_augmented.Aug_spec.recording}), so its completed
+      (** the run's trace index, which the augmented snapshot extended
+          hop by hop ({!Rsim_augmented.Aug.index}), so its completed
           M-operations already carry their settled verdicts *)
   spec_report : Rsim_augmented.Aug_spec.report Lazy.t;
       (** {!Rsim_augmented.Aug_spec.report} of [index]: its settled
@@ -289,7 +289,8 @@ module Aug_target : sig
   (** No process raised. *)
   val no_failure : exec Oracle.t
 
-  (** The full §3 executable specification, {!Rsim_augmented.Aug_spec.check}. *)
+  (** The full §3 executable specification: {!Rsim_augmented.Aug_spec.report}
+      of the run's index. *)
   val spec : exec Oracle.t
 
   (** Theorem 20's headline consequence: process 0 never yields. *)

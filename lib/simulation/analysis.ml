@@ -62,7 +62,7 @@ let check (spec : Harness.spec) (result : Harness.result) =
                  | Journal.Jscan _ | Journal.Jbu _ -> true
                  | Journal.Jrevise _ | Journal.Jfinal _ | Journal.Jdecided _ ->
                    false)
-               (Journal.events result.Harness.journals.(i)))
+               result.Harness.journals.(i))
         in
         let n_journal_ops = Array.length journal_ops in
         (if List.length mine <> n_journal_ops then
@@ -128,7 +128,7 @@ let check (spec : Harness.spec) (result : Harness.result) =
                   i source_serial)
             | Journal.Jscan _ | Journal.Jbu _ | Journal.Jfinal _
             | Journal.Jdecided _ -> ())
-          (Journal.events journal))
+          journal)
       result.Harness.journals;
     let to_insert =
       ref
@@ -262,7 +262,7 @@ let check (spec : Harness.spec) (result : Harness.result) =
                      never output"
                   i pid)
             | Journal.Jscan _ | Journal.Jbu _ | Journal.Jrevise _ -> ())
-          (Journal.events journal))
+          journal)
       result.Harness.journals;
 
     (* Every simulator's harness-reported output must match its journal. *)
@@ -274,7 +274,7 @@ let check (spec : Harness.spec) (result : Harness.result) =
               | Journal.Jfinal { output; _ } -> Some output
               | Journal.Jdecided { value; _ } -> Some value
               | _ -> None)
-            (Journal.events result.Harness.journals.(i))
+            result.Harness.journals.(i)
         in
         match journal_out with
         | Some y when Value.equal y v -> ()

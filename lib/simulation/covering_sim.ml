@@ -12,11 +12,11 @@ let set procs g p =
   procs.(g) <- p;
   procs
 
-(* Locally simulate [p] against a private copy of M whose contents start
-   as [view], applying only updates to components in [allowed], until it
-   is poised to update a component outside [allowed] or outputs. Returns
-   the final state, the hidden steps ζ (in order) and the outcome. *)
-let local_simulate ~local_cap ~g p ~view ~allowed =
+(* Locally simulate [p] against [local], a private copy of M, applying
+   only updates to components that [allowed] admits, until it is poised
+   to update a component outside them or outputs. Returns the final
+   state, the steps taken (in order) and the outcome. *)
+let local_simulate ~local_cap ~g p local ~allowed =
   let rec go p local steps zeta =
     if steps > local_cap then
       failwith
@@ -28,38 +28,13 @@ let local_simulate ~local_cap ~g p ~view ~allowed =
     | Proc.Scan ->
       let v = Snapshot.scan local in
       go (Proc.step_scan p v) local (steps + 1) (Journal.Zscan v :: zeta)
-    | Proc.Update (j, v) when List.mem j allowed ->
+    | Proc.Update (j, v) when allowed j ->
       go (Proc.step_update p) (Snapshot.update local j v) (steps + 1)
         (Journal.Zupdate (j, v) :: zeta)
     | Proc.Update (j, v) -> (p, List.rev zeta, `Poised (j, v))
     | Proc.Output y -> (p, List.rev zeta, `Out y)
   in
-  go p (Snapshot.of_view view) 0 []
-
-(* Algorithm 7's last step: p_{i,1}'s terminating solo run after the
-   block β, simulated locally from M's initial contents. Returns the
-   output and the steps ξ. *)
-let final_solo ~local_cap ~m p1 beta =
-  let local =
-    List.fold_left
-      (fun mem (j, v) -> Snapshot.update mem j v)
-      (Snapshot.create ~m) beta
-  in
-  let rec solo p local steps xi =
-    if steps > local_cap then
-      failwith
-        "Covering_sim: final solo execution exceeded the cap — protocol is \
-         not obstruction-free within the cap";
-    match Proc.poised p with
-    | Proc.Scan ->
-      let v = Snapshot.scan local in
-      solo (Proc.step_scan p v) local (steps + 1) (Journal.Zscan v :: xi)
-    | Proc.Update (j, v) ->
-      solo (Proc.step_update p) (Snapshot.update local j v) (steps + 1)
-        (Journal.Zupdate (j, v) :: xi)
-    | Proc.Output y -> (y, List.rev xi)
-  in
-  solo p1 local 0 []
+  go p local 0 []
 
 let program (cfg : Aug.config) ~me ~procs ~local_cap =
   if Array.length procs <> cfg.m then
@@ -94,8 +69,9 @@ let program (cfg : Aug.config) ~me ~procs ~local_cap =
             | Some (_, view, source_serial) -> (
               (* Revise the past of p_{i,r} using the stored view. *)
               let p, zeta, outcome =
-                local_simulate ~local_cap ~g:(r - 1) st.procs.(r - 1) ~view
-                  ~allowed:comps
+                local_simulate ~local_cap ~g:(r - 1) st.procs.(r - 1)
+                  (Snapshot.of_view view)
+                  ~allowed:(fun j -> List.mem j comps)
               in
               let st = { st with procs = set st.procs (r - 1) p } in
               let* () =
@@ -127,9 +103,17 @@ let program (cfg : Aug.config) ~me ~procs ~local_cap =
       loop st []
   in
   (* Algorithm 7: construct an m-block β, then locally simulate β
-     followed by p_{i,1}'s terminating solo execution. *)
+     followed by p_{i,1}'s terminating solo execution ξ, from M's initial
+     contents with every component allowed. *)
   construct { procs; serial = 0 } cfg.m (fun st beta ->
-      let output, xi =
-        final_solo ~local_cap ~m:cfg.m (Proc.step_update st.procs.(0)) beta
+      let after_beta =
+        List.fold_left
+          (fun mem (j, v) -> Snapshot.update mem j v)
+          (Snapshot.create ~m:cfg.m) beta
       in
-      journal (Journal.Jfinal { beta; xi; output }))
+      match
+        local_simulate ~local_cap ~g:0 (Proc.step_update st.procs.(0))
+          after_beta ~allowed:(fun _ -> true)
+      with
+      | _, xi, `Out output -> journal (Journal.Jfinal { beta; xi; output })
+      | _, _, `Poised _ -> assert false (* every update is allowed *))

@@ -35,7 +35,7 @@ type result = {
   outputs : (int * Value.t) list;
   aug : Aug.t;
   trace : Aug.Prog.trace_entry list;
-  journals : Journal.t array;
+  journals : Journal.event list array;
   partition : int array array;
   statuses : Rsim_runtime.Prog.status array;
   ops_per_sim : int array;
@@ -79,11 +79,11 @@ let default_watchdog ~f ~m ~max_ops =
   if Complexity.is_saturated b || b > (max_ops - 64) / 4 then max_ops
   else (4 * b) + 64
 
-(* A simulation in progress: the shared object, the interpreter's run,
-   and what the run's notes and its watchdog record — per simulator its
-   journal, latest event first, and the quarantines, latest first — and
-   the trace index its hops and completions extend. [save] copies the
-   mutable parts; the rest is fixed at [start]. *)
+(* A simulation in progress: the shared object, which keeps the trace
+   index, the interpreter's run, and what the run's notes and its
+   watchdog record — per simulator its journal, latest event first, and
+   the quarantines, latest first. [save] copies the mutable parts; the
+   rest is fixed at [start]. *)
 type sim = {
   spec : spec;
   part : int array array;
@@ -93,7 +93,6 @@ type sim = {
   run : Aug.Prog.run;
   rev_journals : Journal.event list array;
   rev_quarantined : quarantine list ref;
-  ix : Aug_spec.index ref;
 }
 
 let start ?(max_ops = 2_000_000) ?(local_cap = 100_000) ?(faults = [])
@@ -149,12 +148,10 @@ let start ?(max_ops = 2_000_000) ?(local_cap = 100_000) ?(faults = [])
       Rsim_runtime.Prog.Crash
     | directive -> directive
   in
-  let ix = ref (Aug_spec.start ~m:spec.m) in
-  let apply, record = Aug_spec.recording aug ix ~apply:(Aug.apply aug) in
   let emit = function
     | Journal.Entry { sim; event } ->
       rev_journals.(sim) <- event :: rev_journals.(sim)
-    | note -> record note
+    | note -> Aug.record aug note
   in
   {
     spec;
@@ -163,11 +160,10 @@ let start ?(max_ops = 2_000_000) ?(local_cap = 100_000) ?(faults = [])
     aug;
     plan;
     run =
-      Aug.Prog.start ~max_ops ~control ~obs_label:Aug.op_name ~apply ~emit
-        programs;
+      Aug.Prog.start ~max_ops ~control ~obs_label:Aug.op_name
+        ~apply:(Aug.apply aug) ~emit programs;
     rev_journals;
     rev_quarantined;
-    ix;
   }
 
 type saved = {
@@ -176,7 +172,6 @@ type saved = {
   s_rev_journals : Journal.event list array;
   s_rev_quarantined : quarantine list;
   s_fired : int;
-  s_ix : Aug_spec.index;
 }
 
 let save sim =
@@ -186,7 +181,6 @@ let save sim =
     s_rev_journals = Array.copy sim.rev_journals;
     s_rev_quarantined = !(sim.rev_quarantined);
     s_fired = Rsim_faults.Faults.fired_set sim.plan;
-    s_ix = !(sim.ix);
   }
 
 let restore sim s =
@@ -194,8 +188,7 @@ let restore sim s =
   Aug.restore sim.aug s.s_aug;
   Array.blit s.s_rev_journals 0 sim.rev_journals 0 sim.spec.f;
   sim.rev_quarantined := s.s_rev_quarantined;
-  Rsim_faults.Faults.set_fired sim.plan s.s_fired;
-  sim.ix := s.s_ix
+  Rsim_faults.Faults.set_fired sim.plan s.s_fired
 
 let is_done = function
   | Rsim_runtime.Prog.Done -> true
@@ -233,27 +226,19 @@ let result_of sim (fr : Aug.Prog.result) =
       k "simulation finished: %d H-operations, all_done=%b"
         fr.Aug.Prog.total_ops all_done);
   Obs.Metrics.incr m_runs;
-  let events = Array.map List.rev sim.rev_journals in
+  let journals = Array.map List.rev sim.rev_journals in
   Array.iter
     (fun evs -> Obs.Metrics.observe h_revisions (count is_revision evs))
-    events;
+    journals;
   Array.iter (Obs.Metrics.observe h_sim_ops) fr.Aug.Prog.ops_per_fiber;
   (* Headroom between the busiest simulator and the watchdog's
      Lemma-31-calibrated budget: how far this run was from quarantine. *)
   let busiest = Array.fold_left max 0 fr.Aug.Prog.ops_per_fiber in
   Obs.Metrics.set g_watchdog_margin (sim.watchdog_budget - busiest);
-  let journals =
-    Array.map
-      (fun evs ->
-        let j = Journal.create () in
-        List.iter (Journal.push j) evs;
-        j)
-      events
-  in
   {
     outputs =
       List.filter_map
-        (fun i -> Option.map (fun v -> (i, v)) (output_of events.(i)))
+        (fun i -> Option.map (fun v -> (i, v)) (output_of journals.(i)))
         (List.init sim.spec.f Fun.id);
     aug = sim.aug;
     trace = fr.Aug.Prog.trace;
@@ -261,7 +246,7 @@ let result_of sim (fr : Aug.Prog.result) =
     partition = sim.part;
     statuses = fr.Aug.Prog.statuses;
     ops_per_sim = fr.Aug.Prog.ops_per_fiber;
-    bu_counts = Array.map (count is_bu) events;
+    bu_counts = Array.map (count is_bu) journals;
     total_ops = fr.Aug.Prog.total_ops;
     all_done;
     report =
@@ -270,7 +255,7 @@ let result_of sim (fr : Aug.Prog.result) =
         quarantined = List.rev !(sim.rev_quarantined);
         watchdog_budget = sim.watchdog_budget;
       };
-    index = !(sim.ix);
+    index = Aug.index sim.aug;
   }
 
 let finish ?probe ?at_end ~sched sim =

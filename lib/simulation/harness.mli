@@ -44,7 +44,8 @@ type result = {
           {!Journal.Jfinal} entry *)
   aug : Rsim_augmented.Aug.t;
   trace : Rsim_augmented.Aug.Prog.trace_entry list;
-  journals : Journal.t array;
+  journals : Journal.event list array;
+      (** per simulator, its journal events in the order recorded *)
   partition : int array array;  (** simulator ↦ global simulated pids *)
   statuses : Rsim_runtime.Prog.status array;
   ops_per_sim : int array;  (** H-operations per simulator *)
@@ -54,9 +55,10 @@ type result = {
   all_done : bool;
   report : fault_report;
   index : Rsim_augmented.Aug_spec.index;
-      (** the §3.3 trace index of [trace] and [aug]'s log, which the run
-          extended as it went ({!Rsim_augmented.Aug_spec.recording}); what
-          {!Analysis.check} and the explorer's oracles read *)
+      (** the §3.3 trace index of [trace] and [aug]'s log, as the
+          augmented snapshot had extended it when the result was taken
+          ({!Rsim_augmented.Aug.index}); what {!Analysis.check} and the
+          explorer's oracles read *)
 }
 
 (** The assignment of simulated processes to simulators: covering
@@ -138,8 +140,8 @@ val finish :
 val current : sim -> result
 
 (** A simulation's state at one scheduling decision: the interpreter's
-    run, the augmented snapshot, the journals, the quarantines, the
-    fault plan's fired set and the trace index. Immutable. *)
+    run, the augmented snapshot with its trace index, the journals, the
+    quarantines and the fault plan's fired set. Immutable. *)
 type saved
 
 (** [save s], called from [s]'s probe. *)

@@ -19,9 +19,3 @@ type event =
   | Jdecided of { proc : int; value : Value.t }
 
 type Rsim_augmented.Aug.note += Entry of { sim : int; event : event }
-
-type t = { mutable rev : event list }
-
-let create () = { rev = [] }
-let push t e = t.rev <- e :: t.rev
-let events t = List.rev t.rev

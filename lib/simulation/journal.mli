@@ -3,9 +3,11 @@
     Each simulator records the M-operations it applies, the revisions of
     its simulated processes' pasts, and its final locally-simulated
     steps, by emitting {!Entry} notes from its program; the harness files
-    them into one journal per simulator. The journal, together with the augmented snapshot's own log
-    and trace, lets {!Analysis} reconstruct the simulated execution of
-    Lemma 26 and replay it against the protocol. *)
+    them into one journal per simulator, a list of events in the order
+    recorded ({!Harness.result}). The journal, together with the
+    augmented snapshot's own log and trace index, lets {!Analysis}
+    reconstruct the simulated execution of Lemma 26 and replay it
+    against the protocol. *)
 
 open Rsim_value
 
@@ -39,11 +41,3 @@ type event =
 (** A journal event of simulator [sim], as its program emits it. Serials
     count the simulator's completed M-operations from 1. *)
 type Rsim_augmented.Aug.note += Entry of { sim : int; event : event }
-
-type t
-
-val create : unit -> t
-val push : t -> event -> unit
-
-(** Events in the order they were recorded. *)
-val events : t -> event list

@@ -91,7 +91,7 @@ let pp_journal fmt ~sim journal =
       | Journal.Jdecided { proc; value } ->
         Format.fprintf fmt "  q%d adopts the output of its process %d: %s@." sim
           (proc + 1) (Value.show value))
-    (Journal.events journal)
+    journal
 
 let pp_run fmt spec (result : Harness.result) =
   Format.fprintf fmt "%s@." (Harness.architecture spec);

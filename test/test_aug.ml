@@ -2,8 +2,11 @@ open Rsim_value
 open Rsim_shmem
 open Rsim_augmented
 
-let check_spec name (aug, (result : Aug.Prog.result)) =
-  let report = Aug_spec.check aug result.trace in
+(* The §3 report of the index [aug] recorded as it ran. *)
+let report aug = Aug_spec.report (Aug.index aug)
+
+let check_spec name aug =
+  let report = report aug in
   if not report.Aug_spec.ok then
     Alcotest.failf "%s: spec violations:@.%a" name Aug_spec.pp_report report
 
@@ -66,7 +69,7 @@ let test_solo_basic () =
     Alcotest.(check bool) "scan sees comp 2" true (Value.equal v.(2) (Value.Int 3));
     Alcotest.(check bool) "comp 1 untouched" true (Value.is_bot v.(1))
   | None -> Alcotest.fail "no scan view");
-  check_spec "solo" (aug, result)
+  check_spec "solo" aug
 
 let test_bu_step_count () =
   let aug = Aug.create ~f:2 ~m:2 () in
@@ -83,7 +86,7 @@ let test_bu_step_count () =
         Alcotest.(check int) "yield BU takes 5 steps" 5 n_ops
       | Aug.Scan_op _ -> ())
     (Aug.log aug);
-  check_spec "step count" (aug, result)
+  check_spec "step count" aug
 
 let test_forced_yield () =
   (* q1 starts a Block-Update (performs its line-2 scan), then q0 performs
@@ -106,7 +109,7 @@ let test_forced_yield () =
   | Some `Yield -> ()
   | Some (`View _) -> Alcotest.fail "q1 should have yielded"
   | None -> Alcotest.fail "q1 did not finish");
-  check_spec "forced yield" (aug, result)
+  check_spec "forced yield" aug
 
 let test_no_yield_without_contention () =
   (* Sequential Block-Updates never yield. *)
@@ -134,7 +137,7 @@ let test_no_yield_without_contention () =
       | Some `Yield -> Alcotest.failf "q%d yielded without step contention" i
       | None -> ())
     results;
-  check_spec "sequential" (aug, result)
+  check_spec "sequential" aug
 
 let test_higher_id_does_not_force_yield () =
   (* q1's complete Block-Update inside q0's interval must NOT make q0
@@ -156,7 +159,7 @@ let test_higher_id_does_not_force_yield () =
   | Some (`View _) -> ()
   | Some `Yield -> Alcotest.fail "q0 yielded"
   | None -> Alcotest.fail "q0 did not finish");
-  check_spec "higher id" (aug, result)
+  check_spec "higher id" aug
 
 let test_scan_sees_last_update () =
   let aug = Aug.create ~f:2 ~m:2 () in
@@ -174,7 +177,7 @@ let test_scan_sees_last_update () =
   no_failures result;
   Alcotest.(check bool) "scan after BU sees it" true
     (Value.equal !seen.(0) (Value.Int 7));
-  check_spec "scan sees update" (aug, result)
+  check_spec "scan sees update" aug
 
 let test_block_update_validation () =
   (* A malformed Block-Update is refused when its program is built,
@@ -224,7 +227,7 @@ let exhaustive_check ~f ~m ~bodies ~max_len =
       if live = [] then begin
         incr executions;
         no_failures result;
-        let report = Aug_spec.check aug result.Aug.Prog.trace in
+        let report = report aug in
         if not report.Aug_spec.ok then
           Alcotest.failf "exhaustive: script [%s] violates the spec:@.%a"
             (String.concat ";" (List.map string_of_int script))
@@ -284,7 +287,7 @@ let random_workload_case ~f ~m ~n_ops ~seed () =
       (List.init f (random_body ~aug ~n_ops ~seed))
   in
   no_failures result;
-  check_spec (Printf.sprintf "random f=%d m=%d seed=%d" f m seed) (aug, result)
+  check_spec (Printf.sprintf "random f=%d m=%d seed=%d" f m seed) aug
 
 let prop_random_workloads =
   QCheck.Test.make ~name:"random workloads satisfy the §3 spec" ~count:40
@@ -297,7 +300,7 @@ let prop_random_workloads =
           (List.init f (random_body ~aug ~n_ops:6 ~seed))
       in
       no_failures result;
-      let report = Aug_spec.check aug result.trace in
+      let report = report aug in
       if not report.Aug_spec.ok then
         QCheck.Test.fail_reportf "spec violations: %a" Aug_spec.pp_report report
       else true)
@@ -317,12 +320,11 @@ let prop_scripted_schedules =
       in
       let script = List.init (10 + draw (30 * f)) (fun _ -> draw f) in
       let aug = Aug.create ~f ~m () in
-      let result =
-        run ~max_ops:20_000
-          ~sched:(Schedule.script script) aug
-          (List.init f (random_body ~aug ~n_ops:3 ~seed))
-      in
-      let report = Aug_spec.check aug result.trace in
+      ignore
+        (run ~max_ops:20_000
+           ~sched:(Schedule.script script) aug
+           (List.init f (random_body ~aug ~n_ops:3 ~seed)));
+      let report = report aug in
       if not report.Aug_spec.ok then
         QCheck.Test.fail_reportf "script [%s]: spec violations: %a"
           (String.concat ";" (List.map string_of_int script))
@@ -349,12 +351,11 @@ let prop_crashy_schedules =
           (List.init f Fun.id)
       in
       let aug = Aug.create ~f ~m () in
-      let result =
-        run ~max_ops:20_000
-          ~sched:(Schedule.with_crashes crashes (Schedule.random ~seed)) aug
-          (List.init f (random_body ~aug ~n_ops:4 ~seed))
-      in
-      let report = Aug_spec.check aug result.trace in
+      ignore
+        (run ~max_ops:20_000
+           ~sched:(Schedule.with_crashes crashes (Schedule.random ~seed)) aug
+           (List.init f (random_body ~aug ~n_ops:4 ~seed)));
+      let report = report aug in
       if not report.Aug_spec.ok then
         QCheck.Test.fail_reportf "crashes [%s]: spec violations: %a"
           (String.concat ";"
@@ -397,7 +398,7 @@ let test_scan_blocked_by_updates () =
       ]
   in
   no_failures result;
-  check_spec "scan under contention" (aug, result);
+  check_spec "scan under contention" aug;
   let scan_ops =
     List.filter_map
       (function Aug.Scan_op { n_ops; _ } -> Some n_ops | Aug.Bu_op _ -> None)
@@ -439,12 +440,10 @@ let ref_lin_item = function
   | Aug_spec_ref.L_update { writer; ts; comp; value; x_idx; lin_idx } ->
     `Update (writer, Vts.to_array ts, comp, value, x_idx, lin_idx)
 
-(* Compare the report and linearization of [ix] (by default the fold of
-   [trace]) with the reference's on [aug] and [trace]. *)
-let compare_with_reference tally what ?ix ?got aug trace =
-  let ix =
-    match ix with Some ix -> ix | None -> Aug_spec.index aug trace
-  in
+(* Compare the report and linearization of [ix], the index [aug]
+   recorded (by default judged here), with the reference's on [aug] and
+   [trace]. *)
+let compare_with_reference tally what ?got ix aug trace =
   let got =
     match got with Some got -> Lazy.force got | None -> Aug_spec.report ix
   in
@@ -475,8 +474,8 @@ let reference_oracle tally ~trace : _ Rsim_explore.Explore.Oracle.t =
     check =
       (fun ({ aug; result; index; spec_report; _ } :
              _ Rsim_explore.Explore.exec) ->
-        compare_with_reference tally "explored execution" ~ix:index
-          ~got:spec_report aug (trace result);
+        compare_with_reference tally "explored execution" ~got:spec_report
+          index aug (trace result);
         []);
   }
 
@@ -516,10 +515,8 @@ let test_checker_matches_reference () =
         let what =
           Printf.sprintf "racing n=%d m=%d f=%d d=%d seed %d" n m f d seed
         in
-        (* the index the run carried, then the fold of its trace *)
-        compare_with_reference tally (what ^ ", carried") ~ix:r.Harness.index
-          r.Harness.aug r.Harness.trace;
-        compare_with_reference tally what r.Harness.aug r.Harness.trace
+        compare_with_reference tally what r.Harness.index r.Harness.aug
+          r.Harness.trace
       done)
     [ (4, 2, 2, 0); (5, 2, 3, 1); (7, 5, 2, 1); (13, 4, 3, 1); (16, 4, 4, 0) ];
   (* The E9 ablation: no helping writes. *)
@@ -532,7 +529,7 @@ let test_checker_matches_reference () =
     in
     compare_with_reference tally
       (Printf.sprintf "helping:false seed %d" seed)
-      aug result.trace
+      (Aug.index aug) aug result.trace
   done;
   no_mismatch "simulations and ablation" tally;
   Alcotest.(check bool)
@@ -644,6 +641,19 @@ let test_long_leaves_match_reference () =
   Alcotest.(check int) "every leaf compared" 5706 tally.compared;
   no_mismatch "long leaves" tally
 
+(* The index of a hand-written trace: the hop step of each entry, in
+   list order. *)
+let index_of trace =
+  List.fold_left
+    (fun ix (e : Aug.Prog.trace_entry) ->
+      match (e.op, e.res) with
+      | Aug.Ops.Hscan, Aug.Ops.Snap snap ->
+        Aug_spec.hop_scan ix ~idx:e.idx ~pid:e.pid snap
+      | Aug.Ops.Happend_triples triples, _ ->
+        Aug_spec.hop_append ix ~idx:e.idx ~pid:e.pid triples
+      | (Aug.Ops.Hscan | Aug.Ops.Happend_lrecords _), _ -> ix)
+    (Aug_spec.start ~m:1) trace
+
 let test_window_start_latest () =
   (* Scans at 0 and 1 both return the empty H; the append at 2 changes
      it; the scan at 4 is an (artificial) third empty result at or above
@@ -665,7 +675,7 @@ let test_window_start_latest () =
       scan 4 h0;
     ]
   in
-  let ix = Aug_spec.index (Aug.create ~f:2 ~m:1 ()) trace in
+  let ix = index_of trace in
   List.iter
     (fun (what, last, x_idx, want) ->
       Alcotest.(check (option int)) what want
@@ -682,8 +692,7 @@ let test_window_start_latest () =
 let test_hop_out_of_order () =
   (* An index fed a hop at or below one it already holds describes no
      run; it must be refused at once, not judged (a walk over it need not
-     end). Both ways in: the fold over a trace out of order, and a run
-     that restores its state but not its index. *)
+     end). *)
   let h0 = Hrep.create ~f:2 in
   let triple = { Hrep.comp = 0; value = Value.Int 1; ts = Vts.of_array [| 1; 0 |] } in
   let scan idx = { Aug.Prog.idx; pid = 1; op = Aug.Ops.Hscan; res = Aug.Ops.Snap h0 } in
@@ -691,28 +700,46 @@ let test_hop_out_of_order () =
     { Aug.Prog.idx; pid = 0; op = Aug.Ops.Happend_triples [ triple ];
       res = Aug.Ops.Ack }
   in
-  let refused what f =
-    match f () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.failf "%s: the hop was taken" what
-  in
   List.iter
     (fun (what, trace) ->
-      refused what (fun () -> Aug_spec.index (Aug.create ~f:2 ~m:1 ()) trace))
+      match index_of trace with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s: the hop was taken" what)
     [
       ("a scan below a scan", [ scan 0; scan 2; scan 1 ]);
       ("a scan at an append", [ scan 0; append 1; scan 1 ]);
       ("an append below a scan", [ scan 0; scan 3; append 2 ]);
     ];
-  let aug = Aug.create ~f:2 ~m:1 () in
-  let ix = ref (Aug_spec.start ~m:1) in
-  let apply, _ = Aug_spec.recording aug ix ~apply:(Aug.apply aug) in
-  let saved = Aug.save aug in
-  ignore (apply ~pid:0 Aug.Ops.Hscan);
-  ignore (apply ~pid:1 Aug.Ops.Hscan);
+  (* The object keeps its index, so restoring the object restores the
+     index: an object saved mid-run, driven on, restored and driven along
+     a second script reports what a fresh object driven straight along
+     that script does. *)
+  let start aug =
+    Aug.Prog.start ~apply:(Aug.apply aug) ~emit:(Aug.record aug)
+      (List.init 2 (random_body ~aug ~n_ops:4 ~seed:5))
+  in
+  let drive r script = Aug.Prog.run ~sched:(Schedule.script script) r in
+  let prefix = [ 0; 1; 1; 0; 1; 0; 0; 1 ]
+  and detour = [ 1; 1; 1; 1; 1; 1; 0; 0; 0; 0; 0; 0 ]
+  and rest = List.init 80 (fun k -> (k / 3) mod 2) in
+  let aug = Aug.create ~f:2 ~m:2 () in
+  let r = start aug in
+  drive r prefix;
+  let saved_run = Aug.Prog.save r and saved = Aug.save aug in
+  let completed = List.length (Aug.log aug) in
+  drive r detour;
+  Alcotest.(check bool) "the detour completed M-operations" true
+    (List.length (Aug.log aug) > completed);
+  Aug.Prog.restore r saved_run;
   Aug.restore aug saved;
-  refused "a restored run that kept its index" (fun () ->
-      apply ~pid:0 Aug.Ops.Hscan)
+  drive r rest;
+  let fresh = Aug.create ~f:2 ~m:2 () in
+  drive (start fresh) (prefix @ rest);
+  Alcotest.(check bool) "the same report" true (report aug = report fresh);
+  Alcotest.(check bool) "the same linearization" true
+    (lin_items (Aug.index aug) = lin_items (Aug.index fresh));
+  Alcotest.(check int) "the same log" (List.length (Aug.log fresh))
+    (List.length (Aug.log aug))
 
 let () =
   Alcotest.run "aug"

@@ -5,7 +5,6 @@ open Rsim_explore
 
 module Faults = Rsim_faults.Faults
 module Harness = Rsim_simulation.Harness
-module Journal = Rsim_simulation.Journal
 module Obs = Rsim_obs.Obs
 
 let get_builtin ?inject ?faults ?oracles name ~f ~m =
@@ -228,35 +227,31 @@ let crash_run ~crash_after =
     (result.Aug.Prog.statuses.(1) = Rsim_runtime.Prog.Pending);
   Alcotest.(check bool) "q0 survived" true
     (result.Aug.Prog.statuses.(0) = Rsim_runtime.Prog.Done);
-  (aug, result, !seen)
+  (aug, !seen)
 
-let check_crash_spec name aug (result : Aug.Prog.result) =
+let check_crash_spec name aug =
   (* The survivor's Scans must satisfy the spec — Corollary 15 in
      particular: every pair of views is comparable, later scans dominate
      earlier ones — even with a crashed Block-Update in the history. *)
-  let report = Aug_spec.check aug result.Aug.Prog.trace in
+  let report = Aug_spec.report (Aug.index aug) in
   if not report.Aug_spec.ok then
     Alcotest.failf "%s: spec violations on crashy run:@.%a" name
       Aug_spec.pp_report report
 
 let test_crash_before_x () =
-  let aug, result, seen = crash_run ~crash_after:1 in
+  let aug, seen = crash_run ~crash_after:1 in
   Alcotest.(check bool) "update invisible before X" true (Value.is_bot seen.(0));
-  check_crash_spec "crash pre-X" aug result;
-  let spec, entries =
-    Explore.mop_history aug (Aug_spec.index aug result.Aug.Prog.trace)
-  in
+  check_crash_spec "crash pre-X" aug;
+  let spec, entries = Explore.mop_history aug (Aug.index aug) in
   Alcotest.(check bool) "pending update droppable: history linearizable" true
     (Linearize.check spec entries)
 
 let test_crash_after_x () =
-  let aug, result, seen = crash_run ~crash_after:2 in
+  let aug, seen = crash_run ~crash_after:2 in
   Alcotest.(check bool) "update visible after X" true
     (Value.equal seen.(0) (Value.Int 42));
-  check_crash_spec "crash post-X" aug result;
-  let spec, entries =
-    Explore.mop_history aug (Aug_spec.index aug result.Aug.Prog.trace)
-  in
+  check_crash_spec "crash post-X" aug;
+  let spec, entries = Explore.mop_history aug (Aug.index aug) in
   Alcotest.(check bool) "crashed Block-Update left a pending entry" true
     (List.exists (fun (e : _ Linearize.entry) -> e.Linearize.ret = None) entries);
   Alcotest.(check bool) "pending update takes effect: history linearizable" true
@@ -266,8 +261,8 @@ let test_crash_spec_across_cutoffs () =
   (* Crash q1 at every point of its Block-Update: the survivor's view of
      the world must satisfy the spec at each cutoff. *)
   for crash_after = 1 to 5 do
-    let aug, result, _ = crash_run ~crash_after in
-    check_crash_spec (Printf.sprintf "crash after %d" crash_after) aug result
+    let aug, _ = crash_run ~crash_after in
+    check_crash_spec (Printf.sprintf "crash after %d" crash_after) aug
   done
 
 (* ---- fault plane: injected crashes, drops, blocking bugs ---- *)
@@ -1013,7 +1008,7 @@ let test_resume_matches_scratch () =
                     r.Harness.statuses;
                   seen :=
                     ( List.map entry_key r.Harness.trace,
-                      Array.map Journal.events r.Harness.journals,
+                      r.Harness.journals,
                       r.Harness.outputs,
                       List.map (fun (q : Harness.quarantine) -> (q.sim, q.at_op)) q,
                       List.map mop_key (Aug.log r.Harness.aug) );

@@ -133,7 +133,7 @@ let test_final_block_path () =
   let finals =
     List.filter
       (function Journal.Jfinal _ -> true | _ -> false)
-      (Journal.events r.Harness.journals.(0))
+      r.Harness.journals.(0)
   in
   Alcotest.(check int) "took the final-block path" 1 (List.length finals);
   (match finals with
@@ -154,7 +154,7 @@ let run_and_check_everything ?(require_valid = None) spec seed =
   Alcotest.(check bool)
     (Printf.sprintf "wait-free (seed %d)" seed)
     true r.Harness.all_done;
-  let aug_rep = Rsim_augmented.Aug_spec.check r.Harness.aug r.Harness.trace in
+  let aug_rep = Rsim_augmented.Aug_spec.report r.Harness.index in
   if not aug_rep.Rsim_augmented.Aug_spec.ok then
     Alcotest.failf "aug spec (seed %d): %a" seed Rsim_augmented.Aug_spec.pp_report
       aug_rep;
@@ -425,7 +425,7 @@ let prop_simulation_sound =
       if not r.Harness.all_done then
         QCheck.Test.fail_reportf "not wait-free: seed=%d m=%d f=%d d=%d" seed m f d
       else begin
-        let aug_rep = Rsim_augmented.Aug_spec.check r.Harness.aug r.Harness.trace in
+        let aug_rep = Rsim_augmented.Aug_spec.report r.Harness.index in
         let rep = Analysis.check spec r in
         if not aug_rep.Rsim_augmented.Aug_spec.ok then
           QCheck.Test.fail_reportf "aug spec: %a" Rsim_augmented.Aug_spec.pp_report
@@ -616,9 +616,7 @@ let contains ~sub s =
 (* [r] with simulator [i]'s journal events rewritten by [f]. *)
 let with_journal r i f =
   let journals = Array.copy r.Harness.journals in
-  let j = Journal.create () in
-  List.iter (Journal.push j) (f (Journal.events journals.(i)));
-  journals.(i) <- j;
+  journals.(i) <- f journals.(i);
   { r with Harness.journals }
 
 (* [events] with the first one that [f] rewrites ([Some e']) replaced. *)
@@ -704,7 +702,7 @@ let test_analysis_matches_reference () =
               | Journal.Jrevise { zeta; _ } ->
                 List.exists (function Journal.Zscan _ -> true | _ -> false) zeta
               | _ -> false)
-            (Journal.events r.Harness.journals.(k)))
+            r.Harness.journals.(k))
         (List.init 4 Fun.id)
     with
     | Some k -> k
@@ -713,7 +711,7 @@ let test_analysis_matches_reference () =
   let scan_serial =
     List.find_map
       (function Journal.Jscan { serial; _ } -> Some serial | _ -> None)
-      (Journal.events r.Harness.journals.(reviser))
+      r.Harness.journals.(reviser)
     |> Option.get
   in
   let tampered =
@@ -880,7 +878,7 @@ let render (r : Harness.result) =
     (fun i j ->
       add
         (Printf.sprintf "journal %d: %s" i
-           (String.concat " " (List.map render_event (Journal.events j)))))
+           (String.concat " " (List.map render_event j))))
     r.Harness.journals;
   add
     (String.concat " "
