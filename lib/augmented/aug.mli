@@ -54,8 +54,8 @@ val op_name : Ops.op -> string
 val fault_adapter : Ops.op Rsim_faults.Faults.adapter
 
 (** Completed M-operations ({!Aug_spec.Mop}): the log that the trace
-    index keeps, and what the simulation's execution analysis pairs with
-    its journals. *)
+    index keeps, and the simulation's one record of the M-operations its
+    simulators apply. *)
 include module type of struct
   include Aug_spec.Mop
 end

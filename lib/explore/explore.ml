@@ -1379,8 +1379,9 @@ module Harness_target = struct
   let default_oracles = [ no_failure; aug_spec; analysis; consensus ]
 
   (* With faults on, strict all-done validation and the Lemma 26 replay
-     no longer apply (crashed simulators leave partial journals): switch
-     to survivor validation plus the progress detector. *)
+     no longer apply (a crashed simulator leaves its simulation
+     unfinished, and the replay refuses a restart): switch to survivor
+     validation plus the progress detector. *)
   let fault_oracles = [ no_failure; aug_spec; progress; consensus_survivors ]
 
   let racing ?oracles ?(faults = []) ?watchdog ~n ~m ~f ~d () =

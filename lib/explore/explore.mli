@@ -378,9 +378,10 @@ module Harness_target : sig
       raised, the §3 spec, {!Aug_target.progress}, and crash-fault
       validation ({!Rsim_simulation.Harness.validate}[ ~survivors_only:true]:
       crashed and quarantined simulators are excused, the survivors'
-      outputs must still solve consensus; complete runs only). Crashed
-      simulators leave partial journals, so strict validation and the
-      Lemma 26 replay do not apply. *)
+      outputs must still solve consensus; complete runs only). A crashed
+      simulator leaves its simulation unfinished and the replay refuses
+      a restart, so strict validation and the Lemma 26 replay do not
+      apply. *)
   val fault_oracles : exec Oracle.t list
 
   (** The racing-consensus simulation of Theorem 21, explorable: [f]

@@ -25,69 +25,58 @@ let pp_report fmt r =
    index [at]. *)
 type insertion = { at : int; sim : int; g : int; zeta : Journal.zeta_step list }
 
+(* The first restart in a run's fault events, if any. *)
+let first_restart (result : Harness.result) =
+  List.find_map
+    (function
+      | Rsim_runtime.Prog.Ev_restart { pid; at; incarnation } ->
+        Some (pid, at, incarnation)
+      | _ -> None)
+    result.Harness.report.Harness.events
+
 let check (spec : Harness.spec) (result : Harness.result) =
   let errors = ref [] in
   let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
-  let empty_stats =
-    { n_lin_items = 0; n_revisions = 0; n_hidden_steps = 0; n_final_steps = 0;
-      n_sim_steps = 0 }
+  let refuse fmt =
+    Format.kasprintf
+      (fun e ->
+        {
+          ok = false;
+          errors = [ e ];
+          stats =
+            { n_lin_items = 0; n_revisions = 0; n_hidden_steps = 0;
+              n_final_steps = 0; n_sim_steps = 0 };
+        })
+      fmt
   in
-  if not result.Harness.all_done then begin
-    err "analysis requires a completed run (some simulator still pending)";
-    { ok = false; errors = List.rev !errors; stats = empty_stats }
-  end
-  else begin
-    let aug = result.Harness.aug in
+  match (result.Harness.all_done, first_restart result) with
+  | false, _ ->
+    refuse "analysis requires a completed run (some simulator still pending)"
+  | true, Some (pid, at, incarnation) ->
+    (* A restarted simulator numbers its serials from 1 again, and σ̄
+       has no process that starts over. *)
+    refuse
+      "analysis does not model restarts: simulator %d restarted at \
+       H-operation %d (incarnation %d)"
+      pid at incarnation
+  | true, None ->
     let part = result.Harness.partition in
     let ix = result.Harness.index in
 
-    (* ---- 1. Match each simulator's completed M-ops (Aug log) with its
-       journal events, in per-simulator order. [paired.(p)]: log entry
-       [p] met a journal event of its kind; [serials.(i)]: simulator
-       [i]'s (serial, log position) pairings, latest first. ---- *)
-    let log = Array.of_list (Aug.log aug) in
-    let paired = Array.make (Array.length log) false in
-    let per_sim = Array.make spec.Harness.f [] in
-    for p = Array.length log - 1 downto 0 do
-      let i = Aug.mop_proc log.(p) in
-      per_sim.(i) <- p :: per_sim.(i)
-    done;
-    let serials = Array.make spec.Harness.f [] in
-    Array.iteri
-      (fun i mine ->
-        let journal_ops =
-          Array.of_list
-            (List.filter
-               (function
-                 | Journal.Jscan _ | Journal.Jbu _ -> true
-                 | Journal.Jrevise _ | Journal.Jfinal _ | Journal.Jdecided _ ->
-                   false)
-               result.Harness.journals.(i))
-        in
-        let n_journal_ops = Array.length journal_ops in
-        (if List.length mine <> n_journal_ops then
-           err "simulator %d: %d M-ops in Aug log but %d in journal" i
-             (List.length mine) n_journal_ops);
-        List.iteri
-          (fun k p ->
-            match
-              (log.(p), if k < n_journal_ops then Some journal_ops.(k) else None)
-            with
-            | Aug.Scan_op _, Some (Journal.Jscan { serial; _ })
-            | Aug.Bu_op _, Some (Journal.Jbu { serial; _ }) ->
-              paired.(p) <- true;
-              serials.(i) <- (serial, p) :: serials.(i)
-            | _, _ -> err "simulator %d: journal/log kind mismatch at op %d" i k)
-          mine)
-      per_sim;
+    (* ---- 1. Simulator [i]'s serial [s] is its [s]-th M-operation in
+       the log: [mops.(i).(s - 1)]. ---- *)
+    let mops =
+      let rev = Array.make spec.Harness.f [] in
+      Aug.iter_log result.Harness.aug (fun mop ->
+          let i = Aug.mop_proc mop in
+          rev.(i) <- mop :: rev.(i));
+      Array.map (fun l -> Array.of_list (List.rev l)) rev
+    in
 
     (* ---- 2. The linearized M-steps. An Update maps to a simulated
-       step through its paired Block-Update, as the [g]-th update of
+       step through its completed Block-Update, as the [g]-th update of
        that block. ---- *)
-    let mapped u =
-      let p = Aug_spec.bu_of ix u in
-      p >= 0 && paired.(p)
-    in
+    let mapped u = Aug_spec.bu_of ix u >= 0 in
     let n_lin = ref 0 in
     Aug_spec.iter_lin ix
       ~update:(fun u ->
@@ -110,8 +99,9 @@ let check (spec : Harness.spec) (result : Harness.result) =
               incr n_revisions;
               n_hidden := !n_hidden + List.length zeta;
               match
-                Option.map (Array.get log)
-                  (List.assoc_opt source_serial serials.(i))
+                if source_serial >= 1 && source_serial <= Array.length mops.(i)
+                then Some mops.(i).(source_serial - 1)
+                else None
               with
               | Some (Aug.Bu_op { x_idx; result = Aug.Atomic { last; _ }; _ })
                 -> (
@@ -126,8 +116,7 @@ let check (spec : Harness.spec) (result : Harness.result) =
                   "simulator %d: revision sourced from serial %d which is not \
                    an atomic Block-Update"
                   i source_serial)
-            | Journal.Jscan _ | Journal.Jbu _ | Journal.Jfinal _
-            | Journal.Jdecided _ -> ())
+            | Journal.Jfinal _ | Journal.Jdecided _ -> ())
           journal)
       result.Harness.journals;
     let to_insert =
@@ -261,7 +250,7 @@ let check (spec : Harness.spec) (result : Harness.result) =
                 err "Lemma 26: simulator %d adopted a value but replayed p%d \
                      never output"
                   i pid)
-            | Journal.Jscan _ | Journal.Jbu _ | Journal.Jrevise _ -> ())
+            | Journal.Jrevise _ -> ())
           journal)
       result.Harness.journals;
 
@@ -294,4 +283,3 @@ let check (spec : Harness.spec) (result : Harness.result) =
       }
     in
     { ok = !errors = []; errors = List.rev !errors; stats }
-  end

@@ -5,8 +5,10 @@
     execution σ̄ of protocol Π that the paper's Lemma 26 asserts exists.
     It reads the trace index the run carries ({!Harness.result}'s
     [index]; it builds none): the linearization walk, each Update's
-    position in its Block-Update and each window start [L]; its own work
-    is to pair the log with the simulators' journals and to replay:
+    position in its Block-Update and each window start [L]. A journal
+    names a simulator's M-operations by serial: serial [s] of simulator
+    [i] is [i]'s [s]-th M-operation in the object's log. Its own work is
+    to replay:
 
     + the linearized M.Scans and M.Updates of the real execution are
       mapped to the simulated steps they simulate (an M.Scan by [q_i] to
@@ -25,7 +27,12 @@
     of M, and every simulator's output must equal the output its
     simulated process produces in the replay. Together these are
     properties 1–4 of Lemma 26 and the correctness argument of
-    Lemma 27, checked computationally on a concrete execution. *)
+    Lemma 27, checked computationally on a concrete execution.
+
+    A run with a restart ([Ev_restart] among its fault events) is
+    refused with one error naming the simulator and the restart: the
+    restarted simulator numbers its serials from 1 again, and σ̄ has no
+    process that starts over. So is a run that did not complete. *)
 
 type stats = {
   n_lin_items : int;  (** linearized M.Scans + M.Updates *)

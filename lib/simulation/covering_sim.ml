@@ -50,10 +50,8 @@ let program (cfg : Aug.config) ~me ~procs ~local_cap =
     if r = 1 then
       (* Base case: simulate p_{i,1}'s next step (a scan) with M.Scan. *)
       let* view = Aug.scan_prog cfg ~me in
-      let serial = st.serial + 1 in
-      let* () = journal (Journal.Jscan { serial; view }) in
       let p = Proc.step_scan st.procs.(0) view in
-      let st = { procs = set st.procs 0 p; serial } in
+      let st = { procs = set st.procs 0 p; serial = st.serial + 1 } in
       match Proc.poised p with
       | Proc.Update (j, v) -> k st [ (j, v) ]
       | Proc.Output y -> decide ~proc:0 y
@@ -88,8 +86,6 @@ let program (cfg : Aug.config) ~me ~procs ~local_cap =
                  poised updates. *)
               let* result = Aug.block_update_prog cfg ~me bu in
               let serial = st.serial + 1 in
-              let atomic = match result with `View _ -> true | `Yield -> false in
-              let* () = journal (Journal.Jbu { serial; updates = bu; atomic }) in
               let procs =
                 Array.mapi
                   (fun g p -> if g < List.length bu then Proc.step_update p else p)

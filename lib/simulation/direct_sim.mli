@@ -8,9 +8,8 @@
     only they keep taking steps (Lemma 32). *)
 
 (** [program cfg ~me ~proc] is simulator [me]'s program: it loops until
-    the simulated process [proc] outputs, emitting its journal as
-    {!Journal.Entry} notes; the output is its {!Journal.Jdecided}
-    entry's. *)
+    the simulated process [proc] outputs, and then emits the output as
+    its one journal entry, a {!Journal.Jdecided}. *)
 val program :
   Rsim_augmented.Aug.config ->
   me:int ->

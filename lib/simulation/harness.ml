@@ -203,21 +203,16 @@ let output_of events =
       match ev with
       | Journal.Jdecided { value; _ } | Journal.Jfinal { output = value; _ } ->
         Some value
-      | Journal.Jscan _ | Journal.Jbu _ | Journal.Jrevise _ -> acc)
+      | Journal.Jrevise _ -> acc)
     None events
 
-let count is events =
-  List.fold_left (fun n ev -> if is ev then n + 1 else n) 0 events
-
-let is_bu = function
-  | Journal.Jbu _ -> true
-  | Journal.Jscan _ | Journal.Jrevise _ | Journal.Jfinal _
-  | Journal.Jdecided _ -> false
-
-let is_revision = function
-  | Journal.Jrevise _ -> true
-  | Journal.Jscan _ | Journal.Jbu _ | Journal.Jfinal _
-  | Journal.Jdecided _ -> false
+let revisions events =
+  List.fold_left
+    (fun n ev ->
+      match ev with
+      | Journal.Jrevise _ -> n + 1
+      | Journal.Jfinal _ | Journal.Jdecided _ -> n)
+    0 events
 
 (* [sim]'s result from its run's, recorded in the per-run metrics. *)
 let result_of sim (fr : Aug.Prog.result) =
@@ -228,8 +223,12 @@ let result_of sim (fr : Aug.Prog.result) =
   Obs.Metrics.incr m_runs;
   let journals = Array.map List.rev sim.rev_journals in
   Array.iter
-    (fun evs -> Obs.Metrics.observe h_revisions (count is_revision evs))
+    (fun evs -> Obs.Metrics.observe h_revisions (revisions evs))
     journals;
+  let bu_counts = Array.make sim.spec.f 0 in
+  Aug.iter_log sim.aug (function
+    | Aug.Bu_op { proc; _ } -> bu_counts.(proc) <- bu_counts.(proc) + 1
+    | Aug.Scan_op _ -> ());
   Array.iter (Obs.Metrics.observe h_sim_ops) fr.Aug.Prog.ops_per_fiber;
   (* Headroom between the busiest simulator and the watchdog's
      Lemma-31-calibrated budget: how far this run was from quarantine. *)
@@ -246,7 +245,7 @@ let result_of sim (fr : Aug.Prog.result) =
     partition = sim.part;
     statuses = fr.Aug.Prog.statuses;
     ops_per_sim = fr.Aug.Prog.ops_per_fiber;
-    bu_counts = Array.map (count is_bu) journals;
+    bu_counts;
     total_ops = fr.Aug.Prog.total_ops;
     all_done;
     report =

@@ -45,12 +45,13 @@ type result = {
   aug : Rsim_augmented.Aug.t;
   trace : Rsim_augmented.Aug.Prog.trace_entry list;
   journals : Journal.event list array;
-      (** per simulator, its journal events in the order recorded *)
+      (** per simulator, its revisions, final block and adopted outputs,
+          in the order recorded; its M-operations are in [aug]'s log *)
   partition : int array array;  (** simulator ↦ global simulated pids *)
   statuses : Rsim_runtime.Prog.status array;
   ops_per_sim : int array;  (** H-operations per simulator *)
   bu_counts : int array;
-      (** M.Block-Updates applied per simulator ({!Journal.Jbu} entries) *)
+      (** M.Block-Updates completed per simulator, counted in [aug]'s log *)
   total_ops : int;
   all_done : bool;
   report : fault_report;

@@ -3,8 +3,6 @@ open Rsim_value
 type zeta_step = Zscan of Value.t array | Zupdate of int * Value.t
 
 type event =
-  | Jscan of { serial : int; view : Value.t array }
-  | Jbu of { serial : int; updates : (int * Value.t) list; atomic : bool }
   | Jrevise of {
       after_serial : int;
       proc : int;

@@ -1,13 +1,16 @@
-(** Per-simulator journal of simulation events.
+(** Per-simulator journal of what a simulator did locally.
 
-    Each simulator records the M-operations it applies, the revisions of
-    its simulated processes' pasts, and its final locally-simulated
-    steps, by emitting {!Entry} notes from its program; the harness files
-    them into one journal per simulator, a list of events in the order
-    recorded ({!Harness.result}). The journal, together with the
-    augmented snapshot's own log and trace index, lets {!Analysis}
-    reconstruct the simulated execution of Lemma 26 and replay it
-    against the protocol. *)
+    The M-operations a simulator applies are recorded once, in the
+    augmented snapshot's own log ({!Rsim_augmented.Aug.log}); a
+    simulator's {e serial} [s] names its [s]-th M-operation there,
+    counting from 1. The journal holds the rest: the revisions of its
+    simulated processes' pasts, its final locally-simulated steps, and
+    the outputs it adopted. Each simulator emits these as {!Entry} notes
+    from its program; the harness files them into one journal per
+    simulator, a list of events in the order recorded
+    ({!Harness.result}). Together with the log and the trace index, the
+    journal lets {!Analysis} reconstruct the simulated execution of
+    Lemma 26 and replay it against the protocol. *)
 
 open Rsim_value
 
@@ -17,16 +20,11 @@ type zeta_step =
   | Zupdate of int * Value.t
 
 type event =
-  | Jscan of { serial : int; view : Value.t array }
-      (** an applied M.Scan; simulates a scan by this simulator's first
-          process *)
-  | Jbu of { serial : int; updates : (int * Value.t) list; atomic : bool }
-      (** an applied M.Block-Update; its g-th update simulates an update
-          by this simulator's g-th process *)
   | Jrevise of {
       after_serial : int;  (** the serial of the M.Scan δ it follows *)
       proc : int;  (** 0-based index within this simulator's processes *)
-      source_serial : int;  (** serial of the atomic Jbu whose view was used *)
+      source_serial : int;
+          (** the serial of the atomic M.Block-Update whose view was used *)
       zeta : zeta_step list;  (** the inserted hidden execution ζ *)
     }
   | Jfinal of {
@@ -38,6 +36,5 @@ type event =
       (** a simulated process output during construction; the simulator
           adopts its value *)
 
-(** A journal event of simulator [sim], as its program emits it. Serials
-    count the simulator's completed M-operations from 1. *)
+(** A journal event of simulator [sim], as its program emits it. *)
 type Rsim_augmented.Aug.note += Entry of { sim : int; event : event }

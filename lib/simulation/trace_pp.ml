@@ -34,27 +34,31 @@ let pp_htrace fmt trace =
                 recs)))
     trace
 
-(* The completed M-operations of an object, in completion order. *)
+(* The completed M-operations of an object, in completion order, each
+   numbered by its simulator's count ([op#k] is that simulator's serial
+   [k], as its journal names it). *)
 let pp_mops fmt aug =
-  List.iter
-    (fun mop ->
+  let serials = Array.make (Aug.config aug).f 0 in
+  Aug.iter_log aug (fun mop ->
+      let proc = Aug.mop_proc mop in
+      serials.(proc) <- serials.(proc) + 1;
+      Format.fprintf fmt "q%d op#%d " proc serials.(proc);
       match mop with
-      | Aug.Scan_op { proc; start_idx; end_idx; view; n_ops; _ } ->
-        Format.fprintf fmt "q%d M.Scan       -> %a   (H-steps %d..%d, %d ops)@."
-          proc pp_view view start_idx end_idx n_ops
-      | Aug.Bu_op { proc; ts; updates; start_idx; end_idx; x_idx; result; _ } -> (
+      | Aug.Scan_op { start_idx; end_idx; view; n_ops; _ } ->
+        Format.fprintf fmt "M.Scan       -> %a   (H-steps %d..%d, %d ops)@."
+          pp_view view start_idx end_idx n_ops
+      | Aug.Bu_op { ts; updates; start_idx; end_idx; x_idx; result; _ } -> (
         match result with
         | Aug.Atomic { view; _ } ->
           Format.fprintf fmt
-            "q%d M.BlockUpdate %a ts=%s atomic, past view %a   (H-steps \
-             %d..%d, X at %d)@."
-            proc pp_updates updates (Vts.show ts) pp_view view start_idx end_idx
+            "M.BlockUpdate %a ts=%s atomic, past view %a   (H-steps %d..%d, \
+             X at %d)@."
+            pp_updates updates (Vts.show ts) pp_view view start_idx end_idx
             x_idx
         | Aug.Yield ->
           Format.fprintf fmt
-            "q%d M.BlockUpdate %a ts=%s YIELD   (H-steps %d..%d, X at %d)@."
-            proc pp_updates updates (Vts.show ts) start_idx end_idx x_idx))
-    (Aug.log aug)
+            "M.BlockUpdate %a ts=%s YIELD   (H-steps %d..%d, X at %d)@."
+            pp_updates updates (Vts.show ts) start_idx end_idx x_idx))
 
 let pp_zeta fmt zeta =
   Format.fprintf fmt "%s"
@@ -67,18 +71,12 @@ let pp_zeta fmt zeta =
               Printf.sprintf "upd %d:=%s" j (Value.show v))
           zeta))
 
-(* One simulator's journal: its M-ops, revisions (with ζ), adopted
-   outputs and final β·ξ tail. *)
+(* One simulator's journal: its revisions (with ζ), adopted outputs and
+   final β·ξ tail. *)
 let pp_journal fmt ~sim journal =
   List.iter
     (fun event ->
       match event with
-      | Journal.Jscan { serial; view } ->
-        Format.fprintf fmt "  q%d op#%d Scan -> %a@." sim serial pp_view view
-      | Journal.Jbu { serial; updates; atomic } ->
-        Format.fprintf fmt "  q%d op#%d BlockUpdate %a %s@." sim serial
-          pp_updates updates
-          (if atomic then "(atomic)" else "(yield)")
       | Journal.Jrevise { after_serial; proc; source_serial; zeta } ->
         Format.fprintf fmt
           "  q%d REVISES the past of its process %d after op#%d, using the \

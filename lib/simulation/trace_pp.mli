@@ -1,10 +1,11 @@
 (** Human-readable rendering of simulation runs.
 
     Debugging a revisionist simulation means reading three intertwined
-    timelines: raw [H]-operations, the M-operations they comprise, and
-    the simulators' journals (which simulated steps each M-operation
-    carried, where pasts were revised, which hidden steps were
-    inserted). These printers render each, plus a combined report. *)
+    timelines: raw [H]-operations, the M-operations they comprise
+    (numbered per simulator: [q1 op#3] is q1's third, the serial its
+    journal names it by), and the simulators' journals (where pasts were
+    revised, which hidden steps were inserted, what was output). These
+    printers render each, plus a combined report. *)
 
 (** The raw single-writer-snapshot operations, one line each. *)
 val pp_htrace :

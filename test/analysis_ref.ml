@@ -4,9 +4,12 @@
    for every revision's window start. Kept verbatim, apart from the
    opens, the alias below and the type equations, as the reference that
    the equivalence test in test_simulation.ml compares
-   {!Rsim_simulation.Analysis.check} against. [Aug_spec_ref] supplies
-   the list-form [linearize] and [window_start] this code was written
-   against. *)
+   {!Rsim_simulation.Analysis.check} against; and apart from two later
+   changes it shares with that module: a serial names the simulator's
+   serial-th M-operation in the log (journals no longer repeat the
+   M-operations), and a run with a restart is refused. [Aug_spec_ref]
+   supplies the list-form [linearize] and [window_start] this code was
+   written against. *)
 
 open Rsim_value
 open Rsim_shmem
@@ -51,8 +54,24 @@ let check (spec : Harness.spec) (result : Harness.result) =
     { n_lin_items = 0; n_revisions = 0; n_hidden_steps = 0; n_final_steps = 0;
       n_sim_steps = 0 }
   in
+  let restart =
+    List.find_map
+      (function
+        | Rsim_runtime.Prog.Ev_restart { pid; at; incarnation } ->
+          Some (pid, at, incarnation)
+        | _ -> None)
+      result.Harness.report.Harness.events
+  in
   if not result.Harness.all_done then begin
     err "analysis requires a completed run (some simulator still pending)";
+    { ok = false; errors = List.rev !errors; stats = empty_stats }
+  end
+  else if Option.is_some restart then begin
+    let pid, at, incarnation = Option.get restart in
+    err
+      "analysis does not model restarts: simulator %d restarted at \
+       H-operation %d (incarnation %d)"
+      pid at incarnation;
     { ok = false; errors = List.rev !errors; stats = empty_stats }
   end
   else begin
@@ -60,8 +79,8 @@ let check (spec : Harness.spec) (result : Harness.result) =
     let trace = result.Harness.trace in
     let part = result.Harness.partition in
 
-    (* ---- 1. Match each simulator's completed M-ops (Aug log) with its
-       journal events, in per-simulator order. ---- *)
+    (* ---- 1. Number each simulator's completed M-ops (Aug log) by
+       serial, in per-simulator order. ---- *)
     let log = Aug.log aug in
     let per_sim_mops = Array.make spec.Harness.f [] in
     List.iter
@@ -80,38 +99,21 @@ let check (spec : Harness.spec) (result : Harness.result) =
     let serial_to_mop = Hashtbl.create 64 in
     Array.iteri
       (fun i mops ->
-        let journal_ops =
-          Array.of_list
-            (List.filter_map
-               (function
-                 | (Journal.Jscan _ | Journal.Jbu _) as e -> Some e
-                 | Journal.Jrevise _ | Journal.Jfinal _ | Journal.Jdecided _ ->
-                   None)
-               result.Harness.journals.(i))
-        in
-        let n_journal_ops = Array.length journal_ops in
-        (if List.length mops <> n_journal_ops then
-           err "simulator %d: %d M-ops in Aug log but %d in journal" i
-             (List.length mops) n_journal_ops);
         List.iteri
           (fun k mop ->
-            let journal_op =
-              if k < n_journal_ops then Some journal_ops.(k) else None
-            in
-            match (mop, journal_op) with
-            | Aug.Scan_op { end_idx; _ }, Some (Journal.Jscan { serial; _ }) ->
+            let serial = k + 1 in
+            match mop with
+            | Aug.Scan_op { end_idx; _ } ->
               Hashtbl.replace scan_target (i, end_idx) serial;
               Hashtbl.replace serial_to_mop (i, serial) mop
-            | ( Aug.Bu_op { ts; updates; x_idx; result = bures; _ },
-                Some (Journal.Jbu { serial; _ }) ) ->
+            | Aug.Bu_op { ts; updates; x_idx; result = bures; _ } ->
               let last =
                 match bures with
                 | Aug.Atomic { last; _ } -> Some last
                 | Aug.Yield -> None
               in
               Hashtbl.replace bu_info (i, ts) (serial, updates, x_idx, last);
-              Hashtbl.replace serial_to_mop (i, serial) mop
-            | _, _ -> err "simulator %d: journal/log kind mismatch at op %d" i k)
+              Hashtbl.replace serial_to_mop (i, serial) mop)
           mops)
       per_sim_mops;
 
@@ -164,8 +166,7 @@ let check (spec : Harness.spec) (result : Harness.result) =
                   "simulator %d: revision sourced from serial %d which is not \
                    an atomic Block-Update"
                   i source_serial)
-            | Journal.Jscan _ | Journal.Jbu _ | Journal.Jfinal _
-            | Journal.Jdecided _ -> ())
+            | Journal.Jfinal _ | Journal.Jdecided _ -> ())
           journal)
       result.Harness.journals;
 
@@ -289,7 +290,7 @@ let check (spec : Harness.spec) (result : Harness.result) =
                 err "Lemma 26: simulator %d adopted a value but replayed p%d \
                      never output"
                   i pid)
-            | Journal.Jscan _ | Journal.Jbu _ | Journal.Jrevise _ -> ())
+            | Journal.Jrevise _ -> ())
           journal)
       result.Harness.journals;
 

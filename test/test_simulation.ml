@@ -3,8 +3,14 @@ open Rsim_shmem
 open Rsim_tasks
 open Rsim_protocols
 open Rsim_simulation
+module Aug = Rsim_augmented.Aug
 
 let i n = Value.Int n
+
+(* Simulator [sim]'s completed M-operations, in completion order: its
+   serial [s] names element [s - 1]. *)
+let ops_of (r : Harness.result) sim =
+  List.filter (fun mop -> Aug.mop_proc mop = sim) (Aug.log r.Harness.aug)
 
 let racing_spec ~n ~m ~f ~d inputs =
   {
@@ -291,6 +297,25 @@ let test_trace_pp_renders () =
   Alcotest.(check bool) "shows scans" true (contains "M.Scan");
   Alcotest.(check bool) "shows a revision" true (contains "REVISES");
   Alcotest.(check bool) "shows the outcome" true (contains "wait-free: true");
+  (* Every op# a REVISES line names is a printed M-operation. *)
+  let revises =
+    List.filter_map
+      (fun line ->
+        Scanf.sscanf_opt line
+          " q%d REVISES the past of its process %_d after op#%d, using the \
+           view of op#%d:"
+          (fun q after source -> (q, after, source)))
+      (String.split_on_char '\n' rendered)
+  in
+  Alcotest.(check bool) "REVISES lines parsed" true (revises <> []);
+  List.iter
+    (fun (q, after, source) ->
+      List.iter
+        (fun k ->
+          let op = Printf.sprintf "q%d op#%d M." q k in
+          Alcotest.(check bool) (op ^ " is printed") true (contains op))
+        [ after; source ])
+    revises;
   let htrace = Format.asprintf "%a" (fun fmt () -> Trace_pp.pp_htrace fmt r.Harness.trace) () in
   Alcotest.(check bool) "H-trace shows scans" true
     (let sub = "H.scan" in
@@ -645,9 +670,11 @@ let test_analysis_matches_reference () =
       (7, 5, 2, 1); (8, 2, 4, 0); (10, 3, 3, 1); (12, 3, 4, 0); (13, 4, 3, 1);
       (16, 4, 4, 0);
     ];
-  (* Every execution of the crashy racing sweep, complete or not, and of
-     the same sweep under stalls, whose runs complete and replay. *)
+  (* Every execution of the crashy racing sweep, complete or not, of
+     the same sweep under stalls, whose runs complete and replay, and
+     under restarts, whose completed runs the replay refuses. *)
   let replayed = ref 0 in
+  let refused = ref 0 in
   List.iter
     (fun profile ->
       let faults =
@@ -670,6 +697,24 @@ let test_analysis_matches_reference () =
               in
               if want.Analysis.stats.Analysis.n_lin_items > 0 then
                 incr replayed;
+              (* A completed run with a restart is refused, with one
+                 error that names the restart. *)
+              (if
+                 result.Harness.all_done
+                 && List.exists
+                      (function
+                        | Rsim_runtime.Prog.Ev_restart _ -> true | _ -> false)
+                      result.Harness.report.Harness.events
+               then
+                 match want with
+                 | { Analysis.ok = false; errors = [ e ]; _ }
+                   when contains ~sub:"does not model restarts" e ->
+                   incr refused
+                 | _ ->
+                   mismatches :=
+                     Format.asprintf "%s: restarted run not refused:@.%a"
+                       profile Analysis.pp_report want
+                     :: !mismatches);
               []);
         }
       in
@@ -680,10 +725,13 @@ let test_analysis_matches_reference () =
               ~faults ~n:4 ~m:2 ~f:2 ~d:0 ()));
       Alcotest.(check int) (profile ^ ": every sweep execution compared") 60
         !swept)
-    [ "crashy"; "stally" ];
+    [ "crashy"; "stally"; "restarting" ];
   Alcotest.(check bool)
     (Printf.sprintf "%d faulted executions replayed" !replayed)
     true (!replayed > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d restarted executions refused" !refused)
+    true (!refused > 0);
   (* Tampered results that reach the error paths, on a run with
      revisions (n=16 m=4 f=4, seed 3). *)
   let spec =
@@ -708,21 +756,33 @@ let test_analysis_matches_reference () =
     | Some k -> k
     | None -> Alcotest.fail "no revision with a hidden scan"
   in
+  let ops = ops_of r reviser in
   let scan_serial =
-    List.find_map
-      (function Journal.Jscan { serial; _ } -> Some serial | _ -> None)
-      r.Harness.journals.(reviser)
-    |> Option.get
+    1
+    + Option.get
+        (List.find_index
+           (function Aug.Scan_op _ -> true | Aug.Bu_op _ -> false)
+           ops)
+  in
+  (* [r] with the reviser's first revision sourced from [serial]. *)
+  let sourced serial =
+    with_journal r reviser
+      (rewrite_first (function
+        | Journal.Jrevise e ->
+          Some (Journal.Jrevise { e with source_serial = serial })
+        | _ -> None))
   in
   let tampered =
     [
       ( "revision sourced from a Scan",
         "which is not an atomic Block-Update",
-        with_journal r reviser
-          (rewrite_first (function
-            | Journal.Jrevise e ->
-              Some (Journal.Jrevise { e with source_serial = scan_serial })
-            | _ -> None)) );
+        sourced scan_serial );
+      ( "revision sourced from serial 0",
+        "which is not an atomic Block-Update",
+        sourced 0 );
+      ( "revision sourced past the last M-op",
+        "which is not an atomic Block-Update",
+        sourced (List.length ops + 1) );
       ( "flipped hidden view",
         "Lemma 26 (hidden scan)",
         with_journal r reviser
@@ -748,17 +808,6 @@ let test_analysis_matches_reference () =
           Harness.outputs =
             List.map (fun (k, _) -> (k, i (-1))) r.Harness.outputs;
         } );
-      ( "journal one M-op short",
-        "M-ops in Aug log but",
-        with_journal r reviser (fun events ->
-            let dropped = ref false in
-            List.filter
-              (function
-                | (Journal.Jscan _ | Journal.Jbu _) when not !dropped ->
-                  dropped := true;
-                  false
-                | _ -> true)
-              events) );
     ]
   in
   List.iter
@@ -785,7 +834,6 @@ let test_analysis_matches_reference () =
    simulators were direct-style fibers. A digest that moves is a change
    of behaviour, not a reason to record a new one. *)
 
-module Aug = Rsim_augmented.Aug
 module Hrep = Rsim_augmented.Hrep
 module Vts = Rsim_augmented.Vts
 module Faults = Rsim_faults.Faults
@@ -835,15 +883,34 @@ let zeta z =
        z)
 
 let render_event = function
-  | Journal.Jscan { serial; view } -> Printf.sprintf "S%d[%s]" serial (values view)
-  | Journal.Jbu { serial; updates = us; atomic } ->
-    Printf.sprintf "B%d[%s]%b" serial (updates us) atomic
   | Journal.Jrevise { after_serial; proc; source_serial; zeta = z } ->
     Printf.sprintf "R%d.%d.%d[%s]" after_serial proc source_serial (zeta z)
   | Journal.Jfinal { beta; xi; output } ->
     Printf.sprintf "F[%s][%s]%s" (updates beta) (zeta xi) (Value.show output)
   | Journal.Jdecided { proc; value } ->
     Printf.sprintf "D%d=%s" proc (Value.show value)
+
+(* Simulator [sim]'s journal as it read when it also listed the
+   simulator's M-operations: each of them by serial, a Scan as [S] and a
+   Block-Update as [B], each revision right after its [after_serial]-th
+   operation, and the final block or adopted output after the last. *)
+let render_journal (r : Harness.result) sim =
+  let op serial = function
+    | Aug.Scan_op { view; _ } -> Printf.sprintf "S%d[%s]" serial (values view)
+    | Aug.Bu_op { updates = us; result; _ } ->
+      Printf.sprintf "B%d[%s]%b" serial (updates us)
+        (match result with Aug.Atomic _ -> true | Aug.Yield -> false)
+  in
+  let rec go serial ops events =
+    match (ops, events) with
+    | _, (Journal.Jrevise { after_serial; _ } as ev) :: events
+      when after_serial <= serial ->
+      render_event ev :: go serial ops events
+    | mop :: ops, _ -> op (serial + 1) mop :: go (serial + 1) ops events
+    | [], ev :: events -> render_event ev :: go serial [] events
+    | [], [] -> []
+  in
+  String.concat " " (go 0 (ops_of r sim) r.Harness.journals.(sim))
 
 let render_status = function
   | Rsim_runtime.Prog.Done -> "done"
@@ -875,10 +942,7 @@ let render (r : Harness.result) =
       add (Printf.sprintf "%d %s %s" e.pid (render_op e.op) (render_res e.res)))
     r.Harness.trace;
   Array.iteri
-    (fun i j ->
-      add
-        (Printf.sprintf "journal %d: %s" i
-           (String.concat " " (List.map render_event j))))
+    (fun i _ -> add (Printf.sprintf "journal %d: %s" i (render_journal r i)))
     r.Harness.journals;
   add
     (String.concat " "
