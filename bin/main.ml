@@ -88,16 +88,7 @@ let simulate_cmd =
       Log.err (fun k -> k "simulate: %s" e);
       exit 2);
     obs_start ~trace_out;
-    let spec =
-      {
-        Harness.protocol = (fun pid input -> (Racing.protocol ~m ()) pid input);
-        n;
-        m;
-        f;
-        d;
-        inputs = List.init f (fun p -> Value.Int (p + 1));
-      }
-    in
+    let spec = Explore.Harness_target.racing_spec ~n ~m ~f ~d in
     if arch then print_string (Harness.architecture spec);
     let result = Harness.run ~sched:(Schedule.random ~seed) spec in
     Printf.printf "wait-free: %b   H-operations: %d\n" result.Harness.all_done
@@ -170,16 +161,7 @@ let witness_cmd =
     let found = ref 0 in
     let first = ref None in
     for seed = 0 to seeds - 1 do
-      let spec =
-        {
-          Harness.protocol = (fun pid input -> (Racing.protocol ~m ()) pid input);
-          n;
-          m;
-          f;
-          d;
-          inputs = List.init f (fun p -> Value.Int (p + 1));
-        }
-      in
+      let spec = Explore.Harness_target.racing_spec ~n ~m ~f ~d in
       let result = Harness.run ~sched:(Schedule.random ~seed) spec in
       match Harness.validate spec result ~task:Task.consensus with
       | Error _ when result.Harness.all_done ->

@@ -4,19 +4,16 @@
    simulations, so [Harness.default_watchdog] takes a generous multiple;
    this probe is how that multiple was sized. Expected output:
    "total failures: 0". *)
-open Rsim_value
 open Rsim_shmem
 open Rsim_simulation
-open Rsim_protocols
-let i n = Value.Int n
+open Rsim_explore
 let () =
   let bad = ref 0 in
   for seed = 0 to 200 do
     List.iter (fun (m, cov, d) ->
       let f = cov + d in
       let n = (cov * m) + d in
-      let inputs = List.init f (fun p -> i (p + 1)) in
-      let spec = { Harness.protocol = (fun pid input -> (Racing.protocol ~m ()) pid input); n; m; f; d; inputs } in
+      let spec = Explore.Harness_target.racing_spec ~n ~m ~f ~d in
       let r = Harness.run ~max_ops:500_000 ~sched:(Schedule.random ~seed) spec in
       if not r.Harness.all_done then begin
         incr bad;

@@ -83,7 +83,7 @@ let check_trace path =
           | None -> fail "trace: event %d: missing field %S" i f)
         [ "name"; "ph"; "pid"; "tid"; "ts" ];
       match J.member "ph" ev with
-      | Some (J.Str ("i" | "X" | "C")) -> ()
+      | Some (J.Str ("i" | "X")) -> ()
       | _ -> fail "trace: event %d: unknown phase" i)
     evs;
   Printf.printf "trace ok: %d events\n" (List.length evs)

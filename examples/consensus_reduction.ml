@@ -19,16 +19,7 @@
 open Core
 
 let run_case ~label ~n ~m ~f ~seeds =
-  let spec =
-    {
-      Harness.protocol = (fun pid input -> (Racing.protocol ~m ()) pid input);
-      n;
-      m;
-      f;
-      d = 0;
-      inputs = List.init f (fun p -> Value.Int (p + 1));
-    }
-  in
+  let spec = Explore.Harness_target.racing_spec ~n ~m ~f ~d:0 in
   let wait_free = ref 0 and violations = ref 0 in
   let first = ref None in
   for seed = 0 to seeds - 1 do

@@ -62,16 +62,7 @@ let () =
   print_newline ();
 
   print_endline "== 3. The revisionist simulation ==";
-  let spec =
-    {
-      Harness.protocol = (fun pid input -> (Racing.protocol ~m:2 ()) pid input);
-      n = 4;
-      m = 2;
-      f = 2;
-      d = 0;
-      inputs = [ Value.Int 1; Value.Int 2 ];
-    }
-  in
+  let spec = Explore.Harness_target.racing_spec ~n:4 ~m:2 ~f:2 ~d:0 in
   print_string (Harness.architecture spec);
   let result = Harness.run ~sched:(Schedule.random ~seed:7) spec in
   Printf.printf "wait-free: %b, H-operations: %d\n" result.Harness.all_done

@@ -43,16 +43,7 @@ let () =
   | None -> print_endline "unexpectedly survived\n");
 
   print_endline "== 3. The revisionist simulation, annotated ==";
-  let spec =
-    {
-      Harness.protocol = (fun pid input -> (Racing.protocol ~m:2 ()) pid input);
-      n = 4;
-      m = 2;
-      f = 2;
-      d = 0;
-      inputs = [ Value.Int 1; Value.Int 2 ];
-    }
-  in
+  let spec = Explore.Harness_target.racing_spec ~n:4 ~m:2 ~f:2 ~d:0 in
   let result = Harness.run ~sched:(Schedule.random ~seed:5) spec in
   Trace_pp.pp_run Format.std_formatter spec result;
   let rep = Analysis.check spec result in

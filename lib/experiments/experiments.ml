@@ -29,16 +29,7 @@ let aug_workload ?helping ~f ~m ~n_ops ~seed () =
 
 (* The racing protocol through the full simulation harness. *)
 let racing_sim ~n ~m ~f ~d ~seed =
-  let spec =
-    {
-      Harness.protocol = (fun pid input -> (Racing.protocol ~m ()) pid input);
-      n;
-      m;
-      f;
-      d;
-      inputs = List.init f (fun p -> Value.Int (p + 1));
-    }
-  in
+  let spec = Explore.Harness_target.racing_spec ~n ~m ~f ~d in
   let result = Harness.run ~sched:(Schedule.random ~seed) spec in
   (spec, result)
 

@@ -1215,28 +1215,27 @@ module Aug_target = struct
   let workload ~oracles ~inject ~faults ~name ~f ~m programs =
     (* Programs are persistent: every execution starts the same ones. *)
     let programs = programs (Aug.config (Aug.create ?inject ~f ~m ())) in
+    (* The hook keeps no state, so every execution on every domain
+       shares it. *)
+    let control =
+      if faults = [] then None
+      else Some (Faults.control ~adapter:Aug.fault_adapter faults)
+    in
     let module T = struct
       type t = {
         aug : Aug.t;
         run : Aug.Prog.run;
         digests : int array;
-        plan : Aug.Ops.op Faults.plan option;
       }
 
-      (* The run, the object, the digests and the plan's fired set. *)
-      type saved = Aug.Prog.saved * Aug.saved * int array * int
+      (* The run, the object and the digests. *)
+      type saved = Aug.Prog.saved * Aug.saved * int array
       type result = Aug.Prog.result
 
       let noun = "process"
 
       let start ~max_ops ~probed =
         let aug = Aug.create ?inject ~f ~m () in
-        (* A plan's fired set is single-run, so compile it afresh for
-           every execution: replays see the identical fault environment. *)
-        let plan =
-          if faults = [] then None
-          else Some (Faults.plan ~adapter:Aug.fault_adapter faults)
-        in
         (* Only a probed run is asked for fingerprints, so only it
            keeps the digests. *)
         let digests = if probed then digests ~f else [||] in
@@ -1245,25 +1244,21 @@ module Aug_target = struct
         in
         {
           aug;
-          plan;
           digests;
           run =
-            Aug.Prog.start ~max_ops
-              ?control:(Option.map Faults.control plan)
-              ~obs_label:Aug.op_name ~apply ~emit:(Aug.record aug) programs;
+            Aug.Prog.start ~max_ops ?control ~obs_label:Aug.op_name ~apply
+              ~emit:(Aug.record aug) programs;
         }
 
       let save t =
         ( Aug.Prog.save t.run,
           Aug.save t.aug,
-          Array.copy t.digests,
-          Option.fold ~none:0 ~some:Faults.fired_set t.plan )
+          Array.copy t.digests )
 
-      let restore t (run, aug, digests, fired) =
+      let restore t (run, aug, digests) =
         Aug.Prog.restore t.run run;
         Aug.restore t.aug aug;
-        Array.blit digests 0 t.digests 0 (Array.length digests);
-        Option.iter (fun p -> Faults.set_fired p fired) t.plan
+        Array.blit digests 0 t.digests 0 (Array.length digests)
 
       let run ?probe ?at_end ~sched t =
         Aug.Prog.run ?probe ?at_end ~sched t.run
@@ -1384,22 +1379,23 @@ module Harness_target = struct
      validation plus the progress detector. *)
   let fault_oracles = [ no_failure; aug_spec; progress; consensus_survivors ]
 
+  let racing_spec ~n ~m ~f ~d =
+    {
+      Harness.protocol = (fun pid input -> (Racing.protocol ~m ()) pid input);
+      n;
+      m;
+      f;
+      d;
+      inputs = List.init f (fun p -> Value.Int (p + 1));
+    }
+
   let racing ?oracles ?(faults = []) ?watchdog ~n ~m ~f ~d () =
     let oracles =
       match oracles with
       | Some os -> os
       | None -> if faults = [] then default_oracles else fault_oracles
     in
-    let hspec =
-      {
-        Harness.protocol = (fun pid input -> (Racing.protocol ~m ()) pid input);
-        n;
-        m;
-        f;
-        d;
-        inputs = List.init f (fun p -> Value.Int (p + 1));
-      }
-    in
+    let hspec = racing_spec ~n ~m ~f ~d in
     let module T = struct
       type t = Harness.sim
       type saved = Harness.saved

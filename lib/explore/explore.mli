@@ -343,12 +343,14 @@ module Aug_target : sig
       ["mixed"] (a deterministic pseudo-random mix keyed on [f], [m]).
       Every [exec] call runs the processes' persistent programs
       ({!Rsim_augmented.Aug.Prog}) over a fresh augmented snapshot.
-      [faults] is a fault-plane profile compiled afresh (fired set and
-      all) on every [exec] call, so replays are deterministic. A probed
+      [faults] is a fault-plane profile, compiled once into a stateless
+      hook ({!Rsim_faults.Faults.control}) that every execution shares;
+      the run state carries each process's retry count, so replays and
+      resumed states see the identical fault environment. A probed
       execution keeps rolling state digests, so the exploration engine's
       probe always gets a fingerprint, and a node holds the run state,
-      the object's state, the digests and the fired set. Returns [None]
-      for an unknown name. *)
+      the object's state and the digests. Returns [None] for an unknown
+      name. *)
   val builtin :
     ?inject:Rsim_augmented.Aug.fault ->
     ?faults:Rsim_faults.Faults.spec list ->
@@ -384,17 +386,22 @@ module Harness_target : sig
       apply. *)
   val fault_oracles : exec Oracle.t list
 
-  (** The racing-consensus simulation of Theorem 21, explorable: [f]
-      simulators ([d] of them direct) over an [m]-component augmented
-      snapshot, simulating [n] processes. Workload name ["racing"].
+  (** The racing-consensus simulation of Theorem 21: [f] simulators
+      ([d] of them direct) run {!Rsim_protocols.Racing}'s [m]-register
+      protocol for [n] processes, simulator [i] with input [i + 1]. *)
+  val racing_spec :
+    n:int -> m:int -> f:int -> d:int -> Rsim_simulation.Harness.spec
+
+  (** {!racing_spec}, explorable: [f] simulators ([d] of them direct)
+      over an [m]-component augmented snapshot, simulating [n]
+      processes. Workload name ["racing"].
       [faults]/[watchdog] are passed to every
       {!Rsim_simulation.Harness.start}; with a non-empty [faults] the
       default oracles switch to {!fault_oracles}. Probed executions get
       no state fingerprint (simulator local state is too rich to digest
       soundly), so the engine shares prefixes but never prunes. A node
       holds the simulation's saved state ({!Rsim_simulation.Harness.save}):
-      the journals, the quarantines and the fired set with the run and
-      the object. *)
+      the journals and the quarantines with the run and the object. *)
   val racing :
     ?oracles:exec Oracle.t list ->
     ?faults:Rsim_faults.Faults.spec list ->

@@ -160,49 +160,33 @@ type 'op adapter = {
 
 let null_adapter = { drop = (fun _ -> None); corrupt = (fun _ _ -> None) }
 
-type 'op plan = {
-  adapter : 'op adapter;
-  specs : spec array;
-  mutable fired : int;  (** bit [k] set: [specs.(k)] has fired *)
-}
-
-let plan ~adapter specs =
-  if List.length specs >= Sys.int_size then
-    invalid_arg "Faults.plan: too many specs for the fired set";
-  { adapter; specs = Array.of_list specs; fired = 0 }
-
-let fired_set t = t.fired
-let set_fired t s = t.fired <- s
-
-let fired t =
-  List.filteri (fun k _ -> t.fired land (1 lsl k) <> 0) (Array.to_list t.specs)
-
-(* The first spec that has not fired yet and fires at [pid]'s [nth]
-   operation, or -1. *)
-let rec due t ~pid ~nth k =
-  if k = Array.length t.specs then -1
+(* The [retry]-th spec from index [k] on, in profile order, that names
+   [pid]'s [nth] operation, or -1. *)
+let rec due specs ~pid ~nth retry k =
+  if k = Array.length specs then -1
   else
-    let s = t.specs.(k) in
-    if t.fired land (1 lsl k) = 0 && s.pid = pid && s.at_op = nth then k
-    else due t ~pid ~nth (k + 1)
+    let s = specs.(k) in
+    if s.pid <> pid || s.at_op <> nth then due specs ~pid ~nth retry (k + 1)
+    else if retry = 0 then k
+    else due specs ~pid ~nth (retry - 1) (k + 1)
 
-let control t ~pid ~nth op : _ Rsim_runtime.Prog.directive =
-  let k = due t ~pid ~nth 0 in
-  if k < 0 then Rsim_runtime.Prog.Proceed
-  else begin
-    t.fired <- t.fired lor (1 lsl k);
-    let spec = t.specs.(k) in
-    match spec.action with
-    | Crash -> Rsim_runtime.Prog.Crash
-    | Restart { delay } -> Rsim_runtime.Prog.Crash_restart { delay }
-    | Stall { steps } -> Rsim_runtime.Prog.Stall { steps }
-    | Raise_exn -> Rsim_runtime.Prog.Raise (Injected (spec.pid, spec.at_op))
-    | Drop -> (
-      match t.adapter.drop op with
-      | Some op' -> Rsim_runtime.Prog.Replace op'
-      | None -> Rsim_runtime.Prog.Proceed)
-    | Corrupt { seed } -> (
-      match t.adapter.corrupt (Prng.make seed) op with
-      | Some op' -> Rsim_runtime.Prog.Replace op'
-      | None -> Rsim_runtime.Prog.Proceed)
-  end
+let control ~adapter specs =
+  let specs = Array.of_list specs in
+  fun ~pid ~nth ~retry op : _ Rsim_runtime.Prog.directive ->
+    let k = due specs ~pid ~nth retry 0 in
+    if k < 0 then Rsim_runtime.Prog.Proceed
+    else
+      let spec = specs.(k) in
+      match spec.action with
+      | Crash -> Rsim_runtime.Prog.Crash
+      | Restart { delay } -> Rsim_runtime.Prog.Crash_restart { delay }
+      | Stall { steps } -> Rsim_runtime.Prog.Stall { steps }
+      | Raise_exn -> Rsim_runtime.Prog.Raise (Injected (spec.pid, spec.at_op))
+      | Drop -> (
+        match adapter.drop op with
+        | Some op' -> Rsim_runtime.Prog.Replace op'
+        | None -> Rsim_runtime.Prog.Proceed)
+      | Corrupt { seed } -> (
+        match adapter.corrupt (Prng.make seed) op with
+        | Some op' -> Rsim_runtime.Prog.Replace op'
+        | None -> Rsim_runtime.Prog.Proceed)

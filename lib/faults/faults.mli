@@ -8,7 +8,7 @@
     {!spec} names a victim process, the index of the victim operation
     (the process's [at_op]-th base-object operation, 0-based, cumulative
     across restarts) and an {!action}; a list of specs — a {e profile} —
-    is compiled by {!plan}/{!control} into the [control] hook of
+    is compiled by {!control} into the [control] hook of
     {!Rsim_runtime.Prog.S.start}, so {e every} workload (augmented
     snapshot, register snapshot, full simulations, explorer workloads)
     can be faulted through one mechanism, without per-module hooks.
@@ -87,28 +87,20 @@ type 'op adapter = {
     work — they are op-agnostic). *)
 val null_adapter : 'op adapter
 
-(** A compiled profile with its fired set: the specs that have fired,
-    each at most once. Mutable and single-run: build a fresh plan per
-    execution, or {!set_fired} one to the fired set of a saved state. *)
-type 'op plan
-
-(** Raises [Invalid_argument] for a profile of [Sys.int_size] specs or
-    more: the fired set is a bitmask. *)
-val plan : adapter:'op adapter -> spec list -> 'op plan
-
-(** The specs that actually fired so far, in profile order. *)
-val fired : 'op plan -> spec list
-
-(** The fired set as plain data: bit [k] is set once the profile's
-    [k]-th spec has fired. A saved run state stores it. *)
-val fired_set : 'op plan -> int
-
-(** [set_fired p s] makes [s] (a {!fired_set} of a plan of the same
-    profile) [p]'s fired set. *)
-val set_fired : 'op plan -> int -> unit
-
-(** The control hook to pass to {!Rsim_runtime.Prog.S.start}: it fires
-    the plan's first unfired spec that matches [pid]'s [nth] operation,
-    and allocates nothing when none does. *)
+(** [control ~adapter specs] is the control hook to pass to
+    {!Rsim_runtime.Prog.S.start}: given [pid]'s [nth] operation and its
+    [retry] count, it fires the [retry]-th spec (0-based), in profile
+    order, that names that operation, and proceeds if there is none. A
+    stalled or restarted operation keeps its [nth] and comes back with
+    [retry + 1], so each spec fires at most once per run, in profile
+    order. The hook keeps no state: one hook serves any number of runs,
+    on any domain, and a run restored from a saved state resumes with it
+    exactly. It allocates nothing when no spec fires. *)
 val control :
-  'op plan -> pid:int -> nth:int -> 'op -> 'op Rsim_runtime.Prog.directive
+  adapter:'op adapter ->
+  spec list ->
+  pid:int ->
+  nth:int ->
+  retry:int ->
+  'op ->
+  'op Rsim_runtime.Prog.directive

@@ -502,13 +502,10 @@ module Trace = struct
     tid : int;  (* Chrome tid: the in-run process id *)
     ts : int;
     dur : int;  (* < 0 means "no dur field" *)
-    value : int option;  (* counter events *)
     args : (string * Json.t) list;
   }
 
   let on = Atomic.make false
-  let sample_every = Atomic.make 1
-  let tick = Atomic.make 0
   let buf : ev list ref = ref []
   let buf_lock = Mutex.create ()
 
@@ -524,10 +521,8 @@ module Trace = struct
     buf := [];
     Mutex.unlock buf_lock
 
-  let start ?(sample = 1) () =
+  let start () =
     clear ();
-    Atomic.set sample_every (max 1 sample);
-    Atomic.set tick 0;
     Atomic.set on true
 
   let stop () = Atomic.set on false
@@ -550,7 +545,6 @@ module Trace = struct
           tid = pid;
           ts;
           dur = -1;
-          value = None;
           args;
         }
 
@@ -564,39 +558,7 @@ module Trace = struct
           tid = pid;
           ts;
           dur = max 0 dur;
-          value = None;
           args;
-        }
-
-  let sampled_complete ?(args = []) ~name ~pid ~ts ~dur () =
-    if enabled () then begin
-      let s = Atomic.get sample_every in
-      if s <= 1 || Atomic.fetch_and_add tick 1 mod s = 0 then
-        push
-          {
-            name;
-            ph = "X";
-            dom = dom_id ();
-            tid = pid;
-            ts;
-            dur = max 0 dur;
-            value = None;
-            args;
-          }
-    end
-
-  let counter ~name ~pid ~ts ~value =
-    if enabled () then
-      push
-        {
-          name;
-          ph = "C";
-          dom = dom_id ();
-          tid = pid;
-          ts;
-          dur = -1;
-          value = Some value;
-          args = [];
         }
 
   let ev_json e =
@@ -610,14 +572,8 @@ module Trace = struct
       ]
     in
     let base = if e.dur >= 0 then base @ [ ("dur", Json.Int e.dur) ] else base in
-    let args =
-      match e.value with
-      | Some v -> [ ("value", Json.Int v) ]
-      | None -> e.args
-    in
     let base =
-      if args = [] && e.ph <> "C" then base
-      else base @ [ ("args", Json.Obj args) ]
+      if e.args = [] then base else base @ [ ("args", Json.Obj e.args) ]
     in
     Json.Obj base
 

@@ -9,8 +9,7 @@
     - {b Off is (nearly) free.} Counter increments and histogram
       observations are single atomic read-modify-writes with no
       allocation, so they stay on permanently. Trace emission is guarded
-      by {!Trace.enabled} (one atomic load when off) and optionally
-      sampled when on.
+      by {!Trace.enabled} (one atomic load when off).
     - {b Domain-safe.} The explorer sweeps run workloads from several
       [Domain]s concurrently; counters and histograms are [Atomic]-based
       and the trace buffer is mutex-protected, so telemetry from parallel
@@ -155,12 +154,8 @@ module Trace : sig
   (** One atomic load; the guard for every emission site. *)
   val enabled : unit -> bool
 
-  (** [start ?sample ()] clears the buffer and begins collecting.
-      [sample] (default 1 = keep everything) keeps one in every [sample]
-      {e sampled} events — the per-operation firehose emitted through
-      {!sampled_complete}; structural events ({!instant}, {!complete},
-      {!counter}) are always kept while tracing is on. *)
-  val start : ?sample:int -> unit -> unit
+  (** [start ()] clears the buffer and begins collecting every event. *)
+  val start : unit -> unit
 
   val stop : unit -> unit
   val clear : unit -> unit
@@ -177,15 +172,6 @@ module Trace : sig
   val complete :
     ?args:(string * Json.t) list -> name:string -> pid:int -> ts:int ->
     dur:int -> unit -> unit
-
-  (** Like {!complete}, but subject to the sampling rate — for
-      per-operation events on hot paths. *)
-  val sampled_complete :
-    ?args:(string * Json.t) list -> name:string -> pid:int -> ts:int ->
-    dur:int -> unit -> unit
-
-  (** A counter track ([ph = "C"]). *)
-  val counter : name:string -> pid:int -> ts:int -> value:int -> unit
 
   (** The full buffer as a Chrome [trace_event] JSON object
       ([{"traceEvents": [...]}]), events in recording order. *)

@@ -90,7 +90,7 @@ module type S = sig
 
   val start :
     ?max_ops:int ->
-    ?control:(pid:int -> nth:int -> op -> op directive) ->
+    ?control:(pid:int -> nth:int -> retry:int -> op -> op directive) ->
     ?max_restarts:int ->
     ?obs_label:(op -> string) ->
     apply:(pid:int -> op -> res) ->
@@ -156,7 +156,7 @@ module Make (M : OPS) = struct
      restarting sets [live_stale], and a stall running out reaches
      [live_until], the earliest clock at which a pid the cache leaves out
      wakes. Everything a decision changes is in the fields that {!save}
-     copies; [hops] counts this run's own applied operations for
+     copies, or follows from them ([restarts_pending]); [hops] counts this run's own applied operations for
      [fiber.ops], and [restored] says whether {!restore} was called since
      [at_end] last was. *)
   type run = {
@@ -166,7 +166,11 @@ module Make (M : OPS) = struct
     ops_per_fiber : int array;
     apply : pid:int -> M.op -> M.res;
     emit : M.note -> unit;
-    control : (pid:int -> nth:int -> M.op -> M.op directive) option;
+    control :
+      (pid:int -> nth:int -> retry:int -> M.op -> M.op directive) option;
+    retries : int array;
+        (** per pid, the [retry] of its pending operation; [[||]] without
+            [control] *)
     max_ops : int;
     max_restarts : int;
     obs_label : M.op -> string;
@@ -178,7 +182,7 @@ module Make (M : OPS) = struct
     mutable decisions : int;
     stalled_until : int array;
     restart_due : int array;  (** [-1]: no restart due *)
-    mutable restarts_pending : int;
+    mutable restarts_pending : int;  (** pids with a restart due *)
     incarnations : int array;
     mutable live : int list;
     mutable live_stale : bool;
@@ -197,8 +201,8 @@ module Make (M : OPS) = struct
     s_decisions : int;
     s_stalled_until : int array;
     s_restart_due : int array;
-    s_restarts_pending : int;
     s_incarnations : int array;
+    s_retries : int array;
   }
 
   let save st =
@@ -212,8 +216,8 @@ module Make (M : OPS) = struct
       s_decisions = st.decisions;
       s_stalled_until = Array.copy st.stalled_until;
       s_restart_due = Array.copy st.restart_due;
-      s_restarts_pending = st.restarts_pending;
       s_incarnations = Array.copy st.incarnations;
+      s_retries = Array.copy st.retries;
     }
 
   let restore st s =
@@ -223,12 +227,17 @@ module Make (M : OPS) = struct
     Array.blit s.s_stalled_until 0 st.stalled_until 0 n;
     Array.blit s.s_restart_due 0 st.restart_due 0 n;
     Array.blit s.s_incarnations 0 st.incarnations 0 n;
+    Array.blit s.s_retries 0 st.retries 0 (Array.length st.retries);
     st.rev_trace <- s.s_rev_trace;
     st.rev_events <- s.s_rev_events;
     st.total <- s.s_total;
     st.clock <- s.s_clock;
     st.decisions <- s.s_decisions;
-    st.restarts_pending <- s.s_restarts_pending;
+    st.restarts_pending <- 0;
+    for pid = 0 to n - 1 do
+      if st.restart_due.(pid) >= 0 then
+        st.restarts_pending <- st.restarts_pending + 1
+    done;
     st.live_stale <- true;
     st.restored <- true
 
@@ -302,15 +311,22 @@ module Make (M : OPS) = struct
     st.hops <- st.hops + 1;
     st.ops_per_fiber.(pid) <- st.ops_per_fiber.(pid) + 1;
     if st.traced then
-      Obs.Trace.sampled_complete ~name:(st.obs_label op) ~pid ~ts:idx ~dur:1 ();
+      Obs.Trace.complete ~name:(st.obs_label op) ~pid ~ts:idx ~dur:1 ();
     match k res idx with
     | p -> settle st pid p
     | exception e -> st.slots.(pid) <- Over (Failed e)
 
+  (* [pid]'s pending operation through [control]. Applying it clears
+     [pid]'s retry count; a stall or a restart, which leave it pending,
+     bump it (a crash or a failure ends [pid], so its count goes unread). *)
   let direct st c pid k pending_op =
-    match c ~pid ~nth:st.ops_per_fiber.(pid) pending_op with
-    | Proceed -> exec st pid k pending_op
+    let retry = st.retries.(pid) in
+    match c ~pid ~nth:st.ops_per_fiber.(pid) ~retry pending_op with
+    | Proceed ->
+      st.retries.(pid) <- 0;
+      exec st pid k pending_op
     | Replace op' ->
+      st.retries.(pid) <- 0;
       event st (Ev_replace { pid; at = st.total });
       exec st pid k op'
     | Raise e ->
@@ -320,6 +336,7 @@ module Make (M : OPS) = struct
       event st (Ev_crash { pid; at = st.total; restarting = false });
       st.slots.(pid) <- Over Crashed
     | Crash_restart { delay } ->
+      st.retries.(pid) <- retry + 1;
       let restarting = st.incarnations.(pid) < st.max_restarts in
       event st (Ev_crash { pid; at = st.total; restarting });
       st.slots.(pid) <- Over Crashed;
@@ -328,6 +345,7 @@ module Make (M : OPS) = struct
         st.restarts_pending <- st.restarts_pending + 1
       end
     | Stall { steps } ->
+      st.retries.(pid) <- retry + 1;
       event st (Ev_stall { pid; at = st.total; steps });
       st.stalled_until.(pid) <- st.clock + max 1 steps;
       st.live_stale <- true
@@ -400,6 +418,7 @@ module Make (M : OPS) = struct
         apply;
         emit;
         control;
+        retries = (if Option.is_none control then [||] else Array.make n 0);
         max_ops;
         max_restarts;
         obs_label;

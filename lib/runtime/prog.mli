@@ -144,17 +144,23 @@ module type S = sig
       order.
 
       [control] (default: always [Proceed]) is consulted with the pid,
-      its executed-operation count [nth] and the pending operation before
-      each operation is applied. Crashed-restarting and stalled pids wake
-      after their delay in scheduling decisions; if at some point {e
-      only} waiting pids remain, time fast-forwards to the earliest
-      wake-up rather than deadlocking. A pid is restarted at most
+      its executed-operation count [nth] (cumulative across restarts),
+      its [retry] count and the pending operation before each operation
+      is applied. [retry] is how many {!Stall} and {!Crash_restart}
+      directives the pid has been given since it last applied an
+      operation: a stalled or restarted operation is offered again with
+      the same [nth] and [retry + 1]. The run saves and restores it, so a
+      hook that is a function of its arguments resumes exactly; a hook
+      that keeps state of its own does not. Crashed-restarting and
+      stalled pids wake after their delay in scheduling decisions; if at
+      some point {e only} waiting pids remain, time fast-forwards to the
+      earliest wake-up rather than deadlocking. A pid is restarted at most
       [max_restarts] (default 4) times. [max_ops] defaults to 1,000,000.
       [obs_label] names each operation in the emitted trace (default
       ["op"]). *)
   val start :
     ?max_ops:int ->
-    ?control:(pid:int -> nth:int -> op -> op directive) ->
+    ?control:(pid:int -> nth:int -> retry:int -> op -> op directive) ->
     ?max_restarts:int ->
     ?obs_label:(op -> string) ->
     apply:(pid:int -> op -> res) ->
@@ -196,9 +202,9 @@ module type S = sig
   type saved
 
   (** [save r], called from [r]'s probe: copies of the pids' programs,
-      statuses, operation counts, incarnations and clocks, with the trace
-      and the events so far. Shared memory and [emit]'s log are the
-      caller's to save. *)
+      statuses, operation and retry counts, incarnations and clocks, with
+      the trace and the events so far. Shared memory and [emit]'s log are
+      the caller's to save. *)
   val save : run -> saved
 
   (** [restore r s], called from [r]'s probe, puts [r] in state [s]: the

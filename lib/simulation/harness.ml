@@ -89,7 +89,6 @@ type sim = {
   part : int array array;
   watchdog_budget : int;
   aug : Aug.t;
-  plan : Aug.Ops.op Rsim_faults.Faults.plan;
   run : Aug.Prog.run;
   rev_journals : Journal.event list array;
   rev_quarantined : quarantine list ref;
@@ -120,15 +119,15 @@ let start ?(max_ops = 2_000_000) ?(local_cap = 100_000) ?(faults = [])
   Log.debug (fun k ->
       k "starting simulation: n=%d m=%d f=%d d=%d watchdog=%d" spec.n spec.m
         spec.f spec.d watchdog_budget);
-  let plan = Rsim_faults.Faults.plan ~adapter:Aug.fault_adapter faults in
+  let injected = Rsim_faults.Faults.control ~adapter:Aug.fault_adapter faults in
   let rev_journals = Array.make spec.f [] in
   let rev_quarantined = ref [] in
   (* Supervision: injected faults first, then the per-simulator step
      watchdog. A simulator that exceeds Lemma 31's budget is diverging
      (or being starved into unbounded work by a bug); it is quarantined —
      crashed in place — and the run continues with the others. *)
-  let control ~pid ~nth op =
-    match Rsim_faults.Faults.control plan ~pid ~nth op with
+  let control ~pid ~nth ~retry op =
+    match injected ~pid ~nth ~retry op with
     | Rsim_runtime.Prog.Proceed when nth >= watchdog_budget ->
       Log.debug (fun k ->
           k "watchdog: quarantining simulator %d after %d H-operations" pid nth);
@@ -158,7 +157,6 @@ let start ?(max_ops = 2_000_000) ?(local_cap = 100_000) ?(faults = [])
     part;
     watchdog_budget;
     aug;
-    plan;
     run =
       Aug.Prog.start ~max_ops ~control ~obs_label:Aug.op_name
         ~apply:(Aug.apply aug) ~emit programs;
@@ -171,7 +169,6 @@ type saved = {
   s_aug : Aug.saved;
   s_rev_journals : Journal.event list array;
   s_rev_quarantined : quarantine list;
-  s_fired : int;
 }
 
 let save sim =
@@ -180,15 +177,13 @@ let save sim =
     s_aug = Aug.save sim.aug;
     s_rev_journals = Array.copy sim.rev_journals;
     s_rev_quarantined = !(sim.rev_quarantined);
-    s_fired = Rsim_faults.Faults.fired_set sim.plan;
   }
 
 let restore sim s =
   Aug.Prog.restore sim.run s.s_run;
   Aug.restore sim.aug s.s_aug;
   Array.blit s.s_rev_journals 0 sim.rev_journals 0 sim.spec.f;
-  sim.rev_quarantined := s.s_rev_quarantined;
-  Rsim_faults.Faults.set_fired sim.plan s.s_fired
+  sim.rev_quarantined := s.s_rev_quarantined
 
 let is_done = function
   | Rsim_runtime.Prog.Done -> true

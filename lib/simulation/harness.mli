@@ -141,8 +141,9 @@ val finish :
 val current : sim -> result
 
 (** A simulation's state at one scheduling decision: the interpreter's
-    run, the augmented snapshot with its trace index, the journals, the
-    quarantines and the fault plan's fired set. Immutable. *)
+    run (with each simulator's retry count, all the fault plane needs to
+    resume), the augmented snapshot with its trace index, the journals
+    and the quarantines. Immutable. *)
 type saved
 
 (** [save s], called from [s]'s probe. *)

@@ -249,7 +249,7 @@ module Make (M : OPS) = struct
                 ops_per_fiber.(pid) <- ops_per_fiber.(pid) + 1;
                 Obs.Metrics.incr m_ops;
                 if Obs.Trace.enabled () then
-                  Obs.Trace.sampled_complete ~name:(obs_label op) ~pid ~ts:idx
+                  Obs.Trace.complete ~name:(obs_label op) ~pid ~ts:idx
                     ~dur:1 ();
                 (* Resuming overwrites the slot with the fiber's next
                    state (Suspended on its next op, or Finished). *)

@@ -88,37 +88,56 @@ let test_resolve () =
 (* ---- compilation: fire-once and adapters ---- *)
 
 let test_plan_fires_once () =
-  let specs =
-    [ { Faults.pid = 1; at_op = 2; action = Faults.Crash } ]
+  let control =
+    Faults.control ~adapter:Faults.null_adapter
+      [ { Faults.pid = 1; at_op = 2; action = Faults.Crash } ]
   in
-  let plan = Faults.plan ~adapter:Faults.null_adapter specs in
   (* wrong pid, wrong op index: no fire *)
   Alcotest.(check bool) "other pid proceeds" true
-    (Faults.control plan ~pid:0 ~nth:2 () = Rsim_runtime.Prog.Proceed);
+    (control ~pid:0 ~nth:2 ~retry:0 () = Rsim_runtime.Prog.Proceed);
   Alcotest.(check bool) "earlier op proceeds" true
-    (Faults.control plan ~pid:1 ~nth:1 () = Rsim_runtime.Prog.Proceed);
-  Alcotest.(check bool) "nothing fired yet" true (Faults.fired plan = []);
+    (control ~pid:1 ~nth:1 ~retry:0 () = Rsim_runtime.Prog.Proceed);
   (* the victim op *)
   Alcotest.(check bool) "victim op crashes" true
-    (Faults.control plan ~pid:1 ~nth:2 () = Rsim_runtime.Prog.Crash);
-  Alcotest.(check bool) "spec recorded as fired" true
-    (Faults.fired plan = specs);
-  (* same (pid, nth) again — e.g. after a restart replays op 2 — no refire *)
+    (control ~pid:1 ~nth:2 ~retry:0 () = Rsim_runtime.Prog.Crash);
+  (* the hook keeps no state: the same offer gets the same answer *)
+  Alcotest.(check bool) "the same offer crashes again" true
+    (control ~pid:1 ~nth:2 ~retry:0 () = Rsim_runtime.Prog.Crash);
+  (* same (pid, nth) on its retry — e.g. after a restart replays op 2 —
+     no refire *)
   Alcotest.(check bool) "fires at most once" true
-    (Faults.control plan ~pid:1 ~nth:2 () = Rsim_runtime.Prog.Proceed)
+    (control ~pid:1 ~nth:2 ~retry:1 () = Rsim_runtime.Prog.Proceed)
+
+(* Two specs on one operation fire in profile order, one per retry. *)
+let test_specs_fire_by_retry () =
+  let control =
+    Faults.control ~adapter:Faults.null_adapter
+      [
+        { Faults.pid = 0; at_op = 3; action = Faults.Stall { steps = 2 } };
+        { Faults.pid = 1; at_op = 3; action = Faults.Crash };
+        { Faults.pid = 0; at_op = 3; action = Faults.Restart { delay = 1 } };
+      ]
+  in
+  Alcotest.(check bool) "retry 0: the first spec" true
+    (control ~pid:0 ~nth:3 ~retry:0 () = Rsim_runtime.Prog.Stall { steps = 2 });
+  Alcotest.(check bool) "retry 1: the second spec" true
+    (control ~pid:0 ~nth:3 ~retry:1 ()
+    = Rsim_runtime.Prog.Crash_restart { delay = 1 });
+  Alcotest.(check bool) "retry 2 proceeds" true
+    (control ~pid:0 ~nth:3 ~retry:2 () = Rsim_runtime.Prog.Proceed)
 
 let test_null_adapter_skips_value_faults () =
-  let plan =
-    Faults.plan ~adapter:Faults.null_adapter
+  let control =
+    Faults.control ~adapter:Faults.null_adapter
       [
         { Faults.pid = 0; at_op = 0; action = Faults.Drop };
         { Faults.pid = 0; at_op = 1; action = Faults.Corrupt { seed = 3 } };
       ]
   in
   Alcotest.(check bool) "drop skipped without an adapter" true
-    (Faults.control plan ~pid:0 ~nth:0 () = Rsim_runtime.Prog.Proceed);
+    (control ~pid:0 ~nth:0 ~retry:0 () = Rsim_runtime.Prog.Proceed);
   Alcotest.(check bool) "corrupt skipped without an adapter" true
-    (Faults.control plan ~pid:0 ~nth:1 () = Rsim_runtime.Prog.Proceed)
+    (control ~pid:0 ~nth:1 ~retry:0 () = Rsim_runtime.Prog.Proceed)
 
 let test_aug_adapter_drop () =
   let tr =
@@ -169,6 +188,7 @@ let () =
       ( "plans",
         [
           Alcotest.test_case "fire once" `Quick test_plan_fires_once;
+          Alcotest.test_case "one spec per retry" `Quick test_specs_fire_by_retry;
           Alcotest.test_case "null adapter" `Quick
             test_null_adapter_skips_value_faults;
           Alcotest.test_case "aug adapter: drop" `Quick test_aug_adapter_drop;

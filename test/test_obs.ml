@@ -172,9 +172,8 @@ let test_trace_roundtrip () =
   Obs.Trace.start ();
   Obs.Trace.instant ~name:"evt" ~pid:0 ~ts:1 ~args:[ ("k", J.Str "v") ] ();
   Obs.Trace.complete ~name:"span" ~pid:1 ~ts:2 ~dur:5 ();
-  Obs.Trace.counter ~name:"ctr" ~pid:0 ~ts:3 ~value:42;
   Obs.Trace.stop ();
-  Alcotest.(check int) "buffered" 3 (Obs.Trace.length ());
+  Alcotest.(check int) "buffered" 2 (Obs.Trace.length ());
   (* the Chrome export parses back and has the right shape *)
   let j =
     match J.parse (J.to_string (Obs.Trace.to_chrome ())) with
@@ -186,7 +185,7 @@ let test_trace_roundtrip () =
     | Some (J.Arr evs) -> evs
     | _ -> Alcotest.fail "no traceEvents array"
   in
-  Alcotest.(check int) "three events" 3 (List.length evs);
+  Alcotest.(check int) "two events" 2 (List.length evs);
   List.iter
     (fun ev ->
       List.iter
@@ -199,12 +198,12 @@ let test_trace_roundtrip () =
     List.filter_map (fun ev -> J.member "ph" ev) evs
   in
   Alcotest.(check bool) "phases" true
-    (phs = [ J.Str "i"; J.Str "X"; J.Str "C" ]);
+    (phs = [ J.Str "i"; J.Str "X" ]);
   (* every JSONL line parses *)
   let lines =
     String.split_on_char '\n' (String.trim (Obs.Trace.to_jsonl ()))
   in
-  Alcotest.(check int) "jsonl lines" 3 (List.length lines);
+  Alcotest.(check int) "jsonl lines" 2 (List.length lines);
   List.iter
     (fun l ->
       match J.parse l with
@@ -214,22 +213,11 @@ let test_trace_roundtrip () =
   Obs.Trace.clear ();
   Alcotest.(check int) "cleared" 0 (Obs.Trace.length ())
 
-let test_trace_sampling () =
-  Obs.Trace.start ~sample:4 ();
-  for i = 0 to 15 do
-    Obs.Trace.sampled_complete ~name:"op" ~pid:0 ~ts:i ~dur:1 ()
-  done;
-  Obs.Trace.instant ~name:"structural" ~pid:0 ~ts:99 ();
-  Obs.Trace.stop ();
-  (* 16 sampled events at 1-in-4, plus the always-kept instant *)
-  Alcotest.(check int) "sampled" 5 (Obs.Trace.length ());
-  Obs.Trace.clear ()
-
 let test_trace_off_drops () =
   Obs.Trace.clear ();
   Alcotest.(check bool) "off by default" false (Obs.Trace.enabled ());
   Obs.Trace.instant ~name:"dropped" ~pid:0 ~ts:0 ();
-  Obs.Trace.sampled_complete ~name:"dropped" ~pid:0 ~ts:0 ~dur:1 ();
+  Obs.Trace.complete ~name:"dropped" ~pid:0 ~ts:0 ~dur:1 ();
   Alcotest.(check int) "nothing buffered" 0 (Obs.Trace.length ())
 
 (* ---------------- no allocation when off ---------------- *)
@@ -251,7 +239,7 @@ let test_no_alloc_when_off () =
     Obs.Metrics.incr c;
     Obs.Metrics.observe h i;
     if Obs.Trace.enabled () then
-      Obs.Trace.sampled_complete ~name:"op" ~pid:0 ~ts:i ~dur:1 ()
+      Obs.Trace.complete ~name:"op" ~pid:0 ~ts:i ~dur:1 ()
   done;
   let dw = Gc.minor_words () -. w0 in
   if dw > 64. then
@@ -300,7 +288,6 @@ let () =
         [
           Alcotest.test_case "chrome + jsonl round trip" `Quick
             test_trace_roundtrip;
-          Alcotest.test_case "sampling" `Quick test_trace_sampling;
           Alcotest.test_case "off drops" `Quick test_trace_off_drops;
         ] );
       ( "overhead",

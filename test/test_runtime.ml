@@ -149,18 +149,13 @@ let test_no_op_fiber () =
 
 (* ---- the fault boundary: directives at the apply point ---- *)
 
-(* Fire-once, like a compiled Faults.plan: a stalled operation keeps its
-   [nth], so a naive hook would re-stall it forever; and [nth] is
-   cumulative across restarts, so a naive hook would re-crash every
-   incarnation at the same op. *)
-let control_at ~pid:vp ~nth:vn directive =
-  let fired = ref false in
-  fun ~pid ~nth _op ->
-    if (not !fired) && pid = vp && nth = vn then begin
-      fired := true;
-      directive
-    end
-    else Prog.Proceed
+(* Fires on the operation's first offer only, like a compiled fault
+   profile: a stalled operation keeps its [nth], so a hook blind to
+   [retry] would re-stall it forever; and [nth] is cumulative across
+   restarts, so such a hook would re-crash every incarnation at the same
+   op. *)
+let control_at ~pid:vp ~nth:vn directive ~pid ~nth ~retry _op =
+  if pid = vp && nth = vn && retry = 0 then directive else Prog.Proceed
 
 let test_directive_crash () =
   (* Crashing process 0 at its 2nd op loses its remaining increments but
@@ -208,7 +203,8 @@ let test_restart_cap () =
   let _, apply = make_counter () in
   let result =
     run
-      ~control:(fun ~pid:_ ~nth:_ _ -> Prog.Crash_restart { delay = 1 })
+      ~control:(fun ~pid:_ ~nth:_ ~retry:_ _ ->
+        Prog.Crash_restart { delay = 1 })
       ~max_restarts:3 ~sched:Schedule.round_robin ~apply
       [ increments 1 ]
   in
@@ -388,10 +384,10 @@ let test_reclaim_chaos () =
       | Some specs -> specs
       | None -> Alcotest.fail "chaos profile missing"
     in
-    let plan = Faults.plan ~adapter:Faults.null_adapter specs in
     let _, apply = make_counter () in
     let result =
-      run ~max_ops:20 ~control:(Faults.control plan)
+      run ~max_ops:20
+        ~control:(Faults.control ~adapter:Faults.null_adapter specs)
         ~sched:(Schedule.random ~seed) ~apply
         [ count_up; count_up; count_up ]
     in
@@ -496,13 +492,47 @@ let program kinds lens pid : unit P.t =
     failwith (Printf.sprintf "program %d gave up" pid)
   | _ -> steps 1
 
+(* The adapter of [random_case]'s profiles: a dropped operation becomes a
+   read and a corrupted one an increment, whatever it was. *)
+let adapter =
+  {
+    Faults.drop = (fun _ -> Some Counter_ops.Get);
+    corrupt = (fun _ _ -> Some Counter_ops.Incr);
+  }
+
+(* A hook for the reference runtime, which passes no retry count: it
+   keeps a fired set of its own, and the first spec that has not fired
+   and names [pid]'s [nth] operation fires, as [adapter] has it, and is
+   marked fired. [Faults.control] must pick the same spec from [retry]. *)
+let fire_once specs =
+  let specs = Array.of_list specs in
+  let fired = Array.make (Array.length specs) false in
+  fun ~pid ~nth _op ->
+    let rec first k =
+      if k = Array.length specs then Prog.Proceed
+      else
+        let s = specs.(k) in
+        if (not fired.(k)) && s.Faults.pid = pid && s.at_op = nth then begin
+          fired.(k) <- true;
+          match s.action with
+          | Faults.Crash -> Prog.Crash
+          | Faults.Restart { delay } -> Prog.Crash_restart { delay }
+          | Faults.Stall { steps } -> Prog.Stall { steps }
+          | Faults.Drop -> Prog.Replace Counter_ops.Get
+          | Faults.Corrupt _ -> Prog.Replace Counter_ops.Incr
+          | Faults.Raise_exn -> Prog.Raise (Faults.Injected (s.pid, s.at_op))
+        end
+        else first (k + 1)
+    in
+    first 0
+
 (* One random configuration: programs whose next operation depends on
    what they read and programs that raise or return at once; a random
-   schedule; a fire-once fault plan drawing every directive; and random
+   schedule; a fault profile drawing every action; and random
    [max_ops], [max_restarts] and probe-stop cuts. [case ~run] drives it
-   through the runtime whose [run] is given, with the programs built by
-   [programs kinds lens pid] (the kind and the length of each pid's
-   program, drawn here). *)
+   through the runtime whose [run] is given the profile, to compile into
+   its own hook, and the programs built by [programs kinds lens pid]
+   (the kind and the length of each pid's program, drawn here). *)
 let random_case seed =
   let g = Random.State.make [| seed |] in
   let int n = Random.State.int g n in
@@ -515,44 +545,32 @@ let random_case seed =
     | 1 -> Schedule.round_robin
     | _ -> Schedule.script (List.init (int 40) (fun _ -> int n))
   in
-  let plan =
+  let specs =
     List.init (int 4) (fun _ ->
-        let directive =
+        let action =
           match int 6 with
-          | 0 -> Prog.Crash
-          | 1 -> Prog.Crash_restart { delay = int 4 }
-          | 2 -> Prog.Stall { steps = int 5 }
-          | 3 -> Prog.Replace Counter_ops.Incr
-          | 4 -> Prog.Replace Counter_ops.Get
-          | _ -> Prog.Raise (Failure "injected")
+          | 0 -> Faults.Crash
+          | 1 -> Faults.Restart { delay = int 4 }
+          | 2 -> Faults.Stall { steps = int 5 }
+          | 3 -> Faults.Corrupt { seed = 0 }
+          | 4 -> Faults.Drop
+          | _ -> Faults.Raise_exn
         in
-        (int n, int 6, directive))
+        let at_op = int 6 in
+        { Faults.pid = int n; at_op; action })
   in
   let max_ops = if int 3 = 0 then Some (int 20) else None in
   let max_restarts = int 4 in
   let stop_at = if int 3 = 0 then Some (int 25) else None in
   fun run ->
     let state, apply = make_counter () in
-    let fired = Array.make (List.length plan) false in
-    let control ~pid ~nth _op =
-      let rec first k = function
-        | [] -> Prog.Proceed
-        | (p, at, d) :: rest ->
-          if (not fired.(k)) && p = pid && at = nth then begin
-            fired.(k) <- true;
-            d
-          end
-          else first (k + 1) rest
-      in
-      first 0 plan
-    in
     let probed = ref [] in
     let probe ~step ~live =
       probed := (step, live) :: !probed;
       match stop_at with Some s when step >= s -> `Stop | _ -> `Continue
     in
     let observed =
-      run ?max_ops ~control ~max_restarts ~probe ~sched ~apply
+      run ?max_ops ~specs ~max_restarts ~probe ~sched ~apply
         (List.init n (program kinds lens))
     in
     { observed with o_probed = List.rev !probed; o_counter = !state }
@@ -587,7 +605,7 @@ let via_reference seed =
   let notes = ref [] in
   let emit n = notes := n :: !notes in
   let observed =
-    random_case seed (fun ?max_ops ~control ~max_restarts ~probe ~sched ~apply programs ->
+    random_case seed (fun ?max_ops ~specs ~max_restarts ~probe ~sched ~apply programs ->
         let applied = ref 0 in
         let apply ~pid op =
           incr applied;
@@ -600,7 +618,8 @@ let via_reference seed =
             programs
         in
         let r =
-          Ref_F.run ?max_ops ~control ~max_restarts ~probe ~sched ~apply bodies
+          Ref_F.run ?max_ops ~control:(fire_once specs) ~max_restarts ~probe
+            ~sched ~apply bodies
         in
         {
           o_statuses = Array.to_list (Array.map show_status r.Ref_F.statuses);
@@ -627,10 +646,11 @@ let test_interpreter_matches_fibers () =
     let notes = ref [] in
     let emit n = notes := n :: !notes in
     let got =
-      random_case seed (fun ?max_ops ~control ~max_restarts ~probe ~sched ~apply programs ->
+      random_case seed (fun ?max_ops ~specs ~max_restarts ~probe ~sched ~apply programs ->
           observe_prog
             (finish ~probe ~sched
-               (P.start ?max_ops ~control ~max_restarts ~apply ~emit programs)))
+               (P.start ?max_ops ~control:(Faults.control ~adapter specs)
+                  ~max_restarts ~apply ~emit programs)))
     in
     let want, want_notes = via_reference seed in
     if got <> want then
@@ -650,10 +670,12 @@ let test_interpreter_matches_fibers () =
 (* The same corpus, each run cut at a decision drawn from the seed: the
    interpreter saves its state there and stops, and a fresh run of the
    same programs restores that state at its first probe call and goes
-   on, with the schedule as the first run left it. Shared memory, the
-   fault plan and the notes carry over as they stand. What the resumed
-   run reports must be what the reference runtime reports for the whole
-   run, and most runs must get as far as the cut. *)
+   on, with the schedule as the first run left it. Shared memory and the
+   notes carry over as they stand; the fresh run compiles the profile
+   into a hook of its own, so what the fault plane had done before the
+   cut reaches it only through the saved state. What the resumed run
+   reports must be what the reference runtime, with the fire-once hook,
+   reports for the whole run, and most runs must get as far as the cut. *)
 let test_matches_reference () =
   let resumed = ref 0 in
   for seed = 1 to 3000 do
@@ -661,7 +683,7 @@ let test_matches_reference () =
     let emit n = notes := n :: !notes in
     let cut_at = Hashtbl.hash seed mod 12 in
     let got =
-      random_case seed (fun ?max_ops ~control ~max_restarts ~probe ~sched ~apply programs ->
+      random_case seed (fun ?max_ops ~specs ~max_restarts ~probe ~sched ~apply programs ->
           (* The schedule's state after the decisions made so far. *)
           let sched_now = ref sched in
           let tracked =
@@ -672,7 +694,12 @@ let test_matches_reference () =
                   sched_now := s';
                   Some pid)
           in
-          let start () = P.start ?max_ops ~control ~max_restarts ~apply ~emit programs in
+          (* Each run compiles its own hook: the saved state alone
+             carries the fault plane's progress. *)
+          let start () =
+            P.start ?max_ops ~control:(Faults.control ~adapter specs)
+              ~max_restarts ~apply ~emit programs
+          in
           let first = start () in
           let node = ref None in
           let stop_and_save ~step ~live =
