@@ -261,12 +261,12 @@ type exhaustive_report = {
 }
 
 (* A frontier entry: a tree node to resume from ([None]: the root) and
-   the decision to take there. [rev_prefix] is every decision from the
+   the decision [last] to take there (-1 at the root), which is also the
+   preemption bound's last pid. [rev_prefix] is every decision from the
    root, the task's own included, latest first: the leaf's script.
    [origin] is the pushing domain, for steal accounting. *)
 type frontier_task = {
   from : node option;
-  first : int;
   rev_prefix : int list;
   preempts : int;
   last : int;
@@ -447,7 +447,7 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
       rev_path := t.rev_prefix;
       preempts := t.preempts;
       last := t.last;
-      next_pick := t.first;
+      next_pick := t.last;
       cut_off := false
     in
     (* Another domain waits: hand the shared frontier the bottom half
@@ -522,7 +522,6 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
                 children :=
                   {
                     from;
-                    first = c;
                     rev_prefix = c :: !rev_path;
                     preempts = preempts_of_child c;
                     last = c;
@@ -606,7 +605,6 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
     [
       {
         from = None;
-        first = -1;
         rev_prefix = [];
         preempts = 0;
         last = -1;
@@ -962,7 +960,7 @@ let of_target (type r) (module T : TARGET with type result = r) ~name
 (* Oracles every target shares                                       *)
 (* ---------------------------------------------------------------- *)
 
-(* No process raised, apart from modeled faults. *)
+(* No process raised: a [Failed] status is a bug, never a modeled fault. *)
 let no_failure : _ exec Oracle.t =
   {
     Oracle.name = "no-failure";
@@ -973,11 +971,10 @@ let no_failure : _ exec Oracle.t =
         Array.iteri
           (fun pid st ->
             match st with
-            | Rsim_runtime.Prog.Failed e when not (Faults.is_injected e) ->
+            | Rsim_runtime.Prog.Failed e ->
               errs :=
                 Printf.sprintf "%s %d raised %s" noun pid (Printexc.to_string e)
                 :: !errs
-            | Rsim_runtime.Prog.Failed _ (* modeled fault: a crash *)
             | Rsim_runtime.Prog.Done | Rsim_runtime.Prog.Pending
             | Rsim_runtime.Prog.Crashed -> ())
           statuses;
@@ -1075,16 +1072,7 @@ module Aug_target = struct
       on_truncated = true;
       check =
         (fun { statuses; spec_report; linearizable; _ } ->
-          let crashed =
-            Array.exists
-              (function
-                | Rsim_runtime.Prog.Crashed -> true
-                | Rsim_runtime.Prog.Failed e -> Faults.is_injected e
-                | Rsim_runtime.Prog.Done | Rsim_runtime.Prog.Pending ->
-                  false)
-              statuses
-          in
-          if not crashed then []
+          if not (Array.mem Rsim_runtime.Prog.Crashed statuses) then []
           else
             let r = Lazy.force spec_report in
             let spec_errs = if r.Aug_spec.ok then [] else r.Aug_spec.errors in

@@ -286,7 +286,8 @@ val fault_of_string : string -> Rsim_augmented.Aug.fault option
 module Aug_target : sig
   type nonrec exec = Rsim_augmented.Aug.Prog.result exec
 
-  (** No process raised. *)
+  (** No process raised: every [Failed] status is a violation, since
+      the fault plane's process faults all end a process [Crashed]. *)
   val no_failure : exec Oracle.t
 
   (** The full §3 executable specification: {!Rsim_augmented.Aug_spec.report}
@@ -313,11 +314,11 @@ module Aug_target : sig
       oracle over the simulation's augmented snapshot. *)
   val progress : exec Oracle.t
 
-  (** When the execution contains injected crashes
-      ({!Rsim_faults.Faults}), re-checks the §3 spec and Wing-Gong
-      linearizability of the surviving history, with the crashed
-      processes' incomplete Block-Updates as pending operations. Passes
-      vacuously on crash-free executions. *)
+  (** When some process ended [Crashed] (an injected crash or a restart
+      past the cap, {!Rsim_faults.Faults}), re-checks the §3 spec and
+      Wing-Gong linearizability of the surviving history, with the
+      crashed processes' incomplete Block-Updates as pending operations.
+      Passes vacuously on crash-free executions. *)
   val crash_robust : exec Oracle.t
 
   (** The race oracle (DESIGN §10.2): flags every Block-Update by [q]

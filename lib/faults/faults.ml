@@ -6,19 +6,8 @@ type action =
   | Stall of { steps : int }
   | Drop
   | Corrupt of { seed : int }
-  | Raise_exn
 
 type spec = { pid : int; at_op : int; action : action }
-
-exception Injected of int * int
-
-let () =
-  Printexc.register_printer (function
-    | Injected (pid, at_op) ->
-      Some (Printf.sprintf "Faults.Injected(pid %d, op %d)" pid at_op)
-    | _ -> None)
-
-let is_injected = function Injected _ -> true | _ -> false
 
 (* ---------------------------------------------------------------- *)
 (* Spec grammar                                                      *)
@@ -31,7 +20,6 @@ let spec_to_string { pid; at_op; action } =
   | Stall { steps } -> Printf.sprintf "stall@%d:%d*%d" pid at_op steps
   | Drop -> Printf.sprintf "drop@%d:%d" pid at_op
   | Corrupt { seed } -> Printf.sprintf "corrupt@%d:%d#%d" pid at_op seed
-  | Raise_exn -> Printf.sprintf "raise@%d:%d" pid at_op
 
 let to_string = function
   | [] -> "none"
@@ -81,9 +69,6 @@ let spec_of_string s =
       | "corrupt" ->
         let* at_op, seed = split '#' in
         Ok { pid; at_op; action = Corrupt { seed } }
-      | "raise" ->
-        let* at_op = int_of loc in
-        Ok { pid; at_op; action = Raise_exn }
       | _ -> Error (Printf.sprintf "unknown fault kind %S in %S" kind s)))
 
 let of_string s =
@@ -176,12 +161,10 @@ let control ~adapter specs =
     let k = due specs ~pid ~nth retry 0 in
     if k < 0 then Rsim_runtime.Prog.Proceed
     else
-      let spec = specs.(k) in
-      match spec.action with
+      match specs.(k).action with
       | Crash -> Rsim_runtime.Prog.Crash
       | Restart { delay } -> Rsim_runtime.Prog.Crash_restart { delay }
       | Stall { steps } -> Rsim_runtime.Prog.Stall { steps }
-      | Raise_exn -> Rsim_runtime.Prog.Raise (Injected (spec.pid, spec.at_op))
       | Drop -> (
         match adapter.drop op with
         | Some op' -> Rsim_runtime.Prog.Replace op'

@@ -30,7 +30,6 @@
               | "stall@"P":"K"*"S    hide P from the scheduler for S decisions
               | "drop@"P":"K         the write at op K is silently lost
               | "corrupt@"P":"K"#"R  the write's value is mutated (seed R)
-              | "raise@"P":"K        P fails with Injected
     profile ::= "" | "none" | spec ("," spec)*
     v} *)
 
@@ -40,16 +39,8 @@ type action =
   | Stall of { steps : int }
   | Drop
   | Corrupt of { seed : int }
-  | Raise_exn
 
 type spec = { pid : int; at_op : int; action : action }
-
-(** The exception delivered by [raise@P:K] faults, carrying [(pid,
-    at_op)]. Oracles that tolerate modeled faults should treat a process
-    [Failed (Injected _)] as a crash, not a bug ({!is_injected}). *)
-exception Injected of int * int
-
-val is_injected : exn -> bool
 
 (** {2 The profile grammar} *)
 
@@ -83,8 +74,8 @@ type 'op adapter = {
   corrupt : Rsim_value.Prng.t -> 'op -> 'op option;
 }
 
-(** Never drops or corrupts anything (crash/restart/stall/raise still
-    work — they are op-agnostic). *)
+(** Never drops or corrupts anything (crash/restart/stall still work —
+    they are op-agnostic). *)
 val null_adapter : 'op adapter
 
 (** [control ~adapter specs] is the control hook to pass to

@@ -6,14 +6,12 @@ type 'op directive =
   | Crash
   | Crash_restart of { delay : int }
   | Stall of { steps : int }
-  | Raise of exn
 
 type event =
   | Ev_crash of { pid : int; at : int; restarting : bool }
   | Ev_restart of { pid : int; at : int; incarnation : int }
   | Ev_stall of { pid : int; at : int; steps : int }
   | Ev_replace of { pid : int; at : int }
-  | Ev_raise of { pid : int; at : int }
 
 type probe = step:int -> live:int list -> [ `Continue | `Stop ]
 
@@ -33,15 +31,13 @@ let m_crashes = Obs.Metrics.counter "fiber.faults.crash"
 let m_restarts = Obs.Metrics.counter "fiber.faults.restart"
 let m_stalls = Obs.Metrics.counter "fiber.faults.stall"
 let m_replaces = Obs.Metrics.counter "fiber.faults.replace"
-let m_raises = Obs.Metrics.counter "fiber.faults.raise"
 
 let record_event ~traced e =
   (match e with
   | Ev_crash _ -> Obs.Metrics.incr m_crashes
   | Ev_restart _ -> Obs.Metrics.incr m_restarts
   | Ev_stall _ -> Obs.Metrics.incr m_stalls
-  | Ev_replace _ -> Obs.Metrics.incr m_replaces
-  | Ev_raise _ -> Obs.Metrics.incr m_raises);
+  | Ev_replace _ -> Obs.Metrics.incr m_replaces);
   if traced then
     match e with
     | Ev_crash { pid; at; restarting } ->
@@ -58,7 +54,6 @@ let record_event ~traced e =
         ()
     | Ev_replace { pid; at } ->
       Obs.Trace.instant ~name:"fault.replace" ~pid ~ts:at ()
-    | Ev_raise { pid; at } -> Obs.Trace.instant ~name:"fault.raise" ~pid ~ts:at ()
 
 module type S = sig
   type op
@@ -318,7 +313,7 @@ module Make (M : OPS) = struct
 
   (* [pid]'s pending operation through [control]. Applying it clears
      [pid]'s retry count; a stall or a restart, which leave it pending,
-     bump it (a crash or a failure ends [pid], so its count goes unread). *)
+     bump it (a crash ends [pid], so its count goes unread). *)
   let direct st c pid k pending_op =
     let retry = st.retries.(pid) in
     match c ~pid ~nth:st.ops_per_fiber.(pid) ~retry pending_op with
@@ -329,9 +324,6 @@ module Make (M : OPS) = struct
       st.retries.(pid) <- 0;
       event st (Ev_replace { pid; at = st.total });
       exec st pid k op'
-    | Raise e ->
-      event st (Ev_raise { pid; at = st.total });
-      st.slots.(pid) <- Over (Failed e)
     | Crash ->
       event st (Ev_crash { pid; at = st.total; restarting = false });
       st.slots.(pid) <- Over Crashed

@@ -32,8 +32,7 @@
     operation (dropped or corrupted writes), crash the pid (its program
     is dropped while shared memory persists — the paper's crash-fault
     model), crash it and later restart it from its initial program,
-    stall it for a window of scheduling decisions, or fail it with an
-    exception. A program cannot catch an exception. {!Rsim_faults.Faults}
+    or stall it for a window of scheduling decisions. {!Rsim_faults.Faults}
     compiles declarative fault specs into such a hook; the harness's
     watchdog supervision uses the same mechanism.
 
@@ -49,7 +48,7 @@
 type status =
   | Done  (** the program returned *)
   | Pending  (** had an operation waiting to be scheduled when the run ended *)
-  | Failed of exn  (** a continuation raised, or a {!Raise} directive *)
+  | Failed of exn  (** a continuation raised *)
   | Crashed  (** killed by a {!Crash} / {!Crash_restart} directive *)
 
 (** What to do with a pid's pending operation, decided at the apply
@@ -69,7 +68,6 @@ type 'op directive =
   | Stall of { steps : int }
       (** transient stall: the operation stays pending and the pid is
           hidden from the scheduler for [steps] scheduling decisions *)
-  | Raise of exn  (** fail the program with this exception ({!Failed}) *)
 
 (** Fault-plane events recorded during a run, in order. [at] is the
     number of operations executed when the event fired (= the trace index
@@ -79,7 +77,6 @@ type event =
   | Ev_restart of { pid : int; at : int; incarnation : int }
   | Ev_stall of { pid : int; at : int; steps : int }
   | Ev_replace of { pid : int; at : int }
-  | Ev_raise of { pid : int; at : int }
 
 (** Called once per scheduling decision, just before the schedule is
     consulted: [step] is the number of decisions made so far (a dense

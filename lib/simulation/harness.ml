@@ -295,19 +295,18 @@ let sims_with result pred =
   |> List.filter_map (fun (i, s) -> if pred s then Some i else None)
 
 let validate ?(survivors_only = false) spec result ~task =
-  (* A [Failed] simulator is a bug unless the exception is a modeled
-     fault injection, in which case it is a crash. *)
+  (* A [Failed] simulator is a bug; a [Crashed] one met a modeled fault. *)
   let raised =
     sims_with result (function
-      | Rsim_runtime.Prog.Failed e -> not (Rsim_faults.Faults.is_injected e)
+      | Rsim_runtime.Prog.Failed _ -> true
       | Rsim_runtime.Prog.Done | Rsim_runtime.Prog.Pending
       | Rsim_runtime.Prog.Crashed -> false)
   in
   let crashed =
     sims_with result (function
       | Rsim_runtime.Prog.Crashed -> true
-      | Rsim_runtime.Prog.Failed e -> Rsim_faults.Faults.is_injected e
-      | Rsim_runtime.Prog.Done | Rsim_runtime.Prog.Pending -> false)
+      | Rsim_runtime.Prog.Done | Rsim_runtime.Prog.Pending
+      | Rsim_runtime.Prog.Failed _ -> false)
   in
   let pending =
     sims_with result (function

@@ -156,9 +156,10 @@ val save : sim -> saved
 val restore : sim -> saved -> unit
 
 (** Why a run's outputs do not validate. [Simulator_crashed] covers
-    injected crashes, injected exceptions and watchdog quarantines —
-    modeled failures, survivable; [Simulator_raised] is an {e unmodeled}
-    exception, i.e. a bug. *)
+    the [Crashed] statuses — injected crashes, restarts past the cap and
+    watchdog quarantines: modeled failures, survivable;
+    [Simulator_raised] is a [Failed] status — a simulator's program
+    raised, i.e. a bug. *)
 type invalid =
   | Simulator_raised of { sim : int; exn : string }
   | Simulator_crashed of { sims : int list }
@@ -177,7 +178,7 @@ val explain : invalid -> string
     checked over the surviving simulators' outputs against the full
     input set (a crashed simulator's input may have been adopted before
     it died) — task validity among survivors instead of all-or-nothing.
-    A simulator that raised an unmodeled exception is never excused. *)
+    A simulator that raised is never excused. *)
 val validate :
   ?survivors_only:bool ->
   spec ->

@@ -22,14 +22,12 @@ type 'op directive = 'op Prog.directive =
   | Crash
   | Crash_restart of { delay : int }
   | Stall of { steps : int }
-  | Raise of exn
 
 type event = Prog.event =
   | Ev_crash of { pid : int; at : int; restarting : bool }
   | Ev_restart of { pid : int; at : int; incarnation : int }
   | Ev_stall of { pid : int; at : int; steps : int }
   | Ev_replace of { pid : int; at : int }
-  | Ev_raise of { pid : int; at : int }
 
 module Obs = Rsim_obs.Obs
 
@@ -40,7 +38,6 @@ let m_crashes = Obs.Metrics.counter "fiber.faults.crash"
 let m_restarts = Obs.Metrics.counter "fiber.faults.restart"
 let m_stalls = Obs.Metrics.counter "fiber.faults.stall"
 let m_replaces = Obs.Metrics.counter "fiber.faults.replace"
-let m_raises = Obs.Metrics.counter "fiber.faults.raise"
 
 (* Fibers started and not yet unwound; [run] leaves it where it found it. *)
 let m_live = Obs.Metrics.gauge "fiber.live"
@@ -146,8 +143,7 @@ module Make (M : OPS) = struct
       | Ev_crash _ -> Obs.Metrics.incr m_crashes
       | Ev_restart _ -> Obs.Metrics.incr m_restarts
       | Ev_stall _ -> Obs.Metrics.incr m_stalls
-      | Ev_replace _ -> Obs.Metrics.incr m_replaces
-      | Ev_raise _ -> Obs.Metrics.incr m_raises);
+      | Ev_replace _ -> Obs.Metrics.incr m_replaces);
       if Obs.Trace.enabled () then
         match e with
         | Ev_crash { pid; at; restarting } ->
@@ -164,8 +160,6 @@ module Make (M : OPS) = struct
             ()
         | Ev_replace { pid; at } ->
           Obs.Trace.instant ~name:"fault.replace" ~pid ~ts:at ()
-        | Ev_raise { pid; at } ->
-          Obs.Trace.instant ~name:"fault.raise" ~pid ~ts:at ()
     in
     let do_restarts () =
       for pid = 0 to n - 1 do
@@ -265,11 +259,6 @@ module Make (M : OPS) = struct
               | Replace op' ->
                 event (Ev_replace { pid; at = !total });
                 exec op'
-              | Raise e ->
-                (* The injected exception unwinds the fiber body, so the
-                   fiber ends up [Failed e] via [start_fiber]'s [exnc]. *)
-                event (Ev_raise { pid; at = !total });
-                discontinue resume e
               | Crash ->
                 event (Ev_crash { pid; at = !total; restarting = false });
                 abandon slots pid Crashed resume

@@ -120,8 +120,7 @@ let race_errors aug (result : Aug.Prog.result) =
         | Rsim_runtime.Prog.Ev_crash { pid; at; _ }
         | Rsim_runtime.Prog.Ev_restart { pid; at; _ }
         | Rsim_runtime.Prog.Ev_stall { pid; at; _ }
-        | Rsim_runtime.Prog.Ev_replace { pid; at }
-        | Rsim_runtime.Prog.Ev_raise { pid; at } -> (pid, at)
+        | Rsim_runtime.Prog.Ev_replace { pid; at } -> (pid, at)
       in
       Hashtbl.add boundaries at pid)
     result.Aug.Prog.events;

@@ -197,6 +197,21 @@ let test_fault_pid_out_of_range () =
   check_refused ("stats " ^ path) ~reason;
   Sys.remove path
 
+(* A process fault is a crash: there is no injected-exception kind, so a
+   [raise@] spec is refused like any unknown kind, from the command line
+   and from an artifact. *)
+let test_raise_fault_refused () =
+  let reason = {|unknown fault kind "raise"|} in
+  check_refused "explore --workload bu-conflict -f 2 -m 2 --faults raise@0:1"
+    ~reason;
+  let path =
+    artifact ~faults:"raise@0:1" ~workload:"bu-conflict"
+      ~params:[ ("f", 2); ("m", 2) ]
+      ~inject:None ()
+  in
+  check_refused ("replay " ^ path) ~reason;
+  Sys.remove path
+
 (* An engine bound out of range would read as a pass on a seeded bug
    the default bounds catch: a negative step or preemption bound and an
    empty sweep explore nothing, and an engine that may keep no violation
@@ -241,6 +256,8 @@ let () =
             test_artifact_bad_shape;
           Alcotest.test_case "seeded bug on racing" `Quick
             test_racing_seeded_bug;
+          Alcotest.test_case "raise fault refused" `Quick
+            test_raise_fault_refused;
           Alcotest.test_case "fault pid outside the workload" `Quick
             test_fault_pid_out_of_range;
           Alcotest.test_case "explore: engine bounds out of range" `Quick

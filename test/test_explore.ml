@@ -981,8 +981,8 @@ let test_resume_matches_scratch () =
           (Some Aug.Skip_yield_check, `None);
           (Some Aug.Yield_on_higher, `Chaos);
           (Some Aug.Spin_on_yield, `None);
-          (* the value-plane directives and an injected exception *)
-          (None, `Literal "drop@1:1,corrupt@2:3#5,raise@0:4,stall@1:5*3");
+          (* the value-plane directives beside a crash and a stall *)
+          (None, `Literal "drop@1:1,corrupt@2:3#5,crash@0:4,stall@1:5*3");
         ])
     Explore.Aug_target.builtin_names;
   (* The simulation: clean, crashy, with a watchdog that quarantines

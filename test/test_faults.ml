@@ -16,7 +16,6 @@ let test_grammar_roundtrip () =
       { Faults.pid = 2; at_op = 7; action = Faults.Stall { steps = 2 } };
       { Faults.pid = 0; at_op = 9; action = Faults.Drop };
       { Faults.pid = 1; at_op = 4; action = Faults.Corrupt { seed = 77 } };
-      { Faults.pid = 3; at_op = 1; action = Faults.Raise_exn };
     ]
   in
   Alcotest.(check bool) "to_string . of_string is the identity" true
@@ -36,6 +35,15 @@ let test_grammar_rejects_garbage () =
       | Error _ -> ())
     [ "crash"; "crash@"; "crash@x:1"; "stall@0:1"; "restart@0:1"; "frob@0:1";
       "crash@0:1,," ]
+
+(* A process fault is a crash: there is no injected exception, so
+   [raise@] is refused as an unknown kind. *)
+let test_grammar_rejects_raise () =
+  match Faults.of_string "raise@0:1" with
+  | Ok _ -> Alcotest.fail "raise@0:1 parsed"
+  | Error e ->
+    Alcotest.(check string) "names the unknown kind"
+      {|unknown fault kind "raise" in "raise@0:1"|} e
 
 (* ---- named seeded families ---- *)
 
@@ -58,7 +66,7 @@ let test_named_deterministic () =
 
 let test_named_benign () =
   (* the named families model crash/restart/stall only: they must never
-     drop, corrupt or raise — those are bug injections, not crash faults *)
+     drop or corrupt a write — those are value faults, not crash faults *)
   List.iter
     (fun name ->
       match Faults.named name ~n_procs:3 ~seed:2 with
@@ -68,7 +76,7 @@ let test_named_benign () =
           (fun (s : Faults.spec) ->
             match s.Faults.action with
             | Faults.Crash | Faults.Restart _ | Faults.Stall _ -> ()
-            | Faults.Drop | Faults.Corrupt _ | Faults.Raise_exn ->
+            | Faults.Drop | Faults.Corrupt _ ->
               Alcotest.failf "%s injected a non-benign fault" name)
           specs)
     Faults.names
@@ -164,12 +172,6 @@ let test_aug_adapter_corrupt () =
       (not (Rsim_value.Value.equal tr'.Hrep.value (Rsim_value.Value.Int 5)))
   | _ -> Alcotest.fail "corrupt must keep the append shape"
 
-let test_injected_exn () =
-  Alcotest.(check bool) "Injected is recognized" true
-    (Faults.is_injected (Faults.Injected (1, 2)));
-  Alcotest.(check bool) "other exns are not" false
-    (Faults.is_injected (Failure "x"))
-
 let () =
   Alcotest.run "faults"
     [
@@ -178,6 +180,7 @@ let () =
           Alcotest.test_case "round trip" `Quick test_grammar_roundtrip;
           Alcotest.test_case "empty profiles" `Quick test_grammar_empty;
           Alcotest.test_case "garbage rejected" `Quick test_grammar_rejects_garbage;
+          Alcotest.test_case "raise refused" `Quick test_grammar_rejects_raise;
         ] );
       ( "named families",
         [
@@ -194,6 +197,5 @@ let () =
           Alcotest.test_case "aug adapter: drop" `Quick test_aug_adapter_drop;
           Alcotest.test_case "aug adapter: corrupt" `Quick
             test_aug_adapter_corrupt;
-          Alcotest.test_case "injected exception" `Quick test_injected_exn;
         ] );
     ]

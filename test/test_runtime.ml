@@ -266,21 +266,6 @@ let test_directive_replace () =
        (function Prog.Ev_replace { pid = 0; _ } -> true | _ -> false)
        result.P.events)
 
-let test_directive_raise () =
-  let exception Boom in
-  let _, apply = make_counter () in
-  let result =
-    run
-      ~control:(control_at ~pid:0 ~nth:0 (Prog.Raise Boom))
-      ~sched:Schedule.round_robin ~apply
-      [ increments 1; increments 1 ]
-  in
-  (match result.P.statuses.(0) with
-  | Prog.Failed Boom -> ()
-  | _ -> Alcotest.fail "expected Failed Boom");
-  Alcotest.(check bool) "other process unaffected" true
-    (result.P.statuses.(1) = Prog.Done)
-
 let test_faults_determinism () =
   (* Same programs, schedule and control: identical traces and events. *)
   let go () =
@@ -361,18 +346,6 @@ let test_reclaim_crash_restart () =
     result.P.total_ops;
   Alcotest.(check bool) "restarted process finishes" true
     (result.P.statuses.(0) = Prog.Done)
-
-let test_reclaim_raise () =
-  let exception Boom in
-  let _, apply = make_counter () in
-  let result =
-    run
-      ~control:(control_at ~pid:1 ~nth:3 (Prog.Raise Boom))
-      ~sched:Schedule.round_robin ~apply [ count_up; count_up ]
-  in
-  match result.P.statuses.(1) with
-  | Prog.Failed Boom -> ()
-  | _ -> Alcotest.fail "expected Failed Boom"
 
 let test_reclaim_chaos () =
   (* Under the chaos profile every crashed process reads Crashed or, if
@@ -520,7 +493,6 @@ let fire_once specs =
           | Faults.Stall { steps } -> Prog.Stall { steps }
           | Faults.Drop -> Prog.Replace Counter_ops.Get
           | Faults.Corrupt _ -> Prog.Replace Counter_ops.Incr
-          | Faults.Raise_exn -> Prog.Raise (Faults.Injected (s.pid, s.at_op))
         end
         else first (k + 1)
     in
@@ -547,14 +519,15 @@ let random_case seed =
   in
   let specs =
     List.init (int 4) (fun _ ->
+        (* Crash takes two of the six slots, which keeps the corpus's
+           draws. *)
         let action =
           match int 6 with
-          | 0 -> Faults.Crash
           | 1 -> Faults.Restart { delay = int 4 }
           | 2 -> Faults.Stall { steps = int 5 }
           | 3 -> Faults.Corrupt { seed = 0 }
           | 4 -> Faults.Drop
-          | _ -> Faults.Raise_exn
+          | _ -> Faults.Crash
         in
         let at_op = int 6 in
         { Faults.pid = int n; at_op; action })
@@ -933,7 +906,6 @@ let () =
             test_stall_only_waiting_fast_forwards;
           Alcotest.test_case "replace (dropped write)" `Quick
             test_directive_replace;
-          Alcotest.test_case "raise directive" `Quick test_directive_raise;
           Alcotest.test_case "determinism under faults" `Quick
             test_faults_determinism;
         ] );
@@ -945,10 +917,9 @@ let () =
             test_reclaim_schedule_exhausted;
           Alcotest.test_case "crash" `Quick test_reclaim_crash;
           Alcotest.test_case "crash-restart" `Quick test_reclaim_crash_restart;
-          Alcotest.test_case "raise" `Quick test_reclaim_raise;
-          Alcotest.test_case "chaos profile, 200 seeds" `Quick test_reclaim_chaos;
           Alcotest.test_case "exception out of apply" `Quick
             test_reclaim_apply_raises;
+          Alcotest.test_case "chaos profile, 200 seeds" `Quick test_reclaim_chaos;
         ] );
       ( "end of run",
         [

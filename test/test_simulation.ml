@@ -367,7 +367,8 @@ let test_adopt2_survives_covering_adversaries () =
 
 let test_non_of_protocol_fails_loudly () =
   (* A spinner is not obstruction-free: the covering simulator's local
-     simulation must hit its cap and fail (not loop forever). *)
+     simulation must hit its cap and fail (not loop forever). A program
+     that raised is a bug, which no validation excuses. *)
   let spec =
     {
       Harness.protocol =
@@ -380,16 +381,19 @@ let test_non_of_protocol_fails_loudly () =
     }
   in
   let r = Harness.run ~local_cap:500 ~max_ops:100_000 ~sched:Schedule.round_robin spec in
-  let failed =
-    Array.exists
-      (function Rsim_runtime.Prog.Failed _ -> true | _ -> false)
-      r.Harness.statuses
-  in
   Alcotest.(check bool) "a simulator failed on the cap" true
-    (failed || not r.Harness.all_done);
-  match Harness.validate spec r ~task:Task.consensus with
-  | Ok () -> Alcotest.fail "validation should not pass"
-  | Error _ -> ()
+    (Array.exists
+       (function Rsim_runtime.Prog.Failed _ -> true | _ -> false)
+       r.Harness.statuses);
+  List.iter
+    (fun survivors_only ->
+      match Harness.validate ~survivors_only spec r ~task:Task.consensus with
+      | Error (Harness.Simulator_raised _) -> ()
+      | Error e ->
+        Alcotest.failf "expected Simulator_raised (survivors_only %b): %s"
+          survivors_only (Harness.explain e)
+      | Ok () -> Alcotest.fail "validation should not pass")
+    [ false; true ]
 
 let test_constant_protocol () =
   (* Processes that output immediately: every simulator adopts the
@@ -587,36 +591,6 @@ let test_default_watchdog_bound () =
     (r.Harness.report.Harness.quarantined = []);
   Alcotest.(check int) "budget recorded in the report" b
     r.Harness.report.Harness.watchdog_budget
-
-let test_injected_exception_is_a_crash () =
-  (* raise@P:K delivers Faults.Injected, which validation treats as a
-     modeled crash — excusable with survivors_only — not as a bug. *)
-  let spec = racing_spec ~n:4 ~m:2 ~f:2 ~d:0 [ i 1; i 2 ] in
-  let r =
-    Harness.run
-      ~faults:
-        [
-          {
-            Rsim_faults.Faults.pid = 1;
-            at_op = 2;
-            action = Rsim_faults.Faults.Raise_exn;
-          };
-        ]
-      ~sched:Schedule.round_robin spec
-  in
-  (match r.Harness.statuses.(1) with
-  | Rsim_runtime.Prog.Failed e ->
-    Alcotest.(check bool) "the injected exception" true
-      (Rsim_faults.Faults.is_injected e)
-  | _ -> Alcotest.fail "expected Failed (Injected _)");
-  (match Harness.validate spec r ~task:Task.consensus with
-  | Error (Harness.Simulator_crashed { sims = [ 1 ] }) -> ()
-  | Error e ->
-    Alcotest.failf "expected Simulator_crashed: %s" (Harness.explain e)
-  | Ok () -> Alcotest.fail "strict validation must flag the injected crash");
-  match Harness.validate ~survivors_only:true spec r ~task:Task.consensus with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "survivors should pass: %s" (Harness.explain e)
 
 (* ---- the Lemma 26 replay against its reference ---- *)
 
@@ -926,7 +900,6 @@ let render_fault_event = function
   | Rsim_runtime.Prog.Ev_stall { pid; at; steps } ->
     Printf.sprintf "s%d@%d*%d" pid at steps
   | Rsim_runtime.Prog.Ev_replace { pid; at } -> Printf.sprintf "p%d@%d" pid at
-  | Rsim_runtime.Prog.Ev_raise { pid; at } -> Printf.sprintf "x%d@%d" pid at
 
 let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
 
@@ -1092,8 +1065,6 @@ let () =
           Alcotest.test_case "watchdog quarantine" `Quick test_watchdog_quarantine;
           Alcotest.test_case "default watchdog bound" `Quick
             test_default_watchdog_bound;
-          Alcotest.test_case "injected exception is a crash" `Quick
-            test_injected_exception_is_a_crash;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
