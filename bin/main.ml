@@ -393,9 +393,9 @@ let explore_cmd =
       & opt (some string) None
       & info [ "faults" ] ~docv:"PROFILE"
           ~doc:
-            "Fault-plane profile: a named family (crashy, stally, restarting, \
-             chaos — drawn deterministically from --f and --seed) or a literal \
-             profile like 'crash@1:3,stall@0:2*4'. Crashed processes lose \
+            "Fault-plane profile: a named family (crashy, restarting, chaos — \
+             drawn deterministically from --f and --seed) or a literal \
+             profile like 'crash@1:3,restart@0:2+4'. Crashed processes lose \
              their local state; shared memory persists.")
   in
   let max_violations =

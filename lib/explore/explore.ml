@@ -304,9 +304,9 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
   (* Under a preemption bound the state key carries the preemption count
      and the last pid, so few states merge and claiming costs more than
      it cuts: dedup is off there unless asked for. Injected faults give
-     reached states clock-dependent components (stall windows, restart
-     delays) the fingerprint cannot see, so dedup is unsound there and
-     switches itself off. *)
+     reached states a clock-dependent component (restart delays) the
+     fingerprint cannot see, so dedup is unsound there and switches
+     itself off. *)
   let dedup =
     Option.value dedup ~default:(preemption_bound = None) && w.faults = None
   in

@@ -3,7 +3,6 @@ open Rsim_value
 type action =
   | Crash
   | Restart of { delay : int }
-  | Stall of { steps : int }
   | Drop
   | Corrupt of { seed : int }
 
@@ -17,7 +16,6 @@ let spec_to_string { pid; at_op; action } =
   match action with
   | Crash -> Printf.sprintf "crash@%d:%d" pid at_op
   | Restart { delay } -> Printf.sprintf "restart@%d:%d+%d" pid at_op delay
-  | Stall { steps } -> Printf.sprintf "stall@%d:%d*%d" pid at_op steps
   | Drop -> Printf.sprintf "drop@%d:%d" pid at_op
   | Corrupt { seed } -> Printf.sprintf "corrupt@%d:%d#%d" pid at_op seed
 
@@ -32,7 +30,7 @@ let int_of s =
   | Some k when k >= 0 -> Ok k
   | Some _ | None -> Error (Printf.sprintf "expected a non-negative integer, got %S" s)
 
-(* kind@PID:AT[+DELAY|*STEPS|#SEED] *)
+(* kind@PID:AT[+DELAY|#SEED] *)
 let spec_of_string s =
   let fail () = Error (Printf.sprintf "bad fault spec %S" s) in
   match String.index_opt s '@' with
@@ -60,9 +58,6 @@ let spec_of_string s =
       | "restart" ->
         let* at_op, delay = split '+' in
         Ok { pid; at_op; action = Restart { delay } }
-      | "stall" ->
-        let* at_op, steps = split '*' in
-        Ok { pid; at_op; action = Stall { steps } }
       | "drop" ->
         let* at_op = int_of loc in
         Ok { pid; at_op; action = Drop }
@@ -89,10 +84,10 @@ let of_string s =
 (* Named seeded profiles                                             *)
 (* ---------------------------------------------------------------- *)
 
-let names = [ "crashy"; "stally"; "restarting"; "chaos" ]
+let names = [ "crashy"; "restarting"; "chaos" ]
 
 (* Each family is deterministic in (n_procs, seed). They only use the
-   benign fault kinds (crash / restart / stall) — the ones the
+   benign fault kinds (crash / restart) — the ones the
    non-blocking guarantees must survive — never drops or corruption. *)
 let gen_family ~kinds ~n_procs ~seed =
   let g = ref (Prng.make (0x5fa17 + seed)) in
@@ -110,7 +105,6 @@ let gen_family ~kinds ~n_procs ~seed =
           match List.nth kinds (draw (List.length kinds)) with
           | `Crash -> Crash
           | `Restart -> Restart { delay = 1 + draw 6 }
-          | `Stall -> Stall { steps = 1 + draw 6 }
         in
         Some { pid; at_op; action })
     (List.init n_procs Fun.id)
@@ -118,9 +112,8 @@ let gen_family ~kinds ~n_procs ~seed =
 let named name ~n_procs ~seed =
   match name with
   | "crashy" -> Some (gen_family ~kinds:[ `Crash ] ~n_procs ~seed)
-  | "stally" -> Some (gen_family ~kinds:[ `Stall ] ~n_procs ~seed)
   | "restarting" -> Some (gen_family ~kinds:[ `Restart ] ~n_procs ~seed)
-  | "chaos" -> Some (gen_family ~kinds:[ `Crash; `Restart; `Stall ] ~n_procs ~seed)
+  | "chaos" -> Some (gen_family ~kinds:[ `Crash; `Restart ] ~n_procs ~seed)
   | _ -> None
 
 let resolve ~n_procs ~seed s =
@@ -164,7 +157,6 @@ let control ~adapter specs =
       match specs.(k).action with
       | Crash -> Rsim_runtime.Prog.Crash
       | Restart { delay } -> Rsim_runtime.Prog.Crash_restart { delay }
-      | Stall { steps } -> Rsim_runtime.Prog.Stall { steps }
       | Drop -> (
         match adapter.drop op with
         | Some op' -> Rsim_runtime.Prog.Replace op'

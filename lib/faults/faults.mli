@@ -13,7 +13,7 @@
     snapshot, register snapshot, full simulations, explorer workloads)
     can be faulted through one mechanism, without per-module hooks.
 
-    Crash, restart and stall are op-agnostic and handled entirely by the
+    Crash and restart are op-agnostic and handled entirely by the
     runtime. Dropped and corrupted writes must know the workload's
     operation type, so a profile is compiled together with an {!adapter}
     that says how to drop or corrupt an operation (e.g.
@@ -27,7 +27,6 @@
     {v
     spec    ::= "crash@"P":"K        crash P at its K-th op
               | "restart@"P":"K"+"D  crash, restart after D decisions
-              | "stall@"P":"K"*"S    hide P from the scheduler for S decisions
               | "drop@"P":"K         the write at op K is silently lost
               | "corrupt@"P":"K"#"R  the write's value is mutated (seed R)
     profile ::= "" | "none" | spec ("," spec)*
@@ -36,7 +35,6 @@
 type action =
   | Crash
   | Restart of { delay : int }
-  | Stall of { steps : int }
   | Drop
   | Corrupt of { seed : int }
 
@@ -52,9 +50,8 @@ val of_string : string -> (spec list, string) result
 (** {2 Named seeded families}
 
     Deterministic profiles drawn from [(n_procs, seed)], restricted to
-    the benign kinds (crash / restart / stall) that the non-blocking
-    guarantees must survive: ["crashy"], ["stally"], ["restarting"],
-    ["chaos"]. *)
+    the benign kinds (crash / restart) that the non-blocking guarantees
+    must survive: ["crashy"], ["restarting"], ["chaos"]. *)
 
 val names : string list
 
@@ -74,7 +71,7 @@ type 'op adapter = {
   corrupt : Rsim_value.Prng.t -> 'op -> 'op option;
 }
 
-(** Never drops or corrupts anything (crash/restart/stall still work —
+(** Never drops or corrupts anything (crash and restart still work —
     they are op-agnostic). *)
 val null_adapter : 'op adapter
 
@@ -82,9 +79,8 @@ val null_adapter : 'op adapter
     {!Rsim_runtime.Prog.S.start}: given [pid]'s [nth] operation and its
     [retry] count, it fires the [retry]-th spec (0-based), in profile
     order, that names that operation, and proceeds if there is none. A
-    stalled or restarted operation keeps its [nth] and comes back with
-    [retry + 1], so each spec fires at most once per run, in profile
-    order. The hook keeps no state: one hook serves any number of runs,
+    restarted operation keeps its [nth] and comes back with [retry + 1],
+    so each spec fires at most once per run, in profile order. The hook keeps no state: one hook serves any number of runs,
     on any domain, and a run restored from a saved state resumes with it
     exactly. It allocates nothing when no spec fires. *)
 val control :

@@ -5,12 +5,10 @@ type 'op directive =
   | Replace of 'op
   | Crash
   | Crash_restart of { delay : int }
-  | Stall of { steps : int }
 
 type event =
   | Ev_crash of { pid : int; at : int; restarting : bool }
   | Ev_restart of { pid : int; at : int; incarnation : int }
-  | Ev_stall of { pid : int; at : int; steps : int }
   | Ev_replace of { pid : int; at : int }
 
 type probe = step:int -> live:int list -> [ `Continue | `Stop ]
@@ -29,14 +27,12 @@ module Obs = Rsim_obs.Obs
 let m_ops = Obs.Metrics.counter "fiber.ops"
 let m_crashes = Obs.Metrics.counter "fiber.faults.crash"
 let m_restarts = Obs.Metrics.counter "fiber.faults.restart"
-let m_stalls = Obs.Metrics.counter "fiber.faults.stall"
 let m_replaces = Obs.Metrics.counter "fiber.faults.replace"
 
 let record_event ~traced e =
   (match e with
   | Ev_crash _ -> Obs.Metrics.incr m_crashes
   | Ev_restart _ -> Obs.Metrics.incr m_restarts
-  | Ev_stall _ -> Obs.Metrics.incr m_stalls
   | Ev_replace _ -> Obs.Metrics.incr m_replaces);
   if traced then
     match e with
@@ -47,10 +43,6 @@ let record_event ~traced e =
     | Ev_restart { pid; at; incarnation } ->
       Obs.Trace.instant ~name:"fault.restart" ~pid ~ts:at
         ~args:[ ("incarnation", Obs.Json.Int incarnation) ]
-        ()
-    | Ev_stall { pid; at; steps } ->
-      Obs.Trace.instant ~name:"fault.stall" ~pid ~ts:at
-        ~args:[ ("steps", Obs.Json.Int steps) ]
         ()
     | Ev_replace { pid; at } ->
       Obs.Trace.instant ~name:"fault.replace" ~pid ~ts:at ()
@@ -140,20 +132,18 @@ module Make (M : OPS) = struct
      failed or crashed. *)
   type slot = Suspended of M.op * (M.res -> int -> unit t) | Over of status
 
-  (* One run's state. [clock] counts scheduling decisions: stall windows
-     and restart delays are measured against it, so a stalled or
-     crashed-restarting pid wakes after others have been offered that
-     many turns, or at once if nobody else can run (time fast-forwards).
-     [decisions] counts the decisions made; unlike [clock] it never
-     jumps, so a probe sees a dense 0,1,2,... step sequence. The
-     schedulable pids, ascending, are cached in [live] between the events
-     that change them: a program finishing, crashing, stalling or
-     restarting sets [live_stale], and a stall running out reaches
-     [live_until], the earliest clock at which a pid the cache leaves out
-     wakes. Everything a decision changes is in the fields that {!save}
-     copies, or follows from them ([restarts_pending]); [hops] counts this run's own applied operations for
-     [fiber.ops], and [restored] says whether {!restore} was called since
-     [at_end] last was. *)
+  (* One run's state. [clock] counts scheduling decisions: restart delays
+     are measured against it, so a crashed-restarting pid wakes after
+     others have been offered that many turns, or at once if nobody else
+     can run (time fast-forwards). [decisions] counts the decisions made;
+     unlike [clock] it never jumps, so a probe sees a dense 0,1,2,... step
+     sequence. The schedulable pids, ascending, are cached in [live]
+     between the events that change them: a program finishing, crashing
+     or restarting sets [live_stale]. Everything a decision changes is in
+     the fields that {!save} copies, or follows from them
+     ([restarts_pending]); [hops] counts this run's own applied operations
+     for [fiber.ops], and [restored] says whether {!restore} was called
+     since [at_end] last was. *)
   type run = {
     n : int;
     programs : unit t array;  (** initial programs, for restarts *)
@@ -175,13 +165,11 @@ module Make (M : OPS) = struct
     mutable total : int;
     mutable clock : int;
     mutable decisions : int;
-    stalled_until : int array;
     restart_due : int array;  (** [-1]: no restart due *)
     mutable restarts_pending : int;  (** pids with a restart due *)
     incarnations : int array;
     mutable live : int list;
     mutable live_stale : bool;
-    mutable live_until : int;
     mutable hops : int;
     mutable restored : bool;
   }
@@ -194,7 +182,6 @@ module Make (M : OPS) = struct
     s_total : int;
     s_clock : int;
     s_decisions : int;
-    s_stalled_until : int array;
     s_restart_due : int array;
     s_incarnations : int array;
     s_retries : int array;
@@ -209,7 +196,6 @@ module Make (M : OPS) = struct
       s_total = st.total;
       s_clock = st.clock;
       s_decisions = st.decisions;
-      s_stalled_until = Array.copy st.stalled_until;
       s_restart_due = Array.copy st.restart_due;
       s_incarnations = Array.copy st.incarnations;
       s_retries = Array.copy st.retries;
@@ -219,7 +205,6 @@ module Make (M : OPS) = struct
     let n = st.n in
     Array.blit s.s_slots 0 st.slots 0 n;
     Array.blit s.s_ops_per_fiber 0 st.ops_per_fiber 0 n;
-    Array.blit s.s_stalled_until 0 st.stalled_until 0 n;
     Array.blit s.s_restart_due 0 st.restart_due 0 n;
     Array.blit s.s_incarnations 0 st.incarnations 0 n;
     Array.blit s.s_retries 0 st.retries 0 (Array.length st.retries);
@@ -268,33 +253,20 @@ module Make (M : OPS) = struct
     done
 
   let pending_pids st =
-    if st.live_stale || st.clock >= st.live_until then begin
+    if st.live_stale then begin
       let acc = ref [] in
-      let until = ref max_int in
       for pid = st.n - 1 downto 0 do
-        match st.slots.(pid) with
-        | Suspended _ ->
-          let wake = st.stalled_until.(pid) in
-          if wake <= st.clock then acc := pid :: !acc
-          else if wake < !until then until := wake
-        | Over _ -> ()
+        match st.slots.(pid) with Suspended _ -> acc := pid :: !acc | Over _ -> ()
       done;
       st.live <- !acc;
-      st.live_stale <- false;
-      st.live_until <- !until
+      st.live_stale <- false
     end;
     st.live
 
   let earliest_wake st =
-    let best = ref max_int in
-    for pid = 0 to st.n - 1 do
-      (match st.slots.(pid) with
-      | Suspended _ when st.stalled_until.(pid) > st.clock ->
-        best := min !best st.stalled_until.(pid)
-      | Suspended _ | Over _ -> ());
-      if st.restart_due.(pid) >= 0 then best := min !best st.restart_due.(pid)
-    done;
-    !best
+    Array.fold_left
+      (fun best due -> if due >= 0 then min best due else best)
+      max_int st.restart_due
 
   (* Apply [op] for [pid] and continue its program to its next operation
      or its end; an exception out of the continuation fails the program. *)
@@ -312,8 +284,8 @@ module Make (M : OPS) = struct
     | exception e -> st.slots.(pid) <- Over (Failed e)
 
   (* [pid]'s pending operation through [control]. Applying it clears
-     [pid]'s retry count; a stall or a restart, which leave it pending,
-     bump it (a crash ends [pid], so its count goes unread). *)
+     [pid]'s retry count; a restart, which offers it again, bumps it (a
+     crash ends [pid], so its count goes unread). *)
   let direct st c pid k pending_op =
     let retry = st.retries.(pid) in
     match c ~pid ~nth:st.ops_per_fiber.(pid) ~retry pending_op with
@@ -336,11 +308,6 @@ module Make (M : OPS) = struct
         st.restart_due.(pid) <- st.clock + max 1 delay;
         st.restarts_pending <- st.restarts_pending + 1
       end
-    | Stall { steps } ->
-      st.retries.(pid) <- retry + 1;
-      event st (Ev_stall { pid; at = st.total; steps });
-      st.stalled_until.(pid) <- st.clock + max 1 steps;
-      st.live_stale <- true
 
   let probe_stops st probe live =
     match probe with
@@ -420,13 +387,11 @@ module Make (M : OPS) = struct
         total = 0;
         clock = 0;
         decisions = 0;
-        stalled_until = Array.make n 0;
         restart_due = Array.make n (-1);
         restarts_pending = 0;
         incarnations = Array.make n 0;
         live = [];
         live_stale = true;
-        live_until = max_int;
         hops = 0;
         restored = false;
       }

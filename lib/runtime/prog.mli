@@ -31,10 +31,11 @@
     {!directive} decides its fate: execute as-is, execute a substituted
     operation (dropped or corrupted writes), crash the pid (its program
     is dropped while shared memory persists — the paper's crash-fault
-    model), crash it and later restart it from its initial program,
-    or stall it for a window of scheduling decisions. {!Rsim_faults.Faults}
-    compiles declarative fault specs into such a hook; the harness's
-    watchdog supervision uses the same mechanism.
+    model), or crash it and later restart it from its initial program.
+    Hiding a process for a while is the schedule's business, not a
+    fault's. {!Rsim_faults.Faults} compiles declarative fault specs into
+    such a hook; the harness's watchdog supervision uses the same
+    mechanism.
 
     {b Observability.} The always-on [fiber.ops] counter gains a run's
     applied operations when {!S.run} returns or raises. When
@@ -65,9 +66,6 @@ type 'op directive =
   | Crash_restart of { delay : int }
       (** crash, then restart the pid from its initial program after
           [delay] scheduling decisions (capped by [max_restarts]) *)
-  | Stall of { steps : int }
-      (** transient stall: the operation stays pending and the pid is
-          hidden from the scheduler for [steps] scheduling decisions *)
 
 (** Fault-plane events recorded during a run, in order. [at] is the
     number of operations executed when the event fired (= the trace index
@@ -75,13 +73,12 @@ type 'op directive =
 type event =
   | Ev_crash of { pid : int; at : int; restarting : bool }
   | Ev_restart of { pid : int; at : int; incarnation : int }
-  | Ev_stall of { pid : int; at : int; steps : int }
   | Ev_replace of { pid : int; at : int }
 
 (** Called once per scheduling decision, just before the schedule is
     consulted: [step] is the number of decisions made so far (a dense
     0,1,2,... sequence, unlike the internal clock, which fast-forwards
-    across stall and restart waits) and [live] the schedulable pids in
+    across restart waits) and [live] the schedulable pids in
     ascending order. Returning [`Stop] ends the run at that point as if
     the schedule were exhausted. Exploration engines use it to observe
     reached states, save them and enumerate sibling branches without
@@ -143,18 +140,17 @@ module type S = sig
       [control] (default: always [Proceed]) is consulted with the pid,
       its executed-operation count [nth] (cumulative across restarts),
       its [retry] count and the pending operation before each operation
-      is applied. [retry] is how many {!Stall} and {!Crash_restart}
-      directives the pid has been given since it last applied an
-      operation: a stalled or restarted operation is offered again with
-      the same [nth] and [retry + 1]. The run saves and restores it, so a
-      hook that is a function of its arguments resumes exactly; a hook
-      that keeps state of its own does not. Crashed-restarting and
-      stalled pids wake after their delay in scheduling decisions; if at
-      some point {e only} waiting pids remain, time fast-forwards to the
-      earliest wake-up rather than deadlocking. A pid is restarted at most
-      [max_restarts] (default 4) times. [max_ops] defaults to 1,000,000.
-      [obs_label] names each operation in the emitted trace (default
-      ["op"]). *)
+      is applied. [retry] is how many {!Crash_restart} directives the pid
+      has been given since it last applied an operation: a restarted
+      operation is offered again with the same [nth] and [retry + 1]. The
+      run saves and restores it, so a hook that is a function of its
+      arguments resumes exactly; a hook that keeps state of its own does
+      not. Crashed-restarting pids wake after their delay in scheduling
+      decisions; if at some point {e only} waiting pids remain, time
+      fast-forwards to the earliest restart rather than deadlocking. A
+      pid is restarted at most [max_restarts] (default 4) times.
+      [max_ops] defaults to 1,000,000. [obs_label] names each operation
+      in the emitted trace (default ["op"]). *)
   val start :
     ?max_ops:int ->
     ?control:(pid:int -> nth:int -> retry:int -> op -> op directive) ->

@@ -33,7 +33,7 @@ type quarantine = { sim : int; at_op : int; reason : string }
 (** What the fault plane and the supervision layer did during the run. *)
 type fault_report = {
   events : Rsim_runtime.Prog.event list;
-      (** injected crashes/restarts/stalls/drops, plus watchdog kills *)
+      (** injected crashes/restarts/drops, plus watchdog kills *)
   quarantined : quarantine list;
   watchdog_budget : int;  (** per-simulator H-operation budget in force *)
 }

@@ -21,12 +21,10 @@ type 'op directive = 'op Prog.directive =
   | Replace of 'op
   | Crash
   | Crash_restart of { delay : int }
-  | Stall of { steps : int }
 
 type event = Prog.event =
   | Ev_crash of { pid : int; at : int; restarting : bool }
   | Ev_restart of { pid : int; at : int; incarnation : int }
-  | Ev_stall of { pid : int; at : int; steps : int }
   | Ev_replace of { pid : int; at : int }
 
 module Obs = Rsim_obs.Obs
@@ -36,7 +34,6 @@ module Obs = Rsim_obs.Obs
 let m_ops = Obs.Metrics.counter "fiber.ops"
 let m_crashes = Obs.Metrics.counter "fiber.faults.crash"
 let m_restarts = Obs.Metrics.counter "fiber.faults.restart"
-let m_stalls = Obs.Metrics.counter "fiber.faults.stall"
 let m_replaces = Obs.Metrics.counter "fiber.faults.replace"
 
 (* Fibers started and not yet unwound; [run] leaves it where it found it. *)
@@ -129,12 +126,11 @@ module Make (M : OPS) = struct
     let rev_trace = ref [] in
     let rev_events = ref [] in
     let total = ref 0 in
-    (* [clock] counts scheduling decisions; stall windows and restart
-       delays are measured against it, so a stalled or crashed-restarting
-       fiber wakes after other fibers have been offered that many turns
-       (or immediately, if nobody else can run — time fast-forwards). *)
+    (* [clock] counts scheduling decisions; restart delays are measured
+       against it, so a crashed-restarting fiber wakes after other fibers
+       have been offered that many turns (or immediately, if nobody else
+       can run — time fast-forwards). *)
     let clock = ref 0 in
-    let stalled_until = Array.make n 0 in
     let restart_due = Array.make n (-1) in
     let incarnations = Array.make n 0 in
     let event e =
@@ -142,7 +138,6 @@ module Make (M : OPS) = struct
       (match e with
       | Ev_crash _ -> Obs.Metrics.incr m_crashes
       | Ev_restart _ -> Obs.Metrics.incr m_restarts
-      | Ev_stall _ -> Obs.Metrics.incr m_stalls
       | Ev_replace _ -> Obs.Metrics.incr m_replaces);
       if Obs.Trace.enabled () then
         match e with
@@ -153,10 +148,6 @@ module Make (M : OPS) = struct
         | Ev_restart { pid; at; incarnation } ->
           Obs.Trace.instant ~name:"fault.restart" ~pid ~ts:at
             ~args:[ ("incarnation", Obs.Json.Int incarnation) ]
-            ()
-        | Ev_stall { pid; at; steps } ->
-          Obs.Trace.instant ~name:"fault.stall" ~pid ~ts:at
-            ~args:[ ("steps", Obs.Json.Int steps) ]
             ()
         | Ev_replace { pid; at } ->
           Obs.Trace.instant ~name:"fault.replace" ~pid ~ts:at ()
@@ -180,13 +171,12 @@ module Make (M : OPS) = struct
       let acc = ref [] in
       for pid = n - 1 downto 0 do
         match slots.(pid) with
-        | Suspended _ -> if stalled_until.(pid) <= !clock then acc := pid :: !acc
+        | Suspended _ -> acc := pid :: !acc
         | Fresh | Dead _ | Finished _ -> ()
       done;
       !acc
     in
-    (* The earliest clock at which a stalled fiber wakes or a crashed one
-       restarts, if any. *)
+    (* The earliest clock at which a crashed fiber restarts, if any. *)
     let earliest_wake () =
       let best = ref None in
       let consider c = match !best with
@@ -194,16 +184,12 @@ module Make (M : OPS) = struct
         | _ -> best := Some c
       in
       for pid = 0 to n - 1 do
-        (match slots.(pid) with
-        | Suspended _ when stalled_until.(pid) > !clock ->
-          consider stalled_until.(pid)
-        | Suspended _ | Fresh | Dead _ | Finished _ -> ());
         if restart_due.(pid) >= 0 then consider restart_due.(pid)
       done;
       !best
     in
     (* [decisions] counts successful scheduling decisions only; unlike
-       [clock] it never jumps on stall/restart fast-forwards, so a probe
+       [clock] it never jumps on restart fast-forwards, so a probe
        sees a dense 0,1,2,... step sequence it can index prefixes by. *)
     let decisions = ref 0 in
     let rec loop sched =
@@ -266,10 +252,7 @@ module Make (M : OPS) = struct
                 let restarting = incarnations.(pid) < max_restarts in
                 event (Ev_crash { pid; at = !total; restarting });
                 abandon slots pid Crashed resume;
-                if restarting then restart_due.(pid) <- !clock + max 1 delay
-              | Stall { steps } ->
-                event (Ev_stall { pid; at = !total; steps });
-                stalled_until.(pid) <- !clock + max 1 steps)
+                if restarting then restart_due.(pid) <- !clock + max 1 delay)
             | Fresh | Dead _ | Finished _ -> assert false);
             loop sched')
       end

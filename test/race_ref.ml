@@ -82,7 +82,7 @@ module Hb = struct
           | Some c -> Clock.join ~into:t.clocks.(pid) c)
         t.published
 
-    (* A ~control boundary event (crash, restart, stall): the fiber's
+    (* A ~control boundary event (crash, restart): the fiber's
        local state may be lost, but its place in the happens-before order
        persists — an incarnation edge, modeled as a plain local tick so
        pre-crash events stay ordered before post-restart ones. *)
@@ -119,7 +119,6 @@ let race_errors aug (result : Aug.Prog.result) =
         match ev with
         | Rsim_runtime.Prog.Ev_crash { pid; at; _ }
         | Rsim_runtime.Prog.Ev_restart { pid; at; _ }
-        | Rsim_runtime.Prog.Ev_stall { pid; at; _ }
         | Rsim_runtime.Prog.Ev_replace { pid; at } -> (pid, at)
       in
       Hashtbl.add boundaries at pid)

@@ -182,7 +182,7 @@ let test_fault_pid_out_of_range () =
     "explore --workload bu-conflict -f 2 -m 2 --faults crash@5:3 --max-steps 8"
     ~reason;
   check_refused
-    "explore --workload racing -n 4 -m 2 -f 2 --faults stall@5:0*2 \
+    "explore --workload racing -n 4 -m 2 -f 2 --faults restart@5:0+2 \
      --max-steps 8"
     ~reason;
   check_refused
@@ -210,6 +210,17 @@ let test_raise_fault_refused () =
       ~inject:None ()
   in
   check_refused ("replay " ^ path) ~reason;
+  Sys.remove path
+
+(* Hiding a process is a schedule: there is no stall kind, so an
+   artifact saved with a stall spec is refused on replay. *)
+let test_stall_fault_refused () =
+  let path =
+    artifact ~faults:"stall@0:2*4" ~workload:"bu-conflict"
+      ~params:[ ("f", 2); ("m", 2) ]
+      ~inject:None ()
+  in
+  check_refused ("replay " ^ path) ~reason:{|unknown fault kind "stall"|};
   Sys.remove path
 
 (* An engine bound out of range would read as a pass on a seeded bug
@@ -258,6 +269,8 @@ let () =
             test_racing_seeded_bug;
           Alcotest.test_case "raise fault refused" `Quick
             test_raise_fault_refused;
+          Alcotest.test_case "stall fault refused" `Quick
+            test_stall_fault_refused;
           Alcotest.test_case "fault pid outside the workload" `Quick
             test_fault_pid_out_of_range;
           Alcotest.test_case "explore: engine bounds out of range" `Quick

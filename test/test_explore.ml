@@ -158,7 +158,7 @@ let test_json_roundtrip_is_identity () =
       workload = "bu-scan";
       params = [ ("f", 3); ("m", 2) ];
       inject = None;
-      faults = Some "crash@1:3,stall@0:2*4";
+      faults = Some "crash@1:3,restart@0:2+4";
       max_steps = 40;
       errors = [ "spec: \"quoted\" error\nwith a newline"; "plain" ];
       original = [ 0; 1; 2; 1; 0 ];
@@ -981,14 +981,14 @@ let test_resume_matches_scratch () =
           (Some Aug.Skip_yield_check, `None);
           (Some Aug.Yield_on_higher, `Chaos);
           (Some Aug.Spin_on_yield, `None);
-          (* the value-plane directives beside a crash and a stall *)
-          (None, `Literal "drop@1:1,corrupt@2:3#5,crash@0:4,stall@1:5*3");
+          (* the value-plane directives beside a crash and a restart *)
+          (None, `Literal "drop@1:1,corrupt@2:3#5,crash@0:4,restart@1:5+3");
         ])
     Explore.Aug_target.builtin_names;
   (* The simulation: clean, crashy, with a watchdog that quarantines
-     simulators, and under the chaos profile (stalls and restarts), so a
-     saved state carries journals, crashes, quarantines and a fired
-     set. *)
+     simulators, and under the chaos profile (crashes and restarts), so
+     a saved state carries journals, crashes, quarantines and retry
+     counts. *)
   let quarantines = ref 0 and crashes = ref 0 in
   List.iter
     (fun (n, m, f, watchdog) ->

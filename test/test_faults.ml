@@ -13,7 +13,6 @@ let test_grammar_roundtrip () =
     [
       { Faults.pid = 0; at_op = 3; action = Faults.Crash };
       { Faults.pid = 1; at_op = 0; action = Faults.Restart { delay = 5 } };
-      { Faults.pid = 2; at_op = 7; action = Faults.Stall { steps = 2 } };
       { Faults.pid = 0; at_op = 9; action = Faults.Drop };
       { Faults.pid = 1; at_op = 4; action = Faults.Corrupt { seed = 77 } };
     ]
@@ -33,17 +32,23 @@ let test_grammar_rejects_garbage () =
       match Faults.of_string s with
       | Ok _ -> Alcotest.failf "garbage profile %S parsed" s
       | Error _ -> ())
-    [ "crash"; "crash@"; "crash@x:1"; "stall@0:1"; "restart@0:1"; "frob@0:1";
+    [ "crash"; "crash@"; "crash@x:1"; "corrupt@0:1"; "restart@0:1"; "frob@0:1";
       "crash@0:1,," ]
 
-(* A process fault is a crash: there is no injected exception, so
-   [raise@] is refused as an unknown kind. *)
-let test_grammar_rejects_raise () =
-  match Faults.of_string "raise@0:1" with
-  | Ok _ -> Alcotest.fail "raise@0:1 parsed"
-  | Error e ->
-    Alcotest.(check string) "names the unknown kind"
-      {|unknown fault kind "raise" in "raise@0:1"|} e
+(* A process fault is a crash, and hiding a process is a schedule:
+   there is no injected exception and no stall, so raise and stall specs
+   are refused as unknown kinds. *)
+let test_grammar_rejects_deleted_kinds () =
+  List.iter
+    (fun (kind, loc) ->
+      let spec = Printf.sprintf "%s@%s" kind loc in
+      match Faults.of_string spec with
+      | Ok _ -> Alcotest.failf "%s parsed" spec
+      | Error e ->
+        Alcotest.(check string) "names the unknown kind"
+          (Printf.sprintf "unknown fault kind %S in %S" kind spec)
+          e)
+    [ ("raise", "0:1"); ("stall", "0:1*2") ]
 
 (* ---- named seeded families ---- *)
 
@@ -65,7 +70,7 @@ let test_named_deterministic () =
     Faults.names
 
 let test_named_benign () =
-  (* the named families model crash/restart/stall only: they must never
+  (* the named families model crash/restart only: they must never
      drop or corrupt a write — those are value faults, not crash faults *)
   List.iter
     (fun name ->
@@ -75,7 +80,7 @@ let test_named_benign () =
         List.iter
           (fun (s : Faults.spec) ->
             match s.Faults.action with
-            | Faults.Crash | Faults.Restart _ | Faults.Stall _ -> ()
+            | Faults.Crash | Faults.Restart _ -> ()
             | Faults.Drop | Faults.Corrupt _ ->
               Alcotest.failf "%s injected a non-benign fault" name)
           specs)
@@ -89,9 +94,16 @@ let test_resolve () =
   (match Faults.resolve ~n_procs:3 ~seed:1 "crash@1:3" with
   | Ok [ { Faults.pid = 1; at_op = 3; action = Faults.Crash } ] -> ()
   | _ -> Alcotest.fail "literal profile did not resolve");
-  match Faults.resolve ~n_procs:3 ~seed:1 "no-such-family" with
+  (match Faults.resolve ~n_procs:3 ~seed:1 "no-such-family" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown family resolved"
+  | Ok _ -> Alcotest.fail "unknown family resolved");
+  (* the stall family is gone with the stall kind *)
+  match Faults.resolve ~n_procs:2 ~seed:1 "stally" with
+  | Ok _ -> Alcotest.fail "stally resolved"
+  | Error e ->
+    Alcotest.(check string) "lists the remaining names"
+      {|bad fault spec "stally" (or use a named profile: crashy, restarting, chaos)|}
+      e
 
 (* ---- compilation: fire-once and adapters ---- *)
 
@@ -121,13 +133,14 @@ let test_specs_fire_by_retry () =
   let control =
     Faults.control ~adapter:Faults.null_adapter
       [
-        { Faults.pid = 0; at_op = 3; action = Faults.Stall { steps = 2 } };
+        { Faults.pid = 0; at_op = 3; action = Faults.Restart { delay = 2 } };
         { Faults.pid = 1; at_op = 3; action = Faults.Crash };
         { Faults.pid = 0; at_op = 3; action = Faults.Restart { delay = 1 } };
       ]
   in
   Alcotest.(check bool) "retry 0: the first spec" true
-    (control ~pid:0 ~nth:3 ~retry:0 () = Rsim_runtime.Prog.Stall { steps = 2 });
+    (control ~pid:0 ~nth:3 ~retry:0 ()
+    = Rsim_runtime.Prog.Crash_restart { delay = 2 });
   Alcotest.(check bool) "retry 1: the second spec" true
     (control ~pid:0 ~nth:3 ~retry:1 ()
     = Rsim_runtime.Prog.Crash_restart { delay = 1 });
@@ -180,7 +193,8 @@ let () =
           Alcotest.test_case "round trip" `Quick test_grammar_roundtrip;
           Alcotest.test_case "empty profiles" `Quick test_grammar_empty;
           Alcotest.test_case "garbage rejected" `Quick test_grammar_rejects_garbage;
-          Alcotest.test_case "raise refused" `Quick test_grammar_rejects_raise;
+          Alcotest.test_case "deleted kinds refused" `Quick
+            test_grammar_rejects_deleted_kinds;
         ] );
       ( "named families",
         [

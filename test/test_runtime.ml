@@ -150,10 +150,8 @@ let test_no_op_fiber () =
 (* ---- the fault boundary: directives at the apply point ---- *)
 
 (* Fires on the operation's first offer only, like a compiled fault
-   profile: a stalled operation keeps its [nth], so a hook blind to
-   [retry] would re-stall it forever; and [nth] is cumulative across
-   restarts, so such a hook would re-crash every incarnation at the same
-   op. *)
+   profile: [nth] is cumulative across restarts, so a hook blind to
+   [retry] would re-crash every incarnation at the same op. *)
 let control_at ~pid:vp ~nth:vn directive ~pid ~nth ~retry _op =
   if pid = vp && nth = vn && retry = 0 then directive else Prog.Proceed
 
@@ -218,33 +216,18 @@ let test_restart_cap () =
   in
   Alcotest.(check int) "restarted exactly max_restarts times" 3 restarts
 
-let test_directive_stall () =
-  (* Under round-robin, stalling process 0 for 4 decisions hides it from
-     the scheduler: process 1 runs its ops first, then process 0 resumes. *)
-  let _, apply = make_counter () in
-  let result =
-    run
-      ~control:(control_at ~pid:0 ~nth:0 (Prog.Stall { steps = 4 }))
-      ~sched:Schedule.round_robin ~apply
-      [ increments 2; increments 2 ]
-  in
-  Alcotest.(check bool) "both finish" true
-    (result.P.statuses.(0) = Prog.Done && result.P.statuses.(1) = Prog.Done);
-  let pids = List.map (fun (e : P.trace_entry) -> e.pid) result.P.trace in
-  Alcotest.(check (list int)) "process 1 overtakes the stalled process"
-    [ 1; 1; 0; 0 ] pids
-
-let test_stall_only_waiting_fast_forwards () =
-  (* A lone stalled process must not deadlock the run: the clock fast
-     forwards to its wake-up. *)
+let test_restart_only_waiting_fast_forwards () =
+  (* A lone crashed process whose restart is 50 decisions away must not
+     deadlock the run: nobody else can be offered a turn, so the clock
+     fast-forwards to its restart. *)
   let state, apply = make_counter () in
   let result =
     run
-      ~control:(control_at ~pid:0 ~nth:1 (Prog.Stall { steps = 50 }))
+      ~control:(control_at ~pid:0 ~nth:0 (Prog.Crash_restart { delay = 50 }))
       ~sched:Schedule.round_robin ~apply
       [ increments 2 ]
   in
-  Alcotest.(check bool) "finishes despite the stall" true
+  Alcotest.(check bool) "finishes despite the wait" true
     (result.P.statuses.(0) = Prog.Done);
   Alcotest.(check int) "both increments land" 2 !state
 
@@ -490,7 +473,6 @@ let fire_once specs =
           match s.action with
           | Faults.Crash -> Prog.Crash
           | Faults.Restart { delay } -> Prog.Crash_restart { delay }
-          | Faults.Stall { steps } -> Prog.Stall { steps }
           | Faults.Drop -> Prog.Replace Counter_ops.Get
           | Faults.Corrupt _ -> Prog.Replace Counter_ops.Incr
         end
@@ -519,12 +501,11 @@ let random_case seed =
   in
   let specs =
     List.init (int 4) (fun _ ->
-        (* Crash takes two of the six slots, which keeps the corpus's
-           draws. *)
+        (* Crash and restart take two of the six slots each, which
+           keeps the corpus's draws. *)
         let action =
           match int 6 with
-          | 1 -> Faults.Restart { delay = int 4 }
-          | 2 -> Faults.Stall { steps = int 5 }
+          | 1 | 2 -> Faults.Restart { delay = int 4 }
           | 3 -> Faults.Corrupt { seed = 0 }
           | 4 -> Faults.Drop
           | _ -> Faults.Crash
@@ -901,9 +882,8 @@ let () =
           Alcotest.test_case "crash-restart directive" `Quick
             test_directive_crash_restart;
           Alcotest.test_case "restart cap" `Quick test_restart_cap;
-          Alcotest.test_case "stall directive" `Quick test_directive_stall;
-          Alcotest.test_case "stall fast-forward" `Quick
-            test_stall_only_waiting_fast_forwards;
+          Alcotest.test_case "restart fast-forward" `Quick
+            test_restart_only_waiting_fast_forwards;
           Alcotest.test_case "replace (dropped write)" `Quick
             test_directive_replace;
           Alcotest.test_case "determinism under faults" `Quick

@@ -528,31 +528,6 @@ let test_crash_at_every_op_survivor_valid () =
       Alcotest.failf "crash at op %d: %s" at_op (Harness.explain e)
   done
 
-let test_stalled_simulator_still_validates () =
-  (* A transient stall is not a crash: the stalled simulator wakes up,
-     finishes, and strict validation passes. *)
-  let spec = racing_spec ~n:4 ~m:2 ~f:2 ~d:0 [ i 1; i 2 ] in
-  let r =
-    Harness.run
-      ~faults:
-        [
-          {
-            Rsim_faults.Faults.pid = 0;
-            at_op = 1;
-            action = Rsim_faults.Faults.Stall { steps = 7 };
-          };
-        ]
-      ~sched:Schedule.round_robin spec
-  in
-  Alcotest.(check bool) "all done despite the stall" true r.Harness.all_done;
-  Alcotest.(check bool) "stall event recorded" true
-    (List.exists
-       (function Rsim_runtime.Prog.Ev_stall { pid = 0; _ } -> true | _ -> false)
-       r.Harness.report.Harness.events);
-  match Harness.validate spec r ~task:Task.consensus with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "stall should be harmless: %s" (Harness.explain e)
-
 let test_watchdog_quarantine () =
   (* An absurdly small step budget quarantines every simulator; the run
      must still terminate and report the quarantines as crashes. *)
@@ -644,8 +619,8 @@ let test_analysis_matches_reference () =
       (7, 5, 2, 1); (8, 2, 4, 0); (10, 3, 3, 1); (12, 3, 4, 0); (13, 4, 3, 1);
       (16, 4, 4, 0);
     ];
-  (* Every execution of the crashy racing sweep, complete or not, of
-     the same sweep under stalls, whose runs complete and replay, and
+  (* Every execution of the unfaulted racing sweep, whose runs complete
+     and replay, of the same sweep under crashes, complete or not, and
      under restarts, whose completed runs the replay refuses. *)
   let replayed = ref 0 in
   let refused = ref 0 in
@@ -699,9 +674,9 @@ let test_analysis_matches_reference () =
               ~faults ~n:4 ~m:2 ~f:2 ~d:0 ()));
       Alcotest.(check int) (profile ^ ": every sweep execution compared") 60
         !swept)
-    [ "crashy"; "stally"; "restarting" ];
+    [ "none"; "crashy"; "restarting" ];
   Alcotest.(check bool)
-    (Printf.sprintf "%d faulted executions replayed" !replayed)
+    (Printf.sprintf "%d swept executions replayed" !replayed)
     true (!replayed > 0);
   Alcotest.(check bool)
     (Printf.sprintf "%d restarted executions refused" !refused)
@@ -897,8 +872,6 @@ let render_fault_event = function
     Printf.sprintf "c%d@%d%b" pid at restarting
   | Rsim_runtime.Prog.Ev_restart { pid; at; incarnation } ->
     Printf.sprintf "r%d@%d#%d" pid at incarnation
-  | Rsim_runtime.Prog.Ev_stall { pid; at; steps } ->
-    Printf.sprintf "s%d@%d*%d" pid at steps
   | Rsim_runtime.Prog.Ev_replace { pid; at } -> Printf.sprintf "p%d@%d" pid at
 
 let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
@@ -1060,8 +1033,6 @@ let () =
             test_crashed_simulator_strict_vs_survivors;
           Alcotest.test_case "crash at every op, survivor valid" `Quick
             test_crash_at_every_op_survivor_valid;
-          Alcotest.test_case "stall is harmless" `Quick
-            test_stalled_simulator_still_validates;
           Alcotest.test_case "watchdog quarantine" `Quick test_watchdog_quarantine;
           Alcotest.test_case "default watchdog bound" `Quick
             test_default_watchdog_bound;
