@@ -524,6 +524,109 @@ let iter_pending ix f =
     in
     go ix.core.ups
 
+(* The walk of [iter_lin] against the log, in one pass. Only the order is
+   the index's; intervals, values and views are the log's, and a pending
+   Update's interval starts at its [u_inv], as in the history the
+   explorer's search judges. Sorted points inside the intervals respect
+   real-time order: were [a] to return before [b] is invoked while [b]
+   comes first, then [inv b <= pt b <= pt a <= ret a <= inv b], so one
+   H-operation index would be both [a]'s last and [b]'s first, and no
+   two M-operations share an H-operation. *)
+let lin_witness ix =
+  let c = ix.core in
+  let n_log = c.n_log in
+  let log = Array.of_list c.rev_log in
+  let mop p = log.(n_log - 1 - p) in
+  (* Each Scan's log position by its rank among the Scans, and each
+     Update's completed Block-Update's ([-1] when pending). *)
+  let scan_at = Array.make c.n_scans 0 in
+  let rec rank k p =
+    if p < n_log then
+      match mop p with
+      | Scan_op _ ->
+        scan_at.(k) <- p;
+        rank (k + 1) (p + 1)
+      | Bu_op _ -> rank k (p + 1)
+  in
+  rank 0 0;
+  let bu_at = Array.make (n_ups c) (-1) in
+  List.iter
+    (fun st ->
+      List.iter
+        (function
+          | u :: _ as app ->
+            let p = (done_by u.u_writer st.st_done).c_log in
+            List.iter (fun u -> bu_at.(u.u_id) <- p) app
+          | [] -> ())
+        st.st_apps)
+    c.stamps;
+  (* Per log position: its Updates placed so far, or 1 for a placed
+     Scan. [block] is the atomic Block-Update whose Update was placed
+     last, if the last item placed is one: an atomic Block-Update is one
+     entry of the history, so its Updates must be consecutive, and then
+     writing them one by one is writing the entry (its components are
+     distinct). *)
+  let placed = Array.make n_log 0 in
+  let contents = Array.make c.m Value.Bot in
+  let point = ref (-1) and block = ref (-1) in
+  let exception Refused in
+  let at pt ~lo ~hi =
+    if pt < lo || pt > hi || pt < !point then raise Refused;
+    point := pt
+  in
+  let update u =
+    let p = bu_at.(u.u_id) in
+    if p < 0 then begin
+      at u.u_lin ~lo:u.u_inv ~hi:max_int;
+      block := -1
+    end
+    else begin
+      match mop p with
+      | Bu_op { updates; start_idx; x_idx; end_idx; result; _ } -> (
+        at u.u_lin ~lo:start_idx ~hi:end_idx;
+        (* One append per trace index, and [u_g] is the Update's place
+           in it: so each logged pair is written once. *)
+        (match List.nth_opt updates u.u_g with
+        | Some (j, v)
+          when u.u_x_idx = x_idx && j = u.u_comp && Value.equal v u.u_value ->
+          ()
+        | Some _ | None -> raise Refused);
+        let k = placed.(p) + 1 in
+        placed.(p) <- k;
+        match result with
+        | Atomic _ ->
+          if k > 1 && !block <> p then raise Refused;
+          block := p
+        | Yield -> block := -1)
+      | Scan_op _ -> raise Refused
+    end;
+    contents.(u.u_comp) <- u.u_value
+  in
+  let scan s =
+    let p = scan_at.(s.s_log) in
+    match mop p with
+    | Scan_op { start_idx; end_idx; view; _ } ->
+      at s.s_end ~lo:start_idx ~hi:end_idx;
+      block := -1;
+      placed.(p) <- placed.(p) + 1;
+      if
+        Array.length view <> c.m || not (Array.for_all2 Value.equal contents view)
+      then raise Refused
+    | Bu_op _ -> raise Refused
+  in
+  match iter_lin ix ~update ~scan with
+  | exception Refused -> false
+  | () ->
+    let rec all_placed p =
+      p = n_log
+      || (match mop p with
+         | Scan_op _ -> placed.(p) = 1
+         | Bu_op { updates; _ } ->
+           List.compare_length_with updates placed.(p) = 0)
+         && all_placed (p + 1)
+    in
+    all_placed 0
+
 (* ---------------------------------------------------------------- *)
 (* The checker                                                       *)
 (* ---------------------------------------------------------------- *)

@@ -152,6 +152,30 @@ val bu_of : index -> update -> int
     index as a Scan comes first. *)
 val iter_lin : index -> update:(update -> unit) -> scan:(scan -> unit) -> unit
 
+(** [lin_witness ix] is whether the order {!iter_lin} walks is a
+    linearization of the M-operation history in [ix]'s log, checked in one
+    pass. That history has one entry per completed Scan and per atomic
+    Block-Update, one per Update of a yielding Block-Update, and one
+    pending entry per Update of a Block-Update that never completed,
+    invoked at its [u_inv]. It holds when:
+    - every completed M-operation is placed exactly once, each Update of
+      an atomic Block-Update next to the others (the Block-Update is one
+      entry), and each pending Update at most once;
+    - each placed operation's point ([u_lin] or [s_end]) lies inside its
+      interval, [\[start_idx, end_idx\]] from its log entry (a pending
+      Update's at or after its [u_inv]), and points never decrease;
+    - each Update writes a (component, value) pair its Block-Update
+      logged, and replaying the sequential snapshot along the order gives
+      each Scan exactly its logged view.
+
+    Only the order comes from the index, so a pass proves the history
+    linearizable whether or not the §3 construction is right: the order
+    replays the sequential specification, and sorted points inside the
+    intervals respect real-time order, since no two M-operations of a
+    log {!Aug} records share an [H]-operation. A refusal proves nothing:
+    a history can be linearizable in another order. *)
+val lin_witness : index -> bool
+
 (** [window_start ix ~last ~x_idx] locates the point [L] of an atomic
     Block-Update: the latest [H.scan] below [x_idx] whose result is
     triple-equal to the recorded ℓ ([last]), compared by per-component

@@ -270,9 +270,8 @@ type 'r exec = {
           verdicts, and the checks a later hop could still change judged
           over the whole execution *)
   linearizable : bool Lazy.t;
-      (** the Wing-Gong verdict on {!mop_history} of [index]: [true] when
-          the M-operation history linearizes or has more than 16
-          operations *)
+      (** {!lin_verdict} of [aug] and [index]: [true] when the
+          M-operation history linearizes *)
 }
 
 (** Seeded-bug names, as persisted in artifacts: ["skip-yield-check"],
@@ -297,13 +296,13 @@ module Aug_target : sig
   (** Theorem 20's headline consequence: process 0 never yields. *)
   val theorem20 : exec Oracle.t
 
-  (** Wing-Gong linearizability ({!Rsim_shmem.Linearize.check}) of the
-      M-operation history against a sequential [m]-component snapshot:
-      atomic Block-Updates as one multi-component update, yielding ones
-      as independent single-component updates, Updates of incomplete
-      Block-Updates as pending operations (they may take effect or be
-      dropped). Skipped for histories longer than 16 operations (the
-      search is exponential). *)
+  (** Linearizability of the M-operation history against a sequential
+      [m]-component snapshot: atomic Block-Updates as one
+      multi-component update, yielding ones as independent
+      single-component updates, Updates of incomplete Block-Updates as
+      pending operations (they may take effect or be dropped). Decided by
+      {!lin_verdict}: the index's own order when it is a linearization,
+      else Wing-Gong's search. *)
   val linearizable : exec Oracle.t
 
   (** The non-blocking detector: fails a truncated execution whose final
@@ -316,8 +315,9 @@ module Aug_target : sig
 
   (** When some process ended [Crashed] (an injected crash or a restart
       past the cap, {!Rsim_faults.Faults}), re-checks the §3 spec and
-      Wing-Gong linearizability of the surviving history, with the
-      crashed processes' incomplete Block-Updates as pending operations.
+      the linearizability of the surviving history ({!lin_verdict}), with
+      the crashed processes' incomplete Block-Updates as pending
+      operations.
       Passes vacuously on crash-free executions. *)
   val crash_robust : exec Oracle.t
 
@@ -436,6 +436,14 @@ val build_workload :
   (workload, string) result
 
 (**/**)
+
+(** The [linearizable] verdict of an execution: [true] when
+    {!Rsim_augmented.Aug_spec.lin_witness} passes on the index, or else
+    when {!Rsim_shmem.Linearize.check} finds a linearization of
+    {!mop_history}. A history whose witness fails and that has more
+    entries than the search takes ([Sys.int_size]) passes unjudged and
+    counts in [explore.oracle.linearizable.vacuous]. *)
+val lin_verdict : Rsim_augmented.Aug.t -> Rsim_augmented.Aug_spec.index -> bool
 
 (** Exposed for the crash-fault tests: the Wing-Gong history of
     M-operations of an execution, from its log and its index, including

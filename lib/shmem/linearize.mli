@@ -14,9 +14,10 @@
     before it was invoked) is one int computed once, and the set still
     to place is one int. Candidates are tried in input order. The search
     is exponential in the worst case; it is intended for the short
-    adversarial histories produced in tests and by the explorer (at most
-    16 operations there). A history may hold at most [Sys.int_size]
-    entries (63 on 64-bit hosts). *)
+    adversarial histories produced in tests and by the explorer, which
+    searches only a history whose own linearization order fails its
+    linear-time check. A history may hold at most [Sys.int_size] entries
+    (63 on 64-bit hosts). *)
 
 open Rsim_value
 

@@ -741,6 +741,175 @@ let test_hop_out_of_order () =
   Alcotest.(check int) "the same log" (List.length (Aug.log fresh))
     (List.length (Aug.log aug))
 
+(* ---- the index's own linearization witness ---- *)
+
+(* Hand-driven runs: one H-operation at a time, each completed
+   M-operation logged as written, so a log can disagree with the
+   index's order. *)
+let hscan aug ~pid =
+  let idx = Aug.clock aug in
+  match Aug.apply aug ~pid Aug.Ops.Hscan with
+  | Aug.Ops.Snap h -> (idx, h)
+  | Aug.Ops.Ack -> Alcotest.fail "an H.scan returned Ack"
+
+let happend aug ~pid ~ts pairs =
+  let idx = Aug.clock aug in
+  ignore
+    (Aug.apply aug ~pid
+       (Aug.Ops.Happend_triples
+          (List.map (fun (j, v) -> { Hrep.comp = j; value = v; ts }) pairs)));
+  idx
+
+let logged aug mop = Aug.record aug (Aug.Mop mop)
+
+let logged_scan aug ~proc ~start_idx ~end_idx ~h view =
+  logged aug
+    (Aug.Scan_op { proc; start_idx; end_idx; n_ops = 2; view; h })
+
+let logged_bu aug ~proc ~ts ~start_idx ~x_idx ~end_idx ~h ?(atomic = true)
+    updates =
+  let m = Aug.m aug in
+  logged aug
+    (Aug.Bu_op
+       {
+         proc;
+         ts;
+         updates;
+         start_idx;
+         x_idx;
+         end_idx;
+         n_ops = 4;
+         h;
+         result =
+           (if atomic then Aug.Atomic { view = Array.make m Value.Bot; last = h }
+            else Aug.Yield);
+       })
+
+let ts a = Vts.of_array a
+let i k = Value.Int k
+
+(* q0's Block-Update writes (0, 1) and (1, 2) at X = 1; q1 then scans.
+   [scan_view], [written] and [again] (a second append under q0's key)
+   tamper with the run. *)
+let bu_then_scan ?(scan_view = [| i 1; i 2 |])
+    ?(written = [ (0, i 1); (1, i 2) ]) ?again ?(atomic = true) () =
+  let aug = Aug.create ~f:2 ~m:2 () in
+  let s0, h0 = hscan aug ~pid:0 in
+  let t0 = ts [| 1; 0 |] in
+  let x = happend aug ~pid:0 ~ts:t0 written in
+  Option.iter (fun pairs -> ignore (happend aug ~pid:0 ~ts:t0 pairs)) again;
+  let e0, _ = hscan aug ~pid:0 in
+  logged_bu aug ~proc:0 ~ts:t0 ~start_idx:s0 ~x_idx:x ~end_idx:e0 ~h:h0 ~atomic
+    [ (0, i 1); (1, i 2) ];
+  let s1, _ = hscan aug ~pid:1 in
+  let e1, h1 = hscan aug ~pid:1 in
+  logged_scan aug ~proc:1 ~start_idx:s1 ~end_idx:e1 ~h:h1 scan_view;
+  aug
+
+(* q1's append of (0, 7) with a larger timestamp lands while q0's
+   Block-Update is running and never completes. q0's Update of
+   component 0 then linearizes at q1's append (§3.3). *)
+let overtaken ~atomic =
+  let aug = Aug.create ~f:3 ~m:2 () in
+  let s0, h0 = hscan aug ~pid:0 in
+  let s2, _ = hscan aug ~pid:2 in
+  ignore (happend aug ~pid:1 ~ts:(ts [| 1; 1; 0 |]) [ (0, i 7) ]);
+  let e2, h2 = hscan aug ~pid:2 in
+  logged_scan aug ~proc:2 ~start_idx:s2 ~end_idx:e2 ~h:h2 [| i 7; Value.Bot |];
+  let t0 = ts [| 1; 0; 0 |] in
+  let x = happend aug ~pid:0 ~ts:t0 [ (0, i 1); (1, i 2) ] in
+  let e0, _ = hscan aug ~pid:0 in
+  logged_bu aug ~proc:0 ~ts:t0 ~start_idx:(if atomic then s0 else e2)
+    ~x_idx:x ~end_idx:e0 ~h:h0 ~atomic
+    [ (0, i 1); (1, i 2) ];
+  aug
+
+(* q1's append of (0, 7) lands before q0's Line-2 scan, with a larger
+   timestamp than q0's append of (0, 1) after it. Neither Block-Update
+   completes, and q0's Update linearizes at q1's append. *)
+let pending_overtaken () =
+  let aug = Aug.create ~f:2 ~m:1 () in
+  ignore (happend aug ~pid:1 ~ts:(ts [| 1; 1 |]) [ (0, i 7) ]);
+  ignore (hscan aug ~pid:0);
+  ignore (happend aug ~pid:0 ~ts:(ts [| 1; 0 |]) [ (0, i 1) ]);
+  aug
+
+let search aug =
+  let spec, entries = Rsim_explore.Explore.mop_history aug (Aug.index aug) in
+  Linearize.check spec entries
+
+let test_witness_refuses_tampering () =
+  let witness aug = Aug_spec.lin_witness (Aug.index aug) in
+  Alcotest.(check (pair bool bool)) "the untampered run: witnessed, linearizable"
+    (true, true)
+    (let aug = bu_then_scan () in
+     (witness aug, search aug));
+  List.iter
+    (fun (what, aug, linearizable) ->
+      Alcotest.(check bool) (what ^ ": the witness refuses") false (witness aug);
+      Alcotest.(check bool) (what ^ ": the search decides") linearizable
+        (search aug);
+      Alcotest.(check bool) (what ^ ": the oracle's verdict is the search's")
+        linearizable
+        (Rsim_explore.Explore.lin_verdict aug (Aug.index aug)))
+    [
+      (* q1's Scan returns what no order gives it. *)
+      ("a Scan view altered", bu_then_scan ~scan_view:[| i 1; i 9 |] (), false);
+      (* q2's Scan at 3 goes between q0's Update of component 0 (at 2)
+         and of component 1 (at X = 4). *)
+      ("an atomic Block-Update split by a Scan", overtaken ~atomic:true, true);
+      (* q0's yielding Block-Update starts at 3, after its Update of
+         component 0 linearized at 2. *)
+      ("a point outside its interval", overtaken ~atomic:false, true);
+      (* q0's pending Update linearizes at 0, before its Line-2 scan. *)
+      ("a pending Update before its invocation", pending_overtaken (), true);
+      (* q0's Line-4 write was dropped: its Updates are in no order, and
+         q1's Scan, invoked after q0's Block-Update returned, missed it. *)
+      ( "an operation missing from the order",
+        bu_then_scan ~written:[] ~scan_view:[| Value.Bot; Value.Bot |] (),
+        false );
+      (* q0 appended (0, 1) twice and (1, 2) never. *)
+      ( "a logged pair written twice, another never",
+        bu_then_scan ~atomic:false ~written:[ (0, i 1) ] ~again:[ (0, i 1) ]
+          ~scan_view:[| i 1; Value.Bot |] (),
+        false );
+      (* A corrupted write: the index's Update is not what q0 logged. *)
+      ( "an Update its Block-Update did not log",
+        bu_then_scan ~atomic:false ~written:[ (0, i 9); (1, i 2) ]
+          ~scan_view:[| i 9; i 2 |] (),
+        false );
+    ]
+
+(* A history too long for the search, whose witness fails: 70 Scans and
+   a Block-Update whose Line-4 write was dropped. The oracle passes it as
+   vacuous instead of raising. *)
+let test_long_history_vacuous () =
+  let module Explore = Rsim_explore.Explore in
+  let module Metrics = Rsim_obs.Obs.Metrics in
+  let aug = Aug.create ~f:2 ~m:1 () in
+  for _ = 1 to 70 do
+    let start_idx, _ = hscan aug ~pid:1 in
+    let end_idx, h = hscan aug ~pid:1 in
+    logged_scan aug ~proc:1 ~start_idx ~end_idx ~h [| Value.Bot |]
+  done;
+  let start_idx, h = hscan aug ~pid:0 in
+  let x_idx = happend aug ~pid:0 ~ts:(ts [| 1; 0 |]) [] in
+  let end_idx, _ = hscan aug ~pid:0 in
+  logged_bu aug ~proc:0 ~ts:(ts [| 1; 0 |]) ~start_idx ~x_idx ~end_idx ~h
+    ~atomic:false
+    [ (0, i 1) ];
+  let ix = Aug.index aug in
+  Alcotest.(check bool) "the witness fails" false (Aug_spec.lin_witness ix);
+  let spec, entries = Explore.mop_history aug ix in
+  Alcotest.(check int) "entries" 71 (List.length entries);
+  Alcotest.check_raises "too long to search"
+    (Invalid_argument "Linearize.linearization: more entries than an int has bits")
+    (fun () -> ignore (Linearize.check spec entries));
+  let vacuous = Metrics.counter "explore.oracle.linearizable.vacuous" in
+  let before = Metrics.counter_value vacuous in
+  Alcotest.(check bool) "passes" true (Explore.lin_verdict aug ix);
+  Alcotest.(check int) "counted vacuous" 1 (Metrics.counter_value vacuous - before)
+
 let () =
   Alcotest.run "aug"
     [
@@ -794,6 +963,10 @@ let () =
             test_window_start_latest;
           Alcotest.test_case "a hop out of order is refused" `Quick
             test_hop_out_of_order;
+          Alcotest.test_case "the witness refuses tampered runs" `Quick
+            test_witness_refuses_tampering;
+          Alcotest.test_case "too long to search: vacuous" `Quick
+            test_long_history_vacuous;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -1255,11 +1255,16 @@ type ref_tally = {
   mutable race_diffs : int;
   mutable history_diffs : int;
   mutable search_diffs : int;
+  mutable witnessed : int;
+  mutable unsound : int;
+  mutable verdict_diffs : int;
+  mutable long_judged : int;
 }
 
 (* An oracle that judges nothing and compares, on every execution, the
    race oracle, the Wing-Gong history and the Wing-Gong search with the
-   implementations kept in race_ref.ml and linearize_ref.ml. *)
+   implementations kept in race_ref.ml and linearize_ref.ml, and the
+   [linearizable] verdict with the search alone. *)
 let reference_oracle t : Explore.Aug_target.exec Explore.Oracle.t =
   {
     Explore.Oracle.name = "reference";
@@ -1274,8 +1279,11 @@ let reference_oracle t : Explore.Aug_target.exec Explore.Oracle.t =
         let spec, entries = Explore.mop_history aug ex.index in
         let _, ref_entries = Linearize_ref.mop_history aug result.Aug.Prog.trace in
         if entries <> ref_entries then t.history_diffs <- t.history_diffs + 1;
-        (* the oracle searches histories of at most 16 operations *)
-        if List.compare_length_with entries 16 <= 0 then begin
+        (* The list-based reference search filters and copies lists at
+           every step and memoises nothing, so it is compared on
+           histories of at most 16 operations. *)
+        let short = List.compare_length_with entries 16 <= 0 in
+        if short then begin
           t.searched <- t.searched + 1;
           if
             not
@@ -1284,6 +1292,15 @@ let reference_oracle t : Explore.Aug_target.exec Explore.Oracle.t =
                  (Linearize_ref.linearization spec entries))
           then t.search_diffs <- t.search_diffs + 1
         end;
+        (* A passing witness is a linearization the search also finds,
+           and the oracle's verdict is the search's. *)
+        let witness = Aug_spec.lin_witness ex.index in
+        let found = Linearize.check spec entries in
+        if witness then t.witnessed <- t.witnessed + 1;
+        if witness && not found then t.unsound <- t.unsound + 1;
+        if Lazy.force ex.linearizable <> found then
+          t.verdict_diffs <- t.verdict_diffs + 1;
+        if not short then t.long_judged <- t.long_judged + 1;
         []);
   }
 
@@ -1296,6 +1313,10 @@ let test_matches_references () =
       race_diffs = 0;
       history_diffs = 0;
       search_diffs = 0;
+      witnessed = 0;
+      unsound = 0;
+      verdict_diffs = 0;
+      long_judged = 0;
     }
   in
   let oracles = [ reference_oracle t ] in
@@ -1330,7 +1351,45 @@ let test_matches_references () =
   Alcotest.(check int) "same Wing-Gong histories" 0 t.history_diffs;
   Alcotest.(check int)
     (Printf.sprintf "same Wing-Gong witness on %d histories" t.searched)
-    0 t.search_diffs
+    0 t.search_diffs;
+  Alcotest.(check int)
+    (Printf.sprintf "the search linearizes all %d witnessed histories"
+       t.witnessed)
+    0 t.unsound;
+  Alcotest.(check int) "the oracle's verdict is the search's" 0 t.verdict_diffs;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d histories of more than 16 operations judged"
+       t.long_judged)
+    true (t.long_judged > 0)
+
+(* The perfbench sweep-faults shape on a clean build: every history is
+   judged, and the index's own order is a linearization of each, so the
+   search never runs. *)
+let test_sweep_faults_shape_judged () =
+  let faults = Result.get_ok (Faults.of_string matrix_profile) in
+  let witnessed = ref 0 in
+  let witness : Explore.Aug_target.exec Explore.Oracle.t =
+    {
+      Explore.Oracle.name = "witness";
+      on_truncated = true;
+      check =
+        (fun ex ->
+          if Aug_spec.lin_witness ex.Explore.index then incr witnessed;
+          []);
+    }
+  in
+  let w =
+    get_builtin ~faults
+      ~oracles:Explore.Aug_target.[ linearizable; crash_robust; witness ]
+      "mixed" ~f:4 ~m:2
+  in
+  let vacuous = Obs.Metrics.counter "explore.oracle.linearizable.vacuous" in
+  let before = Obs.Metrics.counter_value vacuous in
+  let rep = Explore.sweep ~domains:1 ~max_steps:200 ~budget:4096 ~seed:1 w in
+  Alcotest.(check int) "executions" 4096 rep.Explore.executions;
+  Alcotest.(check int) "vacuous" 0 (Obs.Metrics.counter_value vacuous - before);
+  Alcotest.(check int) "violations" 0 (List.length rep.Explore.violations);
+  Alcotest.(check int) "witnessed" 4096 !witnessed
 
 let () =
   Alcotest.run "explore"
@@ -1429,6 +1488,8 @@ let () =
         [
           Alcotest.test_case "BU vs Scan histories" `Quick
             test_linearizable_oracle_exhaustive;
+          Alcotest.test_case "sweep-faults shape all judged" `Quick
+            test_sweep_faults_shape_judged;
         ] );
       ( "race + certify",
         [
