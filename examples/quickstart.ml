@@ -16,31 +16,34 @@ let () =
   let show view =
     String.concat "; " (List.map Value.show (Array.to_list view))
   in
-  (* Each process is a program: [let*] issues an operation and continues
-     with its result. *)
+  (* Each process is a program: an M-operation runs, then continues with
+     the function passed to it, applied to the operation's result. *)
   let cfg = Aug.config aug in
   let () =
     let open Aug.Prog in
     let q0 =
-      let* r =
-        Aug.block_update_prog cfg ~me:0 [ (0, Value.Int 10); (2, Value.Int 30) ]
-      in
-      (match r with
-      | `View v ->
-        Printf.printf "q0 Block-Update was atomic; past view = [%s]\n" (show v)
-      | `Yield -> print_endline "q0 yielded (impossible: q0 has the lowest id)");
-      let* v = Aug.scan_prog cfg ~me:0 in
-      Printf.printf "q0 Scan = [%s]\n" (show v);
-      return ()
+      Aug.block_update_prog cfg ~me:0 [ (0, Value.Int 10); (2, Value.Int 30) ]
+        (fun r ->
+          (match r with
+          | `View v ->
+            Printf.printf "q0 Block-Update was atomic; past view = [%s]\n"
+              (show v)
+          | `Yield ->
+            print_endline "q0 yielded (impossible: q0 has the lowest id)");
+          Aug.scan_prog cfg ~me:0 (fun v ->
+              Printf.printf "q0 Scan = [%s]\n" (show v);
+              return ()))
     in
     let q1 =
-      let* r = Aug.block_update_prog cfg ~me:1 [ (1, Value.Int 20) ] in
-      (match r with
-      | `View v ->
-        Printf.printf "q1 Block-Update was atomic; past view = [%s]\n" (show v)
-      | `Yield ->
-        print_endline "q1 yielded: a lower-id update landed inside its interval");
-      return ()
+      Aug.block_update_prog cfg ~me:1 [ (1, Value.Int 20) ] (fun r ->
+          (match r with
+          | `View v ->
+            Printf.printf "q1 Block-Update was atomic; past view = [%s]\n"
+              (show v)
+          | `Yield ->
+            print_endline
+              "q1 yielded: a lower-id update landed inside its interval");
+          return ())
     in
     let r = start ~apply:(Aug.apply aug) ~emit:(Aug.record aug) [ q0; q1 ] in
     run ~sched:Schedule.round_robin r

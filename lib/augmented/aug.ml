@@ -142,28 +142,17 @@ let apply t ~pid (op : Ops.op) : Ops.res =
 
 open Prog
 
-(* The H-operations as programs. Algorithms 3 and 4 continue from the
-   last operation of a loop or a branch by calling a local function
-   rather than by binding a returned tuple: every bind wraps each
-   operation of the program it is bound to, once per hop. *)
+(* Algorithms 3 and 4 are written directly over [Op] and [Emit]: each
+   takes the continuation of its M-operation and calls it once the
+   operation's note is out, and every step continues from a loop or a
+   branch by calling a function. Nothing here binds a program: a bind
+   wraps each operation of the program it is bound to, once per hop, so
+   the callers pass their continuations too. *)
 
-(* An H.scan: its result and its trace index. *)
-let hscan =
-  Op
-    ( Ops.Hscan,
-      fun r idx ->
-        match r with Ops.Snap s -> Return (s, idx) | Ops.Ack -> assert false )
-
-(* An append: its trace index. *)
-let append op = Op (op, fun _ idx -> Return idx)
-
-(* One helping update of the L-records [recs]. *)
-let help recs =
-  Op
-    ( Ops.Happend_lrecords recs,
-      fun _ _ ->
-        if recs <> [] then Obs.Metrics.incr m_helping;
-        Return () )
+(* The snapshot an H.scan returned. *)
+let snap : Ops.res -> Hrep.snap = function
+  | Ops.Snap s -> s
+  | Ops.Ack -> assert false
 
 (* The helping records [L_{me,i}[#h_i] := h] for [i] from 0 to [j] but
    [skip], ascending, in front of [acc]. *)
@@ -174,11 +163,10 @@ let rec help_recs (h : Hrep.snap) ~skip j acc =
     help_recs h ~skip (j - 1)
       ({ Hrep.dest = j; index = Hrep.count_bu h.(j); payload = h } :: acc)
 
-(* Algorithm 3. *)
-let scan_prog cfg ~me =
+(* Algorithm 3: a Scan by [me], continued by [k] with its view. *)
+let scan_prog cfg ~me k =
   if me < 0 || me >= cfg.f then invalid_arg "Aug.scan: bad process id";
-  let* h0, first_idx = hscan in
-  let finish h end_idx n_ops =
+  let finish ~first_idx h end_idx n_ops =
     let view = Hrep.get_view ~m:cfg.m h in
     Obs.Metrics.incr m_scans;
     Obs.Metrics.observe h_scan_hops n_ops;
@@ -191,24 +179,31 @@ let scan_prog cfg ~me =
       ( Mop
           (Scan_op
              { proc = me; start_idx = first_idx; end_idx; n_ops; view; h }),
-        fun () -> Return view )
+        fun () -> k view )
   in
-  let rec rescan h n_ops =
-    let* h', idx' = hscan in
-    if Hrep.equal_triples h h' then finish h idx' (n_ops + 1)
-    else begin
-      Obs.Metrics.incr m_scan_retries;
-      loop h' (n_ops + 1)
-    end
-  and loop h n_ops =
+  let rec rescan ~first_idx h n_ops =
+    Op
+      ( Ops.Hscan,
+        fun r idx' ->
+          let h' = snap r in
+          if Hrep.equal_triples h h' then finish ~first_idx h idx' (n_ops + 1)
+          else begin
+            Obs.Metrics.incr m_scan_retries;
+            loop ~first_idx h' (n_ops + 1)
+          end )
+  and loop ~first_idx h n_ops =
     (* Help everyone: L_{me,j}[#h_j] := h for all j ≠ me, in one update.
        (Skipped by the E9 ablation.) *)
     if cfg.helping then
-      let* () = help (help_recs h ~skip:me (cfg.f - 1) []) in
-      rescan h (n_ops + 1)
-    else rescan h n_ops
+      let recs = help_recs h ~skip:me (cfg.f - 1) [] in
+      Op
+        ( Ops.Happend_lrecords recs,
+          fun _ _ ->
+            if recs <> [] then Obs.Metrics.incr m_helping;
+            rescan ~first_idx h (n_ops + 1) )
+    else rescan ~first_idx h n_ops
   in
-  loop h0 1
+  Op (Ops.Hscan, fun r first_idx -> loop ~first_idx (snap r) 1)
 
 let rec comp_absent j = function
   | [] -> true
@@ -242,8 +237,99 @@ let rec freshest cfg ~me r_snap ~b last j =
     in
     freshest cfg ~me r_snap ~b last (j + 1)
 
-(* Algorithm 4. *)
-let block_update_prog cfg ~me updates =
+(* Lines 8-15 of [me]'s Block-Update of [updates] with timestamp [ts],
+   whose Line-2 scan returned [h] at [start_idx] and whose Line-4 append
+   ran at [x_idx]; then [k] with its result. *)
+let line8 cfg ~me updates ~h ~ts ~start_idx ~x_idx k =
+  Op
+    ( Ops.Hscan,
+      fun r end_idx5 ->
+        let h' = snap r in
+        (* Line 9: yield iff a lower-identifier process appended new
+           triples. Seeded faults mutate exactly this test. *)
+        let new_lower =
+          match cfg.inject with
+          | None | Some Spin_on_yield -> grew h h' 0 me
+          | Some Skip_yield_check -> false
+          | Some Yield_on_higher -> grew h h' (me + 1) cfg.f
+        in
+        if new_lower && cfg.inject = Some Spin_on_yield then
+          (* Deliberately blocking mutation: instead of yielding,
+             busy-wait re-scanning H forever. Breaks non-blocking
+             progress — the target of the explorer's progress oracle. *)
+          let rec spin () = Op (Ops.Hscan, fun _ _ -> spin ()) in
+          spin ()
+        else if new_lower then begin
+          let n_ops = if cfg.helping then 5 else 4 in
+          Obs.Metrics.incr m_bu;
+          Obs.Metrics.incr m_bu_yield;
+          Obs.Metrics.observe h_bu_hops n_ops;
+          if Obs.Trace.enabled () then
+            Obs.Trace.complete ~name:"M.block-update" ~pid:me ~ts:start_idx
+              ~dur:(end_idx5 - start_idx + 1)
+              ~args:[ ("result", Obs.Json.Str "yield") ]
+              ();
+          Emit
+            ( Mop
+                (Bu_op
+                   {
+                     proc = me;
+                     ts;
+                     updates;
+                     start_idx;
+                     x_idx;
+                     end_idx = end_idx5;
+                     n_ops;
+                     h;
+                     result = Yield;
+                   }),
+              fun () -> k `Yield )
+        end
+        else begin
+          let atomic last end_idx =
+            let view = Hrep.get_view ~m:cfg.m last in
+            let n_ops = if cfg.helping then 6 else 4 in
+            Obs.Metrics.incr m_bu;
+            Obs.Metrics.incr m_bu_atomic;
+            Obs.Metrics.observe h_bu_hops n_ops;
+            if Obs.Trace.enabled () then
+              Obs.Trace.complete ~name:"M.block-update" ~pid:me ~ts:start_idx
+                ~dur:(end_idx - start_idx + 1)
+                ~args:[ ("result", Obs.Json.Str "atomic") ]
+                ();
+            Emit
+              ( Mop
+                  (Bu_op
+                     {
+                       proc = me;
+                       ts;
+                       updates;
+                       start_idx;
+                       x_idx;
+                       end_idx;
+                       n_ops;
+                       h;
+                       result = Atomic { view; last };
+                     }),
+                fun () -> k (`View view) )
+          in
+          (* Lines 12-15: read L_{j,me}[#h_me] for all j ≠ me, in one
+             scan. The E9 ablation skips the reads and falls back to the
+             Line-2 scan result — exactly the stale view the helping
+             mechanism exists to refresh. *)
+          if not cfg.helping then atomic h end_idx5
+          else
+            Op
+              ( Ops.Hscan,
+                fun r end_idx ->
+                  atomic
+                    (freshest cfg ~me (snap r) ~b:(Hrep.count_bu h.(me)) h 0)
+                    end_idx )
+        end )
+
+(* Algorithm 4: a Block-Update by [me], continued by [k] with its
+   result. *)
+let block_update_prog cfg ~me updates k =
   if me < 0 || me >= cfg.f then invalid_arg "Aug.block_update: bad process id";
   (match updates with
   | [] -> invalid_arg "Aug.block_update: empty update list"
@@ -253,108 +339,34 @@ let block_update_prog cfg ~me updates =
   if not (comps_in_range cfg.m updates) then
     invalid_arg "Aug.block_update: component out of range";
   (* Line 2 *)
-  let* h, start_idx = hscan in
-  (* Line 3 *)
-  let ts = Hrep.new_timestamp h ~me in
-  (* Line 4: X *)
-  let triples =
-    List.map (fun (j, v) -> { Hrep.comp = j; value = v; ts }) updates
-  in
-  let* x_idx = append (Ops.Happend_triples triples) in
-  (* Line 5 *)
-  let* g, _ = hscan in
-  (* Lines 8-15, after the helping write. *)
-  let line8 () =
-    let* h', end_idx5 = hscan in
-    (* Line 9: yield iff a lower-identifier process appended new triples.
-       Seeded faults mutate exactly this test. *)
-    let new_lower =
-      match cfg.inject with
-      | None | Some Spin_on_yield -> grew h h' 0 me
-      | Some Skip_yield_check -> false
-      | Some Yield_on_higher -> grew h h' (me + 1) cfg.f
-    in
-    if new_lower && cfg.inject = Some Spin_on_yield then begin
-      (* Deliberately blocking mutation: instead of yielding, busy-wait
-         re-scanning H forever. Breaks non-blocking progress — the target
-         of the explorer's progress oracle. *)
-      let rec spin () =
-        let* _ = hscan in
-        spin ()
-      in
-      spin ()
-    end
-    else if new_lower then begin
-      let n_ops = if cfg.helping then 5 else 4 in
-      Obs.Metrics.incr m_bu;
-      Obs.Metrics.incr m_bu_yield;
-      Obs.Metrics.observe h_bu_hops n_ops;
-      if Obs.Trace.enabled () then
-        Obs.Trace.complete ~name:"M.block-update" ~pid:me ~ts:start_idx
-          ~dur:(end_idx5 - start_idx + 1)
-          ~args:[ ("result", Obs.Json.Str "yield") ]
-          ();
-      Emit
-        ( Mop
-            (Bu_op
-               {
-                 proc = me;
-                 ts;
-                 updates;
-                 start_idx;
-                 x_idx;
-                 end_idx = end_idx5;
-                 n_ops;
-                 h;
-                 result = Yield;
-               }),
-          fun () -> Return `Yield )
-    end
-    else begin
-      let atomic last end_idx =
-        let view = Hrep.get_view ~m:cfg.m last in
-        let n_ops = if cfg.helping then 6 else 4 in
-        Obs.Metrics.incr m_bu;
-        Obs.Metrics.incr m_bu_atomic;
-        Obs.Metrics.observe h_bu_hops n_ops;
-        if Obs.Trace.enabled () then
-          Obs.Trace.complete ~name:"M.block-update" ~pid:me ~ts:start_idx
-            ~dur:(end_idx - start_idx + 1)
-            ~args:[ ("result", Obs.Json.Str "atomic") ]
-            ();
-        Emit
-          ( Mop
-              (Bu_op
-                 {
-                   proc = me;
-                   ts;
-                   updates;
-                   start_idx;
-                   x_idx;
-                   end_idx;
-                   n_ops;
-                   h;
-                   result = Atomic { view; last };
-                 }),
-            fun () -> Return (`View view) )
-      in
-      (* Lines 12-15: read L_{j,me}[#h_me] for all j ≠ me, in one scan.
-         The E9 ablation skips the reads and falls back to the Line-2
-         scan result — exactly the stale view the helping mechanism
-         exists to refresh. *)
-      if not cfg.helping then atomic h end_idx5
-      else
-        let* r_snap, end_idx = hscan in
-        atomic (freshest cfg ~me r_snap ~b:(Hrep.count_bu h.(me)) h 0) end_idx
-    end
-  in
-  (* Lines 6-7: help lower identifiers, one update. (Skipped by the E9
-     ablation; the scan on Line 5 is kept so the yield check's timing is
-     unchanged.) *)
-  if cfg.helping then
-    let* () = help (help_recs g ~skip:me (me - 1) []) in
-    line8 ()
-  else line8 ()
+  Op
+    ( Ops.Hscan,
+      fun r start_idx ->
+        let h = snap r in
+        (* Line 3 *)
+        let ts = Hrep.new_timestamp h ~me in
+        (* Line 4: X *)
+        let triples =
+          List.map (fun (j, v) -> { Hrep.comp = j; value = v; ts }) updates
+        in
+        Op
+          ( Ops.Happend_triples triples,
+            fun _ x_idx ->
+              (* Line 5 *)
+              Op
+                ( Ops.Hscan,
+                  fun r _ ->
+                    (* Lines 6-7: help lower identifiers, one update.
+                       (Skipped by the E9 ablation; the scan on Line 5 is
+                       kept so the yield check's timing is unchanged.) *)
+                    if cfg.helping then
+                      let recs = help_recs (snap r) ~skip:me (me - 1) [] in
+                      Op
+                        ( Ops.Happend_lrecords recs,
+                          fun _ _ ->
+                            if recs <> [] then Obs.Metrics.incr m_helping;
+                            line8 cfg ~me updates ~h ~ts ~start_idx ~x_idx k )
+                    else line8 cfg ~me updates ~h ~ts ~start_idx ~x_idx k ) ) )
 
 (* [r] distinct components below [m], drawn from [g] until there are [r]
    of them, latest first. *)
@@ -377,14 +389,11 @@ let random_prog cfg ~me ~seed ~ops ~max_comps ~values =
     if k = 0 then return ()
     else
       let c, g = Prng.int g 3 in
-      if c = 0 then
-        let* _ = scan_prog cfg ~me in
-        go g (k - 1)
+      if c = 0 then scan_prog cfg ~me (fun _ -> go g (k - 1))
       else
         let r, g = Prng.int g (min cfg.m max_comps) in
         let comps, g = draw_comps g ~m:cfg.m (r + 1) [] in
         let updates, g = draw_values g ~values comps in
-        let* _ = block_update_prog cfg ~me updates in
-        go g (k - 1)
+        block_update_prog cfg ~me updates (fun _ -> go g (k - 1))
   in
   go (Prng.make seed) ops

@@ -148,20 +148,31 @@ val save : t -> saved
 (** [restore t s] puts [t] back in state [s]; [s] stays valid. *)
 val restore : t -> saved -> unit
 
-(** {2 Operations as programs} *)
+(** {2 Operations as programs}
+
+    Each M-operation takes its continuation [k] and returns the program
+    that runs the operation and then [k] applied to its result, called
+    once the operation's {!Mop} note is out. A caller continues by
+    passing [k] rather than by binding: a bind wraps every operation of
+    the program it is bound to, once per hop. A caller that wants the
+    value itself passes [Prog.return]. *)
 
 (** [Scan] (Algorithm 3). Non-blocking: loops until two consecutive
-    [H.scan]s agree on update triples. *)
-val scan_prog : config -> me:int -> Value.t array Prog.t
+    [H.scan]s agree on update triples, then continues with the view. *)
+val scan_prog : config -> me:int -> (Value.t array -> 'a Prog.t) -> 'a Prog.t
 
 (** [Block-Update] (Algorithm 4) to the given distinct components.
     [`View v] means the Block-Update was atomic and [v] is a view of M
-    from the returned earlier point; [`Yield] is the paper's [Y]. *)
+    from the returned earlier point; [`Yield] is the paper's [Y]. The
+    arguments are checked when the program is built: a bad process id,
+    an empty list, repeated components or one outside [[0, m)] raise
+    [Invalid_argument]. *)
 val block_update_prog :
   config ->
   me:int ->
   (int * Value.t) list ->
-  [ `View of Value.t array | `Yield ] Prog.t
+  ([ `View of Value.t array | `Yield ] -> 'a Prog.t) ->
+  'a Prog.t
 
 (** [random_prog cfg ~me ~seed ~ops ~max_comps ~values]: [ops]
     M-operations drawn from a PRNG seeded with [seed]: a Scan with

@@ -21,12 +21,6 @@ let create ~f = Array.make f empty_component
 let count_bu c = c.n_bu
 let counts h = Array.map count_bu h
 
-(* The last triple of a list, for the adjacent-timestamp test. *)
-let rec last_triple = function
-  | [] -> None
-  | [ t ] -> Some t
-  | _ :: rest -> last_triple rest
-
 let append_triples c ts =
   match ts with
   | [] -> c
@@ -39,9 +33,9 @@ let append_triples c ts =
       | t :: rest -> bus t.ts (if Vts.equal prev t.ts then n else n + 1) rest
     in
     let n_bu =
-      match last_triple c.triples with
-      | Some p -> bus p.ts c.n_bu ts
-      | None -> bus first.ts 1 rest
+      match c.triples with
+      | latest :: _ -> bus latest.ts c.n_bu ts
+      | [] -> bus first.ts 1 rest
     in
     (* Get-View's winner per component of M: a later triple replaces the
        earlier winner only when its timestamp is strictly larger.
@@ -60,34 +54,43 @@ let append_triples c ts =
       ts;
     {
       c with
-      triples = c.triples @ ts;
+      triples = List.rev_append ts c.triples;
       n_triples = c.n_triples + List.length ts;
       n_bu;
       winners;
     }
 
-let append_lrecords c ls = { c with lrecords = c.lrecords @ ls }
+let append_lrecords c ls = { c with lrecords = List.rev_append ls c.lrecords }
 
 let triple_equal a b =
   a.comp = b.comp && Value.equal a.value b.value && Vts.equal a.ts b.ts
 
-let rec list_is_prefix eq xs ys =
+(* Whether two lists are equal, element by element, stopping at the
+   first tail they share. *)
+let rec list_equal eq xs ys =
+  xs == ys
+  ||
   match (xs, ys) with
-  | [], _ -> true
-  | _ :: _, [] -> false
-  | x :: xs', y :: ys' -> eq x y && list_is_prefix eq xs' ys'
+  | x :: xs', y :: ys' -> eq x y && list_equal eq xs' ys'
+  | [], _ | _, [] -> false
 
-(* Both tests first try the exact shortcuts: snapshots of one H share a
-   component's triple list until that component gains a triple, and
-   unequal counts decide equality (a longer list is never a prefix of a
-   shorter one). Only lists built apart are walked. *)
+let rec drop n = function
+  | _ :: rest when n > 0 -> drop (n - 1) rest
+  | l -> l
+
+(* Snapshots of one H share a component's triple list until that
+   component gains a triple, and an append conses its batch onto the
+   list it extends, so a later snapshot's list ends with an earlier
+   one's: both tests stop at the shared tail, which is the whole list
+   when nothing was appended. Unequal counts decide equality, and a
+   list is a prefix of a longer one when the longer one, its newest
+   triples dropped, equals it. Only lists built apart are walked. *)
 let same_triples ca cb =
-  ca.triples == cb.triples
-  || (ca.n_triples = cb.n_triples && List.for_all2 triple_equal ca.triples cb.triples)
+  ca.n_triples = cb.n_triples && list_equal triple_equal ca.triples cb.triples
 
 let prefix_triples ca cb =
-  ca.triples == cb.triples
-  || (ca.n_triples <= cb.n_triples && list_is_prefix triple_equal ca.triples cb.triples)
+  ca.n_triples <= cb.n_triples
+  && list_equal triple_equal ca.triples (drop (cb.n_triples - ca.n_triples) cb.triples)
 
 let equal_triples a b =
   Array.length a = Array.length b && Array.for_all2 same_triples a b
@@ -97,8 +100,10 @@ let is_proper_prefix a b = is_prefix a b && not (equal_triples a b)
 
 let all_triples h =
   let acc = ref [] in
-  Array.iteri (fun writer c -> List.iter (fun t -> acc := (writer, t) :: !acc) c.triples) h;
-  List.rev !acc
+  for writer = Array.length h - 1 downto 0 do
+    acc := List.fold_left (fun acc t -> (writer, t) :: acc) !acc h.(writer).triples
+  done;
+  !acc
 
 (* The winner over all of [h] is the first writer's winner among those
    holding the largest timestamp: writers are visited in order and a
@@ -122,15 +127,12 @@ let get_view ~m h =
 let new_timestamp h ~me = Vts.make ~counts:(counts h) ~me
 
 let read_l h ~writer ~reader ~index =
-  let rec last found = function
-    | [] -> found
-    | l :: rest ->
-      let found =
-        if l.dest = reader && l.index = index then Some l.payload else found
-      in
-      last found rest
+  let rec latest = function
+    | [] -> None
+    | l :: older ->
+      if l.dest = reader && l.index = index then Some l.payload else latest older
   in
-  last None h.(writer).lrecords
+  latest h.(writer).lrecords
 
 let contains_ts h ts =
   List.exists (fun (_, t) -> Vts.equal t.ts ts) (all_triples h)

@@ -1,7 +1,6 @@
 (** Representation of the single-writer snapshot [H] of §3.2.
 
-    Component [i] of [H] belongs to real process [q_i] and holds, in
-    append order:
+    Component [i] of [H] belongs to real process [q_i] and holds:
     - {b update triples} [(j, v, t)]: "q_i's Block-Update with timestamp
       [t] set component [j] of M to [v]" (appended by Line 4 of
       Algorithm 4);
@@ -28,8 +27,8 @@ type lrecord = {
 }
 
 and component = private {
-  triples : triple list;  (** oldest first *)
-  lrecords : lrecord list;  (** oldest first *)
+  triples : triple list;  (** latest first: the reverse of append order *)
+  lrecords : lrecord list;  (** latest first: the reverse of append order *)
   n_triples : int;  (** cached length of [triples] *)
   n_bu : int;  (** cached {!count_bu} *)
   winners : triple option array;
@@ -45,17 +44,23 @@ and snap = component array
 (** The result of an atomic scan of [H]: one component per real process.
     Every snapshot of one [H] shares, per component, the triple list it
     held when taken until that component gains a triple: an L-record
-    append copies the record but keeps the list. *)
+    append copies the record but keeps the list. Since lists grow at
+    their head, a later snapshot's lists end with an earlier one's. *)
 
 (** {2 Costs}
 
-    An append pays for the component's size: [append_triples] copies the
-    triple list and the winners, [append_lrecords] the L-record list.
-    Everything else reads the caches: [count_bu] is O(1), [counts] and
-    [new_timestamp] O(f), [get_view] O(f·m). [equal_triples] and
-    [is_prefix] are O(f) when each pair of triple lists is physically
-    shared or (for equality) differs in length, and walk the lists
-    otherwise. [read_l] walks the writer's L-records. *)
+    An append pays for its batch, not for the component: it conses the
+    batch onto the list it extends, which the earlier snapshots keep
+    sharing, and [append_triples] also copies the winners (one entry
+    per component of M up to the largest written). Everything else
+    reads the caches: [count_bu] is O(1), [counts] and [new_timestamp]
+    O(f), [get_view] O(f·m). [equal_triples] and [is_prefix] walk a
+    pair of triple lists only down to the tail they share: for two
+    snapshots of one [H] that is O(1) per component once [is_prefix]
+    has dropped the longer list's newest triples, and unequal lengths
+    decide equality at once. Lists built apart are walked. [read_l]
+    walks the writer's L-records from the latest and stops at the first
+    match. *)
 
 val empty_component : component
 
@@ -75,8 +80,8 @@ val append_triples : component -> triple list -> component
 val append_lrecords : component -> lrecord list -> component
 
 (** Equality over update triples only (the [until h = h'] test). A
-    shared list is taken as equal to itself, which the walk agrees with
-    for every value but a NaN float. *)
+    shared list or tail is taken as equal to itself, which the walk
+    agrees with for every value but a NaN float. *)
 val equal_triples : snap -> snap -> bool
 
 (** [is_prefix h h']: every component's triple list of [h] is a prefix of
@@ -89,19 +94,19 @@ val is_proper_prefix : snap -> snap -> bool
 (** [Get-View] (Algorithm 2): for each of the [m] components of M, the
     value of the triple with the lexicographically largest timestamp, or
     ⊥ if none. Ties go to the first such triple in writer order, then
-    oldest first. *)
+    in append order. *)
 val get_view : m:int -> snap -> Value.t array
 
 (** [New-Timestamp] (Algorithm 1) for process [me]. *)
 val new_timestamp : snap -> me:int -> Vts.t
 
 (** [read_l h ~writer ~reader ~index] is the current value of
-    [L_{writer,reader}[index]] as seen in [h]: the payload of the last
+    [L_{writer,reader}[index]] as seen in [h]: the payload of the latest
     matching L-record in component [writer], or [None] (⊥). *)
 val read_l : snap -> writer:int -> reader:int -> index:int -> snap option
 
 (** All triples of [h], tagged with the component of [H] they live in:
-    [(writer, triple)]. *)
+    [(writer, triple)], writer by writer, each writer's in append order. *)
 val all_triples : snap -> (int * triple) list
 
 (** Whether [h] contains a triple with this exact timestamp. *)

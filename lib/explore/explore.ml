@@ -1296,29 +1296,22 @@ module Aug_target = struct
     | "bu-conflict" ->
       mk
         (each (fun cfg ~me ->
-             let* _ = Aug.block_update_prog cfg ~me [ (0, Value.Int (me + 1)) ] in
-             return ()))
+             Aug.block_update_prog cfg ~me [ (0, Value.Int (me + 1)) ] (fun _ ->
+                 return ())))
     | "bu-scan" ->
       mk
         (each (fun cfg ~me ->
              if me = 0 then
-               let* _ =
-                 Aug.block_update_prog cfg ~me:0
-                   (if m >= 2 then [ (0, Value.Int 1); (m - 1, Value.Int 2) ]
-                    else [ (0, Value.Int 1) ])
-               in
-               return ()
-             else
-               let* _ = Aug.scan_prog cfg ~me in
-               return ()))
+               Aug.block_update_prog cfg ~me:0
+                 (if m >= 2 then [ (0, Value.Int 1); (m - 1, Value.Int 2) ]
+                  else [ (0, Value.Int 1) ])
+                 (fun _ -> return ())
+             else Aug.scan_prog cfg ~me (fun _ -> return ())))
     | "bu-then-scan" ->
       mk
         (each (fun cfg ~me ->
-             let* _ =
-               Aug.block_update_prog cfg ~me [ (me mod m, Value.Int (me + 1)) ]
-             in
-             let* _ = Aug.scan_prog cfg ~me in
-             return ()))
+             Aug.block_update_prog cfg ~me [ (me mod m, Value.Int (me + 1)) ]
+               (fun _ -> Aug.scan_prog cfg ~me (fun _ -> return ()))))
     | "mixed" ->
       (* Deterministic pseudo-random programs keyed on (f, m, pid): the
          same workload name + params always produces the same programs,

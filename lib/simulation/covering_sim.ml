@@ -39,9 +39,10 @@ let local_simulate ~local_cap ~g p local ~allowed =
 let program (cfg : Aug.config) ~me ~procs ~local_cap =
   if Array.length procs <> cfg.m then
     invalid_arg "Covering_sim.program: need exactly m simulated processes";
-  let journal event = emit (Journal.Entry { sim = me; event }) in
+  (* A journal entry, then [k]. *)
+  let journal event k = Emit (Journal.Entry { sim = me; event }, k) in
   (* A simulated process output: the simulator adopts it and stops. *)
-  let decide ~proc value = journal (Journal.Jdecided { proc; value }) in
+  let decide ~proc value = journal (Journal.Jdecided { proc; value }) return in
   (* Algorithm 6, in continuation-passing style: [construct st r k]
      constructs a block update [(j1,v1)...(jr,vr)], where process slot
      g-1 is poised to perform Update (jg, vg), and passes it to [k] with
@@ -49,14 +50,15 @@ let program (cfg : Aug.config) ~me ~procs ~local_cap =
   let rec construct st r k =
     if r = 1 then
       (* Base case: simulate p_{i,1}'s next step (a scan) with M.Scan. *)
-      let* view = Aug.scan_prog cfg ~me in
-      let p = Proc.step_scan st.procs.(0) view in
-      let st = { procs = set st.procs 0 p; serial = st.serial + 1 } in
-      match Proc.poised p with
-      | Proc.Update (j, v) -> k st [ (j, v) ]
-      | Proc.Output y -> decide ~proc:0 y
-      | Proc.Scan ->
-        failwith "Covering_sim: protocol violates Assumption 1 (scan after scan)"
+      Aug.scan_prog cfg ~me (fun view ->
+          let p = Proc.step_scan st.procs.(0) view in
+          let st = { procs = set st.procs 0 p; serial = st.serial + 1 } in
+          match Proc.poised p with
+          | Proc.Update (j, v) -> k st [ (j, v) ]
+          | Proc.Output y -> decide ~proc:0 y
+          | Proc.Scan ->
+            failwith
+              "Covering_sim: protocol violates Assumption 1 (scan after scan)")
     else
       (* [seen] holds (component set, view, serial of the atomic
          Block-Update that returned the view) — the paper's A. *)
@@ -72,29 +74,29 @@ let program (cfg : Aug.config) ~me ~procs ~local_cap =
                   ~allowed:(fun j -> List.mem j comps)
               in
               let st = { st with procs = set st.procs (r - 1) p } in
-              let* () =
-                journal
-                  (Journal.Jrevise
-                     { after_serial = st.serial; proc = r - 1; source_serial; zeta })
-              in
-              match outcome with
-              | `Poised (j, v) -> k st (bu @ [ (j, v) ])
-              | `Out y -> decide ~proc:(r - 1) y)
+              journal
+                (Journal.Jrevise
+                   { after_serial = st.serial; proc = r - 1; source_serial; zeta })
+                (fun () ->
+                  match outcome with
+                  | `Poised (j, v) -> k st (bu @ [ (j, v) ])
+                  | `Out y -> decide ~proc:(r - 1) y))
             | None -> (
               (* Simulate the block update [bu] with an M.Block-Update;
                  afterwards processes 1..|bu| have performed their
                  poised updates. *)
-              let* result = Aug.block_update_prog cfg ~me bu in
-              let serial = st.serial + 1 in
-              let procs =
-                Array.mapi
-                  (fun g p -> if g < List.length bu then Proc.step_update p else p)
-                  st.procs
-              in
-              let st = { procs; serial } in
-              match result with
-              | `View view -> loop st ((comps, view, serial) :: seen)
-              | `Yield -> loop st seen))
+              Aug.block_update_prog cfg ~me bu (fun result ->
+                  let serial = st.serial + 1 in
+                  let procs =
+                    Array.mapi
+                      (fun g p ->
+                        if g < List.length bu then Proc.step_update p else p)
+                      st.procs
+                  in
+                  let st = { procs; serial } in
+                  match result with
+                  | `View view -> loop st ((comps, view, serial) :: seen)
+                  | `Yield -> loop st seen)))
       in
       loop st []
   in
@@ -111,5 +113,5 @@ let program (cfg : Aug.config) ~me ~procs ~local_cap =
         local_simulate ~local_cap ~g:0 (Proc.step_update st.procs.(0))
           after_beta ~allowed:(fun _ -> true)
       with
-      | _, xi, `Out output -> journal (Journal.Jfinal { beta; xi; output })
+      | _, xi, `Out output -> journal (Journal.Jfinal { beta; xi; output }) return
       | _, _, `Poised _ -> assert false (* every update is allowed *))

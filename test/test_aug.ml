@@ -24,12 +24,10 @@ let return = Aug.Prog.return
 
 (* A Block-Update or a Scan by [me], as a whole program. *)
 let bu aug ~me updates =
-  let* _ = Aug.block_update_prog (Aug.config aug) ~me updates in
-  return ()
+  Aug.block_update_prog (Aug.config aug) ~me updates (fun _ -> return ())
 
 let scan aug ~me =
-  let* _ = Aug.scan_prog (Aug.config aug) ~me in
-  return ()
+  Aug.scan_prog (Aug.config aug) ~me (fun _ -> return ())
 
 let no_failures (result : Aug.Prog.result) =
   Array.iter
@@ -48,11 +46,13 @@ let test_solo_basic () =
     run ~sched:Schedule.round_robin aug
       [
         (let cfg = Aug.config aug in
-         let* r = Aug.block_update_prog cfg ~me:0 [ (0, Value.Int 1); (2, Value.Int 3) ] in
+         let* r =
+           Aug.block_update_prog cfg ~me:0 [ (0, Value.Int 1); (2, Value.Int 3) ] return
+         in
          (match r with
          | `View v -> views := ("bu", v) :: !views
          | `Yield -> Alcotest.fail "q0 must be atomic");
-         let* v = Aug.scan_prog cfg ~me:0 in
+         let* v = Aug.scan_prog cfg ~me:0 return in
          views := ("scan", v) :: !views;
          return ());
       ]
@@ -99,7 +99,7 @@ let test_forced_yield () =
     run ~sched aug
       [
         bu aug ~me:0 [ (0, Value.Int 10) ];
-        (let* r = Aug.block_update_prog (Aug.config aug) ~me:1 [ (1, Value.Int 20) ] in
+        (let* r = Aug.block_update_prog (Aug.config aug) ~me:1 [ (1, Value.Int 20) ] return in
          q1_result := Some r;
          return ());
       ]
@@ -120,7 +120,7 @@ let test_no_yield_without_contention () =
       aug
       (List.map
          (fun (me, first, rest) ->
-           let* r = Aug.block_update_prog (Aug.config aug) ~me [ first ] in
+           let* r = Aug.block_update_prog (Aug.config aug) ~me [ first ] return in
            results.(me) <- Some r;
            match rest with None -> return () | Some u -> bu aug ~me [ u ])
          [
@@ -148,7 +148,7 @@ let test_higher_id_does_not_force_yield () =
   let result =
     run ~sched aug
       [
-        (let* r = Aug.block_update_prog (Aug.config aug) ~me:0 [ (0, Value.Int 10) ] in
+        (let* r = Aug.block_update_prog (Aug.config aug) ~me:0 [ (0, Value.Int 10) ] return in
          q0_result := Some r;
          return ());
         bu aug ~me:1 [ (1, Value.Int 20) ];
@@ -169,7 +169,7 @@ let test_scan_sees_last_update () =
       aug
       [
         bu aug ~me:0 [ (0, Value.Int 7) ];
-        (let* v = Aug.scan_prog (Aug.config aug) ~me:1 in
+        (let* v = Aug.scan_prog (Aug.config aug) ~me:1 return in
          seen := v;
          return ());
       ]
@@ -186,7 +186,7 @@ let test_block_update_validation () =
   List.iter
     (fun (what, updates) ->
       Alcotest.(check bool) what true
-        (match Aug.block_update_prog cfg ~me:0 updates with
+        (match Aug.block_update_prog cfg ~me:0 updates return with
         | _ -> false
         | exception Invalid_argument _ -> true))
     [
@@ -377,6 +377,38 @@ let prop_deterministic =
         List.map (fun (e : Aug.Prog.trace_entry) -> e.pid) result.trace
       in
       go () = go ())
+
+(* ---- cost ---- *)
+
+(* A hop of Algorithms 3 and 4 allocates the interpreter's hop (the
+   trace entry, the schedule's decision and the continuation, 30 words
+   for a trivial op; test_runtime › "allocation per hop"), the H
+   operation and the trace index's step, and no bind: the M-operations
+   take their continuations. Measured on `mixed` f=4 m=2 (the explorer's
+   workload, its programs rebuilt here) under [Schedule.random], runs
+   and their results included: 97.9 words, against 123.4 when every
+   H-operation was bound and every append copied the component's lists
+   (OCaml 5.1, x86-64). *)
+let test_hop_allocation () =
+  let f = 4 and m = 2 and runs = 500 in
+  let hops = ref 0 in
+  let w0 = Gc.minor_words () in
+  for seed = 1 to runs do
+    let aug = Aug.create ~f ~m () in
+    let cfg = Aug.config aug in
+    let result =
+      run ~sched:(Schedule.random ~seed) aug
+        (List.init f (fun me ->
+             Aug.random_prog cfg ~me
+               ~seed:(0x6d78 + (97 * me) + (13 * f) + m)
+               ~ops:3 ~max_comps:2 ~values:50))
+    in
+    hops := !hops + result.total_ops
+  done;
+  let per_hop = (Gc.minor_words () -. w0) /. float_of_int !hops in
+  if per_hop > 102. then
+    Alcotest.failf "an augmented hop allocated %.1f minor words (budget 102)"
+      per_hop
 
 let test_scan_blocked_by_updates () =
   (* A Scan interleaved with continuous Block-Updates takes extra
@@ -968,6 +1000,7 @@ let () =
           Alcotest.test_case "too long to search: vacuous" `Quick
             test_long_history_vacuous;
         ] );
+      ("cost", [ Alcotest.test_case "allocation per augmented hop" `Quick test_hop_allocation ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [

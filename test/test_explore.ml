@@ -213,11 +213,11 @@ let crash_run ~crash_after =
     let r =
       start ~apply:(Aug.apply aug) ~emit:(Aug.record aug)
         [
-          (let* v = Aug.scan_prog cfg ~me:0 in
-           seen := v;
-           return ());
-          (let* _ = Aug.block_update_prog cfg ~me:1 [ (0, Value.Int 42) ] in
-           return ());
+          Aug.scan_prog cfg ~me:0 (fun v ->
+              seen := v;
+              return ());
+          Aug.block_update_prog cfg ~me:1 [ (0, Value.Int 42) ] (fun _ ->
+              return ());
         ]
     in
     run ~sched r;

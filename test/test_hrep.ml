@@ -104,6 +104,38 @@ let test_contains_ts () =
   Alcotest.(check bool) "contains" true (Hrep.contains_ts h (ts [| 1; 0 |]));
   Alcotest.(check bool) "not contains" false (Hrep.contains_ts h (ts [| 2; 0 |]))
 
+(* An append conses its batch onto the list it extends: appending one
+   batch allocates the same words whether the component holds nothing or
+   1,000 triples or L-records. *)
+let test_appends_do_not_copy () =
+  let big = 1000 and reps = 1000 in
+  let words append c =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to reps do
+      ignore (Sys.opaque_identity (append c))
+    done;
+    Gc.minor_words () -. w0
+  in
+  let full_t =
+    Hrep.append_triples Hrep.empty_component
+      (List.init big (fun k -> triple 0 k [| 1; 0 |]))
+  in
+  let batch = [ triple 0 7 [| 2; 0 |] ] in
+  let on_empty = words (fun c -> Hrep.append_triples c batch) Hrep.empty_component in
+  let on_full = words (fun c -> Hrep.append_triples c batch) full_t in
+  if on_full > on_empty then
+    Alcotest.failf "a triple append to %d triples allocated %.0f words, to none %.0f"
+      big (on_full /. float reps) (on_empty /. float reps);
+  let record = { Hrep.dest = 1; index = 0; payload = Hrep.create ~f:2 } in
+  let full_l =
+    Hrep.append_lrecords Hrep.empty_component (List.init big (fun _ -> record))
+  in
+  let on_empty = words (fun c -> Hrep.append_lrecords c [ record ]) Hrep.empty_component in
+  let on_full = words (fun c -> Hrep.append_lrecords c [ record ]) full_l in
+  if on_full > on_empty then
+    Alcotest.failf "an L-record append to %d records allocated %.0f words, to none %.0f"
+      big (on_full /. float reps) (on_empty /. float reps)
+
 (* qcheck: prefix relation is a partial order on randomly grown H states. *)
 let grow_sequence_gen =
   QCheck.make
@@ -166,7 +198,8 @@ let prop_counts_monotone =
 
 (* ---- the caches against list-walking definitions ---- *)
 
-(* Reference definitions over the triple and L-record lists alone. *)
+(* Reference definitions over the triple and L-record lists alone,
+   which hold the latest first. *)
 let walk_count_bu (c : Hrep.component) =
   let rec go ts n = function
     | [] -> n
@@ -186,6 +219,7 @@ let walk_equal_triples (a : Hrep.snap) (b : Hrep.snap) =
          && List.for_all2 walk_triple_equal ca.triples cb.triples)
        a b
 
+(* Prefix in append order: of the lists reversed, oldest first. *)
 let walk_is_prefix (a : Hrep.snap) (b : Hrep.snap) =
   let rec prefix xs ys =
     match (xs, ys) with
@@ -195,7 +229,8 @@ let walk_is_prefix (a : Hrep.snap) (b : Hrep.snap) =
   in
   Array.length a = Array.length b
   && Array.for_all2
-       (fun (ca : Hrep.component) (cb : Hrep.component) -> prefix ca.triples cb.triples)
+       (fun (ca : Hrep.component) (cb : Hrep.component) ->
+         prefix (List.rev ca.triples) (List.rev cb.triples))
        a b
 
 (* Algorithm 2 as written: walk every triple, writer by writer, oldest
@@ -213,15 +248,16 @@ let walk_get_view ~m (h : Hrep.snap) =
             | Some _ | None ->
               best.(t.comp) <- Some t.ts;
               view.(t.comp) <- t.value)
-        c.triples)
+        (List.rev c.triples))
     h;
   view
 
+(* The last write in append order: the first match from the latest. *)
 let walk_read_l (h : Hrep.snap) ~writer ~reader ~index =
-  List.fold_left
-    (fun found (l : Hrep.lrecord) ->
-      if l.dest = reader && l.index = index then Some l.payload else found)
-    None h.(writer).lrecords
+  List.find_map
+    (fun (l : Hrep.lrecord) ->
+      if l.dest = reader && l.index = index then Some l.payload else None)
+    h.(writer).lrecords
 
 (* One step of H. A Block-Update writes distinct components, some of
    them outside [0, m) for every [m] the property reads; its timestamp is
@@ -294,15 +330,15 @@ let grown_states gs =
   let h0 = Hrep.create ~f:f_grow in
   List.rev (List.fold_left (fun acc g -> step (List.hd acc) g :: acc) [ h0 ] gs)
 
-(* The same contents built apart, one append per component, sharing no
-   list or triple with the original. *)
+(* The same contents built apart, one append per component in append
+   order, sharing no list or triple with the original. *)
 let rebuilt (h : Hrep.snap) =
   Array.map
     (fun (c : Hrep.component) ->
       Hrep.append_lrecords
         (Hrep.append_triples Hrep.empty_component
-           (List.map (fun (t : Hrep.triple) -> { t with Hrep.comp = t.comp }) c.triples))
-        c.lrecords)
+           (List.rev_map (fun (t : Hrep.triple) -> { t with Hrep.comp = t.comp }) c.triples))
+        (List.rev c.lrecords))
     h
 
 let prop_caches_match_walks =
@@ -362,6 +398,7 @@ let () =
           Alcotest.test_case "corollary 8" `Quick test_new_timestamp_dominates;
           Alcotest.test_case "read_l" `Quick test_read_l;
           Alcotest.test_case "contains_ts" `Quick test_contains_ts;
+          Alcotest.test_case "appends do not copy" `Quick test_appends_do_not_copy;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -255,9 +255,8 @@ let test_aug_counters_move () =
   let before = Obs.Metrics.counter_value c_bu in
   let aug = Aug.create ~f:2 ~m:2 () in
   let bu me =
-    Aug.Prog.bind
-      (Aug.block_update_prog (Aug.config aug) ~me
-         [ (me, Rsim_value.Value.Int (me + 1)) ])
+    Aug.block_update_prog (Aug.config aug) ~me
+      [ (me, Rsim_value.Value.Int (me + 1)) ]
       (fun _ -> Aug.Prog.return ())
   in
   Aug.Prog.run ~sched:Rsim_shmem.Schedule.round_robin
