@@ -98,13 +98,6 @@ let equal_triples a b =
 let is_prefix a b = Array.length a = Array.length b && Array.for_all2 prefix_triples a b
 let is_proper_prefix a b = is_prefix a b && not (equal_triples a b)
 
-let all_triples h =
-  let acc = ref [] in
-  for writer = Array.length h - 1 downto 0 do
-    acc := List.fold_left (fun acc t -> (writer, t) :: acc) !acc h.(writer).triples
-  done;
-  !acc
-
 (* The winner over all of [h] is the first writer's winner among those
    holding the largest timestamp: writers are visited in order and a
    later one replaces the winner only with a strictly larger timestamp. *)
@@ -133,6 +126,3 @@ let read_l h ~writer ~reader ~index =
       if l.dest = reader && l.index = index then Some l.payload else latest older
   in
   latest h.(writer).lrecords
-
-let contains_ts h ts =
-  List.exists (fun (_, t) -> Vts.equal t.ts ts) (all_triples h)

@@ -104,10 +104,3 @@ val new_timestamp : snap -> me:int -> Vts.t
     [L_{writer,reader}[index]] as seen in [h]: the payload of the latest
     matching L-record in component [writer], or [None] (⊥). *)
 val read_l : snap -> writer:int -> reader:int -> index:int -> snap option
-
-(** All triples of [h], tagged with the component of [H] they live in:
-    [(writer, triple)], writer by writer, each writer's in append order. *)
-val all_triples : snap -> (int * triple) list
-
-(** Whether [h] contains a triple with this exact timestamp. *)
-val contains_ts : snap -> Vts.t -> bool

@@ -27,18 +27,16 @@ let m_steals = Obs.Metrics.counter "explore.steals"
 let m_dedup = Obs.Metrics.counter "explore.dedup.hits"
 let g_frontier = Obs.Metrics.gauge "explore.frontier.depth"
 
-(* Context switches in a schedule, the pid of each step read by
-   [pid_of] — its preemption depth. Reading it backwards gives the same
-   count. *)
-let preemptions_of pid_of steps =
+(* Context switches in a trace: steps whose pid differs from the step
+   before. [explore.preemptions] observes it once per execution; the
+   exhaustive engine carries the count down its walk instead. *)
+let switches_of (trace : Aug.Prog.trace_entry list) =
   let rec go last acc = function
     | [] -> acc
-    | step :: rest ->
-      let pid = pid_of step in
-      if last >= 0 && pid <> last then go pid (acc + 1) rest
-      else go pid acc rest
+    | ({ pid; _ } : Aug.Prog.trace_entry) :: rest ->
+      go pid (if last >= 0 && pid <> last then acc + 1 else acc) rest
   in
-  go (-1) 0 steps
+  go (-1) 0 trace
 
 (* ---------------------------------------------------------------- *)
 (* Workloads                                                         *)
@@ -54,7 +52,6 @@ type outcome = {
   live : int list;
   steps : int;
   errors : string list;
-  judge : unit -> string list;
 }
 
 let script_of out =
@@ -71,7 +68,11 @@ type probe_view = {
   restore : node -> unit;
 }
 
-type leaf_view = { outcome : unit -> outcome; restore : node -> unit }
+type leaf_view = {
+  complete : unit -> bool;
+  judge : unit -> string list;
+  restore : node -> unit;
+}
 
 type probe = {
   decide : probe_view -> [ `Continue | `Stop ];
@@ -117,18 +118,22 @@ let oracle_counters oracles =
         Obs.Metrics.counter ("explore.oracle." ^ o.Oracle.name ^ ".fail") ))
     oracles
 
-let judge ocs ~complete ex =
-  List.concat_map
-    (fun ((o : _ Oracle.t), cpass, cfail) ->
-      if complete || o.Oracle.on_truncated then begin
-        let errs = o.Oracle.check ex in
-        (match errs with
-        | [] -> Obs.Metrics.incr cpass
-        | _ :: _ -> Obs.Metrics.incr cfail);
-        List.map (fun e -> o.Oracle.name ^ ": " ^ e) errs
-      end
-      else [])
-    ocs
+(* The errors of every oracle that judges [ex], in oracle order. It
+   allocates only for the errors it returns. *)
+let rec judge ocs ~complete ex =
+  match ocs with
+  | [] -> []
+  | ((o : _ Oracle.t), cpass, cfail) :: rest -> (
+    if not (complete || o.Oracle.on_truncated) then judge rest ~complete ex
+    else
+      match o.Oracle.check ex with
+      | [] ->
+        Obs.Metrics.incr cpass;
+        judge rest ~complete ex
+      | errs ->
+        Obs.Metrics.incr cfail;
+        let later = judge rest ~complete ex in
+        List.map (fun e -> o.Oracle.name ^ ": " ^ e) errs @ later)
 
 let fault_to_string = function
   | Aug.Skip_yield_check -> "skip-yield-check"
@@ -249,6 +254,90 @@ let check_max_violations engine n =
       (Printf.sprintf "Explore.%s: max_violations must be >= 1 (got %d)" engine
          n)
 
+(* The set of claimed state keys: a key is a fingerprint [(f1, f2)] and
+   a non-negative int [k] that packs the depth and the bound-state (see
+   [exhaustive]). 64 shards, each a flat int array under its own mutex,
+   probed linearly: slot [i] holds [f1], [f2] and [k] at [3i], [3i + 1]
+   and [3i + 2], and a negative [k] marks it empty. A claim allocates
+   nothing unless it grows its shard, which doubles once more than 3/4
+   of its slots are used. The shard is taken from bits 56-61 of the
+   key's hash and the first slot probed from its low bits, so keys of
+   one shard do not share their low bits. *)
+module Claims = struct
+  type shard = {
+    mu : Mutex.t;
+    mutable slots : int array;
+        [@rsim.shared "read and written only under the shard's mu"]
+    mutable used : int;
+        [@rsim.shared "read and written only under the shard's mu"]
+  }
+
+  type t = shard array
+
+  let initial_slots = 64
+
+  let create () =
+    Array.init 64 (fun _ ->
+        {
+          mu = Mutex.create ();
+          slots = Array.make (3 * initial_slots) (-1);
+          used = 0;
+        })
+
+  (* A fingerprint's low bits are poorly mixed (its mixers multiply), so
+     the three ints go through two multiply-xorshift rounds. *)
+  let hash f1 f2 k =
+    let h = f1 + (f2 * 0x2545F4914F6CDD1D) + (k * 0x1B873593) in
+    let h = (h lxor (h lsr 32)) * 0x3C79AC492BA7B653 in
+    let h = (h lxor (h lsr 29)) * 0x1C69B3F74AC4AE35 in
+    h lxor (h lsr 32)
+
+  let shard_of h = (h lsr 56) land 63
+
+  (* The slot index [j] (of [slots.(j)]) that holds the key, or else of
+     the first empty slot probed from [i]; [slots] holds fewer keys than
+     slots, so there is one. *)
+  let rec probe slots mask f1 f2 k i =
+    let j = 3 * i in
+    let kj = slots.(j + 2) in
+    if kj < 0 || (kj = k && slots.(j) = f1 && slots.(j + 1) = f2) then j
+    else probe slots mask f1 f2 k ((i + 1) land mask)
+
+  let put slots j f1 f2 k =
+    slots.(j) <- f1;
+    slots.(j + 1) <- f2;
+    slots.(j + 2) <- k
+
+  let grow s =
+    let old = s.slots in
+    let slots = Array.make (2 * Array.length old) (-1) in
+    let mask = (Array.length slots / 3) - 1 in
+    for i = 0 to (Array.length old / 3) - 1 do
+      let f1 = old.(3 * i) and f2 = old.((3 * i) + 1) and k = old.((3 * i) + 2) in
+      if k >= 0 then
+        put slots (probe slots mask f1 f2 k (hash f1 f2 k land mask)) f1 f2 k
+    done;
+    s.slots <- slots
+
+  (* Whether the key was unclaimed; it is claimed from now on. [k] must
+     be non-negative. *)
+  let claim t f1 f2 k =
+    let h = hash f1 f2 k in
+    let s = t.(shard_of h) in
+    Mutex.lock s.mu;
+    let slots = s.slots in
+    let mask = (Array.length slots / 3) - 1 in
+    let j = probe slots mask f1 f2 k (h land mask) in
+    let fresh = slots.(j + 2) < 0 in
+    if fresh then begin
+      put slots j f1 f2 k;
+      s.used <- s.used + 1;
+      if 4 * s.used > 3 * (mask + 1) then grow s
+    end;
+    Mutex.unlock s.mu;
+    fresh
+end
+
 type exhaustive_report = {
   complete : int;
   truncated : int;
@@ -264,11 +353,14 @@ type exhaustive_report = {
    the decision [last] to take there (-1 at the root), which is also the
    preemption bound's last pid. [rev_prefix] is every decision from the
    root, the task's own included, latest first: the leaf's script.
-   [origin] is the pushing domain, for steal accounting. *)
+   [preempts] counts its preemptions and [switches] its context
+   switches, for [explore.preemptions]. [origin] is the pushing domain,
+   for steal accounting. *)
 type frontier_task = {
   from : node option;
   rev_prefix : int list;
   preempts : int;
+  switches : int;
   last : int;
   origin : int;
 }
@@ -310,24 +402,34 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
   let dedup =
     Option.value dedup ~default:(preemption_bound = None) && w.faults = None
   in
-  (* Sharded claim table: a state key is claimed by exactly one task;
-     everyone else is pruned. Each shard's [Hashtbl] picks a bucket from
-     the low bits of the key's hash, so the shard comes from the high
-     bits (24-29 of the 30-bit hash): from the low bits, every key in a
-     shard would share them, and its table would use 1/64 of its
-     buckets. *)
-  let shards =
-    (Array.init 64 (fun _ -> (Mutex.create (), Hashtbl.create 251))
-    [@rsim.shared "each shard's table is only touched under its mutex"])
+  (* A state key is claimed by exactly one task; everyone else is
+     pruned. Its [k] packs the decision's depth and its bound-state:
+     [k = depth * states + bstate], where [bstate] is 0 without a
+     preemption bound and [preempts * (n_procs + 1) + last + 1] under
+     one, and [states] counts the bound-states. [last] is in
+     [-1, n_procs), and [preempts] in [0, pmax] with [pmax = max 0 (min
+     bound max_steps)]: it grows by at most one per decision and never
+     past the bound. So [bstate] takes each (preempts, last) to its own
+     value in [0, states) with [states = (pmax + 1) * (n_procs + 1)], and
+     [k] each (depth, bstate) with depth in [0, max_steps] to its own
+     value in [0, (max_steps + 1) * states): a mixed-radix numeral. A
+     claimed decision's depth is below [max_steps]: the run stops at
+     [max_steps] operations, and a workload that fingerprints its states
+     ([Aug_target]) has no control hook without a fault profile, so
+     each of its decisions applies one. The engine refuses a shape whose
+     largest [k] would not fit in an int. *)
+  let states =
+    match preemption_bound with
+    | None -> 1
+    | Some b ->
+      let pmax = max 0 (min b max_steps) in
+      if dedup && pmax >= max_int / (w.n_procs + 1) then
+        invalid_arg "Explore.exhaustive: preemption bound too large for dedup";
+      (pmax + 1) * (w.n_procs + 1)
   in
-  let claim key =
-    let mu, tbl = shards.((Hashtbl.hash key lsr 24) land 63) in
-    Mutex.lock mu;
-    let fresh = not (Hashtbl.mem tbl key) in
-    if fresh then Hashtbl.add tbl key ();
-    Mutex.unlock mu;
-    fresh
-  in
+  if dedup && max_steps > (max_int - (states - 1)) / states then
+    invalid_arg "Explore.exhaustive: max_steps too large for dedup";
+  let claims = Claims.create () in
   (* Shared LIFO frontier: a mutex-and-condition chunked queue. [pop]
      blocks while walks are in flight (they may donate tasks); the last
      domain to drain it broadcasts termination. [waiting] counts the
@@ -435,6 +537,7 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
     let from = ref t.from in
     let rev_path = ref [] in
     let preempts = ref 0 in
+    let switches = ref 0 in
     let last = ref (-1) in
     let next_pick = ref (-1) in
     let children = ref [] in
@@ -446,6 +549,7 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
       Obs.Metrics.incr m_tasks;
       rev_path := t.rev_prefix;
       preempts := t.preempts;
+      switches := t.switches;
       last := t.last;
       next_pick := t.last;
       cut_off := false
@@ -471,12 +575,12 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
         match pv.fingerprint () with
         | None -> true
         | Some (f1, f2) ->
-          let benc =
+          let bstate =
             match preemption_bound with
-            | None -> -1
-            | Some _ -> (!preempts * 64) + !last + 1
+            | None -> 0
+            | Some _ -> (!preempts * (w.n_procs + 1)) + !last + 1
           in
-          if claim (f1, f2, pv.step, benc) then true
+          if Claims.claim claims f1 f2 ((pv.step * states) + bstate) then true
           else begin
             Atomic.incr n_dedup;
             Obs.Metrics.incr m_dedup;
@@ -506,6 +610,9 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
             !preempts + 1
           else !preempts
         in
+        let switches_of_child pid =
+          if !last >= 0 && pid <> !last then !switches + 1 else !switches
+        in
         match choices with
         | [] ->
           (* Unreachable: the probe only fires while some process is
@@ -524,12 +631,14 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
                     from;
                     rev_prefix = c :: !rev_path;
                     preempts = preempts_of_child c;
+                    switches = switches_of_child c;
                     last = c;
                     origin = d;
                   }
                   :: !children)
               rest);
           preempts := preempts_of_child chosen;
+          switches := switches_of_child chosen;
           last := chosen;
           rev_path := chosen :: !rev_path;
           next_pick := chosen;
@@ -540,14 +649,14 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
        task, unless the engine stopped. *)
     let leaf (lv : leaf_view) =
       if not (!aborted || !cut_off) then begin
-        Obs.Metrics.observe h_preempt (preemptions_of Fun.id !rev_path);
+        Obs.Metrics.observe h_preempt !switches;
         (* Leaf states are counted here, not in the probe: the probe only
            fires while some process is live, and a truncated run is ended
            by the op cap before the probe reaches the depth cut. *)
         Atomic.incr n_nodes;
-        let out = lv.outcome () in
-        if out.live = [] then Atomic.incr n_complete else Atomic.incr n_trunc;
-        let errors = out.judge () in
+        if lv.complete () then Atomic.incr n_complete
+        else Atomic.incr n_trunc;
+        let errors = lv.judge () in
         if errors <> [] then report_raw !rev_path errors
       end;
       local := List.rev_append !children !local;
@@ -607,6 +716,7 @@ let exhaustive ?(max_steps = 64) ?preemption_bound ?(max_violations = 1)
         from = None;
         rev_prefix = [];
         preempts = 0;
+        switches = 0;
         last = -1;
         origin = 0;
       };
@@ -720,8 +830,7 @@ let sweep ?domains ?(max_steps = 200) ?(max_violations = 1) ~budget ~seed w =
         w.exec ~probe:None ~certify:false ~sched ~max_ops:max_steps
           ~check:true
       in
-      Obs.Metrics.observe h_preempt
-        (preemptions_of (fun (e : Aug.Prog.trace_entry) -> e.pid) out.trace);
+      Obs.Metrics.observe h_preempt (switches_of out.trace);
       incr count;
       if out.errors <> [] then begin
         Atomic.incr found;
@@ -825,7 +934,7 @@ let mop_history aug ix =
 (* What the oracles judge of one execution: the target's own result
    ['r], and what every target has. *)
 type 'r exec = {
-  result : 'r;
+  result : 'r Lazy.t;  (* built by the first oracle that reads it *)
   noun : string;
   aug : Aug.t;
   statuses : Rsim_runtime.Prog.status array;
@@ -840,10 +949,11 @@ type 'r exec = {
 (* One explorable system, which [of_target] turns into a workload. An
    execution's state [t] starts (keeping what [fingerprint] reads only
    if [probed]), runs as {!Rsim_runtime.Prog.S.run} does, tells what it
-   has [current]ly reached, and saves and restores itself. [view] is
-   what every target's oracles read of a result: the augmented
+   has [current]ly reached, and saves and restores itself. What every
+   target's oracles read is read off [t] as it stands: the augmented
    snapshot, whose trace index the run extended as it went
-   ({!Aug.index}), the trace, the statuses and the step count. *)
+   ({!Aug.index}), and the interpreter's [prog], with the statuses and
+   the step count. [trace] reads a result's trace. *)
 module type TARGET = sig
   type t
   type saved
@@ -862,11 +972,9 @@ module type TARGET = sig
     unit
 
   val current : t -> result
-
-  val view :
-    t ->
-    result ->
-    Aug.t * Aug.Prog.trace_entry list * Rsim_runtime.Prog.status array * int
+  val trace : result -> Aug.Prog.trace_entry list
+  val aug : t -> Aug.t
+  val prog : t -> Aug.Prog.run
 
   val fingerprint : t -> live:int list -> (int * int) option
 end
@@ -895,43 +1003,36 @@ let of_target (type r) (module T : TARGET with type result = r) ~name
   let id = Type.Id.make () in
   let exec ~probe ~certify:_ ~sched ~max_ops ~check =
     let st = T.start ~max_ops ~probed:(Option.is_some probe) in
-    (* What the execution reached, judged now if [check]. It reads the
-       target's state, so a probed execution's outcome must be judged
-       before the run moves on. *)
-    let outcome_of r =
-      let aug, trace, statuses, steps = T.view st r in
+    (* What the oracles judge of the execution as it stands: it reads the
+       target's state, so a probed execution's must be judged, and then
+       dropped, before the run moves on. *)
+    let complete () = List.is_empty (Aug.Prog.live (T.prog st)) in
+    let exec_of result =
+      let aug = T.aug st and prog = T.prog st in
       let index = Aug.index aug in
-      let live = ref [] in
-      for pid = Array.length statuses - 1 downto 0 do
-        if statuses.(pid) = Rsim_runtime.Prog.Pending then live := pid :: !live
-      done;
-      let live = !live in
-      let complete = live = [] in
-      let ex =
-        {
-          result = r;
-          noun = T.noun;
-          aug;
-          statuses;
-          steps;
-          complete;
-          index;
-          spec_report = lazy (Aug_spec.report index);
-          linearizable = lazy (lin_verdict aug index);
-        }
-      in
-      let judge_now () = judge ocs ~complete ex in
       {
-        trace;
-        live;
-        steps;
-        errors = (if check then judge_now () else []);
-        judge = judge_now;
+        result;
+        noun = T.noun;
+        aug;
+        statuses = Aug.Prog.statuses prog;
+        steps = Aug.Prog.total_ops prog;
+        complete = complete ();
+        index;
+        spec_report = lazy (Aug_spec.report index);
+        linearizable = lazy (lin_verdict aug index);
       }
     in
-    (* The outcome at the run's latest end, built at most once: for the
-       engine's [leaf], or as [exec]'s result at the final end. *)
-    let last = ref (lazy (outcome_of (T.current st))) in
+    (* The result at the run's latest end, built at most once: by an
+       oracle, or for [exec]'s outcome at the final end. *)
+    let built = ref None in
+    let current () =
+      match !built with
+      | Some r -> r
+      | None ->
+        let r = T.current st in
+        built := Some r;
+        r
+    in
     (match probe with
     | None -> T.run ~sched st
     | Some p ->
@@ -945,16 +1046,34 @@ let of_target (type r) (module T : TARGET with type result = r) ~name
          live set of the probe call it is handed to. *)
       let probed = ref [] in
       let fingerprint () = T.fingerprint st ~live:!probed in
-      let leaf = { outcome = (fun () -> Lazy.force !last); restore } in
+      (* A leaf reads the statuses and the step count off the run, and
+         builds [T.current]'s result only if an oracle reads it. *)
+      let leaf =
+        {
+          complete;
+          judge =
+            (fun () ->
+              let ex = exec_of (Lazy.from_fun current) in
+              judge ocs ~complete:ex.complete ex);
+          restore;
+        }
+      in
       T.run
         ~probe:(fun ~step ~live ->
           probed := live;
           p.decide { step; live; fingerprint; save; restore })
         ~at_end:(fun () ->
-          last := lazy (outcome_of (T.current st));
+          built := None;
           p.leaf leaf)
         ~sched st);
-    Lazy.force !last
+    let r = current () in
+    let ex = exec_of (Lazy.from_val r) in
+    {
+      trace = T.trace r;
+      live = Aug.Prog.live (T.prog st);
+      steps = ex.steps;
+      errors = (if check then judge ocs ~complete:ex.complete ex else []);
+    }
   in
   {
     name;
@@ -977,17 +1096,16 @@ let no_failure : _ exec Oracle.t =
     check =
       (fun { noun; statuses; _ } ->
         let errs = ref [] in
-        Array.iteri
-          (fun pid st ->
-            match st with
-            | Rsim_runtime.Prog.Failed e ->
-              errs :=
-                Printf.sprintf "%s %d raised %s" noun pid (Printexc.to_string e)
-                :: !errs
-            | Rsim_runtime.Prog.Done | Rsim_runtime.Prog.Pending
-            | Rsim_runtime.Prog.Crashed -> ())
-          statuses;
-        List.rev !errs);
+        for pid = Array.length statuses - 1 downto 0 do
+          match statuses.(pid) with
+          | Rsim_runtime.Prog.Failed e ->
+            errs :=
+              Printf.sprintf "%s %d raised %s" noun pid (Printexc.to_string e)
+              :: !errs
+          | Rsim_runtime.Prog.Done | Rsim_runtime.Prog.Pending
+          | Rsim_runtime.Prog.Crashed -> ()
+        done;
+        !errs);
   }
 
 let aug_spec : _ exec Oracle.t =
@@ -1261,8 +1379,9 @@ module Aug_target = struct
         Aug.Prog.run ?probe ?at_end ~sched t.run
 
       let current t = Aug.Prog.current t.run
-
-      let view t (r : result) = (t.aug, r.trace, r.statuses, r.total_ops)
+      let trace (r : result) = r.trace
+      let aug t = t.aug
+      let prog t = t.run
 
       let fingerprint t ~live =
         let fold mixf a b =
@@ -1336,7 +1455,7 @@ module Harness_target = struct
       Oracle.name = "lemma26-replay";
       on_truncated = false;
       check =
-        (fun { result = hspec, result; _ } ->
+        (fun { result = (lazy (hspec, result)); _ } ->
           let r = Analysis.check hspec result in
           if r.Analysis.ok then [] else r.Analysis.errors);
     }
@@ -1348,7 +1467,7 @@ module Harness_target = struct
       Oracle.name;
       on_truncated = false;
       check =
-        (fun { result = hspec, result; _ } ->
+        (fun { result = (lazy (hspec, result)); _ } ->
           match
             Harness.validate ~survivors_only hspec result ~task:Task.consensus
           with
@@ -1371,7 +1490,7 @@ module Harness_target = struct
 
   let racing_spec ~n ~m ~f ~d =
     {
-      Harness.protocol = (fun pid input -> (Racing.protocol ~m ()) pid input);
+      Harness.protocol = Racing.protocol ~m ();
       n;
       m;
       f;
@@ -1401,9 +1520,9 @@ module Harness_target = struct
 
       let run = Harness.finish
       let current sim = (hspec, Harness.current sim)
-
-      let view _ ((_, r) : result) =
-        (r.Harness.aug, r.trace, r.statuses, r.total_ops)
+      let trace ((_, r) : result) = r.Harness.trace
+      let aug = Harness.aug
+      let prog = Harness.prog
 
       (* Simulator local state is too rich to digest soundly at this
          boundary, so the engine shares prefixes but never dedups. *)

@@ -40,17 +40,14 @@ open Rsim_shmem
     a node can resume it; any other raises [Invalid_argument]. *)
 type node
 
-(** The result of driving one execution under one schedule. *)
+(** The result of driving one execution under one schedule, at its
+    last end. *)
 type outcome = {
   trace : Rsim_augmented.Aug.Prog.trace_entry list;
       (** the operations applied, in execution order *)
   live : int list;  (** pids still pending when the run stopped *)
   steps : int;  (** base-object operations executed *)
   errors : string list;  (** oracle violations; [[]] if passing or unchecked *)
-  judge : unit -> string list;
-      (** judge this execution now — lets an engine run with [check]
-          false and pay for oracles only on executions that are real
-          leaves (not pruned mid-run) *)
 }
 
 (** [script_of out] is the pids [out] scheduled, in order: a
@@ -86,14 +83,23 @@ type probe_view = {
 
 (** What the engine observes each time a probed execution reaches an
     end: every process over, the step cap, the schedule exhausted, or a
-    decision at which [decide] returned [`Stop]. [outcome ()] is the
-    execution as it stands there, to be judged during this call (it
-    reads state the execution goes on to change). [restore n] moves the
-    execution to node [n]: it goes on from there, making [n]'s decision
-    without a further [decide] call, so one execution can walk a whole
-    subtree of saved nodes. An execution whose [leaf] call restores
-    nothing ends, and [exec] returns its outcome. *)
-type leaf_view = { outcome : unit -> outcome; restore : node -> unit }
+    decision at which [decide] returned [`Stop]. [complete ()] says
+    whether no process is still pending there, and [judge ()] runs the
+    workload's oracles on the execution as it stands there and returns
+    their errors ([[]]: every oracle passed). Both read state the
+    execution goes on to change, so they are valid only during this
+    call. They read the statuses and the step count straight off the
+    run: a leaf builds the trace and the system's own result only for an
+    oracle that reads them. [restore n] moves the execution to node [n]:
+    it goes on from there, making [n]'s decision without a further
+    [decide] call, so one execution can walk a whole subtree of saved
+    nodes. An execution whose [leaf] call restores nothing ends, and
+    [exec] returns its outcome. *)
+type leaf_view = {
+  complete : unit -> bool;
+  judge : unit -> string list;
+  restore : node -> unit;
+}
 
 (** [decide] is called before every scheduling decision; returning
     [`Stop] ends the execution at that decision. [leaf] is called at
@@ -106,8 +112,9 @@ type probe = {
 (** How to build an instance, run its processes, and judge the result.
     [exec] must be re-entrant: every call builds its own instance, and
     both engines call it concurrently from several [Domain]s. When
-    [check] is false the engine only needs [trace]/[live]/[steps] and
-    judges lazily via [judge]. [probe], if given, is called before every
+    [check] is false the outcome's [errors] are [[]]; an engine that
+    judges its leaves does so through [probe]'s [leaf]. [probe], if
+    given, is called before every
     scheduling decision with the reached state's {!probe_view} and at
     every end with a {!leaf_view}; one call can then run many
     executions, moved from node to node by the probe. [certify] is
@@ -188,8 +195,11 @@ type exhaustive_report = {
     Stops early (atomically, across all domains) after [max_violations]
     (default 1) raw violations, keeping whichever arrived first; the raw
     set is then merged (shortest script first), shrunk, and
-    deduplicated. Raises [Invalid_argument] if [max_violations < 1].
-    Equal states can have different histories, so [dedup]
+    deduplicated. Raises [Invalid_argument] if [max_violations < 1], or
+    if [dedup] is on under a preemption bound and [max_steps] or the
+    bound is so large that a state key, which packs the decision's
+    depth with its preemption count and last pid into one int, would
+    not fit. Equal states can have different histories, so [dedup]
     can miss a violation of a history-judged oracle at the tightest
     bound that shows it (DESIGN §9). *)
 val exhaustive :
@@ -253,9 +263,14 @@ end
     system's own result ['r] ({!Aug_target.exec}, {!Harness_target.exec})
     and what both have, as both run over an augmented snapshot. The lazy
     fields are built by the first oracle that reads them, so each
-    verdict is computed at most once per execution. *)
+    verdict is computed at most once per execution, and an exhaustive
+    leaf whose oracles read only the statuses, the step count and the
+    index builds no result. An oracle reads them during its [check]
+    only: at a leaf they read state the execution goes on to change. *)
 type 'r exec = {
-  result : 'r;
+  result : 'r Lazy.t;
+      (** the system's result ({!Rsim_augmented.Aug.Prog.S.current},
+          {!Rsim_simulation.Harness.current}) *)
   noun : string;  (** a process in messages: ["process"] or ["simulator"] *)
   aug : Rsim_augmented.Aug.t;  (** the augmented snapshot the run used *)
   statuses : Rsim_runtime.Prog.status array;
@@ -436,6 +451,22 @@ val build_workload :
   (workload, string) result
 
 (**/**)
+
+(** Exposed for the claim-set test: the exhaustive engine's set of
+    claimed state keys, a fingerprint [(f1, f2)] with a non-negative
+    [k]. [claim s f1 f2 k] is [true] the first time it is called with a
+    key and [false] after, on any domain. [hash f1 f2 k]'s bits 56-61
+    pick the key's shard and its low bits the first slot probed in
+    it; a shard starts with {!initial_slots} slots and doubles once
+    more than 3/4 of them are used. *)
+module Claims : sig
+  type t
+
+  val create : unit -> t
+  val claim : t -> int -> int -> int -> bool
+  val hash : int -> int -> int -> int
+  val initial_slots : int
+end
 
 (** The [linearizable] verdict of an execution: [true] when
     {!Rsim_augmented.Aug_spec.lin_witness} passes on the index, or else

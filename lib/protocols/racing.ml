@@ -20,13 +20,9 @@ let decode cell =
 let pair_gt (r1, v1) (r2, v2) =
   r1 > r2 || (r1 = r2 && Value.compare v1 v2 > 0)
 
-let proc ~bank ?(decide_round = 1) ~name ~input () =
-  (match bank with
-  | [] -> invalid_arg "Racing.proc: empty bank"
-  | _ ->
-    if List.length (List.sort_uniq Int.compare bank) <> List.length bank then
-      invalid_arg "Racing.proc: bank components must be distinct");
-  if decide_round < 1 then invalid_arg "Racing.proc: decide_round must be >= 1";
+(* A process racing on [bank], which the caller has checked: non-empty,
+   distinct, and [decide_round >= 1]. *)
+let racer ~bank ~decide_round ~name ~input =
   let poised s =
     match s.phase with
     | To_scan -> Proc.Scan
@@ -69,7 +65,30 @@ let proc ~bank ?(decide_round = 1) ~name ~input () =
   Proc.make ~name ~init:{ r = 0; v = input; phase = To_scan } ~poised ~on_scan
     ~on_update
 
+let check ~bank ~decide_round =
+  (match bank with
+  | [] -> invalid_arg "Racing.proc: empty bank"
+  | _ :: _ -> ());
+  if decide_round < 1 then invalid_arg "Racing.proc: decide_round must be >= 1"
+
+let proc ~bank ?(decide_round = 1) ~name ~input () =
+  if List.length (List.sort_uniq Int.compare bank) <> List.length bank then
+    invalid_arg "Racing.proc: bank components must be distinct";
+  check ~bank ~decide_round;
+  racer ~bank ~decide_round ~name ~input
+
+(* The names of the first pids, formatted once: a simulation builds every
+   process it simulates anew on each run. *)
+let names = Array.init 64 (Printf.sprintf "racing%d")
+
+let name_of pid =
+  if pid >= 0 && pid < Array.length names then names.(pid)
+  else Printf.sprintf "racing%d" pid
+
+(* [0; ...; m - 1] is distinct, so a process of the protocol skips
+   [proc]'s sort of its bank. *)
 let protocol ~m ?(decide_round = 1) () =
   let bank = List.init m Fun.id in
   fun pid input ->
-    proc ~bank ~decide_round ~name:(Printf.sprintf "racing%d" pid) ~input ()
+    check ~bank ~decide_round;
+    racer ~bank ~decide_round ~name:(name_of pid) ~input

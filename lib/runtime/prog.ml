@@ -93,6 +93,9 @@ module type S = sig
     unit
 
   val current : run -> result
+  val statuses : run -> status array
+  val live : run -> int list
+  val total_ops : run -> int
 
   type saved
 
@@ -143,7 +146,9 @@ module Make (M : OPS) = struct
      the fields that {!save} copies, or follows from them
      ([restarts_pending]); [hops] counts this run's own applied operations
      for [fiber.ops], and [restored] says whether {!restore} was called
-     since [at_end] last was. *)
+     since [at_end] last was. Only a [control] hook crashes and restarts
+     pids, so without one the per-pid retry counts, restart clocks and
+     incarnations never change and are kept as [[||]]. *)
   type run = {
     n : int;
     programs : unit t array;  (** initial programs, for restarts *)
@@ -165,9 +170,10 @@ module Make (M : OPS) = struct
     mutable total : int;
     mutable clock : int;
     mutable decisions : int;
-    restart_due : int array;  (** [-1]: no restart due *)
+    restart_due : int array;
+        (** per pid, [-1]: no restart due; [[||]] without [control] *)
     mutable restarts_pending : int;  (** pids with a restart due *)
-    incarnations : int array;
+    incarnations : int array;  (** per pid; [[||]] without [control] *)
     mutable live : int list;
     mutable live_stale : bool;
     mutable hops : int;
@@ -205,8 +211,9 @@ module Make (M : OPS) = struct
     let n = st.n in
     Array.blit s.s_slots 0 st.slots 0 n;
     Array.blit s.s_ops_per_fiber 0 st.ops_per_fiber 0 n;
-    Array.blit s.s_restart_due 0 st.restart_due 0 n;
-    Array.blit s.s_incarnations 0 st.incarnations 0 n;
+    Array.blit s.s_restart_due 0 st.restart_due 0 (Array.length st.restart_due);
+    Array.blit s.s_incarnations 0 st.incarnations 0
+      (Array.length st.incarnations);
     Array.blit s.s_retries 0 st.retries 0 (Array.length st.retries);
     st.rev_trace <- s.s_rev_trace;
     st.rev_events <- s.s_rev_events;
@@ -214,7 +221,7 @@ module Make (M : OPS) = struct
     st.clock <- s.s_clock;
     st.decisions <- s.s_decisions;
     st.restarts_pending <- 0;
-    for pid = 0 to n - 1 do
+    for pid = 0 to Array.length st.restart_due - 1 do
       if st.restart_due.(pid) >= 0 then
         st.restarts_pending <- st.restarts_pending + 1
     done;
@@ -238,7 +245,7 @@ module Make (M : OPS) = struct
     record_event ~traced:st.traced e
 
   let do_restarts st =
-    for pid = 0 to st.n - 1 do
+    for pid = 0 to Array.length st.restart_due - 1 do
       let due = st.restart_due.(pid) in
       if due >= 0 && st.clock >= due then begin
         st.restart_due.(pid) <- -1;
@@ -387,9 +394,10 @@ module Make (M : OPS) = struct
         total = 0;
         clock = 0;
         decisions = 0;
-        restart_due = Array.make n (-1);
+        restart_due =
+          (if Option.is_none control then [||] else Array.make n (-1));
         restarts_pending = 0;
-        incarnations = Array.make n 0;
+        incarnations = (if Option.is_none control then [||] else Array.make n 0);
         live = [];
         live_stale = true;
         hops = 0;
@@ -401,9 +409,13 @@ module Make (M : OPS) = struct
 
   let status_of = function Over s -> s | Suspended _ -> Pending
 
+  let statuses st = Array.map status_of st.slots
+  let live = pending_pids
+  let total_ops st = st.total
+
   let current st =
     {
-      statuses = Array.map status_of st.slots;
+      statuses = statuses st;
       trace = List.rev st.rev_trace;
       ops_per_fiber = Array.copy st.ops_per_fiber;
       total_ops = st.total;

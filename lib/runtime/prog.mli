@@ -191,13 +191,24 @@ module type S = sig
       [r], so it stays as it is when the run goes on. *)
   val current : run -> result
 
+  (** Readers of what [r] has reached, for a caller that needs less than
+      {!current}: [statuses r] is {!current}'s [statuses] (a new array),
+      [live r] the pids whose status is [Pending], ascending, and
+      [total_ops r] the operations executed. None of them copies the
+      trace. *)
+  val statuses : run -> status array
+
+  val live : run -> int list
+  val total_ops : run -> int
+
   (** A run's state at one scheduling decision, immutable. *)
   type saved
 
   (** [save r], called from [r]'s probe: copies of the pids' programs,
-      statuses, operation and retry counts, incarnations and clocks, with
-      the trace and the events so far. Shared memory and [emit]'s log are
-      the caller's to save. *)
+      statuses and operation counts, their retry counts, restart clocks
+      and incarnations (only when [r] has a [control] hook: without one
+      they never change) and the clocks, with the trace and the events so
+      far. Shared memory and [emit]'s log are the caller's to save. *)
   val save : run -> saved
 
   (** [restore r s], called from [r]'s probe, puts [r] in state [s]: the

@@ -256,6 +256,8 @@ let finish ?probe ?at_end ~sched sim =
   Aug.Prog.run ?probe ?at_end ~sched sim.run
 
 let current sim = result_of sim (Aug.Prog.current sim.run)
+let aug sim = sim.aug
+let prog sim = sim.run
 
 let run ?max_ops ?local_cap ?faults ?watchdog ~sched spec =
   let sim = start ?max_ops ?local_cap ?faults ?watchdog spec in

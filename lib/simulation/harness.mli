@@ -140,6 +140,14 @@ val finish :
     run in the metrics. *)
 val current : sim -> result
 
+(** [aug s] is the augmented snapshot [s] runs over, and [prog s] the
+    interpreter's run of its simulators: what {!current} reads, for a
+    caller that needs only the statuses, the step count or the object
+    ({!Rsim_runtime.Prog.S.statuses}). *)
+val aug : sim -> Rsim_augmented.Aug.t
+
+val prog : sim -> Rsim_augmented.Aug.Prog.run
+
 (** A simulation's state at one scheduling decision: the interpreter's
     run (with each simulator's retry count, all the fault plane needs to
     resume), the augmented snapshot with its trace index, the journals

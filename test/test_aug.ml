@@ -507,7 +507,7 @@ let reference_oracle tally ~trace : _ Rsim_explore.Explore.Oracle.t =
       (fun ({ aug; result; index; spec_report; _ } :
              _ Rsim_explore.Explore.exec) ->
         compare_with_reference tally "explored execution" ~got:spec_report
-          index aug (trace result);
+          index aug (trace (Lazy.force result));
         []);
   }
 

@@ -785,6 +785,39 @@ let test_walk_order_pinned () =
       ("skip-yield-check", "mixed", 3, 2, 11, (9327, 6745, "12222122222"));
     ]
 
+(* A dedup key packs a decision's depth and its bound-state into one
+   int. Under a preemption bound, a shape whose largest key would not
+   fit is refused before anything runs, and the same shape without
+   dedup explores as usual. Within range, the bound-2 12-step mixed
+   tree with dedup has the counts it had when the key was a tuple. *)
+let test_dedup_key_fits () =
+  let w = get_builtin "bu-conflict" ~f:2 ~m:2 in
+  let refused f =
+    match f () with
+    | (_ : Explore.exhaustive_report) -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "max_steps too large" true
+    (refused (fun () ->
+         Explore.exhaustive ~max_steps:(max_int / 2) ~preemption_bound:2
+           ~dedup:true w));
+  Alcotest.(check bool) "bound too large" true
+    (refused (fun () ->
+         Explore.exhaustive ~max_steps:max_int ~preemption_bound:max_int
+           ~dedup:true w));
+  Alcotest.(check bool) "without dedup" false
+    (refused (fun () ->
+         Explore.exhaustive ~max_steps:6 ~preemption_bound:max_int
+           ~dedup:false w));
+  let r =
+    Explore.exhaustive ~max_steps:12 ~preemption_bound:2 ~dedup:true
+      ~domains:1
+      (get_builtin "mixed" ~f:3 ~m:2)
+  in
+  Alcotest.(check (list int))
+    "prefixes, truncated, executions, dedup hits" [ 2899; 702; 733; 31 ]
+    Explore.[ r.prefixes; r.truncated; r.executions; r.dedup_hits ]
+
 (* A node resumes only in the workload that saved it: handed to an
    execution of another workload, of the other system or of the same
    one, restoring it raises [Invalid_argument] instead of misreading
@@ -963,7 +996,7 @@ let test_resume_matches_scratch () =
               check =
                 (fun ex ->
                   seen :=
-                    ( List.map entry_key ex.result.Aug.Prog.trace,
+                    ( List.map entry_key (Lazy.force ex.result).Aug.Prog.trace,
                       List.map mop_key (Aug.log ex.aug) );
                   []);
             }
@@ -1000,7 +1033,7 @@ let test_resume_matches_scratch () =
               Explore.Oracle.name = "capture";
               on_truncated = true;
               check =
-                (fun { result = _, r; _ } ->
+                (fun { result = (lazy (_, r)); _ } ->
                   let q = r.Harness.report.Harness.quarantined in
                   quarantines := !quarantines + List.length q;
                   Array.iter
@@ -1270,7 +1303,7 @@ let reference_oracle t : Explore.Aug_target.exec Explore.Oracle.t =
     Explore.Oracle.name = "reference";
     on_truncated = true;
     check =
-      (fun ({ aug; result; _ } as ex) ->
+      (fun ({ aug; result = (lazy result); _ } as ex) ->
         t.executions <- t.executions + 1;
         let got = List.map race_key (Explore.Aug_target.race.check ex) in
         let want = List.map race_key (Race_ref.race_errors aug result) in
@@ -1391,6 +1424,126 @@ let test_sweep_faults_shape_judged () =
   Alcotest.(check int) "violations" 0 (List.length rep.Explore.violations);
   Alcotest.(check int) "witnessed" 4096 !witnessed
 
+(* ---- the claim set ---- *)
+
+(* Every claim answers as a [Hashtbl] of the keys claimed so far does:
+   fresh the first time, claimed after. *)
+let claims_against_reference () =
+  let set = Explore.Claims.create () in
+  let reference = Hashtbl.create 1024 in
+  let claim ((f1, f2, k) as key) =
+    let want = not (Hashtbl.mem reference key) in
+    if want then Hashtbl.replace reference key ();
+    let got = Explore.Claims.claim set f1 f2 k in
+    if got <> want then
+      Alcotest.failf "claim (%d, %d, %d) = %b, expected %b" f1 f2 k got want
+  in
+  (claim, fun () -> Hashtbl.length reference)
+
+(* Full-width ints, negative ones included. *)
+let any_int g =
+  (Random.State.bits g lsl 60) lxor (Random.State.bits g lsl 30)
+  lxor Random.State.bits g
+
+(* The shard and the first slot probed of a key in a shard that has not
+   grown. *)
+let home (f1, f2, k) =
+  let h = Explore.Claims.hash f1 f2 k in
+  ((h lsr 56) land 63, h land (Explore.Claims.initial_slots - 1))
+
+let test_claims_random_and_growth () =
+  let claim, size = claims_against_reference () in
+  let g = Random.State.make [| 17 |] in
+  List.iter claim [ (0, 0, 0); (-1, -1, 0); (max_int, min_int, max_int) ];
+  (* 64 shards of 64 slots: 60,000 keys make each shard double five
+     times. Every key is claimed twice, and a few thousand twice at
+     once. *)
+  let keys =
+    Array.init 60_000 (fun _ -> (any_int g, any_int g, Random.State.int g 1_000))
+  in
+  Array.iteri
+    (fun i key ->
+      claim key;
+      if i mod 16 = 0 then claim key)
+    keys;
+  Array.iter claim keys;
+  List.iter claim [ (0, 0, 0); (-1, -1, 0); (max_int, min_int, max_int) ];
+  Alcotest.(check int) "distinct keys" 60_003 (size ())
+
+(* Keys that differ in one of their three ints and start probing at the
+   same slot of the same shard: the claims must tell them apart by
+   their exact value, before and after their shard grows. *)
+let test_claims_same_slot () =
+  let claim, size = claims_against_reference () in
+  let g = Random.State.make [| 5 |] in
+  let largest_group vary =
+    let groups = Hashtbl.create 4096 in
+    for _ = 1 to 20_000 do
+      let key = vary (any_int g) in
+      Hashtbl.replace groups (home key)
+        (key :: Option.value (Hashtbl.find_opt groups (home key)) ~default:[])
+    done;
+    Hashtbl.fold
+      (fun _ keys best ->
+        if List.compare_lengths keys best > 0 then keys else best)
+      groups []
+  in
+  let f1 = any_int g and f2 = any_int g and k = 7 in
+  let groups =
+    [
+      largest_group (fun x -> (x, f2, k));
+      largest_group (fun x -> (f1, x, k));
+      largest_group (fun x -> (f1, f2, x land 0xFFFFFF));
+    ]
+  in
+  List.iter
+    (fun keys ->
+      let keys = List.sort_uniq compare keys in
+      if List.compare_length_with keys 8 < 0 then
+        Alcotest.failf "only %d keys share a slot" (List.length keys);
+      List.iter claim keys;
+      List.iter claim keys)
+    groups;
+  let grouped = size () in
+  (* Grow every shard past its first size, then claim the groups again. *)
+  for _ = 1 to 20_000 do
+    claim (any_int g, any_int g, Random.State.int g 1_000)
+  done;
+  List.iter (List.iter claim) groups;
+  Alcotest.(check bool) "groups claimed" true (grouped >= 24)
+
+(* Two domains claim the same keys: each key is won exactly once. *)
+let test_claims_across_domains () =
+  let set = Explore.Claims.create () in
+  let keys = Array.init 20_000 (fun i -> (i * 7919, -i, i mod 11)) in
+  let wins () =
+    Array.fold_left
+      (fun n (f1, f2, k) -> if Explore.Claims.claim set f1 f2 k then n + 1 else n)
+      0 keys
+  in
+  let other = Domain.spawn wins in
+  let mine = wins () in
+  Alcotest.(check int) "every key won once" 20_000 (mine + Domain.join other)
+
+(* ---- cost ---- *)
+
+(* Minor words per execution of the exhaustive walk on the benchmark's
+   verify tree (mixed f=3 m=2, 11 steps, one domain): the hops, the
+   saved nodes, the tasks, the claims and the judged leaves. A leaf
+   that reads its statuses and step count off the run, and builds the
+   trace and the interpreter's result only for an oracle that reads
+   them, brought it from 414 to 311 (OCaml 5.1, x86-64). *)
+let test_leaf_allocation () =
+  let w = get_builtin "mixed" ~f:3 ~m:2 in
+  ignore (Explore.exhaustive ~max_steps:10 ~domains:1 w);
+  let w0 = Gc.minor_words () in
+  let r = Explore.exhaustive ~max_steps:11 ~domains:1 w in
+  let per_exec = (Gc.minor_words () -. w0) /. float_of_int r.Explore.executions in
+  Alcotest.(check int) "executions" 25_068 r.Explore.executions;
+  if per_exec > 340. then
+    Alcotest.failf
+      "an explored execution allocated %.1f minor words (budget 340)" per_exec
+
 let () =
   Alcotest.run "explore"
     [
@@ -1430,6 +1583,22 @@ let () =
             test_walk_order_pinned;
           Alcotest.test_case "foreign nodes refused" `Quick
             test_foreign_node_refused;
+          Alcotest.test_case "dedup keys fit in an int" `Quick
+            test_dedup_key_fits;
+        ] );
+      ( "claim set",
+        [
+          Alcotest.test_case "random keys across doublings" `Quick
+            test_claims_random_and_growth;
+          Alcotest.test_case "keys in the same slot" `Quick
+            test_claims_same_slot;
+          Alcotest.test_case "one winner per key across domains" `Quick
+            test_claims_across_domains;
+        ] );
+      ( "cost",
+        [
+          Alcotest.test_case "allocation per explored leaf" `Quick
+            test_leaf_allocation;
         ] );
       ( "sweep",
         [

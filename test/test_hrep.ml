@@ -69,13 +69,16 @@ let test_new_timestamp_dominates () =
   List.iter
     (fun me ->
       let t = Hrep.new_timestamp h ~me in
-      List.iter
-        (fun (_, tr) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "fresh ts by %d dominates" me)
-            true
-            (Vts.compare t tr.Hrep.ts > 0))
-        (Hrep.all_triples h))
+      Array.iter
+        (fun (c : Hrep.component) ->
+          List.iter
+            (fun tr ->
+              Alcotest.(check bool)
+                (Printf.sprintf "fresh ts by %d dominates" me)
+                true
+                (Vts.compare t tr.Hrep.ts > 0))
+            c.Hrep.triples)
+        h)
     [ 0; 1; 2 ]
 
 let test_read_l () =
@@ -97,12 +100,6 @@ let test_read_l () =
     (Hrep.read_l h ~writer:0 ~reader:1 ~index:5 = None);
   Alcotest.(check bool) "wrong reader is bot" true
     (Hrep.read_l h ~writer:0 ~reader:0 ~index:0 = None)
-
-let test_contains_ts () =
-  let h = Hrep.create ~f:2 in
-  h.(0) <- Hrep.append_triples h.(0) [ triple 0 1 [| 1; 0 |] ];
-  Alcotest.(check bool) "contains" true (Hrep.contains_ts h (ts [| 1; 0 |]));
-  Alcotest.(check bool) "not contains" false (Hrep.contains_ts h (ts [| 2; 0 |]))
 
 (* An append conses its batch onto the list it extends: appending one
    batch allocates the same words whether the component holds nothing or
@@ -397,7 +394,6 @@ let () =
           Alcotest.test_case "get_view" `Quick test_get_view;
           Alcotest.test_case "corollary 8" `Quick test_new_timestamp_dominates;
           Alcotest.test_case "read_l" `Quick test_read_l;
-          Alcotest.test_case "contains_ts" `Quick test_contains_ts;
           Alcotest.test_case "appends do not copy" `Quick test_appends_do_not_copy;
         ] );
       ( "properties",

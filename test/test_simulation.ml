@@ -666,7 +666,7 @@ let test_analysis_matches_reference () =
           name = "analysis-reference";
           on_truncated = true;
           check =
-            (fun { result = hspec, result; _ } ->
+            (fun { result = (lazy (hspec, result)); _ } ->
               incr swept;
               let want =
                 compare_with_reference mismatches (profile ^ " racing sweep")
