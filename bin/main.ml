@@ -155,6 +155,11 @@ let witness_cmd =
   let d = Arg.(value & opt int 0 & info [ "d" ] ~doc:"Direct simulators.") in
   let seeds = Arg.(value & opt int 200 & info [ "seeds" ] ~doc:"Schedules to search.") in
   let run n m f d seeds =
+    (match Harness.check_shape ~n ~m ~f ~d with
+    | Ok () -> ()
+    | Error e ->
+      Log.err (fun k -> k "witness: %s" e);
+      exit 2);
     let bound = Lower.consensus ~n in
     Printf.printf "Corollary 33: consensus among n=%d needs >= %d registers; trying m=%d.\n"
       n bound m;
@@ -180,7 +185,16 @@ let witness_cmd =
   in
   Cmd.v
     (Cmd.info "witness"
-       ~doc:"Search schedules for the disagreement the space lower bound predicts.")
+       ~doc:"Search schedules for the disagreement the space lower bound predicts."
+       ~exits:
+         [
+           Cmd.Exit.info 0 ~doc:"the search ran, whether or not it found a violation.";
+           Cmd.Exit.info 2
+             ~doc:
+               "the shape is invalid: it needs f >= 1, 0 <= d <= f, m >= 1 \
+                and (f-d)*m + d <= n.";
+           Cmd.Exit.info Cmd.Exit.cli_error ~doc:"command-line parse error.";
+         ])
     Term.(const run $ n $ m $ f $ d $ seeds)
 
 (* ---------------- derand ---------------- *)

@@ -80,7 +80,7 @@ end
     their linearization points there, at or before the append, never to
     move, and whose Lemma 9 verdict is settled there. A completion adds
     one completed M-operation, right after the hop at its [end_idx], and
-    settles what no later hop can change (see {!report}). An index is an
+    settles its verdicts (see {!report}). An index is an
     immutable value, so a run that saves its state at a scheduling
     decision keeps the index of that point by keeping the pointer, and
     every branch from there extends the same one.
@@ -134,8 +134,20 @@ val hop_scan : index -> idx:int -> pid:int -> Hrep.snap -> index
 val hop_append : index -> idx:int -> pid:int -> Hrep.triple list -> index
 
 (** [complete ix mop] is [ix] extended by the completed M-operation
-    [mop], taken right after the hop at its [end_idx]. *)
+    [mop], taken right after the hop at its [end_idx]. It settles the
+    operation's verdicts there (see {!report}): Lemma 2 and Theorem 20;
+    for a Scan, Corollary 15; for a Block-Update, Lemmas 11 and 12, and
+    for an atomic one, Lemma 11 contiguity, Lemmas 16, 17 and 19 on its
+    window and Lemma 18 against the earlier windows. It also counts what
+    {!report}'s stats, {!n_q0_yields} and {!last_end} read. *)
 val complete : index -> Mop.mop -> index
+
+(** The number of completed Block-Updates of process 0 that returned
+    [Yield] (Theorem 20 forbids any). *)
+val n_q0_yields : index -> int
+
+(** The largest [end_idx] of a completed M-operation, [-1] for none. *)
+val last_end : index -> int
 
 (** The completed M-operations [ix] holds, latest first. *)
 val rev_log : index -> Mop.mop list
@@ -210,28 +222,35 @@ val pp_report : Format.formatter -> report -> unit
 
 (** [report ix] validates the execution [ix] indexes.
 
-    Settled when an operation completes, and kept in the index: Lemma 9
-    (at each append: the first writer of a timestamp owns it), Lemmas 11
-    and 12 (an atomic Block-Update's Updates linearize at its [X], a
-    yielding one's inside [(start, X\]]), Lemma 2 and Theorem 20. None of
-    them can change later: a linearization point is fixed when its
-    Update is appended, and every append a step count or a yield test
-    reads lies inside the operation's interval, so it is out by its
-    completion. The one exception is an append that carries the
-    (writer, timestamp) of a Block-Update that already completed (a
-    dropped write can make one): its Updates join that Block-Update's, so
-    the report then judges Lemmas 11 and 12 again over the whole log.
+    Every verdict is settled when an operation completes ({!complete}),
+    and kept in the index: a linearization point is fixed when its Update
+    is appended, and in a run each completion lands after every hop and
+    every earlier completion, so it sees every Update and Scan its checks
+    read. Lemma 9 is settled at each append (the first writer of a
+    timestamp owns it). For a clean index, [report] then only returns
+    the settled lists, in O(1) when there is no error.
 
-    Judged whole at each call, because a later hop can still change
-    them: Corollary 15 (an Update appended later can linearize before a
-    Scan that already completed), the contiguity part of Lemma 11 and
-    Lemmas 16–19 (a later Update can linearize inside a window or before
-    its [L], and a later completion can make a pending Update's
-    Block-Update atomic), and Lemma 18. Each is a walk of the linearization or, per atomic
-    Block-Update, of the Updates and Scans linearized after its [L];
-    contiguity is decided without numbering the linearization when the
-    Block-Update's Updates all linearize at its [X] and no other writer
-    shares its timestamp. Errors come in the order of a whole-trace
-    check: Lemma 9, Corollary 15, Lemmas 11/12, contiguity, windows,
-    Lemma 18, then Lemma 2 and Theorem 20. *)
+    Three kinds of hop or completion can make a settled verdict stale.
+    They mark the index for rejudging, and [report] then judges it whole
+    again, walking the linearization and every window, and counts the
+    walk in the Obs counter [aug.spec.rejudged]:
+    + an append whose Update linearizes at or before the latest
+      completion's [end_idx]: it can put a write before a completed Scan
+      (Corollary 15), inside a window or before its [L] (Lemmas 11, 16
+      and 19);
+    + an append that carries the (writer, timestamp) of a Block-Update
+      that already completed (a dropped write can make one): its Updates
+      join that Block-Update's (Lemmas 11 and 12);
+    + a completion that makes an Update inside a settled window belong,
+      or stop belonging, to an atomic Block-Update (Lemma 19).
+    A completion that does not land after every hop and earlier
+    completion, or a Scan view of the wrong width (no run makes either),
+    marks the index too. Lemma 2 and
+    Theorem 20 are never stale: every append a step count or a yield test
+    reads lies inside the operation's interval, so it is in by its
+    completion.
+
+    Errors come in the order of a whole-trace check: Lemma 9, Corollary
+    15, Lemmas 11/12, contiguity, windows, Lemma 18, then Lemma 2 and
+    Theorem 20. *)
 val report : index -> report

@@ -1130,22 +1130,18 @@ let progress : _ exec Oracle.t =
     Oracle.name = "progress";
     on_truncated = true;
     check =
-      (fun { noun; aug; steps; complete; _ } ->
-        if complete || steps < progress_window then []
+      (fun { noun; index; steps; complete; _ } ->
+        if
+          complete || steps < progress_window
+          || Aug_spec.last_end index >= steps - progress_window
+        then []
         else
-          let horizon = steps - progress_window in
-          let recent = ref false in
-          Aug.iter_log aug (function
-            | Aug.Scan_op { end_idx; _ } | Aug.Bu_op { end_idx; _ } ->
-              if end_idx >= horizon then recent := true);
-          if !recent then []
-          else
-            [
-              Printf.sprintf
-                "no M-operation completed in the final %d of %d steps while \
-                 a %s was still pending (blocking)"
-                progress_window steps noun;
-            ]);
+          [
+            Printf.sprintf
+              "no M-operation completed in the final %d of %d steps while a \
+               %s was still pending (blocking)"
+              progress_window steps noun;
+          ]);
   }
 
 (* ---------------------------------------------------------------- *)
@@ -1169,15 +1165,17 @@ module Aug_target = struct
       Oracle.name = "theorem20";
       on_truncated = true;
       check =
-        (fun { aug; _ } ->
-          let errs = ref [] in
-          Aug.iter_log aug (function
-            | Aug.Bu_op { proc = 0; result = Aug.Yield; ts; _ } ->
-              errs :=
-                Printf.sprintf "process 0 yielded (ts %s)" (Vts.show ts)
-                :: !errs
-            | Aug.Bu_op _ | Aug.Scan_op _ -> ());
-          List.rev !errs);
+        (fun { aug; index; _ } ->
+          if Aug_spec.n_q0_yields index = 0 then []
+          else
+            let errs = ref [] in
+            Aug.iter_log aug (function
+              | Aug.Bu_op { proc = 0; result = Aug.Yield; ts; _ } ->
+                errs :=
+                  Printf.sprintf "process 0 yielded (ts %s)" (Vts.show ts)
+                  :: !errs
+              | Aug.Bu_op _ | Aug.Scan_op _ -> ());
+            List.rev !errs);
     }
 
   let linearizable : exec Oracle.t =

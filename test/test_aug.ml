@@ -386,7 +386,8 @@ let prop_deterministic =
    operation and the trace index's step, and no bind: the M-operations
    take their continuations. Measured on `mixed` f=4 m=2 (the explorer's
    workload, its programs rebuilt here) under [Schedule.random], runs
-   and their results included: 97.9 words, against 123.4 when every
+   and their results included: 98.6 words with the §3 verdicts settled
+   at each completion (97.9 before), against 123.4 when every
    H-operation was bound and every append copied the component's lists
    (OCaml 5.1, x86-64). *)
 let test_hop_allocation () =
@@ -442,13 +443,24 @@ let test_scan_blocked_by_updates () =
 
 (* ---- the checker against its quadratic reference ---- *)
 
-(* Tallies of one corpus: reports compared, reports failing, and a
-   description of every report that differs from the reference. *)
+(* Tallies of one corpus: reports compared, reports failing, reports
+   judged by the whole walk rather than read off the settled verdicts,
+   and a description of every report that differs from the reference. *)
 type tally = {
   mutable compared : int;
   mutable failing : int;
+  mutable rejudged : int;
   mutable mismatches : string list;
 }
+
+let m_rejudged = Rsim_obs.Obs.Metrics.counter "aug.spec.rejudged"
+
+(* [force ()], which builds one report, and whether that report walked
+   the whole index (Obs counter [aug.spec.rejudged]). *)
+let walked force =
+  let before = Rsim_obs.Obs.Metrics.counter_value m_rejudged in
+  let r = force () in
+  (r, Rsim_obs.Obs.Metrics.counter_value m_rejudged > before)
 
 (* The two checkers' linearizations, in one comparable form. *)
 let lin_items ix =
@@ -476,11 +488,13 @@ let ref_lin_item = function
    recorded (by default judged here), with the reference's on [aug] and
    [trace]. *)
 let compare_with_reference tally what ?got ix aug trace =
-  let got =
-    match got with Some got -> Lazy.force got | None -> Aug_spec.report ix
+  let got, rejudged =
+    walked (fun () ->
+        match got with Some got -> Lazy.force got | None -> Aug_spec.report ix)
   in
   let want = Aug_spec_ref.check aug trace in
   tally.compared <- tally.compared + 1;
+  if rejudged then tally.rejudged <- tally.rejudged + 1;
   if not want.Aug_spec.ok then tally.failing <- tally.failing + 1;
   if got <> want then
     tally.mismatches <-
@@ -514,7 +528,18 @@ let reference_oracle tally ~trace : _ Rsim_explore.Explore.Oracle.t =
 let aug_reference tally =
   reference_oracle tally ~trace:(fun (r : Aug.Prog.result) -> r.trace)
 
-let new_tally () = { compared = 0; failing = 0; mismatches = [] }
+let new_tally () = { compared = 0; failing = 0; rejudged = 0; mismatches = [] }
+
+(* Both report paths were compared: some reports read off the settled
+   verdicts, and some judged whole. *)
+let both_paths what tallies =
+  let sum f = List.fold_left (fun n t -> n + f t) 0 tallies in
+  let compared = sum (fun t -> t.compared) and rejudged = sum (fun t -> t.rejudged) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: settled and rejudged reports compared (%d rejudged of %d)"
+       what rejudged compared)
+    true
+    (rejudged > 0 && rejudged < compared)
 
 let no_mismatch what tally =
   match tally.mismatches with
@@ -564,6 +589,7 @@ let test_checker_matches_reference () =
       (Aug.index aug) aug result.trace
   done;
   no_mismatch "simulations and ablation" tally;
+  both_paths "simulations and ablation" [ tally ];
   Alcotest.(check bool)
     (Printf.sprintf "corpus has failing reports (%d of %d)" tally.failing
        tally.compared)
@@ -586,9 +612,11 @@ let test_engine_report_matches_reference () =
     | Ok specs -> specs
     | Error e -> Alcotest.failf "fault grammar: %s" e
   in
+  let tallies = ref [] in
   List.iter
     (fun inject ->
       let tally = new_tally () in
+      tallies := tally :: !tallies;
       let oracles = [ aug_reference tally ] in
       List.iter
         (fun (name, f, max_steps) ->
@@ -637,7 +665,8 @@ let test_engine_report_matches_reference () =
   in
   Alcotest.(check int) "racing tree: complete leaves" 842 r.Explore.complete;
   Alcotest.(check int) "racing tree: every leaf compared" 842 tally.compared;
-  no_mismatch "racing tree" tally
+  no_mismatch "racing tree" tally;
+  both_paths "builtin shapes and racing tree" (tally :: !tallies)
 
 (* A dropped Line-4 write leaves the next Block-Update of q1 in mixed
    f=3 m=2 with the same timestamp as the one that completed, so its
@@ -671,7 +700,8 @@ let test_long_leaves_match_reference () =
   let r = Explore.exhaustive ~domains:1 ~preemption_bound:2 ~max_steps:80 w in
   Alcotest.(check int) "complete leaves" 5706 r.Explore.complete;
   Alcotest.(check int) "every leaf compared" 5706 tally.compared;
-  no_mismatch "long leaves" tally
+  no_mismatch "long leaves" tally;
+  both_paths "long leaves" [ tally ]
 
 (* The index of a hand-written trace: the hop step of each entry, in
    list order. *)
@@ -777,20 +807,26 @@ let test_hop_out_of_order () =
 
 (* Hand-driven runs: one H-operation at a time, each completed
    M-operation logged as written, so a log can disagree with the
-   index's order. *)
-let hscan aug ~pid =
+   index's order. Each H-operation is added to [trace] (latest first)
+   when one is given. *)
+let apply ?trace aug ~pid op =
   let idx = Aug.clock aug in
-  match Aug.apply aug ~pid Aug.Ops.Hscan with
-  | Aug.Ops.Snap h -> (idx, h)
-  | Aug.Ops.Ack -> Alcotest.fail "an H.scan returned Ack"
+  let res = Aug.apply aug ~pid op in
+  Option.iter
+    (fun t -> t := { Aug.Prog.idx; pid; op; res } :: !t)
+    trace;
+  (idx, res)
 
-let happend aug ~pid ~ts pairs =
-  let idx = Aug.clock aug in
-  ignore
-    (Aug.apply aug ~pid
+let hscan ?trace aug ~pid =
+  match apply ?trace aug ~pid Aug.Ops.Hscan with
+  | idx, Aug.Ops.Snap h -> (idx, h)
+  | _, Aug.Ops.Ack -> Alcotest.fail "an H.scan returned Ack"
+
+let happend ?trace aug ~pid ~ts pairs =
+  fst
+    (apply ?trace aug ~pid
        (Aug.Ops.Happend_triples
-          (List.map (fun (j, v) -> { Hrep.comp = j; value = v; ts }) pairs)));
-  idx
+          (List.map (fun (j, v) -> { Hrep.comp = j; value = v; ts }) pairs)))
 
 let logged aug mop = Aug.record aug (Aug.Mop mop)
 
@@ -942,6 +978,150 @@ let test_long_history_vacuous () =
   Alcotest.(check bool) "passes" true (Explore.lin_verdict aug ix);
   Alcotest.(check int) "counted vacuous" 1 (Metrics.counter_value vacuous - before)
 
+(* ---- the settled report and the whole walk ---- *)
+
+(* Hand-driven runs that each take a rejudge trigger last. The report
+   before the trigger reads the settled verdicts, the one after walks
+   the whole index, and both match the reference's. Each trigger's run
+   hides an error from the settled verdicts: a report that ignored the
+   trigger would miss it. *)
+let rejudge_cases =
+  [
+    (* q0's append of (0, 1) carries the timestamp of q1's append of
+       (0, 7), which q2's Scan returned: it linearizes right after it
+       (§3.3), before the Scan, which is now stale (Corollary 15). *)
+    ( "a late Update flips Corollary 15",
+      (3, 1),
+      fun ~trace aug ->
+        let t = ts [| 1; 1; 0 |] in
+        ignore (happend ~trace aug ~pid:1 ~ts:t [ (0, i 7) ]);
+        let s2, _ = hscan ~trace aug ~pid:2 in
+        let e2, h2 = hscan ~trace aug ~pid:2 in
+        logged_scan aug ~proc:2 ~start_idx:s2 ~end_idx:e2 ~h:h2 [| i 7 |];
+        fun () -> ignore (happend ~trace aug ~pid:0 ~ts:t [ (0, i 1) ]) );
+    (* q0's second append, of (1, 9), linearizes at q1's earlier append
+       of a larger timestamp: inside the window (0, 2) of q0's atomic
+       Block-Update, which it owns (Lemma 19). *)
+    ( "a late Update inside a settled window",
+      (3, 2),
+      fun ~trace aug ->
+        let s0, h0 = hscan ~trace aug ~pid:0 in
+        ignore (happend ~trace aug ~pid:1 ~ts:(ts [| 2; 1; 0 |]) [ (1, i 5) ]);
+        let t0 = ts [| 1; 0; 0 |] in
+        let x = happend ~trace aug ~pid:0 ~ts:t0 [ (0, i 1) ] in
+        let e0, _ = hscan ~trace aug ~pid:0 in
+        logged_bu aug ~proc:0 ~ts:t0 ~start_idx:s0 ~x_idx:x ~end_idx:e0 ~h:h0
+          [ (0, i 1) ];
+        fun () ->
+          ignore (happend ~trace aug ~pid:0 ~ts:(ts [| 2; 0; 0 |]) [ (1, i 9) ])
+      );
+    (* q1's Update at 2 lies inside the window (1, 3) of q0's atomic
+       Block-Update, harmless while q1's Block-Update is pending; its
+       atomic completion makes it a violation (Lemma 19). *)
+    ( "an atomic completion inside an earlier window",
+      (2, 2),
+      fun ~trace aug ->
+        let s0, h0 = hscan ~trace aug ~pid:0 in
+        let s1, h1 = hscan ~trace aug ~pid:1 in
+        let t1 = ts [| 0; 1 |] in
+        let x1 = happend ~trace aug ~pid:1 ~ts:t1 [ (1, i 5) ] in
+        let t0 = ts [| 1; 0 |] in
+        let x0 = happend ~trace aug ~pid:0 ~ts:t0 [ (0, i 1) ] in
+        let e0, _ = hscan ~trace aug ~pid:0 in
+        logged_bu aug ~proc:0 ~ts:t0 ~start_idx:s0 ~x_idx:x0 ~end_idx:e0 ~h:h0
+          [ (0, i 1) ];
+        fun () ->
+          let e1, _ = hscan ~trace aug ~pid:1 in
+          logged_bu aug ~proc:1 ~ts:t1 ~start_idx:s1 ~x_idx:x1 ~end_idx:e1
+            ~h:h1 [ (1, i 5) ] );
+    (* An append foreign to q0's completed Block-Update carries its
+       (writer, timestamp): its Update of component 1 joins that
+       Block-Update, and linearizes after its X (Lemma 11). *)
+    ( "a foreign append of a completed timestamp",
+      (2, 2),
+      fun ~trace aug ->
+        let s0, h0 = hscan ~trace aug ~pid:0 in
+        let t0 = ts [| 1; 0 |] in
+        let x = happend ~trace aug ~pid:0 ~ts:t0 [ (0, i 1) ] in
+        let e0, _ = hscan ~trace aug ~pid:0 in
+        logged_bu aug ~proc:0 ~ts:t0 ~start_idx:s0 ~x_idx:x ~end_idx:e0 ~h:h0
+          [ (0, i 1); (1, i 2) ];
+        fun () -> ignore (happend ~trace aug ~pid:0 ~ts:t0 [ (1, i 2) ]) );
+    (* q1's first Scan is logged after its second, which no run does: at
+       its end (1) M is still empty, but it returned q0's write. *)
+    ( "a completion out of order",
+      (2, 2),
+      fun ~trace aug ->
+        let s, _ = hscan ~trace aug ~pid:1 in
+        let e, h = hscan ~trace aug ~pid:1 in
+        ignore (happend ~trace aug ~pid:0 ~ts:(ts [| 1; 0 |]) [ (0, i 1) ]);
+        let e', h' = hscan ~trace aug ~pid:1 in
+        logged_scan aug ~proc:1 ~start_idx:e ~end_idx:e' ~h:h' [| i 1; Value.Bot |];
+        fun () ->
+          logged_scan aug ~proc:1 ~start_idx:s ~end_idx:e ~h
+            [| i 1; Value.Bot |] );
+  ]
+
+let test_rejudge_triggers () =
+  List.iter
+    (fun (what, (f, m), build) ->
+      let trace = ref [] in
+      let aug = Aug.create ~f ~m () in
+      let judge stage ~whole =
+        let got, rejudged = walked (fun () -> report aug) in
+        let want = Aug_spec_ref.check aug (List.rev !trace) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s, %s: judged whole" what stage)
+          whole rejudged;
+        if got <> want then
+          Alcotest.failf "%s, %s:@.got %a@.want %a" what stage
+            Aug_spec.pp_report got Aug_spec.pp_report want;
+        got
+      in
+      let trigger = build ~trace aug in
+      let settled = judge "before the trigger" ~whole:false in
+      trigger ();
+      let whole = judge "after the trigger" ~whole:true in
+      Alcotest.(check bool)
+        (what ^ ": the trigger adds an error")
+        true
+        (List.exists (fun e -> not (List.mem e settled.errors)) whole.errors))
+    rejudge_cases
+
+(* A clean index's report returns the settled (empty) lists and the
+   counters kept as the run went: it allocates the report and its stats
+   and nothing that grows with the run. Measured on the first seeds whose
+   runs of 10 and of 80 H-operations are clean and settled. *)
+let test_clean_report_constant () =
+  let index hops =
+    let rec find seed =
+      let aug = Aug.create ~f:3 ~m:3 () in
+      let result =
+        run ~max_ops:hops ~sched:(Schedule.random ~seed) aug
+          (List.init 3 (random_body ~aug ~n_ops:40 ~seed))
+      in
+      let r, rejudged = walked (fun () -> report aug) in
+      if result.total_ops = hops && r.Aug_spec.ok && not rejudged then
+        Aug.index aug
+      else find (seed + 1)
+    in
+    find 1
+  in
+  let words ix =
+    let reps = 1000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to reps do
+      ignore (Sys.opaque_identity (Aug_spec.report ix))
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int reps
+  in
+  let short = index 10 and long = index 80 in
+  let w_short = words short and w_long = words long in
+  if w_long > w_short then
+    Alcotest.failf
+      "a clean report allocated %.1f minor words on 80 hops, %.1f on 10" w_long
+      w_short
+
 let () =
   Alcotest.run "aug"
     [
@@ -999,8 +1179,16 @@ let () =
             test_witness_refuses_tampering;
           Alcotest.test_case "too long to search: vacuous" `Quick
             test_long_history_vacuous;
+          Alcotest.test_case "each rejudge trigger judged whole" `Quick
+            test_rejudge_triggers;
         ] );
-      ("cost", [ Alcotest.test_case "allocation per augmented hop" `Quick test_hop_allocation ]);
+      ( "cost",
+        [
+          Alcotest.test_case "allocation per augmented hop" `Quick
+            test_hop_allocation;
+          Alcotest.test_case "a clean report allocates a constant" `Quick
+            test_clean_report_constant;
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [

@@ -94,6 +94,14 @@ let check_refused args ~reason =
     true
     (contains ~sub:reason err && not (contains ~sub:"uncaught" err))
 
+(* [witness] runs the same simulations as [simulate], so it refuses the
+   same shapes. *)
+let test_witness_bad_shape () =
+  check_bad_shape "witness -n 3 -m 2 -f 2 -d 0";
+  check_refused "witness -n 2 -m 2 -f 3"
+    ~reason:"(f-d)*m + d = 6 exceeds n = 2";
+  check_refused "witness -m 0" ~reason:"m must be >= 1"
+
 let test_explore_empty_shape () =
   check_refused "explore --workload mixed -f 0 -m 2" ~reason:"f must be >= 1";
   check_refused "explore --workload mixed -f 2 -m 0" ~reason:"m must be >= 1"
@@ -261,6 +269,8 @@ let () =
             test_explore_bad_shape;
           Alcotest.test_case "simulate: shape exceeds n" `Quick
             test_simulate_bad_shape;
+          Alcotest.test_case "witness: shape exceeds n" `Quick
+            test_witness_bad_shape;
           Alcotest.test_case "explore: f or m below 1" `Quick
             test_explore_empty_shape;
           Alcotest.test_case "replay and stats: invalid artifact shape" `Quick
